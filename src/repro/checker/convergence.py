@@ -32,11 +32,34 @@ specification); the one semantic knob is fairness, exposed as
 ``fairness='weak'`` which removes self-loops before the cycle
 analysis — required by systems with stuttering actions such as the
 paper's ``C3``.
+
+Every engine runs this one procedure, written once in
+:func:`_decide`.  An engine contributes a *backend*
+(:data:`_BACKENDS`) that computes the sets in its own representation
+— tuple states, packed int codes, NumPy flag arrays, or streamed bit
+fields — and answers in tuple terms: ``legitimate()`` and ``core()``
+return ``L_A`` and ``G``; ``outside_size()``, ``deadlock()`` (the
+min-by-``repr`` stuck state outside ``G``, or ``None``) and
+``has_cycle_outside()`` query the complement of ``G``;
+``has_invisible_cycle()`` may answer "maybe" but never misses a cycle
+of invisible steps in ``G``; ``outside_states()``,
+``analysis_system()`` (self-loops dropped under weak/strong fairness)
+and ``schema`` feed the witness searches; ``longest_path()`` is the
+worst case; and ``running()`` is a context held open for the whole
+decision (the shared engine's runtime).  Backends return sets, flags
+and states; the skeleton alone holds the phase spans, the witness
+messages, the invisible-cycle witness rebuild and the result, so the
+verdict, witness, counters and spans do not depend on the engine.
+Decoded sets are built in ascending code order — schema order, the
+tuple engine's own set layout — so every order-dependent witness
+search returns the same witness.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from ..core.abstraction import AbstractionFunction, identity_abstraction
@@ -85,6 +108,14 @@ def _source_name(source: SystemOrProgram) -> str:
     return source.name
 
 
+def _require_known_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of "
+            + ", ".join(map(repr, ENGINES))
+        )
+
+
 def _select_engine(
     engine: str,
     concrete: SystemOrProgram,
@@ -114,11 +145,7 @@ def _select_engine(
     bounce to the tuple engine just because it cannot intern.  Budgeted
     checks still honour the tuple-replay floor.
     """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of 'packed', "
-            f"'tuple', 'vector', 'shared'"
-        )
+    _require_known_engine(engine)
     if engine == "tuple":
         return "tuple"
     from ..kernel import packed_fallback_reason, source_schema
@@ -629,22 +656,20 @@ def check_stabilization(
         workers = resolve_workers(workers)
         if workers > 1:
             instrumentation.count("parallel.workers", workers)
-    meter = BudgetMeter(state_budget)
-    name = f"{_source_name(concrete)} stabilizing to {_source_name(abstract)}"
+    request = _Request(
+        concrete,
+        abstract,
+        alpha,
+        stutter_insensitive,
+        fairness,
+        compute_steps,
+        instrumentation,
+        BudgetMeter(state_budget),
+        workers,
+    )
     with instrumentation.span("check.total"):
         try:
-            result = _decide_with_degradation(
-                selected,
-                concrete,
-                abstract,
-                alpha,
-                stutter_insensitive,
-                fairness,
-                compute_steps,
-                instrumentation,
-                meter,
-                workers,
-            )
+            result = _decide_with_degradation(selected, request)
         except BudgetExceeded as exc:
             instrumentation.event(
                 "check.partial",
@@ -654,7 +679,7 @@ def check_stabilization(
                 budget=exc.partial.budget,
             )
             return StabilizationResult(
-                CheckResult(False, name, partial=exc.partial),
+                CheckResult(False, request.name, partial=exc.partial),
                 frozenset(),
                 frozenset(),
                 None,
@@ -676,17 +701,35 @@ def check_stabilization(
     return result
 
 
+@dataclass(frozen=True)
+class _Request:
+    """One stabilization question, as :func:`check_stabilization` got it."""
+
+    concrete: SystemOrProgram
+    abstract: SystemOrProgram
+    alpha: Optional[AbstractionFunction]
+    stutter_insensitive: bool
+    fairness: str
+    compute_steps: bool
+    instrumentation: Instrumentation
+    meter: BudgetMeter
+    workers: int
+
+    @property
+    def name(self) -> str:
+        return (
+            f"{_source_name(self.concrete)} stabilizing to "
+            f"{_source_name(self.abstract)}"
+        )
+
+    @property
+    def drop_self(self) -> bool:
+        """Weak and strong fairness ignore self-loops in the analysis."""
+        return self.fairness in ("weak", "strong")
+
+
 def _decide_with_degradation(
-    selected: str,
-    concrete: SystemOrProgram,
-    abstract: SystemOrProgram,
-    alpha: Optional[AbstractionFunction],
-    stutter_insensitive: bool,
-    fairness: str,
-    compute_steps: bool,
-    instrumentation: Instrumentation,
-    meter: Optional[BudgetMeter],
-    workers: int,
+    selected: str, request: _Request
 ) -> StabilizationResult:
     """Run the selected engine's decide, degrading on runtime faults.
 
@@ -717,6 +760,7 @@ def _decide_with_degradation(
         from ..kernel import packed_fallback_reason
         from ..kernel.vector import vector_fallback_reason
 
+        sources = (request.concrete, request.abstract)
         chain = tuple(
             engine_name
             for engine_name in chain
@@ -725,66 +769,18 @@ def _decide_with_degradation(
                 or engine_name == "tuple"
                 or (
                     engine_name == "vector"
-                    and vector_fallback_reason(concrete, abstract) is None
+                    and vector_fallback_reason(*sources) is None
                 )
                 or (
                     engine_name == "packed"
-                    and packed_fallback_reason(concrete, abstract) is None
+                    and packed_fallback_reason(*sources) is None
                 )
             )
         )
+    instrumentation = request.instrumentation
     for position, engine_name in enumerate(chain):
         try:
-            if engine_name == "shared":
-                decided = _decide_stabilization_shared(
-                    concrete,
-                    abstract,
-                    alpha,
-                    stutter_insensitive,
-                    fairness,
-                    compute_steps,
-                    instrumentation,
-                    workers,
-                )
-            elif engine_name == "vector":
-                decided = _decide_stabilization_vector(
-                    concrete,
-                    abstract,
-                    alpha,
-                    stutter_insensitive,
-                    fairness,
-                    compute_steps,
-                    instrumentation,
-                )
-            elif engine_name == "packed":
-                decided = _decide_stabilization_packed(
-                    concrete,
-                    abstract,
-                    alpha,
-                    stutter_insensitive,
-                    fairness,
-                    compute_steps,
-                    instrumentation,
-                    workers,
-                )
-            else:
-                concrete_system = _as_system(concrete)
-                abstract_system = (
-                    concrete_system
-                    if abstract is concrete
-                    else _as_system(abstract)
-                )
-                decided = _decide_stabilization(
-                    concrete_system,
-                    abstract_system,
-                    alpha,
-                    stutter_insensitive,
-                    fairness,
-                    compute_steps,
-                    instrumentation,
-                    meter,
-                    workers,
-                )
+            decided = _decide(_BACKENDS[engine_name](request), request)
             # Stamp the engine that actually decided (not the one
             # requested): runtime degradation may have moved down the
             # chain since preflight selection.
@@ -806,959 +802,581 @@ def _decide_with_degradation(
     raise AssertionError("engine degradation chain exhausted")  # pragma: no cover
 
 
-def _decide_stabilization(
-    concrete: System,
-    abstract: System,
-    alpha: Optional[AbstractionFunction],
-    stutter_insensitive: bool,
-    fairness: str,
-    compute_steps: bool,
-    instrumentation: Instrumentation,
-    meter: Optional[BudgetMeter] = None,
-    workers: int = 1,
-) -> StabilizationResult:
+def _decide(backend, request: _Request) -> StabilizationResult:
     """The phases of :func:`check_stabilization`, each under a span."""
-    name = f"{concrete.name} stabilizing to {abstract.name}"
-    with instrumentation.span("check.legitimate"):
-        legitimate = legitimate_abstract_states(
-            abstract, meter=meter, workers=workers,
-            instrumentation=instrumentation,
-        )
-    analysis_system = (
-        concrete.without_self_loops() if fairness in ("weak", "strong") else concrete
+    instrumentation = request.instrumentation
+    with backend.running():
+        with instrumentation.span("check.legitimate"):
+            legitimate = backend.legitimate()
+        with instrumentation.span("check.core"):
+            core = backend.core()
+        witness = _refutation(backend, request, core)
+        steps: Optional[int] = None
+        if witness is None:
+            with instrumentation.span("check.worst_case"):
+                # Under strong fairness the sup over fair runs may be
+                # unbounded when cycles remain outside the core; report
+                # no finite metric.
+                if request.compute_steps and not backend.has_cycle_outside():
+                    steps = backend.longest_path()
+    detail = "" if witness is not None else (
+        f"core has {len(core)} of {backend.schema.size()} states; "
+        f"legitimate spec states: {len(legitimate)}"
     )
-    with instrumentation.span("check.core"):
-        core = behavioural_core(
-            concrete,
-            abstract,
-            alpha,
-            stutter_insensitive=stutter_insensitive,
-            fairness=fairness,
-            instrumentation=instrumentation,
-            meter=meter,
-            workers=workers,
-        )
-
-    if not core:
-        return StabilizationResult(
-            CheckResult(
-                False,
-                name,
-                Witness(
-                    WitnessKind.CLOSURE_VIOLATION,
-                    "no concrete state forever tracks the specification "
-                    "(behavioural core is empty)",
-                ),
-            ),
-            legitimate,
-            core,
-            None,
-        )
-
-    states = concrete.schema.states()
-    if meter is not None:
-        states = meter.metered(states, "check.outside")
-    outside = frozenset(state for state in states if state not in core)
-    instrumentation.count("check.outside.size", len(outside))
-    with instrumentation.span("check.deadlock_search"):
-        deadlocks = terminal_states_within(analysis_system, outside)
-    if deadlocks:
-        stuck = min(deadlocks, key=repr)
-        return StabilizationResult(
-            CheckResult(
-                False,
-                name,
-                Witness(
-                    WitnessKind.ILLEGITIMATE_DEADLOCK,
-                    "a computation can end outside the legitimate core",
-                    (stuck,),
-                    concrete.schema,
-                ),
-            ),
-            legitimate,
-            core,
-            None,
-        )
-    if fairness == "strong":
-        with instrumentation.span("check.cycle_search"):
-            trap = find_fair_trap(analysis_system, outside)
-        if trap is not None:
-            cycle = find_cycle_within(analysis_system, trap)
-            return StabilizationResult(
-                CheckResult(
-                    False,
-                    name,
-                    Witness(
-                        WitnessKind.DIVERGENT_CYCLE,
-                        "a strongly fair computation can stay forever outside "
-                        "the legitimate core (fair trap)",
-                        cycle or tuple(sorted(trap, key=repr)[:4]),
-                        concrete.schema,
-                    ),
-                ),
-                legitimate,
-                core,
-                None,
-            )
-    else:
-        with instrumentation.span("check.cycle_search"):
-            divergent = states_on_cycles(analysis_system, outside)
-        if divergent:
-            cycle = find_cycle_within(analysis_system, outside)
-            return StabilizationResult(
-                CheckResult(
-                    False,
-                    name,
-                    Witness(
-                        WitnessKind.DIVERGENT_CYCLE,
-                        "a computation can cycle forever outside the legitimate core",
-                        cycle or (),
-                        concrete.schema,
-                    ),
-                ),
-                legitimate,
-                core,
-                None,
-            )
-
-    # Inside the core, stuttering must also be finitary: a cycle whose
-    # every step is image-invisible would give an infinite concrete
-    # computation whose abstract image is finite and non-maximal.
-    if stutter_insensitive and alpha is not None:
-        with instrumentation.span("check.invisible_cycles"):
-            # Canonical order: ``core`` was assembled either
-            # sequentially or shard-parallel; sorting keeps the edge
-            # list (and so any cycle witness) identical either way.
-            invisible = [
-                (source, target)
-                for source in sorted(core, key=repr)
-                for target in analysis_system.successors(source)
-                if target in core and alpha(source) == alpha(target)
-            ]
-            invisible_cycle: Optional[Tuple[State, ...]] = None
-            if invisible:
-                invisible_system = System(
-                    concrete.schema, invisible, (), name=f"{concrete.name}|invisible"
-                )
-                if states_on_cycles(invisible_system, core):
-                    invisible_cycle = (
-                        find_cycle_within(invisible_system, core) or ()
-                    )
-        if invisible_cycle is not None:
-            return StabilizationResult(
-                CheckResult(
-                    False,
-                    name,
-                    Witness(
-                        WitnessKind.DIVERGENT_CYCLE,
-                        "cycle of abstract-invisible steps inside the core",
-                        invisible_cycle,
-                        concrete.schema,
-                    ),
-                ),
-                legitimate,
-                core,
-                None,
-            )
-
-    with instrumentation.span("check.worst_case"):
-        if compute_steps and not has_cycle_within(analysis_system, outside):
-            steps: Optional[int] = worst_case_convergence_steps(
-                concrete, core, fairness=fairness
-            )
-        else:
-            # Under strong fairness the sup over fair runs may be
-            # unbounded when cycles remain outside the core; report no
-            # finite metric.
-            steps = None
     return StabilizationResult(
-        CheckResult(
-            True,
-            name,
-            detail=(
-                f"core has {len(core)} of {concrete.schema.size()} states; "
-                f"legitimate spec states: {len(legitimate)}"
-            ),
-        ),
+        CheckResult(witness is None, request.name, witness, detail),
         legitimate,
         core,
         steps,
     )
 
 
-def _decide_stabilization_packed(
-    concrete_source: SystemOrProgram,
-    abstract_source: SystemOrProgram,
-    alpha: Optional[AbstractionFunction],
-    stutter_insensitive: bool,
-    fairness: str,
-    compute_steps: bool,
-    instrumentation: Instrumentation,
-    workers: int = 1,
-) -> StabilizationResult:
-    """:func:`_decide_stabilization` on the packed kernel engine.
+def _refutation(
+    backend, request: _Request, core: FrozenSet[State]
+) -> Optional[Witness]:
+    """The witness of the first convergence obligation that fails.
 
-    Phase for phase the same procedure — same spans, same witness
-    messages, same counters — but the hot set computations run as
-    bitset fixpoints over interned int codes.  Witness *construction*
-    on failure decodes back to tuples; the strong-fairness trap search
-    and cycle extraction materialize the tuple system (it is built by
-    the same compilation path, so the resulting witness is the tuple
-    engine's exact one).  The region sets handed to those subroutines
-    are assembled in schema order, which makes their internal set
-    layout — and therefore every order-dependent traversal — identical
-    to the tuple engine's.
+    ``None`` when the core is closed and every computation outside it
+    reaches it: no deadlock, no (fair) divergent cycle, and — in
+    stutter-insensitive mode — no cycle of invisible steps inside it.
     """
-    from ..kernel import (
-        as_kernel,
-        drop_self_loops,
-        image_codes,
-        packed_core,
-        packed_has_cycle,
-        packed_longest_path,
-        packed_reachable,
-        packed_terminals,
-    )
-
-    name = f"{_source_name(concrete_source)} stabilizing to {_source_name(abstract_source)}"
-    kernel = as_kernel(concrete_source, instrumentation=instrumentation)
-    abstract_kernel = (
-        kernel
-        if abstract_source is concrete_source
-        else as_kernel(abstract_source, instrumentation=instrumentation)
-    )
-    interner = kernel.interner
-    size = kernel.size
-    with instrumentation.span("check.legitimate"):
-        legitimate_flags = packed_reachable(
-            abstract_kernel.successors,
-            abstract_kernel.initial_codes,
-            abstract_kernel.size,
-            workers=workers,
-            instrumentation=instrumentation,
-        )
-    legitimate = frozenset(
-        abstract_kernel.interner.decode(code)
-        for code in range(abstract_kernel.size)
-        if legitimate_flags[code]
-    )
-    fairness_ignores_stutter = fairness in ("weak", "strong")
-    analysis_succ = (
-        drop_self_loops(kernel.successors)
-        if fairness_ignores_stutter
-        else kernel.successors
-    )
-    with instrumentation.span("check.core"):
-        image_of = image_codes(interner, abstract_kernel.interner, alpha)
-        core_flags = packed_core(
-            kernel.successors,
-            abstract_kernel.successors,
-            image_of,
-            legitimate_flags,
-            size,
-            stutter_insensitive,
-            fairness_ignores_stutter,
-            instrumentation=instrumentation,
-            workers=workers,
-        )
-    core = frozenset(
-        interner.decode(code) for code in range(size) if core_flags[code]
-    )
-    if abstract_kernel is not kernel:
-        # The abstraction's successor function is done after the core
-        # fixpoint; release its memo instead of carrying it through the
-        # witness phases.
-        instrumentation.count(
-            "kernel.memo.evictions", abstract_kernel.clear_memo()
-        )
-
     if not core:
-        return StabilizationResult(
-            CheckResult(
-                False,
-                name,
-                Witness(
-                    WitnessKind.CLOSURE_VIOLATION,
-                    "no concrete state forever tracks the specification "
-                    "(behavioural core is empty)",
-                ),
-            ),
-            legitimate,
-            core,
-            None,
+        return Witness(
+            WitnessKind.CLOSURE_VIOLATION,
+            "no concrete state forever tracks the specification (behavioural core is empty)",
         )
-
-    outside_flags = bytearray(
-        0 if core_flags[code] else 1 for code in range(size)
-    )
-    instrumentation.count("check.outside.size", size - len(core))
+    instrumentation = request.instrumentation
+    instrumentation.count("check.outside.size", backend.outside_size())
     with instrumentation.span("check.deadlock_search"):
-        deadlock_codes = packed_terminals(analysis_succ, outside_flags)
-    if deadlock_codes:
-        stuck = min((interner.decode(code) for code in deadlock_codes), key=repr)
-        return StabilizationResult(
-            CheckResult(
-                False,
-                name,
-                Witness(
-                    WitnessKind.ILLEGITIMATE_DEADLOCK,
-                    "a computation can end outside the legitimate core",
-                    (stuck,),
-                    interner.schema,
-                ),
-            ),
-            legitimate,
-            core,
-            None,
+        stuck = backend.deadlock()
+    if stuck is not None:
+        return Witness(
+            WitnessKind.ILLEGITIMATE_DEADLOCK,
+            "a computation can end outside the legitimate core",
+            (stuck,),
+            backend.schema,
         )
-
-    def decode_outside() -> FrozenSet[State]:
-        # Schema insertion order: identical set layout to the tuple
-        # engine's generator-built frozenset, so every set-iteration-
-        # order-dependent subroutine (the fair-trap search) sees the
-        # same traversal and returns the same witness.
-        return frozenset(
-            interner.decode(code) for code in range(size) if outside_flags[code]
-        )
-
-    def analysis_system_of() -> System:
-        system = kernel.materialize()
-        return system.without_self_loops() if fairness_ignores_stutter else system
-
-    if fairness == "strong":
+    if request.fairness == "strong":
         with instrumentation.span("check.cycle_search"):
             trap = None
-            if packed_has_cycle(analysis_succ, outside_flags):
-                analysis_system = analysis_system_of()
-                trap = find_fair_trap(analysis_system, decode_outside())
+            if backend.has_cycle_outside():
+                system = backend.analysis_system()
+                trap = find_fair_trap(system, backend.outside_states())
         if trap is not None:
-            cycle = find_cycle_within(analysis_system, trap)
-            return StabilizationResult(
-                CheckResult(
-                    False,
-                    name,
-                    Witness(
-                        WitnessKind.DIVERGENT_CYCLE,
-                        "a strongly fair computation can stay forever outside "
-                        "the legitimate core (fair trap)",
-                        cycle or tuple(sorted(trap, key=repr)[:4]),
-                        interner.schema,
-                    ),
-                ),
-                legitimate,
-                core,
-                None,
+            return Witness(
+                WitnessKind.DIVERGENT_CYCLE,
+                "a strongly fair computation can stay forever outside the legitimate core (fair trap)",
+                find_cycle_within(system, trap)
+                or tuple(sorted(trap, key=repr)[:4]),
+                backend.schema,
             )
     else:
         with instrumentation.span("check.cycle_search"):
-            has_divergent = packed_has_cycle(analysis_succ, outside_flags)
-        if has_divergent:
-            cycle = find_cycle_within(analysis_system_of(), decode_outside())
-            return StabilizationResult(
-                CheckResult(
-                    False,
-                    name,
-                    Witness(
-                        WitnessKind.DIVERGENT_CYCLE,
-                        "a computation can cycle forever outside the legitimate core",
-                        cycle or (),
-                        interner.schema,
-                    ),
-                ),
-                legitimate,
-                core,
-                None,
+            divergent = backend.has_cycle_outside()
+        if divergent:
+            return Witness(
+                WitnessKind.DIVERGENT_CYCLE,
+                "a computation can cycle forever outside the legitimate core",
+                find_cycle_within(
+                    backend.analysis_system(), backend.outside_states()
+                )
+                or (),
+                backend.schema,
             )
+    # Inside the core, stuttering must also be finitary: a cycle whose
+    # every step is image-invisible would give an infinite concrete
+    # computation whose abstract image is finite and non-maximal.
+    if request.stutter_insensitive and request.alpha is not None:
+        with instrumentation.span("check.invisible_cycles"):
+            cycle = (
+                _invisible_cycle(backend, request, core)
+                if backend.has_invisible_cycle()
+                else None
+            )
+        if cycle is not None:
+            return Witness(
+                WitnessKind.DIVERGENT_CYCLE,
+                "cycle of abstract-invisible steps inside the core",
+                cycle,
+                backend.schema,
+            )
+    return None
 
-    if stutter_insensitive and alpha is not None:
+
+def _invisible_cycle(
+    backend, request: _Request, core: FrozenSet[State]
+) -> Optional[Tuple[State, ...]]:
+    """A cycle within ``core`` whose every step is invisible under alpha.
+
+    Canonical order: the core may have been assembled sequentially,
+    shard-parallel, or by any engine; sorting keeps the edge list (and
+    so the cycle witness) identical either way.
+    """
+    system = backend.analysis_system()
+    alpha = request.alpha
+    invisible = [
+        (source, target)
+        for source in sorted(core, key=repr)
+        for target in system.successors(source)
+        if target in core and alpha(source) == alpha(target)
+    ]
+    if not invisible:
+        return None
+    invisible_system = System(
+        backend.schema,
+        invisible,
+        (),
+        name=f"{_source_name(request.concrete)}|invisible",
+    )
+    if not states_on_cycles(invisible_system, core):
+        return None
+    return find_cycle_within(invisible_system, core) or ()
+
+
+def _decoded(interner, codes) -> FrozenSet[State]:
+    """The tuple states of int ``codes``, decoded in the order given."""
+    return frozenset(interner.decode(int(code)) for code in codes)
+
+
+class _TupleBackend:
+    """The reference engine: tuple states of compiled systems, metered.
+
+    It has no cheap invisible-cycle test, so ``has_invisible_cycle``
+    answers "maybe" and the skeleton's witness rebuild decides.
+    """
+
+    def __init__(self, request: _Request):
+        self.request = request
+        self.concrete = _as_system(request.concrete)
+        self.abstract = (
+            self.concrete
+            if request.abstract is request.concrete
+            else _as_system(request.abstract)
+        )
+        self.schema = self.concrete.schema
+        self.system = (
+            self.concrete.without_self_loops()
+            if request.drop_self
+            else self.concrete
+        )
+
+    def running(self):
+        return nullcontext()
+
+    def legitimate(self) -> FrozenSet[State]:
+        request = self.request
+        return legitimate_abstract_states(
+            self.abstract,
+            meter=request.meter,
+            workers=request.workers,
+            instrumentation=request.instrumentation,
+        )
+
+    def core(self) -> FrozenSet[State]:
+        request = self.request
+        self.core_states = behavioural_core(
+            self.concrete,
+            self.abstract,
+            request.alpha,
+            stutter_insensitive=request.stutter_insensitive,
+            fairness=request.fairness,
+            instrumentation=request.instrumentation,
+            meter=request.meter,
+            workers=request.workers,
+        )
+        return self.core_states
+
+    def outside_size(self) -> int:
+        states = self.request.meter.metered(
+            self.schema.states(), "check.outside"
+        )
+        self.outside = frozenset(
+            state for state in states if state not in self.core_states
+        )
+        return len(self.outside)
+
+    def deadlock(self) -> Optional[State]:
+        stuck = terminal_states_within(self.system, self.outside)
+        return min(stuck, key=repr, default=None)
+
+    def has_cycle_outside(self) -> bool:
+        return has_cycle_within(self.system, self.outside)
+
+    def has_invisible_cycle(self) -> bool:
+        return True
+
+    def outside_states(self) -> FrozenSet[State]:
+        return self.outside
+
+    def analysis_system(self) -> System:
+        return self.system
+
+    def longest_path(self) -> int:
+        return worst_case_convergence_steps(
+            self.concrete, self.core_states, fairness=self.request.fairness
+        )
+
+
+class _KernelBackend:
+    """What the int-code engines share: decoding back to tuple states.
+
+    Witness construction on failure materializes the tuple system by
+    the same compilation path the tuple engine uses, so failing
+    verdicts are byte-identical to its.
+    """
+
+    def __init__(self, request: _Request, kernel, abstract_kernel):
+        self.request = request
+        self.kernel = kernel
+        self.abstract_kernel = abstract_kernel
+        self.interner = kernel.interner
+        self.schema = kernel.interner.schema
+        self.size = kernel.size
+
+    def running(self):
+        return nullcontext()
+
+    def _decoded_core(self, codes) -> FrozenSet[State]:
+        core = _decoded(self.interner, codes)
+        self.core_size = len(core)
+        return core
+
+    def _min_state(self, codes) -> Optional[State]:
+        return min(
+            (self.interner.decode(int(code)) for code in codes),
+            key=repr,
+            default=None,
+        )
+
+    def analysis_system(self) -> System:
+        system = self.kernel.materialize()
+        return system.without_self_loops() if self.request.drop_self else system
+
+
+class _PackedBackend(_KernelBackend):
+    """Bitset fixpoints over interned int codes (:mod:`repro.kernel`)."""
+
+    def __init__(self, request: _Request):
+        from ..kernel import as_kernel, drop_self_loops
+
+        kernel = as_kernel(
+            request.concrete, instrumentation=request.instrumentation
+        )
+        super().__init__(
+            request,
+            kernel,
+            kernel
+            if request.abstract is request.concrete
+            else as_kernel(
+                request.abstract, instrumentation=request.instrumentation
+            ),
+        )
+        self.succ = (
+            drop_self_loops(kernel.successors)
+            if request.drop_self
+            else kernel.successors
+        )
+
+    def legitimate(self) -> FrozenSet[State]:
+        from ..kernel import packed_reachable
+
+        abstract = self.abstract_kernel
+        self.legitimate_flags = packed_reachable(
+            abstract.successors,
+            abstract.initial_codes,
+            abstract.size,
+            workers=self.request.workers,
+            instrumentation=self.request.instrumentation,
+        )
+        codes = compress(range(abstract.size), self.legitimate_flags)
+        return _decoded(abstract.interner, codes)
+
+    def core(self) -> FrozenSet[State]:
+        from ..kernel import image_codes, packed_core
+
+        request = self.request
+        self.image_of = image_codes(
+            self.interner, self.abstract_kernel.interner, request.alpha
+        )
+        self.core_flags = packed_core(
+            self.kernel.successors,
+            self.abstract_kernel.successors,
+            self.image_of,
+            self.legitimate_flags,
+            self.size,
+            request.stutter_insensitive,
+            request.drop_self,
+            instrumentation=request.instrumentation,
+            workers=request.workers,
+        )
+        core = self._decoded_core(compress(range(self.size), self.core_flags))
+        if self.abstract_kernel is not self.kernel:
+            # The abstraction's successor function is done after the
+            # core fixpoint; release its memo instead of carrying it
+            # through the witness phases.
+            request.instrumentation.count(
+                "kernel.memo.evictions", self.abstract_kernel.clear_memo()
+            )
+        return core
+
+    def outside_size(self) -> int:
+        self.outside = bytearray(0 if flag else 1 for flag in self.core_flags)
+        return self.size - self.core_size
+
+    def deadlock(self) -> Optional[State]:
+        from ..kernel import packed_terminals
+
+        return self._min_state(packed_terminals(self.succ, self.outside))
+
+    def has_cycle_outside(self) -> bool:
+        from ..kernel import packed_has_cycle
+
+        return packed_has_cycle(self.succ, self.outside)
+
+    def has_invisible_cycle(self) -> bool:
+        from ..kernel import packed_has_cycle
+
+        succ, image_of, core_flags = self.succ, self.image_of, self.core_flags
 
         def invisible_succ(code: int) -> Tuple[int, ...]:
             image = image_of[code]
             return tuple(
                 target
-                for target in analysis_succ(code)
+                for target in succ(code)
                 if core_flags[target] and image_of[target] == image
             )
 
-        with instrumentation.span("check.invisible_cycles"):
-            invisible_cycle: Optional[Tuple[State, ...]] = None
-            if packed_has_cycle(invisible_succ, core_flags):
-                # Reconstruct the witness exactly as the tuple engine
-                # does, on the materialized system.
-                analysis_system = analysis_system_of()
-                invisible = [
-                    (source, target)
-                    for source in sorted(core, key=repr)
-                    for target in analysis_system.successors(source)
-                    if target in core and alpha(source) == alpha(target)
-                ]
-                invisible_system = System(
-                    interner.schema,
-                    invisible,
-                    (),
-                    name=f"{_source_name(concrete_source)}|invisible",
-                )
-                if states_on_cycles(invisible_system, core):
-                    invisible_cycle = (
-                        find_cycle_within(invisible_system, core) or ()
-                    )
-        if invisible_cycle is not None:
-            return StabilizationResult(
-                CheckResult(
-                    False,
-                    name,
-                    Witness(
-                        WitnessKind.DIVERGENT_CYCLE,
-                        "cycle of abstract-invisible steps inside the core",
-                        invisible_cycle,
-                        interner.schema,
-                    ),
-                ),
-                legitimate,
-                core,
-                None,
-            )
+        return packed_has_cycle(invisible_succ, core_flags)
 
-    with instrumentation.span("check.worst_case"):
-        if compute_steps and not packed_has_cycle(analysis_succ, outside_flags):
-            steps: Optional[int] = packed_longest_path(analysis_succ, outside_flags)
-        else:
-            # Under strong fairness the sup over fair runs may be
-            # unbounded when cycles remain outside the core; report no
-            # finite metric.
-            steps = None
-    return StabilizationResult(
-        CheckResult(
-            True,
-            name,
-            detail=(
-                f"core has {len(core)} of {interner.schema.size()} states; "
-                f"legitimate spec states: {len(legitimate)}"
-            ),
-        ),
-        legitimate,
-        core,
-        steps,
-    )
+    def outside_states(self) -> FrozenSet[State]:
+        return _decoded(self.interner, compress(range(self.size), self.outside))
+
+    def longest_path(self) -> int:
+        from ..kernel import packed_longest_path
+
+        return packed_longest_path(self.succ, self.outside)
 
 
-def _decide_stabilization_vector(
-    concrete_source: SystemOrProgram,
-    abstract_source: SystemOrProgram,
-    alpha: Optional[AbstractionFunction],
-    stutter_insensitive: bool,
-    fairness: str,
-    compute_steps: bool,
-    instrumentation: Instrumentation,
-) -> StabilizationResult:
-    """:func:`_decide_stabilization` on the vectorized frontier engine.
+class _VectorBackend(_KernelBackend):
+    """Whole-frontier array fixpoints (:mod:`repro.kernel.vector`).
 
-    Phase for phase the same procedure as the packed decide — same
-    spans, same witness messages, same counters — but the hot set
-    computations run as whole-frontier array fixpoints
-    (:mod:`repro.kernel.vector.fixpoint`).  The array fixpoints run
-    single-process regardless of ``workers`` (a frontier batch *is*
-    the data-parallel unit), so no ``parallel.*`` round counters are
-    emitted — the same documented divergence class as the fixpoint
-    iteration counts.  Witness construction on failure decodes back to
-    tuples and materializes the tuple system exactly as the packed
-    engine does, so failing verdicts are byte-identical.
+    They run single-process regardless of ``workers`` (a frontier
+    batch *is* the data-parallel unit), so no ``parallel.*`` round
+    counters are emitted — the same documented divergence class as the
+    fixpoint iteration counts.
     """
-    import numpy as np
 
-    from ..kernel.vector import (
-        as_vector_kernel,
-        vector_core,
-        vector_has_cycle,
-        vector_image_codes,
-        vector_longest_path,
-        vector_reachable,
-        vector_terminals,
-    )
+    def __init__(self, request: _Request):
+        from ..kernel.vector import as_vector_kernel
 
-    name = f"{_source_name(concrete_source)} stabilizing to {_source_name(abstract_source)}"
-    kernel = as_vector_kernel(concrete_source)
-    abstract_kernel = (
-        kernel
-        if abstract_source is concrete_source
-        else as_vector_kernel(abstract_source)
-    )
-    interner = kernel.interner
-    size = kernel.size
-    with instrumentation.span("check.legitimate"):
-        legitimate_flags = vector_reachable(
-            abstract_kernel,
-            abstract_kernel.initial_array,
-            instrumentation=instrumentation,
-        )
-    # Ascending-code decode: identical set layout to the packed and
-    # tuple engines, so order-dependent witness subroutines agree.
-    legitimate = frozenset(
-        abstract_kernel.interner.decode(int(code))
-        for code in np.nonzero(legitimate_flags)[0]
-    )
-    fairness_ignores_stutter = fairness in ("weak", "strong")
-    with instrumentation.span("check.core"):
-        image_of = vector_image_codes(interner, abstract_kernel.interner, alpha)
-        core_flags = vector_core(
+        kernel = as_vector_kernel(request.concrete)
+        super().__init__(
+            request,
             kernel,
-            abstract_kernel,
-            image_of,
-            legitimate_flags,
-            stutter_insensitive,
-            fairness_ignores_stutter,
-            instrumentation=instrumentation,
-        )
-    core = frozenset(
-        interner.decode(int(code)) for code in np.nonzero(core_flags)[0]
-    )
-
-    if not core:
-        return StabilizationResult(
-            CheckResult(
-                False,
-                name,
-                Witness(
-                    WitnessKind.CLOSURE_VIOLATION,
-                    "no concrete state forever tracks the specification "
-                    "(behavioural core is empty)",
-                ),
-            ),
-            legitimate,
-            core,
-            None,
+            kernel
+            if request.abstract is request.concrete
+            else as_vector_kernel(request.abstract),
         )
 
-    outside_flags = ~core_flags
-    instrumentation.count("check.outside.size", size - len(core))
-    with instrumentation.span("check.deadlock_search"):
-        deadlock_codes = vector_terminals(
-            kernel, outside_flags, drop_self=fairness_ignores_stutter
-        )
-    if deadlock_codes.size:
-        stuck = min(
-            (interner.decode(int(code)) for code in deadlock_codes), key=repr
-        )
-        return StabilizationResult(
-            CheckResult(
-                False,
-                name,
-                Witness(
-                    WitnessKind.ILLEGITIMATE_DEADLOCK,
-                    "a computation can end outside the legitimate core",
-                    (stuck,),
-                    interner.schema,
-                ),
-            ),
-            legitimate,
-            core,
-            None,
-        )
+    def legitimate(self) -> FrozenSet[State]:
+        import numpy as np
 
-    def decode_outside() -> FrozenSet[State]:
-        # Schema insertion order, as in the packed decide.
-        return frozenset(
-            interner.decode(int(code)) for code in np.nonzero(outside_flags)[0]
+        from ..kernel.vector import vector_reachable
+
+        abstract = self.abstract_kernel
+        self.legitimate_flags = vector_reachable(
+            abstract,
+            abstract.initial_array,
+            instrumentation=self.request.instrumentation,
         )
+        return _decoded(abstract.interner, np.nonzero(self.legitimate_flags)[0])
 
-    def analysis_system_of() -> System:
-        system = kernel.materialize()
-        return system.without_self_loops() if fairness_ignores_stutter else system
+    def core(self) -> FrozenSet[State]:
+        import numpy as np
 
-    if fairness == "strong":
-        with instrumentation.span("check.cycle_search"):
-            trap = None
-            if vector_has_cycle(
-                kernel, outside_flags, drop_self=fairness_ignores_stutter
-            ):
-                analysis_system = analysis_system_of()
-                trap = find_fair_trap(analysis_system, decode_outside())
-        if trap is not None:
-            cycle = find_cycle_within(analysis_system, trap)
-            return StabilizationResult(
-                CheckResult(
-                    False,
-                    name,
-                    Witness(
-                        WitnessKind.DIVERGENT_CYCLE,
-                        "a strongly fair computation can stay forever outside "
-                        "the legitimate core (fair trap)",
-                        cycle or tuple(sorted(trap, key=repr)[:4]),
-                        interner.schema,
-                    ),
-                ),
-                legitimate,
-                core,
-                None,
+        from ..kernel.vector import vector_core, vector_image_codes
+
+        request = self.request
+        self.image_of = vector_image_codes(
+            self.interner, self.abstract_kernel.interner, request.alpha
+        )
+        self.core_flags = vector_core(
+            self.kernel,
+            self.abstract_kernel,
+            self.image_of,
+            self.legitimate_flags,
+            request.stutter_insensitive,
+            request.drop_self,
+            instrumentation=request.instrumentation,
+        )
+        return self._decoded_core(np.nonzero(self.core_flags)[0])
+
+    def outside_size(self) -> int:
+        self.outside = ~self.core_flags
+        return self.size - self.core_size
+
+    def deadlock(self) -> Optional[State]:
+        from ..kernel.vector import vector_terminals
+
+        return self._min_state(
+            vector_terminals(
+                self.kernel, self.outside, drop_self=self.request.drop_self
             )
-    else:
-        with instrumentation.span("check.cycle_search"):
-            has_divergent = vector_has_cycle(
-                kernel, outside_flags, drop_self=fairness_ignores_stutter
-            )
-        if has_divergent:
-            cycle = find_cycle_within(analysis_system_of(), decode_outside())
-            return StabilizationResult(
-                CheckResult(
-                    False,
-                    name,
-                    Witness(
-                        WitnessKind.DIVERGENT_CYCLE,
-                        "a computation can cycle forever outside the legitimate core",
-                        cycle or (),
-                        interner.schema,
-                    ),
-                ),
-                legitimate,
-                core,
-                None,
-            )
+        )
 
-    if stutter_insensitive and alpha is not None:
-        with instrumentation.span("check.invisible_cycles"):
-            invisible_cycle: Optional[Tuple[State, ...]] = None
-            if vector_has_cycle(
-                kernel,
-                core_flags,
-                drop_self=fairness_ignores_stutter,
-                image_of=image_of,
-            ):
-                # Reconstruct the witness exactly as the tuple engine
-                # does, on the materialized system.
-                analysis_system = analysis_system_of()
-                invisible = [
-                    (source, target)
-                    for source in sorted(core, key=repr)
-                    for target in analysis_system.successors(source)
-                    if target in core and alpha(source) == alpha(target)
-                ]
-                invisible_system = System(
-                    interner.schema,
-                    invisible,
-                    (),
-                    name=f"{_source_name(concrete_source)}|invisible",
-                )
-                if states_on_cycles(invisible_system, core):
-                    invisible_cycle = (
-                        find_cycle_within(invisible_system, core) or ()
-                    )
-        if invisible_cycle is not None:
-            return StabilizationResult(
-                CheckResult(
-                    False,
-                    name,
-                    Witness(
-                        WitnessKind.DIVERGENT_CYCLE,
-                        "cycle of abstract-invisible steps inside the core",
-                        invisible_cycle,
-                        interner.schema,
-                    ),
-                ),
-                legitimate,
-                core,
-                None,
-            )
+    def has_cycle_outside(self) -> bool:
+        from ..kernel.vector import vector_has_cycle
 
-    with instrumentation.span("check.worst_case"):
-        if compute_steps and not vector_has_cycle(
-            kernel, outside_flags, drop_self=fairness_ignores_stutter
-        ):
-            steps: Optional[int] = vector_longest_path(
-                kernel, outside_flags, drop_self=fairness_ignores_stutter
-            )
-        else:
-            # Under strong fairness the sup over fair runs may be
-            # unbounded when cycles remain outside the core; report no
-            # finite metric.
-            steps = None
-    return StabilizationResult(
-        CheckResult(
-            True,
-            name,
-            detail=(
-                f"core has {len(core)} of {interner.schema.size()} states; "
-                f"legitimate spec states: {len(legitimate)}"
-            ),
-        ),
-        legitimate,
-        core,
-        steps,
-    )
+        return vector_has_cycle(
+            self.kernel, self.outside, drop_self=self.request.drop_self
+        )
+
+    def has_invisible_cycle(self) -> bool:
+        from ..kernel.vector import vector_has_cycle
+
+        return vector_has_cycle(
+            self.kernel,
+            self.core_flags,
+            drop_self=self.request.drop_self,
+            image_of=self.image_of,
+        )
+
+    def outside_states(self) -> FrozenSet[State]:
+        import numpy as np
+
+        return _decoded(self.interner, np.nonzero(self.outside)[0])
+
+    def longest_path(self) -> int:
+        from ..kernel.vector import vector_longest_path
+
+        return vector_longest_path(
+            self.kernel, self.outside, drop_self=self.request.drop_self
+        )
 
 
-def _decide_stabilization_shared(
-    concrete_source: SystemOrProgram,
-    abstract_source: SystemOrProgram,
-    alpha: Optional[AbstractionFunction],
-    stutter_insensitive: bool,
-    fairness: str,
-    compute_steps: bool,
-    instrumentation: Instrumentation,
-    workers: int = 1,
-) -> StabilizationResult:
-    """:func:`_decide_stabilization` on the shared-memory mega engine.
+class _SharedBackend(_KernelBackend):
+    """Streamed fixpoints of the shared-memory engine.
 
-    Phase for phase the vector decide — same spans, same witness
-    messages, same counters — with the set computations streamed
-    through :mod:`repro.kernel.shared`: membership flags are
-    bit-packed (segment-backed when workers shard the rounds),
-    successor evaluation is chunked through the table-free
-    :class:`~repro.kernel.shared.SharedKernel`, and collections past
-    the memory budget spill to the run's spill directory.  The
-    abstract side runs on the in-RAM vector kernel (preflight
-    guarantees it fits).  Witness construction on failure decodes and
-    materializes exactly as the other engines do — failing verdicts
-    are inherently explicit.
+    Membership flags are bit-packed (segment-backed when workers shard
+    the rounds), successor evaluation is chunked through the
+    table-free :class:`~repro.kernel.shared.SharedKernel`, and
+    collections past the memory budget spill to the run's spill
+    directory.  The abstract side runs on the in-RAM vector kernel
+    (preflight guarantees it fits), so ``L_A`` is computed exactly as
+    the vector backend computes it.
     """
-    import numpy as np
 
-    from ..kernel.shared import (
-        BitField,
-        SharedImage,
-        SharedKernel,
-        open_runtime,
-        shared_core,
-        shared_has_cycle,
-        shared_longest_path,
-        shared_terminals,
-    )
-    from ..kernel.vector import as_vector_kernel, vector_reachable
+    legitimate = _VectorBackend.legitimate
 
-    name = f"{_source_name(concrete_source)} stabilizing to {_source_name(abstract_source)}"
-    kernel = SharedKernel(concrete_source)
-    abstract_kernel = as_vector_kernel(abstract_source)
-    interner = kernel.interner
-    size = kernel.size
+    def __init__(self, request: _Request):
+        from ..kernel.shared import SharedKernel
+        from ..kernel.vector import as_vector_kernel
 
-    def decode_bits(bits: BitField, chunk: int) -> FrozenSet[State]:
-        # Ascending-code decode: identical set layout to the other
-        # engines, so order-dependent witness subroutines agree.
-        return frozenset(
-            interner.decode(int(code))
-            for codes in bits.member_chunks(chunk)
+        super().__init__(
+            request,
+            SharedKernel(request.concrete),
+            as_vector_kernel(request.abstract),
+        )
+
+    @contextmanager
+    def running(self):
+        from ..kernel.shared import open_runtime
+
+        request = self.request
+        with open_runtime(
+            self.kernel,
+            workers=request.workers,
+            instrumentation=request.instrumentation,
+        ) as self.runtime:
+            yield
+
+    def _members(self, bits):
+        return (
+            code
+            for codes in bits.member_chunks(self.runtime.chunk)
             for code in codes
         )
 
-    with open_runtime(
-        kernel, workers=workers, instrumentation=instrumentation
-    ) as runtime:
-        with instrumentation.span("check.legitimate"):
-            legitimate_flags = vector_reachable(
-                abstract_kernel,
-                abstract_kernel.initial_array,
-                instrumentation=instrumentation,
-            )
-        legitimate = frozenset(
-            abstract_kernel.interner.decode(int(code))
-            for code in np.nonzero(legitimate_flags)[0]
+    def core(self) -> FrozenSet[State]:
+        from ..kernel.shared import SharedImage, shared_core
+
+        request = self.request
+        self.image = SharedImage(
+            self.interner, self.abstract_kernel.interner, request.alpha
         )
-        fairness_ignores_stutter = fairness in ("weak", "strong")
-        with instrumentation.span("check.core"):
-            image = SharedImage(interner, abstract_kernel.interner, alpha)
-            core_bits = shared_core(
-                kernel,
-                abstract_kernel,
-                image,
-                legitimate_flags,
-                stutter_insensitive,
-                fairness_ignores_stutter,
-                runtime,
-                instrumentation=instrumentation,
-            )
-        core = decode_bits(core_bits, runtime.chunk)
-
-        if not core:
-            return StabilizationResult(
-                CheckResult(
-                    False,
-                    name,
-                    Witness(
-                        WitnessKind.CLOSURE_VIOLATION,
-                        "no concrete state forever tracks the specification "
-                        "(behavioural core is empty)",
-                    ),
-                ),
-                legitimate,
-                core,
-                None,
-            )
-
-        outside_bits = BitField(size)
-        core_bits.complement_into(outside_bits)
-        instrumentation.count("check.outside.size", size - len(core))
-        with instrumentation.span("check.deadlock_search"):
-            deadlock_codes = shared_terminals(
-                kernel,
-                outside_bits,
-                runtime,
-                drop_self=fairness_ignores_stutter,
-            )
-        if deadlock_codes.size:
-            stuck = min(
-                (interner.decode(int(code)) for code in deadlock_codes),
-                key=repr,
-            )
-            return StabilizationResult(
-                CheckResult(
-                    False,
-                    name,
-                    Witness(
-                        WitnessKind.ILLEGITIMATE_DEADLOCK,
-                        "a computation can end outside the legitimate core",
-                        (stuck,),
-                        interner.schema,
-                    ),
-                ),
-                legitimate,
-                core,
-                None,
-            )
-
-        def decode_outside() -> FrozenSet[State]:
-            return decode_bits(outside_bits, runtime.chunk)
-
-        def analysis_system_of() -> System:
-            system = kernel.materialize()
-            return (
-                system.without_self_loops()
-                if fairness_ignores_stutter
-                else system
-            )
-
-        if fairness == "strong":
-            with instrumentation.span("check.cycle_search"):
-                trap = None
-                if shared_has_cycle(
-                    kernel,
-                    outside_bits,
-                    runtime,
-                    drop_self=fairness_ignores_stutter,
-                ):
-                    analysis_system = analysis_system_of()
-                    trap = find_fair_trap(analysis_system, decode_outside())
-            if trap is not None:
-                cycle = find_cycle_within(analysis_system, trap)
-                return StabilizationResult(
-                    CheckResult(
-                        False,
-                        name,
-                        Witness(
-                            WitnessKind.DIVERGENT_CYCLE,
-                            "a strongly fair computation can stay forever outside "
-                            "the legitimate core (fair trap)",
-                            cycle or tuple(sorted(trap, key=repr)[:4]),
-                            interner.schema,
-                        ),
-                    ),
-                    legitimate,
-                    core,
-                    None,
-                )
-        else:
-            with instrumentation.span("check.cycle_search"):
-                has_divergent = shared_has_cycle(
-                    kernel,
-                    outside_bits,
-                    runtime,
-                    drop_self=fairness_ignores_stutter,
-                )
-            if has_divergent:
-                cycle = find_cycle_within(
-                    analysis_system_of(), decode_outside()
-                )
-                return StabilizationResult(
-                    CheckResult(
-                        False,
-                        name,
-                        Witness(
-                            WitnessKind.DIVERGENT_CYCLE,
-                            "a computation can cycle forever outside the legitimate core",
-                            cycle or (),
-                            interner.schema,
-                        ),
-                    ),
-                    legitimate,
-                    core,
-                    None,
-                )
-
-        if stutter_insensitive and alpha is not None:
-            with instrumentation.span("check.invisible_cycles"):
-                invisible_cycle: Optional[Tuple[State, ...]] = None
-                if shared_has_cycle(
-                    kernel,
-                    core_bits,
-                    runtime,
-                    drop_self=fairness_ignores_stutter,
-                    image=image,
-                ):
-                    # Reconstruct the witness exactly as the tuple
-                    # engine does, on the materialized system.
-                    analysis_system = analysis_system_of()
-                    invisible = [
-                        (source, target)
-                        for source in sorted(core, key=repr)
-                        for target in analysis_system.successors(source)
-                        if target in core and alpha(source) == alpha(target)
-                    ]
-                    invisible_system = System(
-                        interner.schema,
-                        invisible,
-                        (),
-                        name=f"{_source_name(concrete_source)}|invisible",
-                    )
-                    if states_on_cycles(invisible_system, core):
-                        invisible_cycle = (
-                            find_cycle_within(invisible_system, core) or ()
-                        )
-            if invisible_cycle is not None:
-                return StabilizationResult(
-                    CheckResult(
-                        False,
-                        name,
-                        Witness(
-                            WitnessKind.DIVERGENT_CYCLE,
-                            "cycle of abstract-invisible steps inside the core",
-                            invisible_cycle,
-                            interner.schema,
-                        ),
-                    ),
-                    legitimate,
-                    core,
-                    None,
-                )
-
-        with instrumentation.span("check.worst_case"):
-            if compute_steps and not shared_has_cycle(
-                kernel,
-                outside_bits,
-                runtime,
-                drop_self=fairness_ignores_stutter,
-            ):
-                steps: Optional[int] = shared_longest_path(
-                    kernel,
-                    outside_bits,
-                    runtime,
-                    drop_self=fairness_ignores_stutter,
-                )
-            else:
-                # Under strong fairness the sup over fair runs may be
-                # unbounded when cycles remain outside the core;
-                # report no finite metric.
-                steps = None
-        return StabilizationResult(
-            CheckResult(
-                True,
-                name,
-                detail=(
-                    f"core has {len(core)} of {interner.schema.size()} states; "
-                    f"legitimate spec states: {len(legitimate)}"
-                ),
-            ),
-            legitimate,
-            core,
-            steps,
+        self.core_bits = shared_core(
+            self.kernel,
+            self.abstract_kernel,
+            self.image,
+            self.legitimate_flags,
+            request.stutter_insensitive,
+            request.drop_self,
+            self.runtime,
+            instrumentation=request.instrumentation,
         )
+        return self._decoded_core(self._members(self.core_bits))
+
+    def outside_size(self) -> int:
+        from ..kernel.shared import BitField
+
+        self.outside = BitField(self.size)
+        self.core_bits.complement_into(self.outside)
+        return self.size - self.core_size
+
+    def deadlock(self) -> Optional[State]:
+        from ..kernel.shared import shared_terminals
+
+        return self._min_state(
+            shared_terminals(
+                self.kernel,
+                self.outside,
+                self.runtime,
+                drop_self=self.request.drop_self,
+            )
+        )
+
+    def has_cycle_outside(self) -> bool:
+        from ..kernel.shared import shared_has_cycle
+
+        return shared_has_cycle(
+            self.kernel,
+            self.outside,
+            self.runtime,
+            drop_self=self.request.drop_self,
+        )
+
+    def has_invisible_cycle(self) -> bool:
+        from ..kernel.shared import shared_has_cycle
+
+        return shared_has_cycle(
+            self.kernel,
+            self.core_bits,
+            self.runtime,
+            drop_self=self.request.drop_self,
+            image=self.image,
+        )
+
+    def outside_states(self) -> FrozenSet[State]:
+        return _decoded(self.interner, self._members(self.outside))
+
+    def longest_path(self) -> int:
+        from ..kernel.shared import shared_longest_path
+
+        return shared_longest_path(
+            self.kernel,
+            self.outside,
+            self.runtime,
+            drop_self=self.request.drop_self,
+        )
+
+
+#: Engine name → backend class, walked by :func:`_decide_with_degradation`.
+_BACKENDS = {
+    "tuple": _TupleBackend,
+    "packed": _PackedBackend,
+    "vector": _VectorBackend,
+    "shared": _SharedBackend,
+}
 
 
 def check_self_stabilization(

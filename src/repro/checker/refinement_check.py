@@ -47,7 +47,12 @@ from ..core.state import State
 from ..core.system import System, Transition
 from ..obs import NULL_INSTRUMENTATION, Instrumentation, ProgressEmitter
 from .budget import BudgetExceeded, BudgetMeter
-from .convergence import ENGINES, SystemOrProgram, _as_system, _source_name
+from .convergence import (
+    SystemOrProgram,
+    _as_system,
+    _require_known_engine,
+    _source_name,
+)
 from .graph import shortest_path
 from .witnesses import CheckResult, Witness, WitnessKind
 
@@ -82,15 +87,22 @@ def _select_refinement_engine(
     meter) go straight to the tuple engine — the PARTIAL cut must
     follow its exploration order.  The vector engine additionally
     falls back to the *packed* engine when NumPy is missing or the
-    program lies outside the statically lowerable fragment.
+    program lies outside the statically lowerable fragment.  The
+    refinement clauses have no streamed form, so a shared request
+    continues at vector with a reasoned fallback, as the stabilization
+    chain does when the shared engine refuses a check.
     """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of 'packed', "
-            f"'tuple', 'vector'"
-        )
+    _require_known_engine(engine)
     if engine == "tuple":
         return "tuple"
+    if engine == "shared":
+        instrumentation.event(
+            "engine.fallback",
+            requested="shared",
+            reason="no streamed refinement clauses",
+        )
+        instrumentation.count("engine.fallback.vector", 1)
+        engine = "vector"
     from ..kernel import packed_fallback_reason
 
     reason = packed_fallback_reason(concrete, abstract)

@@ -1,0 +1,94 @@
+"""Every engine request either runs as asked or says why it did not.
+
+For each checker entry point and each engine name it accepts, the run
+record must show the requested engine selected (``engine.selected``;
+the tuple engine, being the reference, is selected silently) or an
+``engine.fallback`` event for that request carrying a reason.  A
+request that quietly runs on some other engine fails here.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.checker import (
+    check_convergence_refinement,
+    check_everywhere_refinement,
+    check_init_refinement,
+    check_self_stabilization,
+    check_stabilization,
+)
+from repro.checker.convergence import ENGINES
+from repro.obs import Recorder
+from repro.rings import kstate_program, utr_abstraction, utr_program
+
+
+def _spec_args():
+    return kstate_program(4, 4), utr_program(4), utr_abstraction(4, 4)
+
+
+CHECKERS = {
+    "stabilization": lambda **kwargs: check_stabilization(
+        *_spec_args(), **kwargs
+    ),
+    "self-stabilization": lambda **kwargs: check_self_stabilization(
+        kstate_program(4, 4), **kwargs
+    ),
+    "init-refinement": lambda **kwargs: check_init_refinement(
+        *_spec_args(), **kwargs
+    ),
+    "everywhere-refinement": lambda **kwargs: check_everywhere_refinement(
+        *_spec_args(), **kwargs
+    ),
+    "convergence-refinement": lambda **kwargs: check_convergence_refinement(
+        *_spec_args(), **kwargs
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("checker", sorted(CHECKERS))
+def test_request_runs_or_falls_back_with_a_reason(checker, engine):
+    recorder = Recorder()
+    CHECKERS[checker](engine=engine, instrumentation=recorder)
+    events = recorder.record().events
+    selected = [
+        event.fields["engine"]
+        for event in events
+        if event.name == "engine.selected"
+    ]
+    fallbacks = [
+        event.fields for event in events if event.name == "engine.fallback"
+    ]
+    if engine == "tuple":
+        assert selected == [] and fallbacks == []
+    elif selected != [engine]:
+        assert any(
+            fallback["requested"] == engine and fallback["reason"]
+            for fallback in fallbacks
+        ), (selected, fallbacks)
+
+
+def test_shared_refinement_request_continues_at_vector():
+    recorder = Recorder()
+    verdict = check_convergence_refinement(
+        *_spec_args(), engine="shared", instrumentation=recorder
+    )
+    assert verdict.holds
+    record = recorder.record()
+    assert record.counters["engine.fallback.vector"] == 1
+    first = next(
+        event for event in record.events if event.name == "engine.fallback"
+    )
+    assert first.fields == {
+        "requested": "shared",
+        "reason": "no streamed refinement clauses",
+    }
+
+
+def test_unknown_engine_error_lists_every_engine():
+    for check in (check_stabilization, check_convergence_refinement):
+        with pytest.raises(ValueError) as caught:
+            check(*_spec_args(), engine="bogus")
+        for engine in ENGINES:
+            assert repr(engine) in str(caught.value)

@@ -21,57 +21,8 @@ import pytest
 from repro.checker import check_convergence_refinement, check_stabilization
 from repro.obs import NULL_INSTRUMENTATION, Recorder
 from repro.parallel import parallel_available
-from repro.rings import (
-    btr3_abstraction,
-    btr4_abstraction,
-    btr_program,
-    c3_composed,
-    dijkstra_four_state,
-    dijkstra_three_state,
-    kstate_program,
-    utr_abstraction,
-    utr_program,
-)
-
-# (name, concrete, spec, alpha, fairness, stutter_insensitive) — the
-# ring verifications of the reproduction, including failing controls.
-RING_CASES = [
-    (
-        "dijkstra4-n3",
-        lambda: dijkstra_four_state(3),
-        lambda: btr_program(3),
-        lambda: btr4_abstraction(3),
-        "none", False,
-    ),
-    (
-        "dijkstra3-n4",
-        lambda: dijkstra_three_state(4),
-        lambda: btr_program(4),
-        lambda: btr3_abstraction(4),
-        "none", False,
-    ),
-    (
-        "c3-composed-n3",
-        lambda: c3_composed(3),
-        lambda: btr_program(3),
-        lambda: btr3_abstraction(3),
-        "strong", True,
-    ),
-    (
-        "kstate-n4",
-        lambda: kstate_program(4, 4),
-        lambda: utr_program(4),
-        lambda: utr_abstraction(4, 4),
-        "none", False,
-    ),
-    (
-        "kstate-n4-k3-refuted",  # a failing case: witness must agree too
-        lambda: kstate_program(4, 3),
-        lambda: utr_program(4),
-        lambda: utr_abstraction(4, 3),
-        "none", False,
-    ),
-]
+from repro.rings import btr3_abstraction, btr_program, dijkstra_three_state
+from tests.integration.test_packed_differential import RING_CASES
 
 ENGINES = ("tuple", "packed", "vector")
 

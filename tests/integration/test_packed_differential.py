@@ -19,6 +19,8 @@ from repro.checker import (
     check_everywhere_eventually_refinement,
     check_stabilization,
 )
+from repro.core.abstraction import AbstractionFunction
+from repro.gcl import parse_program
 from repro.obs import Recorder
 from repro.parallel import parallel_available
 from repro.rings import (
@@ -33,7 +35,64 @@ from repro.rings import (
     utr_program,
 )
 
-# Every ring verification of the reproduction:
+# Failing controls for the decision branches no ring reaches.  Each has
+# 16 states, enough for the shared engine to run for real.
+
+#: ``y`` drifts forever while the spec only settles ``x``: the one
+#: legitimate state is left at once, so the behavioural core is empty.
+DRIFT = """program drift
+var x : mod 4
+var y : mod 4
+action drift :: true --> y := ((y + 1) % 4)
+init x == 0 && y == 0
+"""
+SETTLE = """program settle
+var x : mod 4
+var y : mod 4
+action settle :: x != 0 --> x := 0
+init x == 0 && y == 0
+"""
+
+#: Off ``x == 0`` only ``spin`` is enabled and it never leaves its
+#: ``x``-row: a fair trap even under strong fairness.
+SPIN = """program spin
+var x : mod 4
+var y : mod 4
+action spin :: x != 0 --> y := ((y + 1) % 4)
+init x == 0
+"""
+
+#: Inside the core ``spin`` cycles the hidden ``h`` forever, and every
+#: one of its steps is invisible under the projection onto ``x``.
+HIDDEN = """program hidden
+var x : mod 4
+var h : mod 4
+action spin :: x == 0 --> h := ((h + 1) % 4)
+action fix :: x != 0 --> x := 0
+init x == 0 && h == 0
+"""
+VISIBLE = """program visible
+var x : mod 4
+action fix :: x != 0 --> x := 0
+init x == 0
+"""
+
+
+def x_projection() -> AbstractionFunction:
+    """``(x, h) -> (x)``, from ``HIDDEN``'s space onto ``VISIBLE``'s."""
+    concrete = parse_program(HIDDEN).schema()
+    abstract = parse_program(VISIBLE).schema()
+    return AbstractionFunction(
+        concrete,
+        abstract,
+        lambda state: abstract.pack({"x": concrete.unpack(state)["x"]}),
+        name="x",
+        array_mapping=lambda columns: {"x": columns["x"]},
+    )
+
+
+# Every ring verification of the reproduction, plus one failing control
+# per witness kind of the decision:
 # (name, concrete, spec, alpha, fairness, stutter_insensitive)
 RING_CASES = [
     (
@@ -65,18 +124,39 @@ RING_CASES = [
         "none", False,
     ),
     (
-        "btr-n4-control",  # the deliberate non-stabilizing control
+        "btr-n4-control",  # non-stabilizing control: illegitimate deadlock
         lambda: btr_program(4),
         lambda: btr_program(4),
         lambda: None,
         "none", False,
     ),
     (
-        "kstate-n4-k3-refuted",  # K = n - 1 < n: a failing case
-        lambda: kstate_program(4, 3),
+        "kstate-n4-k2-refuted",  # K = n - 2: divergent cycle
+        lambda: kstate_program(4, 2),
         lambda: utr_program(4),
-        lambda: utr_abstraction(4, 3),
+        lambda: utr_abstraction(4, 2),
         "none", False,
+    ),
+    (
+        "drift-empty-core",  # closure violation
+        lambda: parse_program(DRIFT),
+        lambda: parse_program(SETTLE),
+        lambda: None,
+        "none", False,
+    ),
+    (
+        "spin-fair-trap",  # strongly fair divergence
+        lambda: parse_program(SPIN),
+        lambda: parse_program(SPIN),
+        lambda: None,
+        "strong", False,
+    ),
+    (
+        "hidden-invisible-cycle",  # invisible steps cycling in the core
+        lambda: parse_program(HIDDEN),
+        lambda: parse_program(VISIBLE),
+        x_projection,
+        "none", True,
     ),
 ]
 
@@ -132,6 +212,36 @@ class TestStabilizationDifferential:
             assert tuple_counters.get(counter) == packed_counters.get(
                 counter
             ), counter
+
+    @pytest.mark.parametrize(
+        "name,message",
+        [
+            ("btr-n4-control",
+             "a computation can end outside the legitimate core"),
+            ("kstate-n4-k2-refuted",
+             "a computation can cycle forever outside the legitimate core"),
+            ("drift-empty-core",
+             "no concrete state forever tracks the specification "
+             "(behavioural core is empty)"),
+            ("spin-fair-trap",
+             "a strongly fair computation can stay forever outside the "
+             "legitimate core (fair trap)"),
+            ("hidden-invisible-cycle",
+             "cycle of abstract-invisible steps inside the core"),
+        ],
+    )
+    def test_failing_controls_fail_as_labelled(self, name, message):
+        """Each failing control reaches the branch its label names, so
+        the differentials above cover every way the decision fails."""
+        _, concrete, spec, alpha, fairness, stutter = next(
+            case for case in RING_CASES if case[0] == name
+        )
+        verdict = check_stabilization(
+            concrete(), spec(), alpha=alpha(), stutter_insensitive=stutter,
+            fairness=fairness, engine="tuple",
+        )
+        assert not verdict.holds
+        assert verdict.result.witness.message == message
 
     @pytest.mark.parametrize(
         "name,concrete,spec,alpha,fairness,stutter",

@@ -24,61 +24,12 @@ from repro.rings import (
     c3_composed,
     dijkstra_four_state,
     dijkstra_three_state,
-    kstate_program,
-    utr_abstraction,
-    utr_program,
 )
+from tests.integration.test_packed_differential import RING_CASES
 
 pytestmark = pytest.mark.skipif(
     not parallel_available(), reason="no fork start method"
 )
-
-# Every ring verification of the reproduction:
-# (name, concrete, spec, alpha, fairness, stutter_insensitive)
-RING_CASES = [
-    (
-        "dijkstra4-n3",
-        lambda: dijkstra_four_state(3).compile(),
-        lambda: btr_program(3).compile(),
-        lambda: btr4_abstraction(3),
-        "none", False,
-    ),
-    (
-        "dijkstra3-n4",
-        lambda: dijkstra_three_state(4).compile(),
-        lambda: btr_program(4).compile(),
-        lambda: btr3_abstraction(4),
-        "none", False,
-    ),
-    (
-        "c3-composed-n3",
-        lambda: c3_composed(3).compile(),
-        lambda: btr_program(3).compile(),
-        lambda: btr3_abstraction(3),
-        "strong", True,
-    ),
-    (
-        "kstate-n4",
-        lambda: kstate_program(4, 4).compile(),
-        lambda: utr_program(4).compile(),
-        lambda: utr_abstraction(4, 4),
-        "none", False,
-    ),
-    (
-        "btr-n4-control",  # the deliberate non-stabilizing control
-        lambda: btr_program(4).compile(),
-        lambda: btr_program(4).compile(),
-        lambda: None,
-        "none", False,
-    ),
-    (
-        "kstate-n4-k3-refuted",  # K = n - 1 < n: a failing case
-        lambda: kstate_program(4, 3).compile(),
-        lambda: utr_program(4).compile(),
-        lambda: utr_abstraction(4, 3),
-        "none", False,
-    ),
-]
 
 
 class TestStabilizationDifferential:

@@ -226,18 +226,27 @@ class TestSpillRoundTrips:
 
 class TestSharedVerdicts:
     @settings(max_examples=25, deadline=None)
-    @given(shared_programs())
-    def test_self_stabilization_verdict_identical(self, program):
+    @given(
+        shared_programs(),
+        st.sampled_from(["none", "weak", "strong"]),
+        st.booleans(),
+    )
+    def test_self_stabilization_verdict_identical(
+        self, program, fairness, compute_steps
+    ):
         """End to end against the sequential reference, witness states
-        included.  On a pure-Python install the shared request walks
-        the fallback chain, which must render the same verdict anyway.
+        and worst case included, under every fairness mode (so the
+        fair-trap and worst-case branches are fuzzed too).  On a
+        pure-Python install the shared request walks the fallback
+        chain, which must render the same verdict anyway.
         """
         assert program.schema().size() >= SHARED_MIN_STATES
+        kwargs = dict(fairness=fairness, compute_steps=compute_steps)
         tuple_verdict = check_self_stabilization(
-            program, compute_steps=False, engine="tuple"
+            program, engine="tuple", **kwargs
         )
         shared_verdict = check_self_stabilization(
-            program, compute_steps=False, engine="shared"
+            program, engine="shared", **kwargs
         )
         assert shared_verdict.format() == tuple_verdict.format()
         assert shared_verdict.core == tuple_verdict.core
