@@ -36,10 +36,28 @@ paper's ``C3``, whose illegitimate-state tau steps repeat a state:
 transitions whose abstract image does not move are then permitted, as
 long as no cycle of ``C`` consists solely of such invisible steps
 (which would hide divergence).
+
+Each relation has a tuple-engine reference procedure (the
+``_decide_*`` functions), the oracle whose witnesses every engine
+reports.  The packed and vector engines (and the shared engine, which
+continues at vector: the clauses have no streamed form) decide the
+same clauses *optimistically*: one skeleton (:func:`_refinement`) drives
+a per-engine clause backend (:data:`_CLAUSES`) over dense state codes
+and, when every clause holds, emits the tuple engine's counters and
+detail.  A violation — or an abstraction mapping some state outside
+the abstract schema — abandons the attempt with a reasoned
+``engine.fallback`` event and replays the check on the tuple engine
+(a witness depends on its set iteration order), so verdicts,
+witnesses and counters are identical on every engine.
+A state budget, or a budget meter shared with an enclosing check,
+pins the check to the tuple engine, whose exploration order the
+``PARTIAL`` cut follows.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import compress
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.abstraction import AbstractionFunction, identity_abstraction
@@ -80,17 +98,10 @@ def _select_refinement_engine(
 ) -> str:
     """The refinement engine that actually runs (``engine.*`` counters).
 
-    The packed and vector engines run refinement clauses
-    *optimistically*: they can prove success, but a violation witness
-    depends on tuple-set iteration order, so failures replay on the
-    tuple engine.  Budgeted checks (and clauses sharing an enclosing
-    meter) go straight to the tuple engine — the PARTIAL cut must
-    follow its exploration order.  The vector engine additionally
-    falls back to the *packed* engine when NumPy is missing or the
-    program lies outside the statically lowerable fragment.  The
-    refinement clauses have no streamed form, so a shared request
-    continues at vector with a reasoned fallback, as the stabilization
-    chain does when the shared engine refuses a check.
+    Budgeted checks go to the tuple engine (see the module docstring);
+    the vector engine falls back to the *packed* engine when NumPy is
+    missing or the program lies outside the statically lowerable
+    fragment, as the stabilization chain does.
     """
     _require_known_engine(engine)
     if engine == "tuple":
@@ -143,87 +154,6 @@ _ALPHA_REPLAY_REASON = (
 )
 
 
-def _packed_violation_fallback(
-    instrumentation: Instrumentation,
-    reason: str = _VIOLATION_REPLAY_REASON,
-    requested: str = "packed",
-) -> None:
-    """Record that a packed/vector attempt is handing the check back."""
-    instrumentation.count("engine.fallback.tuple", 1)
-    instrumentation.event("engine.fallback", requested=requested, reason=reason)
-
-
-def _packed_refinement_context(
-    concrete: SystemOrProgram,
-    abstract: SystemOrProgram,
-    alpha: Optional[AbstractionFunction],
-):
-    """Kernels and the dense image table for a packed refinement attempt.
-
-    Returns ``None`` when some concrete state's image is not a valid
-    abstract state — the tuple engine's membership tests then carry the
-    semantics, so the attempt is abandoned before it starts.
-    """
-    from ..kernel import as_kernel, image_codes
-
-    if alpha is None:
-        _schema_of(concrete).require_compatible(
-            _schema_of(abstract), "refinement check without an abstraction function"
-        )
-    kernel = as_kernel(concrete)
-    abstract_kernel = kernel if abstract is concrete else as_kernel(abstract)
-    image_of = image_codes(kernel.interner, abstract_kernel.interner, alpha)
-    if any(code < 0 for code in image_of):
-        return None
-    return kernel, abstract_kernel, image_of
-
-
-def _packed_init_clauses(
-    kernel,
-    abstract_kernel,
-    image_of: List[int],
-    stutter_insensitive: bool,
-    open_systems: bool,
-    instrumentation: Instrumentation,
-) -> Optional[Tuple[int, int]]:
-    """The ``[C (= A]_init`` clauses over packed codes.
-
-    Returns ``(reachable_count, transitions_checked)`` when every
-    clause holds, ``None`` on the first violation (the caller replays
-    on the tuple engine for the witness).  Counters are *not* emitted
-    here — the caller owns them, so a failed attempt emits nothing.
-    """
-    from ..kernel import count_flags, packed_reachable
-
-    initial_images = set(abstract_kernel.initial_codes)
-    for code in kernel.initial_codes:
-        if image_of[code] not in initial_images:
-            return None
-    with instrumentation.span("refine.init_clause"):
-        reachable = packed_reachable(
-            kernel.successors, kernel.initial_codes, kernel.size
-        )
-    abstract_succ = abstract_kernel.successors
-    checked = 0
-    for code in range(kernel.size):
-        if not reachable[code]:
-            continue
-        successors = kernel.successors(code)
-        image = image_of[code]
-        if not successors:
-            if not open_systems and abstract_succ(image):
-                return None
-            continue
-        for successor in successors:
-            checked += 1
-            target_image = image_of[successor]
-            if target_image == image and stutter_insensitive:
-                continue
-            if target_image not in abstract_succ(image):
-                return None
-    return count_flags(reachable), checked
-
-
 def _packed_path2(
     abstract_succ,
     abstract_size: int,
@@ -252,130 +182,94 @@ def _packed_path2(
     return False
 
 
-def _dict_reachable(adjacency: Dict[int, List[int]], start: int) -> Set[int]:
-    """Inclusive reachability over an explicit edge list (stutter graph)."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        code = stack.pop()
-        for successor in adjacency.get(code, ()):
-            if successor not in seen:
-                seen.add(successor)
-                stack.append(successor)
-    return seen
+class _Clauses:
+    """One engine's view of the refinement clauses, for :func:`_refinement`.
 
-
-def _packed_init_attempt(
-    concrete: SystemOrProgram,
-    abstract: SystemOrProgram,
-    alpha: Optional[AbstractionFunction],
-    stutter_insensitive: bool,
-    open_systems: bool,
-    instrumentation: Instrumentation,
-    name: str,
-) -> Optional[CheckResult]:
-    """Packed ``[C (= A]_init``; ``None`` means replay on the tuple engine."""
-    context = _packed_refinement_context(concrete, abstract, alpha)
-    if context is None:
-        _packed_violation_fallback(instrumentation, _ALPHA_REPLAY_REASON)
-        return None
-    kernel, abstract_kernel, image_of = context
-    clauses = _packed_init_clauses(
-        kernel, abstract_kernel, image_of, stutter_insensitive, open_systems,
-        instrumentation,
-    )
-    if clauses is None:
-        _packed_violation_fallback(instrumentation)
-        return None
-    reachable_count, checked = clauses
-    instrumentation.count("refine.reachable.size", reachable_count)
-    instrumentation.count("refine.init.transitions.checked", checked)
-    return CheckResult(
-        True,
-        name,
-        detail=f"{reachable_count} reachable states, {checked} transitions checked",
-    )
-
-
-def _packed_everywhere_attempt(
-    concrete: SystemOrProgram,
-    abstract: SystemOrProgram,
-    alpha: Optional[AbstractionFunction],
-    stutter_insensitive: bool,
-    open_systems: bool,
-    instrumentation: Instrumentation,
-    name: str,
-) -> Optional[CheckResult]:
-    """Packed ``[C (= A]``; ``None`` means replay on the tuple engine."""
-    context = _packed_refinement_context(concrete, abstract, alpha)
-    if context is None:
-        _packed_violation_fallback(instrumentation, _ALPHA_REPLAY_REASON)
-        return None
-    kernel, abstract_kernel, image_of = context
-    abstract_succ = abstract_kernel.successors
-    checked = 0
-    for code in range(kernel.size):
-        successors = kernel.successors(code)
-        image = image_of[code]
-        if not successors:
-            if not open_systems and abstract_succ(image):
-                _packed_violation_fallback(instrumentation)
-                return None
-            continue
-        for successor in successors:
-            checked += 1
-            target_image = image_of[successor]
-            if target_image == image and stutter_insensitive:
-                continue
-            if target_image not in abstract_succ(image):
-                _packed_violation_fallback(instrumentation)
-                return None
-    instrumentation.count("refine.everywhere.transitions.checked", checked)
-    return CheckResult(True, name, detail=f"{checked} transitions checked")
-
-
-def _packed_convergence_attempt(
-    concrete: SystemOrProgram,
-    abstract: SystemOrProgram,
-    alpha: Optional[AbstractionFunction],
-    stutter_insensitive: bool,
-    open_systems: bool,
-    instrumentation: Instrumentation,
-    name: str,
-) -> Optional[CheckResult]:
-    """Packed ``[C <= A]``; ``None`` means replay on the tuple engine.
-
-    Runs all four clauses over packed codes and, on success, emits the
-    tuple engine's exact counters and success detail.  Any violation
-    abandons the attempt with *no* counters emitted (only spans, which
-    measure work actually done) — the tuple replay then produces the
-    byte-identical witness and counters.
+    ``over()`` builds it from the check's sources, or returns ``None``
+    when the abstraction maps a state outside the abstract schema.
+    ``initial_ok()`` is the initial-image clause; ``reachable()`` the
+    codes reachable from ``C``'s initial states; ``edges_hold(codes,
+    ...)`` the transition and maximality clauses of ``[C (= A]`` over
+    those codes (``None``: every code), returning the number of
+    transitions checked; ``scan()`` classifies every transition as
+    exact, stutter or compression; ``compression_on_cycle()`` and
+    ``bad_terminal()`` are clauses 3 and 4.  ``None`` or ``True``
+    reports a violation.  Backends return counts, flags and edge lists
+    only — the skeleton owns the spans, counters, events and verdict.
     """
-    from ..kernel import packed_reachable
 
-    context = _packed_refinement_context(concrete, abstract, alpha)
-    if context is None:
-        _packed_violation_fallback(instrumentation, _ALPHA_REPLAY_REASON)
-        return None
-    kernel, abstract_kernel, image_of = context
-    init_clauses = _packed_init_clauses(
-        kernel, abstract_kernel, image_of, stutter_insensitive, open_systems,
-        instrumentation,
-    )
-    if init_clauses is None:
-        _packed_violation_fallback(instrumentation)
-        return None
-    reachable_count, init_checked = init_clauses
+    def __init__(self, kernel, abstract_kernel, image_of, instrumentation):
+        self.kernel = kernel
+        self.abstract_kernel = abstract_kernel
+        self.image_of = image_of
+        self.instrumentation = instrumentation
 
-    size = kernel.size
-    abstract_succ = abstract_kernel.successors
-    exact = 0
-    stutter_edges: List[Tuple[int, int]] = []
-    compression_edges: List[Tuple[int, int]] = []
-    path2_memo: Dict[int, bytearray] = {}
-    holds = True
-    progress = ProgressEmitter(instrumentation, "refine.transition_scan")
-    with instrumentation.span("refine.transition_scan"):
+
+class _PackedClauses(_Clauses):
+    """The refinement clauses over packed int codes (:mod:`repro.kernel`)."""
+
+    @classmethod
+    def over(cls, concrete, abstract, alpha, instrumentation):
+        """The clauses of ``concrete`` against ``abstract`` through
+        ``alpha``; ``None`` when some image leaves the abstract schema."""
+        from ..kernel import as_kernel, image_codes
+
+        kernel = as_kernel(concrete)
+        abstract_kernel = kernel if abstract is concrete else as_kernel(abstract)
+        image_of = image_codes(kernel.interner, abstract_kernel.interner, alpha)
+        if any(code < 0 for code in image_of):
+            return None
+        return cls(kernel, abstract_kernel, image_of, instrumentation)
+
+    def initial_ok(self) -> bool:
+        initial_images = set(self.abstract_kernel.initial_codes)
+        image_of = self.image_of
+        return all(
+            image_of[code] in initial_images for code in self.kernel.initial_codes
+        )
+
+    def reachable(self) -> List[int]:
+        from ..kernel import packed_reachable
+
+        kernel = self.kernel
+        flags = packed_reachable(
+            kernel.successors, kernel.initial_codes, kernel.size
+        )
+        return list(compress(range(kernel.size), flags))
+
+    def edges_hold(
+        self, codes, stutter_insensitive: bool, open_systems: bool
+    ) -> Optional[int]:
+        succ = self.kernel.successors
+        abstract_succ = self.abstract_kernel.successors
+        image_of = self.image_of
+        checked = 0
+        for code in range(self.kernel.size) if codes is None else codes:
+            successors = succ(code)
+            image = image_of[code]
+            if not successors:
+                if not open_systems and abstract_succ(image):
+                    return None
+                continue
+            for successor in successors:
+                checked += 1
+                target_image = image_of[successor]
+                if target_image == image and stutter_insensitive:
+                    continue
+                if target_image not in abstract_succ(image):
+                    return None
+        return checked
+
+    def scan(self, stutter_insensitive: bool, progress: ProgressEmitter):
+        kernel = self.kernel
+        size = kernel.size
+        abstract_succ = self.abstract_kernel.successors
+        abstract_size = self.abstract_kernel.size
+        image_of = self.image_of
+        exact = 0
+        stutter_edges: List[Tuple[int, int]] = []
+        compression_edges: List[Tuple[int, int]] = []
+        path2_memo: Dict[int, bytearray] = {}
         for code in range(size):
             if progress.enabled and code and code % 4096 == 0:
                 progress.tick(0, size - code, code)
@@ -389,298 +283,141 @@ def _packed_convergence_attempt(
                     if image in abstract_succ(image):
                         exact += 1
                         continue
-                    holds = False
-                    break
+                    return None
                 if target_image in abstract_succ(image):
                     exact += 1
                     continue
                 if _packed_path2(
-                    abstract_succ, abstract_kernel.size, image, target_image,
-                    path2_memo,
+                    abstract_succ, abstract_size, image, target_image, path2_memo
                 ):
                     compression_edges.append((code, successor))
                     continue
-                holds = False
-                break
-            if not holds:
-                break
-    if not holds:
-        _packed_violation_fallback(instrumentation)
-        return None
+                return None
+        return exact, stutter_edges, compression_edges
 
-    cycle_memo: Dict[int, bytearray] = {}
-    with instrumentation.span("refine.cycle_clause"):
-        for source, target in compression_edges:
-            flags = cycle_memo.get(target)
+    def compression_on_cycle(self, edges: List[Tuple[int, int]]) -> bool:
+        from ..kernel import packed_reachable
+
+        kernel = self.kernel
+        memo: Dict[int, bytearray] = {}
+        for source, target in edges:
+            flags = memo.get(target)
             if flags is None:
-                flags = packed_reachable(kernel.successors, (target,), size)
-                cycle_memo[target] = flags
+                flags = packed_reachable(kernel.successors, (target,), kernel.size)
+                memo[target] = flags
             if flags[source]:
-                holds = False
-                break
-    if not holds:
-        _packed_violation_fallback(instrumentation)
-        return None
+                return True
+        return False
 
-    if stutter_edges:
-        adjacency: Dict[int, List[int]] = {}
-        for source, target in stutter_edges:
-            adjacency.setdefault(source, []).append(target)
-        stutter_memo: Dict[int, Set[int]] = {}
-        for source, target in stutter_edges:
-            if source == target:
-                continue
-            seen = stutter_memo.get(target)
-            if seen is None:
-                seen = _dict_reachable(adjacency, target)
-                stutter_memo[target] = seen
-            if source in seen:
-                _packed_violation_fallback(instrumentation)
-                return None
-
-    if not open_systems:
-        for code in range(size):
-            if not kernel.successors(code) and abstract_succ(image_of[code]):
-                _packed_violation_fallback(instrumentation)
-                return None
-
-    instrumentation.count("refine.reachable.size", reachable_count)
-    instrumentation.count("refine.init.transitions.checked", init_checked)
-    instrumentation.count("refine.transitions.exact", exact)
-    instrumentation.count("refine.transitions.compressing", len(compression_edges))
-    instrumentation.count("refine.transitions.stuttering", len(stutter_edges))
-    return CheckResult(
-        True,
-        name,
-        detail=(
-            f"{exact} exact transitions, {len(compression_edges)} compressions, "
-            f"{len(stutter_edges)} stutters"
-        ),
-    )
-
-
-def _vector_refinement_context(
-    concrete: SystemOrProgram,
-    abstract: SystemOrProgram,
-    alpha: Optional[AbstractionFunction],
-):
-    """Kernels and the image array for a vector refinement attempt.
-
-    The array analogue of :func:`_packed_refinement_context`: returns
-    ``None`` when some concrete state's image is not a valid abstract
-    state, abandoning the attempt to the tuple engine.
-    """
-    from ..kernel.vector import as_vector_kernel, vector_image_codes
-
-    if alpha is None:
-        _schema_of(concrete).require_compatible(
-            _schema_of(abstract), "refinement check without an abstraction function"
+    def bad_terminal(self) -> bool:
+        succ = self.kernel.successors
+        abstract_succ = self.abstract_kernel.successors
+        image_of = self.image_of
+        return any(
+            not succ(code) and abstract_succ(image_of[code])
+            for code in range(self.kernel.size)
         )
-    kernel = as_vector_kernel(concrete)
-    abstract_kernel = kernel if abstract is concrete else as_vector_kernel(abstract)
-    image_of = vector_image_codes(kernel.interner, abstract_kernel.interner, alpha)
-    if bool((image_of < 0).any()):
-        return None
-    return kernel, abstract_kernel, image_of
 
 
-def _vector_init_clauses(
-    kernel,
-    abstract_kernel,
-    image_of,
-    stutter_insensitive: bool,
-    open_systems: bool,
-    instrumentation: Instrumentation,
-) -> Optional[Tuple[int, int]]:
-    """The ``[C (= A]_init`` clauses over code arrays.
+class _VectorClauses(_Clauses):
+    """The refinement clauses over code arrays (:mod:`repro.kernel.vector`).
 
-    Returns ``(reachable_count, transitions_checked)`` when every
-    clause holds, ``None`` on the first violation (the caller replays
-    on the tuple engine for the witness).  As in the packed attempt,
-    counters are *not* emitted here — a failed attempt emits nothing.
-    ``transitions_checked`` matches the packed count exactly because
+    Transition counts match the packed backend's exactly because
     ``succ_pairs`` deduplicates per (origin, target) pair, just as the
     packed kernel's sorted successor tuples do.
     """
-    import numpy as np
 
-    from ..kernel.vector import vector_reachable
+    @classmethod
+    def over(cls, concrete, abstract, alpha, instrumentation):
+        """As :meth:`_PackedClauses.over`, with the image as an array."""
+        from ..kernel.vector import as_vector_kernel, vector_image_codes
 
-    if not bool(
-        np.isin(image_of[kernel.initial_array], abstract_kernel.initial_array).all()
-    ):
-        return None
-    with instrumentation.span("refine.init_clause"):
-        reachable = vector_reachable(
-            kernel, kernel.initial_array, instrumentation=instrumentation
-        )
-    codes = np.nonzero(reachable)[0]
-    origins, targets = kernel.succ_pairs(codes)
-    sources = codes[origins]
-    image_source = image_of[sources]
-    image_target = image_of[targets]
-    checked = int(origins.size)
-    if stutter_insensitive:
-        needs_edge = image_target != image_source
-    else:
-        needs_edge = np.ones(targets.shape, dtype=bool)
-    if needs_edge.any() and not bool(
-        abstract_kernel.has_edge(
-            image_source[needs_edge], image_target[needs_edge]
-        ).all()
-    ):
-        return None
-    if not open_systems:
-        has_successor = np.bincount(origins, minlength=codes.size) > 0
-        terminal_images = image_of[codes[~has_successor]]
-        if bool((~abstract_kernel.terminal_flags()[terminal_images]).any()):
+        kernel = as_vector_kernel(concrete)
+        abstract_kernel = kernel if abstract is concrete else as_vector_kernel(abstract)
+        image_of = vector_image_codes(kernel.interner, abstract_kernel.interner, alpha)
+        if bool((image_of < 0).any()):
             return None
-    return int(codes.size), checked
+        return cls(kernel, abstract_kernel, image_of, instrumentation)
 
+    def initial_ok(self) -> bool:
+        import numpy as np
 
-def _vector_init_attempt(
-    concrete: SystemOrProgram,
-    abstract: SystemOrProgram,
-    alpha: Optional[AbstractionFunction],
-    stutter_insensitive: bool,
-    open_systems: bool,
-    instrumentation: Instrumentation,
-    name: str,
-) -> Optional[CheckResult]:
-    """Vector ``[C (= A]_init``; ``None`` means replay on the tuple engine."""
-    context = _vector_refinement_context(concrete, abstract, alpha)
-    if context is None:
-        _packed_violation_fallback(
-            instrumentation, _ALPHA_REPLAY_REASON, requested="vector"
+        initial_images = self.image_of[self.kernel.initial_array]
+        return bool(
+            np.isin(initial_images, self.abstract_kernel.initial_array).all()
         )
-        return None
-    kernel, abstract_kernel, image_of = context
-    clauses = _vector_init_clauses(
-        kernel, abstract_kernel, image_of, stutter_insensitive, open_systems,
-        instrumentation,
-    )
-    if clauses is None:
-        _packed_violation_fallback(instrumentation, requested="vector")
-        return None
-    reachable_count, checked = clauses
-    instrumentation.count("refine.reachable.size", reachable_count)
-    instrumentation.count("refine.init.transitions.checked", checked)
-    return CheckResult(
-        True,
-        name,
-        detail=f"{reachable_count} reachable states, {checked} transitions checked",
-    )
 
+    def reachable(self):
+        import numpy as np
 
-def _vector_everywhere_attempt(
-    concrete: SystemOrProgram,
-    abstract: SystemOrProgram,
-    alpha: Optional[AbstractionFunction],
-    stutter_insensitive: bool,
-    open_systems: bool,
-    instrumentation: Instrumentation,
-    name: str,
-) -> Optional[CheckResult]:
-    """Vector ``[C (= A]``; ``None`` means replay on the tuple engine."""
-    import numpy as np
+        from ..kernel.vector import vector_reachable
 
-    context = _vector_refinement_context(concrete, abstract, alpha)
-    if context is None:
-        _packed_violation_fallback(
-            instrumentation, _ALPHA_REPLAY_REASON, requested="vector"
+        flags = vector_reachable(
+            self.kernel,
+            self.kernel.initial_array,
+            instrumentation=self.instrumentation,
         )
-        return None
-    kernel, abstract_kernel, image_of = context
-    codes = np.arange(kernel.size, dtype=np.int64)
-    origins, targets = kernel.succ_pairs(codes)
-    image_source = image_of[origins]
-    image_target = image_of[targets]
-    checked = int(origins.size)
-    if stutter_insensitive:
-        needs_edge = image_target != image_source
-    else:
-        needs_edge = np.ones(targets.shape, dtype=bool)
-    if needs_edge.any() and not bool(
-        abstract_kernel.has_edge(
-            image_source[needs_edge], image_target[needs_edge]
-        ).all()
-    ):
-        _packed_violation_fallback(instrumentation, requested="vector")
-        return None
-    if not open_systems:
-        terminal_images = image_of[kernel.terminal_flags()]
-        if bool((~abstract_kernel.terminal_flags()[terminal_images]).any()):
-            _packed_violation_fallback(instrumentation, requested="vector")
+        return np.nonzero(flags)[0]
+
+    def _moving(self, images) -> bool:
+        """Does any of these abstract codes have a successor?"""
+        return bool((~self.abstract_kernel.terminal_flags()[images]).any())
+
+    def edges_hold(
+        self, codes, stutter_insensitive: bool, open_systems: bool
+    ) -> Optional[int]:
+        import numpy as np
+
+        if codes is None:
+            codes = np.arange(self.kernel.size, dtype=np.int64)
+        origins, targets = self.kernel.succ_pairs(codes)
+        image_source = self.image_of[codes[origins]]
+        image_target = self.image_of[targets]
+        if stutter_insensitive:
+            needs_edge = image_target != image_source
+        else:
+            needs_edge = np.ones(targets.shape, dtype=bool)
+        if needs_edge.any() and not bool(
+            self.abstract_kernel.has_edge(
+                image_source[needs_edge], image_target[needs_edge]
+            ).all()
+        ):
             return None
-    instrumentation.count("refine.everywhere.transitions.checked", checked)
-    return CheckResult(True, name, detail=f"{checked} transitions checked")
+        if not open_systems:
+            stuck = np.bincount(origins, minlength=codes.size) == 0
+            if self._moving(self.image_of[codes[stuck]]):
+                return None
+        return int(origins.size)
 
+    def scan(self, stutter_insensitive: bool, progress: ProgressEmitter):
+        import numpy as np
 
-def _vector_convergence_attempt(
-    concrete: SystemOrProgram,
-    abstract: SystemOrProgram,
-    alpha: Optional[AbstractionFunction],
-    stutter_insensitive: bool,
-    open_systems: bool,
-    instrumentation: Instrumentation,
-    name: str,
-) -> Optional[CheckResult]:
-    """Vector ``[C <= A]``; ``None`` means replay on the tuple engine.
+        from ..kernel.vector import vector_reachable
+        from ..kernel.vector.kernel import _unique_sorted
 
-    All four clauses over code arrays, success-only like the packed
-    attempt: on success the tuple engine's exact counters and detail
-    are emitted; any violation abandons the attempt with no counters
-    (only spans, which measure work actually done) and the tuple
-    replay produces the byte-identical witness.
-    """
-    import numpy as np
-
-    from ..kernel.vector import vector_reachable
-    from ..kernel.vector.kernel import _unique_sorted
-
-    context = _vector_refinement_context(concrete, abstract, alpha)
-    if context is None:
-        _packed_violation_fallback(
-            instrumentation, _ALPHA_REPLAY_REASON, requested="vector"
+        abstract_kernel = self.abstract_kernel
+        sources, targets = self.kernel.succ_pairs(
+            np.arange(self.kernel.size, dtype=np.int64)
         )
-        return None
-    kernel, abstract_kernel, image_of = context
-    init_clauses = _vector_init_clauses(
-        kernel, abstract_kernel, image_of, stutter_insensitive, open_systems,
-        instrumentation,
-    )
-    if init_clauses is None:
-        _packed_violation_fallback(instrumentation, requested="vector")
-        return None
-    reachable_count, init_checked = init_clauses
-
-    with instrumentation.span("refine.transition_scan"):
-        codes = np.arange(kernel.size, dtype=np.int64)
-        sources, targets = kernel.succ_pairs(codes)
-        image_source = image_of[sources]
-        image_target = image_of[targets]
-        same_image = image_target == image_source
+        image_source = self.image_of[sources]
+        image_target = self.image_of[targets]
         abstract_edge = abstract_kernel.has_edge(image_source, image_target)
         if stutter_insensitive:
-            stutter_mask = same_image
+            stutter_mask = image_target == image_source
         else:
             stutter_mask = np.zeros(targets.shape, dtype=bool)
         exact = int((~stutter_mask & abstract_edge).sum())
         rest = ~stutter_mask & ~abstract_edge
-        rest_sources = sources[rest]
-        rest_targets = targets[rest]
         rest_image_source = image_source[rest]
         rest_image_target = image_target[rest]
         # A same-image step with no abstract self-loop (and stuttering
         # not allowed) is an immediate violation, never a compression.
         if bool((rest_image_source == rest_image_target).any()):
-            _packed_violation_fallback(instrumentation, requested="vector")
             return None
-        # Clause 2 for the rest: the image must be realizable as an
-        # abstract path of length >= 2 — two fixed steps then any walk.
-        # One reachability per distinct source image, from the union of
-        # its two-step frontier (the union of the packed attempt's
-        # per-start memoized flags).
+        # The rest must be realizable as abstract paths of length >= 2 —
+        # two fixed steps then any walk.  One reachability per distinct
+        # source image, from the union of its two-step frontier (the
+        # union of the packed backend's per-start memoized flags).
         for image in _unique_sorted(rest_image_source):
             _, mids = abstract_kernel.succ_pairs(image.reshape(1))
             starts = np.empty(0, dtype=np.int64)
@@ -688,62 +425,206 @@ def _vector_convergence_attempt(
                 _, starts = abstract_kernel.succ_pairs(_unique_sorted(mids))
                 starts = _unique_sorted(starts)
             if starts.size == 0:
-                _packed_violation_fallback(instrumentation, requested="vector")
                 return None
             reach = vector_reachable(abstract_kernel, starts)
             if not bool(reach[rest_image_target[rest_image_source == image]].all()):
-                _packed_violation_fallback(instrumentation, requested="vector")
                 return None
+        stutter_edges = list(
+            zip(sources[stutter_mask].tolist(), targets[stutter_mask].tolist())
+        )
+        return exact, stutter_edges, np.column_stack((sources[rest], targets[rest]))
 
-    # Clause 3: no compression on a cycle of C — one concrete
-    # reachability per distinct compression target.
-    with instrumentation.span("refine.cycle_clause"):
-        for target in _unique_sorted(rest_targets):
-            reach = vector_reachable(kernel, target.reshape(1))
-            if bool(reach[rest_sources[rest_targets == target]].any()):
-                _packed_violation_fallback(instrumentation, requested="vector")
-                return None
+    def compression_on_cycle(self, edges) -> bool:
+        from ..kernel.vector import vector_reachable
+        from ..kernel.vector.kernel import _unique_sorted
 
-    # Invisible divergence: no cycle made purely of stutter edges
-    # (literal self-loops excepted, as in the tuple engine).
-    stutter_count = int(stutter_mask.sum())
-    if stutter_count:
-        stutter_sources = sources[stutter_mask].tolist()
-        stutter_targets = targets[stutter_mask].tolist()
-        adjacency: Dict[int, List[int]] = {}
-        for source, target in zip(stutter_sources, stutter_targets):
-            adjacency.setdefault(source, []).append(target)
-        stutter_memo: Dict[int, Set[int]] = {}
-        for source, target in zip(stutter_sources, stutter_targets):
-            if source == target:
-                continue
-            seen = stutter_memo.get(target)
-            if seen is None:
-                seen = _dict_reachable(adjacency, target)
-                stutter_memo[target] = seen
-            if source in seen:
-                _packed_violation_fallback(instrumentation, requested="vector")
-                return None
+        # One concrete reachability per distinct compression target.
+        sources, targets = edges[:, 0], edges[:, 1]
+        for target in _unique_sorted(targets):
+            reach = vector_reachable(self.kernel, target.reshape(1))
+            if bool(reach[sources[targets == target]].any()):
+                return True
+        return False
 
-    if not open_systems:
-        terminal_images = image_of[kernel.terminal_flags()]
-        if bool((~abstract_kernel.terminal_flags()[terminal_images]).any()):
-            _packed_violation_fallback(instrumentation, requested="vector")
-            return None
+    def bad_terminal(self) -> bool:
+        return self._moving(self.image_of[self.kernel.terminal_flags()])
 
-    instrumentation.count("refine.reachable.size", reachable_count)
-    instrumentation.count("refine.init.transitions.checked", init_checked)
-    instrumentation.count("refine.transitions.exact", exact)
-    instrumentation.count("refine.transitions.compressing", int(rest_sources.size))
-    instrumentation.count("refine.transitions.stuttering", stutter_count)
-    return CheckResult(
-        True,
-        name,
-        detail=(
-            f"{exact} exact transitions, {int(rest_sources.size)} compressions, "
-            f"{stutter_count} stutters"
-        ),
+
+#: Engine name → clause backend of the optimistic refinement attempt.
+_CLAUSES = {"packed": _PackedClauses, "vector": _VectorClauses}
+
+#: What an optimistic clause decision proves: the success counters
+#: and the detail line, exactly as the tuple engine reports them.
+_Proof = Tuple[Dict[str, int], str]
+
+
+def _dict_reachable(adjacency: Dict[int, List[int]], start: int) -> Set[int]:
+    """Inclusive reachability over an explicit edge list (stutter graph)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        code = stack.pop()
+        for successor in adjacency.get(code, ()):
+            if successor not in seen:
+                seen.add(successor)
+                stack.append(successor)
+    return seen
+
+
+def _stutter_cycle(stutter_edges: List[Tuple[int, int]]) -> bool:
+    """Do the stutter edges close a cycle (literal self-loops excepted,
+    as in the tuple engine)?"""
+    adjacency: Dict[int, List[int]] = {}
+    for source, target in stutter_edges:
+        adjacency.setdefault(source, []).append(target)
+    memo: Dict[int, Set[int]] = {}
+    for source, target in stutter_edges:
+        if source == target:
+            continue
+        seen = memo.get(target)
+        if seen is None:
+            seen = _dict_reachable(adjacency, target)
+            memo[target] = seen
+        if source in seen:
+            return True
+    return False
+
+
+def _init_holds(
+    clauses, stutter_insensitive: bool, open_systems: bool,
+    instrumentation: Instrumentation,
+) -> Optional[_Proof]:
+    """``[C (= A]_init`` over a clause backend; ``None`` on a violation."""
+    if not clauses.initial_ok():
+        return None
+    with instrumentation.span("refine.init_clause"):
+        reachable = clauses.reachable()
+    checked = clauses.edges_hold(reachable, stutter_insensitive, open_systems)
+    if checked is None:
+        return None
+    return (
+        {
+            "refine.reachable.size": len(reachable),
+            "refine.init.transitions.checked": checked,
+        },
+        f"{len(reachable)} reachable states, {checked} transitions checked",
     )
+
+
+def _everywhere_holds(
+    clauses, stutter_insensitive: bool, open_systems: bool,
+    instrumentation: Instrumentation,
+) -> Optional[_Proof]:
+    """``[C (= A]`` over a clause backend; ``None`` on a violation."""
+    checked = clauses.edges_hold(None, stutter_insensitive, open_systems)
+    if checked is None:
+        return None
+    return (
+        {"refine.everywhere.transitions.checked": checked},
+        f"{checked} transitions checked",
+    )
+
+
+def _convergence_holds(
+    clauses, stutter_insensitive: bool, open_systems: bool,
+    instrumentation: Instrumentation,
+) -> Optional[_Proof]:
+    """``[C <= A]``'s four clauses over a clause backend; ``None`` on
+    a violation."""
+    init = _init_holds(clauses, stutter_insensitive, open_systems, instrumentation)
+    if init is None:
+        return None
+    counters, _ = init
+    scan_span = "refine.transition_scan"
+    with instrumentation.span(scan_span):
+        scan = clauses.scan(
+            stutter_insensitive, ProgressEmitter(instrumentation, scan_span)
+        )
+    if scan is None:
+        return None
+    exact, stutters, compressions = scan
+    with instrumentation.span("refine.cycle_clause"):
+        on_cycle = clauses.compression_on_cycle(compressions)
+    if on_cycle or _stutter_cycle(stutters):
+        return None
+    if not open_systems and clauses.bad_terminal():
+        return None
+    counters["refine.transitions.exact"] = exact
+    counters["refine.transitions.compressing"] = len(compressions)
+    counters["refine.transitions.stuttering"] = len(stutters)
+    return counters, (
+        f"{exact} exact transitions, {len(compressions)} compressions, "
+        f"{len(stutters)} stutters"
+    )
+
+
+def _refinement(
+    holds: Callable[..., Optional[_Proof]],
+    decide: Callable[..., CheckResult],
+    concrete: SystemOrProgram,
+    abstract: SystemOrProgram,
+    alpha: Optional[AbstractionFunction],
+    stutter_insensitive: bool,
+    open_systems: bool,
+    instrumentation: Instrumentation,
+    state_budget: Optional[int],
+    meter: Optional[BudgetMeter],
+    engine: str,
+    name: str,
+) -> CheckResult:
+    """Select an engine, decide the relation on it, replay on tuple.
+
+    ``holds`` is the relation's optimistic decision over a clause
+    backend and ``decide`` its tuple reference, called with the
+    compiled systems and the meter.  A proof emits its counters and is
+    the verdict; a violation, or an image outside the abstract schema,
+    emits only the reasoned fallback before the tuple replay.  A budget
+    cut is the ``PARTIAL`` verdict when the meter is the check's own,
+    and propagates to the owner of a shared one.
+    """
+    own_meter = meter is None
+    selected = _select_refinement_engine(
+        engine, concrete, abstract, state_budget, instrumentation,
+        shared_meter=not own_meter,
+    )
+    if selected != "tuple":
+        if alpha is None:
+            _schema_of(concrete).require_compatible(
+                _schema_of(abstract), "refinement check without an abstraction function"
+            )
+        clauses = _CLAUSES[selected].over(concrete, abstract, alpha, instrumentation)
+        proof = (
+            None
+            if clauses is None
+            else holds(clauses, stutter_insensitive, open_systems, instrumentation)
+        )
+        if proof is not None:
+            counters, detail = proof
+            for counter, value in counters.items():
+                instrumentation.count(counter, value)
+            return CheckResult(True, name, detail=detail)
+        instrumentation.count("engine.fallback.tuple", 1)
+        instrumentation.event(
+            "engine.fallback",
+            requested=selected,
+            reason=(
+                _ALPHA_REPLAY_REASON if clauses is None else _VIOLATION_REPLAY_REASON
+            ),
+        )
+    concrete_system = _as_system(concrete)
+    abstract_system = (
+        concrete_system if abstract is concrete else _as_system(abstract)
+    )
+    try:
+        return decide(
+            concrete_system, abstract_system, alpha, stutter_insensitive,
+            open_systems, instrumentation,
+            meter if meter is not None else BudgetMeter(state_budget), name,
+        )
+    except BudgetExceeded as exc:
+        if not own_meter:
+            raise
+        return _partial_result(name, exc, instrumentation)
 
 
 def _resolve_alpha(
@@ -834,41 +715,14 @@ def check_init_refinement(
         workers: worker processes for the reachability phase (sharded
             BFS above 1); the clause scans and witnesses are identical
             for every worker count.
-        engine: ``"packed"`` proves the clauses over dense state codes
-            (bitset reachability, no transition table); any violation,
-            unpackable schema, or budget replays on the tuple engine,
-            so verdicts and witnesses are identical either way.
+        engine: which engine decides (see the module docstring).
     """
-    own_meter = meter is None
-    active = meter if meter is not None else BudgetMeter(state_budget)
-    name = f"[{_source_name(concrete)} (= {_source_name(abstract)}]_init"
-    selected = _select_refinement_engine(
-        engine, concrete, abstract, state_budget, instrumentation,
-        shared_meter=meter is not None,
+    return _refinement(
+        _init_holds, partial(_decide_init_refinement, workers=workers),
+        concrete, abstract, alpha, stutter_insensitive, open_systems,
+        instrumentation, state_budget, meter, engine,
+        f"[{_source_name(concrete)} (= {_source_name(abstract)}]_init",
     )
-    if selected != "tuple":
-        attempt = (
-            _vector_init_attempt if selected == "vector" else _packed_init_attempt
-        )
-        result = attempt(
-            concrete, abstract, alpha, stutter_insensitive, open_systems,
-            instrumentation, name,
-        )
-        if result is not None:
-            return result
-    concrete_system = _as_system(concrete)
-    abstract_system = (
-        concrete_system if abstract is concrete else _as_system(abstract)
-    )
-    try:
-        return _decide_init_refinement(
-            concrete_system, abstract_system, alpha, stutter_insensitive,
-            open_systems, instrumentation, active, name, workers,
-        )
-    except BudgetExceeded as exc:
-        if not own_meter:
-            raise
-        return _partial_result(name, exc, instrumentation)
 
 
 def _decide_init_refinement(
@@ -982,38 +836,12 @@ def check_everywhere_refinement(
     ``state_budget``/``meter``/``engine`` behave as for
     :func:`check_init_refinement`.
     """
-    own_meter = meter is None
-    active = meter if meter is not None else BudgetMeter(state_budget)
-    name = f"[{_source_name(concrete)} (= {_source_name(abstract)}]"
-    selected = _select_refinement_engine(
-        engine, concrete, abstract, state_budget, instrumentation,
-        shared_meter=meter is not None,
+    return _refinement(
+        _everywhere_holds, _decide_everywhere_refinement,
+        concrete, abstract, alpha, stutter_insensitive, open_systems,
+        instrumentation, state_budget, meter, engine,
+        f"[{_source_name(concrete)} (= {_source_name(abstract)}]",
     )
-    if selected != "tuple":
-        attempt = (
-            _vector_everywhere_attempt
-            if selected == "vector"
-            else _packed_everywhere_attempt
-        )
-        result = attempt(
-            concrete, abstract, alpha, stutter_insensitive, open_systems,
-            instrumentation, name,
-        )
-        if result is not None:
-            return result
-    concrete_system = _as_system(concrete)
-    abstract_system = (
-        concrete_system if abstract is concrete else _as_system(abstract)
-    )
-    try:
-        return _decide_everywhere_refinement(
-            concrete_system, abstract_system, alpha, stutter_insensitive,
-            open_systems, instrumentation, active, name,
-        )
-    except BudgetExceeded as exc:
-        if not own_meter:
-            raise
-        return _partial_result(name, exc, instrumentation)
 
 
 def _decide_everywhere_refinement(
@@ -1130,61 +958,23 @@ def check_convergence_refinement(
             witness search run sequentially either way, so the verdict
             — witness and rendering included — is identical for every
             worker count.  Degrades to 1 where fork-based pools are
-            unavailable.
-        engine: ``"packed"`` proves all four clauses over dense state
-            codes (programs lower straight to a successor kernel, no
-            transition table); any violation, unpackable schema, or
-            state budget replays on the tuple engine, so verdicts,
-            witnesses, and counters are identical either way.
+            unavailable.  Only the tuple engine uses the pool.
+        engine: which engine decides (see the module docstring).
 
     Returns:
         :class:`CheckResult` whose detail reports how many transitions
         were exact, compressing, and stuttering.
     """
-    selected = _select_refinement_engine(
-        engine, concrete, abstract, state_budget, instrumentation
-    )
-    if workers > 1:
-        from ..parallel import resolve_workers
-
-        workers = resolve_workers(workers)
-        if workers > 1:
-            instrumentation.count("parallel.workers", workers)
-    meter = BudgetMeter(state_budget)
-    name = f"[{_source_name(concrete)} <= {_source_name(abstract)}]"
     with instrumentation.span("refine.total"):
-        try:
-            result = None
-            if selected == "vector":
-                result = _vector_convergence_attempt(
-                    concrete, abstract, alpha, stutter_insensitive,
-                    open_systems, instrumentation, name,
-                )
-            elif selected == "packed":
-                result = _packed_convergence_attempt(
-                    concrete, abstract, alpha, stutter_insensitive,
-                    open_systems, instrumentation, name,
-                )
-            if result is None:
-                concrete_system = _as_system(concrete)
-                abstract_system = (
-                    concrete_system
-                    if abstract is concrete
-                    else _as_system(abstract)
-                )
-                result = _decide_convergence_refinement(
-                    concrete_system,
-                    abstract_system,
-                    alpha,
-                    stutter_insensitive,
-                    open_systems,
-                    instrumentation,
-                    meter,
-                    name,
-                    workers,
-                )
-        except BudgetExceeded as exc:
-            return _partial_result(name, exc, instrumentation)
+        result = _refinement(
+            _convergence_holds,
+            partial(_decide_convergence_refinement, workers=workers),
+            concrete, abstract, alpha, stutter_insensitive, open_systems,
+            instrumentation, state_budget, None, engine,
+            f"[{_source_name(concrete)} <= {_source_name(abstract)}]",
+        )
+    if result.is_partial:
+        return result
     witness = result.witness
     instrumentation.event(
         "refine.verdict",
@@ -1207,7 +997,38 @@ def _decide_convergence_refinement(
     workers: int = 1,
 ) -> CheckResult:
     """The clauses of :func:`check_convergence_refinement`, instrumented."""
+    if workers > 1:
+        from ..parallel import resolve_workers
+
+        workers = resolve_workers(workers)
+        if workers > 1:
+            instrumentation.count("parallel.workers", workers)
     mapping = _resolve_alpha(concrete, abstract, alpha)
+
+    def unrealized(source: State, target: State) -> CheckResult:
+        """The verdict on a transition no abstract path realizes."""
+        image_source, image_target = mapping(source), mapping(target)
+        if image_source == image_target:
+            message = (
+                "stuttering transition but the abstract has no self-loop at "
+                f"{image_source!r} (rerun with stutter_insensitive=True to "
+                "compare modulo stuttering)"
+            )
+        else:
+            message = (
+                f"no path of {abstract.name} realizes the image "
+                f"{image_source!r} -> {image_target!r}"
+            )
+        return CheckResult(
+            False,
+            name,
+            Witness(
+                WitnessKind.NO_ABSTRACT_PATH,
+                message,
+                (source, target),
+                concrete.schema,
+            ),
+        )
 
     init_part = check_init_refinement(
         concrete,
@@ -1240,29 +1061,8 @@ def _decide_convergence_refinement(
                 instrumentation=instrumentation,
             )
         if scan.violation is not None:
-            kind, source, target = scan.violation
-            image_source, image_target = mapping(source), mapping(target)
-            if kind == "stutter-no-self-loop":
-                message = (
-                    "stuttering transition but the abstract has no self-loop at "
-                    f"{image_source!r} (rerun with stutter_insensitive=True to "
-                    "compare modulo stuttering)"
-                )
-            else:
-                message = (
-                    f"no path of {abstract.name} realizes the image "
-                    f"{image_source!r} -> {image_target!r}"
-                )
-            return CheckResult(
-                False,
-                name,
-                Witness(
-                    WitnessKind.NO_ABSTRACT_PATH,
-                    message,
-                    (source, target),
-                    concrete.schema,
-                ),
-            )
+            _, source, target = scan.violation
+            return unrealized(source, target)
         exact = scan.exact
         stutters = scan.stutters
         compressions = scan.compressions
@@ -1284,33 +1084,12 @@ def _decide_convergence_refinement(
                     if abstract.has_transition(image_source, image_target):
                         exact += 1
                         continue
-                    return CheckResult(
-                        False,
-                        name,
-                        Witness(
-                            WitnessKind.NO_ABSTRACT_PATH,
-                            "stuttering transition but the abstract has no self-loop at "
-                            f"{image_source!r} (rerun with stutter_insensitive=True to "
-                            "compare modulo stuttering)",
-                            (source, target),
-                            concrete.schema,
-                        ),
-                    )
+                    return unrealized(source, target)
                 if abstract.has_transition(image_source, image_target):
                     exact += 1
                     continue
                 if shortest_path(abstract, image_source, image_target, min_length=2) is None:
-                    return CheckResult(
-                        False,
-                        name,
-                        Witness(
-                            WitnessKind.NO_ABSTRACT_PATH,
-                            f"no path of {abstract.name} realizes the image "
-                            f"{image_source!r} -> {image_target!r}",
-                            (source, target),
-                            concrete.schema,
-                        ),
-                    )
+                    return unrealized(source, target)
                 compressions.append((source, target))
     instrumentation.count("refine.transitions.exact", exact)
     instrumentation.count("refine.transitions.compressing", len(compressions))
@@ -1481,7 +1260,8 @@ def check_everywhere_eventually_refinement(
         mapping = alpha
     name = f"[{_source_name(concrete)} ee-refines {_source_name(abstract)}]"
     init_part = check_init_refinement(
-        concrete, abstract, mapping, state_budget=state_budget, engine=engine
+        concrete, abstract, mapping, instrumentation=instrumentation,
+        state_budget=state_budget, engine=engine,
     )
     if init_part.is_partial:
         return CheckResult(False, name, partial=init_part.partial)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.checker import (
     check_convergence_refinement,
+    check_everywhere_eventually_refinement,
     check_everywhere_refinement,
     check_init_refinement,
     check_self_stabilization,
@@ -20,6 +21,7 @@ from repro.checker import (
 )
 from repro.checker.convergence import ENGINES
 from repro.obs import Recorder
+from repro.parallel import parallel_available
 from repro.rings import kstate_program, utr_abstraction, utr_program
 
 
@@ -43,6 +45,11 @@ CHECKERS = {
     "convergence-refinement": lambda **kwargs: check_convergence_refinement(
         *_spec_args(), **kwargs
     ),
+    "everywhere-eventually-refinement": (
+        lambda **kwargs: check_everywhere_eventually_refinement(
+            *_spec_args(), **kwargs
+        )
+    ),
 }
 
 
@@ -62,7 +69,9 @@ def test_request_runs_or_falls_back_with_a_reason(checker, engine):
     ]
     if engine == "tuple":
         assert selected == [] and fallbacks == []
-    elif selected != [engine]:
+    elif set(selected) != {engine}:
+        # A checker that decides several clauses selects once per
+        # clause; every choice other than the request needs a reason.
         assert any(
             fallback["requested"] == engine and fallback["reason"]
             for fallback in fallbacks
@@ -84,6 +93,35 @@ def test_shared_refinement_request_continues_at_vector():
         "requested": "shared",
         "reason": "no streamed refinement clauses",
     }
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_everywhere_eventually_records_its_init_clause(engine):
+    recorder = Recorder()
+    verdict = check_everywhere_eventually_refinement(
+        *_spec_args(), engine=engine, instrumentation=recorder
+    )
+    counters = recorder.record().counters
+    assert verdict.holds
+    assert counters["refine.reachable.size"] > 0
+    assert counters["refine.init.transitions.checked"] > 0
+
+
+@pytest.mark.skipif(not parallel_available(), reason="no fork start method")
+@pytest.mark.parametrize("engine", ["tuple", "packed", "vector"])
+def test_worker_count_recorded_only_when_the_pool_runs(engine):
+    """Only the tuple engine shards the refinement clauses; an
+    optimistic success at ``workers=2`` never starts a pool."""
+    recorder = Recorder()
+    verdict = check_convergence_refinement(
+        *_spec_args(), workers=2, engine=engine, instrumentation=recorder
+    )
+    counters = recorder.record().counters
+    assert verdict.holds
+    if engine == "tuple":
+        assert counters["parallel.workers"] == 2
+    else:
+        assert "parallel.workers" not in counters
 
 
 def test_unknown_engine_error_lists_every_engine():
