@@ -41,18 +41,24 @@ fields — and answers in tuple terms: ``legitimate()`` and ``core()``
 return ``L_A`` and ``G``; ``outside_size()``, ``deadlock()`` (the
 min-by-``repr`` stuck state outside ``G``, or ``None``) and
 ``has_cycle_outside()`` query the complement of ``G``;
-``has_invisible_cycle()`` may answer "maybe" but never misses a cycle
-of invisible steps in ``G``; ``outside_states()``,
-``analysis_system()`` (self-loops dropped under weak/strong fairness)
-and ``schema`` feed the witness searches; ``longest_path()`` is the
-worst case; and ``running()`` is a context held open for the whole
-decision (the shared engine's runtime).  Backends return sets, flags
-and states; the skeleton alone holds the phase spans, the witness
-messages, the invisible-cycle witness rebuild and the result, so the
-verdict, witness, counters and spans do not depend on the engine.
-Decoded sets are built in ascending code order — schema order, the
-tuple engine's own set layout — so every order-dependent witness
-search returns the same witness.
+``has_invisible_cycle()`` says whether ``G`` holds a cycle of
+invisible steps; ``cycle_region()`` and ``invisible_region()`` give
+the witness searches a *witness region* — an analysis system
+(self-loops dropped under weak fairness) and a state set on which
+:func:`find_cycle_within` returns the tuple engine's exact cycle.  The
+tuple engine's region is its whole system and searched set; the
+int-code engines compile only the states on a cycle (see
+:class:`_KernelBackend`).  Only the fair-trap search under strong
+fairness still takes the whole system, from ``analysis_system()`` and
+``outside_states()``.  ``longest_path()`` is the worst case, and
+``running()`` is a context held open for the whole decision (the
+shared engine's runtime).  Backends return sets, flags, states and
+regions; the skeleton alone holds the phase spans, the witness
+messages, the invisible-step rebuild and the result, so the verdict,
+witness, counters and spans do not depend on the engine.  Decoded sets
+are built in ascending code order — schema order, the tuple engine's
+own set layout — so every order-dependent search returns the same
+witness.
 """
 
 from __future__ import annotations
@@ -863,24 +869,26 @@ def _refutation(
                 system = backend.analysis_system()
                 trap = find_fair_trap(system, backend.outside_states())
         if trap is not None:
+            with instrumentation.span("check.witness"):
+                cycle = find_cycle_within(system, trap) or tuple(
+                    sorted(trap, key=repr)[:4]
+                )
             return Witness(
                 WitnessKind.DIVERGENT_CYCLE,
                 "a strongly fair computation can stay forever outside the legitimate core (fair trap)",
-                find_cycle_within(system, trap)
-                or tuple(sorted(trap, key=repr)[:4]),
+                cycle,
                 backend.schema,
             )
     else:
         with instrumentation.span("check.cycle_search"):
             divergent = backend.has_cycle_outside()
         if divergent:
+            with instrumentation.span("check.witness"):
+                cycle = find_cycle_within(*backend.cycle_region()) or ()
             return Witness(
                 WitnessKind.DIVERGENT_CYCLE,
                 "a computation can cycle forever outside the legitimate core",
-                find_cycle_within(
-                    backend.analysis_system(), backend.outside_states()
-                )
-                or (),
+                cycle,
                 backend.schema,
             )
     # Inside the core, stuttering must also be finitary: a cycle whose
@@ -888,11 +896,10 @@ def _refutation(
     # computation whose abstract image is finite and non-maximal.
     if request.stutter_insensitive and request.alpha is not None:
         with instrumentation.span("check.invisible_cycles"):
-            cycle = (
-                _invisible_cycle(backend, request, core)
-                if backend.has_invisible_cycle()
-                else None
-            )
+            cycle = None
+            if backend.has_invisible_cycle():
+                with instrumentation.span("check.witness"):
+                    cycle = _invisible_cycle(*backend.invisible_region(), request)
         if cycle is not None:
             return Witness(
                 WitnessKind.DIVERGENT_CYCLE,
@@ -903,34 +910,34 @@ def _refutation(
     return None
 
 
-def _invisible_cycle(
-    backend, request: _Request, core: FrozenSet[State]
-) -> Optional[Tuple[State, ...]]:
-    """A cycle within ``core`` whose every step is invisible under alpha.
+def _invisible_steps(
+    system: System, states: FrozenSet[State], request: _Request
+) -> System:
+    """The steps of ``system`` within ``states`` that alpha cannot see.
 
-    Canonical order: the core may have been assembled sequentially,
+    Canonical order: the states may have been assembled sequentially,
     shard-parallel, or by any engine; sorting keeps the edge list (and
     so the cycle witness) identical either way.
     """
-    system = backend.analysis_system()
     alpha = request.alpha
-    invisible = [
-        (source, target)
-        for source in sorted(core, key=repr)
-        for target in system.successors(source)
-        if target in core and alpha(source) == alpha(target)
-    ]
-    if not invisible:
-        return None
-    invisible_system = System(
-        backend.schema,
-        invisible,
+    return System(
+        system.schema,
+        [
+            (source, target)
+            for source in sorted(states, key=repr)
+            for target in system.successors(source)
+            if target in states and alpha(source) == alpha(target)
+        ],
         (),
         name=f"{_source_name(request.concrete)}|invisible",
     )
-    if not states_on_cycles(invisible_system, core):
-        return None
-    return find_cycle_within(invisible_system, core) or ()
+
+
+def _invisible_cycle(
+    system: System, states: FrozenSet[State], request: _Request
+) -> Optional[Tuple[State, ...]]:
+    """A cycle within ``states`` whose every step is invisible under alpha."""
+    return find_cycle_within(_invisible_steps(system, states, request), states)
 
 
 def _decoded(interner, codes) -> FrozenSet[State]:
@@ -941,8 +948,8 @@ def _decoded(interner, codes) -> FrozenSet[State]:
 class _TupleBackend:
     """The reference engine: tuple states of compiled systems, metered.
 
-    It has no cheap invisible-cycle test, so ``has_invisible_cycle``
-    answers "maybe" and the skeleton's witness rebuild decides.
+    Its witness regions are the whole analysis system and searched set,
+    so its witnesses are the oracle the other engines must reproduce.
     """
 
     def __init__(self, request: _Request):
@@ -1003,7 +1010,16 @@ class _TupleBackend:
         return has_cycle_within(self.system, self.outside)
 
     def has_invisible_cycle(self) -> bool:
-        return True
+        core = self.core_states
+        return bool(
+            states_on_cycles(_invisible_steps(self.system, core, self.request), core)
+        )
+
+    def cycle_region(self) -> Tuple[System, FrozenSet[State]]:
+        return self.system, self.outside
+
+    def invisible_region(self) -> Tuple[System, FrozenSet[State]]:
+        return self.system, self.core_states
 
     def outside_states(self) -> FrozenSet[State]:
         return self.outside
@@ -1020,9 +1036,20 @@ class _TupleBackend:
 class _KernelBackend:
     """What the int-code engines share: decoding back to tuple states.
 
-    Witness construction on failure materializes the tuple system by
-    the same compilation path the tuple engine uses, so failing
-    verdicts are byte-identical to its.
+    A cycle witness is built from a *witness region*, not the whole
+    tuple system.  The searched set's edges are trimmed and split into
+    SCCs on int codes (:func:`repro.kernel.cycles.cycle_codes`); only
+    the codes on a cycle are decoded, and only their transitions are
+    compiled — through the same per-state move generator, and the same
+    ``without_self_loops`` step, as the tuple engine's system.  Each
+    region source therefore iterates its successors exactly as there,
+    and the skeleton's breadth-first search from the min-by-``repr``
+    cycle state, which never leaves that state's SCC, returns the tuple
+    engine's witness byte for byte.  The region's state set must hold
+    every successor of a region source that lies in the searched set:
+    a smaller set would rebuild the restricted successor sets from a
+    different insertion sequence.  Only the fair-trap search under
+    strong fairness still materializes the whole system.
     """
 
     def __init__(self, request: _Request, kernel, abstract_kernel):
@@ -1047,6 +1074,29 @@ class _KernelBackend:
             key=repr,
             default=None,
         )
+
+    def cycle_region(self) -> Tuple[System, FrozenSet[State]]:
+        return self._region(self.outside, invisible=False)
+
+    def invisible_region(self) -> Tuple[System, FrozenSet[State]]:
+        return self._region(self.core_flags, invisible=True)
+
+    def _region(self, searched, invisible: bool) -> Tuple[System, FrozenSet[State]]:
+        """The witness region of the cycles within ``searched``.
+
+        ``_edges`` lists the analysis edges inside ``searched`` (only
+        the image-invisible ones with ``invisible``), and
+        ``_successors_in`` the successors of some codes that lie in it.
+        """
+        from ..kernel.cycles import cycle_codes
+
+        on_cycle = cycle_codes(*self._edges(searched, invisible))
+        decode = self.interner.decode
+        system = self.kernel.compile(decode(code) for code in on_cycle)
+        if self.request.drop_self:
+            system = system.without_self_loops()
+        allowed = set(on_cycle).union(self._successors_in(on_cycle, searched))
+        return system, _decoded(self.interner, allowed)
 
     def analysis_system(self) -> System:
         system = self.kernel.materialize()
@@ -1148,6 +1198,27 @@ class _PackedBackend(_KernelBackend):
 
         return packed_has_cycle(invisible_succ, core_flags)
 
+    def _edges(self, searched, invisible: bool) -> Tuple[List[int], List[int]]:
+        succ, image_of = self.succ, self.image_of
+        sources: List[int] = []
+        targets: List[int] = []
+        for code in compress(range(self.size), searched):
+            for target in succ(code):
+                if searched[target] and (
+                    not invisible or image_of[target] == image_of[code]
+                ):
+                    sources.append(code)
+                    targets.append(target)
+        return sources, targets
+
+    def _successors_in(self, codes: List[int], searched) -> List[int]:
+        return [
+            target
+            for code in codes
+            for target in self.succ(code)
+            if searched[target]
+        ]
+
     def outside_states(self) -> FrozenSet[State]:
         return _decoded(self.interner, compress(range(self.size), self.outside))
 
@@ -1241,6 +1312,23 @@ class _VectorBackend(_KernelBackend):
             image_of=self.image_of,
         )
 
+    def _edges(self, searched, invisible: bool):
+        from ..kernel.vector import region_edges
+
+        sources, targets, _ = region_edges(
+            self.kernel, searched, self.request.drop_self
+        )
+        if invisible:
+            keep = self.image_of[sources] == self.image_of[targets]
+            sources, targets = sources[keep], targets[keep]
+        return sources, targets
+
+    def _successors_in(self, codes: List[int], searched) -> List[int]:
+        import numpy as np
+
+        _, targets = self.kernel.succ_pairs(np.asarray(codes, dtype=np.int64))
+        return targets[searched[targets]].tolist()
+
     def outside_states(self) -> FrozenSet[State]:
         import numpy as np
 
@@ -1304,7 +1392,7 @@ class _SharedBackend(_KernelBackend):
         self.image = SharedImage(
             self.interner, self.abstract_kernel.interner, request.alpha
         )
-        self.core_bits = shared_core(
+        self.core_flags = shared_core(
             self.kernel,
             self.abstract_kernel,
             self.image,
@@ -1314,13 +1402,13 @@ class _SharedBackend(_KernelBackend):
             self.runtime,
             instrumentation=request.instrumentation,
         )
-        return self._decoded_core(self._members(self.core_bits))
+        return self._decoded_core(self._members(self.core_flags))
 
     def outside_size(self) -> int:
         from ..kernel.shared import BitField
 
         self.outside = BitField(self.size)
-        self.core_bits.complement_into(self.outside)
+        self.core_flags.complement_into(self.outside)
         return self.size - self.core_size
 
     def deadlock(self) -> Optional[State]:
@@ -1350,11 +1438,39 @@ class _SharedBackend(_KernelBackend):
 
         return shared_has_cycle(
             self.kernel,
-            self.core_bits,
+            self.core_flags,
             self.runtime,
             drop_self=self.request.drop_self,
             image=self.image,
         )
+
+    def _edges(self, searched, invisible: bool):
+        import numpy as np
+
+        # Stored at the run's code width: the edge list is the region
+        # build's one allocation proportional to the searched set.
+        dtype = self.runtime.code_dtype
+        empty = np.empty(0, dtype=dtype)
+        source_parts, target_parts = [empty], [empty]
+        for codes in searched.member_chunks(self.runtime.chunk):
+            origins, targets = self.kernel.succ_pairs(codes)
+            sources = codes[origins]
+            keep = searched.test(targets)
+            if self.request.drop_self:
+                keep &= targets != sources
+            sources, targets = sources[keep], targets[keep]
+            if invisible:
+                keep = self.image.of(sources) == self.image.of(targets)
+                sources, targets = sources[keep], targets[keep]
+            source_parts.append(sources.astype(dtype, copy=False))
+            target_parts.append(targets.astype(dtype, copy=False))
+        return np.concatenate(source_parts), np.concatenate(target_parts)
+
+    def _successors_in(self, codes: List[int], searched) -> List[int]:
+        import numpy as np
+
+        _, targets = self.kernel.succ_pairs(np.asarray(codes, dtype=np.int64))
+        return targets[searched.test(targets)].tolist()
 
     def outside_states(self) -> FrozenSet[State]:
         return _decoded(self.interner, self._members(self.outside))

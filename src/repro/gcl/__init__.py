@@ -42,7 +42,7 @@ from .parser import parse_expression, parse_program, tokenize
 from .pretty import render_actions, render_program
 from .process import ModelViolation, Process, check_model_compliance
 from .program import Program
-from .semantics import compile_program
+from .semantics import compile_program, compile_states, program_moves
 from .variable import Variable
 
 __all__ = [
@@ -90,5 +90,7 @@ __all__ = [
     "check_model_compliance",
     "Program",
     "compile_program",
+    "compile_states",
+    "program_moves",
     "Variable",
 ]

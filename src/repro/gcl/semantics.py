@@ -14,7 +14,7 @@ downstream.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..core.errors import GCLError
 from ..core.state import State
@@ -22,7 +22,7 @@ from ..core.system import System, Transition
 from .daemon import CentralDaemon, Daemon
 from .program import Program
 
-__all__ = ["compile_program"]
+__all__ = ["compile_program", "compile_states", "program_moves"]
 
 
 def compile_program(
@@ -53,20 +53,34 @@ def compile_program(
         GCLError: if any move writes a value outside a variable's
             declared domain.
     """
+    return compile_states(
+        program, program.schema().states(), daemon, keep_stutter, name
+    )
+
+
+def compile_states(
+    program: Program,
+    states: Iterable[State],
+    daemon: Optional[Daemon] = None,
+    keep_stutter: bool = True,
+    name: Optional[str] = None,
+    initial: Optional[Iterable[State]] = None,
+) -> System:
+    """The transitions of :func:`compile_program` out of ``states`` only.
+
+    ``initial`` defaults to the program's initial states.
+
+    Each source contributes its moves in :func:`program_moves` order,
+    exactly as in the full compilation, so every source's successor
+    set is built from the same insertion sequence — and iterates in
+    the same order — as the full system's.  The int-code engines
+    compile just the states of a cycle witness this way.
+    """
     chosen = daemon or CentralDaemon()
-    schema = program.schema()
     transitions: List[Transition] = []
     labels: Dict[Transition, Set[str]] = {}
-    for state in schema.states():
-        env = schema.unpack(state)
-        for new_env, action_labels in chosen.steps(program.actions, env):
-            try:
-                successor = schema.pack(new_env)
-            except Exception as exc:
-                raise GCLError(
-                    f"program {program.name!r}: action(s) {action_labels} drive "
-                    f"the state out of domain from {schema.format_state(state)}: {exc}"
-                )
+    for state in states:
+        for successor, action_labels in program_moves(program, chosen, state):
             if successor == state and not keep_stutter:
                 continue
             pair = (state, successor)
@@ -76,9 +90,34 @@ def compile_program(
         program.name if chosen.name == "central" else f"{program.name}@{chosen.name}"
     )
     return System(
-        schema,
+        program.schema(),
         transitions,
-        program.initial_states(),
+        program.initial_states() if initial is None else initial,
         name=system_name,
         labels={pair: frozenset(names) for pair, names in labels.items()},
     )
+
+
+def program_moves(
+    program: Program, daemon: Daemon, state: State
+) -> Iterator[Tuple[State, Tuple[str, ...]]]:
+    """The daemon's moves from ``state``: ``(successor, action labels)``.
+
+    Stuttering moves (``successor == state``) included, in the
+    daemon's order.
+
+    Raises:
+        GCLError: if a move writes a value outside a variable's
+            declared domain.
+    """
+    schema = program.schema()
+    env = schema.unpack(state)
+    for new_env, action_labels in daemon.steps(program.actions, env):
+        try:
+            successor = schema.pack(new_env)
+        except Exception as exc:
+            raise GCLError(
+                f"program {program.name!r}: action(s) {action_labels} drive "
+                f"the state out of domain from {schema.format_state(state)}: {exc}"
+            )
+        yield successor, action_labels

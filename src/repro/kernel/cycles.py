@@ -1,0 +1,125 @@
+"""The codes on cycles of an int-code digraph: trim, then SCC.
+
+A failing convergence check needs a cycle witness, and a witness needs
+only the states that lie on a cycle — typically a few dozen out of the
+hundreds of thousands searched.  :func:`cycle_codes` finds them from
+the searched set's edge list alone, in two steps:
+
+1. **Trim.**  Repeatedly drop every edge whose source has no in-edge or
+   whose target has no out-edge among the remaining edges.  A node on
+   a cycle keeps both, so the trim never removes one; what survives is
+   the cycles plus the paths running between them.
+2. **SCC.**  An iterative Tarjan over the survivors keeps the nodes of
+   components with more than one member or with a self-loop.
+
+Edges come as parallel ``sources``/``targets`` sequences: plain int
+lists (the packed engine, which runs without NumPy) or NumPy int
+arrays (the vector and shared engines), which trim as whole-array
+passes.  The SCC step is pure Python either way; it runs on the
+trimmed remainder only.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Sequence, Set, Tuple
+
+__all__ = ["cycle_codes"]
+
+
+def cycle_codes(sources: Sequence[int], targets: Sequence[int]) -> List[int]:
+    """The nodes of the digraph ``sources[i] -> targets[i]`` on a cycle.
+
+    A self-loop is a cycle.  Returns the nodes ascending.
+    """
+    if isinstance(sources, list):
+        return _on_cycles(*_trimmed_lists(sources, list(targets)))
+    return _on_cycles(*_trimmed_arrays(sources, targets))
+
+
+def _trimmed_lists(
+    sources: List[int], targets: List[int]
+) -> Tuple[List[int], List[int]]:
+    while True:
+        has_in, has_out = set(targets), set(sources)
+        kept = [
+            edge
+            for edge in zip(sources, targets)
+            if edge[0] in has_in and edge[1] in has_out
+        ]
+        if len(kept) == len(sources):
+            return sources, targets
+        sources = [source for source, _ in kept]
+        targets = [target for _, target in kept]
+
+
+def _trimmed_arrays(sources, targets) -> Tuple[List[int], List[int]]:
+    import numpy as np
+
+    sources = np.asarray(sources)
+    targets = np.asarray(targets)
+    if not sources.size:
+        return [], []
+    # Node-indexed flags, set and cleared per pass at the edge
+    # endpoints only: a pass costs the remaining edges, not the code
+    # space, and untouched pages of the flags are never resident.
+    size = int(max(sources.max(), targets.max())) + 1
+    has_in = np.zeros(size, dtype=bool)
+    has_out = np.zeros(size, dtype=bool)
+    while True:
+        has_out[sources] = True
+        has_in[targets] = True
+        keep = has_in[sources] & has_out[targets]
+        has_out[sources] = False
+        has_in[targets] = False
+        if keep.all():
+            return sources.tolist(), targets.tolist()
+        sources, targets = sources[keep], targets[keep]
+
+
+def _on_cycles(sources: List[int], targets: List[int]) -> List[int]:
+    """Iterative Tarjan: members of components that hold a cycle."""
+    adjacency: Dict[int, List[int]] = {}
+    looped: Set[int] = set()
+    for source, target in zip(sources, targets):
+        adjacency.setdefault(source, []).append(target)
+        if source == target:
+            looped.add(source)
+    index: Dict[int, int] = {}
+    lowlink: Dict[int, int] = {}
+    stack: List[int] = []
+    on_stack: Set[int] = set()
+    found: List[int] = []
+    for root in adjacency:
+        if root in index:
+            continue
+        index[root] = lowlink[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(adjacency[root]))]
+        while work:
+            node, pending = work[-1]
+            for successor in pending:
+                if successor not in index:
+                    index[successor] = lowlink[successor] = len(index)
+                    stack.append(successor)
+                    on_stack.add(successor)
+                    work.append((successor, iter(adjacency.get(successor, []))))
+                    break
+                if successor in on_stack:
+                    lowlink[node] = min(lowlink[node], index[successor])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    component: List[int] = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    if len(component) > 1 or node in looped:
+                        found.extend(component)
+    return sorted(found)

@@ -30,14 +30,15 @@ searchsorted inverse both in validation and evaluation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ...gcl.daemon import CentralDaemon, Daemon
 from ...gcl.program import Program
-from ...gcl.semantics import compile_program
+from ...core.state import State
 from ...core.system import System
+from ...gcl.semantics import compile_states
 from ..interner import StateInterner
 from ..vector.analyze import domain_type, structural_unlowerable_reason
 from ..vector.kernel import _raise_out_of_domain, _unique_sorted
@@ -160,15 +161,23 @@ class SharedKernel:
         """The schema of the packed state space."""
         return self.interner.schema
 
-    def materialize(self) -> System:
-        """The equivalent tuple-state ``System`` (witness phases only).
+    def compile(self, states: Iterable[State]) -> System:
+        """The tuple-state ``System`` of the transitions out of ``states``
+        (see :meth:`repro.kernel.PackedKernel.compile`)."""
+        return compile_states(
+            self.program, states, self.daemon, self.keep_stutter, self.name, ()
+        )
 
-        Enumerates the full space in RAM — only reachable on *failing*
-        verdicts, whose witness reconstruction is inherently explicit.
+    def materialize(self) -> System:
+        """The equivalent tuple-state ``System`` (cached on first call).
+
+        Enumerates the full space in RAM — only the fair-trap search
+        under strong fairness needs it.
         """
         if self._materialized is None:
-            self._materialized = compile_program(
-                self.program, self.daemon, self.keep_stutter, self.name
+            self._materialized = compile_states(
+                self.program, self.schema.states(), self.daemon,
+                self.keep_stutter, self.name,
             )
         return self._materialized
 

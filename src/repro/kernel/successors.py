@@ -16,26 +16,34 @@ transition table.  Two constructors:
   (encode/decode at the edges) so every checker entry point accepts
   both representations.
 
-``materialize()`` produces — and caches — the tuple ``System`` for the
-rare phases that need one (witness reconstruction under strong
-fairness); for program-built kernels it is byte-identical to
-``program.compile()`` because it *is* ``compile_program`` on the same
-inputs.
+``compile(states)`` produces the tuple ``System`` of the transitions
+out of just ``states`` — what a cycle witness needs — and
+``materialize()`` produces (and caches) the whole one, for the one
+phase that still needs it (the fair-trap search under strong
+fairness).  For program-built kernels both run
+:func:`~repro.gcl.semantics.compile_states`, the per-state move
+generator behind ``program.compile()``, so their successor sets are
+byte-identical to the compiled system's.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import GCLError
-from ..core.state import StateSchema
+from ..core.state import State, StateSchema
 from ..core.system import System
 from ..gcl.daemon import CentralDaemon, Daemon
 from ..gcl.program import Program
-from ..gcl.semantics import compile_program
+from ..gcl.semantics import compile_states
 from .interner import StateInterner
 
 __all__ = ["PackedKernel"]
+
+#: ``compiler(states, initial)``: the tuple ``System`` of the
+#: transitions out of ``states``; ``initial=None`` means the source's
+#: own initial states.
+Compiler = Callable[[Iterable[State], Optional[Iterable[State]]], System]
 
 
 class PackedKernel:
@@ -52,7 +60,7 @@ class PackedKernel:
         "initial_codes",
         "_successors_of",
         "_memo",
-        "_materializer",
+        "_compiler",
         "_materialized",
     )
 
@@ -62,7 +70,7 @@ class PackedKernel:
         successors_of: Callable[[int], Tuple[int, ...]],
         initial_codes: Tuple[int, ...],
         name: str,
-        materializer: Callable[[], System],
+        compiler: Compiler,
     ):
         self.interner = interner
         self.name = name
@@ -70,7 +78,7 @@ class PackedKernel:
         self.initial_codes = initial_codes
         self._successors_of = successors_of
         self._memo: List[Optional[Tuple[int, ...]]] = [None] * interner.size
-        self._materializer = materializer
+        self._compiler = compiler
         self._materialized: Optional[System] = None
 
     @property
@@ -98,10 +106,19 @@ class PackedKernel:
         self._memo = [None] * self.size
         return evicted
 
+    def compile(self, states: Iterable[State]) -> System:
+        """The tuple-state ``System`` of the transitions out of ``states``.
+
+        Each source's successor set iterates exactly as in
+        :meth:`materialize`'s system.  A kernel wrapping a compiled
+        system returns that system whole.
+        """
+        return self._compiler(states, ())
+
     def materialize(self) -> System:
         """The equivalent tuple-state ``System`` (cached on first call)."""
         if self._materialized is None:
-            self._materialized = self._materializer()
+            self._materialized = self._compiler(self.schema.states(), None)
         return self._materialized
 
     @classmethod
@@ -184,10 +201,12 @@ class PackedKernel:
             sorted(interner.encode(state) for state in program.initial_states())
         )
 
-        def materializer() -> System:
-            return compile_program(program, chosen, keep_stutter, system_name)
+        def compiler(states, initial) -> System:
+            return compile_states(
+                program, states, chosen, keep_stutter, system_name, initial
+            )
 
-        return cls(interner, successors_of, initial_codes, system_name, materializer)
+        return cls(interner, successors_of, initial_codes, system_name, compiler)
 
     @classmethod
     def from_system(cls, system: System) -> "PackedKernel":
@@ -204,7 +223,11 @@ class PackedKernel:
             sorted(interner.encode(state) for state in system.initial)
         )
         return cls(
-            interner, successors_of, initial_codes, system.name, lambda: system
+            interner,
+            successors_of,
+            initial_codes,
+            system.name,
+            lambda states, initial: system,
         )
 
 

@@ -20,22 +20,23 @@ packed engine's per-code successor closure: the transition relation as
 Both forms expose the same batch API (:meth:`succ_pairs`,
 :meth:`has_edge`, :meth:`terminal_flags`) consumed by the array
 fixpoints in :mod:`.fixpoint`, plus the scalar :meth:`successors` and
-:meth:`materialize` bridges the witness phases need.
+:meth:`compile` / :meth:`materialize` bridges the witness phases need.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from ...core.state import State
 from ...core.system import System
 from ...gcl.daemon import CentralDaemon, Daemon
 from ...gcl.program import Program
-from ...gcl.semantics import compile_program
+from ...gcl.semantics import compile_states
 from ..engine import CheckSource
 from ..interner import StateInterner
-from ..successors import _pack_move
+from ..successors import Compiler, _pack_move
 from .analyze import domain_type, unlowerable_reason
 from .lower import ArrayEnv, lower_expr
 
@@ -80,7 +81,7 @@ class VectorKernel:
         "_targets",
         "_edge_keys",
         "_terminal_cache",
-        "_materializer",
+        "_compiler",
         "_materialized",
     )
 
@@ -94,7 +95,7 @@ class VectorKernel:
         indptr: Optional[np.ndarray],
         targets: Optional[np.ndarray],
         edge_keys: Optional[np.ndarray],
-        materializer: Callable[[], System],
+        compiler: Compiler,
     ):
         self.interner = interner
         self.name = name
@@ -107,7 +108,7 @@ class VectorKernel:
         self._targets = targets
         self._edge_keys = edge_keys
         self._terminal_cache: Dict[bool, np.ndarray] = {}
-        self._materializer = materializer
+        self._compiler = compiler
         self._materialized: Optional[System] = None
 
     @property
@@ -115,10 +116,15 @@ class VectorKernel:
         """The schema of the packed state space."""
         return self.interner.schema
 
+    def compile(self, states: Iterable[State]) -> System:
+        """The tuple-state ``System`` of the transitions out of ``states``
+        (see :meth:`repro.kernel.PackedKernel.compile`)."""
+        return self._compiler(states, ())
+
     def materialize(self) -> System:
         """The equivalent tuple-state ``System`` (cached on first call)."""
         if self._materialized is None:
-            self._materialized = self._materializer()
+            self._materialized = self._compiler(self.schema.states(), None)
         return self._materialized
 
     # ------------------------------------------------------------------
@@ -319,12 +325,14 @@ class VectorKernel:
             sorted(interner.encode(state) for state in program.initial_states())
         )
 
-        def materializer() -> System:
-            return compile_program(program, chosen, keep_stutter, system_name)
+        def compiler(states, initial) -> System:
+            return compile_states(
+                program, states, chosen, keep_stutter, system_name, initial
+            )
 
         return cls(
             interner, initial_codes, system_name, keep_stutter,
-            tables, None, None, None, materializer,
+            tables, None, None, None, compiler,
         )
 
     @classmethod
@@ -350,7 +358,7 @@ class VectorKernel:
         )
         return cls(
             interner, initial_codes, system.name, True,
-            None, indptr, targets, edge_keys, lambda: system,
+            None, indptr, targets, edge_keys, lambda states, initial: system,
         )
 
 

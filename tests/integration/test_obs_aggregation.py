@@ -74,6 +74,65 @@ class TestTelemetryInertness:
         assert plain.witness.states == recorded.witness.states
 
 
+class TestWitnessSpan:
+    """Every cycle-witness construction runs under one ``check.witness``
+    span, opened by the decision skeleton on every engine."""
+
+    #: Failing case -> the span the witness span nests in.
+    PARENTS = {
+        "kstate-n4-k2-refuted": "check.total",
+        "spin-fair-trap": "check.total",
+        "hidden-invisible-cycle": "check.invisible_cycles",
+        "btr-n4-control": None,  # a deadlock witness: nothing to build
+        "dijkstra4-n3": None,  # holds
+    }
+
+    @staticmethod
+    def _check_spans(name: str, engine: str) -> list:
+        _, concrete, spec, alpha, fairness, stutter = next(
+            case for case in RING_CASES if case[0] == name
+        )
+        recorder = Recorder()
+        check_stabilization(
+            concrete(), spec(), alpha=alpha(), fairness=fairness,
+            stutter_insensitive=stutter, engine=engine,
+            instrumentation=recorder,
+        )
+        tree = recorder.record().tree
+
+        def checker_parent(node):
+            # Engines may open their own spans in between (the shared
+            # engine's ``shm.runtime``); skip to the checker's.
+            while node.parent >= 0:
+                node = tree[node.parent]
+                if node.name.startswith("check."):
+                    return node.name
+            return None
+
+        return [
+            (node.name, checker_parent(node))
+            for node in tree
+            if node.name.startswith("check.")
+        ]
+
+    @pytest.mark.parametrize("name", sorted(PARENTS))
+    @pytest.mark.parametrize("engine", ENGINES + ("shared",))
+    def test_witness_span_wraps_each_cycle_witness(self, name, engine):
+        witness_spans = [
+            parent
+            for span, parent in self._check_spans(name, engine)
+            if span == "check.witness"
+        ]
+        expected = self.PARENTS[name]
+        assert witness_spans == ([] if expected is None else [expected])
+
+    @pytest.mark.parametrize("name", sorted(PARENTS))
+    def test_checker_span_tree_is_engine_identical(self, name):
+        reference = self._check_spans(name, "tuple")
+        for engine in ("packed", "vector", "shared"):
+            assert self._check_spans(name, engine) == reference, engine
+
+
 @pytest.mark.skipif(
     not parallel_available(), reason="no fork start method"
 )

@@ -1,0 +1,105 @@
+"""Property tests: the int-code cycle helper against the tuple graph SCCs.
+
+:func:`repro.kernel.cycles.cycle_codes` (trim, then an iterative
+Tarjan) must find exactly the nodes :func:`repro.checker.graph.
+states_on_cycles` finds on the same digraph — self-loops, isolated
+nodes, cycles nested through shared nodes and several disjoint
+components included.  The plain-list input is the packed engine's
+no-NumPy path; with NumPy installed the array path must agree too.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.checker.graph import states_on_cycles
+from repro.core.state import StateSchema
+from repro.core.system import System
+from repro.kernel import cycles
+from repro.kernel.cycles import cycle_codes
+from repro.kernel.vector import numpy_available
+
+NODES = 12
+
+
+def _reference(edges):
+    schema = StateSchema({"v": tuple(range(NODES))})
+    system = System(
+        schema, [((source,), (target,)) for source, target in edges], ()
+    )
+    return sorted(state[0] for state in states_on_cycles(system, schema.states()))
+
+
+def _helper(edges, arrays: bool):
+    sources = [source for source, _ in edges]
+    targets = [target for _, target in edges]
+    if arrays:
+        import numpy as np
+
+        return cycle_codes(
+            np.asarray(sources, dtype=np.int64), np.asarray(targets, dtype=np.int64)
+        )
+    return cycle_codes(sources, targets)
+
+
+_PATHS = [False, True] if numpy_available() else [False]
+
+node = st.integers(min_value=0, max_value=NODES - 1)
+
+
+@st.composite
+def digraphs(draw):
+    """Random edges plus planted cycles, some sharing nodes."""
+    edges = draw(st.lists(st.tuples(node, node), max_size=30))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        ring = draw(st.lists(node, min_size=1, max_size=5, unique=True))
+        edges += list(zip(ring, ring[1:] + ring[:1]))
+    return draw(st.permutations(edges))
+
+
+@pytest.mark.parametrize("arrays", _PATHS)
+@settings(max_examples=300, deadline=None)
+@given(edges=digraphs())
+def test_cycle_codes_match_states_on_cycles(edges, arrays):
+    assert _helper(edges, arrays) == _reference(edges)
+
+
+@pytest.mark.parametrize("arrays", _PATHS)
+@settings(max_examples=200, deadline=None)
+@given(edges=digraphs())
+def test_trim_keeps_every_cycle_and_no_dead_end(edges, arrays):
+    """The trim is the helper's speed: it must leave only nodes with an
+    in-edge and an out-edge, and never drop an edge of a cycle."""
+    sources = [source for source, _ in edges]
+    targets = [target for _, target in edges]
+    if arrays:
+        import numpy as np
+
+        kept = cycles._trimmed_arrays(np.asarray(sources), np.asarray(targets))
+    else:
+        kept = cycles._trimmed_lists(sources, targets)
+    kept_edges = set(zip(*kept))
+    on_cycle = set(_reference(edges))
+    assert {
+        edge for edge in edges if edge[0] in on_cycle and edge[1] in on_cycle
+    } <= kept_edges
+    assert set(kept[0]) == set(kept[1])
+
+
+@pytest.mark.parametrize("arrays", _PATHS)
+@pytest.mark.parametrize(
+    "edges,expected",
+    [
+        ([], []),
+        ([(3, 3)], [3]),  # a self-loop alone
+        ([(0, 1), (1, 2)], []),  # a path, nodes 3.. isolated
+        ([(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)], [0, 1, 2, 3]),  # two SCCs
+        ([(0, 1), (1, 2), (2, 0), (1, 3), (3, 1)], [0, 1, 2, 3]),  # nested
+        ([(5, 6), (6, 5), (0, 5), (6, 7), (7, 7)], [5, 6, 7]),  # tails trimmed
+        ([(9, 10), (10, 9), (10, 9)], [9, 10]),  # duplicate edges
+    ],
+)
+def test_cycle_codes_on_named_shapes(edges, expected, arrays):
+    assert _helper(edges, arrays) == expected == _reference(edges)

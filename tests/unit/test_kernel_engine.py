@@ -18,6 +18,7 @@ from repro.core.state import StateSchema
 from repro.core.system import System
 from repro.gcl.daemon import CentralDaemon, DistributedDaemon, SynchronousDaemon
 from repro.kernel import PackedKernel, as_kernel, packed_fallback_reason
+from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
 from repro.rings import (
     btr3_abstraction,
@@ -86,6 +87,56 @@ class TestSuccessorParity:
         assert materialized.name == compiled.name
         assert materialized.initial == compiled.initial
         assert set(materialized.transitions()) == set(compiled.transitions())
+
+    @pytest.mark.parametrize(
+        "dname,daemon", DAEMONS, ids=[d[0] for d in DAEMONS]
+    )
+    @pytest.mark.parametrize("keep_stutter", [True, False])
+    def test_compile_keeps_each_sources_successor_order(
+        self, dname, daemon, keep_stutter
+    ):
+        """Compiling a few states gives each of them the successor set
+        of the full compilation, iterating in the same order — through
+        ``without_self_loops`` too.  Cycle witnesses depend on this."""
+        program = kstate_program(3, 3)
+        kernel = PackedKernel.from_program(
+            program, daemon=daemon(), keep_stutter=keep_stutter
+        )
+        full = program.compile(daemon=daemon(), keep_stutter=keep_stutter)
+        states = list(full.schema.states())[::3]
+        part = kernel.compile(states)
+        assert part.name == full.name
+        assert part.initial == frozenset()
+        for system, whole in (
+            (part, full),
+            (part.without_self_loops(), full.without_self_loops()),
+        ):
+            for state in states:
+                assert list(system.successors(state)) == list(
+                    whole.successors(state)
+                )
+
+    @pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
+    def test_array_kernels_compile_like_packed(self):
+        from repro.kernel.shared import SharedKernel
+        from repro.kernel.vector import VectorKernel
+
+        program = dijkstra_three_state(3)
+        states = list(program.schema().states())[1::4]
+        expected = PackedKernel.from_program(program).compile(states)
+        for kernel in (VectorKernel.from_program(program), SharedKernel(program)):
+            part = kernel.compile(states)
+            assert part.name == expected.name
+            for state in states:
+                assert list(part.successors(state)) == list(
+                    expected.successors(state)
+                )
+
+    def test_from_system_compiles_to_the_wrapped_system(self):
+        system = btr_program(3).compile()
+        kernel = PackedKernel.from_system(system)
+        assert kernel.compile([next(iter(system.schema.states()))]) is system
+        assert kernel.materialize() is system
 
     def test_out_of_domain_move_raises_the_compilers_error(self):
         """A program whose action drives the state out of domain must
