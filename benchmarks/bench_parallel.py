@@ -1,95 +1,30 @@
-"""P01: scaling of the sharded parallel checker and the result cache.
+"""P01: the verification cache, cold miss against warm hit.
 
-Three artifacts:
-
-* a worker-scaling table — wall time of the stabilization check at
-  1/2/4 workers on the largest ring the smoke budget allows, with the
-  verdict asserted byte-identical at every width (speedup is reported,
-  not asserted: single-core CI runners legitimately show ~1x, and the
-  fork/IPC overhead only amortizes once states() enumeration dominates);
-* a cache table — cold-miss vs warm-hit wall time for the same
-  verification through :class:`repro.parallel.VerificationCache`;
-* a metrics JSON with the parallel obs counters (rounds, batches,
-  states expanded) from an instrumented sharded run.
+One artifact: a cache table — cold-miss vs warm-hit wall time for the
+same verification through :class:`repro.parallel.VerificationCache`.
+(The worker-scaling table this benchmark once recorded timed sharded
+tuple and packed fixpoints; those engines now decide in one process
+at every worker count, so the table would time the same code twice.
+``docs/PERFORMANCE.md`` keeps its last measurement.)
 """
 
 from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.analysis import format_table
 from repro.checker import check_stabilization
-from repro.obs import Recorder
-from repro.parallel import (
-    VerificationCache,
-    cache_key,
-    parallel_available,
-    program_fingerprint,
-)
+from repro.parallel import VerificationCache, cache_key, program_fingerprint
 from repro.rings import btr3_abstraction, btr_program, dijkstra_three_state
 
-#: Ring size for the scaling sweep: the largest whose sequential check
-#: stays inside the CI smoke budget (3^n * 2n transition scans).
-SCALE_N = 5
 
-WORKER_WIDTHS = (1, 2, 4)
-
-
-def _timed_check(n: int, workers: int):
+def _timed_check(n: int):
     concrete = dijkstra_three_state(n).compile()
     spec = btr_program(n).compile()
     alpha = btr3_abstraction(n)
     start = time.perf_counter()
-    result = check_stabilization(
-        concrete, spec, alpha, compute_steps=False, workers=workers
-    )
+    result = check_stabilization(concrete, spec, alpha, compute_steps=False)
     return time.perf_counter() - start, result
-
-
-def _scaling_rows(n: int):
-    rows = []
-    baseline = None
-    reference = None
-    for workers in WORKER_WIDTHS:
-        if workers > 1 and not parallel_available():
-            continue
-        seconds, result = _timed_check(n, workers)
-        rendered = result.format()
-        if reference is None:
-            baseline, reference = seconds, rendered
-        assert rendered == reference, (
-            f"verdict changed at {workers} workers"
-        )
-        rows.append(
-            {
-                "workers": workers,
-                "seconds": round(seconds, 4),
-                "speedup": round(baseline / seconds, 2) if seconds else None,
-                "holds": result.holds,
-            }
-        )
-    return rows
-
-
-def test_p01_worker_scaling(benchmark, record_table):
-    rows = benchmark.pedantic(
-        _scaling_rows, args=(SCALE_N,), rounds=1, iterations=1
-    )
-    assert all(row["holds"] for row in rows)
-    record_table(
-        "p01_parallel_scaling",
-        format_table(
-            rows,
-            columns=["workers", "seconds", "speedup", "holds"],
-            title=(
-                f"P01 sharded checker scaling: Dijkstra3(n={SCALE_N}) "
-                "stabilizing to BTR"
-            ),
-        ),
-        rows=rows,
-    )
 
 
 def test_p01_cache_cold_vs_warm(benchmark, record_table, tmp_path):
@@ -107,7 +42,7 @@ def test_p01_cache_cold_vs_warm(benchmark, record_table, tmp_path):
         rows = []
         start = time.perf_counter()
         assert cache.get(key) is None  # cold miss
-        _, result = _timed_check(4, 1)
+        _, result = _timed_check(4)
         cache.put(key, {"holds": result.holds, "text": result.format()})
         rows.append(
             {
@@ -134,25 +69,3 @@ def test_p01_cache_cold_vs_warm(benchmark, record_table, tmp_path):
         rows=rows,
     )
 
-
-@pytest.mark.skipif(not parallel_available(), reason="no fork start method")
-def test_p01_sharded_counters(benchmark, record_metrics):
-    recorder = Recorder(kind="bench")
-    recorder.annotate(experiment="p01_parallel", n=4, workers=2)
-
-    def instrumented():
-        return check_stabilization(
-            dijkstra_three_state(4).compile(),
-            btr_program(4).compile(),
-            btr3_abstraction(4),
-            compute_steps=False,
-            workers=2,
-            instrumentation=recorder,
-        )
-
-    result = benchmark.pedantic(instrumented, rounds=1, iterations=1)
-    assert result.holds
-    record = recorder.record()
-    assert record.counters.get("parallel.workers") == 2
-    assert record.counters.get("parallel.batches", 0) > 0
-    record_metrics("p01_parallel", recorder)

@@ -275,8 +275,6 @@ class StabilizationResult:
 def legitimate_abstract_states(
     abstract: System,
     meter: Optional[BudgetMeter] = None,
-    workers: int = 1,
-    instrumentation: Instrumentation = NULL_INSTRUMENTATION,
 ) -> FrozenSet[State]:
     """``L_A``: the abstract states reachable from the abstract initial states.
 
@@ -286,23 +284,7 @@ def legitimate_abstract_states(
             charges one unit per state expanded and stops with a
             :class:`~repro.checker.budget.BudgetExceeded` (carrying the
             frontier size) instead of outgrowing memory.
-        workers: degree of parallelism; above 1 the search runs as a
-            sharded BFS (:func:`repro.parallel.parallel_reachable`)
-            and returns the identical set.
-        instrumentation: observability sink for the sharded search's
-            round/batch counters (unused sequentially).
     """
-    if workers > 1:
-        from ..parallel import parallel_reachable
-
-        return parallel_reachable(
-            abstract,
-            abstract.initial,
-            workers,
-            meter=meter if meter is not None and meter.budget is not None else None,
-            phase="check.legitimate",
-            instrumentation=instrumentation,
-        )
     if meter is None or meter.budget is None:
         return abstract.reachable()
     seen: Set[State] = set(abstract.initial)
@@ -319,20 +301,14 @@ def legitimate_abstract_states(
 
 def _must_evict(
     state: State,
-    member,
+    core: Set[State],
     concrete: System,
     abstract: System,
     mapping,
     stutter_insensitive: bool,
     fairness_ignores_stutter: bool,
 ) -> bool:
-    """Whether ``state`` leaves the core, judged against ``member``.
-
-    ``member`` is the current core membership test — the live
-    (Gauss-Seidel) set on the sequential path, a frozen per-round
-    (Jacobi) snapshot on the parallel path.  Both iterate the same
-    monotone operator, so they reach the same greatest fixpoint.
-    """
+    """Whether ``state`` leaves ``core``, the live set being swept."""
     image = mapping(state)
     progress = False
     for successor in concrete.successors(state):
@@ -344,7 +320,7 @@ def _must_evict(
             if stutter_insensitive or fairness_ignores_stutter:
                 continue  # ignorable stutter, no progress
             return True
-        if not member(successor):
+        if successor not in core:
             return True
         if target_image == image and stutter_insensitive:
             progress = True
@@ -368,7 +344,6 @@ def behavioural_core(
     fairness: str = "none",
     instrumentation: Instrumentation = NULL_INSTRUMENTATION,
     meter: Optional[BudgetMeter] = None,
-    workers: int = 1,
 ) -> FrozenSet[State]:
     """The greatest set ``G`` of concrete states forever tracking ``A``.
 
@@ -397,30 +372,10 @@ def behavioural_core(
         meter: optional state budget; the full-space scan then raises
             :class:`~repro.checker.budget.BudgetExceeded` at the cap
             instead of materializing an unbounded candidate set.
-        workers: degree of parallelism.  Above 1 the candidate scan is
-            partitioned across worker processes and the fixpoint runs
-            as synchronous (Jacobi) eviction rounds; the resulting set
-            is identical to the sequential (Gauss-Seidel) one — the
-            eviction operator is monotone, so every iteration order
-            reaches the same greatest fixpoint.
     """
     mapping = alpha if alpha is not None else identity_abstraction(concrete.schema)
-    legitimate = legitimate_abstract_states(
-        abstract, meter=meter, workers=workers, instrumentation=instrumentation
-    )
+    legitimate = legitimate_abstract_states(abstract, meter=meter)
     fairness_ignores_stutter = fairness in ("weak", "strong")
-    if workers > 1:
-        return _behavioural_core_sharded(
-            concrete,
-            abstract,
-            mapping,
-            legitimate,
-            stutter_insensitive,
-            fairness_ignores_stutter,
-            instrumentation,
-            meter,
-            workers,
-        )
     enumerated = 0
     core: Set[State] = set()
     for state in concrete.schema.states():
@@ -440,7 +395,7 @@ def behavioural_core(
         evicted = 0
         for state in list(core):
             if _must_evict(
-                state, core.__contains__, concrete, abstract, mapping,
+                state, core, concrete, abstract, mapping,
                 stutter_insensitive, fairness_ignores_stutter,
             ):
                 core.discard(state)
@@ -455,75 +410,6 @@ def behavioural_core(
         instrumentation.count("check.states.evicted", evicted)
         instrumentation.observe("check.round.evicted", evicted)
         progress.tick(iterations, len(core), enumerated * iterations)
-    instrumentation.count("check.fixpoint.iterations", iterations)
-    return frozenset(core)
-
-
-def _behavioural_core_sharded(
-    concrete: System,
-    abstract: System,
-    mapping,
-    legitimate: FrozenSet[State],
-    stutter_insensitive: bool,
-    fairness_ignores_stutter: bool,
-    instrumentation: Instrumentation,
-    meter: Optional[BudgetMeter],
-    workers: int,
-) -> FrozenSet[State]:
-    """The ``workers > 1`` body of :func:`behavioural_core`.
-
-    The candidate scan partitions the full state space across the
-    worker pool; each fixpoint round re-forks the pool so the workers
-    inherit the current core snapshot copy-on-write and evaluate the
-    same eviction predicate the sequential loop uses
-    (:func:`_must_evict`), against that frozen snapshot.
-    """
-    from ..parallel import parallel_filter_states
-
-    states = list(concrete.schema.states())
-    candidates = parallel_filter_states(
-        states,
-        lambda state: mapping(state) in legitimate,
-        workers,
-        meter=meter,
-        phase="check.core",
-        instrumentation=instrumentation,
-    )
-    instrumentation.count("check.states.enumerated", len(states))
-    instrumentation.count("check.candidates.initial", len(candidates))
-    core: Set[State] = set(candidates)
-    progress = ProgressEmitter(instrumentation, "check.core")
-    iterations = 0
-    changed = True
-    while changed:
-        iterations += 1
-        snapshot = frozenset(core)
-        member = snapshot.__contains__
-
-        def evicts(state: State) -> bool:
-            return _must_evict(
-                state, member, concrete, abstract, mapping,
-                stutter_insensitive, fairness_ignores_stutter,
-            )
-
-        evicted_states = parallel_filter_states(
-            sorted(core, key=repr),
-            evicts,
-            workers,
-            phase="check.fixpoint",
-            instrumentation=instrumentation,
-        )
-        changed = bool(evicted_states)
-        core.difference_update(evicted_states)
-        instrumentation.event(
-            "check.fixpoint.iteration",
-            index=iterations,
-            evicted=len(evicted_states),
-            remaining=len(core),
-        )
-        instrumentation.count("check.states.evicted", len(evicted_states))
-        instrumentation.observe("check.round.evicted", len(evicted_states))
-        progress.tick(iterations, len(core), len(states) * iterations)
     instrumentation.count("check.fixpoint.iterations", iterations)
     return frozenset(core)
 
@@ -629,13 +515,13 @@ def check_stabilization(
             (``result.is_partial`` is true, ``result.result.partial``
             reports states explored and frontier size) — never a
             ``MemoryError``.
-        workers: worker processes for the set-computation phases
-            (``L_A`` reachability, the candidate scan, the fixpoint
-            rounds); the witness-search phases always run sequentially
-            on the resulting sets, so the verdict — including its
-            witness and formatted rendering — is identical for every
-            worker count.  Degrades to 1 where fork-based pools are
-            unavailable.
+        workers: worker processes for the shared engine's rounds.
+            The tuple, packed and vector engines decide in one
+            process; asked for more than one worker, they say so with
+            a ``parallel.sequential`` event.  The verdict — witness
+            and formatted rendering included — is identical for every
+            worker count.  Degrades to 1 (with the same event) where
+            fork-based pools are unavailable.
         engine: ``'tuple'`` (the default) walks tuple states through
             an eagerly compiled :class:`System`; ``'packed'`` interns
             states as dense ints and runs the bitset fixpoints of
@@ -656,12 +542,6 @@ def check_stabilization(
     selected = _select_engine(
         engine, concrete, abstract, state_budget, instrumentation, alpha
     )
-    if workers > 1:
-        from ..parallel import resolve_workers
-
-        workers = resolve_workers(workers)
-        if workers > 1:
-            instrumentation.count("parallel.workers", workers)
     request = _Request(
         concrete,
         abstract,
@@ -785,6 +665,8 @@ def _decide_with_degradation(
         )
     instrumentation = request.instrumentation
     for position, engine_name in enumerate(chain):
+        if engine_name != "shared":
+            _note_sequential(instrumentation, engine_name, request.workers)
         try:
             decided = _decide(_BACKENDS[engine_name](request), request)
             # Stamp the engine that actually decided (not the one
@@ -806,6 +688,29 @@ def _decide_with_degradation(
                 reason=f"{type(fault).__name__}: {fault}",
             )
     raise AssertionError("engine degradation chain exhausted")  # pragma: no cover
+
+
+def _note_sequential(
+    instrumentation: Instrumentation,
+    engine: str,
+    workers: int,
+    reason: Optional[str] = None,
+) -> None:
+    """Say why a ``workers > 1`` request runs in one process.
+
+    Emits one ``parallel.sequential`` event; a one-worker request is
+    silent.  Only the shared engine fans a decision out, so the default
+    reason names ``engine`` as one that does not.
+    """
+    if workers > 1:
+        instrumentation.event(
+            "parallel.sequential",
+            engine=engine,
+            workers=workers,
+            reason=reason
+            or f"the {engine} engine decides in one process; only the "
+            "shared engine fans out",
+        )
 
 
 def _decide(backend, request: _Request) -> StabilizationResult:
@@ -915,9 +820,9 @@ def _invisible_steps(
 ) -> System:
     """The steps of ``system`` within ``states`` that alpha cannot see.
 
-    Canonical order: the states may have been assembled sequentially,
-    shard-parallel, or by any engine; sorting keeps the edge list (and
-    so the cycle witness) identical either way.
+    Canonical order: the states may have been assembled by any engine;
+    sorting keeps the edge list (and so the cycle witness) identical
+    either way.
     """
     alpha = request.alpha
     return System(
@@ -971,13 +876,7 @@ class _TupleBackend:
         return nullcontext()
 
     def legitimate(self) -> FrozenSet[State]:
-        request = self.request
-        return legitimate_abstract_states(
-            self.abstract,
-            meter=request.meter,
-            workers=request.workers,
-            instrumentation=request.instrumentation,
-        )
+        return legitimate_abstract_states(self.abstract, meter=self.request.meter)
 
     def core(self) -> FrozenSet[State]:
         request = self.request
@@ -989,7 +888,6 @@ class _TupleBackend:
             fairness=request.fairness,
             instrumentation=request.instrumentation,
             meter=request.meter,
-            workers=request.workers,
         )
         return self.core_states
 
@@ -1135,7 +1033,6 @@ class _PackedBackend(_KernelBackend):
             abstract.successors,
             abstract.initial_codes,
             abstract.size,
-            workers=self.request.workers,
             instrumentation=self.request.instrumentation,
         )
         codes = compress(range(abstract.size), self.legitimate_flags)
@@ -1157,7 +1054,6 @@ class _PackedBackend(_KernelBackend):
             request.stutter_insensitive,
             request.drop_self,
             instrumentation=request.instrumentation,
-            workers=request.workers,
         )
         core = self._decoded_core(compress(range(self.size), self.core_flags))
         if self.abstract_kernel is not self.kernel:
@@ -1229,13 +1125,7 @@ class _PackedBackend(_KernelBackend):
 
 
 class _VectorBackend(_KernelBackend):
-    """Whole-frontier array fixpoints (:mod:`repro.kernel.vector`).
-
-    They run single-process regardless of ``workers`` (a frontier
-    batch *is* the data-parallel unit), so no ``parallel.*`` round
-    counters are emitted — the same documented divergence class as the
-    fixpoint iteration counts.
-    """
+    """Whole-frontier array fixpoints (:mod:`repro.kernel.vector`)."""
 
     def __init__(self, request: _Request):
         from ..kernel.vector import as_vector_kernel
@@ -1345,7 +1235,7 @@ class _VectorBackend(_KernelBackend):
 class _SharedBackend(_KernelBackend):
     """Streamed fixpoints of the shared-memory engine.
 
-    Membership flags are bit-packed (segment-backed when workers shard
+    Membership flags are bit-packed (segment-backed when workers split
     the rounds), successor evaluation is chunked through the
     table-free :class:`~repro.kernel.shared.SharedKernel`, and
     collections past the memory budget spill to the run's spill
@@ -1369,11 +1259,22 @@ class _SharedBackend(_KernelBackend):
     @contextmanager
     def running(self):
         from ..kernel.shared import open_runtime
+        from ..parallel import resolve_workers
 
         request = self.request
+        workers = request.workers
+        if workers > 1:
+            workers = resolve_workers(workers)
+            if workers == 1:
+                _note_sequential(
+                    request.instrumentation,
+                    "shared",
+                    request.workers,
+                    "fork-based worker pools are unavailable in this process",
+                )
         with open_runtime(
             self.kernel,
-            workers=request.workers,
+            workers=workers,
             instrumentation=request.instrumentation,
         ) as self.runtime:
             yield

@@ -56,7 +56,6 @@ pins the check to the tuple engine, whose exploration order the
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import compress
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -68,6 +67,7 @@ from .budget import BudgetExceeded, BudgetMeter
 from .convergence import (
     SystemOrProgram,
     _as_system,
+    _note_sequential,
     _require_known_engine,
     _source_name,
 )
@@ -571,6 +571,7 @@ def _refinement(
     meter: Optional[BudgetMeter],
     engine: str,
     name: str,
+    workers: int = 1,
 ) -> CheckResult:
     """Select an engine, decide the relation on it, replay on tuple.
 
@@ -580,13 +581,16 @@ def _refinement(
     the verdict; a violation, or an image outside the abstract schema,
     emits only the reasoned fallback before the tuple replay.  A budget
     cut is the ``PARTIAL`` verdict when the meter is the check's own,
-    and propagates to the owner of a shared one.
+    and propagates to the owner of a shared one.  Every engine decides
+    refinement in one process, so a ``workers > 1`` request is noted
+    with a ``parallel.sequential`` event.
     """
     own_meter = meter is None
     selected = _select_refinement_engine(
         engine, concrete, abstract, state_budget, instrumentation,
         shared_meter=not own_meter,
     )
+    _note_sequential(instrumentation, selected, workers)
     if selected != "tuple":
         if alpha is None:
             _schema_of(concrete).require_compatible(
@@ -712,16 +716,18 @@ def check_init_refinement(
             clauses); overrides ``state_budget`` and lets
             :class:`~repro.checker.budget.BudgetExceeded` propagate to
             the owner.
-        workers: worker processes for the reachability phase (sharded
-            BFS above 1); the clause scans and witnesses are identical
-            for every worker count.
+        workers: accepted for symmetry with the stabilization check;
+            refinement always decides in one process (a request above
+            1 emits a ``parallel.sequential`` event), so the verdict
+            is identical for every worker count.
         engine: which engine decides (see the module docstring).
     """
     return _refinement(
-        _init_holds, partial(_decide_init_refinement, workers=workers),
+        _init_holds, _decide_init_refinement,
         concrete, abstract, alpha, stutter_insensitive, open_systems,
         instrumentation, state_budget, meter, engine,
         f"[{_source_name(concrete)} (= {_source_name(abstract)}]_init",
+        workers,
     )
 
 
@@ -734,7 +740,6 @@ def _decide_init_refinement(
     instrumentation: Instrumentation,
     meter: BudgetMeter,
     name: str,
-    workers: int = 1,
 ) -> CheckResult:
     """The clauses of :func:`check_init_refinement`, budget-metered."""
     mapping = _resolve_alpha(concrete, abstract, alpha)
@@ -752,26 +757,11 @@ def _decide_init_refinement(
                 ),
             )
     with instrumentation.span("refine.init_clause"):
-        if workers > 1:
-            from ..parallel import parallel_reachable
-
-            reachable = parallel_reachable(
-                concrete,
-                concrete.initial,
-                workers,
-                meter=meter if meter.budget is not None else None,
-                phase="refine.init.reachable",
-                instrumentation=instrumentation,
-            )
-        else:
-            reachable = _reachable_metered(
-                concrete, meter, "refine.init.reachable"
-            )
+        reachable = _reachable_metered(concrete, meter, "refine.init.reachable")
     instrumentation.count("refine.reachable.size", len(reachable))
     checked = 0
-    # Canonical scan order: the reachable set may have been assembled
-    # sequentially or shard-parallel; sorting makes the first witness
-    # (and so the whole verdict) independent of how it was built.
+    # Canonical scan order: sorting makes the first witness (and so the
+    # whole verdict) independent of how the reachable set was built.
     for state in sorted(reachable, key=repr):
         image = mapping(state)
         successors = concrete.successors(state)
@@ -953,12 +943,9 @@ def check_convergence_refinement(
         state_budget: one budget pooled across every clause; past it
             the result is a structured ``PARTIAL`` verdict instead of
             a memory blow-up.
-        workers: worker processes for the reachability phase and the
-            transition scan (sharded above 1); the cycle clauses and
-            witness search run sequentially either way, so the verdict
-            — witness and rendering included — is identical for every
-            worker count.  Degrades to 1 where fork-based pools are
-            unavailable.  Only the tuple engine uses the pool.
+        workers: as for :func:`check_init_refinement`: refinement
+            decides in one process, and the verdict — witness and
+            rendering included — is identical for every worker count.
         engine: which engine decides (see the module docstring).
 
     Returns:
@@ -967,11 +954,11 @@ def check_convergence_refinement(
     """
     with instrumentation.span("refine.total"):
         result = _refinement(
-            _convergence_holds,
-            partial(_decide_convergence_refinement, workers=workers),
+            _convergence_holds, _decide_convergence_refinement,
             concrete, abstract, alpha, stutter_insensitive, open_systems,
             instrumentation, state_budget, None, engine,
             f"[{_source_name(concrete)} <= {_source_name(abstract)}]",
+            workers,
         )
     if result.is_partial:
         return result
@@ -994,15 +981,8 @@ def _decide_convergence_refinement(
     instrumentation: Instrumentation,
     meter: BudgetMeter,
     name: str,
-    workers: int = 1,
 ) -> CheckResult:
     """The clauses of :func:`check_convergence_refinement`, instrumented."""
-    if workers > 1:
-        from ..parallel import resolve_workers
-
-        workers = resolve_workers(workers)
-        if workers > 1:
-            instrumentation.count("parallel.workers", workers)
     mapping = _resolve_alpha(concrete, abstract, alpha)
 
     def unrealized(source: State, target: State) -> CheckResult:
@@ -1038,7 +1018,6 @@ def _decide_convergence_refinement(
         open_systems=open_systems,
         instrumentation=instrumentation,
         meter=meter,
-        workers=workers,
     )
     if not init_part.holds:
         return CheckResult(False, name, init_part.witness, detail="init-refinement clause failed")
@@ -1046,51 +1025,30 @@ def _decide_convergence_refinement(
     exact = 0
     stutters: List[Transition] = []
     compressions: List[Transition] = []
-    if workers > 1:
-        from ..parallel import parallel_transition_scan
-
-        with instrumentation.span("refine.transition_scan"):
-            scan = parallel_transition_scan(
-                list(concrete.transitions()),
-                abstract,
-                mapping,
-                stutter_insensitive,
-                workers,
-                meter=meter if meter.budget is not None else None,
-                phase="refine.transition_scan",
-                instrumentation=instrumentation,
-            )
-        if scan.violation is not None:
-            _, source, target = scan.violation
-            return unrealized(source, target)
-        exact = scan.exact
-        stutters = scan.stutters
-        compressions = scan.compressions
-    else:
-        progress = ProgressEmitter(instrumentation, "refine.transition_scan")
-        scanned = 0
-        with instrumentation.span("refine.transition_scan"):
-            for source, target in meter.metered(
-                concrete.transitions(), "refine.transition_scan", unit="transitions"
-            ):
-                scanned += 1
-                if progress.enabled and scanned % 4096 == 0:
-                    progress.tick(0, 0, scanned)
-                image_source, image_target = mapping(source), mapping(target)
-                if image_source == image_target:
-                    if stutter_insensitive:
-                        stutters.append((source, target))
-                        continue
-                    if abstract.has_transition(image_source, image_target):
-                        exact += 1
-                        continue
-                    return unrealized(source, target)
+    progress = ProgressEmitter(instrumentation, "refine.transition_scan")
+    scanned = 0
+    with instrumentation.span("refine.transition_scan"):
+        for source, target in meter.metered(
+            concrete.transitions(), "refine.transition_scan", unit="transitions"
+        ):
+            scanned += 1
+            if progress.enabled and scanned % 4096 == 0:
+                progress.tick(0, 0, scanned)
+            image_source, image_target = mapping(source), mapping(target)
+            if image_source == image_target:
+                if stutter_insensitive:
+                    stutters.append((source, target))
+                    continue
                 if abstract.has_transition(image_source, image_target):
                     exact += 1
                     continue
-                if shortest_path(abstract, image_source, image_target, min_length=2) is None:
-                    return unrealized(source, target)
-                compressions.append((source, target))
+                return unrealized(source, target)
+            if abstract.has_transition(image_source, image_target):
+                exact += 1
+                continue
+            if shortest_path(abstract, image_source, image_target, min_length=2) is None:
+                return unrealized(source, target)
+            compressions.append((source, target))
     instrumentation.count("refine.transitions.exact", exact)
     instrumentation.count("refine.transitions.compressing", len(compressions))
     instrumentation.count("refine.transitions.stuttering", len(stutters))

@@ -454,8 +454,10 @@ def _add_parallel_flags(subparser: argparse.ArgumentParser) -> None:
     """
     subparser.add_argument(
         "--workers", type=_int_at_least(1), default=1, metavar="N",
-        help="worker processes for the state-space phases (default: 1; "
-        "the verdict is identical at every worker count)",
+        help="worker processes: the shared engine's rounds for check, "
+        "whole cells for campaign (default: 1; the tuple, packed and "
+        "vector engines decide in one process; the verdict is "
+        "identical at every worker count)",
     )
     subparser.add_argument(
         "--cache-dir", metavar="DIR",

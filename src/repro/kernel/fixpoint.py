@@ -13,11 +13,10 @@ divergence is ``check.fixpoint.iterations`` and the per-iteration
 events: the sequential packed sweep visits codes in ascending order
 while the tuple sweep visits set order, so Gauss–Seidel round *counts*
 may differ even though the fixpoint — and the total
-``check.states.evicted`` — are identical (the same caveat PR 3
-documents for Jacobi rounds at ``workers > 1``).
+``check.states.evicted`` — are identical.
 
-Parallelism mirrors :mod:`repro.parallel.sharding`, but shards on the
-packed int itself (``code % batches``) — no ``repr`` hashing.
+Every function runs in the calling process: the packed engine decides
+identically at every worker count.
 """
 
 from __future__ import annotations
@@ -25,12 +24,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..obs import NULL_INSTRUMENTATION, Instrumentation, ProgressEmitter
-from ..parallel.pool import (
-    WorkerPool,
-    contiguous_chunks,
-    worker_context,
-    worker_instrumentation,
-)
 from ..resilience import chaos
 
 #: Sequential loops report progress once per this many expansions —
@@ -51,51 +44,15 @@ __all__ = [
 #: A packed successor function: code in, ascending successor codes out.
 SuccessorFn = Callable[[int], Tuple[int, ...]]
 
-#: Shard batches per worker per round (mirrors ``repro.parallel.sharding``).
-_BATCHES_PER_WORKER = 4
-
-
-def _expand_batch(batch: List[int]) -> List[int]:
-    """Worker task: expand one batch of frontier codes."""
-    succ_of: SuccessorFn = worker_context()["packed_succ"]
-    obs = worker_instrumentation()
-    found: List[int] = []
-    with obs.span("parallel.worker.expand", batch=len(batch)):
-        for code in batch:
-            successors = succ_of(code)
-            obs.observe("parallel.worker.fan_out", len(successors))
-            found.extend(successors)
-    obs.count("parallel.worker.batches")
-    obs.count("parallel.worker.states.expanded", len(batch))
-    return found
-
-
-def _filter_chunk(chunk: List[int]) -> List[int]:
-    """Worker task: keep the codes satisfying the staged predicate."""
-    predicate: Callable[[int], bool] = worker_context()["packed_predicate"]
-    obs = worker_instrumentation()
-    with obs.span("parallel.worker.filter", batch=len(chunk)):
-        kept = [code for code in chunk if predicate(code)]
-    obs.count("parallel.worker.batches")
-    obs.count("parallel.worker.states.scanned", len(chunk))
-    return kept
-
 
 def packed_reachable(
     succ_of: SuccessorFn,
     sources: Iterable[int],
     size: int,
-    workers: int = 1,
     instrumentation: Instrumentation = NULL_INSTRUMENTATION,
 ) -> bytearray:
-    """Flags of the codes reachable from ``sources`` (inclusive).
-
-    Sequentially a plain stack search; above one worker a round-based
-    sharded BFS where frontier codes are routed to the shard
-    ``code % batches`` — the packed analogue of the tuple engine's
-    ``stable_state_hash`` routing, with the same ``parallel.*``
-    counters.
-    """
+    """Flags of the codes reachable from ``sources`` (inclusive), by a
+    plain stack search."""
     seen = make_flags(size)
     initial: List[int] = []
     for code in sources:
@@ -108,49 +65,19 @@ def packed_reachable(
     chaos_hook = (
         chaos.engine_states if chaos.active_plan() is not None else None
     )
-    if workers <= 1:
-        stack = initial
-        expanded = 0
-        while stack:
-            code = stack.pop()
-            expanded += 1
-            if chaos_hook is not None:
-                chaos_hook("packed", expanded)
-            if progress.enabled and expanded % _HEARTBEAT_EVERY == 0:
-                progress.tick(0, len(stack), expanded)
-            for successor in succ_of(code):
-                if not seen[successor]:
-                    seen[successor] = 1
-                    stack.append(successor)
-        return seen
-    n_batches = workers * _BATCHES_PER_WORKER
-    frontier = sorted(initial)
-    rounds = 0
+    stack = initial
     expanded = 0
-    with WorkerPool(workers, packed_succ=succ_of) as pool:
-        while frontier:
-            instrumentation.count("parallel.rounds", 1)
-            instrumentation.count("parallel.states.expanded", len(frontier))
-            instrumentation.observe("parallel.frontier.size", len(frontier))
-            rounds += 1
-            expanded += len(frontier)
-            if chaos_hook is not None:
-                chaos_hook("packed", expanded)
-            progress.tick(rounds, len(frontier), expanded)
-            sharded: List[List[int]] = [[] for _ in range(n_batches)]
-            for code in frontier:
-                sharded[code % n_batches].append(code)
-            batches = [batch for batch in sharded if batch]
-            instrumentation.count("parallel.batches", len(batches))
-            next_frontier: List[int] = []
-            for found in pool.map_observed(
-                _expand_batch, batches, instrumentation
-            ):
-                for code in found:
-                    if not seen[code]:
-                        seen[code] = 1
-                        next_frontier.append(code)
-            frontier = sorted(next_frontier)
+    while stack:
+        code = stack.pop()
+        expanded += 1
+        if chaos_hook is not None:
+            chaos_hook("packed", expanded)
+        if progress.enabled and expanded % _HEARTBEAT_EVERY == 0:
+            progress.tick(0, len(stack), expanded)
+        for successor in succ_of(code):
+            if not seen[successor]:
+                seen[successor] = 1
+                stack.append(successor)
     return seen
 
 
@@ -199,7 +126,6 @@ def packed_core(
     stutter_insensitive: bool,
     fairness_ignores_stutter: bool,
     instrumentation: Instrumentation = NULL_INSTRUMENTATION,
-    workers: int = 1,
 ) -> bytearray:
     """The behavioural core as flags over concrete codes.
 
@@ -211,28 +137,11 @@ def packed_core(
     """
     flags = make_flags(size)
     remaining = 0
-    if workers > 1:
-        chunks = contiguous_chunks(list(range(size)), workers)
-        instrumentation.count("parallel.batches", len(chunks))
-        instrumentation.count("parallel.states.expanded", size)
-
-        def is_candidate(code: int) -> bool:
-            image = image_of[code]
-            return image >= 0 and bool(legitimate[image])
-
-        with WorkerPool(workers, packed_predicate=is_candidate) as pool:
-            for kept in pool.map_observed(
-                _filter_chunk, chunks, instrumentation
-            ):
-                for code in kept:
-                    flags[code] = 1
-                    remaining += 1
-    else:
-        for code in range(size):
-            image = image_of[code]
-            if image >= 0 and legitimate[image]:
-                flags[code] = 1
-                remaining += 1
+    for code in range(size):
+        image = image_of[code]
+        if image >= 0 and legitimate[image]:
+            flags[code] = 1
+            remaining += 1
     instrumentation.count("check.states.enumerated", size)
     instrumentation.count("check.candidates.initial", remaining)
     progress = ProgressEmitter(instrumentation, "packed.core")
@@ -251,34 +160,13 @@ def packed_core(
             # membership sweep per fixpoint round.
             chaos_hook("packed", size * (iterations + 1))
         evicted = 0
-        if workers > 1:
-            members = [code for code in range(size) if flags[code]]
-            snapshot = bytes(flags)
-
-            def evicts(code: int) -> bool:
-                return _must_evict_packed(
-                    code, concrete_succ, abstract_succ, image_of, snapshot,
-                    stutter_insensitive, fairness_ignores_stutter,
-                )
-
-            chunks = contiguous_chunks(members, workers)
-            instrumentation.count("parallel.batches", len(chunks))
-            instrumentation.count("parallel.states.expanded", len(members))
-            with WorkerPool(workers, packed_predicate=evicts) as pool:
-                for kicked in pool.map_observed(
-                    _filter_chunk, chunks, instrumentation
-                ):
-                    for code in kicked:
-                        flags[code] = 0
-                        evicted += 1
-        else:
-            for code in range(size):
-                if flags[code] and _must_evict_packed(
-                    code, concrete_succ, abstract_succ, image_of, flags,
-                    stutter_insensitive, fairness_ignores_stutter,
-                ):
-                    flags[code] = 0
-                    evicted += 1
+        for code in range(size):
+            if flags[code] and _must_evict_packed(
+                code, concrete_succ, abstract_succ, image_of, flags,
+                stutter_insensitive, fairness_ignores_stutter,
+            ):
+                flags[code] = 0
+                evicted += 1
         changed = evicted > 0
         remaining -= evicted
         instrumentation.event(

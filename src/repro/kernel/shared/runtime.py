@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 import numpy as np
 
@@ -36,6 +36,9 @@ from .segments import SegmentRegistry
 from .spill import SpillStore
 from .tables import TablePool
 from .width import code_dtype
+
+if TYPE_CHECKING:
+    from .visited import VisitedHandle
 
 __all__ = ["SharedRuntime", "open_runtime"]
 
@@ -52,6 +55,9 @@ class SharedRuntime:
     instrumentation: Instrumentation
     code_dtype: np.dtype = field(default_factory=lambda: np.dtype(np.int64))
     tables: Optional[TablePool] = None
+    #: Segment- and file-backed flag fields opened for this run
+    #: (:func:`~.visited.open_visited`), closed before the sweep.
+    visited: List["VisitedHandle"] = field(default_factory=list)
 
     @property
     def run_cap_bytes(self) -> int:
@@ -79,7 +85,8 @@ def open_runtime(
     Args:
         kernel: the streamed kernel (its action/variable counts size
             the evaluation chunks).
-        workers: resolved worker count (``1`` = fully in-process).
+        workers: resolved worker count (``1`` = fully in-process);
+            above 1 it is counted as ``parallel.workers``.
         context: explicit memory context; defaults to the active one
             (``open_runtime`` outside any context uses the defaults —
             the library API allows it even though engine selection
@@ -114,6 +121,8 @@ def open_runtime(
         code_dtype=dtype,
         tables=tables,
     )
+    if workers > 1:
+        instrumentation.count("parallel.workers", workers)
     instrumentation.event(
         "shm.code_width",
         width=int(dtype.itemsize),
@@ -131,5 +140,9 @@ def open_runtime(
         kernel.attach_tables(None)
         if tables is not None:
             tables.close()
+        # A fixpoint cut short by a fault never detached its fields;
+        # dropping their views first lets the sweep close the segments.
+        for handle in runtime.visited:
+            handle.close()
         registry.sweep()
         spill.close()

@@ -184,7 +184,9 @@ def open_visited(
         instrumentation.event(
             "shm.visited", tag=tag, backing="mmap", nbytes=nbytes
         )
-        return VisitedHandle(field, ("mmap", (path, size)), runtime=runtime)
+        handle = VisitedHandle(field, ("mmap", (path, size)), runtime=runtime)
+        runtime.visited.append(handle)
+        return handle
     if runtime.workers > 1:
         segment = runtime.registry.create(nbytes, tag)
         field = BitField(size, segment.buf)
@@ -192,10 +194,12 @@ def open_visited(
         instrumentation.event(
             "shm.visited", tag=tag, backing="shm", nbytes=nbytes
         )
-        return VisitedHandle(
+        handle = VisitedHandle(
             field, ("shm", (segment.name, size)), segment=segment,
             runtime=runtime,
         )
+        runtime.visited.append(handle)
+        return handle
     instrumentation.event(
         "shm.visited", tag=tag, backing="private", nbytes=nbytes
     )

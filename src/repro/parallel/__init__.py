@@ -1,29 +1,20 @@
-"""Parallel sharded exploration and the content-addressed result cache.
+"""The worker pool and the content-addressed result cache.
 
-The exact decision procedures of :mod:`repro.checker` enumerate state
-spaces that grow exponentially with ring size, and a campaign sweep
-multiplies that by the grid.  This package is the execution layer that
-makes both scale with the hardware:
+A campaign sweep or a spec tree holds many independent checks, and
+the shared engine's rounds split one check's frontier.  This package
+is the execution layer both fan out through:
 
 * :mod:`repro.parallel.pool` — a fork-based worker-process pool whose
   workers inherit the systems, abstraction closures, and auxiliary
   sets by copy-on-write instead of pickling them per task;
-* :mod:`repro.parallel.sharding` — sharded breadth-first exploration
-  (the frontier is partitioned by a stable state hash, successors are
-  handed back to the owning shard in batches), plus the partitioned
-  candidate scans, fixpoint eviction rounds, and transition scans the
-  checkers are built from;
 * :mod:`repro.parallel.cache` — the content-addressed verification
   cache: verdicts keyed by a canonical program fingerprint plus the
   checker parameters, so re-checking an unchanged spec is a file read.
 
-Everything here is *verdict-preserving by construction*: the parallel
-helpers compute the same sets (reachable states, behavioural core,
-clause violations) the sequential code computes, and the sequential
-witness-search phases then run unchanged on those sets.  See
-``docs/PERFORMANCE.md`` for the design and the differential tests in
-``tests/integration/test_parallel_differential.py`` for the proof
-obligations.
+Only the shared engine (:mod:`repro.kernel.shared`) and the
+check-level pools (``verify-tree``, campaigns) open a pool; the tuple,
+packed and vector engines decide in one process at every worker
+count.  See ``docs/PERFORMANCE.md`` for where parallelism lives.
 """
 
 from .cache import (
@@ -32,27 +23,14 @@ from .cache import (
     canonical_program_text,
     program_fingerprint,
 )
-from .hashing import shard_of, stable_state_hash
 from .pool import WorkerPool, parallel_available, resolve_workers
-from .sharding import (
-    TransitionScan,
-    parallel_filter_states,
-    parallel_reachable,
-    parallel_transition_scan,
-)
 
 __all__ = [
     "VerificationCache",
     "cache_key",
     "canonical_program_text",
     "program_fingerprint",
-    "shard_of",
-    "stable_state_hash",
     "WorkerPool",
     "parallel_available",
     "resolve_workers",
-    "parallel_filter_states",
-    "parallel_reachable",
-    "parallel_transition_scan",
-    "TransitionScan",
 ]

@@ -1,14 +1,19 @@
-"""The fork-based worker pool behind sharded exploration.
+"""The fork-based worker pool behind every parallel phase.
 
 The pool exploits copy-on-write ``fork`` semantics instead of pickling
-work context: the driver stashes the per-phase context (the system
-under exploration, abstraction closures, auxiliary state sets) in a
+work context: the driver stashes the per-phase context (a streamed
+kernel and its round parameters, parsed specs, campaign cells) in a
 module-level slot, and every task attempt forks a child that inherits
-it for free.  Only the small per-task batches (lists of states or
-indices) cross into the dispatch call, and only results cross back as
-pickles.  This is what lets abstraction functions — arbitrary Python
-closures, unpicklable by design — ride along into the workers
-untouched.
+it for free.  Only the small per-task payloads (partition indices,
+spec paths, cell ids) cross into the dispatch call, and only results
+cross back as pickles.  This is what lets lowered closures and
+abstraction functions — unpicklable by design — ride along into the
+workers untouched.
+
+Three callers open a pool: the shared engine's rounds
+(:mod:`repro.kernel.shared`), ``verify-tree`` (one task per spec) and
+the campaign executor (one task per cell).  The tuple, packed and
+vector engines decide in one process at every worker count.
 
 Since the supervised-execution rework, dispatch runs on
 :mod:`repro.resilience.supervisor` rather than a raw
@@ -25,9 +30,9 @@ counters/events.
 Consequences callers must respect:
 
 * a :class:`WorkerPool`'s context is frozen at ``__enter__``; a phase
-  whose shared data changes between rounds (the fixpoint eviction
-  passes) opens a fresh pool per round — forks now happen per task
-  either way, which on Linux is a handful of milliseconds;
+  whose shared data changes between rounds (the shared engine's
+  eviction rounds) opens a fresh pool per round — forks happen per
+  task either way, which on Linux is a handful of milliseconds;
 * on platforms without ``fork`` (or inside a daemonic worker process,
   where nested pools are forbidden) :func:`resolve_workers` degrades
   to ``1`` and every caller falls back to the sequential path — the
@@ -70,8 +75,6 @@ __all__ = [
     "worker_context",
     "worker_instrumentation",
     "using_worker_instrumentation",
-    "contiguous_chunks",
-    "shard_batches",
 ]
 
 T = TypeVar("T")
@@ -113,8 +116,7 @@ class _PoolIterator(Iterator[R]):
 
 #: The per-phase context inherited by forked workers.  Written by
 #: :meth:`WorkerPool.__enter__` in the parent immediately before the
-#: fork; read by the task functions in :mod:`repro.parallel.sharding`
-#: running in the children.
+#: fork; read by the pool task functions running in the children.
 _WORKER_CONTEXT: Dict[str, object] = {}
 
 #: The instrumentation worker-side task code reports through.  In the
@@ -162,12 +164,14 @@ def _observed_task(
     Executes in the child: the per-batch :class:`Recorder` (with its
     own absolute ``wall_base``) is installed as the worker sink for the
     duration of the task, then snapshotted and shipped back over the
-    result channel next to the task's own result.
+    result channel next to the task's own result.  The record counts
+    the batch itself as ``parallel.worker.batches``.
     """
     task, batch = payload
     recorder = Recorder(kind="worker")
     with using_worker_instrumentation(recorder):
         result = task(batch)
+    recorder.count("parallel.worker.batches")
     return result, recorder.record()
 
 
@@ -209,13 +213,13 @@ class WorkerPool:
         workers: maximum concurrent worker processes (must be >= 2;
             callers resolve ``1`` to the sequential path before
             getting here).
-        context: the phase context the workers inherit (systems,
-            abstraction closures, frozen state sets).
+        context: the phase context the workers inherit (kernels,
+            parsed specs, abstraction closures).
 
     Example::
 
-        with WorkerPool(4, system=system) as pool:
-            results = pool.map(_expand_batch, batches)
+        with WorkerPool(4, verify_jobs=jobs) as pool:
+            results = pool.map(_verify_spec_task, paths)
 
     Dispatch is supervised (see :mod:`repro.resilience.supervisor`):
     worker death and task timeouts retry under the process's active
@@ -290,7 +294,10 @@ class WorkerPool:
         null instrumentation this is exactly :meth:`map`: no wrapper,
         no recorder, no extra pickling.  Supervision recoveries
         (retries, quarantines) report to ``instrumentation`` directly
-        — they are driver-side events, not worker records.
+        — they are driver-side events, not worker records.  The driver
+        counts the dispatched batches as ``parallel.batches``; each
+        absorbed record adds one ``parallel.worker.batches``, so the
+        two agree once every batch has come back.
 
         ``task`` must be a module-level function (it crosses into the
         child by fork, like every pool task).
@@ -298,6 +305,7 @@ class WorkerPool:
         if type(instrumentation) in (Instrumentation, NullInstrumentation):
             return self.map(task, batches)
         self._require_active()
+        instrumentation.count("parallel.batches", len(batches))
         pairs = supervised_map(
             _observed_task,
             [(task, batch) for batch in batches],
@@ -336,35 +344,3 @@ class WorkerPool:
         self._iterators.append(iterator)
         return iterator
 
-
-def contiguous_chunks(items: Sequence[T], chunk_count: int) -> List[List[T]]:
-    """Split ``items`` into at most ``chunk_count`` contiguous chunks.
-
-    Index order is preserved across the concatenation of the chunks,
-    which is what lets the transition scan reconstruct the *first*
-    violation in sequential order from per-chunk results.
-    """
-    if chunk_count < 1:
-        raise ValueError(f"chunk count must be positive, got {chunk_count}")
-    total = len(items)
-    if total == 0:
-        return []
-    size = (total + chunk_count - 1) // chunk_count
-    return [list(items[i : i + size]) for i in range(0, total, size)]
-
-
-def shard_batches(states: Iterable[T], shards: int) -> List[List[T]]:
-    """Group ``states`` into per-shard batches by stable state hash.
-
-    The same state always lands in the same batch index, so a frontier
-    is partitioned identically regardless of the order states were
-    discovered in — the cross-shard "handoff" of sharded BFS is just
-    the driver routing each newly found state to its owning batch for
-    the next round.
-    """
-    from .hashing import shard_of
-
-    batches: List[List[T]] = [[] for _ in range(shards)]
-    for state in states:
-        batches[shard_of(state, shards)].append(state)  # type: ignore[arg-type]
-    return [batch for batch in batches if batch]

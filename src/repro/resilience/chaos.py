@@ -14,7 +14,7 @@ Fault kinds and the hook that honours each:
 ==================  ====================================================
 ``kill-worker``     :func:`on_worker_task` — the supervised child
                     SIGKILLs itself before running the matched task
-                    attempt (models an OOM kill mid-shard).
+                    attempt (models an OOM kill mid-task).
 ``delay-task``      :func:`on_worker_task` — the child sleeps
                     ``seconds`` first (models a stalled worker; with a
                     task timeout, the supervisor reaps it).
@@ -95,7 +95,7 @@ class FaultAction:
             recovers — ``"*"`` hits every attempt and exercises
             quarantine.
         phase: task-label selector for worker faults (the pool task
-            function's name, e.g. ``"_expand_batch"``).
+            function's name, e.g. ``"_expand_task"``).
         seconds: sleep duration for ``delay-task``.
         engine: engine selector for ``raise-memory`` (``"vector"``,
             ``"packed"``, or ``"*"``).

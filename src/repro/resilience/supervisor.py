@@ -1,7 +1,7 @@
 """The supervised fork-per-task executor.
 
-``multiprocessing.Pool.map`` has a failure mode the campaign and the
-sharded fixpoints cannot afford: a worker killed by the kernel (OOM,
+``multiprocessing.Pool.map`` has a failure mode the campaign, the
+spec-tree pool and the shared engine's rounds cannot afford: a worker killed by the kernel (OOM,
 SIGKILL) takes its task's result with it and ``map`` waits forever.
 This module replaces the pool with direct supervision — every task
 attempt runs in its own forked child with a dedicated result pipe, and

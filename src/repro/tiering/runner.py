@@ -288,6 +288,7 @@ def verify_tree(
     verified: Dict[str, Tuple[bool, bool, str]] = {}
     pool_workers = resolve_workers(workers) if pending else 1
     if pool_workers > 1:
+        instrumentation.count("parallel.workers", pool_workers)
         pool_params = dict(params, engine=engine, thresholds=thresholds)
         with WorkerPool(
             pool_workers, verify_jobs=jobs, verify_params=pool_params

@@ -1,21 +1,29 @@
 """Chaos-driven integration tests: injected faults, recovered verdicts.
 
 The recovery invariants under test, end to end: a worker SIGKILLed
-mid-shard changes nothing about the verdict (including the structured
+mid-task changes nothing about the verdict (including the structured
 ``PARTIAL`` of a budgeted run — never an ``error``); an engine that
 exhausts memory mid-fixpoint degrades down the vector → packed → tuple
 chain with a reasoned ``engine.fallback`` event; a corrupted cache
 entry reads as a miss and the verdict is recomputed; and the CLI under
 a composite fault plan prints byte-identical output to the fault-free
 sequential run.
+
+The worker kills land on ``verify-tree``'s pool, which fans whole
+checks of the shipped example specs out to forked workers; the
+shared engine's own rounds have their chaos tests in
+``test_shared_chaos.py``.
 """
 
 from __future__ import annotations
 
+import io
+import pathlib
+
 import pytest
 
 from repro.checker import check_stabilization
-from repro.obs import Recorder
+from repro.obs import NULL_INSTRUMENTATION, Recorder, load_tagged_lines
 from repro.parallel import parallel_available
 from repro.resilience import (
     FaultAction,
@@ -31,6 +39,7 @@ from repro.rings import (
     dijkstra_four_state,
     dijkstra_three_state,
 )
+from repro.tiering import Tier, TierThresholds, verify_tree
 
 pytestmark = pytest.mark.skipif(
     not parallel_available(), reason="no fork start method"
@@ -44,6 +53,27 @@ KILL_FIRST = FaultPlan(
     seed=0, faults=(FaultAction(kind="kill-worker", task=0, attempt=0),)
 )
 
+SPECS_DIR = pathlib.Path(__file__).parents[2] / "examples" / "specs"
+
+
+def _verify_examples(
+    state_dir, workers=1, instrumentation=NULL_INSTRUMENTATION, **kwargs
+):
+    """``verify-tree`` over the example specs from a fresh manifest;
+    returns the report and the verdict stream."""
+    out = io.StringIO()
+    report = verify_tree(
+        str(SPECS_DIR),
+        manifest_path=str(state_dir / "manifest.json"),
+        ledger_path=str(state_dir / "ledger.json"),
+        workers=workers,
+        instrumentation=instrumentation,
+        out=out,
+        err=io.StringIO(),
+        **kwargs,
+    )
+    return report, out.getvalue()
+
 
 def _dijkstra4():
     return (
@@ -54,45 +84,53 @@ def _dijkstra4():
 
 
 class TestWorkerDeathMidShard:
-    def test_verdict_identical_after_injected_kills(self):
-        concrete, spec, alpha = _dijkstra4()
-        baseline = check_stabilization(concrete, spec, alpha)
+    """Kills inside ``verify-tree``'s pool: one task per spec check."""
+
+    def test_verdict_identical_after_injected_kills(self, tmp_path):
+        _, baseline = _verify_examples(
+            tmp_path / "seq", forced_tier=Tier.THOROUGH
+        )
         recorder = Recorder(kind="test")
         with using_policy(FAST), using_chaos(KILL_FIRST):
-            chaotic = check_stabilization(
-                concrete, spec, alpha, workers=4, instrumentation=recorder
+            _, chaotic = _verify_examples(
+                tmp_path / "chaos", workers=4, instrumentation=recorder,
+                forced_tier=Tier.THOROUGH,
             )
-        assert chaotic.format() == baseline.format()
+        assert chaotic == baseline
         counters = recorder.record().counters
         assert counters["resilience.worker.death"] >= 1
         assert counters["resilience.task.retries"] >= 1
 
-    def test_budgeted_check_stays_structured_partial_not_error(self):
-        """A worker dying mid-shard of a budget-capped run must not
+    def test_budgeted_check_stays_structured_partial_not_error(
+        self, tmp_path
+    ):
+        """A worker dying mid-task of a budget-capped run must not
         turn the structured PARTIAL into an exception: the budget cut
         and the fault recovery compose."""
-        concrete = dijkstra_three_state(4).compile()
-        spec = btr_program(4).compile()
-        alpha = btr3_abstraction(4)
-        baseline = check_stabilization(
-            concrete, spec, alpha, state_budget=10
+        tight = TierThresholds(standard_state_budget=10)
+        baseline_report, baseline = _verify_examples(
+            tmp_path / "seq", forced_tier=Tier.STANDARD, thresholds=tight
         )
-        assert baseline.is_partial
+        assert all(outcome.partial for outcome in baseline_report.outcomes)
+        recorder = Recorder(kind="test")
         with using_policy(FAST), using_chaos(KILL_FIRST):
-            chaotic = check_stabilization(
-                concrete, spec, alpha, state_budget=10, workers=4
+            chaotic_report, chaotic = _verify_examples(
+                tmp_path / "chaos", workers=4, instrumentation=recorder,
+                forced_tier=Tier.STANDARD, thresholds=tight,
             )
-        assert chaotic.is_partial
-        assert (
-            chaotic.result.partial.phase == baseline.result.partial.phase
-        )
+        assert all(outcome.partial for outcome in chaotic_report.outcomes)
+        assert chaotic == baseline
+        assert recorder.record().counters["resilience.worker.death"] >= 1
 
-    def test_poison_every_attempt_still_converges_via_quarantine(self):
+    def test_poison_every_attempt_still_converges_via_quarantine(
+        self, tmp_path
+    ):
         """Killing *every* attempt of a task forces quarantine: the
         inline sequential run must still deliver the identical
         verdict (chaos worker faults are inert in the driver)."""
-        concrete, spec, alpha = _dijkstra4()
-        baseline = check_stabilization(concrete, spec, alpha)
+        _, baseline = _verify_examples(
+            tmp_path / "seq", forced_tier=Tier.THOROUGH
+        )
         plan = FaultPlan(
             faults=(FaultAction(kind="kill-worker", task=0, attempt="*"),)
         )
@@ -101,10 +139,11 @@ class TestWorkerDeathMidShard:
         )
         recorder = Recorder(kind="test")
         with using_policy(policy), using_chaos(plan):
-            chaotic = check_stabilization(
-                concrete, spec, alpha, workers=2, instrumentation=recorder
+            _, chaotic = _verify_examples(
+                tmp_path / "chaos", workers=2, instrumentation=recorder,
+                forced_tier=Tier.THOROUGH,
             )
-        assert chaotic.format() == baseline.format()
+        assert chaotic == baseline
         counters = recorder.record().counters
         assert counters["resilience.task.quarantined"] >= 1
         assert counters["resilience.sequential_fallback"] >= 1
@@ -226,13 +265,21 @@ COMPOSITE_PLAN = (
 )
 
 
+def _counters(path) -> dict:
+    return {
+        row["name"]: row["value"] for row in load_tagged_lines(path, "counter")
+    }
+
+
 class TestCliChaosDifferential:
     def test_chaotic_run_prints_byte_identical_verdict(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, monkeypatch
     ):
         from repro.cli import main
 
-        spec = tmp_path / "toy.gcl"
+        tree = tmp_path / "specs"
+        tree.mkdir()
+        spec = tree / "toy.gcl"
         spec.write_text(TOY_SPEC, encoding="utf-8")
         code_baseline = main(["check", str(spec)])
         out_baseline = capsys.readouterr().out
@@ -247,6 +294,26 @@ class TestCliChaosDifferential:
         out_chaos = capsys.readouterr().out
         assert code_chaos == code_baseline
         assert out_chaos == out_baseline
+        # ``check`` decides in one process, so the plan's worker kill
+        # lands on verify-tree's pool; a THOROUGH block is the
+        # ``check`` output byte for byte.
+        monkeypatch.setenv("REPRO_CHAOS", COMPOSITE_PLAN)
+        record = tmp_path / "tree.jsonl"
+        code_tree = main(
+            [
+                "verify-tree", str(tree),
+                "--tier", "thorough", "--workers", "4",
+                "--engine", "vector",
+                "--manifest", str(tmp_path / "state" / "manifest.json"),
+                "--ledger", str(tmp_path / "state" / "ledger.json"),
+                "--obs-out", str(record),
+            ]
+        )
+        assert code_tree == code_baseline
+        assert capsys.readouterr().out == out_baseline
+        counters = _counters(record)
+        assert counters["resilience.worker.death"] >= 1
+        assert counters["resilience.task.retries"] >= 1
 
     def test_corrupted_cache_never_serves_a_wrong_verdict(
         self, tmp_path, capsys
@@ -289,16 +356,29 @@ class TestCliChaosDifferential:
     def test_chaos_env_var_is_the_flagless_spelling(
         self, tmp_path, capsys, monkeypatch
     ):
+        """``verify-tree`` has no ``--chaos`` flag: the environment
+        variable alone must reach its pool."""
         from repro.cli import main
 
-        spec = tmp_path / "toy.gcl"
-        spec.write_text(TOY_SPEC, encoding="utf-8")
-        baseline_code = main(["check", str(spec)])
+        tree = tmp_path / "specs"
+        tree.mkdir()
+        (tree / "toy.gcl").write_text(TOY_SPEC, encoding="utf-8")
+        baseline_code = main(["check", str(tree / "toy.gcl")])
         baseline = capsys.readouterr().out
         monkeypatch.setenv(
             "REPRO_CHAOS",
             '{"faults": [{"kind": "kill-worker", "task": 0, "attempt": 0}]}',
         )
-        code = main(["check", str(spec), "--workers", "2"])
+        record = tmp_path / "tree.jsonl"
+        code = main(
+            [
+                "verify-tree", str(tree), "--tier", "thorough",
+                "--workers", "2",
+                "--manifest", str(tmp_path / "state" / "manifest.json"),
+                "--ledger", str(tmp_path / "state" / "ledger.json"),
+                "--obs-out", str(record),
+            ]
+        )
         assert code == baseline_code
         assert capsys.readouterr().out == baseline
+        assert _counters(record)["resilience.worker.death"] >= 1

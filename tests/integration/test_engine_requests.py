@@ -107,21 +107,53 @@ def test_everywhere_eventually_records_its_init_clause(engine):
     assert counters["refine.init.transitions.checked"] > 0
 
 
+def _sequential_notes(record) -> list:
+    return [
+        event.fields
+        for event in record.events
+        if event.name == "parallel.sequential"
+    ]
+
+
 @pytest.mark.skipif(not parallel_available(), reason="no fork start method")
 @pytest.mark.parametrize("engine", ["tuple", "packed", "vector"])
 def test_worker_count_recorded_only_when_the_pool_runs(engine):
-    """Only the tuple engine shards the refinement clauses; an
-    optimistic success at ``workers=2`` never starts a pool."""
+    """Refinement decides in one process on every engine: a
+    ``workers=2`` request starts no pool and says so once."""
     recorder = Recorder()
     verdict = check_convergence_refinement(
         *_spec_args(), workers=2, engine=engine, instrumentation=recorder
     )
-    counters = recorder.record().counters
+    record = recorder.record()
     assert verdict.holds
-    if engine == "tuple":
-        assert counters["parallel.workers"] == 2
+    assert "parallel.workers" not in record.counters
+    notes = _sequential_notes(record)
+    assert len(notes) == 1
+    assert notes[0]["workers"] == 2 and notes[0]["reason"]
+
+
+@pytest.mark.skipif(not parallel_available(), reason="no fork start method")
+@pytest.mark.parametrize("engine", ENGINES)
+def test_stabilization_worker_request_runs_or_says_why(engine):
+    """Only the shared engine opens a pool for one check; every other
+    decision at ``workers=2`` emits one ``parallel.sequential`` event
+    naming the engine that ran."""
+    recorder = Recorder()
+    verdict = check_stabilization(
+        *_spec_args(), workers=2, engine=engine, instrumentation=recorder
+    )
+    record = recorder.record()
+    assert verdict.holds
+    notes = _sequential_notes(record)
+    if verdict.engine == "shared":
+        assert record.counters["parallel.workers"] == 2
+        assert notes == []
     else:
-        assert "parallel.workers" not in counters
+        assert "parallel.workers" not in record.counters
+        assert len(notes) == 1
+        assert notes[0]["engine"] == verdict.engine
+        assert notes[0]["workers"] == 2
+        assert notes[0]["reason"]
 
 
 def test_unknown_engine_error_lists_every_engine():

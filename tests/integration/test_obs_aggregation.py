@@ -11,10 +11,15 @@ Two invariants pin the observability layer down:
   own recorders; the driver folds those records back in.  The folded
   totals must be consistent with what the driver itself counted
   (every batch the pool dispatched was executed by exactly one
-  worker), and merged records must carry the workers' spans.
+  worker), and merged records must carry the workers' spans.  The
+  pool observed here is ``verify-tree``'s, which runs one check of
+  the shipped example specs per worker task.
 """
 
 from __future__ import annotations
+
+import io
+import pathlib
 
 import pytest
 
@@ -22,7 +27,10 @@ from repro.checker import check_convergence_refinement, check_stabilization
 from repro.obs import NULL_INSTRUMENTATION, Recorder
 from repro.parallel import parallel_available
 from repro.rings import btr3_abstraction, btr_program, dijkstra_three_state
+from repro.tiering import Tier, verify_tree
 from tests.integration.test_packed_differential import RING_CASES
+
+SPECS_DIR = pathlib.Path(__file__).parents[2] / "examples" / "specs"
 
 ENGINES = ("tuple", "packed", "vector")
 
@@ -149,9 +157,26 @@ class TestWorkerAggregation:
         )
         return recorder
 
+    @staticmethod
+    def _recorded_tree(state_dir, engine: str, workers: int) -> Recorder:
+        """THOROUGH ``verify-tree`` over the example specs, recorded."""
+        recorder = Recorder(kind="verify-tree")
+        verify_tree(
+            str(SPECS_DIR),
+            manifest_path=str(state_dir / "manifest.json"),
+            ledger_path=str(state_dir / "ledger.json"),
+            forced_tier=Tier.THOROUGH,
+            engine=engine,
+            workers=workers,
+            instrumentation=recorder,
+            out=io.StringIO(),
+            err=io.StringIO(),
+        )
+        return recorder
+
     @pytest.mark.parametrize("engine", ["tuple", "packed"])
-    def test_worker_batches_match_driver_dispatch(self, engine):
-        recorder = self._recorded_check(engine, workers=2)
+    def test_worker_batches_match_driver_dispatch(self, engine, tmp_path):
+        recorder = self._recorded_tree(tmp_path, engine, workers=2)
         counters = recorder.counters
         # Every batch the driver dispatched ran in exactly one worker
         # and reported back, so the worker-side tally equals the
@@ -160,17 +185,22 @@ class TestWorkerAggregation:
             "parallel.batches"
         ]
         assert counters["parallel.workers"] == 2
-        assert counters["parallel.worker.batches"] > 0
+        assert counters["parallel.worker.batches"] == counters[
+            "verify.verified"
+        ] > 0
 
     @pytest.mark.parametrize("engine", ["tuple", "packed"])
-    def test_worker_spans_survive_into_the_parent_record(self, engine):
-        record = self._recorded_check(engine, workers=2).record()
-        assert "parallel.worker.expand" in record.spans
-        assert record.spans["parallel.worker.expand"].calls > 0
+    def test_worker_spans_survive_into_the_parent_record(
+        self, engine, tmp_path
+    ):
+        recorder = self._recorded_tree(tmp_path, engine, workers=2)
+        record = recorder.record()
+        # Each worker's check opened its own ``check.total`` span.
+        assert record.spans["check.total"].calls == record.counters[
+            "verify.verified"
+        ]
         worker_nodes = [
-            node
-            for node in record.tree
-            if node.name == "parallel.worker.expand"
+            node for node in record.tree if node.name == "check.total"
         ]
         assert worker_nodes
         # Worker subtrees fold in as roots of the parent tree.
@@ -204,19 +234,23 @@ class TestWorkerAggregation:
         for counter in engine_counters:
             assert sequential.get(counter) == merged.get(counter), counter
 
-    def test_worker_counter_totals_independent_of_worker_count(self):
+    def test_worker_counter_totals_independent_of_worker_count(
+        self, tmp_path
+    ):
         # The same batches run no matter how many processes share
         # them, so absorbed worker tallies must not drift with N.
-        at_two = self._recorded_check("packed", workers=2).counters
-        at_four = self._recorded_check("packed", workers=4).counters
-        assert (
-            at_two["parallel.worker.states.expanded"]
-            == at_four["parallel.worker.states.expanded"]
-        )
-        assert (
-            at_two["parallel.worker.states.scanned"]
-            == at_four["parallel.worker.states.scanned"]
-        )
+        at_two = self._recorded_tree(
+            tmp_path / "two", "packed", workers=2
+        ).counters
+        at_four = self._recorded_tree(
+            tmp_path / "four", "packed", workers=4
+        ).counters
+        for counter in (
+            "parallel.worker.batches",
+            "check.states.enumerated",
+            "check.states.evicted",
+        ):
+            assert at_two[counter] == at_four[counter], counter
 
     def test_progress_heartbeats_recorded(self):
         recorder = self._recorded_check("packed", workers=2)

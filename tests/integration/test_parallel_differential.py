@@ -1,11 +1,14 @@
-"""Differential tests: the parallel checkers against the sequential ones.
+"""Differential tests: checks asked for several workers against one.
 
-The core invariant of :mod:`repro.parallel` is verdict identity: for
-every system, spec, abstraction, fairness mode, and budget, the check
-run with ``workers > 1`` must produce a *byte-identical* formatted
-verdict — same holds/fails, same witness states, same counts.  These
+The invariant is verdict identity: for every system, spec,
+abstraction, fairness mode, and budget, the check run with
+``workers > 1`` must produce a *byte-identical* formatted verdict —
+same holds/fails, same witness states, same counts, PARTIAL progress
+included.  The tuple, packed and vector engines decide in one process
+at every worker count, so their counters must be identical too.  These
 tests enforce it on every ring system of the reproduction, on both
-decision procedures, and through the CLI.
+decision procedures, and through the CLI; the shared engine's forking
+rounds have their own differential in ``test_shared_differential.py``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from repro.checker import (
     check_convergence_refinement,
     check_stabilization,
 )
+from repro.obs import Recorder
 from repro.parallel import parallel_available
 from repro.rings import (
     btr3_abstraction,
@@ -24,8 +28,24 @@ from repro.rings import (
     c3_composed,
     dijkstra_four_state,
     dijkstra_three_state,
+    kstate_program,
+    utr_abstraction,
+    utr_program,
 )
 from tests.integration.test_packed_differential import RING_CASES
+
+#: The engines that decide one check in one process.
+ONE_PROCESS_ENGINES = ("tuple", "packed", "vector")
+
+
+def _recorded(check, **kwargs):
+    """``check(**kwargs)``'s rendering and counters at 1 and 4 workers."""
+    runs = []
+    for workers in (1, 4):
+        recorder = Recorder()
+        result = check(workers=workers, instrumentation=recorder, **kwargs)
+        runs.append((result.format(), recorder.record().counters))
+    return runs
 
 pytestmark = pytest.mark.skipif(
     not parallel_available(), reason="no fork start method"
@@ -55,8 +75,8 @@ class TestStabilizationDifferential:
         assert sequential.core == parallel.core
 
     def test_partial_verdicts_agree_on_the_cut(self):
-        """Under a tiny budget both paths stop PARTIAL in the same
-        phase (explored tallies may differ by up to one batch)."""
+        """Under a tiny budget both runs stop PARTIAL at the same cut:
+        same phase, same explored and frontier tallies."""
         concrete = dijkstra_three_state(4).compile()
         spec = btr_program(4).compile()
         alpha = btr3_abstraction(4)
@@ -70,6 +90,7 @@ class TestStabilizationDifferential:
         assert (
             sequential.result.partial.phase == parallel.result.partial.phase
         )
+        assert sequential.format() == parallel.format()
 
     def test_generous_budget_still_identical(self):
         """A budget that never trips must not perturb the verdict."""
@@ -83,6 +104,48 @@ class TestStabilizationDifferential:
             concrete, spec, alpha, state_budget=10_000_000, workers=3
         )
         assert sequential.format() == parallel.format()
+
+
+class TestOneProcessEngines:
+    @pytest.mark.parametrize("engine", ONE_PROCESS_ENGINES)
+    @pytest.mark.parametrize("budget", [40, 100, 200, None])
+    def test_kstate_verdict_and_counters_identical(self, engine, budget):
+        """K-state(4,4) to UTR: the budgeted checks stop PARTIAL, and
+        every cut — explored and frontier tallies included — and every
+        counter is the same at one and at four workers."""
+        (one, one_counters), (four, four_counters) = _recorded(
+            check_stabilization,
+            concrete=kstate_program(4, 4),
+            abstract=utr_program(4),
+            alpha=utr_abstraction(4, 4),
+            state_budget=budget,
+            engine=engine,
+        )
+        assert ("PARTIAL" in one) == (budget is not None)
+        assert one == four
+        assert one_counters == four_counters
+
+    @pytest.mark.parametrize(
+        "name,concrete,spec,alpha,fairness,stutter",
+        RING_CASES,
+        ids=[case[0] for case in RING_CASES],
+    )
+    @pytest.mark.parametrize("engine", ONE_PROCESS_ENGINES)
+    def test_ring_counters_identical(
+        self, name, concrete, spec, alpha, fairness, stutter, engine
+    ):
+        (one, one_counters), (four, four_counters) = _recorded(
+            check_stabilization,
+            concrete=concrete(),
+            abstract=spec(),
+            alpha=alpha(),
+            fairness=fairness,
+            stutter_insensitive=stutter,
+            engine=engine,
+        )
+        assert one == four
+        assert one_counters == four_counters
+        assert "check.fixpoint.iterations" in one_counters
 
 
 class TestRefinementDifferential:

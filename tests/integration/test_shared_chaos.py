@@ -11,6 +11,7 @@ run's spill parent after recovery.
 
 from __future__ import annotations
 
+import gc
 import os
 
 import pytest
@@ -271,5 +272,36 @@ class TestMmapVisitedChaos:
             if event.name == "shm.visited"
         }
         assert backings.get("visited") == "mmap"
+        assert _shm_leaks() == []
+        assert sorted(tmp_path.iterdir()) == []
+
+
+class TestEngineFaultLeaksNothing:
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"
+    )
+    @pytest.mark.parametrize("at_states", [1, 3125, 6250])
+    def test_memory_fault_mid_fixpoint_closes_every_segment(
+        self, tmp_path, at_states
+    ):
+        """A ``MemoryError`` inside a shared fixpoint skips the code
+        that detaches its flag fields; the runtime must drop their
+        views itself before closing the segments, or the segments'
+        finalizers raise ``BufferError`` once the fault's traceback
+        is collected."""
+        plan = FaultPlan(
+            faults=(
+                FaultAction(
+                    kind="raise-memory", engine="shared", at_states=at_states
+                ),
+            )
+        )
+        recorder = Recorder(kind="test")
+        with using_chaos(plan):
+            result = _chaotic_shared(tmp_path, recorder)
+        gc.collect()
+        assert result.format() == _baseline().format()
+        assert result.engine == "vector"
+        assert recorder.record().counters["resilience.engine.fallback"] == 1
         assert _shm_leaks() == []
         assert sorted(tmp_path.iterdir()) == []

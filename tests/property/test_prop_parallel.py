@@ -1,11 +1,9 @@
-"""Property-based differential testing of the sharded exploration.
+"""Property-based worker-count invariance of the stabilization check.
 
 Random small guarded-command programs (reusing the generator design of
-``test_prop_programs``) drive the parallel primitives against their
-sequential counterparts: the sharded BFS must discover exactly the
-reachable set, the partitioned filter must keep exactly the
-predicate's survivors in order, and the full stabilization verdict
-must render identically.
+``test_prop_programs``) are checked at one and at several workers on
+every one-process engine: the verdict must render identically.  The
+generator is shared with ``test_prop_resilience``.
 """
 
 from hypothesis import given, settings
@@ -18,7 +16,6 @@ from repro.gcl.expr import AddMod, Const, Eq, Ne, Var
 from repro.gcl.program import Program
 from repro.gcl.variable import Variable
 from repro.parallel import parallel_available
-from repro.parallel.sharding import parallel_filter_states, parallel_reachable
 
 import pytest
 
@@ -31,20 +28,21 @@ VAR_NAMES = ("u", "w.0")
 
 
 @st.composite
-def small_programs(draw):
-    """Random well-typed two-variable programs over ``mod 3``."""
+def small_programs(draw, names=VAR_NAMES):
+    """Random well-typed programs over ``mod 3`` variables ``names``
+    (two by default)."""
     n_actions = draw(st.integers(min_value=1, max_value=3))
     actions = []
     for index in range(n_actions):
-        guard_var = draw(st.sampled_from(VAR_NAMES))
+        guard_var = draw(st.sampled_from(names))
         guard_value = draw(st.integers(min_value=0, max_value=MODULUS - 1))
         guard_kind = draw(st.sampled_from([Eq, Ne]))
-        target = draw(st.sampled_from(VAR_NAMES))
+        target = draw(st.sampled_from(names))
         effect = draw(
             st.one_of(
                 st.integers(min_value=0, max_value=MODULUS - 1).map(Const),
                 st.sampled_from(
-                    [AddMod(Var(name), Const(1), MODULUS) for name in VAR_NAMES]
+                    [AddMod(Var(name), Const(1), MODULUS) for name in names]
                 ),
             )
         )
@@ -55,47 +53,24 @@ def small_programs(draw):
                 {target: effect},
             )
         )
-    variables = [Variable(name, ModularDomain(MODULUS)) for name in VAR_NAMES]
+    variables = [Variable(name, ModularDomain(MODULUS)) for name in names]
     init = Eq(Var("u"), Const(0))
     return Program("fuzzed", variables, actions, init=init)
 
 
-class TestShardedPrimitives:
-    @settings(max_examples=25, deadline=None)
-    @given(small_programs())
-    def test_sharded_bfs_finds_the_reachable_set(self, program):
-        system = program.compile()
-        sequential = system.reachable()
-        sharded = parallel_reachable(system, system.initial, workers=2)
-        assert sharded == sequential
-
-    @settings(max_examples=25, deadline=None)
-    @given(small_programs())
-    def test_sharded_bfs_from_full_space(self, program):
-        """From every state as a source, BFS must return the whole
-        space — the degenerate case exercising maximal fan-out."""
-        system = program.compile()
-        states = list(system.schema.states())
-        sharded = parallel_reachable(system, states, workers=2)
-        assert sharded == frozenset(states) | system.reachable_from(states)
-
-    @settings(max_examples=25, deadline=None)
-    @given(small_programs(), st.integers(min_value=0, max_value=MODULUS - 1))
-    def test_parallel_filter_matches_comprehension(self, program, pivot):
-        system = program.compile()
-        states = list(system.schema.states())
-        predicate = lambda state: state[0] == pivot  # noqa: E731
-        survivors = parallel_filter_states(states, predicate, workers=2)
-        assert survivors == [s for s in states if predicate(s)]
-
+class TestWorkerCountInvariance:
     @settings(max_examples=15, deadline=None)
     @given(small_programs())
     def test_self_stabilization_verdict_identical(self, program):
         """End to end: the full decision procedure renders the same
-        verdict sequentially and sharded."""
+        verdict at one and at two workers, on every engine that
+        decides in one process."""
         system = program.compile()
-        sequential = check_self_stabilization(system, compute_steps=False)
-        parallel = check_self_stabilization(
-            system, compute_steps=False, workers=2
-        )
-        assert sequential.format() == parallel.format()
+        for engine in ("tuple", "packed", "vector"):
+            sequential = check_self_stabilization(
+                system, compute_steps=False, engine=engine
+            )
+            requested = check_self_stabilization(
+                system, compute_steps=False, engine=engine, workers=2
+            )
+            assert sequential.format() == requested.format(), engine

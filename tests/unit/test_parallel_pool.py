@@ -1,93 +1,21 @@
 """Unit tests for the worker-pool substrate of :mod:`repro.parallel`.
 
-The invariants under test: state hashing is stable across processes
-and runs (so shard routing is deterministic), chunking is contiguous
-and order-preserving (so first-violation witnesses are recoverable),
-and worker-count resolution degrades to sequential exactly where
-fork-based pools cannot run.
+The invariants under test: worker-count resolution degrades to
+sequential exactly where fork-based pools cannot run, the pool stages
+its context for forked workers and restores it afterwards, and an
+observed map accounts for every batch on both sides of the fork.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.parallel import shard_of, stable_state_hash
+from repro.obs import Recorder
 from repro.parallel.pool import (
     WorkerPool,
-    contiguous_chunks,
     parallel_available,
     resolve_workers,
-    shard_batches,
 )
-
-
-def make_states(count):
-    """States are plain value tuples (see ``repro.core.state.State``)."""
-    return [(value,) for value in range(count)]
-
-
-class TestStableHash:
-    def test_equal_states_hash_equal(self):
-        states = make_states(5)
-        assert stable_state_hash(states[3]) == stable_state_hash((3,))
-
-    def test_hash_does_not_depend_on_process_seed(self):
-        """Python's str hash is randomized per process; ours must not be
-        (shard routing has to agree between driver and workers)."""
-        import subprocess
-        import sys
-
-        script = (
-            "from repro.parallel import stable_state_hash\n"
-            "print(stable_state_hash((3,)))\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, check=True,
-            env={"PYTHONPATH": "src", "PYTHONHASHSEED": "12345"},
-        )
-        assert int(out.stdout.strip()) == stable_state_hash((3,))
-
-    def test_shard_of_is_in_range_and_deterministic(self):
-        states = make_states(7)
-        for state in states:
-            shard = shard_of(state, 4)
-            assert 0 <= shard < 4
-            assert shard == shard_of(state, 4)
-
-    def test_shard_of_rejects_nonpositive_shards(self):
-        with pytest.raises(ValueError):
-            shard_of((0,), 0)
-
-
-class TestChunking:
-    def test_contiguous_chunks_preserve_order(self):
-        items = list(range(17))
-        chunks = contiguous_chunks(items, 4)
-        assert [x for chunk in chunks for x in chunk] == items
-        assert len(chunks) <= 4 + 1
-
-    def test_contiguous_chunks_empty(self):
-        assert contiguous_chunks([], 3) == []
-
-    def test_contiguous_chunks_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            contiguous_chunks([1], 0)
-
-    def test_shard_batches_partition_and_route_stably(self):
-        states = make_states(9)
-        batches = shard_batches(states, 3)
-        flattened = [state for batch in batches for state in batch]
-        assert sorted(flattened, key=repr) == sorted(states, key=repr)
-        # Same states, different arrival order: same routing.
-        again = shard_batches(list(reversed(states)), 3)
-        assert sorted(map(frozenset, batches), key=repr) == sorted(
-            map(frozenset, again), key=repr
-        )
-
-    def test_shard_batches_drop_empty_shards(self):
-        batches = shard_batches(make_states(1), 8)
-        assert len(batches) == 1
 
 
 class TestResolveWorkers:
@@ -145,6 +73,19 @@ class TestWorkerPool:
         secret = {"delta": 5}
         with WorkerPool(2, fn=lambda x: x + secret["delta"]) as pool:
             assert pool.map(_apply_context_fn, [1, 2]) == [6, 7]
+
+    def test_map_observed_counts_each_batch_on_both_sides(self):
+        """The driver counts what it dispatched; every absorbed worker
+        record counts the batch it ran — the two tallies agree."""
+        recorder = Recorder(kind="test")
+        with WorkerPool(2, offset=10) as pool:
+            results = pool.map_observed(
+                _add_context_offset, [1, 2, 3], recorder
+            )
+        assert results == [11, 12, 13]
+        counters = recorder.record().counters
+        assert counters["parallel.batches"] == 3
+        assert counters["parallel.worker.batches"] == 3
 
 
 def _add_context_offset(value):
