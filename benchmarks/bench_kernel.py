@@ -467,6 +467,7 @@ def test_p10_mega_ablation(benchmark, record_table):
             "states": row["states"],
             "seconds": row["seconds"],
             "states_per_s": row["states_per_s"],
+            "peak_rss_kib": row["peak_rss_kib"],
             "code_width": row["code_width"],
             "spill_bytes_per_state": row["spill_bytes_per_state"],
             "relowering_avoided_codes": row["relowering_avoided_codes"],
@@ -479,9 +480,9 @@ def test_p10_mega_ablation(benchmark, record_table):
         format_table(
             rows,
             columns=[
-                "mode", "states", "seconds", "states_per_s", "code_width",
-                "spill_bytes_per_state", "relowering_avoided_codes",
-                "table_hits",
+                "mode", "states", "seconds", "states_per_s", "peak_rss_kib",
+                "code_width", "spill_bytes_per_state",
+                "relowering_avoided_codes", "table_hits",
             ],
             title=(
                 f"P10 ablation at K-state({n}, {k}) under {budget}: "

@@ -14,12 +14,13 @@ configuration four times — everything on, then adaptive code-width
 packing, cross-round table reuse, and the mmap visited backing each
 switched off in turn — and prints one row per mode, so the
 contribution of each axis (bytes spilled per state, table hits and
-re-lowering avoided, states/s) is measured rather than asserted from
-theory.  Ablation rows run with ``compute_steps=True``: the worst-case
-phase re-walks the converged core region three to four times, which is
-exactly the recurrence the table pool exists for (with
-``compute_steps=False`` no chunk is ever walked a third time, so the
-tables axis has nothing to serve).
+re-lowering avoided, states/s, peak RSS) is measured rather than
+asserted from theory.  Each mode runs in its own freshly spawned
+interpreter, so its ``peak_rss_kib`` is that mode's high-water mark,
+not the grid's.  Ablation rows run with ``compute_steps=True``, the
+heavier path: one depth-tracking peel decides divergence and the worst
+case together.  No chunk is walked three times on that path either,
+so the table pool is consulted but serves no hit.
 
 Standalone usage:
 
@@ -37,9 +38,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import resource
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 #: Ablation modes: name -> context-flag overrides.
 ABLATION_MODES = (
@@ -143,8 +146,13 @@ def main(argv=None) -> int:
     budget_bytes = parse_mem_budget(args.mem_budget)
     if args.ablate:
         rows = []
+        spawn = multiprocessing.get_context("spawn")
         for mode, overrides in ABLATION_MODES:
-            row = _run_once(args, budget_bytes, overrides, compute_steps=True)
+            # A fresh interpreter per mode: ``ru_maxrss`` only rises.
+            with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+                row = pool.submit(
+                    _run_once, args, budget_bytes, overrides, True
+                ).result()
             row["mode"] = mode
             rows.append(row)
         payload = rows

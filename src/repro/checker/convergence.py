@@ -33,16 +33,19 @@ specification); the one semantic knob is fairness, exposed as
 analysis — required by systems with stuttering actions such as the
 paper's ``C3``.
 
-Every engine runs this one procedure, written once in
-:func:`_decide`.  An engine contributes a *backend*
-(:data:`_BACKENDS`) that computes the sets in its own representation
-— tuple states, packed int codes, NumPy flag arrays, or streamed bit
-fields — and answers in tuple terms: ``legitimate()`` and ``core()``
-return ``L_A`` and ``G``; ``outside_size()``, ``deadlock()`` (the
-min-by-``repr`` stuck state outside ``G``, or ``None``) and
-``has_cycle_outside()`` query the complement of ``G``;
-``has_invisible_cycle()`` says whether ``G`` holds a cycle of
-invisible steps; ``cycle_region()`` and ``invisible_region()`` give
+Every engine runs this one procedure, written once in :func:`_decide`.
+An engine contributes a *backend* (:data:`_BACKENDS`) that computes
+the sets in its own representation — tuple states, packed int codes,
+NumPy flag arrays, or streamed bit fields — and answers in tuple
+terms: ``legitimate()`` and ``core()`` return ``L_A`` and ``G``;
+``outside_size()``, ``deadlock()`` (the min-by-``repr`` stuck state
+outside ``G``, or ``None``), ``longest_path()`` and
+``has_cycle_outside()`` query the complement of ``G``.
+``longest_path()`` is the worst case, or ``None`` when a cycle lies
+outside ``G``: with ``compute_steps`` that one walk decides divergence
+too, and ``has_cycle_outside()`` serves only checks that skip the
+worst case; ``has_invisible_cycle()`` says whether ``G`` holds a cycle
+of invisible steps; ``cycle_region()`` and ``invisible_region()`` give
 the witness searches a *witness region* — an analysis system
 (self-loops dropped under weak fairness) and a state set on which
 :func:`find_cycle_within` returns the tuple engine's exact cycle.  The
@@ -50,15 +53,14 @@ tuple engine's region is its whole system and searched set; the
 int-code engines compile only the states on a cycle (see
 :class:`_KernelBackend`).  Only the fair-trap search under strong
 fairness still takes the whole system, from ``analysis_system()`` and
-``outside_states()``.  ``longest_path()`` is the worst case, and
-``running()`` is a context held open for the whole decision (the
-shared engine's runtime).  Backends return sets, flags, states and
-regions; the skeleton alone holds the phase spans, the witness
-messages, the invisible-step rebuild and the result, so the verdict,
-witness, counters and spans do not depend on the engine.  Decoded sets
-are built in ascending code order — schema order, the tuple engine's
-own set layout — so every order-dependent search returns the same
-witness.
+``outside_states()``.  ``running()`` is a context held open for the
+whole decision (the shared engine's runtime).  Backends return sets,
+flags, states and regions; the skeleton alone holds the phase spans,
+the witness messages, the invisible-step rebuild and the result, so
+the verdict, witness, counters and spans do not depend on the engine.
+Decoded sets are built in ascending code order — schema order, the
+tuple engine's own set layout — so every order-dependent search
+returns the same witness.
 """
 
 from __future__ import annotations
@@ -230,7 +232,9 @@ class StabilizationResult:
             legitimate (empty on some failures).
         worst_case_steps: length of the longest transition path that
             stays outside ``G`` (the adversarial convergence time), or
-            ``None`` when the check failed.
+            ``None`` when the check failed, ran without
+            ``compute_steps``, or passed under strong fairness with
+            cycles left outside ``G``.
         engine: the engine that actually decided the check (after
             preflight fallback and runtime degradation) when it came
             through :func:`check_stabilization`; ``None`` on directly
@@ -440,9 +444,25 @@ def worst_case_convergence_steps(
     system = (
         concrete.without_self_loops() if fairness in ("weak", "strong") else concrete
     )
-    outside = [state for state in system.schema.states() if state not in core]
-    outside_set = set(outside)
-    # Longest path in a DAG by memoized DFS (iterative).
+    steps = _longest_path_within(
+        system,
+        frozenset(state for state in system.schema.states() if state not in core),
+    )
+    if steps is None:
+        raise ValueError("cycle outside the core; check stabilization first")
+    return steps
+
+
+def _longest_path_within(
+    system: System, outside: FrozenSet[State]
+) -> Optional[int]:
+    """Longest transition path staying within ``outside``, or ``None``
+    when a cycle (including a self-loop) lies within it.
+
+    A step leaving ``outside`` still counts as one step.  Memoized DFS
+    (iterative): its in-progress check meets every cycle of the region,
+    so one walk decides divergence and the worst case together.
+    """
     depth: Dict[State, int] = {}
     in_progress: Set[State] = set()
     for root in outside:
@@ -454,7 +474,7 @@ def worst_case_convergence_steps(
             if expanded:
                 best = 0
                 for successor in system.successors(state):
-                    if successor in outside_set:
+                    if successor in outside:
                         best = max(best, 1 + depth[successor])
                     else:
                         best = max(best, 1)
@@ -464,15 +484,13 @@ def worst_case_convergence_steps(
             if state in depth:
                 continue
             if state in in_progress:
-                raise ValueError("cycle outside the core; check stabilization first")
+                return None
             in_progress.add(state)
             stack.append((state, True))
             for successor in system.successors(state):
-                if successor in outside_set and successor not in depth:
+                if successor in outside and successor not in depth:
                     if successor in in_progress:
-                        raise ValueError(
-                            "cycle outside the core; check stabilization first"
-                        )
+                        return None
                     stack.append((successor, False))
     return max(depth.values(), default=0)
 
@@ -721,15 +739,7 @@ def _decide(backend, request: _Request) -> StabilizationResult:
             legitimate = backend.legitimate()
         with instrumentation.span("check.core"):
             core = backend.core()
-        witness = _refutation(backend, request, core)
-        steps: Optional[int] = None
-        if witness is None:
-            with instrumentation.span("check.worst_case"):
-                # Under strong fairness the sup over fair runs may be
-                # unbounded when cycles remain outside the core; report
-                # no finite metric.
-                if request.compute_steps and not backend.has_cycle_outside():
-                    steps = backend.longest_path()
+        witness, steps = _refutation(backend, request, core)
     detail = "" if witness is not None else (
         f"core has {len(core)} of {backend.schema.size()} states; "
         f"legitimate spec states: {len(legitimate)}"
@@ -744,18 +754,23 @@ def _decide(backend, request: _Request) -> StabilizationResult:
 
 def _refutation(
     backend, request: _Request, core: FrozenSet[State]
-) -> Optional[Witness]:
-    """The witness of the first convergence obligation that fails.
+) -> Tuple[Optional[Witness], Optional[int]]:
+    """The witness of the first convergence obligation that fails, and
+    the worst-case step count when none does.
 
-    ``None`` when the core is closed and every computation outside it
-    reaches it: no deadlock, no (fair) divergent cycle, and — in
-    stutter-insensitive mode — no cycle of invisible steps inside it.
+    The witness is ``None`` when the core is closed and every
+    computation outside it reaches it: no deadlock, no (fair) divergent
+    cycle, and — in stutter-insensitive mode — no cycle of invisible
+    steps inside it.  The step count is ``None`` unless
+    ``compute_steps`` asked for it and the region outside the core is
+    acyclic: under strong fairness a cycle without a fair trap passes
+    the check, but the sup over fair runs may then be unbounded.
     """
     if not core:
         return Witness(
             WitnessKind.CLOSURE_VIOLATION,
             "no concrete state forever tracks the specification (behavioural core is empty)",
-        )
+        ), None
     instrumentation = request.instrumentation
     instrumentation.count("check.outside.size", backend.outside_size())
     with instrumentation.span("check.deadlock_search"):
@@ -766,11 +781,12 @@ def _refutation(
             "a computation can end outside the legitimate core",
             (stuck,),
             backend.schema,
-        )
+        ), None
     if request.fairness == "strong":
         with instrumentation.span("check.cycle_search"):
             trap = None
-            if backend.has_cycle_outside():
+            divergent, steps = _cycle_search(backend, request)
+            if divergent:
                 system = backend.analysis_system()
                 trap = find_fair_trap(system, backend.outside_states())
         if trap is not None:
@@ -783,10 +799,10 @@ def _refutation(
                 "a strongly fair computation can stay forever outside the legitimate core (fair trap)",
                 cycle,
                 backend.schema,
-            )
+            ), None
     else:
         with instrumentation.span("check.cycle_search"):
-            divergent = backend.has_cycle_outside()
+            divergent, steps = _cycle_search(backend, request)
         if divergent:
             with instrumentation.span("check.witness"):
                 cycle = find_cycle_within(*backend.cycle_region()) or ()
@@ -795,7 +811,7 @@ def _refutation(
                 "a computation can cycle forever outside the legitimate core",
                 cycle,
                 backend.schema,
-            )
+            ), None
     # Inside the core, stuttering must also be finitary: a cycle whose
     # every step is image-invisible would give an infinite concrete
     # computation whose abstract image is finite and non-maximal.
@@ -811,8 +827,22 @@ def _refutation(
                 "cycle of abstract-invisible steps inside the core",
                 cycle,
                 backend.schema,
-            )
-    return None
+            ), None
+    return None, steps
+
+
+def _cycle_search(backend, request: _Request) -> Tuple[bool, Optional[int]]:
+    """Whether a cycle lies outside the core, and the worst-case step
+    count when ``compute_steps`` asks for it and none does.
+
+    With ``compute_steps`` one longest-path walk answers both
+    questions.  Without, the cheaper cycle walk runs alone and no
+    per-state depth array is ever allocated.
+    """
+    if request.compute_steps:
+        steps = backend.longest_path()
+        return steps is None, steps
+    return backend.has_cycle_outside(), None
 
 
 def _invisible_steps(
@@ -925,10 +955,8 @@ class _TupleBackend:
     def analysis_system(self) -> System:
         return self.system
 
-    def longest_path(self) -> int:
-        return worst_case_convergence_steps(
-            self.concrete, self.core_states, fairness=self.request.fairness
-        )
+    def longest_path(self) -> Optional[int]:
+        return _longest_path_within(self.system, self.outside)
 
 
 class _KernelBackend:
@@ -1118,7 +1146,7 @@ class _PackedBackend(_KernelBackend):
     def outside_states(self) -> FrozenSet[State]:
         return _decoded(self.interner, compress(range(self.size), self.outside))
 
-    def longest_path(self) -> int:
+    def longest_path(self) -> Optional[int]:
         from ..kernel import packed_longest_path
 
         return packed_longest_path(self.succ, self.outside)
@@ -1224,7 +1252,7 @@ class _VectorBackend(_KernelBackend):
 
         return _decoded(self.interner, np.nonzero(self.outside)[0])
 
-    def longest_path(self) -> int:
+    def longest_path(self) -> Optional[int]:
         from ..kernel.vector import vector_longest_path
 
         return vector_longest_path(
@@ -1376,7 +1404,7 @@ class _SharedBackend(_KernelBackend):
     def outside_states(self) -> FrozenSet[State]:
         return _decoded(self.interner, self._members(self.outside))
 
-    def longest_path(self) -> int:
+    def longest_path(self) -> Optional[int]:
         from ..kernel.shared import shared_longest_path
 
         return shared_longest_path(

@@ -21,7 +21,7 @@ identically at every worker count.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs import NULL_INSTRUMENTATION, Instrumentation, ProgressEmitter
 from ..resilience import chaos
@@ -223,18 +223,19 @@ def packed_terminals(succ_of: SuccessorFn, region: bytearray) -> List[int]:
     ]
 
 
-def packed_longest_path(succ_of: SuccessorFn, outside: bytearray) -> int:
-    """Longest transition path staying within the ``outside`` region.
+def packed_longest_path(
+    succ_of: SuccessorFn, outside: bytearray
+) -> Optional[int]:
+    """Longest transition path staying within the ``outside`` region,
+    or ``None`` when a cycle (including a self-loop) lies within it.
 
     Packed transliteration of
     ``checker.convergence.worst_case_convergence_steps``: memoized
-    longest-path DFS over the (assumed acyclic) region, where a step
-    landing outside the region (i.e. into the core) still counts as
-    one step.
-
-    Raises:
-        ValueError: if a cycle is found after all, with the tuple
-            engine's exact message.
+    longest-path DFS over the region, where a step landing outside the
+    region (i.e. into the core) still counts as one step.  The DFS's
+    in-progress check finds exactly the cycles
+    :func:`packed_has_cycle` finds, so one walk decides divergence and
+    the worst case together.
     """
     depth: Dict[int, int] = {}
     in_progress: Set[int] = set()
@@ -257,14 +258,12 @@ def packed_longest_path(succ_of: SuccessorFn, outside: bytearray) -> int:
             if code in depth:
                 continue
             if code in in_progress:
-                raise ValueError("cycle outside the core; check stabilization first")
+                return None
             in_progress.add(code)
             stack.append((code, True))
             for successor in succ_of(code):
                 if outside[successor] and successor not in depth:
                     if successor in in_progress:
-                        raise ValueError(
-                            "cycle outside the core; check stabilization first"
-                        )
+                        return None
                     stack.append((successor, False))
     return max(depth.values(), default=0)

@@ -715,12 +715,12 @@ def shared_longest_path(
     region: BitField,
     runtime: SharedRuntime,
     drop_self: bool = False,
-) -> int:
-    """Longest transition path staying within ``region``.
+) -> Optional[int]:
+    """Longest transition path staying within ``region``, or ``None``
+    when a cycle (including a self-loop) lies within it.
 
-    Raises:
-        ValueError: if a cycle is found after all, with the tuple
-            engine's exact message.
+    The peel is :func:`shared_has_cycle`'s, with the depth tracked on
+    top, so one peel decides divergence and the worst case together.
     """
     depth = np.zeros(kernel.size, dtype=np.int32)
     processed, member_count, _ = _peel(
@@ -729,7 +729,7 @@ def shared_longest_path(
     if member_count == 0:
         return 0
     if processed < member_count:
-        raise ValueError("cycle outside the core; check stabilization first")
+        return None
     longest = 0
     for codes in region.member_chunks(runtime.chunk):
         longest = max(longest, int(depth[codes].max()))

@@ -257,19 +257,18 @@ def vector_longest_path(
     kernel: VectorKernel,
     region: np.ndarray,
     drop_self: bool = False,
-) -> int:
-    """Longest transition path staying within ``region``.
+) -> Optional[int]:
+    """Longest transition path staying within ``region``, or ``None``
+    when a cycle (including a self-loop) lies within it.
 
     The worst-case convergence metric: a step landing outside the
     region (into the core) still counts as one step.  Kahn peel in
     reverse topological order, finalizing a node's depth once all of
     its in-region out-edges are finalized, with
     ``depth[v] = max(exit ? 1 : 0, max over in-region v->u of
-    1 + depth[u])`` accumulated through ``np.maximum.at``.
-
-    Raises:
-        ValueError: if a cycle is found after all, with the tuple
-            engine's exact message.
+    1 + depth[u])`` accumulated through ``np.maximum.at``.  The peel
+    exhausts the region exactly when :func:`vector_has_cycle`'s does,
+    so one peel decides divergence and the worst case together.
     """
     codes = np.nonzero(region)[0]
     count = codes.size
@@ -293,5 +292,5 @@ def vector_longest_path(
         queue = queue[out_degree[queue] == 0]
         processed += int(queue.size)
     if processed < count:
-        raise ValueError("cycle outside the core; check stabilization first")
+        return None
     return int(depth.max())
