@@ -3,7 +3,9 @@
 An N-sweep over the K-state ring (K = N, the smallest stabilizing
 configuration) times the full stabilization check — K-state refines
 the unidirectional token ring — across engines and reports states per
-second and peak RSS.  Verdicts are asserted byte-identical at every
+second and peak RSS.  Each (configuration, engine) cell runs in its own
+spawned interpreter, so its peak RSS is that cell's own high-water
+mark, not the sweep's.  Verdicts are asserted byte-identical at every
 size; the speedup on the largest configuration is asserted against
 each engine's headline claim: packed ≥ 3x over tuple (P02), vector
 ≥ 5x over packed (P05, on the ~10⁶-state (7, 7) configuration).  The
@@ -43,12 +45,14 @@ and ``check.*`` counters from instrumented runs.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pathlib
 import resource
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -140,68 +144,82 @@ def _timed_check(n: int, k: int, engine: str):
     return seconds, size, result
 
 
-def _sweep_rows():
-    rows = []
-    for n, k in SWEEP:
+def _cell(n: int, k: int, engine: str):
+    """One timed check: (seconds, states, verdict text, peak RSS KiB)."""
+    seconds, size, result = _timed_check(n, k, engine)
+    return seconds, size, result.format(), _peak_rss_kib()
+
+
+def _sweep_cells(sweep, engines):
+    """Run every (configuration, engine) cell in its own spawned child.
+
+    ``ru_maxrss`` only rises, so a fresh interpreter per cell is what
+    makes each peak RSS that cell's own rather than the highest
+    footprint seen so far in the sweep.  Yields ``(n, k, states,
+    {engine: (seconds, peak RSS KiB)})`` after asserting the engines'
+    verdicts byte-identical.
+    """
+    spawn = multiprocessing.get_context("spawn")
+    for n, k in sweep:
         verdicts = {}
-        timings = {}
-        size = None
-        for engine in ("tuple", "packed"):
-            seconds, size, result = _timed_check(n, k, engine)
-            verdicts[engine] = result.format()
-            timings[engine] = seconds
-        assert verdicts["packed"] == verdicts["tuple"], (
+        cells = {}
+        for engine in engines:
+            with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+                seconds, size, verdict, rss = pool.submit(
+                    _cell, n, k, engine
+                ).result()
+            verdicts[engine] = verdict
+            cells[engine] = (seconds, rss)
+        reference = verdicts[engines[0]]
+        assert all(text == reference for text in verdicts.values()), (
             f"verdict diverged at n={n}, k={k}"
+        )
+        yield n, k, size, cells
+
+
+def _sweep_rows():
+    """P02 rows: tuple vs packed, states/sec and peak RSS per engine."""
+    rows = []
+    for n, k, size, cells in _sweep_cells(SWEEP, ("tuple", "packed")):
+        (tuple_s, tuple_rss), (packed_s, packed_rss) = (
+            cells["tuple"], cells["packed"]
         )
         rows.append(
             {
                 "n": n,
                 "k": k,
                 "states": size,
-                "tuple_s": round(timings["tuple"], 4),
-                "packed_s": round(timings["packed"], 4),
-                "tuple_states_per_s": round(size / timings["tuple"]),
-                "packed_states_per_s": round(size / timings["packed"]),
-                "speedup": round(timings["tuple"] / timings["packed"], 2),
-                "peak_rss_kib": _peak_rss_kib(),
+                "tuple_s": round(tuple_s, 4),
+                "packed_s": round(packed_s, 4),
+                "tuple_states_per_s": round(size / tuple_s),
+                "packed_states_per_s": round(size / packed_s),
+                "speedup": round(tuple_s / packed_s, 2),
+                "tuple_peak_rss_kib": tuple_rss,
+                "packed_peak_rss_kib": packed_rss,
             }
         )
     return rows
 
 
 def _vector_sweep_rows():
-    """P05 rows: packed vs vector, states/sec and peak RSS per engine.
-
-    ``ru_maxrss`` is a whole-process high-water mark, so the per-engine
-    figures are monotone across the sweep — each reports the highest
-    footprint seen up to and including that engine's run.
-    """
+    """P05 rows: packed vs vector, states/sec and peak RSS per engine."""
     rows = []
-    for n, k in VECTOR_SWEEP:
-        verdicts = {}
-        timings = {}
-        rss = {}
-        size = None
-        for engine in ("packed", "vector"):
-            seconds, size, result = _timed_check(n, k, engine)
-            verdicts[engine] = result.format()
-            timings[engine] = seconds
-            rss[engine] = _peak_rss_kib()
-        assert verdicts["vector"] == verdicts["packed"], (
-            f"verdict diverged at n={n}, k={k}"
+    for n, k, size, cells in _sweep_cells(VECTOR_SWEEP, ("packed", "vector")):
+        (packed_s, packed_rss), (vector_s, vector_rss) = (
+            cells["packed"], cells["vector"]
         )
         rows.append(
             {
                 "n": n,
                 "k": k,
                 "states": size,
-                "packed_s": round(timings["packed"], 4),
-                "vector_s": round(timings["vector"], 4),
-                "packed_states_per_s": round(size / timings["packed"]),
-                "vector_states_per_s": round(size / timings["vector"]),
-                "speedup": round(timings["packed"] / timings["vector"], 2),
-                "packed_peak_rss_kib": rss["packed"],
-                "vector_peak_rss_kib": rss["vector"],
+                "packed_s": round(packed_s, 4),
+                "vector_s": round(vector_s, 4),
+                "packed_states_per_s": round(size / packed_s),
+                "vector_states_per_s": round(size / vector_s),
+                "speedup": round(packed_s / vector_s, 2),
+                "packed_peak_rss_kib": packed_rss,
+                "vector_peak_rss_kib": vector_rss,
             }
         )
     return rows
@@ -222,7 +240,7 @@ def test_p02_kernel_scaling(benchmark, record_table):
             columns=[
                 "n", "k", "states", "tuple_s", "packed_s",
                 "tuple_states_per_s", "packed_states_per_s",
-                "speedup", "peak_rss_kib",
+                "speedup", "tuple_peak_rss_kib", "packed_peak_rss_kib",
             ],
             title=(
                 "P02 packed kernel throughput: K-state(n, k=n) "

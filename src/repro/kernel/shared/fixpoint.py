@@ -10,10 +10,17 @@ Re-implementations of the vector engine's fixpoints
 * frontier rounds and eviction lists that outgrow their RAM cap spill
   delta-encoded to the run's :class:`~.spill.SpillStore`;
 * the cycle and longest-path analyses run as an **out-of-core Kahn
-  peel**: one streamed sweep writes in-edges to bucket files
-  partitioned by target code range, then the peel loads one bucket at
-  a time — each edge is touched O(1) times and resident cost is one
-  bucket plus the per-code degree array, never the edge set.
+  peel**: one streamed pass writes each in-region edge to the bucket
+  file owning its target's code range (the bucket count is sized from
+  the region's member count, not the state space), then the peel
+  runs in *sweeps*.  A sweep walks the buckets in ascending order and
+  loads each bucket holding pending nodes once; a node freed into a
+  later bucket is taken in the same sweep, one freed into an earlier
+  bucket waits for the next.  After sweep ``p`` every node of height
+  below ``p`` is final, so bucket loads are bounded by
+  (longest path + 1) × buckets, however a Kahn level scatters across
+  the code range.  Resident cost is one bucket plus the per-code
+  degree array, never the edge set.
 
 Verdict- and counter-compatibility with the vector fixpoints is exact:
 the chunked core rounds evaluate the same Jacobi operator against the
@@ -496,7 +503,7 @@ def shared_terminals(
 class _PeelGraph:
     """Phase A of the out-of-core peel: degrees and bucketed in-edges.
 
-    One streamed sweep over the region computes the per-code in-region
+    One streamed pass over the region computes the per-code in-region
     out-degree (the only full-space array the peel keeps) and appends
     each in-region edge, as a ``(target, source)`` pair, to the spill
     bucket owning the target's code range.
@@ -513,22 +520,25 @@ class _PeelGraph:
     ):
         size = kernel.size
         self.runtime = runtime
+        self.member_count = region.count()
+        # Sized from the region, not the state space: a small region
+        # (a converged core) fits one bucket however large the space.
         pair_bytes = 2 * runtime.code_dtype.itemsize
-        edge_estimate = size * max(1, len(kernel.actions)) * pair_bytes
+        edge_estimate = (
+            self.member_count * max(1, len(kernel.actions)) * pair_bytes
+        )
         self.buckets = max(
             1,
             min(_MAX_BUCKETS, -(-edge_estimate // runtime.run_cap_bytes)),
         )
         self.span = -(-size // self.buckets)
         self.out_degree = np.zeros(size, dtype=np.uint16)
-        self.member_count = 0
         self.exit_bits = BitField(size) if track_exits else None
         writers = [
             runtime.spill.bucket_writer(str(bucket))
             for bucket in range(self.buckets)
         ]
         for codes in region.member_chunks(runtime.chunk):
-            self.member_count += int(codes.size)
             origins, targets = kernel.succ_pairs(codes)
             sources = codes[origins]
             if drop_self:
@@ -556,20 +566,9 @@ class _PeelGraph:
             self.out_degree[grouped[starts]] += per_source.astype(np.uint16)
             bucket_of = targets // self.span
             order = np.argsort(bucket_of, kind="stable")
-            targets, sources, bucket_of = (
-                targets[order],
-                sources[order],
-                bucket_of[order],
-            )
-            edges = np.searchsorted(
-                bucket_of, np.arange(self.buckets + 1, dtype=np.int64)
-            )
-            for bucket in range(self.buckets):
-                lo, hi = edges[bucket], edges[bucket + 1]
-                if hi > lo:
-                    writers[bucket].append(
-                        targets[lo:hi], sources[lo:hi]
-                    )
+            targets, sources = targets[order], sources[order]
+            for bucket, lo, hi in self._slices(bucket_of[order]):
+                writers[bucket].append(targets[lo:hi], sources[lo:hi])
 
     def initial_pending(
         self, region: BitField
@@ -583,19 +582,25 @@ class _PeelGraph:
             self._route(pending, zero)
         return pending, processed
 
+    def _slices(self, bucket_of: np.ndarray) -> List[Tuple[int, int, int]]:
+        """``(bucket, lo, hi)`` for each bucket a sorted ``bucket_of``
+        reaches; buckets that receive nothing are never touched."""
+        edges = np.searchsorted(
+            bucket_of, np.arange(self.buckets + 1, dtype=np.int64)
+        ).tolist()
+        return [
+            (bucket, edges[bucket], edges[bucket + 1])
+            for bucket in np.flatnonzero(np.diff(edges)).tolist()
+        ]
+
     def _route(
         self, pending: List[List[np.ndarray]], nodes: np.ndarray
     ) -> None:
+        """Queue ascending ``nodes`` on the buckets owning them."""
         if not nodes.size:
             return
-        bucket_of = nodes // self.span
-        edges = np.searchsorted(
-            bucket_of, np.arange(self.buckets + 1, dtype=np.int64)
-        )
-        for bucket in range(self.buckets):
-            lo, hi = edges[bucket], edges[bucket + 1]
-            if hi > lo:
-                pending[bucket].append(nodes[lo:hi])
+        for bucket, lo, hi in self._slices(nodes // self.span):
+            pending[bucket].append(nodes[lo:hi])
 
     def peel(
         self,
@@ -603,65 +608,81 @@ class _PeelGraph:
         processed: int,
         depth: Optional[np.ndarray] = None,
     ) -> int:
-        """Run the peel to exhaustion; returns nodes processed.
+        """Run the peel to exhaustion in sweeps; returns nodes processed.
+
+        A sweep walks the buckets in ascending order and visits each
+        one holding pending nodes once.  A node freed into a later
+        bucket is taken in the same sweep; one freed into the bucket
+        being visited or an earlier one waits for the next sweep.
+        After sweep ``p`` every node of height below ``p`` is final,
+        so a peel makes at most longest path + 1 sweeps and loads
+        each bucket at most once per sweep.
 
         With ``depth`` (an int32 per-code array) accumulates the
         longest-path metric exactly as the in-RAM peel: when a node is
         finalized, each in-edge source's depth rises to at least
-        ``1 + depth[node]``.
+        ``1 + depth[node]``.  Neither that maximum nor the processed
+        count depends on the order nodes are finalized in.
         """
-        while True:
-            bucket = next(
-                (
-                    index
-                    for index, items in enumerate(pending)
-                    if items
-                ),
-                None,
-            )
-            if bucket is None:
-                return processed
-            nodes = _unique_sorted(np.concatenate(pending[bucket]))
-            pending[bucket] = []
-            targets_b, sources_b = self.runtime.spill.load_bucket_sorted(
-                str(bucket)
-            )
-            # Probe at the bucket's storage width: widening the probe
-            # instead would upcast (and copy) the whole memory map.
-            probe = nodes.astype(targets_b.dtype, copy=False)
-            left = np.searchsorted(targets_b, probe)
-            right = np.searchsorted(targets_b, probe, side="right")
-            counts = right - left
-            in_sources = np.asarray(
-                sources_b[_ranges(left, counts)], dtype=np.int64
-            )
-            if not in_sources.size:
-                continue
-            # One shared sort groups the in-edges by source; the
-            # grouped forms of the degree decrement and the depth max
-            # are exact replacements for the scalar ``ufunc.at`` loops
-            # (subtraction of per-group counts, ``reduceat`` max).
-            if depth is not None:
-                contrib = np.repeat(
-                    depth[nodes].astype(np.int32) + 1, counts
-                )
-                order = np.argsort(in_sources, kind="stable")
-                grouped = in_sources[order]
-                contrib = contrib[order]
-            else:
-                grouped = np.sort(in_sources)
-            starts = np.flatnonzero(
-                np.concatenate(([True], grouped[1:] != grouped[:-1]))
-            )
-            uniq = grouped[starts]
-            per_source = np.diff(np.append(starts, grouped.shape[0]))
-            if depth is not None:
-                peak = np.maximum.reduceat(contrib, starts)
-                depth[uniq] = np.maximum(depth[uniq], peak)
-            self.out_degree[uniq] -= per_source.astype(np.uint16)
-            newly = uniq[self.out_degree[uniq] == 0]
-            processed += int(newly.size)
-            self._route(pending, newly)
+        sweeps = visits = 0
+        while any(pending):
+            sweeps += 1
+            for bucket in range(self.buckets):
+                if pending[bucket]:
+                    visits += 1
+                    processed += self._visit(bucket, pending, depth)
+        instrumentation = self.runtime.instrumentation
+        instrumentation.count("shm.peel.buckets", self.buckets)
+        instrumentation.count("shm.peel.sweeps", sweeps)
+        instrumentation.count("shm.peel.visits", visits)
+        return processed
+
+    def _visit(
+        self,
+        bucket: int,
+        pending: List[List[np.ndarray]],
+        depth: Optional[np.ndarray],
+    ) -> int:
+        """Finalize one bucket's pending nodes; returns nodes freed."""
+        nodes = _unique_sorted(np.concatenate(pending[bucket]))
+        pending[bucket] = []
+        targets_b, sources_b = self.runtime.spill.load_bucket_sorted(
+            str(bucket)
+        )
+        # Probe at the bucket's storage width: widening the probe
+        # instead would upcast (and copy) the whole memory map.
+        probe = nodes.astype(targets_b.dtype, copy=False)
+        left = np.searchsorted(targets_b, probe)
+        right = np.searchsorted(targets_b, probe, side="right")
+        counts = right - left
+        in_sources = np.asarray(
+            sources_b[_ranges(left, counts)], dtype=np.int64
+        )
+        if not in_sources.size:
+            return 0
+        # One shared sort groups the in-edges by source; the grouped
+        # forms of the degree decrement and the depth max are exact
+        # replacements for the scalar ``ufunc.at`` loops (subtraction
+        # of per-group counts, ``reduceat`` max).
+        if depth is not None:
+            contrib = np.repeat(depth[nodes].astype(np.int32) + 1, counts)
+            order = np.argsort(in_sources, kind="stable")
+            grouped = in_sources[order]
+            contrib = contrib[order]
+        else:
+            grouped = np.sort(in_sources)
+        starts = np.flatnonzero(
+            np.concatenate(([True], grouped[1:] != grouped[:-1]))
+        )
+        uniq = grouped[starts]
+        per_source = np.diff(np.append(starts, grouped.shape[0]))
+        if depth is not None:
+            peak = np.maximum.reduceat(contrib, starts)
+            depth[uniq] = np.maximum(depth[uniq], peak)
+        self.out_degree[uniq] -= per_source.astype(np.uint16)
+        newly = uniq[self.out_degree[uniq] == 0]
+        self._route(pending, newly)
+        return int(newly.size)
 
 
 def _peel(

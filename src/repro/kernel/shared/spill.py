@@ -18,9 +18,8 @@ forms:
   out-of-core cycle/longest-path peel.  Buckets are rewritten
   sorted-by-target on first load; later loads return **views of a
   read-only memory map** of the sorted file, so a bucket the peel
-  revisits hundreds of times costs page-cache hits instead of a full
-  ``fromfile`` re-read each round (the dominant cost of the PR 9
-  peel: ~78% of a 20 s cycle check was bucket re-reads).
+  revisits once per sweep costs page-cache hits instead of a full
+  ``fromfile`` re-read each time.
 
 The directory is created lazily, scoped to the run
 (``repro-spill-<pid>-*``), and removed whole by :meth:`close` — the
