@@ -1233,7 +1233,7 @@ class _VectorBackend(_KernelBackend):
     def _edges(self, searched, invisible: bool):
         from ..kernel.vector import region_edges
 
-        sources, targets, _ = region_edges(
+        sources, targets = region_edges(
             self.kernel, searched, self.request.drop_self
         )
         if invisible:

@@ -3,8 +3,17 @@
 Array re-implementations of the packed engine's bitset fixpoints
 (:mod:`repro.kernel.fixpoint`): reachability as a ``np.unique``-deduped
 frontier iteration, the behavioural-core greatest fixpoint as Jacobi
-rounds over whole member batches, and cycle/terminal/longest-path
-analysis as Kahn peels over in-region edge arrays.
+rounds over whole member batches, and terminals as one mask.
+
+Divergence and the worst case come from one forward, level-synchronous
+Kahn peel of a region (:func:`vector_longest_path` has the details).
+It peels from the nodes without an in-region in-edge, keeps in-degrees
+in a full-space ``int32`` array, and reads the action tables directly
+as an edge multiset (:meth:`VectorKernel.edge_parts`): codes are never
+relabelled, and no reverse adjacency is built.  A node's level is the
+longest in-region path ending at it, so the level index gives the worst
+case, and a cycle lies within the region iff the levels do not exhaust
+it.
 
 Every function computes exactly the set (or verdict) of its packed and
 tuple counterparts and emits the same observability counters.  The one
@@ -18,13 +27,13 @@ greatest fixpoint (the operator is monotone) and the total
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from ...obs import NULL_INSTRUMENTATION, Instrumentation, ProgressEmitter
 from ...resilience import chaos
-from .kernel import VectorKernel, _ranges, _unique_sorted
+from .kernel import VectorKernel, _unique_sorted
 
 __all__ = [
     "region_edges",
@@ -167,14 +176,12 @@ def region_edges(
     kernel: VectorKernel,
     region: np.ndarray,
     drop_self: bool = False,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The transition edges staying inside ``region``, plus exit flags.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The transition edges staying inside ``region``.
 
-    Returns ``(sources, targets, has_exit)``: parallel arrays of
-    in-region edges (sorted by source, then target) and a per-code
-    full-space mask of region members with at least one transition
-    *leaving* the region — the "one last step into the core" the
-    worst-case metric counts.
+    Returns ``(sources, targets)``: parallel arrays of in-region edges,
+    deduplicated and sorted by source, then target — the edge list the
+    cycle-witness search reads.
     """
     codes = np.nonzero(region)[0]
     origins, targets = kernel.succ_pairs(codes)
@@ -183,28 +190,68 @@ def region_edges(
         live = targets != sources
         sources, targets = sources[live], targets[live]
     inside = region[targets]
-    has_exit = np.zeros(kernel.size, dtype=bool)
-    has_exit[sources[~inside]] = True
-    return sources[inside], targets[inside], has_exit
+    return sources[inside], targets[inside]
 
 
-def _peel_order(
-    count: int, sources: np.ndarray, targets: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Shared Kahn peel state for the cycle and longest-path analyses.
+def _region_parts(
+    kernel: VectorKernel,
+    codes: np.ndarray,
+    region: np.ndarray,
+    drop_self: bool,
+    image_of: Optional[np.ndarray],
+) -> Iterator[Tuple[np.ndarray, bool]]:
+    """Per part of :meth:`VectorKernel.edge_parts` out of ``codes``:
+    the targets of the edges staying inside ``region`` (image-invisible
+    ones only, with ``image_of``), and whether some edge left it."""
+    for origins, targets in kernel.edge_parts(codes, drop_self):
+        inside = region[targets]
+        exits = not bool(inside.all())
+        if image_of is not None:
+            inside &= image_of[codes[origins]] == image_of[targets]
+        yield targets[inside], exits
 
-    ``sources``/``targets`` are *relabelled* node indices in
-    ``[0, count)``.  Returns the reverse-CSR arrays (in-edge sources
-    sorted by target, with ``indptr``), the per-node out-degrees, the
-    initial zero-out-degree queue, and its size.
+
+def _forward_peel(
+    kernel: VectorKernel,
+    region: np.ndarray,
+    drop_self: bool,
+    image_of: Optional[np.ndarray] = None,
+) -> Tuple[bool, int]:
+    """One forward, level-synchronous Kahn peel of ``region``.
+
+    Returns ``(cyclic, worst)``: whether the levels failed to exhaust
+    the region, and the worst case :func:`vector_longest_path` reports
+    when they did.
     """
-    out_degree = np.bincount(sources, minlength=count)
-    order = np.argsort(targets, kind="stable")
-    in_sources = sources[order]
-    in_indptr = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(targets, minlength=count), out=in_indptr[1:])
-    queue = np.nonzero(out_degree == 0)[0]
-    return in_sources, in_indptr, out_degree, queue, int(queue.size)
+    codes = np.nonzero(region)[0]
+    if image_of is not None:
+        image_of = np.asarray(image_of, dtype=np.int64)
+    in_degree = np.zeros(kernel.size, dtype=np.int32)
+    for targets, _ in _region_parts(kernel, codes, region, drop_self, image_of):
+        in_degree += np.bincount(targets, minlength=kernel.size)
+    frontier = codes[in_degree[codes] == 0]
+    peeled = 0
+    worst = 0
+    level = 0
+    while frontier.size:
+        peeled += int(frontier.size)
+        parts = []
+        exits = False
+        for targets, left in _region_parts(
+            kernel, frontier, region, drop_self, image_of
+        ):
+            parts.append(targets)
+            exits |= left
+        worst = max(worst, level + exits)
+        hits = np.sort(np.concatenate(parts))
+        if hits.size == 0:
+            break
+        starts = np.flatnonzero(np.concatenate(([True], hits[1:] != hits[:-1])))
+        nodes = hits[starts]
+        in_degree[nodes] -= np.diff(np.append(starts, hits.size))
+        frontier = nodes[in_degree[nodes] == 0]
+        level += 1
+    return peeled < codes.size, worst
 
 
 def vector_has_cycle(
@@ -215,35 +262,14 @@ def vector_has_cycle(
 ) -> bool:
     """Whether a cycle (including a self-loop) lies within ``region``.
 
-    Kahn-style trim: repeatedly peel region nodes whose every in-region
-    edge leads to an already-peeled node; a cycle exists iff the peel
-    does not exhaust the region.  With ``image_of`` the relation is
-    first restricted to image-invisible edges (``image_of[source] ==
-    image_of[target]``) — the invisible-cycles analysis inside the
-    core.
+    Runs the forward Kahn peel (see :func:`vector_longest_path`): a
+    cycle exists iff its levels do not exhaust the region.  With
+    ``image_of`` the relation is first restricted to image-invisible
+    edges (``image_of[source] == image_of[target]``) — the
+    invisible-cycles analysis inside the core.
     """
-    codes = np.nonzero(region)[0]
-    count = codes.size
-    if count == 0:
-        return False
-    sources, targets, _ = region_edges(kernel, region, drop_self)
-    if image_of is not None:
-        image_of = np.asarray(image_of, dtype=np.int64)
-        invisible = image_of[sources] == image_of[targets]
-        sources, targets = sources[invisible], targets[invisible]
-    sources = np.searchsorted(codes, sources)
-    targets = np.searchsorted(codes, targets)
-    in_sources, in_indptr, out_degree, queue, processed = _peel_order(
-        count, sources, targets
-    )
-    while queue.size:
-        counts = in_indptr[queue + 1] - in_indptr[queue]
-        in_edges = in_sources[_ranges(in_indptr[queue], counts)]
-        out_degree -= np.bincount(in_edges, minlength=count)
-        queue = _unique_sorted(in_edges)
-        queue = queue[out_degree[queue] == 0]
-        processed += int(queue.size)
-    return processed < count
+    cyclic, _ = _forward_peel(kernel, region, drop_self, image_of)
+    return cyclic
 
 
 def vector_terminals(
@@ -262,35 +288,25 @@ def vector_longest_path(
     when a cycle (including a self-loop) lies within it.
 
     The worst-case convergence metric: a step landing outside the
-    region (into the core) still counts as one step.  Kahn peel in
-    reverse topological order, finalizing a node's depth once all of
-    its in-region out-edges are finalized, with
-    ``depth[v] = max(exit ? 1 : 0, max over in-region v->u of
-    1 + depth[u])`` accumulated through ``np.maximum.at``.  The peel
-    exhausts the region exactly when :func:`vector_has_cycle`'s does,
-    so one peel decides divergence and the worst case together.
+    region (into the core) still counts as one step.  One forward,
+    level-synchronous Kahn peel decides both.  It counts every region
+    node's in-region in-degree into a full-space ``int32`` array, starts
+    from the nodes at in-degree 0, and expands each level's frontier to
+    its in-region successors, decrementing their in-degrees with one
+    grouped sort per level; the nodes that reach 0 form the next level.
+    Codes are never relabelled.
+
+    The edges are read straight from the action tables as a multiset,
+    so two actions making the same move count twice.  The in-degree
+    count and the decrements see the same multiset, so a duplicated
+    edge cannot change a level.
+
+    A node's level is the longest in-region path ending at it, so the
+    worst case is the maximum over levels ``L`` of ``L + 1`` when some
+    node at level ``L`` has a transition leaving the region, and ``L``
+    otherwise.  The levels exhaust the region exactly when no cycle
+    lies within it, as :func:`vector_has_cycle` decides with the same
+    peel.
     """
-    codes = np.nonzero(region)[0]
-    count = codes.size
-    if count == 0:
-        return 0
-    sources, targets, has_exit = region_edges(kernel, region, drop_self)
-    sources = np.searchsorted(codes, sources)
-    targets = np.searchsorted(codes, targets)
-    in_sources, in_indptr, out_degree, queue, processed = _peel_order(
-        count, sources, targets
-    )
-    depth = np.where(has_exit[codes], np.int64(1), np.int64(0))
-    while queue.size:
-        counts = in_indptr[queue + 1] - in_indptr[queue]
-        gathered = _ranges(in_indptr[queue], counts)
-        in_edges = in_sources[gathered]
-        finalized = np.repeat(queue, counts)
-        np.maximum.at(depth, in_edges, 1 + depth[finalized])
-        out_degree -= np.bincount(in_edges, minlength=count)
-        queue = _unique_sorted(in_edges)
-        queue = queue[out_degree[queue] == 0]
-        processed += int(queue.size)
-    if processed < count:
-        return None
-    return int(depth.max())
+    cyclic, worst = _forward_peel(kernel, region, drop_self)
+    return None if cyclic else worst

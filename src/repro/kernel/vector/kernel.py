@@ -18,14 +18,15 @@ packed engine's per-code successor closure: the transition relation as
   :class:`~repro.core.system.System` as sorted CSR edge arrays.
 
 Both forms expose the same batch API (:meth:`succ_pairs`,
-:meth:`has_edge`, :meth:`terminal_flags`) consumed by the array
-fixpoints in :mod:`.fixpoint`, plus the scalar :meth:`successors` and
-:meth:`compile` / :meth:`materialize` bridges the witness phases need.
+:meth:`edge_parts`, :meth:`has_edge`, :meth:`terminal_flags`) consumed
+by the array fixpoints in :mod:`.fixpoint`, plus the scalar
+:meth:`successors` and :meth:`compile` / :meth:`materialize` bridges
+the witness phases need.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -144,27 +145,47 @@ class VectorKernel:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
         if self._tables is not None:
-            origin_parts: List[np.ndarray] = []
-            target_parts: List[np.ndarray] = []
-            for enabled, succ in self._tables:
-                mask = enabled[codes]
-                if not self._keep_stutter:
-                    mask = mask & (succ[codes] != codes)
-                positions = np.nonzero(mask)[0]
-                if positions.size:
-                    origin_parts.append(positions)
-                    target_parts.append(succ[codes[positions]])
-            if not origin_parts:
-                empty = np.empty(0, dtype=np.int64)
-                return empty, empty
-            origins = np.concatenate(origin_parts)
-            targets = np.concatenate(target_parts)
+            origins, targets = map(np.concatenate, zip(*self.edge_parts(codes)))
             keys = _unique_sorted(origins * np.int64(self.size) + targets)
             return keys // self.size, keys % self.size
         counts = self._indptr[codes + 1] - self._indptr[codes]
         origins = np.repeat(np.arange(codes.size, dtype=np.int64), counts)
         gathered = _ranges(self._indptr[codes], counts)
         return origins, self._targets[gathered]
+
+    def edge_parts(
+        self, codes: np.ndarray, drop_self: bool = False
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The transitions out of a batch of codes as a multiset, in parts.
+
+        Yields ``(origins, targets)`` pairs shaped like
+        :meth:`succ_pairs`'s, but with no sort and no dedup: a kernel
+        built by :meth:`from_program` yields one part per action, read
+        straight from its table, so two actions making the same move
+        yield that edge twice.  A kernel built by :meth:`from_system`
+        yields its one :meth:`succ_pairs` batch.  There is always at
+        least one part, empty for a program without actions.  With
+        ``drop_self`` self-loops are left out.
+        """
+        codes = np.asarray(codes, dtype=np.int64)
+        if self._tables is None:
+            origins, targets = self.succ_pairs(codes)
+            if drop_self:
+                live = targets != codes[origins]
+                origins, targets = origins[live], targets[live]
+            yield origins, targets
+            return
+        if not self._tables:
+            empty = np.empty(0, dtype=np.int64)
+            yield empty, empty
+            return
+        drop = drop_self or not self._keep_stutter
+        for enabled, succ in self._tables:
+            mask = enabled[codes]
+            if drop:
+                mask &= succ[codes] != codes
+            positions = np.nonzero(mask)[0]
+            yield positions, succ[codes[positions]]
 
     def has_edge(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Element-wise transition membership for parallel code arrays."""

@@ -19,10 +19,39 @@ from repro.checker import check_convergence_refinement, check_self_stabilization
 from repro.kernel import PackedKernel, codes_of_flags, packed_reachable
 from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
-from tests.property.test_prop_kernel import small_programs
+from tests.property.test_prop_kernel import MODULUS, VAR_NAMES, small_programs
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="NumPy not installed"
+)
+
+#: Codes in the state space of every ``small_programs`` program.
+SPACE = MODULUS ** len(VAR_NAMES)
+
+#: Subregions: uniformly random, or all but a few codes (which keeps
+#: the cycles of the whole space, so both verdicts get drawn).
+regions = st.one_of(
+    st.lists(st.booleans(), min_size=SPACE, max_size=SPACE),
+    st.sets(st.integers(min_value=0, max_value=SPACE - 1), max_size=3).map(
+        lambda excluded: [code not in excluded for code in range(SPACE)]
+    ),
+)
+
+#: Image tables: none, a projection onto one variable's digit (edges
+#: moving only the other variable are invisible), or random.
+images = st.one_of(
+    st.none(),
+    st.sampled_from(
+        [
+            [code // MODULUS for code in range(SPACE)],
+            [code % MODULUS for code in range(SPACE)],
+        ]
+    ),
+    st.lists(
+        st.integers(min_value=0, max_value=MODULUS - 1),
+        min_size=SPACE,
+        max_size=SPACE,
+    ),
 )
 
 
@@ -78,6 +107,59 @@ class TestVectorPrimitives:
         assert vector_has_cycle(vector, region) == packed_has_cycle(
             packed.successors, everywhere
         )
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_programs(), regions, st.booleans(), images)
+    def test_forward_peel_matches_the_references(
+        self, program, members, drop_self, images
+    ):
+        """On random subregions, both kernel forms: the peel's worst
+        case equals the tuple engine's DFS, and its cycle verdict the
+        packed DFS's, on image-invisible edges too."""
+        import numpy as np
+
+        from repro.checker.convergence import _longest_path_within
+        from repro.kernel import packed_has_cycle
+        from repro.kernel.vector import (
+            VectorKernel,
+            vector_has_cycle,
+            vector_longest_path,
+        )
+
+        system = program.compile()
+        packed = PackedKernel.from_program(program)
+        region = np.asarray(members, dtype=bool)
+        image_of = None if images is None else np.asarray(images, dtype=np.int64)
+
+        def analysed(code):
+            return [
+                target
+                for target in packed.successors(code)
+                if not (drop_self and target == code)
+                and (image_of is None or image_of[target] == image_of[code])
+            ]
+
+        expected_cycle = packed_has_cycle(analysed, bytearray(members))
+        outside = frozenset(
+            packed.interner.decode(int(code)) for code in np.nonzero(region)[0]
+        )
+        expected_steps = _longest_path_within(
+            system.without_self_loops() if drop_self else system, outside
+        )
+        for kernel in (
+            VectorKernel.from_program(program),
+            VectorKernel.from_system(system),
+        ):
+            assert (
+                vector_has_cycle(kernel, region, drop_self, image_of)
+                == expected_cycle
+            )
+            if image_of is None:
+                assert (
+                    vector_longest_path(kernel, region, drop_self)
+                    == expected_steps
+                )
 
 
 class TestVectorVerdicts:

@@ -250,6 +250,91 @@ class TestVectorFixpointParity:
         )
 
 
+def _counter_program(*extra: GuardedAction) -> Program:
+    """``x`` in 0..3 counting up to 3, plus ``extra`` actions."""
+    return Program(
+        "counter",
+        [Variable("x", IntRange(0, 3))],
+        [
+            GuardedAction(
+                "inc", Lt(Var("x"), Const(3)),
+                {"x": Add(Var("x"), Const(1))},
+            ),
+            *extra,
+        ],
+    )
+
+
+@needs_numpy
+class TestForwardPeel:
+    """The vector peel reads each action's table as an edge multiset."""
+
+    def _both_kernels(self, program, keep_stutter=True):
+        from repro.kernel.vector import VectorKernel
+
+        return (
+            VectorKernel.from_program(program, keep_stutter=keep_stutter),
+            VectorKernel.from_system(program.compile(keep_stutter=keep_stutter)),
+        )
+
+    def test_duplicate_edges_keep_the_levels(self):
+        """``jump`` repeats ``inc``'s move 0 -> 1: in-degree 2 at 1 must
+        drop to 0, or the peel would report a cycle."""
+        import numpy as np
+
+        from repro.checker.convergence import _longest_path_within
+        from repro.kernel.vector import vector_has_cycle, vector_longest_path
+
+        program = _counter_program(
+            GuardedAction("jump", Eq(Var("x"), Const(0)), {"x": Const(1)})
+        )
+        tables, csr = self._both_kernels(program)
+        system = program.compile()
+        for members in ([True, True, True, False], [True] * 4):
+            region = np.asarray(members, dtype=bool)
+            outside = frozenset(
+                state
+                for state, member in zip(system.schema.states(), members)
+                if member
+            )
+            expected = _longest_path_within(system, outside)
+            assert expected == 3
+            for kernel in (tables, csr):
+                assert vector_longest_path(kernel, region) == expected
+                assert not vector_has_cycle(kernel, region)
+
+    def test_kept_stutter_self_loop_is_a_cycle(self):
+        import numpy as np
+
+        from repro.kernel.vector import vector_has_cycle, vector_longest_path
+
+        program = _counter_program(
+            GuardedAction("stay", Eq(Var("x"), Const(0)), {"x": Const(0)})
+        )
+        region = np.ones(4, dtype=bool)
+        for kernel in self._both_kernels(program, keep_stutter=True):
+            assert vector_has_cycle(kernel, region, drop_self=False)
+            assert vector_longest_path(kernel, region, drop_self=False) is None
+            assert not vector_has_cycle(kernel, region, drop_self=True)
+            assert vector_longest_path(kernel, region, drop_self=True) == 3
+        for kernel in self._both_kernels(program, keep_stutter=False):
+            assert not vector_has_cycle(kernel, region)
+            assert vector_longest_path(kernel, region) == 3
+
+    def test_program_without_actions_has_no_edges(self):
+        import numpy as np
+
+        from repro.kernel.vector import vector_has_cycle, vector_longest_path
+
+        program = Program("idle", [Variable("x", IntRange(0, 3))], [])
+        region = np.ones(4, dtype=bool)
+        for kernel in self._both_kernels(program):
+            origins, targets = kernel.succ_pairs(np.arange(4))
+            assert origins.size == targets.size == 0
+            assert not vector_has_cycle(kernel, region)
+            assert vector_longest_path(kernel, region) == 0
+
+
 @needs_numpy
 class TestVectorImageTables:
     @pytest.mark.parametrize(
