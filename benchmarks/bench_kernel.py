@@ -86,14 +86,14 @@ REQUIRED_VECTOR_SPEEDUP = 5.0
 
 #: P09/P10 mega sweep through the shared engine: (n, k, budget).  The
 #: first smoke point is the previous vector ceiling — 823 543 states —
-#: under a deliberately tiny 16 MiB budget, so out-of-core spill
+#: under a deliberately tiny 4 MiB budget, so out-of-core spill
 #: genuinely engages.  The second is the P10 default-smoke headline:
 #: 62 748 517 states (7, 13) under 512 MiB, with int32 code packing
 #: active.  The REPRO_MEGA=1 acceptance points add 16.7M states (8, 8)
 #: and the 1.3x10^8-state (9, 8) configuration.
-MEGA_SWEEP = [(7, 7, "16M"), (7, 13, "512M")]
+MEGA_SWEEP = [(7, 7, "4M"), (7, 13, "512M")]
 if os.environ.get("REPRO_MEGA") == "1":
-    MEGA_SWEEP.append((8, 8, "256M"))
+    MEGA_SWEEP.append((8, 8, "64M"))
     MEGA_SWEEP.append((9, 8, "1G"))
 
 #: The memory budget governs the engine's working set; peak process

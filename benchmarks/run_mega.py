@@ -25,7 +25,7 @@ so the table pool is consulted but serves no hit.
 Standalone usage:
 
     PYTHONPATH=src python benchmarks/run_mega.py --n 7 --k 7 \
-        --mem-budget 16M
+        --mem-budget 4M
     PYTHONPATH=src python benchmarks/run_mega.py --n 7 --k 13 \
         --mem-budget 512M          # 62.7M states, the P10 smoke point
     PYTHONPATH=src python benchmarks/run_mega.py --n 9 --k 8 \

@@ -9,25 +9,21 @@ Re-implementations of the vector engine's fixpoints
   through the table-free :class:`~.kernel.SharedKernel`;
 * frontier rounds and eviction lists that outgrow their RAM cap spill
   delta-encoded to the run's :class:`~.spill.SpillStore`;
-* the cycle and longest-path analyses run as an **out-of-core Kahn
-  peel**: one streamed pass writes each in-region edge to the bucket
-  file owning its target's code range (the bucket count is sized from
-  the region's member count, not the state space), then the peel
-  runs in *sweeps*.  A sweep walks the buckets in ascending order and
-  loads each bucket holding pending nodes once; a node freed into a
-  later bucket is taken in the same sweep, one freed into an earlier
-  bucket waits for the next.  After sweep ``p`` every node of height
-  below ``p`` is final, so bucket loads are bounded by
-  (longest path + 1) × buckets, however a Kahn level scatters across
-  the code range.  Resident cost is one bucket plus the per-code
-  degree array, never the edge set.
+* the cycle and longest-path analyses run as one **forward,
+  level-synchronous Kahn peel** (:func:`shared_longest_path` has the
+  details): one streamed pass counts each region member's in-region
+  in-degree into a full-space ``int32`` array, and each level's
+  frontier is re-expanded through the streamed kernel to decrement its
+  targets' in-degrees.  No edge is ever stored: resident cost is the
+  in-degree array (4 B/state) plus one batch and the level's
+  spill-capped :class:`~.frontier.CodeRuns`.
 
 Verdict- and counter-compatibility with the vector fixpoints is exact:
 the chunked core rounds evaluate the same Jacobi operator against the
 same round-start snapshot (a member's eviction depends only on its own
 out-edges and the snapshot, so chunk boundaries cannot change any
-round's eviction set), and the peel computes the same
-processed-versus-member count as the in-RAM Kahn trim.
+round's eviction set), and the peel is the vector engine's, level for
+level: the same edge multiset, read a batch at a time.
 
 Worker sharding follows the repo's fork protocol: the driver stages
 kernel and round parameters in the :class:`~repro.parallel.pool.WorkerPool`
@@ -42,7 +38,7 @@ any segment a killed worker left behind.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +49,7 @@ from ...parallel.pool import (
     worker_context,
 )
 from ...resilience import chaos
-from ..vector.kernel import VectorKernel, _ranges, _unique_sorted
+from ..vector.kernel import VectorKernel, _unique_sorted
 from .frontier import BitField, CodeRuns
 from .image import SharedImage
 from .kernel import SharedKernel
@@ -68,11 +64,6 @@ __all__ = [
     "shared_has_cycle",
     "shared_longest_path",
 ]
-
-#: Cap on peel buckets; above this the per-bucket bookkeeping
-#: outweighs the RAM saving.
-_MAX_BUCKETS = 512
-
 
 def _partition_bounds(nbytes: int, parts: int) -> List[Tuple[int, int]]:
     """Byte-range partition of a bitfield across ``parts`` workers."""
@@ -479,7 +470,7 @@ def shared_core(
 
 
 # ----------------------------------------------------------------------
-# Terminals, cycles, longest path (out-of-core Kahn peel).
+# Terminals, cycles, longest path (forward Kahn peel).
 # ----------------------------------------------------------------------
 
 
@@ -500,216 +491,119 @@ def shared_terminals(
     return np.concatenate(found)
 
 
-class _PeelGraph:
-    """Phase A of the out-of-core peel: degrees and bucketed in-edges.
+def _inside_targets(
+    kernel: SharedKernel,
+    codes: np.ndarray,
+    region: BitField,
+    drop_self: bool,
+    image: Optional[SharedImage],
+) -> Tuple[np.ndarray, bool]:
+    """The targets of the edges out of ``codes`` staying inside
+    ``region``, as a multiset (image-invisible ones only, with
+    ``image``), and whether some edge left the region."""
+    images = None if image is None else image.of(codes)
+    parts: List[np.ndarray] = []
+    exits = False
+    for origins, targets in kernel.edge_parts(codes, drop_self):
+        inside = region.test(targets)
+        exits = exits or not bool(inside.all())
+        targets = targets[inside]
+        if images is not None:
+            targets = targets[images[origins[inside]] == image.of(targets)]
+        parts.append(targets)
+    return np.concatenate(parts), exits
 
-    One streamed pass over the region computes the per-code in-region
-    out-degree (the only full-space array the peel keeps) and appends
-    each in-region edge, as a ``(target, source)`` pair, to the spill
-    bucket owning the target's code range.
+
+def _grouped(hits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct values of ``hits``, ascending, and their multiplicities.
+
+    One sort, so adding or subtracting the multiplicities at the
+    distinct values is the exact, vectorized form of a ``ufunc.at``
+    loop over ``hits``.
     """
-
-    def __init__(
-        self,
-        kernel: SharedKernel,
-        region: BitField,
-        runtime: SharedRuntime,
-        drop_self: bool,
-        image: Optional[SharedImage],
-        track_exits: bool,
-    ):
-        size = kernel.size
-        self.runtime = runtime
-        self.member_count = region.count()
-        # Sized from the region, not the state space: a small region
-        # (a converged core) fits one bucket however large the space.
-        pair_bytes = 2 * runtime.code_dtype.itemsize
-        edge_estimate = (
-            self.member_count * max(1, len(kernel.actions)) * pair_bytes
-        )
-        self.buckets = max(
-            1,
-            min(_MAX_BUCKETS, -(-edge_estimate // runtime.run_cap_bytes)),
-        )
-        self.span = -(-size // self.buckets)
-        self.out_degree = np.zeros(size, dtype=np.uint16)
-        self.exit_bits = BitField(size) if track_exits else None
-        writers = [
-            runtime.spill.bucket_writer(str(bucket))
-            for bucket in range(self.buckets)
-        ]
-        for codes in region.member_chunks(runtime.chunk):
-            origins, targets = kernel.succ_pairs(codes)
-            sources = codes[origins]
-            if drop_self:
-                live = targets != sources
-                sources, targets = sources[live], targets[live]
-            inside = region.test(targets)
-            if self.exit_bits is not None:
-                self.exit_bits.set_codes(sources[~inside])
-            sources, targets = sources[inside], targets[inside]
-            if image is not None and sources.size:
-                invisible = image.of(sources) == image.of(targets)
-                sources, targets = sources[invisible], targets[invisible]
-            if not sources.size:
-                continue
-            # ``sources`` is nondecreasing (succ_pairs sorts by origin
-            # and the filters preserve order), so the out-degree bump
-            # is a boundary count, not a scalar ``ufunc.at`` loop.
-            grouped = sources
-            if np.any(grouped[1:] < grouped[:-1]):
-                grouped = np.sort(grouped)
-            starts = np.flatnonzero(
-                np.concatenate(([True], grouped[1:] != grouped[:-1]))
-            )
-            per_source = np.diff(np.append(starts, grouped.shape[0]))
-            self.out_degree[grouped[starts]] += per_source.astype(np.uint16)
-            bucket_of = targets // self.span
-            order = np.argsort(bucket_of, kind="stable")
-            targets, sources = targets[order], sources[order]
-            for bucket, lo, hi in self._slices(bucket_of[order]):
-                writers[bucket].append(targets[lo:hi], sources[lo:hi])
-
-    def initial_pending(
-        self, region: BitField
-    ) -> Tuple[List[List[np.ndarray]], int]:
-        """Zero-out-degree members, routed to their owning buckets."""
-        pending: List[List[np.ndarray]] = [[] for _ in range(self.buckets)]
-        processed = 0
-        for codes in region.member_chunks(self.runtime.chunk):
-            zero = codes[self.out_degree[codes] == 0]
-            processed += int(zero.size)
-            self._route(pending, zero)
-        return pending, processed
-
-    def _slices(self, bucket_of: np.ndarray) -> List[Tuple[int, int, int]]:
-        """``(bucket, lo, hi)`` for each bucket a sorted ``bucket_of``
-        reaches; buckets that receive nothing are never touched."""
-        edges = np.searchsorted(
-            bucket_of, np.arange(self.buckets + 1, dtype=np.int64)
-        ).tolist()
-        return [
-            (bucket, edges[bucket], edges[bucket + 1])
-            for bucket in np.flatnonzero(np.diff(edges)).tolist()
-        ]
-
-    def _route(
-        self, pending: List[List[np.ndarray]], nodes: np.ndarray
-    ) -> None:
-        """Queue ascending ``nodes`` on the buckets owning them."""
-        if not nodes.size:
-            return
-        for bucket, lo, hi in self._slices(nodes // self.span):
-            pending[bucket].append(nodes[lo:hi])
-
-    def peel(
-        self,
-        pending: List[List[np.ndarray]],
-        processed: int,
-        depth: Optional[np.ndarray] = None,
-    ) -> int:
-        """Run the peel to exhaustion in sweeps; returns nodes processed.
-
-        A sweep walks the buckets in ascending order and visits each
-        one holding pending nodes once.  A node freed into a later
-        bucket is taken in the same sweep; one freed into the bucket
-        being visited or an earlier one waits for the next sweep.
-        After sweep ``p`` every node of height below ``p`` is final,
-        so a peel makes at most longest path + 1 sweeps and loads
-        each bucket at most once per sweep.
-
-        With ``depth`` (an int32 per-code array) accumulates the
-        longest-path metric exactly as the in-RAM peel: when a node is
-        finalized, each in-edge source's depth rises to at least
-        ``1 + depth[node]``.  Neither that maximum nor the processed
-        count depends on the order nodes are finalized in.
-        """
-        sweeps = visits = 0
-        while any(pending):
-            sweeps += 1
-            for bucket in range(self.buckets):
-                if pending[bucket]:
-                    visits += 1
-                    processed += self._visit(bucket, pending, depth)
-        instrumentation = self.runtime.instrumentation
-        instrumentation.count("shm.peel.buckets", self.buckets)
-        instrumentation.count("shm.peel.sweeps", sweeps)
-        instrumentation.count("shm.peel.visits", visits)
-        return processed
-
-    def _visit(
-        self,
-        bucket: int,
-        pending: List[List[np.ndarray]],
-        depth: Optional[np.ndarray],
-    ) -> int:
-        """Finalize one bucket's pending nodes; returns nodes freed."""
-        nodes = _unique_sorted(np.concatenate(pending[bucket]))
-        pending[bucket] = []
-        targets_b, sources_b = self.runtime.spill.load_bucket_sorted(
-            str(bucket)
-        )
-        # Probe at the bucket's storage width: widening the probe
-        # instead would upcast (and copy) the whole memory map.
-        probe = nodes.astype(targets_b.dtype, copy=False)
-        left = np.searchsorted(targets_b, probe)
-        right = np.searchsorted(targets_b, probe, side="right")
-        counts = right - left
-        in_sources = np.asarray(
-            sources_b[_ranges(left, counts)], dtype=np.int64
-        )
-        if not in_sources.size:
-            return 0
-        # One shared sort groups the in-edges by source; the grouped
-        # forms of the degree decrement and the depth max are exact
-        # replacements for the scalar ``ufunc.at`` loops (subtraction
-        # of per-group counts, ``reduceat`` max).
-        if depth is not None:
-            contrib = np.repeat(depth[nodes].astype(np.int32) + 1, counts)
-            order = np.argsort(in_sources, kind="stable")
-            grouped = in_sources[order]
-            contrib = contrib[order]
-        else:
-            grouped = np.sort(in_sources)
-        starts = np.flatnonzero(
-            np.concatenate(([True], grouped[1:] != grouped[:-1]))
-        )
-        uniq = grouped[starts]
-        per_source = np.diff(np.append(starts, grouped.shape[0]))
-        if depth is not None:
-            peak = np.maximum.reduceat(contrib, starts)
-            depth[uniq] = np.maximum(depth[uniq], peak)
-        self.out_degree[uniq] -= per_source.astype(np.uint16)
-        newly = uniq[self.out_degree[uniq] == 0]
-        self._route(pending, newly)
-        return int(newly.size)
+    if not hits.size:
+        return hits, np.empty(0, dtype=np.int32)
+    hits = np.sort(hits)
+    starts = np.flatnonzero(np.concatenate(([True], hits[1:] != hits[:-1])))
+    counts = np.diff(np.append(starts, hits.shape[0]))
+    return hits[starts], counts.astype(np.int32)
 
 
-def _peel(
+def _batches(runs: CodeRuns, size: int) -> Iterator[np.ndarray]:
+    """The codes of ``runs`` joined into int64 batches of ``size``.
+
+    A level's frontier arrives as many small runs, one per batch of
+    the level before; expanding each run on its own would pay the
+    per-call cost of the streamed evaluator once per run.
+    """
+    pending: List[np.ndarray] = []
+    held = 0
+    for run in runs.chunks():
+        offset = 0
+        while offset < run.shape[0]:
+            piece = run[offset : offset + size - held]
+            pending.append(piece)
+            held += int(piece.shape[0])
+            offset += int(piece.shape[0])
+            if held == size:
+                yield np.concatenate(pending).astype(np.int64)
+                pending, held = [], 0
+    if held:
+        yield np.concatenate(pending).astype(np.int64)
+
+
+def _forward_peel(
     kernel: SharedKernel,
     region: BitField,
     runtime: SharedRuntime,
     drop_self: bool,
     image: Optional[SharedImage],
-    track_exits: bool,
-    depth: Optional[np.ndarray],
-) -> Tuple[int, int, Optional[BitField]]:
-    """Build the bucketed graph, peel it, and clean the buckets up."""
-    try:
-        graph = _PeelGraph(
-            kernel, region, runtime, drop_self, image, track_exits
+) -> Tuple[bool, int]:
+    """One forward, level-synchronous Kahn peel of ``region``.
+
+    Returns ``(cyclic, worst)``: whether the levels failed to exhaust
+    the region, and the worst case :func:`shared_longest_path` reports
+    when they did.  Each member is expanded once to count in-degrees
+    and once more if it is peeled; the only full-space array is the
+    int32 in-degree, and each level is a :class:`CodeRuns` that spills
+    past its RAM cap.
+    """
+    in_degree = np.zeros(kernel.size, dtype=np.int32)
+    members = 0
+    for codes in region.member_chunks(runtime.chunk):
+        members += int(codes.shape[0])
+        targets, _ = _inside_targets(kernel, codes, region, drop_self, image)
+        nodes, counts = _grouped(targets)
+        in_degree[nodes] += counts
+    frontier = CodeRuns(
+        runtime.spill, runtime.run_cap_bytes, dtype=runtime.code_dtype
+    )
+    for codes in region.member_chunks(runtime.chunk):
+        frontier.append(codes[in_degree[codes] == 0])
+    peeled = worst = level = 0
+    while frontier.count:
+        peeled += frontier.count
+        exits = False
+        next_level = CodeRuns(
+            runtime.spill, runtime.run_cap_bytes, dtype=runtime.code_dtype
         )
-        if graph.member_count == 0:
-            return 0, 0, None
-        pending, processed = graph.initial_pending(region)
-        if depth is not None and graph.exit_bits is not None:
-            for codes in region.member_chunks(runtime.chunk):
-                exits = codes[graph.exit_bits.test(codes)]
-                depth[exits] = 1
-        processed = graph.peel(pending, processed, depth)
-        return processed, graph.member_count, graph.exit_bits
-    finally:
-        runtime.spill.drop_buckets()
+        for batch in _batches(frontier, runtime.chunk):
+            targets, left = _inside_targets(
+                kernel, batch, region, drop_self, image
+            )
+            exits = exits or left
+            nodes, counts = _grouped(targets)
+            in_degree[nodes] -= counts
+            next_level.append(nodes[in_degree[nodes] == 0])
+        worst = max(worst, level + exits)
+        if frontier.spilled_runs:
+            runtime.instrumentation.count("shm.spill.rounds")
+        frontier.clear()
+        frontier = next_level
+        level += 1
+    runtime.instrumentation.count("shm.peel.levels", level)
+    runtime.instrumentation.count("shm.peel.expanded", members + peeled)
+    return peeled < members, worst
 
 
 def shared_has_cycle(
@@ -721,14 +615,13 @@ def shared_has_cycle(
 ) -> bool:
     """Whether a cycle (including a self-loop) lies within ``region``.
 
-    The vector engine's Kahn trim with the edge set on disk: a cycle
-    exists iff the peel cannot exhaust the region.  With ``image`` the
-    relation is first restricted to image-invisible edges.
+    Runs the forward Kahn peel (see :func:`shared_longest_path`): a
+    cycle exists iff its levels do not exhaust the region.  With
+    ``image`` the relation is first restricted to image-invisible
+    edges — the invisible-cycles analysis inside the core.
     """
-    processed, member_count, _ = _peel(
-        kernel, region, runtime, drop_self, image, False, None
-    )
-    return processed < member_count
+    cyclic, _ = _forward_peel(kernel, region, runtime, drop_self, image)
+    return cyclic
 
 
 def shared_longest_path(
@@ -740,18 +633,27 @@ def shared_longest_path(
     """Longest transition path staying within ``region``, or ``None``
     when a cycle (including a self-loop) lies within it.
 
-    The peel is :func:`shared_has_cycle`'s, with the depth tracked on
-    top, so one peel decides divergence and the worst case together.
+    ``vector_longest_path``'s forward, level-synchronous Kahn peel
+    with the tables replaced by the streamed kernel.  One pass over
+    the region counts every member's in-region in-degree into a
+    full-space ``int32`` array, with one grouped sort per chunk.  The
+    members at in-degree 0 form level 0.  Each level's frontier is
+    re-expanded through the table-free kernel in batches of
+    ``runtime.chunk`` codes; one grouped sort per batch decrements the
+    in-degrees of its in-region targets, and the nodes that reach 0
+    form the next level.  No edge is stored.
+
+    The edges are read straight from :meth:`SharedKernel.edge_parts`
+    as a multiset, so two actions making the same move count twice.
+    The in-degree count and the decrements see the same multiset, so
+    a duplicated edge cannot change a level.
+
+    A node's level is the longest in-region path ending at it, so the
+    worst case is the maximum over levels ``L`` of ``L + 1`` when some
+    node at level ``L`` has a transition leaving the region (a step
+    into the core still counts), and ``L`` otherwise.  The levels
+    exhaust the region exactly when no cycle lies within it, as
+    :func:`shared_has_cycle` decides with the same peel.
     """
-    depth = np.zeros(kernel.size, dtype=np.int32)
-    processed, member_count, _ = _peel(
-        kernel, region, runtime, drop_self, None, True, depth
-    )
-    if member_count == 0:
-        return 0
-    if processed < member_count:
-        return None
-    longest = 0
-    for codes in region.member_chunks(runtime.chunk):
-        longest = max(longest, int(depth[codes].max()))
-    return longest
+    cyclic, worst = _forward_peel(kernel, region, runtime, drop_self, None)
+    return None if cyclic else worst

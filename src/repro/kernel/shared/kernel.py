@@ -326,22 +326,32 @@ class SharedKernel:
         if codes.size == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        origin_parts: List[np.ndarray] = []
-        target_parts: List[np.ndarray] = []
-        for mask, succ in self.iter_actions(codes):
-            if not self.keep_stutter:
-                mask = mask & (succ != codes)
-            positions = np.nonzero(mask)[0]
-            if positions.size:
-                origin_parts.append(positions)
-                target_parts.append(succ[positions])
-        if not origin_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        origins = np.concatenate(origin_parts)
-        targets = np.concatenate(target_parts)
+        origins, targets = map(np.concatenate, zip(*self.edge_parts(codes)))
         keys = _unique_sorted(origins * np.int64(self.size) + targets)
         return keys // self.size, keys % self.size
+
+    def edge_parts(
+        self, codes: np.ndarray, drop_self: bool = False
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The transitions out of a batch of codes as a multiset, in parts.
+
+        ``VectorKernel.edge_parts`` on the streamed evaluator: one
+        ``(origins, targets)`` part per action, with no sort and no
+        dedup, so two actions making the same move yield that edge
+        twice.  There is always at least one part, empty for a program
+        without actions.  With ``drop_self`` self-loops are left out.
+        """
+        codes = np.asarray(codes, dtype=np.int64)
+        if not self._guards:
+            empty = np.empty(0, dtype=np.int64)
+            yield empty, empty
+            return
+        drop = drop_self or not self.keep_stutter
+        for mask, succ in self.iter_actions(codes):
+            if drop:
+                mask = mask & (succ != codes)
+            positions = np.nonzero(mask)[0]
+            yield positions, succ[positions]
 
     def has_edge(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Element-wise transition membership for parallel code arrays."""

@@ -12,14 +12,14 @@ forms:
   width (1/2/4/8 bytes per diff, chosen per run), which compresses a
   typical frontier run 4–8x against raw codes while keeping decode a
   single ``cumsum``.
-* **Edge buckets** (:meth:`SpillStore.bucket_writer`): append-only
-  raw ``(target, source)`` pair files — at the store's code width
-  (:mod:`.width`) — partitioned by target code range, used by the
-  out-of-core cycle/longest-path peel.  Buckets are rewritten
-  sorted-by-target on first load; later loads return **views of a
-  read-only memory map** of the sorted file, so a bucket the peel
-  revisits once per sweep costs page-cache hits instead of a full
-  ``fromfile`` re-read each time.
+* **Edge buckets** (:meth:`SpillStore.bucket_writer`): raw
+  ``(target, source)`` pair files partitioned by target code range.
+  No engine path uses them: the peel (:mod:`.fixpoint`) re-expands
+  each level instead of storing edges.  They stay only because the
+  benchmark's tracer (``benchmarks/perf/spans.py``) wraps
+  ``_BucketWriter.append`` and :meth:`load_bucket_sorted` by name; a
+  change to the benchmark's definition deletes them with those two
+  targets.
 
 The directory is created lazily, scoped to the run
 (``repro-spill-<pid>-*``), and removed whole by :meth:`close` — the

@@ -1,12 +1,13 @@
-"""The shared engine's out-of-core peel across many buckets.
+"""The shared engine's forward peel under a tight memory budget.
 
-Under a 64 KiB budget the region outside the core of K-state(6, 6)
-splits into dozens of spill buckets, so every Kahn level of the peel
-scatters across them.  The peel runs in sweeps over the buckets; these
-tests pin that the verdict, the worst case and the witness still
-equal the in-RAM vector engine's, and that the sweep count stays
-within the longest path + 1 — the bound a lowest-bucket-first
-schedule does not have.
+Under a 64 KiB budget the region outside the core of K-state(6, 6) is
+peeled level by level, each level re-expanded through the streamed
+kernel in chunk-sized batches.  These tests pin that the verdict, the
+worst case and the witness still equal the in-RAM vector engine's, and
+that the peel's driver-side counters match its design: at most one
+level per step of the worst case plus one, and every member of the
+region expanded exactly twice (once to count in-degrees, once when it
+is peeled).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from repro.checker import check_stabilization
 from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
+from repro.parallel import parallel_available
 from repro.rings import (
     btr3_abstraction,
     btr_program,
@@ -54,11 +56,38 @@ def test_many_bucket_peel_reports_the_vector_worst_case():
     assert shared.worst_case_steps == vector.worst_case_steps == 38
     assert shared.format() == vector.format()
     counters = record.counters
-    buckets = counters["shm.peel.buckets"]
-    sweeps = counters["shm.peel.sweeps"]
-    assert buckets > 1
-    assert sweeps <= shared.worst_case_steps + 1
-    assert counters["shm.peel.visits"] <= sweeps * buckets
+    outside = 6 ** 6 - len(shared.core)
+    assert outside > 0
+    assert 0 < counters["shm.peel.levels"] <= shared.worst_case_steps + 1
+    assert counters["shm.peel.expanded"] == 2 * outside
+
+
+@pytest.mark.skipif(not parallel_available(), reason="needs fork")
+def test_peel_counters_identical_at_one_and_two_workers():
+    """The driver runs the peel alone, so its counters cannot depend on
+    how many workers shard the other fixpoints' rounds."""
+    from repro.kernel.shared import using_memory_budget
+
+    peel = []
+    for workers in (1, 2):
+        recorder = Recorder()
+        with using_memory_budget("64K", parallel_min=1):
+            result = check_stabilization(
+                kstate_program(5, 5), utr_program(5), utr_abstraction(5, 5),
+                engine="shared", workers=workers, instrumentation=recorder,
+            )
+        assert result.holds
+        counters = recorder.record().counters
+        assert counters.get("parallel.workers", 1) == workers
+        peel.append(
+            {
+                name: value
+                for name, value in counters.items()
+                if name.startswith("shm.peel.")
+            }
+        )
+    assert peel[0] == peel[1]
+    assert set(peel[0]) == {"shm.peel.levels", "shm.peel.expanded"}
 
 
 def test_many_bucket_peel_finds_the_vector_witness():

@@ -24,6 +24,7 @@ from repro.gcl.variable import Variable
 from repro.kernel.shared import SHARED_MIN_STATES, using_memory_budget
 from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
+from tests.unit.test_vector_kernel import _TableImage
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="NumPy not installed"
@@ -33,23 +34,29 @@ MODULUS = 5
 VAR_NAMES = ("u", "w.0")
 
 
+#: The peel property's space: 64,000 states, so one level of the peel
+#: can outgrow the 64 KiB resident cap of its code runs and spill.
+PEEL_MODULUS = 40
+PEEL_VAR_NAMES = ("u", "v", "w")
+
+
 @st.composite
-def shared_programs(draw):
-    """Random two-variable programs over ``mod 5`` — 25 states, large
-    enough that a shared-engine request is honoured, small enough to
-    cross-check exhaustively."""
+def shared_programs(draw, modulus=MODULUS, var_names=VAR_NAMES):
+    """Random programs over modular variables — by default two mod-5
+    variables, 25 states, large enough that a shared-engine request is
+    honoured, small enough to cross-check exhaustively."""
     n_actions = draw(st.integers(min_value=1, max_value=3))
     actions = []
     for index in range(n_actions):
-        guard_var = draw(st.sampled_from(VAR_NAMES))
-        guard_value = draw(st.integers(min_value=0, max_value=MODULUS - 1))
+        guard_var = draw(st.sampled_from(var_names))
+        guard_value = draw(st.integers(min_value=0, max_value=modulus - 1))
         guard_kind = draw(st.sampled_from([Eq, Ne]))
-        target = draw(st.sampled_from(VAR_NAMES))
+        target = draw(st.sampled_from(var_names))
         effect = draw(
             st.one_of(
-                st.integers(min_value=0, max_value=MODULUS - 1).map(Const),
+                st.integers(min_value=0, max_value=modulus - 1).map(Const),
                 st.sampled_from(
-                    [AddMod(Var(name), Const(1), MODULUS) for name in VAR_NAMES]
+                    [AddMod(Var(name), Const(1), modulus) for name in var_names]
                 ),
             )
         )
@@ -60,7 +67,7 @@ def shared_programs(draw):
                 {target: effect},
             )
         )
-    variables = [Variable(name, ModularDomain(MODULUS)) for name in VAR_NAMES]
+    variables = [Variable(name, ModularDomain(modulus)) for name in var_names]
     init = Eq(Var("u"), Const(0))
     return Program("fuzzed", variables, actions, init=init)
 
@@ -114,6 +121,121 @@ class TestSharedPrimitives:
                 for code in member.tolist()
             ]
         assert reached == expected
+
+
+def _shared_peel(program, members, drop_self, image, chunk, recorder):
+    """``(has_cycle, longest_path)`` from the shared peel under a 64 KiB
+    budget, ``chunk`` codes per batch (no longest path with an image)."""
+    import numpy as np
+
+    from repro.kernel.shared import (
+        BitField,
+        SharedKernel,
+        open_runtime,
+        shared_has_cycle,
+        shared_longest_path,
+    )
+
+    kernel = SharedKernel(program)
+    region = BitField(kernel.size)
+    region.set_codes(np.flatnonzero(members))
+    with using_memory_budget("64K"):
+        with open_runtime(kernel, instrumentation=recorder) as runtime:
+            runtime.chunk = chunk
+            cyclic = shared_has_cycle(
+                kernel, region, runtime, drop_self, image
+            )
+            if image is not None:
+                return cyclic, None
+            return cyclic, shared_longest_path(
+                kernel, region, runtime, drop_self
+            )
+
+
+def _vector_peel(program, members, drop_self, image_of):
+    from repro.kernel.vector import (
+        as_vector_kernel,
+        vector_has_cycle,
+        vector_longest_path,
+    )
+
+    kernel = as_vector_kernel(program)
+    cyclic = vector_has_cycle(kernel, members, drop_self, image_of)
+    if image_of is not None:
+        return cyclic, None
+    return cyclic, vector_longest_path(kernel, members, drop_self)
+
+
+@needs_numpy
+class TestSharedForwardPeel:
+    """The shared peel re-expands each level through the streamed
+    kernel; its verdicts must be the vector peel's, whatever the batch
+    size and however the levels spill."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.one_of(
+            shared_programs(),
+            shared_programs(PEEL_MODULUS, PEEL_VAR_NAMES),
+        ),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.5, 0.95, 1.0]),
+        st.booleans(),
+        st.sampled_from([None, "low", "high", "random"]),
+        st.integers(min_value=8, max_value=64),
+    )
+    def test_shared_peel_matches_the_vector_peel(
+        self, program, seed, density, drop_self, image_kind, batches
+    ):
+        """Random subregions (dense ones keep the space's cycles) and
+        image tables; ``chunk`` is a 1/8 to 1/64 share of the space, so
+        a batch joins several runs of the level before."""
+        import numpy as np
+
+        schema = program.schema()
+        size = schema.size()
+        radix = len(schema.domains[0])
+        rng = np.random.default_rng(seed)
+        members = rng.random(size) < density
+        codes = np.arange(size, dtype=np.int64)
+        # Projections onto the lowest-place variable's digit, or onto
+        # the others: edges moving only the other side are invisible.
+        image_of = {
+            None: None,
+            "low": codes % radix,
+            "high": codes // radix,
+            "random": rng.integers(0, 4, size=size, dtype=np.int64),
+        }[image_kind]
+        image = None if image_of is None else _TableImage(image_of)
+        chunk = max(1, size // batches)
+        assert _shared_peel(
+            program, members, drop_self, image, chunk, Recorder()
+        ) == _vector_peel(program, members, drop_self, image_of)
+
+    def test_spilled_levels_match_the_vector_peel(self):
+        """Level 0, every code but the 1,600 with ``u == 1``, outgrows
+        the 64 KiB run cap: the peel streams it back from spill, batch
+        by batch."""
+        import numpy as np
+
+        program = Program(
+            "plane",
+            [
+                Variable(name, ModularDomain(PEEL_MODULUS))
+                for name in PEEL_VAR_NAMES
+            ],
+            [GuardedAction("lift", Eq(Var("u"), Const(0)), {"u": Const(1)})],
+            init=Eq(Var("u"), Const(0)),
+        )
+        members = np.ones(program.schema().size(), dtype=bool)
+        recorder = Recorder()
+        shared = _shared_peel(program, members, False, None, 997, recorder)
+        assert shared == _vector_peel(program, members, False, None)
+        counters = recorder.record().counters
+        assert shared == (False, 1)
+        assert counters["shm.spill.rounds"] > 0
+        # Two peels (cycle, then longest path) of two levels each.
+        assert counters["shm.peel.levels"] == 4
 
 
 @needs_numpy

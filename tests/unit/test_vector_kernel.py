@@ -265,9 +265,45 @@ def _counter_program(*extra: GuardedAction) -> Program:
     )
 
 
+class _TableImage:
+    """A dense image table behind ``SharedImage``'s ``of`` interface."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def of(self, codes):
+        return self.table[codes]
+
+
+def _shared_peel(program, members, drop_self=False, keep_stutter=True):
+    """``(shared_has_cycle, shared_longest_path)`` of ``program`` over
+    the codes flagged in ``members``, one code per batch."""
+    import numpy as np
+
+    from repro.kernel.shared import (
+        BitField,
+        SharedKernel,
+        open_runtime,
+        shared_has_cycle,
+        shared_longest_path,
+    )
+
+    kernel = SharedKernel(program, keep_stutter=keep_stutter)
+    region = BitField(kernel.size)
+    region.set_codes(np.flatnonzero(np.asarray(members, dtype=bool)))
+    with open_runtime(kernel) as runtime:
+        runtime.chunk = 1
+        return (
+            shared_has_cycle(kernel, region, runtime, drop_self),
+            shared_longest_path(kernel, region, runtime, drop_self),
+        )
+
+
 @needs_numpy
 class TestForwardPeel:
-    """The vector peel reads each action's table as an edge multiset."""
+    """Both forward peels read each action as an edge multiset: the
+    vector one from its tables, the shared one from the streamed
+    kernel."""
 
     def _both_kernels(self, program, keep_stutter=True):
         from repro.kernel.vector import VectorKernel
@@ -302,6 +338,7 @@ class TestForwardPeel:
             for kernel in (tables, csr):
                 assert vector_longest_path(kernel, region) == expected
                 assert not vector_has_cycle(kernel, region)
+            assert _shared_peel(program, members) == (False, expected)
 
     def test_kept_stutter_self_loop_is_a_cycle(self):
         import numpy as np
@@ -311,28 +348,65 @@ class TestForwardPeel:
         program = _counter_program(
             GuardedAction("stay", Eq(Var("x"), Const(0)), {"x": Const(0)})
         )
+        members = [True] * 4
         region = np.ones(4, dtype=bool)
         for kernel in self._both_kernels(program, keep_stutter=True):
             assert vector_has_cycle(kernel, region, drop_self=False)
             assert vector_longest_path(kernel, region, drop_self=False) is None
             assert not vector_has_cycle(kernel, region, drop_self=True)
             assert vector_longest_path(kernel, region, drop_self=True) == 3
+        assert _shared_peel(program, members, drop_self=False) == (True, None)
+        assert _shared_peel(program, members, drop_self=True) == (False, 3)
         for kernel in self._both_kernels(program, keep_stutter=False):
             assert not vector_has_cycle(kernel, region)
             assert vector_longest_path(kernel, region) == 3
+        assert _shared_peel(program, members, keep_stutter=False) == (False, 3)
+
+    def test_image_keeps_only_invisible_cycles(self):
+        """0 -> 1 -> 2 -> 3 -> 0 is a cycle, but the image table makes
+        1 -> 2 and 3 -> 0 visible, so no invisible cycle remains."""
+        import numpy as np
+
+        from repro.kernel.shared import (
+            BitField,
+            SharedKernel,
+            open_runtime,
+            shared_has_cycle,
+        )
+        from repro.kernel.vector import vector_has_cycle
+
+        program = _counter_program(
+            GuardedAction("wrap", Eq(Var("x"), Const(3)), {"x": Const(0)})
+        )
+        image_of = np.asarray([0, 0, 1, 1], dtype=np.int64)
+        region = np.ones(4, dtype=bool)
+        for kernel in self._both_kernels(program):
+            assert vector_has_cycle(kernel, region)
+            assert not vector_has_cycle(kernel, region, image_of=image_of)
+        kernel = SharedKernel(program)
+        flags = BitField(kernel.size)
+        flags.set_codes(np.arange(4, dtype=np.int64))
+        with open_runtime(kernel) as runtime:
+            assert shared_has_cycle(kernel, flags, runtime)
+            assert not shared_has_cycle(
+                kernel, flags, runtime, image=_TableImage(image_of)
+            )
 
     def test_program_without_actions_has_no_edges(self):
         import numpy as np
 
+        from repro.kernel.shared import SharedKernel
         from repro.kernel.vector import vector_has_cycle, vector_longest_path
 
         program = Program("idle", [Variable("x", IntRange(0, 3))], [])
         region = np.ones(4, dtype=bool)
-        for kernel in self._both_kernels(program):
+        for kernel in (*self._both_kernels(program), SharedKernel(program)):
             origins, targets = kernel.succ_pairs(np.arange(4))
             assert origins.size == targets.size == 0
+        for kernel in self._both_kernels(program):
             assert not vector_has_cycle(kernel, region)
             assert vector_longest_path(kernel, region) == 0
+        assert _shared_peel(program, [True] * 4) == (False, 0)
 
 
 @needs_numpy
