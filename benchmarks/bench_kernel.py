@@ -15,29 +15,23 @@ materializing full-space action tables) has fixed cost that only pays
 off once the state space is large enough to amortize it (see
 docs/PERFORMANCE.md).
 
-The P09/P10 mega sweep takes the shared engine past the vector
-ceiling: ``run_mega.py`` streams K-state rings in a child process
-under an explicit ``--mem-budget`` and the suite asserts the verdict
-holds, spill engaged, the adaptive code width narrowed, and the
-child's peak RSS stayed within the documented envelope (budget +
-interpreter baseline + resident spill pages; see "Memory
-architecture" in docs/PERFORMANCE.md).  The default smoke now carries
-the 62.7M-state (7, 13) point; ``REPRO_MEGA=1`` adds the 16.7M-state
-(8, 8) and the 134M-state (9, 8) acceptance points.  The P10 ablation
-test re-runs one configuration with packing, table reuse, and the
-mmap visited backing each disabled in turn and asserts the
-deterministic per-axis signals: packing halves spill bytes per state,
-and table reuse serves re-walked chunks from cache instead of
-re-lowering them.
+The P09 mega sweep takes the shared engine past the vector ceiling:
+``run_mega.py`` streams K-state rings in a child process under an
+explicit ``--mem-budget`` and the suite asserts the verdict holds,
+spill engaged, the adaptive code width narrowed, and the child's peak
+RSS stayed within the documented envelope (budget + interpreter
+baseline; see "Memory architecture" in docs/PERFORMANCE.md).  The
+default smoke carries the 62.7M-state (7, 13) point; ``REPRO_MEGA=1``
+adds the 16.7M-state (8, 8) and the 134M-state (9, 8) acceptance
+points.
 
 The winning mega row is also mirrored to the repository-level
 ``BENCH_kernel.json`` trajectory (engine, states, states/sec, peak
 RSS, code width), keyed by configuration so re-runs update in place.
 
 Artifacts: ``results/p02_kernel_scaling.{txt,json}``,
-``results/p05_vector_scaling.{txt,json}``,
-``results/p09_mega_scaling.{txt,json}``, and
-``results/p10_mega_ablation.{txt,json}`` with the sweep tables, and
+``results/p05_vector_scaling.{txt,json}``, and
+``results/p09_mega_scaling.{txt,json}`` with the sweep tables, and
 ``results/{p02_kernel,p05_vector}.metrics.json`` with the ``engine.*``
 and ``check.*`` counters from instrumented runs.
 """
@@ -84,7 +78,7 @@ VECTOR_SWEEP = ((5, 5), (6, 6), (7, 7))
 #: Required speedup of vector over packed on the largest configuration.
 REQUIRED_VECTOR_SPEEDUP = 5.0
 
-#: P09/P10 mega sweep through the shared engine: (n, k, budget).  The
+#: P09 mega sweep through the shared engine: (n, k, budget).  The
 #: first smoke point is the previous vector ceiling — 823 543 states —
 #: under a deliberately tiny 4 MiB budget, so out-of-core spill
 #: genuinely engages.  The second is the P10 default-smoke headline:
@@ -97,34 +91,12 @@ if os.environ.get("REPRO_MEGA") == "1":
     MEGA_SWEEP.append((9, 8, "1G"))
 
 #: The memory budget governs the engine's working set; peak process
-#: RSS additionally carries the interpreter + NumPy baseline and
-#: allocator transients (see "Memory architecture" in
-#: docs/PERFORMANCE.md), so the bounded-RSS assertion allows this much
-#: on top of the budget.
+#: RSS additionally carries the interpreter + NumPy baseline, the
+#: peel's int32 in-degree array, and allocator transients (see "Memory
+#: architecture" in docs/PERFORMANCE.md), so the bounded-RSS assertion
+#: allows this much on top of the budget — the same envelope CI
+#: ``mega-smoke`` asserts.
 MEGA_RSS_ALLOWANCE_KIB = 256 * 1024
-
-#: Spill buckets are read back through memmaps, whose resident pages
-#: the kernel attributes to the process RSS until memory pressure
-#: reclaims them.  Spill volume scales with states (measured ~45
-#: bytes/state delta-encoded at the smoke points), so the RSS envelope
-#: carries a per-state term with headroom on top of the fixed
-#: allowance.  See "Memory architecture" in docs/PERFORMANCE.md.
-MEGA_RSS_SPILL_RESIDENCY_B = 64
-
-#: The (n, k, budget) configuration for the P10 ablation grid — small
-#: enough that four full checks finish in seconds, large enough that
-#: spill engages and the worst-case phase re-walks the core region
-#: (the recurrence table reuse exists for).
-MEGA_ABLATION_POINT = (6, 6, "4M")
-
-
-def _mega_rss_ceiling_kib(budget_kib: int, states: int) -> int:
-    """The documented RSS envelope for one mega configuration."""
-    return (
-        budget_kib
-        + MEGA_RSS_ALLOWANCE_KIB
-        + states * MEGA_RSS_SPILL_RESIDENCY_B // 1024
-    )
 
 
 def _peak_rss_kib() -> int:
@@ -323,7 +295,7 @@ def _run_mega_child(argv, timeout=3600):
 
 
 def _mega_rows():
-    """P09/P10 rows, one child process per configuration."""
+    """P09 rows, one child process per configuration."""
     rows = []
     for n, k, budget in MEGA_SWEEP:
         row = _run_mega_child(
@@ -413,12 +385,11 @@ def test_p09_mega_bounded_rss(benchmark, record_table):
             f"expected int32 packing, got width {row['code_width']} at "
             f"{row['states']} states"
         )
-        ceiling = _mega_rss_ceiling_kib(row["budget_kib"], row["states"])
+        ceiling = row["budget_kib"] + MEGA_RSS_ALLOWANCE_KIB
         assert row["peak_rss_kib"] <= ceiling, (
             f"peak RSS {row['peak_rss_kib']} KiB exceeds the documented "
             f"envelope {ceiling} KiB (budget {row['budget_kib']} KiB + "
-            f"{MEGA_RSS_ALLOWANCE_KIB} KiB baseline + "
-            f"{MEGA_RSS_SPILL_RESIDENCY_B} B/state) at "
+            f"{MEGA_RSS_ALLOWANCE_KIB} KiB baseline) at "
             f"{row['states']} states"
         )
     assert max(row["states"] for row in rows) >= 50_000_000, (
@@ -435,76 +406,8 @@ def test_p09_mega_bounded_rss(benchmark, record_table):
                 "spill_files", "spill_mib",
             ],
             title=(
-                "P09/P10 shared engine at mega scale: K-state(n, k) "
+                "P09 shared engine at mega scale: K-state(n, k) "
                 "stabilizing to UTR under a hard memory budget"
-            ),
-        ),
-        rows=rows,
-        engine="shared",
-    )
-
-
-@needs_numpy
-def test_p10_mega_ablation(benchmark, record_table):
-    """Each P10 axis must carry deterministic, measurable weight:
-    packing halves the spilled bytes per state (the narrow dtype is
-    exactly half of int64), and table reuse serves re-walked chunks
-    from cache instead of re-lowering them.  Wall-clock is recorded
-    per row but not asserted — at the smoke points the peel phases are
-    sort/IO-bound, so throughput deltas sit inside machine noise while
-    the work elimination is exact (see docs/PERFORMANCE.md)."""
-    n, k, budget = MEGA_ABLATION_POINT
-
-    def ablation_rows():
-        rows = _run_mega_child(
-            ["--n", str(n), "--k", str(k), "--mem-budget", budget,
-             "--ablate"]
-        )
-        return {row["mode"]: row for row in rows}
-
-    by_mode = benchmark.pedantic(ablation_rows, rounds=1, iterations=1)
-    assert set(by_mode) == {"full", "no-pack", "no-tables", "no-mmap"}
-    for mode, row in by_mode.items():
-        assert row["holds"], f"verdict broke in ablation mode {mode}"
-        assert row["engine"] == "shared", mode
-    full, no_pack = by_mode["full"], by_mode["no-pack"]
-    assert full["code_width"] == 4 and no_pack["code_width"] == 8
-    assert full["spill_bytes_per_state"] > 0
-    assert (
-        no_pack["spill_bytes_per_state"]
-        >= 1.9 * full["spill_bytes_per_state"]
-    ), "int32 packing must (about) halve the spilled bytes per state"
-    assert full["relowering_avoided_codes"] > 0, (
-        "table reuse served no re-walked chunk from cache"
-    )
-    assert full["counters"].get("kernel.tables.hits", 0) > 0
-    assert by_mode["no-tables"]["relowering_avoided_codes"] == 0
-    rows = [
-        {
-            "mode": mode,
-            "states": row["states"],
-            "seconds": row["seconds"],
-            "states_per_s": row["states_per_s"],
-            "peak_rss_kib": row["peak_rss_kib"],
-            "code_width": row["code_width"],
-            "spill_bytes_per_state": row["spill_bytes_per_state"],
-            "relowering_avoided_codes": row["relowering_avoided_codes"],
-            "table_hits": row["counters"].get("kernel.tables.hits", 0),
-        }
-        for mode, row in by_mode.items()
-    ]
-    record_table(
-        "p10_mega_ablation",
-        format_table(
-            rows,
-            columns=[
-                "mode", "states", "seconds", "states_per_s", "peak_rss_kib",
-                "code_width", "spill_bytes_per_state",
-                "relowering_avoided_codes", "table_hits",
-            ],
-            title=(
-                f"P10 ablation at K-state({n}, {k}) under {budget}: "
-                "packing, table reuse, and mmap visited each toggled off"
             ),
         ),
         rows=rows,

@@ -1,4 +1,4 @@
-"""P09/P10 mega-scale runner: one K-state ring through the shared engine.
+"""P09 mega-scale runner: one K-state ring through the shared engine.
 
 Streams the full stabilization check of K-state(n, k) refining the
 unidirectional token ring through the shared-memory engine under an
@@ -9,19 +9,6 @@ NumPy baseline and earlier sweeps must not pollute the high-water
 mark), the chosen code width, the verdict, the engine that actually
 ran, and the ``shm.*`` / ``kernel.tables.*`` staging counters.
 
-``--ablate`` runs the P10 ablation grid instead: the same
-configuration four times — everything on, then adaptive code-width
-packing, cross-round table reuse, and the mmap visited backing each
-switched off in turn — and prints one row per mode, so the
-contribution of each axis (bytes spilled per state, table hits and
-re-lowering avoided, states/s, peak RSS) is measured rather than
-asserted from theory.  Each mode runs in its own freshly spawned
-interpreter, so its ``peak_rss_kib`` is that mode's high-water mark,
-not the grid's.  Ablation rows run with ``compute_steps=True``, the
-heavier path: one depth-tracking peel decides divergence and the worst
-case together.  No chunk is walked three times on that path either,
-so the table pool is consulted but serves no hit.
-
 Standalone usage:
 
     PYTHONPATH=src python benchmarks/run_mega.py --n 7 --k 7 \
@@ -30,32 +17,18 @@ Standalone usage:
         --mem-budget 512M          # 62.7M states, the P10 smoke point
     PYTHONPATH=src python benchmarks/run_mega.py --n 9 --k 8 \
         --mem-budget 1G            # 134M states (REPRO_MEGA point)
-    PYTHONPATH=src python benchmarks/run_mega.py --n 7 --k 7 \
-        --mem-budget 16M --ablate
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import resource
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-
-#: Ablation modes: name -> context-flag overrides.
-ABLATION_MODES = (
-    ("full", {}),
-    ("no-pack", {"pack_codes": False}),
-    ("no-tables", {"reuse_tables": False}),
-    ("no-mmap", {"mmap_visited": False}),
-)
 
 
-def _run_once(
-    args, budget_bytes: int, overrides: dict, compute_steps: bool = False
-) -> dict:
+def _run_once(args, budget_bytes: int) -> dict:
     from repro.checker import check_stabilization
     from repro.kernel.shared import using_memory_budget
     from repro.obs import Recorder
@@ -65,17 +38,15 @@ def _run_once(
     recorder = Recorder(kind="bench")
     recorder.annotate(
         experiment="p09_mega", n=args.n, k=args.k, engine="shared",
-        budget=budget_bytes, workers=args.workers, **overrides,
+        budget=budget_bytes, workers=args.workers,
     )
     start = time.perf_counter()
-    with using_memory_budget(
-        args.mem_budget, spill_dir=args.spill_dir, **overrides
-    ):
+    with using_memory_budget(args.mem_budget, spill_dir=args.spill_dir):
         result = check_stabilization(
             concrete,
             utr_program(args.n),
             utr_abstraction(args.n, args.k),
-            compute_steps=compute_steps,
+            compute_steps=False,
             engine="shared",
             workers=args.workers,
             instrumentation=recorder,
@@ -132,43 +103,21 @@ def main(argv=None) -> int:
         "--workers", type=int, default=1, help="worker processes"
     )
     parser.add_argument(
-        "--ablate", action="store_true",
-        help="run the width/reuse/mmap ablation grid (one row per mode)",
-    )
-    parser.add_argument(
         "--json", default=None,
-        help="write the result row(s) here instead of stdout",
+        help="write the result row here instead of stdout",
     )
     args = parser.parse_args(argv)
 
     from repro.kernel.shared import parse_mem_budget
 
-    budget_bytes = parse_mem_budget(args.mem_budget)
-    if args.ablate:
-        rows = []
-        spawn = multiprocessing.get_context("spawn")
-        for mode, overrides in ABLATION_MODES:
-            # A fresh interpreter per mode: ``ru_maxrss`` only rises.
-            with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
-                row = pool.submit(
-                    _run_once, args, budget_bytes, overrides, True
-                ).result()
-            row["mode"] = mode
-            rows.append(row)
-        payload = rows
-        ok = all(row["holds"] for row in rows)
-    else:
-        row = _run_once(args, budget_bytes, {})
-        payload = row
-        ok = row["holds"]
-
-    text = json.dumps(payload, indent=2) + "\n"
+    row = _run_once(args, parse_mem_budget(args.mem_budget))
+    text = json.dumps(row, indent=2) + "\n"
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    return 0 if ok else 1
+    return 0 if row["holds"] else 1
 
 
 if __name__ == "__main__":

@@ -158,19 +158,13 @@ if numpy_available():
     from .runtime import SharedRuntime, open_runtime
     from .spill import SpillStore
     from .tables import TablePool
-    from .visited import (
-        MmapBitField,
-        VisitedHandle,
-        attach_visited,
-        mmap_threshold,
-        open_visited,
-    )
+    from .visited import AttachedVisited, VisitedHandle, open_visited
     from .width import code_dtype, code_width
 
     __all__ += [
+        "AttachedVisited",
         "BitField",
         "CodeRuns",
-        "MmapBitField",
         "SharedImage",
         "SharedKernel",
         "SharedLoweringError",
@@ -178,10 +172,8 @@ if numpy_available():
         "SpillStore",
         "TablePool",
         "VisitedHandle",
-        "attach_visited",
         "code_dtype",
         "code_width",
-        "mmap_threshold",
         "open_runtime",
         "open_visited",
         "shared_core",

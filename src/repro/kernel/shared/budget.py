@@ -3,8 +3,8 @@
 The shared-memory engine is opt-in: a check routes through it only
 while a :class:`MemoryContext` is active (the CLI's ``--mem-budget``
 / ``--spill-dir`` flags, or :func:`using_memory_budget` directly).
-The context carries the two tunables the streamed fixpoints plan
-around:
+The context carries three settable values; the streamed fixpoints
+plan around the first two:
 
 * **budget_bytes** — the in-RAM ceiling for engine working sets.  The
   kernel sizes its evaluation chunks from it, and frontier/member
@@ -12,6 +12,7 @@ around:
   (:mod:`.spill`) instead of growing resident.
 * **spill_dir** — where the run-scoped spill directory is created
   (defaults to the system temp dir).
+* **parallel_min** — the smallest batch worth sharding to workers.
 
 The active context lives in a module-level slot, exactly like the
 resilience package's chaos plan: forked workers inherit it
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 __all__ = [
@@ -103,22 +104,11 @@ class MemoryContext:
         parallel_min: smallest frontier/member batch worth sharding
             across workers; below it rounds run in-process even when
             ``workers > 1`` (the verdict is identical either way).
-        pack_codes: store codes at the adaptive width
-            (:mod:`~.width`) instead of int64 wherever they are at
-            rest.  Off = the PR 9 layout; verdicts are identical
-            either way (the ablation axis ``run_mega.py`` measures).
-        reuse_tables: cache lowered per-chunk action tables in the
-            bounded shm table pool (:mod:`~.tables`) across rounds.
-        mmap_visited: allow flag fields past their budget slice to
-            page onto a run-scoped mmap file (:mod:`~.visited`).
     """
 
     budget_bytes: int = DEFAULT_MEM_BUDGET
     spill_dir: Optional[str] = None
     parallel_min: int = 256
-    pack_codes: bool = True
-    reuse_tables: bool = True
-    mmap_visited: bool = True
 
     def __post_init__(self) -> None:
         if self.budget_bytes < 1:
@@ -141,9 +131,6 @@ def using_memory_budget(
     budget: Optional[object] = None,
     spill_dir: Optional[str] = None,
     parallel_min: Optional[int] = None,
-    pack_codes: Optional[bool] = None,
-    reuse_tables: Optional[bool] = None,
-    mmap_visited: Optional[bool] = None,
 ) -> Iterator[MemoryContext]:
     """Activate the shared-memory engine for the dynamic extent.
 
@@ -152,8 +139,6 @@ def using_memory_budget(
             :data:`DEFAULT_MEM_BUDGET`.
         spill_dir: parent directory for spill files.
         parallel_min: override the sharding threshold (tests).
-        pack_codes / reuse_tables / mmap_visited: ablation switches
-            (see :class:`MemoryContext`); ``None`` keeps the default.
     """
     if budget is None:
         budget_bytes = DEFAULT_MEM_BUDGET
@@ -166,12 +151,6 @@ def using_memory_budget(
     kwargs = {"budget_bytes": budget_bytes, "spill_dir": spill_dir}
     if parallel_min is not None:
         kwargs["parallel_min"] = parallel_min
-    if pack_codes is not None:
-        kwargs["pack_codes"] = pack_codes
-    if reuse_tables is not None:
-        kwargs["reuse_tables"] = reuse_tables
-    if mmap_visited is not None:
-        kwargs["mmap_visited"] = mmap_visited
     context = MemoryContext(**kwargs)
     previous = _ACTIVE[0]
     _ACTIVE[0] = context

@@ -55,7 +55,7 @@ from .image import SharedImage
 from .kernel import SharedKernel
 from .runtime import SharedRuntime
 from .segments import attach_segment, create_worker_segment
-from .visited import attach_visited, open_visited
+from .visited import AttachedVisited, open_visited
 
 __all__ = [
     "shared_reachable",
@@ -105,16 +105,15 @@ def _expand_task(payload: Tuple[int, int, int]) -> Tuple[Optional[str], int]:
     """Worker: expand one code-range partition of the staged frontier.
 
     Reads the frontier run (at the run's storage width) and the shared
-    visited backing — shm segment or mmap file — zero-copy, expands
-    its partition chunk-wise, and writes the deduplicated unvisited
-    targets to an output segment.
+    visited segment zero-copy, expands its partition chunk-wise, and
+    writes the deduplicated unvisited targets to an output segment.
     """
     part, parts, round_index = payload
     ctx = worker_context()["shared_reachable"]
     kernel: SharedKernel = ctx["kernel"]
     code_dtype: np.dtype = ctx["code_dtype"]
     frontier_segment = attach_segment(ctx["frontier_name"])
-    attached = attach_visited(ctx["visited_ref"])
+    attached = AttachedVisited(ctx["visited_ref"])
     frontier = None
     try:
         frontier = np.frombuffer(
@@ -176,12 +175,11 @@ def shared_reachable(
     """Codes reachable from ``sources`` as a bit-packed field.
 
     The vector BFS with three substitutions: visited flags are one bit
-    per code (in a shm segment when sharded, an mmap file when the
-    field outgrows its budget slice — :func:`~.visited.open_visited`),
-    each frontier round is a :class:`CodeRuns` that spills past its
-    RAM cap, and rounds larger than the sharding threshold fan out
-    over code-range partitions.  The visited *set* per round is
-    identical to the vector engine's.
+    per code (in a shm segment when sharded, see
+    :func:`~.visited.open_visited`), each frontier round is a
+    :class:`CodeRuns` that spills past its RAM cap, and rounds larger
+    than the sharding threshold fan out over code-range partitions.
+    The visited *set* per round is identical to the vector engine's.
     """
     size = kernel.size
     handle = open_visited(runtime, size, "visited", instrumentation)
@@ -219,7 +217,6 @@ def shared_reachable(
                 )
                 staged[:] = run
                 del staged
-                handle.flush()
                 with WorkerPool(
                     runtime.workers,
                     shared_reachable={
@@ -262,7 +259,7 @@ def shared_reachable(
             instrumentation.count("shm.spill.rounds")
     frontier.clear()
     # The caller owns a private bitfield either way; the shared
-    # backing (segment or mmap file) is released here.
+    # segment is released here.
     return handle.detach_private()
 
 
@@ -327,7 +324,7 @@ def _core_round_task(
     part, parts, round_index = payload
     ctx = worker_context()["shared_core"]
     kernel: SharedKernel = ctx["kernel"]
-    attached = attach_visited(ctx["flags_ref"])
+    attached = AttachedVisited(ctx["flags_ref"])
     try:
         flags = attached.field
         start_byte, end_byte = _partition_bounds(flags.nbytes, parts)[part]
@@ -408,7 +405,6 @@ def shared_core(
             runtime.spill, runtime.run_cap_bytes, dtype=runtime.code_dtype
         )
         if runtime.parallel(remaining) and handle.sharable:
-            handle.flush()
             with WorkerPool(
                 runtime.workers,
                 shared_core={

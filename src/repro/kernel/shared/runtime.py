@@ -4,21 +4,19 @@ One :class:`SharedRuntime` spans one engine run (one decide).  It owns
 the :class:`~.segments.SegmentRegistry` and :class:`~.spill.SpillStore`
 whose cleanup must be unconditional — :func:`open_runtime` is the only
 sanctioned way in, and its ``finally`` sweeps segments, releases the
-table pool, and removes the spill directory (mmap visited files
-included) no matter how the check ends: success, engine fault feeding
-the degradation chain, chaos-injected worker kill, or a
-``KeyboardInterrupt`` mid-fixpoint.
+table pool, and removes the spill directory no matter how the check
+ends: success, engine fault feeding the degradation chain,
+chaos-injected worker kill, or a ``KeyboardInterrupt`` mid-fixpoint.
 
 The runtime also fixes the run's two cross-cutting perf decisions:
 
 * **code width** — :attr:`SharedRuntime.code_dtype`, chosen once from
-  the interner's radix product (:mod:`.width`) when the context allows
-  packing; every at-rest code structure (frontier runs, spill files,
-  edge buckets, staging segments) uses it, and the choice is emitted
-  as the ``shm.code_width`` event;
+  the interner's radix product (:mod:`.width`); every at-rest code
+  structure (frontier runs, spill files, staging segments) uses it,
+  and the choice is emitted as the ``shm.code_width`` event;
 * **table pool** — a bounded :class:`~.tables.TablePool` attached to
-  the kernel for the run's extent when the context allows reuse, so
-  fixpoints that re-walk the same chunks skip re-lowering them.
+  the kernel for the run's extent, so fixpoints that re-walk the same
+  chunks skip re-lowering them.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ class SharedRuntime:
     instrumentation: Instrumentation
     code_dtype: np.dtype = field(default_factory=lambda: np.dtype(np.int64))
     tables: Optional[TablePool] = None
-    #: Segment- and file-backed flag fields opened for this run
+    #: Segment-backed flag fields opened for this run
     #: (:func:`~.visited.open_visited`), closed before the sweep.
     visited: List["VisitedHandle"] = field(default_factory=list)
 
@@ -98,19 +96,15 @@ def open_runtime(
         len(kernel.actions),
         len(kernel.schema.names),
     )
-    dtype = (
-        code_dtype(kernel.size) if chosen.pack_codes else np.dtype(np.int64)
-    )
+    dtype = code_dtype(kernel.size)
     registry = SegmentRegistry(instrumentation)
     spill = SpillStore(chosen.spill_dir, instrumentation, code_dtype=dtype)
-    tables: Optional[TablePool] = None
-    if chosen.reuse_tables:
-        tables = TablePool(
-            registry,
-            cap_bytes=chosen.budget_bytes // 4,
-            dtype=dtype,
-            instrumentation=instrumentation,
-        )
+    tables = TablePool(
+        registry,
+        cap_bytes=chosen.budget_bytes // 4,
+        dtype=dtype,
+        instrumentation=instrumentation,
+    )
     runtime = SharedRuntime(
         context=chosen,
         chunk=chunk,
@@ -128,7 +122,6 @@ def open_runtime(
         width=int(dtype.itemsize),
         dtype=dtype.name,
         states=kernel.size,
-        packed=bool(chosen.pack_codes),
     )
     kernel.attach_tables(tables)
     try:
@@ -138,8 +131,7 @@ def open_runtime(
             yield runtime
     finally:
         kernel.attach_tables(None)
-        if tables is not None:
-            tables.close()
+        tables.close()
         # A fixpoint cut short by a fault never detached its fields;
         # dropping their views first lets the sweep close the segments.
         for handle in runtime.visited:

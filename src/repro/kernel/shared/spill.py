@@ -25,8 +25,11 @@ The directory is created lazily, scoped to the run
 (``repro-spill-<pid>-*``), and removed whole by :meth:`close` — the
 runtime guarantees that via ``finally`` even when a check faults, and
 the chaos lifecycle tests assert nothing survives a worker kill.
-:meth:`reserve_path` hands out extra run-scoped file paths (the
-mmap-backed visited set) that ride the same unconditional removal.
+
+An unusable spill directory (not a directory, unwritable, disk full)
+raises :class:`~repro.resilience.degrade.EngineFault` when the store
+creates it or writes a run, so the checker's degradation chain retries
+the check on the next engine instead of crashing.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from typing import IO, TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from ...obs import NULL_INSTRUMENTATION, Instrumentation
+from ...resilience.degrade import EngineFault
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from numpy.typing import DTypeLike
@@ -47,6 +51,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SpillHandle", "SpillStore"]
 
 _DIFF_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.int64}
+
+
+def _write_file(path: str, payload: np.ndarray) -> None:
+    """Write ``payload`` raw to a fresh file; ``OSError`` -> ``EngineFault``."""
+    try:
+        with open(path, "wb") as sink:
+            payload.tofile(sink)
+    except OSError as exc:
+        raise EngineFault(f"spill write failed at {path!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -98,20 +111,21 @@ class SpillStore:
 
     def _ensure_dir(self) -> str:
         if self._dir is None:
-            if self._root is not None:
-                os.makedirs(self._root, exist_ok=True)
-            self._dir = tempfile.mkdtemp(
-                prefix=f"repro-spill-{os.getpid()}-", dir=self._root
-            )
+            try:
+                if self._root is not None:
+                    os.makedirs(self._root, exist_ok=True)
+                self._dir = tempfile.mkdtemp(
+                    prefix=f"repro-spill-{os.getpid()}-", dir=self._root
+                )
+            except OSError as exc:
+                raise EngineFault(
+                    f"spill directory unusable under {self._root!r}: {exc}"
+                ) from exc
         return self._dir
 
     def _next_path(self, tag: str) -> str:
         self._seq += 1
         return os.path.join(self._ensure_dir(), f"{tag}-{self._seq:06d}.bin")
-
-    def reserve_path(self, name: str) -> str:
-        """A run-scoped path (mmap visited files) removed by :meth:`close`."""
-        return os.path.join(self._ensure_dir(), name)
 
     # -- sorted runs ---------------------------------------------------
 
@@ -120,7 +134,7 @@ class SpillStore:
         count = int(codes.shape[0])
         path = self._next_path("run")
         if count == 0:
-            open(path, "wb").close()
+            _write_file(path, np.empty(0, dtype=np.uint8))
             self._obs.count("shm.spill.files")
             return SpillHandle(path=path, count=0, first=0, diff_width=8)
         first = int(codes[0])
@@ -135,8 +149,7 @@ class SpillStore:
         else:
             width = 8
         packed = diffs.astype(_DIFF_DTYPES[width])
-        with open(path, "wb") as sink:
-            packed.tofile(sink)
+        _write_file(path, packed)
         self._obs.count("shm.spill.files")
         self._obs.count("shm.spill.bytes", packed.nbytes)
         return SpillHandle(path=path, count=count, first=first, diff_width=width)

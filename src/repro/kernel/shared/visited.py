@@ -1,109 +1,35 @@
-"""The visited-set backing ladder: private RAM, shm segment, or mmap.
+"""Flag-field backings: private RAM, or a shm segment workers attach.
 
 The streamed fixpoints keep two big mutable flag fields — the BFS
-visited set and the Jacobi membership flags.  PR 9 gave them two
+visited set and the Jacobi membership flags.  Each has one of two
 backings: a private array (``workers == 1``) or a shared-memory
-segment workers attach by name.  Both are *resident*: one bit per code
-must fit in RAM, which caps the engine at ``8 × budget`` states no
-matter how well everything else streams.
+segment that forked workers attach by name.  Either way one bit per
+code is resident.
 
-:func:`open_visited` adds the third rung: when a field's byte size
-exceeds its slice of the budget (``budget // 16`` — flag fields share
-the quarter-of-budget pool with the peel arrays), the bits page onto a
-run-scoped **memory-mapped file** under the spill directory.  The OS
-page cache keeps the hot pages resident and evicts cold ones under
-pressure, so the field's RSS cost is bounded by memory pressure, not
-by ``size``.  The mapping is ``MAP_SHARED``, so forked workers attach
-the same file read-only and observe the driver's current bits exactly
-as they do through a shm segment — worker SIGKILL mid-page is
-recovered by the same supervisor retry, and the file itself dies with
-the spill directory on every exit path (the runtime's ``finally``),
-including ``KeyboardInterrupt``.
+A paged backing would not lower peak RSS: a 1-bit field outgrows a
+``budget // 16`` slice only once the space exceeds ``budget / 2``
+states, where the peel's private int32 in-degree array
+(:mod:`.fixpoint`) already costs more than twice the budget, and the
+fixpoints copy every field back into private RAM when they return.
 
-A failure to create or map the file (unwritable spill dir, disk full)
-raises :class:`~repro.resilience.degrade.EngineFault`, which the
-checker's degradation chain turns into a vector/packed/tuple retry
-instead of a crash.
-
-Counters/events: ``shm.visited.mmap_bytes`` (bytes paged to mmap
-files) and a ``shm.visited`` event per field with its chosen backing.
+Events: one ``shm.visited`` per field with its chosen backing.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Optional, Tuple
 
-import numpy as np
-
 from ...obs import NULL_INSTRUMENTATION, Instrumentation
-from ...resilience.degrade import EngineFault
 from .frontier import BitField
 from .segments import Segment, attach_segment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import SharedRuntime
 
-__all__ = [
-    "AttachedVisited",
-    "MmapBitField",
-    "VisitedHandle",
-    "attach_visited",
-    "mmap_threshold",
-    "open_visited",
-]
+__all__ = ["AttachedVisited", "VisitedHandle", "open_visited"]
 
-#: A worker-side reference to a backed field: ``("shm", (name, size))``
-#: or ``("mmap", (path, size))``.
-VisitedRef = Tuple[str, Tuple[str, int]]
-
-
-def mmap_threshold(budget_bytes: int) -> int:
-    """Resident ceiling for one flag field before it pages to mmap."""
-    return max(1, budget_bytes // 16)
-
-
-class MmapBitField(BitField):
-    """A :class:`BitField` whose byte array is a shared file mapping."""
-
-    __slots__ = ("path",)
-
-    def __init__(
-        self, size: int, path: str, create: bool = True, readonly: bool = False
-    ):
-        self.size = size
-        self.nbytes = (size + 7) // 8
-        self.path = path
-        try:
-            if create:
-                with open(path, "wb") as sink:
-                    sink.truncate(self.nbytes)
-            self._bytes = np.memmap(
-                path,
-                dtype=np.uint8,
-                mode="r" if readonly else "r+",
-                shape=(self.nbytes,),
-            )
-        except (OSError, ValueError) as exc:
-            raise EngineFault(
-                f"mmap visited backing failed at {path!r}: {exc}"
-            ) from exc
-
-    def flush(self) -> None:
-        """Push dirty pages to the file (before workers reattach)."""
-        self._bytes.flush()
-
-    def release_buffer(self) -> None:
-        """Unmap the file; the field becomes unusable afterwards."""
-        buffer = self._bytes
-        self._bytes = np.empty(0, dtype=np.uint8)
-        mapping = getattr(buffer, "_mmap", None)
-        del buffer
-        if mapping is not None:
-            try:
-                mapping.close()
-            except (BufferError, OSError):  # pragma: no cover - views live
-                pass
+#: A worker-side reference to a shared field: ``(segment name, size)``.
+VisitedRef = Tuple[str, int]
 
 
 class VisitedHandle:
@@ -127,16 +53,11 @@ class VisitedHandle:
         """Whether forked workers can attach this field by reference."""
         return self.ref is not None
 
-    def flush(self) -> None:
-        """Make driver writes visible before fanning out workers."""
-        if isinstance(self.field, MmapBitField):
-            self.field.flush()
-
     def detach_private(self) -> BitField:
-        """Copy the bits into a private field and release the backing.
+        """Copy the bits into a private field and release the segment.
 
         The caller owns a plain in-RAM :class:`BitField` either way —
-        the contract the fixpoints have had since PR 9.
+        the contract the fixpoints rely on.
         """
         if self.ref is None:
             return self.field
@@ -146,21 +67,13 @@ class VisitedHandle:
         return private
 
     def close(self) -> None:
-        """Release the backing (segment or mapped file).  Idempotent."""
-        if self._closed or self.ref is None:
+        """Release the shm segment, if any.  Idempotent."""
+        if self._closed or self._segment is None:
             return
         self._closed = True
-        kind = self.ref[0]
-        path = getattr(self.field, "path", None)
         self.field.release_buffer()
-        if kind == "shm" and self._segment is not None:
-            assert self._runtime is not None
-            self._runtime.registry.release(self._segment)
-        elif kind == "mmap" and path is not None:
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover - spill rmtree races
-                pass
+        assert self._runtime is not None
+        self._runtime.registry.release(self._segment)
 
 
 def open_visited(
@@ -169,24 +82,9 @@ def open_visited(
     tag: str,
     instrumentation: Instrumentation = NULL_INSTRUMENTATION,
 ) -> VisitedHandle:
-    """Open one flag field on the cheapest backing that fits.
-
-    The ladder: an mmap file when the field itself outgrows its budget
-    slice (and the context allows it), a shm segment when workers need
-    to attach, else a private array.
-    """
+    """Open one flag field: a shm segment when workers need to attach
+    it, else a private array."""
     nbytes = (size + 7) // 8
-    context = runtime.context
-    if context.mmap_visited and nbytes > mmap_threshold(context.budget_bytes):
-        path = runtime.spill.reserve_path(f"visited-{tag}.bits")
-        field = MmapBitField(size, path, create=True)
-        instrumentation.count("shm.visited.mmap_bytes", nbytes)
-        instrumentation.event(
-            "shm.visited", tag=tag, backing="mmap", nbytes=nbytes
-        )
-        handle = VisitedHandle(field, ("mmap", (path, size)), runtime=runtime)
-        runtime.visited.append(handle)
-        return handle
     if runtime.workers > 1:
         segment = runtime.registry.create(nbytes, tag)
         field = BitField(size, segment.buf)
@@ -195,8 +93,7 @@ def open_visited(
             "shm.visited", tag=tag, backing="shm", nbytes=nbytes
         )
         handle = VisitedHandle(
-            field, ("shm", (segment.name, size)), segment=segment,
-            runtime=runtime,
+            field, (segment.name, size), segment=segment, runtime=runtime
         )
         runtime.visited.append(handle)
         return handle
@@ -210,22 +107,10 @@ class AttachedVisited:
     """A worker's read view of a driver field (close in ``finally``)."""
 
     def __init__(self, ref: VisitedRef):
-        kind, (locator, size) = ref
-        self._segment: Optional[Segment] = None
-        if kind == "shm":
-            self._segment = attach_segment(locator)
-            self.field: BitField = BitField(size, self._segment.buf)
-        else:
-            self.field = MmapBitField(
-                size, locator, create=False, readonly=True
-            )
+        name, size = ref
+        self._segment = attach_segment(name)
+        self.field = BitField(size, self._segment.buf)
 
     def close(self) -> None:
         self.field.release_buffer()
-        if self._segment is not None:
-            self._segment.close()
-
-
-def attach_visited(ref: VisitedRef) -> AttachedVisited:
-    """Attach a worker-side view of a shared or mmap-backed field."""
-    return AttachedVisited(ref)
+        self._segment.close()

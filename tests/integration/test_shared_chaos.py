@@ -214,68 +214,6 @@ class TestSupervisorTimeoutLeaksNothing:
         assert sorted(tmp_path.iterdir()) == []
 
 
-class TestMmapVisitedChaos:
-    def test_killed_worker_mid_page_keeps_mmap_bits_exact(self, tmp_path):
-        """SIGKILL a worker while the visited set is an mmap file: the
-        retry must read the driver's bits through the shared mapping
-        and finish with the exact reachable set — and the mapped file
-        must die with the spill directory."""
-        import numpy as np
-
-        from repro.kernel.shared import (
-            MemoryContext,
-            SharedKernel,
-            open_runtime,
-            shared_reachable,
-        )
-        from repro.kernel.vector import as_vector_kernel, vector_reachable
-
-        program = kstate_program(5, 5)
-        vector = as_vector_kernel(program)
-        sources = np.arange(0, vector.size, 5, dtype=np.int64)
-        expected = np.nonzero(vector_reachable(vector, sources))[0].tolist()
-        plan = FaultPlan(
-            faults=(
-                FaultAction(
-                    kind="kill-worker", task=0, attempt=0,
-                    phase="_expand_task",
-                ),
-            )
-        )
-        recorder = Recorder(kind="test")
-        kernel = SharedKernel(program)
-        # 3125 states need 391 flag bytes; a 4K budget (threshold 256)
-        # forces the visited set onto the mmap rung.
-        context = MemoryContext(
-            budget_bytes=4096, spill_dir=str(tmp_path), parallel_min=64
-        )
-        with using_policy(FAST), using_chaos(plan):
-            with open_runtime(
-                kernel, workers=4, instrumentation=recorder,
-                context=context,
-            ) as runtime:
-                visited = shared_reachable(
-                    kernel, sources, runtime, recorder
-                )
-                reached = [
-                    int(code)
-                    for chunk in visited.member_chunks(runtime.chunk)
-                    for code in chunk.tolist()
-                ]
-        assert reached == expected
-        record = recorder.record()
-        assert record.counters["resilience.worker.death"] >= 1
-        assert record.counters["shm.visited.mmap_bytes"] >= 391
-        backings = {
-            event.fields["tag"]: event.fields["backing"]
-            for event in record.events
-            if event.name == "shm.visited"
-        }
-        assert backings.get("visited") == "mmap"
-        assert _shm_leaks() == []
-        assert sorted(tmp_path.iterdir()) == []
-
-
 class TestEngineFaultLeaksNothing:
     @pytest.mark.filterwarnings(
         "error::pytest.PytestUnraisableExceptionWarning"

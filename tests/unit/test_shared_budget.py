@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.kernel.shared import (
@@ -67,22 +69,10 @@ class TestChunkCodes:
 
 
 class TestContextFlags:
-    def test_defaults_enable_all_three_axes(self):
-        context = MemoryContext()
-        assert context.pack_codes
-        assert context.reuse_tables
-        assert context.mmap_visited
-
-    def test_using_memory_budget_threads_ablation_flags(self):
-        with using_memory_budget(
-            "1M", pack_codes=False, reuse_tables=False, mmap_visited=False
-        ) as context:
-            assert not context.pack_codes
-            assert not context.reuse_tables
-            assert not context.mmap_visited
-
     def test_omitted_flags_keep_defaults(self):
         with using_memory_budget("1M") as context:
-            assert context.pack_codes
-            assert context.reuse_tables
-            assert context.mmap_visited
+            assert context == MemoryContext(budget_bytes=1 << 20)
+            assert context.spill_dir is None
+            assert context.parallel_min == 256
+        settable = [field.name for field in dataclasses.fields(MemoryContext)]
+        assert settable == ["budget_bytes", "spill_dir", "parallel_min"]

@@ -1,9 +1,9 @@
-"""The visited-set backing ladder and its unconditional cleanup.
+"""Flag-field backings and their unconditional cleanup.
 
-The ladder (private array, shm segment, mmap file) must be invisible
-to the fixpoints: same bits, same verdicts, and nothing left on disk
-or in ``/dev/shm`` afterwards — including when the run dies to a
-``KeyboardInterrupt`` mid-fixpoint or the mmap backing cannot be
+The two backings (private array, shm segment) must be invisible to the
+fixpoints: same bits, same verdicts, and nothing left on disk or in
+``/dev/shm`` afterwards — including when the run dies to a
+``KeyboardInterrupt`` mid-fixpoint or the spill directory cannot be
 created at all (which must degrade, not crash).
 """
 
@@ -49,31 +49,6 @@ def _shm_leaks() -> list:
     return sorted(leaks)
 
 
-class TestMmapBitField:
-    def test_bits_persist_through_the_file(self, tmp_path):
-        import numpy as np
-
-        from repro.kernel.shared import MmapBitField
-
-        path = str(tmp_path / "field.bits")
-        field = MmapBitField(4096, path)
-        codes = np.array([0, 5, 4095], dtype=np.int64)
-        field.set_codes(codes)
-        field.flush()
-        reader = MmapBitField(4096, path, create=False, readonly=True)
-        assert reader.test(codes).all()
-        assert reader.count() == 3
-        reader.release_buffer()
-        field.release_buffer()
-
-    def test_unwritable_path_raises_engine_fault(self, tmp_path):
-        from repro.kernel.shared import MmapBitField
-        from repro.resilience import EngineFault
-
-        with pytest.raises(EngineFault, match="mmap visited backing"):
-            MmapBitField(64, str(tmp_path / "missing" / "field.bits"))
-
-
 class TestOpenVisitedLadder:
     def _runtime(self, tmp_path, budget, workers=1):
         from repro.kernel.shared import (
@@ -102,73 +77,68 @@ class TestOpenVisitedLadder:
     def test_workers_get_a_shm_segment(self, tmp_path):
         import numpy as np
 
-        from repro.kernel.shared import attach_visited, open_visited
+        from repro.kernel.shared import AttachedVisited, open_visited
 
         kernel, runtime_cm = self._runtime(tmp_path, 1 << 20, workers=2)
         with runtime_cm as runtime:
             handle = open_visited(runtime, kernel.size, "t")
-            assert handle.sharable and handle.ref[0] == "shm"
+            assert handle.sharable
             codes = np.array([1, 7], dtype=np.int64)
             handle.field.set_codes(codes)
-            attached = attach_visited(handle.ref)
+            attached = AttachedVisited(handle.ref)
             assert attached.field.test(codes).all()
             attached.close()
             private = handle.detach_private()
             assert private.test(codes).all()
         assert _shm_leaks() == []
 
-    def test_big_field_pages_onto_mmap(self, tmp_path):
+    def _big_field(self, tmp_path, workers):
+        """Open a field far past ``budget // 16`` and round-trip bits.
+
+        K-state(3, 4)'s 64 states need 8 bytes of flags, against a
+        1-byte ``budget // 16`` under a 16-byte budget.  Returns the
+        backings the run reported.
+        """
         import numpy as np
 
-        from repro.kernel.shared import attach_visited, open_visited
+        from repro.kernel.shared import AttachedVisited, open_visited
         from repro.obs import Recorder
 
         recorder = Recorder()
-        # 16 states need 2 bytes of flags; a 16-byte budget makes the
-        # threshold 1 byte, forcing the mmap rung.
-        kernel, runtime_cm = self._runtime(tmp_path, 16)
+        kernel, runtime_cm = self._runtime(tmp_path, 16, workers=workers)
         with runtime_cm as runtime:
             handle = open_visited(
                 runtime, kernel.size, "t", instrumentation=recorder
             )
-            assert handle.sharable and handle.ref[0] == "mmap"
-            path = handle.ref[1][0]
-            assert os.path.exists(path)
-            codes = np.array([0, 63], dtype=np.int64)
+            assert handle.sharable == (workers > 1)
+            codes = np.array([0, 5, kernel.size - 1], dtype=np.int64)
             handle.field.set_codes(codes)
-            handle.flush()
-            attached = attach_visited(handle.ref)
-            assert attached.field.test(codes).all()
-            attached.close()
+            if handle.sharable:
+                attached = AttachedVisited(handle.ref)
+                assert attached.field.test(codes).all()
+                attached.close()
             private = handle.detach_private()
             assert private.test(codes).all()
-            assert not os.path.exists(path)  # detach released the file
-        counters = recorder.record().counters
-        assert counters["shm.visited.mmap_bytes"] >= 1
-        assert list(tmp_path.iterdir()) == []  # spill dir swept
+            assert private.count() == 3
+        assert list(tmp_path.iterdir()) == []  # nothing spilled
+        assert _shm_leaks() == []
+        return [
+            event.fields["backing"]
+            for event in recorder.record().events
+            if event.name == "shm.visited"
+        ]
 
-    def test_mmap_disabled_by_context_flag(self, tmp_path):
-        from repro.kernel.shared import (
-            MemoryContext,
-            SharedKernel,
-            open_runtime,
-            open_visited,
-        )
-        from repro.rings import kstate_program
+    def test_big_field_stays_private_at_one_worker(self, tmp_path):
+        assert self._big_field(tmp_path, workers=1) == ["private"]
 
-        kernel = SharedKernel(kstate_program(3, 4))
-        context = MemoryContext(
-            budget_bytes=16, spill_dir=str(tmp_path), mmap_visited=False
-        )
-        with open_runtime(kernel, context=context) as runtime:
-            handle = open_visited(runtime, kernel.size, "t")
-            assert handle.ref is None  # fell through to private
+    def test_big_field_is_a_shm_segment_across_workers(self, tmp_path):
+        assert self._big_field(tmp_path, workers=2) == ["shm"]
 
 
 class TestUnconditionalCleanup:
     def test_keyboard_interrupt_leaves_empty_spill_dir(self, tmp_path):
-        """A ^C mid-fixpoint must still sweep segments, mmap visited
-        files, and the whole run spill directory."""
+        """A ^C mid-fixpoint must still sweep segments and the whole
+        run spill directory."""
         from repro.checker import check_stabilization
         from repro.kernel.shared import using_memory_budget
         from repro.obs import Instrumentation
@@ -196,44 +166,58 @@ class TestUnconditionalCleanup:
         assert list(tmp_path.iterdir()) == []
         assert _shm_leaks() == []
 
-    def test_mmap_failure_degrades_to_vector_with_identical_verdict(
-        self, tmp_path, monkeypatch
-    ):
-        """An unusable mmap backing is an EngineFault, and the
-        degradation chain must absorb it."""
+    def test_bad_spill_dir_degrades_to_vector(self, tmp_path):
+        """A spill directory that cannot be created is an EngineFault
+        the degradation chain absorbs: vector's verdict, byte for
+        byte, and nothing leaked."""
         from repro.checker import check_stabilization
         from repro.kernel.shared import using_memory_budget
-        from repro.kernel.shared import visited as visited_module
         from repro.obs import Recorder
-        from repro.resilience import EngineFault
         from repro.rings import kstate_program, utr_abstraction, utr_program
 
-        def broken_backing(*args, **kwargs):
-            raise EngineFault(
-                "mmap visited backing failed: "
-                "[Errno 28] No space left on device"
+        def check(**kwargs):
+            return check_stabilization(
+                kstate_program(5, 9),
+                utr_program(5),
+                utr_abstraction(5, 9),
+                compute_steps=True,
+                **kwargs,
             )
 
-        monkeypatch.setattr(visited_module, "MmapBitField", broken_backing)
-        baseline = check_stabilization(
-            kstate_program(4, 4),
-            utr_program(4),
-            utr_abstraction(4, 4),
-            engine="vector",
-        )
+        baseline = check(engine="vector")
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
         recorder = Recorder()
-        # A 256-byte budget puts the threshold below the 32-byte flag
-        # field, forcing the (broken) mmap rung.
-        with using_memory_budget("256", spill_dir=str(tmp_path)):
-            degraded = check_stabilization(
-                kstate_program(4, 4),
-                utr_program(4),
-                utr_abstraction(4, 4),
-                engine="shared",
-                instrumentation=recorder,
-            )
+        # 59049 states under 64K spill, and the spill root sits under
+        # a regular file.
+        with using_memory_budget("64K", spill_dir=str(blocker / "sub")):
+            degraded = check(engine="shared", instrumentation=recorder)
         assert degraded.format() == baseline.format()
-        counters = recorder.record().counters
-        assert counters["engine.fallback.vector"] == 1
-        assert list(tmp_path.iterdir()) == []
+        assert degraded.engine == "vector"
+        record = recorder.record()
+        assert record.counters["engine.fallback.vector"] == 1
+        fallbacks = [
+            event.fields
+            for event in record.events
+            if event.name == "engine.fallback"
+        ]
+        assert [fields["during"] for fields in fallbacks] == ["runtime"]
+        assert "EngineFault" in fallbacks[0]["reason"]
+        assert list(tmp_path.iterdir()) == [blocker]
         assert _shm_leaks() == []
+
+
+class TestSpillStoreFaults:
+    def test_unwritable_run_raises_engine_fault(self, tmp_path):
+        import numpy as np
+
+        from repro.kernel.shared import SpillStore
+        from repro.resilience import EngineFault
+
+        with SpillStore(str(tmp_path)) as store:
+            store.save_sorted(np.array([1, 2], dtype=np.int64))
+            # The next run's path is taken by a directory.
+            os.mkdir(os.path.join(store.directory, "run-000002.bin"))
+            with pytest.raises(EngineFault, match="spill write failed"):
+                store.save_sorted(np.array([3], dtype=np.int64))
+        assert list(tmp_path.iterdir()) == []
