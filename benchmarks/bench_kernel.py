@@ -13,7 +13,10 @@ small configurations are expected to show the simpler engine ahead:
 lowering the program to a kernel (and, for the vector engine,
 materializing full-space action tables) has fixed cost that only pays
 off once the state space is large enough to amortize it (see
-docs/PERFORMANCE.md).
+docs/PERFORMANCE.md).  ``engine="packed"`` is an alias of
+``"vector"``, so a packed cell pins the vector cell ceiling to 1
+(``REPRO_MAX_VECTOR_CELLS``) to run the packed kernel, vector's
+fallback rung.
 
 The P09 mega sweep takes the shared engine past the vector ceiling:
 ``run_mega.py`` streams K-state rings in a child process under an
@@ -47,12 +50,14 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import pytest
 
 from repro.analysis import format_table
 from repro.checker import check_stabilization
 from repro.kernel.vector import numpy_available
+from repro.kernel.vector.analyze import MAX_VECTOR_CELLS_ENV
 from repro.obs import Recorder
 from repro.rings import kstate_program, utr_abstraction, utr_program
 
@@ -103,16 +108,24 @@ def _peak_rss_kib() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
+def _kernel_of(engine: str):
+    """Run ``engine``'s own kernel: a packed request is served by
+    vector unless the vector engine refuses the program."""
+    overrides = {MAX_VECTOR_CELLS_ENV: "1"} if engine == "packed" else {}
+    return mock.patch.dict(os.environ, overrides)
+
+
 def _timed_check(n: int, k: int, engine: str):
     concrete = kstate_program(n, k)
     spec = utr_program(n)
     alpha = utr_abstraction(n, k)
     size = concrete.schema().size()
-    start = time.perf_counter()
-    result = check_stabilization(
-        concrete, spec, alpha, compute_steps=False, engine=engine
-    )
-    seconds = time.perf_counter() - start
+    with _kernel_of(engine):
+        start = time.perf_counter()
+        result = check_stabilization(
+            concrete, spec, alpha, compute_steps=False, engine=engine
+        )
+        seconds = time.perf_counter() - start
     return seconds, size, result
 
 
@@ -237,7 +250,8 @@ def test_p02_kernel_counters(benchmark, record_metrics):
             instrumentation=recorder,
         )
 
-    result = benchmark.pedantic(instrumented, rounds=1, iterations=1)
+    with _kernel_of("packed"):
+        result = benchmark.pedantic(instrumented, rounds=1, iterations=1)
     assert result.holds
     record = recorder.record()
     assert record.counters.get("engine.packed") == 1

@@ -51,13 +51,20 @@ def test_e11_wrapped_utr_fails_even_strongly_fair(benchmark, record_table):
     record_table("e11_wrapped_utr_negative", result.result.format())
 
 
-@pytest.mark.parametrize("n,k", [(3, 3), (4, 4)])
-def test_e11_refinement(benchmark, n, k):
+@pytest.mark.parametrize(
+    "n,k,engine",
+    [(3, 3, "tuple"), (4, 4, "tuple"), (6, 6, "vector"), (7, 7, "vector")],
+)
+def test_e11_refinement(benchmark, n, k, engine):
+    """``[K-state <= UTR]``; past the tuple engine's reach on vector,
+    whose clause 3 is one SCC labelling of the concrete edges."""
+
     def experiment():
+        concrete, abstract = kstate_program(n, k), utr_program(n)
+        if engine == "tuple":
+            concrete, abstract = concrete.compile(), abstract.compile()
         return check_convergence_refinement(
-            kstate_program(n, k).compile(),
-            utr_program(n).compile(),
-            utr_abstraction(n, k),
+            concrete, abstract, utr_abstraction(n, k), engine=engine
         )
 
     result = benchmark.pedantic(experiment, rounds=1, iterations=1)

@@ -97,11 +97,12 @@ class CampaignConfig:
             and parameters match a cached verdict are served from disk
             (their ``detail`` gains a ``[cached]`` marker); ``partial``
             and ``error`` outcomes are never cached.
-        engine: checker engine for verification cells — ``"packed"``
-            (dense state codes, bitset fixpoints; automatic fallback
-            to tuple where packing cannot apply) or ``"tuple"``.
-            Verdicts are identical either way, so the engine is — like
-            ``workers`` — excluded from the verification cache key.
+        engine: checker engine for verification cells — ``"vector"``
+            (whole-frontier arrays, falling back to the packed kernel
+            and then to tuple where they cannot apply), ``"packed"``
+            (an alias of ``"vector"``) or ``"tuple"``.  Verdicts are
+            identical either way, so the engine is — like ``workers``
+            — excluded from the verification cache key.
         early_stop: stop sweeping a cell class (same system, size,
             scheduler, and injector) once its last ``early_stop``
             outcomes are identical (``None`` = sweep every seed); the
@@ -125,7 +126,7 @@ class CampaignConfig:
     trace_dir: Optional[Union[str, Path]] = None
     workers: int = 1
     cache_dir: Optional[Union[str, Path]] = None
-    engine: str = "packed"
+    engine: str = "vector"
     early_stop: Optional[int] = None
 
     def __post_init__(self) -> None:

@@ -124,6 +124,28 @@ def _require_known_engine(engine: str) -> None:
         )
 
 
+PACKED_ALIAS_REASON = (
+    "'packed' is an alias of 'vector'; the packed kernel runs only as "
+    "the vector engine's fallback"
+)
+
+
+def _unalias(engine: str, instrumentation: Instrumentation) -> str:
+    """The engine a request names, with ``packed`` served by vector.
+
+    The alias is a fallback like any other: it emits a reasoned
+    ``engine.fallback`` event, so a packed request never runs
+    elsewhere silently.
+    """
+    if engine != "packed":
+        return engine
+    instrumentation.count("engine.fallback.vector", 1)
+    instrumentation.event(
+        "engine.fallback", requested="packed", reason=PACKED_ALIAS_REASON
+    )
+    return "vector"
+
+
 def _select_engine(
     engine: str,
     concrete: SystemOrProgram,
@@ -134,7 +156,9 @@ def _select_engine(
 ) -> str:
     """The engine that actually runs, emitting the ``engine.*`` counters.
 
-    The packed and vector engines are refused (with an automatic
+    A ``packed`` request runs the vector chain (:func:`_unalias`); the
+    packed kernel runs only where vector cannot.  The packed and
+    vector engines are refused (with an automatic
     fallback to the tuple engine) when a schema is too large to
     intern, or when a state budget is tight enough that the tuple
     engine could cut the check PARTIAL — the budgeted exploration
@@ -156,6 +180,7 @@ def _select_engine(
     _require_known_engine(engine)
     if engine == "tuple":
         return "tuple"
+    engine = _unalias(engine, instrumentation)
     from ..kernel import packed_fallback_reason, source_schema
 
     shared_eligible = engine == "shared" or (
@@ -204,18 +229,15 @@ def _select_engine(
         instrumentation.count("engine.fallback.tuple", 1)
         instrumentation.event("engine.fallback", requested=engine, reason=reason)
         return "tuple"
-    if engine in ("vector", "shared"):
-        from ..kernel.vector import vector_fallback_reason
+    from ..kernel.vector import vector_fallback_reason
 
-        vector_reason = vector_fallback_reason(concrete, abstract)
-        if vector_reason is None:
-            instrumentation.count("engine.vector", 1)
-            instrumentation.event("engine.selected", engine="vector")
-            return "vector"
-        instrumentation.count("engine.fallback.packed", 1)
-        instrumentation.event(
-            "engine.fallback", requested="vector", reason=vector_reason
-        )
+    vector_reason = vector_fallback_reason(concrete, abstract)
+    if vector_reason is None:
+        instrumentation.count("engine.vector", 1)
+        instrumentation.event("engine.selected", engine="vector")
+        return "vector"
+    instrumentation.count("engine.fallback.packed", 1)
+    instrumentation.event("engine.fallback", requested="vector", reason=vector_reason)
     instrumentation.count("engine.packed", 1)
     instrumentation.event("engine.selected", engine="packed")
     return "packed"

@@ -39,25 +39,32 @@ long as no cycle of ``C`` consists solely of such invisible steps
 
 Each relation has a tuple-engine reference procedure (the
 ``_decide_*`` functions), the oracle whose witnesses every engine
-reports.  The packed and vector engines (and the shared engine, which
-continues at vector: the clauses have no streamed form) decide the
-same clauses *optimistically*: one skeleton (:func:`_refinement`) drives
-a per-engine clause backend (:data:`_CLAUSES`) over dense state codes
-and, when every clause holds, emits the tuple engine's counters and
-detail.  A violation — or an abstraction mapping some state outside
-the abstract schema — abandons the attempt with a reasoned
-``engine.fallback`` event and replays the check on the tuple engine
-(a witness depends on its set iteration order), so verdicts,
-witnesses and counters are identical on every engine.
-A state budget, or a budget meter shared with an enclosing check,
-pins the check to the tuple engine, whose exploration order the
+reports.  The vector engine and its fallback rung, the packed kernel,
+decide the same clauses *optimistically*: one skeleton
+(:func:`_refinement`) drives a per-engine clause backend
+(:data:`_CLAUSES`) over dense state codes and, when every clause
+holds, emits the tuple engine's counters and detail.  ``packed`` is an
+alias of ``vector``, and the shared engine continues at vector (the
+clauses have no streamed form); each says so in an ``engine.fallback``
+event.  Both backends decide clause 3 with one strongly connected
+component labelling of the concrete edge list
+(:func:`repro.kernel.cycles.component_labels`): a compression
+``(s, t)`` lies on a cycle iff ``s`` and ``t`` share a component.  The
+invisible-divergence clause is :func:`~repro.kernel.cycles.cycle_codes`
+over the stutter edges that are not self-loops.  A violation — or an
+abstraction mapping some state outside the abstract schema — abandons
+the attempt with a reasoned ``engine.fallback`` event and replays the
+check on the tuple engine (a witness depends on its set iteration
+order), so verdicts, witnesses and counters are identical on every
+engine.  A state budget, or a budget meter shared with an enclosing
+check, pins the check to the tuple engine, whose exploration order the
 ``PARTIAL`` cut follows.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.abstraction import AbstractionFunction, identity_abstraction
 from ..core.state import State
@@ -70,6 +77,7 @@ from .convergence import (
     _note_sequential,
     _require_known_engine,
     _source_name,
+    _unalias,
 )
 from .graph import shortest_path
 from .witnesses import CheckResult, Witness, WitnessKind
@@ -99,13 +107,15 @@ def _select_refinement_engine(
     """The refinement engine that actually runs (``engine.*`` counters).
 
     Budgeted checks go to the tuple engine (see the module docstring);
-    the vector engine falls back to the *packed* engine when NumPy is
-    missing or the program lies outside the statically lowerable
-    fragment, as the stabilization chain does.
+    a ``packed`` request runs the vector chain, and the vector engine
+    falls back to the *packed* engine when NumPy is missing or the
+    program lies outside the statically lowerable fragment, as the
+    stabilization chain does.
     """
     _require_known_engine(engine)
     if engine == "tuple":
         return "tuple"
+    engine = _unalias(engine, instrumentation)
     if engine == "shared":
         instrumentation.event(
             "engine.fallback",
@@ -128,18 +138,15 @@ def _select_refinement_engine(
         instrumentation.count("engine.fallback.tuple", 1)
         instrumentation.event("engine.fallback", requested=engine, reason=reason)
         return "tuple"
-    if engine == "vector":
-        from ..kernel.vector import vector_fallback_reason
+    from ..kernel.vector import vector_fallback_reason
 
-        vector_reason = vector_fallback_reason(concrete, abstract)
-        if vector_reason is None:
-            instrumentation.count("engine.vector", 1)
-            instrumentation.event("engine.selected", engine="vector")
-            return "vector"
-        instrumentation.count("engine.fallback.packed", 1)
-        instrumentation.event(
-            "engine.fallback", requested="vector", reason=vector_reason
-        )
+    vector_reason = vector_fallback_reason(concrete, abstract)
+    if vector_reason is None:
+        instrumentation.count("engine.vector", 1)
+        instrumentation.event("engine.selected", engine="vector")
+        return "vector"
+    instrumentation.count("engine.fallback.packed", 1)
+    instrumentation.event("engine.fallback", requested="vector", reason=vector_reason)
     instrumentation.count("engine.packed", 1)
     instrumentation.event("engine.selected", engine="packed")
     return "packed"
@@ -296,18 +303,22 @@ class _PackedClauses(_Clauses):
         return exact, stutter_edges, compression_edges
 
     def compression_on_cycle(self, edges: List[Tuple[int, int]]) -> bool:
-        from ..kernel import packed_reachable
+        from ..kernel.cycles import component_labels
 
-        kernel = self.kernel
-        memo: Dict[int, bytearray] = {}
-        for source, target in edges:
-            flags = memo.get(target)
-            if flags is None:
-                flags = packed_reachable(kernel.successors, (target,), kernel.size)
-                memo[target] = flags
-            if flags[source]:
-                return True
-        return False
+        if not edges:
+            return False
+        succ = self.kernel.successors
+        sources: List[int] = []
+        targets: List[int] = []
+        for code in range(self.kernel.size):
+            for successor in succ(code):
+                sources.append(code)
+                targets.append(successor)
+        labels = component_labels(sources, targets)
+        return any(
+            source in labels and labels[source] == labels.get(target)
+            for source, target in edges
+        )
 
     def bad_terminal(self) -> bool:
         succ = self.kernel.successors
@@ -435,16 +446,20 @@ class _VectorClauses(_Clauses):
         return exact, stutter_edges, np.column_stack((sources[rest], targets[rest]))
 
     def compression_on_cycle(self, edges) -> bool:
-        from ..kernel.vector import vector_reachable
-        from ..kernel.vector.kernel import _unique_sorted
+        import numpy as np
 
-        # One concrete reachability per distinct compression target.
-        sources, targets = edges[:, 0], edges[:, 1]
-        for target in _unique_sorted(targets):
-            reach = vector_reachable(self.kernel, target.reshape(1))
-            if bool(reach[sources[targets == target]].any()):
-                return True
-        return False
+        from ..kernel.cycles import component_labels
+
+        if not edges.size:
+            return False
+        kernel = self.kernel
+        labels = component_labels(
+            *kernel.succ_pairs(np.arange(kernel.size, dtype=np.int64))
+        )
+        label_of = np.full(kernel.size, -1, dtype=np.int64)
+        label_of[list(labels)] = list(labels.values())
+        source_label = label_of[edges[:, 0]]
+        return bool(((source_label >= 0) & (source_label == label_of[edges[:, 1]])).any())
 
     def bad_terminal(self) -> bool:
         return self._moving(self.image_of[self.kernel.terminal_flags()])
@@ -458,36 +473,15 @@ _CLAUSES = {"packed": _PackedClauses, "vector": _VectorClauses}
 _Proof = Tuple[Dict[str, int], str]
 
 
-def _dict_reachable(adjacency: Dict[int, List[int]], start: int) -> Set[int]:
-    """Inclusive reachability over an explicit edge list (stutter graph)."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        code = stack.pop()
-        for successor in adjacency.get(code, ()):
-            if successor not in seen:
-                seen.add(successor)
-                stack.append(successor)
-    return seen
-
-
 def _stutter_cycle(stutter_edges: List[Tuple[int, int]]) -> bool:
     """Do the stutter edges close a cycle (literal self-loops excepted,
     as in the tuple engine)?"""
-    adjacency: Dict[int, List[int]] = {}
-    for source, target in stutter_edges:
-        adjacency.setdefault(source, []).append(target)
-    memo: Dict[int, Set[int]] = {}
-    for source, target in stutter_edges:
-        if source == target:
-            continue
-        seen = memo.get(target)
-        if seen is None:
-            seen = _dict_reachable(adjacency, target)
-            memo[target] = seen
-        if source in seen:
-            return True
-    return False
+    from ..kernel.cycles import cycle_codes
+
+    moving = [(source, target) for source, target in stutter_edges if source != target]
+    return bool(
+        cycle_codes([source for source, _ in moving], [target for _, target in moving])
+    )
 
 
 def _init_holds(

@@ -414,15 +414,16 @@ def _add_engine_flag(subparser: argparse.ArgumentParser) -> None:
     """Attach the shared ``--engine`` flag (vector/packed kernels vs tuple)."""
     subparser.add_argument(
         "--engine", choices=("packed", "tuple", "vector", "shared"),
-        default="packed",
+        default="vector",
         help="checker engine: 'shared' streams chunked frontiers through "
         "shared-memory segments with out-of-core spill (mega state spaces "
         "in bounded RSS; see --mem-budget); 'vector' batch-evaluates whole "
-        "frontiers as NumPy arrays (needs the repro[vector] extra; falls "
-        "back to packed without it); 'packed' runs dense state codes and "
-        "bitset fixpoints (falls back to tuple automatically where packing "
-        "cannot apply); 'tuple' is the reference set-based engine. "
-        "Verdicts are identical either way (default: packed)",
+        "frontiers as NumPy arrays and falls back to the packed kernel "
+        "(dense state codes, bitset fixpoints) without NumPy or for "
+        "programs it cannot lower; 'packed' is an alias of 'vector'; "
+        "'tuple' is the reference set-based engine. Every engine falls "
+        "back to tuple automatically where it cannot apply, and verdicts "
+        "are identical either way (default: vector)",
     )
     subparser.add_argument(
         "--mem-budget", metavar="BYTES", type=_mem_budget, default=None,

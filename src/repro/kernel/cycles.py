@@ -1,16 +1,20 @@
-"""The codes on cycles of an int-code digraph: trim, then SCC.
+"""Strongly connected components of an int-code digraph: trim, then SCC.
 
-A failing convergence check needs a cycle witness, and a witness needs
-only the states that lie on a cycle — typically a few dozen out of the
-hundreds of thousands searched.  :func:`cycle_codes` finds them from
-the searched set's edge list alone, in two steps:
+Two questions about a searched set's edge list come down to its
+components.  A failing convergence check needs a cycle witness, and a
+witness needs only the states that lie on a cycle — typically a few
+dozen out of the hundreds of thousands searched (:func:`cycle_codes`).
+Clause 3 of convergence refinement asks whether an edge ``(s, t)``
+lies on a cycle, which holds iff ``s`` and ``t`` share a component
+(:func:`component_labels`).  Both are answered in two steps:
 
 1. **Trim.**  Repeatedly drop every edge whose source has no in-edge or
    whose target has no out-edge among the remaining edges.  A node on
    a cycle keeps both, so the trim never removes one; what survives is
    the cycles plus the paths running between them.
-2. **SCC.**  An iterative Tarjan over the survivors keeps the nodes of
-   components with more than one member or with a self-loop.
+2. **SCC.**  An iterative Tarjan labels the survivors' components.
+   :func:`cycle_codes` keeps the nodes of components with more than
+   one member or with a self-loop.
 
 Edges come as parallel ``sources``/``targets`` sequences: plain int
 lists (the packed engine, which runs without NumPy) or NumPy int
@@ -21,9 +25,21 @@ trimmed remainder only.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Sequence, Set, Tuple
 
-__all__ = ["cycle_codes"]
+__all__ = ["component_labels", "cycle_codes"]
+
+
+def component_labels(sources: Sequence[int], targets: Sequence[int]) -> Dict[int, int]:
+    """Component labels of the digraph ``sources[i] -> targets[i]``.
+
+    Maps every node that survives the trim to its strongly connected
+    component's label: two mapped nodes share a label iff each reaches
+    the other.  A node left out lies on no cycle, so its component is
+    itself alone.
+    """
+    return _labels(*_trimmed(sources, targets))
 
 
 def cycle_codes(sources: Sequence[int], targets: Sequence[int]) -> List[int]:
@@ -31,9 +47,19 @@ def cycle_codes(sources: Sequence[int], targets: Sequence[int]) -> List[int]:
 
     A self-loop is a cycle.  Returns the nodes ascending.
     """
+    sources, targets = _trimmed(sources, targets)
+    labels = _labels(sources, targets)
+    members = Counter(labels.values())
+    looped = {source for source, target in zip(sources, targets) if source == target}
+    return sorted(
+        node for node, label in labels.items() if members[label] > 1 or node in looped
+    )
+
+
+def _trimmed(sources, targets) -> Tuple[List[int], List[int]]:
     if isinstance(sources, list):
-        return _on_cycles(*_trimmed_lists(sources, list(targets)))
-    return _on_cycles(*_trimmed_arrays(sources, targets))
+        return _trimmed_lists(sources, list(targets))
+    return _trimmed_arrays(sources, targets)
 
 
 def _trimmed_lists(
@@ -76,19 +102,16 @@ def _trimmed_arrays(sources, targets) -> Tuple[List[int], List[int]]:
         sources, targets = sources[keep], targets[keep]
 
 
-def _on_cycles(sources: List[int], targets: List[int]) -> List[int]:
-    """Iterative Tarjan: members of components that hold a cycle."""
+def _labels(sources: List[int], targets: List[int]) -> Dict[int, int]:
+    """Iterative Tarjan: each node's component, labelled by its root."""
     adjacency: Dict[int, List[int]] = {}
-    looped: Set[int] = set()
     for source, target in zip(sources, targets):
         adjacency.setdefault(source, []).append(target)
-        if source == target:
-            looped.add(source)
     index: Dict[int, int] = {}
     lowlink: Dict[int, int] = {}
     stack: List[int] = []
     on_stack: Set[int] = set()
-    found: List[int] = []
+    labels: Dict[int, int] = {}
     for root in adjacency:
         if root in index:
             continue
@@ -113,13 +136,10 @@ def _on_cycles(sources: List[int], targets: List[int]) -> List[int]:
                     parent = work[-1][0]
                     lowlink[parent] = min(lowlink[parent], lowlink[node])
                 if lowlink[node] == index[node]:
-                    component: List[int] = []
                     while True:
                         member = stack.pop()
                         on_stack.discard(member)
-                        component.append(member)
+                        labels[member] = node
                         if member == node:
                             break
-                    if len(component) > 1 or node in looped:
-                        found.extend(component)
-    return sorted(found)
+    return labels

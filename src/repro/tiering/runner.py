@@ -192,7 +192,7 @@ def verify_tree(
     ledger_path: Optional[str] = None,
     forced_tier: Optional[Tier] = None,
     fairness: str = "none",
-    engine: str = "packed",
+    engine: str = "vector",
     seed: int = 0,
     workers: int = 1,
     thresholds: TierThresholds = DEFAULT_THRESHOLDS,

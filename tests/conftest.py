@@ -23,6 +23,15 @@ from repro.rings import (
     w1_local_program,
     w2_refined_program,
 )
+from tests.packed_rung import packed_rung as _packed_rung
+
+
+@pytest.fixture
+def packed_rung():
+    """Serve vector and packed requests on the packed kernel (the vector
+    engine's fallback rung) for the whole test."""
+    with _packed_rung():
+        yield
 
 
 @pytest.fixture

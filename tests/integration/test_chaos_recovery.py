@@ -150,6 +150,7 @@ class TestWorkerDeathMidShard:
 
 
 class TestEngineDegradation:
+    @pytest.mark.usefixtures("packed_rung")
     def test_packed_memory_fault_degrades_to_tuple(self):
         concrete, spec, alpha = _dijkstra4()
         baseline = check_stabilization(
@@ -170,11 +171,14 @@ class TestEngineDegradation:
         record = recorder.record()
         assert record.counters["resilience.engine.fallback"] == 1
         assert record.counters["engine.fallback.tuple"] == 1
+        # The preflight events (the packed alias, the rung's refusal of
+        # vector) precede the one runtime degradation.
         events = [
             event for event in record.events
-            if event.name == "engine.fallback"
+            if event.name == "engine.fallback" and "during" in event.fields
         ]
         assert len(events) == 1
+        assert events[0].fields["requested"] == "packed"
         assert events[0].fields["during"] == "runtime"
         assert "MemoryError" in events[0].fields["reason"]
 

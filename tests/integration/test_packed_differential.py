@@ -2,12 +2,16 @@
 
 The core invariant of :mod:`repro.kernel` is verdict identity: for
 every ring system, spec, abstraction, fairness mode, worker count, and
-budget, ``engine="packed"`` must produce a *byte-identical* formatted
+budget, the packed kernel must produce a *byte-identical* formatted
 verdict — same holds/fails, same witness states, same counts — as the
 reference tuple engine, and the shared size-based observability
 counters must agree.  These tests enforce it on every ring system of
 the reproduction (including the failing controls and ``PARTIAL``
 budget cuts), on both decision procedures, and through the CLI.
+
+``engine="packed"`` is an alias of ``"vector"``; the packed kernel runs
+as the vector engine's fallback rung, so these tests reach it through
+the ``packed_rung`` fixture.
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ from repro.checker import (
     check_everywhere_eventually_refinement,
     check_stabilization,
 )
+from repro.checker.convergence import PACKED_ALIAS_REASON
 from repro.core.abstraction import AbstractionFunction
 from repro.gcl import parse_program
+from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
 from repro.parallel import parallel_available
 from repro.rings import (
@@ -175,6 +181,7 @@ SHARED_COUNTERS = (
 _WORKER_COUNTS = [1, 4] if parallel_available() else [1]
 
 
+@pytest.mark.usefixtures("packed_rung")
 class TestStabilizationDifferential:
     @pytest.mark.parametrize(
         "name,concrete,spec,alpha,fairness,stutter",
@@ -291,6 +298,7 @@ class TestStabilizationDifferential:
         assert tuple_verdict.format() == packed_verdict.format()
 
 
+@pytest.mark.usefixtures("packed_rung")
 class TestRefinementDifferential:
     @pytest.mark.parametrize(
         "name,concrete,spec,alpha,fairness,stutter",
@@ -365,6 +373,7 @@ class TestRefinementDifferential:
 
 
 class TestCliDifferential:
+    @pytest.mark.usefixtures("packed_rung")
     def test_check_output_identical_across_engines(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -382,7 +391,9 @@ class TestCliDifferential:
         assert code_packed == code_tuple
         assert out_packed == out_tuple
 
-    def test_engine_defaults_to_packed(self, tmp_path, capsys):
+    def test_engine_defaults_to_vector(self, tmp_path, capsys):
+        """The CLI's default engine is vector, so a routine run emits no
+        packed-alias fallback; without NumPy it runs the packed rung."""
         from repro.cli import main
 
         spec = tmp_path / "toy.gcl"
@@ -395,7 +406,13 @@ class TestCliDifferential:
         record = tmp_path / "run.jsonl"
         main(["check", str(spec), "--obs-out", str(record)])
         capsys.readouterr()
-        assert '"engine.packed"' in record.read_text(encoding="utf-8")
+        text = record.read_text(encoding="utf-8")
+        assert PACKED_ALIAS_REASON not in text
+        if numpy_available():
+            assert '"engine.vector"' in text
+            assert "engine.fallback" not in text
+        else:
+            assert '"engine.packed"' in text
 
     def test_bad_engine_flag_rejected_at_parse_time(self, tmp_path, capsys):
         from repro.cli import main
@@ -405,6 +422,7 @@ class TestCliDifferential:
         assert caught.value.code == 2
         assert "--engine" in capsys.readouterr().err
 
+    @pytest.mark.usefixtures("packed_rung")
     def test_engines_share_cache_entries(self, tmp_path, capsys):
         """The engine is excluded from the cache key: a verdict stored
         by one engine is served to the other."""

@@ -1,11 +1,14 @@
-"""Property tests: the int-code cycle helper against the tuple graph SCCs.
+"""Property tests: the int-code SCC helpers against the tuple graph SCCs.
 
 :func:`repro.kernel.cycles.cycle_codes` (trim, then an iterative
 Tarjan) must find exactly the nodes :func:`repro.checker.graph.
 states_on_cycles` finds on the same digraph — self-loops, isolated
 nodes, cycles nested through shared nodes and several disjoint
-components included.  The plain-list input is the packed engine's
-no-NumPy path; with NumPy installed the array path must agree too.
+components included — and exactly what its definition before
+:func:`~repro.kernel.cycles.component_labels` existed found.  Two
+nodes share a component label iff each reaches the other.  The
+plain-list input is the packed engine's no-NumPy path; with NumPy
+installed the array path must agree too.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from repro.checker.graph import states_on_cycles
 from repro.core.state import StateSchema
 from repro.core.system import System
 from repro.kernel import cycles
-from repro.kernel.cycles import cycle_codes
+from repro.kernel.cycles import component_labels, cycle_codes
 from repro.kernel.vector import numpy_available
 
 NODES = 12
@@ -32,16 +35,68 @@ def _reference(edges):
     return sorted(state[0] for state in states_on_cycles(system, schema.states()))
 
 
-def _helper(edges, arrays: bool):
+def _inputs(edges, arrays: bool):
     sources = [source for source, _ in edges]
     targets = [target for _, target in edges]
     if arrays:
         import numpy as np
 
-        return cycle_codes(
+        return (
             np.asarray(sources, dtype=np.int64), np.asarray(targets, dtype=np.int64)
         )
-    return cycle_codes(sources, targets)
+    return sources, targets
+
+
+def _helper(edges, arrays: bool):
+    return cycle_codes(*_inputs(edges, arrays))
+
+
+def _reaches(edges):
+    """``(u, v)`` for every path of one or more edges from ``u`` to ``v``."""
+    reach = set(edges)
+    while True:
+        longer = {
+            (source, target)
+            for source, middle in reach
+            for step, target in edges
+            if step == middle
+        }
+        if longer <= reach:
+            return reach
+        reach |= longer
+
+
+def _previous_cycle_codes(sources, targets):
+    """``cycle_codes`` as defined before the labelling: trim, then a
+    recursive Tarjan that keeps components with more than one member or
+    with a self-loop."""
+    if not isinstance(sources, list):
+        sources, targets = sources.tolist(), targets.tolist()
+    sources, targets = cycles._trimmed_lists(sources, targets)
+    adjacency = {}
+    for source, target in zip(sources, targets):
+        adjacency.setdefault(source, []).append(target)
+    index, lowlink, stack, found = {}, {}, [], []
+
+    def visit(node):
+        index[node] = lowlink[node] = len(index)
+        stack.append(node)
+        for successor in adjacency.get(node, []):
+            if successor not in index:
+                visit(successor)
+                lowlink[node] = min(lowlink[node], lowlink[successor])
+            elif successor in stack:
+                lowlink[node] = min(lowlink[node], index[successor])
+        if lowlink[node] == index[node]:
+            component = stack[stack.index(node):]
+            del stack[stack.index(node):]
+            if len(component) > 1 or node in adjacency.get(node, []):
+                found.extend(component)
+
+    for root in adjacency:
+        if root not in index:
+            visit(root)
+    return sorted(found)
 
 
 _PATHS = [False, True] if numpy_available() else [False]
@@ -64,6 +119,36 @@ def digraphs(draw):
 @given(edges=digraphs())
 def test_cycle_codes_match_states_on_cycles(edges, arrays):
     assert _helper(edges, arrays) == _reference(edges)
+
+
+@pytest.mark.parametrize("arrays", _PATHS)
+@settings(max_examples=300, deadline=None)
+@given(edges=digraphs())
+def test_cycle_codes_match_their_previous_definition(edges, arrays):
+    assert _helper(edges, arrays) == _previous_cycle_codes(*_inputs(edges, arrays))
+
+
+@pytest.mark.parametrize("arrays", _PATHS)
+@settings(max_examples=300, deadline=None)
+@given(edges=digraphs())
+def test_labels_shared_iff_mutually_reachable(edges, arrays):
+    """Clause 3 of convergence refinement rests on this: an edge
+    ``(s, t)`` lies on a cycle iff ``s`` and ``t`` share a label."""
+    labels = component_labels(*_inputs(edges, arrays))
+    reach = _reaches(edges)
+    for first in range(NODES):
+        if (first, first) in reach:
+            assert first in labels
+        for second in range(NODES):
+            if first == second:
+                continue
+            shared = (
+                first in labels
+                and second in labels
+                and labels[first] == labels[second]
+            )
+            mutual = (first, second) in reach and (second, first) in reach
+            assert shared == mutual, (first, second)
 
 
 @pytest.mark.parametrize("arrays", _PATHS)

@@ -6,7 +6,9 @@ engine: interning must round-trip every state in enumeration order,
 the lowered successor kernel must agree with the compiled transition
 table, the bitset fixpoints must compute the tuple sets exactly, and
 the full verdicts — stabilization and convergence refinement, witness
-rendering included — must be byte-identical.
+rendering included — must be byte-identical.  ``engine="packed"`` is
+served by vector, so the verdict tests reach the packed kernel through
+:func:`tests.packed_rung.packed_rung`.
 """
 
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from repro.kernel import (
     packed_reachable,
     packed_terminals,
 )
+from tests.packed_rung import packed_rung
 
 MODULUS = 3
 VAR_NAMES = ("u", "w.0")
@@ -119,9 +122,10 @@ class TestPackedVerdicts:
         tuple_verdict = check_self_stabilization(
             program, compute_steps=False, engine="tuple"
         )
-        packed_verdict = check_self_stabilization(
-            program, compute_steps=False, engine="packed"
-        )
+        with packed_rung():
+            packed_verdict = check_self_stabilization(
+                program, compute_steps=False, engine="packed"
+            )
         assert tuple_verdict.format() == packed_verdict.format()
         assert tuple_verdict.core == packed_verdict.core
         assert (
@@ -135,9 +139,10 @@ class TestPackedVerdicts:
         tuple_verdict = check_convergence_refinement(
             concrete, spec, engine="tuple"
         )
-        packed_verdict = check_convergence_refinement(
-            concrete, spec, engine="packed"
-        )
+        with packed_rung():
+            packed_verdict = check_convergence_refinement(
+                concrete, spec, engine="packed"
+            )
         assert tuple_verdict.format() == packed_verdict.format()
 
     @settings(max_examples=15, deadline=None)
@@ -146,7 +151,8 @@ class TestPackedVerdicts:
         tuple_verdict = check_convergence_refinement(
             concrete, spec, stutter_insensitive=True, engine="tuple"
         )
-        packed_verdict = check_convergence_refinement(
-            concrete, spec, stutter_insensitive=True, engine="packed"
-        )
+        with packed_rung():
+            packed_verdict = check_convergence_refinement(
+                concrete, spec, stutter_insensitive=True, engine="packed"
+            )
         assert tuple_verdict.format() == packed_verdict.format()

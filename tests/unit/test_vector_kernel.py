@@ -50,6 +50,7 @@ class TestClearMemo:
         assert kernel.clear_memo() == 0
         assert [kernel.successors(code) for code in range(5)] == before
 
+    @pytest.mark.usefixtures("packed_rung")
     def test_checker_evicts_abstract_memo_between_phases(self):
         recorder = Recorder()
         result = check_stabilization(
@@ -60,6 +61,7 @@ class TestClearMemo:
         counters = recorder.record().counters
         assert counters.get("kernel.memo.evictions", 0) > 0
 
+    @pytest.mark.usefixtures("packed_rung")
     def test_self_stabilization_shares_the_kernel_and_keeps_its_memo(self):
         recorder = Recorder()
         check_self_stabilization(
