@@ -1205,12 +1205,13 @@ class _VectorBackend(_KernelBackend):
     def core(self) -> FrozenSet[State]:
         import numpy as np
 
-        from ..kernel.vector import vector_core, vector_image_codes
+        from ..kernel.shared.image import SharedImage
+        from ..kernel.vector import vector_core
 
         request = self.request
-        self.image_of = vector_image_codes(
+        self.image_of = SharedImage(
             self.interner, self.abstract_kernel.interner, request.alpha
-        )
+        ).of(np.arange(self.size, dtype=np.int64))
         self.core_flags = vector_core(
             self.kernel,
             self.abstract_kernel,

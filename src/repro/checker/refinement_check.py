@@ -341,11 +341,16 @@ class _VectorClauses(_Clauses):
     @classmethod
     def over(cls, concrete, abstract, alpha, instrumentation):
         """As :meth:`_PackedClauses.over`, with the image as an array."""
-        from ..kernel.vector import as_vector_kernel, vector_image_codes
+        import numpy as np
+
+        from ..kernel.shared.image import SharedImage
+        from ..kernel.vector import as_vector_kernel
 
         kernel = as_vector_kernel(concrete)
         abstract_kernel = kernel if abstract is concrete else as_vector_kernel(abstract)
-        image_of = vector_image_codes(kernel.interner, abstract_kernel.interner, alpha)
+        image_of = SharedImage(
+            kernel.interner, abstract_kernel.interner, alpha
+        ).of(np.arange(kernel.size, dtype=np.int64))
         if bool((image_of < 0).any()):
             return None
         return cls(kernel, abstract_kernel, image_of, instrumentation)

@@ -1,30 +1,69 @@
-"""Chunk-streamed abstraction images for the shared engine.
+"""Abstraction images as code maps, for every array engine.
 
-The vector engine precomputes the whole concrete→abstract code table
-(:func:`~repro.kernel.vector.image.vector_image_codes`); at mega-state
-sizes that table alone would be ``8 * |Sigma|`` bytes.
-:class:`SharedImage` evaluates the same mapping per code *chunk*
-instead — identity as an offset ``arange``, a batch
+:class:`SharedImage` maps concrete codes to abstract codes batch by
+batch: the identity as the codes themselves, a batch
 :attr:`~repro.core.abstraction.AbstractionFunction.array_mapping`
-column-wise, or (for small spaces only) the dense scalar-loop table —
-with the vector path's exact ``-1`` out-of-schema convention, so every
-downstream comparison (``legitimate[image]`` gathers, invisible-step
-masks) sees identical values.
+through the codec of :mod:`repro.kernel.vector.lower` (decode value
+columns, map them, encode the image columns), or — for small spaces
+only — the dense scalar-loop table.  Images outside the abstract
+schema encode as ``-1``, the scalar path's ``StateSpaceError``
+convention, so every downstream comparison (``legitimate[image]``
+gathers, invisible-step masks) sees the scalar table's values.
+
+The shared engine evaluates it per code chunk; the vector engine
+evaluates it once over ``arange(size)`` and keeps the table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from ...core.abstraction import AbstractionFunction
 from ..engine import image_codes
 from ..interner import StateInterner
-from ..vector.analyze import BOOL, domain_type
-from ..vector.image import _encode_columns
+from ..vector.analyze import domain_type
+from ..vector.lower import decode_columns, encode_columns, var_codecs
 
 __all__ = ["SharedImage", "shared_image_unsupported_reason"]
+
+#: A batch column map: concrete value columns in, abstract ones out.
+ColumnMap = Callable[[Dict[str, np.ndarray]], Dict[str, np.ndarray]]
+
+
+def _identity(columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    return columns
+
+
+def _batch_mapping(
+    concrete: StateInterner,
+    abstract: StateInterner,
+    alpha: Optional[AbstractionFunction],
+) -> Optional[ColumnMap]:
+    """The image as a batch column map, or ``None`` when it has none.
+
+    The identity (``alpha is None`` on compatible schemas) is
+    :func:`_identity`.  Otherwise ``alpha`` needs an ``array_mapping``,
+    int/bool domains on both sides, and image columns covering the
+    abstract schema (probed on one code).
+    """
+    if alpha is None and concrete.schema.compatible_with(abstract.schema):
+        return _identity
+    mapping = getattr(alpha, "array_mapping", None)
+    if mapping is None or not all(
+        domain_type(domain) is not None
+        for domain in concrete.schema.domains + abstract.schema.domains
+    ):
+        return None
+    schema = concrete.schema
+    probe = mapping(  # code 0: every variable at its first value
+        {
+            name: np.asarray(domain[:1])
+            for name, domain in zip(schema.names, schema.domains)
+        }
+    )
+    return mapping if set(probe) == set(abstract.schema.names) else None
 
 
 def shared_image_unsupported_reason(
@@ -35,23 +74,10 @@ def shared_image_unsupported_reason(
 ) -> Optional[str]:
     """Why the image cannot be streamed (``None`` = it can).
 
-    Streaming needs the identity, a batch ``array_mapping`` over
-    int/bool domains, or a space small enough (``<= dense_ceiling``)
-    for the scalar-loop dense table.
+    Streaming needs a batch column map, or a space small enough
+    (``<= dense_ceiling``) for the scalar-loop dense table.
     """
-    if alpha is None and concrete.schema.compatible_with(abstract.schema):
-        return None
-    if (
-        getattr(alpha, "array_mapping", None) is not None
-        and all(
-            domain_type(domain) is not None
-            for domain in concrete.schema.domains
-        )
-        and all(
-            domain_type(domain) is not None
-            for domain in abstract.schema.domains
-        )
-    ):
+    if _batch_mapping(concrete, abstract, alpha) is not None:
         return None
     if concrete.size <= dense_ceiling:
         return None
@@ -62,11 +88,11 @@ def shared_image_unsupported_reason(
 
 
 class SharedImage:
-    """``image.of(codes)`` — abstract codes of a concrete chunk.
+    """``image.of(codes)`` — abstract codes of a concrete code batch.
 
-    Strategies, probed in the vector table's order: identity, batch
-    ``array_mapping`` columns, dense scalar table (small spaces only —
-    the caller gates via :func:`shared_image_unsupported_reason`).
+    Strategies: identity, batch column map, dense scalar table (small
+    spaces only — the shared engine gates via
+    :func:`shared_image_unsupported_reason`).
     """
 
     def __init__(
@@ -75,64 +101,17 @@ class SharedImage:
         abstract: StateInterner,
         alpha: Optional[AbstractionFunction],
     ):
-        self._concrete = concrete
-        self._abstract = abstract
-        self._alpha = alpha
-        self._identity = alpha is None and concrete.schema.compatible_with(
-            abstract.schema
-        )
-        self._mapping = None
-        self._columns_plan: Dict[str, tuple] = {}
+        mapping = _batch_mapping(concrete, abstract, alpha)
+        self._identity = mapping is _identity
         self._table: Optional[np.ndarray] = None
-        if self._identity:
-            return
-        array_mapping = getattr(alpha, "array_mapping", None)
-        if (
-            array_mapping is not None
-            and all(
-                domain_type(domain) is not None
-                for domain in concrete.schema.domains
+        if mapping is None:
+            self._table = np.asarray(
+                image_codes(concrete, abstract, alpha), dtype=np.int64
             )
-            and all(
-                domain_type(domain) is not None
-                for domain in abstract.schema.domains
-            )
-        ):
-            self._mapping = array_mapping
-            places = concrete.places_by_name()
-            for name, domain in zip(
-                concrete.schema.names, concrete.schema.domains
-            ):
-                values = np.asarray(
-                    [int(value) for value in domain], dtype=np.int64
-                )
-                self._columns_plan[name] = (
-                    places[name],
-                    len(domain),
-                    values,
-                    domain_type(domain) == BOOL,
-                )
-            # Probe coverage on one code, mirroring the vector table's
-            # column-coverage check; a partial mapping falls through to
-            # the dense path below.
-            probe = self._mapping_columns(np.zeros(1, dtype=np.int64))
-            if set(probe) == set(abstract.schema.names):
-                return
-            self._mapping = None
-            self._columns_plan = {}
-        # Dense fallback: the scalar loop, once.  Only reachable for
-        # small spaces (the fallback reason refuses large ones).
-        self._table = np.asarray(
-            image_codes(concrete, abstract, alpha), dtype=np.int64
-        )
-
-    def _mapping_columns(self, codes: np.ndarray) -> Dict[str, np.ndarray]:
-        columns: Dict[str, np.ndarray] = {}
-        for name, (place, radix, values, is_bool) in self._columns_plan.items():
-            digit = (codes // place) % radix
-            column = values[digit]
-            columns[name] = column.astype(bool) if is_bool else column
-        return self._mapping(columns)
+        elif not self._identity:
+            self._mapping = mapping
+            self._concrete = var_codecs(concrete)
+            self._abstract = var_codecs(abstract)
 
     def of(self, codes: np.ndarray) -> np.ndarray:
         """Abstract codes of ``codes`` (``-1`` = outside the schema)."""
@@ -140,7 +119,5 @@ class SharedImage:
             return codes
         if self._table is not None:
             return self._table[codes]
-        image_columns = self._mapping_columns(codes)
-        return _encode_columns(
-            self._abstract, image_columns, int(codes.shape[0])
-        )
+        image_columns = self._mapping(decode_columns(self._concrete, codes))
+        return encode_columns(self._abstract, image_columns, int(codes.shape[0]))

@@ -4,33 +4,23 @@
 :class:`~repro.kernel.vector.kernel.VectorKernel`.  The vector kernel
 materializes one full-space ``(enabled, successor)`` int64/bool table
 pair per action — the very allocation the ``MAX_VECTOR_CELLS`` ceiling
-bounds.  The shared kernel keeps only the *lowered closures* (guards as
-array functions, assignments as digit-delta recipes) and evaluates them
-per code chunk on demand: resident cost is one chunk of transient
-arrays regardless of ``|Sigma|``, trading recomputation for memory.
+bounds.  The shared kernel keeps only the program's
+:class:`~repro.kernel.vector.lower.LoweredProgram` and evaluates it per
+code chunk on demand: resident cost is one chunk of transient arrays
+regardless of ``|Sigma|``, trading recomputation for memory.
 
-Semantics are the vector kernel's, bit for bit:
-
-* per-chunk evaluation applies the same digit extraction, int64 value
-  tables, guard masks, and digit-delta accumulation as
-  ``VectorKernel.from_program`` — a chunk of the would-be table, never
-  materialized;
-* :meth:`succ_pairs` deduplicates and sorts ``(origin, target)`` pairs
-  through the same sort-and-compare-adjacent kernel, so transition
-  counts (and the counters derived from them) match;
-* construction performs the same eager full-space out-of-domain sweep,
-  raising the exact :class:`~repro.core.errors.GCLError` that
-  ``compile_program`` (and so the vector kernel) raises, for the same
-  first offending ``(action, assignment, state)``.
-
-Fast path: domains whose int64 value table is the identity
-(``0..radix-1``, which covers bools and modular counters) skip the
-searchsorted inverse both in validation and evaluation.
+Semantics are the vector kernel's, bit for bit: a chunk's ``(mask,
+successor)`` pairs are the vector tables' rows for those codes, and
+:meth:`succ_pairs` deduplicates and sorts through the same kernel, so
+transition counts match.  Construction runs the vector kernel's
+lowering sweep, raising the same :class:`~repro.core.errors.GCLError`
+for an out-of-domain write; a kernel built with ``validate=False``
+skips the sweep and checks every batch it evaluates instead.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -40,9 +30,9 @@ from ...core.state import State
 from ...core.system import System
 from ...gcl.semantics import compile_states
 from ..interner import StateInterner
-from ..vector.analyze import domain_type, structural_unlowerable_reason
-from ..vector.kernel import _raise_out_of_domain, _unique_sorted
-from ..vector.lower import ArrayEnv, ArrayFn, lower_expr
+from ..vector.analyze import structural_unlowerable_reason
+from ..vector.kernel import _unique_sorted
+from ..vector.lower import LoweredProgram
 from .budget import MemoryContext, active_memory_context, chunk_codes
 from .tables import TablePool
 
@@ -55,23 +45,6 @@ class SharedLoweringError(ValueError):
     Engine selection consults ``shared_fallback_reason`` first, so
     checker paths never see this; it guards direct construction.
     """
-
-
-class _VarPlan(object):
-    """Per-variable lowering data: place, radix, values, inverse."""
-
-    __slots__ = ("place", "radix", "values", "identity", "sorted_values", "sorted_digits")
-
-    def __init__(self, place: int, radix: int, values: np.ndarray):
-        self.place = place
-        self.radix = radix
-        self.values = values
-        self.identity = bool(
-            np.array_equal(values, np.arange(radix, dtype=np.int64))
-        )
-        order = np.argsort(values, kind="stable")
-        self.sorted_values = values[order]
-        self.sorted_digits = order.astype(np.int64)
 
 
 class SharedKernel:
@@ -109,52 +82,23 @@ class SharedKernel:
             if chosen.name == "central"
             else f"{program.name}@{chosen.name}"
         )
-        var_types = {
-            var_name: domain_type(domain)
-            for var_name, domain in zip(schema.names, schema.domains)
-        }
-        places = self.interner.places_by_name()
-        self._names: Tuple[str, ...] = schema.names
-        self._vars: Dict[str, _VarPlan] = {}
-        for var_name, domain in zip(schema.names, schema.domains):
-            values = np.asarray([int(value) for value in domain], dtype=np.int64)
-            self._vars[var_name] = _VarPlan(
-                places[var_name], len(domain), values
-            )
-        self._guards: List[ArrayFn] = [
-            lower_expr(action.guard, var_types) for action in program.actions
-        ]
-        self._assigns: List[List[Tuple[str, ArrayFn]]] = [
-            [
-                (target, lower_expr(rhs, var_types))
-                for target, rhs in action.assignments.items()
-            ]
-            for action in program.actions
-        ]
-        self._free_vars: List[Tuple[str, ...]] = [
-            tuple(
-                dict.fromkeys(
-                    free
-                    for rhs in action.assignments.values()
-                    for free in rhs.free_variables()
-                )
-            )
-            for action in program.actions
-        ]
+        self._lowered = LoweredProgram(program, self.interner)
         self.actions = program.actions
         if chunk is None:
             budget = (active_memory_context() or MemoryContext()).budget_bytes
             chunk = chunk_codes(budget, len(program.actions), len(schema.names))
         self.chunk = chunk
-        self.initial_codes = tuple(
-            sorted(self.interner.encode(state) for state in program.initial_states())
-        )
+        self.initial_codes = self._lowered.initial_codes
         self.initial_array = np.asarray(self.initial_codes, dtype=np.int64)
         self._materialized: Optional[System] = None
         self._tables: Optional[TablePool] = None
-        self._scratch: Dict[str, np.ndarray] = {}
         if validate:
-            self._validate_full_space()
+            # The vector kernel's lowering sweep with the results
+            # dropped: each batch raises on its out-of-domain writes.
+            for _ in self._lowered.sweep(self.chunk):
+                pass
+        # A kernel the sweep has not vouched for checks every batch.
+        self._check = not validate
 
     @property
     def schema(self):
@@ -198,46 +142,6 @@ class SharedKernel:
     # Chunk evaluation.
     # ------------------------------------------------------------------
 
-    def _scratch_buffer(self, key: str, length: int) -> np.ndarray:
-        """A reusable int64 work buffer (one per key, resized on demand).
-
-        Chunks in a sweep share one length (plus one tail), so reuse
-        turns per-chunk allocations into buffer rewrites.  Returned
-        buffers are only valid until the next chunk's evaluation —
-        every consumer in the engine finishes a chunk before asking
-        for the next.
-        """
-        buffer = self._scratch.get(key)
-        if buffer is None or buffer.shape[0] != length:
-            buffer = np.empty(length, dtype=np.int64)
-            self._scratch[key] = buffer
-        return buffer
-
-    def env_of(
-        self, codes: np.ndarray, scratch: bool = False
-    ) -> Tuple[Dict[str, np.ndarray], ArrayEnv]:
-        """Digit columns and int64 value columns for a code chunk.
-
-        With ``scratch`` the digit columns live in per-variable reuse
-        buffers valid only until the next ``scratch`` call — the
-        streamed evaluator's mode; direct callers get fresh arrays.
-        """
-        digits: Dict[str, np.ndarray] = {}
-        env: ArrayEnv = {}
-        for var_name in self._names:
-            plan = self._vars[var_name]
-            if scratch:
-                digit = self._scratch_buffer(
-                    f"digit:{var_name}", codes.shape[0]
-                )
-                np.floor_divide(codes, plan.place, out=digit)
-                np.remainder(digit, plan.radix, out=digit)
-            else:
-                digit = (codes // plan.place) % plan.radix
-            digits[var_name] = digit
-            env[var_name] = digit if plan.identity else plan.values[digit]
-        return digits, env
-
     def iter_actions(
         self, codes: np.ndarray
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -270,47 +174,8 @@ class SharedKernel:
     def _stream_actions(
         self, codes: np.ndarray
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Evaluate one chunk action by action (the PR 9 hot path)."""
-        digits, env = self.env_of(codes, scratch=True)
-        for index in range(len(self._guards)):
-            yield self._action_chunk(index, codes, digits, env)
-
-    def _action_chunk(
-        self,
-        index: int,
-        codes: np.ndarray,
-        digits: Dict[str, np.ndarray],
-        env: ArrayEnv,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        mask = np.broadcast_to(
-            np.asarray(self._guards[index](env), dtype=bool), codes.shape
-        )
-        succ = self._scratch_buffer("succ", codes.shape[0])
-        np.copyto(succ, codes)
-        enabled = np.nonzero(mask)[0]
-        if enabled.size:
-            action_env: ArrayEnv = {
-                free: env[free][enabled] for free in self._free_vars[index]
-            }
-            delta = np.zeros(enabled.shape, dtype=np.int64)
-            for target, lowered in self._assigns[index]:
-                plan = self._vars[target]
-                values = np.asarray(lowered(action_env)).astype(
-                    np.int64, copy=False
-                )
-                if values.ndim == 0:
-                    values = np.broadcast_to(values, enabled.shape)
-                if plan.identity:
-                    new_digits = values
-                else:
-                    slots = np.searchsorted(plan.sorted_values, values)
-                    slots = np.minimum(slots, plan.sorted_values.size - 1)
-                    new_digits = plan.sorted_digits[slots]
-                delta += (new_digits - digits[target][enabled]) * np.int64(
-                    plan.place
-                )
-            succ[enabled] = codes[enabled] + delta
-        return mask, succ
+        """Evaluate one chunk action by action (the table pool's miss path)."""
+        yield from self._lowered.evaluate(codes, check=self._check)
 
     # ------------------------------------------------------------------
     # The vector-compatible batch API.
@@ -342,7 +207,7 @@ class SharedKernel:
         without actions.  With ``drop_self`` self-loops are left out.
         """
         codes = np.asarray(codes, dtype=np.int64)
-        if not self._guards:
+        if not self.actions:
             empty = np.empty(0, dtype=np.int64)
             yield empty, empty
             return
@@ -385,8 +250,8 @@ class SharedKernel:
         Shape ``(actions, len(codes))``; the batch Monte-Carlo sampler
         draws uniformly over each column's distinct enabled successors.
         """
-        enabled = np.zeros((len(self._guards), codes.shape[0]), dtype=bool)
-        successors = np.empty((len(self._guards), codes.shape[0]), dtype=np.int64)
+        enabled = np.zeros((len(self.actions), codes.shape[0]), dtype=bool)
+        successors = np.empty((len(self.actions), codes.shape[0]), dtype=np.int64)
         for index, (mask, succ) in enumerate(self.iter_actions(codes)):
             enabled[index] = mask
             successors[index] = succ
@@ -396,62 +261,3 @@ class SharedKernel:
         """Scalar bridge: successor codes of one code, ascending."""
         _, targets = self.succ_pairs(np.asarray([code], dtype=np.int64))
         return tuple(int(target) for target in targets)
-
-    # ------------------------------------------------------------------
-    # Eager out-of-domain validation.
-    # ------------------------------------------------------------------
-
-    def _validate_full_space(self) -> None:
-        """Raise the vector kernel's exact error on out-of-domain writes.
-
-        One streamed pass over the space, recording per
-        ``(action, assignment)`` the smallest offending code; the
-        lexicographically first pair in the vector kernel's iteration
-        order raises — same action, same state, same message.
-        """
-        offenders: Dict[Tuple[int, int], int] = {}
-        for start in range(0, self.size, self.chunk):
-            codes = np.arange(
-                start, min(start + self.chunk, self.size), dtype=np.int64
-            )
-            digits, env = self.env_of(codes)
-            for index in range(len(self._guards)):
-                mask = np.broadcast_to(
-                    np.asarray(self._guards[index](env), dtype=bool),
-                    codes.shape,
-                )
-                enabled = np.nonzero(mask)[0]
-                if not enabled.size:
-                    continue
-                action_env: ArrayEnv = {
-                    free: env[free][enabled] for free in self._free_vars[index]
-                }
-                for slot, (target, lowered) in enumerate(self._assigns[index]):
-                    if (index, slot) in offenders:
-                        continue
-                    plan = self._vars[target]
-                    values = np.asarray(lowered(action_env)).astype(
-                        np.int64, copy=False
-                    )
-                    if values.ndim == 0:
-                        values = np.broadcast_to(values, enabled.shape)
-                    if plan.identity:
-                        invalid = (values < 0) | (values >= plan.radix)
-                    else:
-                        slots = np.searchsorted(plan.sorted_values, values)
-                        clipped = np.minimum(slots, plan.sorted_values.size - 1)
-                        invalid = (slots >= plan.sorted_values.size) | (
-                            plan.sorted_values[clipped] != values
-                        )
-                    if bool(invalid.any()):
-                        offenders[(index, slot)] = int(
-                            codes[enabled[int(np.argmax(invalid))]]
-                        )
-        if offenders:
-            index, _slot = min(offenders)
-            _raise_out_of_domain(
-                self.interner,
-                self.program,
-                self.actions[index],
-                offenders[min(offenders)],
-            )

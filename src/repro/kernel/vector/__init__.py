@@ -85,7 +85,6 @@ if numpy_available():
         vector_reachable,
         vector_terminals,
     )
-    from .image import vector_image_codes
     from .kernel import VectorKernel, VectorLoweringError, as_vector_kernel
     from .lower import ArrayEnv, ArrayFn, lower_expr
 
@@ -96,7 +95,6 @@ if numpy_available():
         "VectorLoweringError",
         "as_vector_kernel",
         "lower_expr",
-        "vector_image_codes",
         "region_edges",
         "vector_core",
         "vector_has_cycle",

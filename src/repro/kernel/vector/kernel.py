@@ -4,16 +4,15 @@ A :class:`VectorKernel` is the vector engine's replacement for the
 packed engine's per-code successor closure: the transition relation as
 *arrays*.  Two constructions:
 
-* :meth:`VectorKernel.from_program` lowers a guarded-command program
-  under the plain central daemon.  Each action's guard becomes a
-  boolean mask over the full int64 code space (mixed-radix digit
-  extraction with the interner's precomputed divisors and moduli), and
-  its parallel assignment becomes a vectorized digit-delta, yielding
-  one ``(enabled, successor)`` table pair per action.  Successors of
-  an entire frontier are then a handful of gathers — no Python loop
-  per state.  Out-of-domain writes raise exactly the
-  :class:`~repro.core.errors.GCLError` that ``compile_program``
-  raises, reconstructed through the packed engine's ``_pack_move``.
+* :meth:`VectorKernel.from_program` sweeps the whole code space, in
+  fixed batches of :data:`LOWER_CHUNK` codes, through the program's
+  :class:`~.lower.LoweredProgram` (the evaluator the shared kernel runs
+  chunk by chunk) and keeps the results: one full-space ``(enabled,
+  successor)`` table pair per action.  Successors of an entire
+  frontier are then a handful of gathers — no Python loop per state.
+  Out-of-domain writes raise exactly the
+  :class:`~repro.core.errors.GCLError` that ``compile_program`` raises,
+  for the same first offending state and action.
 * :meth:`VectorKernel.from_system` wraps an already-compiled
   :class:`~repro.core.system.System` as sorted CSR edge arrays.
 
@@ -37,11 +36,16 @@ from ...gcl.program import Program
 from ...gcl.semantics import compile_states
 from ..engine import CheckSource
 from ..interner import StateInterner
-from ..successors import Compiler, _pack_move
-from .analyze import domain_type, unlowerable_reason
-from .lower import ArrayEnv, lower_expr
+from ..successors import Compiler
+from .analyze import unlowerable_reason
+from .lower import LoweredProgram
 
 __all__ = ["VectorKernel", "VectorLoweringError", "as_vector_kernel"]
+
+#: Codes per batch of the lowering sweep: large enough that the
+#: evaluator's per-action Python overhead vanishes, small enough that a
+#: batch's transient arrays stay cache-sized.
+LOWER_CHUNK = 1 << 16
 
 
 class VectorLoweringError(ValueError):
@@ -273,78 +277,22 @@ class VectorKernel:
             raise VectorLoweringError(
                 f"program {program.name!r} has no array lowering: {reason}"
             )
-        schema = program.schema()
-        interner = StateInterner(schema)
+        interner = StateInterner(program.schema())
+        lowered = LoweredProgram(program, interner)
         size = interner.size
         system_name = name or (
             program.name
             if chosen.name == "central"
             else f"{program.name}@{chosen.name}"
         )
-        var_types = {
-            var_name: domain_type(domain)
-            for var_name, domain in zip(schema.names, schema.domains)
-        }
-        places = interner.places_by_name()
-        radixes = dict(zip(schema.names, (len(domain) for domain in schema.domains)))
-        codes = np.arange(size, dtype=np.int64)
-        # Digit extraction once per variable; values via int64 lookup
-        # tables (bools become 0/1, consistently with Python's bool-int
-        # coercion).
-        digits: Dict[str, np.ndarray] = {}
-        env: ArrayEnv = {}
-        value_tables: Dict[str, np.ndarray] = {}
-        inverse_tables: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        for var_name, domain in zip(schema.names, schema.domains):
-            digit = (codes // places[var_name]) % radixes[var_name]
-            values = np.asarray([int(value) for value in domain], dtype=np.int64)
-            order = np.argsort(values, kind="stable")
-            digits[var_name] = digit
-            value_tables[var_name] = values
-            env[var_name] = values[digit]
-            inverse_tables[var_name] = (values[order], order.astype(np.int64))
-        tables: List[Tuple[np.ndarray, np.ndarray]] = []
-        for action in program.actions:
-            guard = lower_expr(action.guard, var_types)
-            mask = np.broadcast_to(
-                np.asarray(guard(env), dtype=bool), (size,)
-            )
-            enabled = np.nonzero(mask)[0]
-            successor_table = codes.copy()
-            if enabled.size:
-                action_env: ArrayEnv = {
-                    free: env[free][enabled]
-                    for rhs in action.assignments.values()
-                    for free in rhs.free_variables()
-                }
-                delta = np.zeros(enabled.shape, dtype=np.int64)
-                for target, rhs in action.assignments.items():
-                    lowered = lower_expr(rhs, var_types)
-                    values = np.asarray(lowered(action_env)).astype(
-                        np.int64, copy=False
-                    )
-                    if values.ndim == 0:
-                        values = np.broadcast_to(values, enabled.shape)
-                    sorted_values, sorted_digits = inverse_tables[target]
-                    slots = np.searchsorted(sorted_values, values)
-                    slots_clipped = np.minimum(slots, sorted_values.size - 1)
-                    valid = (slots < sorted_values.size) & (
-                        sorted_values[slots_clipped] == values
-                    )
-                    if not bool(valid.all()):
-                        _raise_out_of_domain(
-                            interner, program, action,
-                            int(enabled[int(np.argmax(~valid))]),
-                        )
-                    new_digits = sorted_digits[slots_clipped]
-                    delta += (new_digits - digits[target][enabled]) * np.int64(
-                        places[target]
-                    )
-                successor_table[enabled] = enabled + delta
-            tables.append((np.asarray(mask), successor_table))
-        initial_codes = tuple(
-            sorted(interner.encode(state) for state in program.initial_states())
-        )
+        tables = [
+            (np.empty(size, dtype=bool), np.empty(size, dtype=np.int64))
+            for _ in program.actions
+        ]
+        for start, stop, pairs in lowered.sweep(LOWER_CHUNK):
+            for (enabled, successor), (mask, succ) in zip(tables, pairs):
+                enabled[start:stop] = mask
+                successor[start:stop] = succ
 
         def compiler(states, initial) -> System:
             return compile_states(
@@ -352,7 +300,7 @@ class VectorKernel:
             )
 
         return cls(
-            interner, initial_codes, system_name, keep_stutter,
+            interner, lowered.initial_codes, system_name, keep_stutter,
             tables, None, None, None, compiler,
         )
 
@@ -381,22 +329,6 @@ class VectorKernel:
             interner, initial_codes, system.name, True,
             None, indptr, targets, edge_keys, lambda states, initial: system,
         )
-
-
-def _raise_out_of_domain(
-    interner: StateInterner, program: Program, action, code: int
-) -> None:
-    """Raise ``compile_program``'s exact out-of-domain ``GCLError``.
-
-    Routes the offending state through the packed engine's
-    ``_pack_move`` so the message — program name, action label,
-    formatted source state, packing error — is byte-identical.
-    """
-    env = interner.decode_env(code)
-    _pack_move(interner, program, action.execute(env), (action.name,), code)
-    raise AssertionError(  # pragma: no cover - _pack_move always raises here
-        "out-of-domain write did not reproduce on the scalar path"
-    )
 
 
 def _unique_sorted(values: np.ndarray) -> np.ndarray:

@@ -6,10 +6,10 @@ Stabilization*, PAPERS.md) is statistical: sample random states,
 run the random daemon, and measure how many trajectories re-enter
 legitimate behaviour within a step horizon.
 
-The estimate runs entirely on the packed kernel — states are dense int
-codes, so sampling a random state is one ``randrange`` over the
-interner range (never an enumeration of the space), and stepping is
-one successor-closure call.  The procedure:
+States are the packed kernel's dense int codes, so sampling a random
+state is one ``randrange`` over the interner range (never an
+enumeration of the space), and a scalar step is one successor-closure
+call.  The procedure:
 
 1. **Empirical legitimate set.**  From a bounded sample of the spec's
    initial codes, run the seeded random daemon ``warmup`` steps (the
@@ -35,9 +35,11 @@ batch NumPy one that evaluates all live trajectories in a single
 :meth:`~repro.kernel.shared.SharedKernel.action_matrix` call, and a
 pure-Python one stepping each code through the packed kernel.  Both
 consume the identical draw sequence and implement the identical
-selection rule, so the verdict is the same object either way; the
-scalar executor is the fallback when NumPy is missing or the program
-has no array lowering.
+selection rule, so the verdict is the same object either way.  Neither
+steps through a move that leaves a variable's domain: both raise the
+:class:`~repro.core.errors.GCLError` ``compile_program`` raises, for the
+first live trajectory that makes one.  The scalar executor is the
+fallback when NumPy is missing or the program has no array lowering.
 """
 
 from __future__ import annotations
@@ -162,9 +164,11 @@ def _batch_round(program: Program, legitimate: Set[int]) -> _RoundFn:
 
     from ..kernel.shared.kernel import SharedKernel
 
-    # validate=False skips the eager full-space out-of-domain sweep —
-    # the sampler must never enumerate the space; the scalar warm-up
-    # walks still raise on any out-of-domain write they reach.
+    # validate=False skips the full-space out-of-domain sweep — the
+    # sampler must never enumerate the space — so the kernel checks
+    # every batch it evaluates instead, and a round raises for its
+    # first trajectory whose move leaves the domain, as the scalar
+    # executor does.
     kernel = SharedKernel(program, validate=False)
     size = np.int64(kernel.size)
     legit_sorted = np.asarray(sorted(legitimate), dtype=np.int64)

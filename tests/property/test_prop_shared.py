@@ -8,7 +8,9 @@ the same sets bit for bit, and the full shared-engine stabilization
 verdict — selected explicitly or upgraded from a ``--mem-budget``
 context — must render byte-identically to the sequential tuple
 engine.  Programs here use a mod-5 space (25 states) so they clear
-``SHARED_MIN_STATES`` and the shared engine genuinely runs.
+``SHARED_MIN_STATES`` and the shared engine genuinely runs; the kernel
+properties also draw offset-range programs, whose value tables are not
+``0..radix-1``, and check out-of-domain errors against the tuple engine.
 """
 
 import pytest
@@ -17,8 +19,8 @@ from hypothesis import strategies as st
 
 from repro.checker import check_self_stabilization
 from repro.gcl.action import GuardedAction
-from repro.gcl.domain import ModularDomain
-from repro.gcl.expr import AddMod, Const, Eq, Ne, Var
+from repro.gcl.domain import BoolDomain, IntRange, ModularDomain
+from repro.gcl.expr import Add, AddMod, Const, Eq, Ite, Lt, Ne, Not, Var
 from repro.gcl.program import Program
 from repro.gcl.variable import Variable
 from repro.kernel.shared import SHARED_MIN_STATES, using_memory_budget
@@ -72,14 +74,72 @@ def shared_programs(draw, modulus=MODULUS, var_names=VAR_NAMES):
     return Program("fuzzed", variables, actions, init=init)
 
 
+#: The offset space: two ``2..6`` ranges, whose value tables are not
+#: ``0..radix-1``, and a bool — 50 states.
+OFFSET_LOW, OFFSET_HIGH = 2, 6
+OFFSET_INTS = ("u", "w.0")
+OFFSET_FLAG = "b"
+
+
+@st.composite
+def offset_programs(draw, overflow=False):
+    """Random programs over offset ranges and a bool, so the codec's
+    sorted inverse (not the identity fast path) maps values to digits.
+    With ``overflow`` every integer write is an unguarded increment,
+    which leaves the range from the top value."""
+    values = st.integers(min_value=OFFSET_LOW, max_value=OFFSET_HIGH)
+    n_actions = draw(st.integers(min_value=1, max_value=3))
+    actions = []
+    for index in range(n_actions):
+        guard_var = Var(draw(st.sampled_from(OFFSET_INTS)))
+        guard = draw(
+            st.sampled_from(
+                [
+                    Eq(guard_var, Const(draw(values))),
+                    Ne(guard_var, Const(draw(values))),
+                    Var(OFFSET_FLAG),
+                    Not(Var(OFFSET_FLAG)),
+                ]
+            )
+        )
+        target = draw(st.sampled_from(OFFSET_INTS + (OFFSET_FLAG,)))
+        if target == OFFSET_FLAG:
+            effects = [
+                Not(Var(OFFSET_FLAG)),
+                Const(draw(st.booleans())),
+                Eq(Var(draw(st.sampled_from(OFFSET_INTS))), Const(draw(values))),
+            ]
+        else:
+            step = Add(Var(target), Const(1))
+            effects = [step] if overflow else [
+                Const(draw(values)),
+                Var(draw(st.sampled_from(OFFSET_INTS))),
+                Ite(Lt(Var(target), Const(OFFSET_HIGH)), step, Const(OFFSET_LOW)),
+            ]
+        actions.append(
+            GuardedAction(
+                f"act.{index}", guard, {target: draw(st.sampled_from(effects))}
+            )
+        )
+    variables = [
+        Variable(name, IntRange(OFFSET_LOW, OFFSET_HIGH)) for name in OFFSET_INTS
+    ] + [Variable(OFFSET_FLAG, BoolDomain())]
+    init = Eq(Var("u"), Const(OFFSET_LOW))
+    return Program("offset", variables, actions, init=init)
+
+
 @needs_numpy
 class TestSharedPrimitives:
-    @settings(max_examples=40, deadline=None)
-    @given(shared_programs(), st.integers(min_value=3, max_value=40))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(shared_programs(), offset_programs()),
+        st.integers(min_value=3, max_value=40),
+    )
     def test_streamed_successors_match_vector_at_any_chunk(
         self, program, chunk
     ):
-        """Chunking partitions the evaluation; it must never change it."""
+        """Chunking partitions the evaluation; it must never change it —
+        on modular domains and on offset ranges with a bool alike."""
         import numpy as np
 
         from repro.kernel.shared import SharedKernel
@@ -93,6 +153,31 @@ class TestSharedPrimitives:
         vector_origins, vector_targets = vector.succ_pairs(codes)
         assert shared_origins.tolist() == vector_origins.tolist()
         assert shared_targets.tolist() == vector_targets.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        offset_programs(overflow=True), st.integers(min_value=3, max_value=40)
+    )
+    def test_out_of_domain_errors_match_tuple_at_any_chunk(
+        self, program, chunk
+    ):
+        """A write leaving its range raises the tuple engine's error —
+        its first offending state, and the first action there — on both
+        array kernels, however the space is chunked."""
+        from repro.core.errors import GCLError
+        from repro.kernel.shared import SharedKernel
+        from repro.kernel.vector import VectorKernel
+
+        def error_of(build):
+            try:
+                build()
+            except GCLError as exc:
+                return str(exc)
+            return None
+
+        expected = error_of(program.compile)
+        assert error_of(lambda: VectorKernel.from_program(program)) == expected
+        assert error_of(lambda: SharedKernel(program, chunk=chunk)) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(shared_programs(), st.integers(min_value=3, max_value=40))

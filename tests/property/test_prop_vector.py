@@ -20,6 +20,7 @@ from repro.kernel import PackedKernel, codes_of_flags, packed_reachable
 from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
 from tests.property.test_prop_kernel import MODULUS, VAR_NAMES, small_programs
+from tests.property.test_prop_shared import offset_programs
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="NumPy not installed"
@@ -60,6 +61,18 @@ class TestVectorPrimitives:
     @settings(max_examples=40, deadline=None)
     @given(small_programs())
     def test_lowered_successors_match_packed(self, program):
+        from repro.kernel.vector import VectorKernel
+
+        vector = VectorKernel.from_program(program)
+        packed = PackedKernel.from_program(program)
+        assert vector.initial_codes == packed.initial_codes
+        for code in range(packed.size):
+            assert vector.successors(code) == packed.successors(code), code
+
+    @settings(max_examples=40, deadline=None)
+    @given(offset_programs())
+    def test_lowered_successors_match_packed_on_offset_domains(self, program):
+        """The codec's sorted inverse, off the identity fast path."""
         from repro.kernel.vector import VectorKernel
 
         vector = VectorKernel.from_program(program)

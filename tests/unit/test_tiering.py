@@ -53,6 +53,20 @@ init a == 0
 """
 
 
+# The 12-state out-of-domain spec: no initial state (``y`` starts at
+# 1), so every sampled trajectory starts at a uniform code, and ``a1``
+# drives ``x`` past 2 wherever ``x == 2``.
+OVERFLOW = """
+program overflow
+var y : 1..4
+var x : 0..2
+init y == 0 && x == 0
+action a0 :: x == 2 --> x := 1, y := y + 1
+action a1 :: x < 5 --> x := x + 1
+action a2 :: y == 0 --> x := 0
+"""
+
+
 def toy():
     return parse_program(TOY)
 
@@ -374,6 +388,28 @@ class TestLightEstimate:
         record = recorder.record()
         assert record.counters["tier.light.samples"] == 16
         assert record.counters["tier.light.converged"] == verdict.converged
+
+    def test_out_of_domain_move_raises_on_both_executors(self, monkeypatch):
+        """Neither executor steps through a move that leaves the domain:
+        both raise the compiler's error for the first live trajectory
+        that makes one, so the messages are identical."""
+        from repro.core.errors import GCLError
+        from repro.tiering import montecarlo
+
+        program = parse_program(OVERFLOW)
+        if montecarlo.batch_sampler_unavailable_reason(program) is not None:
+            pytest.skip("the batch executor needs NumPy")
+        with pytest.raises(GCLError) as batch:
+            light_convergence_estimate(program, seed=0)
+        monkeypatch.setattr(
+            montecarlo,
+            "batch_sampler_unavailable_reason",
+            lambda program: "scalar executor under test",
+        )
+        with pytest.raises(GCLError) as scalar:
+            light_convergence_estimate(program, seed=0)
+        assert str(batch.value) == str(scalar.value)
+        assert "drive the state out of domain" in str(scalar.value)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -201,6 +201,38 @@ class TestVectorKernelParity:
             VectorKernel.from_program(program)
         assert str(vector_error.value) == str(packed_error.value)
 
+    def test_out_of_domain_errors_name_tuples_first_state(self):
+        """Every engine names the first offending state in code order,
+        then the first action there: ``a1`` at ``y=1 x=2``, although
+        ``a0``, listed first, also leaves the domain at ``y=4 x=2``."""
+        from repro.core.errors import GCLError
+        from repro.gcl.parser import parse_program
+        from repro.kernel.shared import SharedKernel
+        from repro.kernel.vector import VectorKernel
+
+        program = parse_program(
+            "program overflow\n"
+            "var y : 1..4\n"
+            "var x : 0..2\n"
+            "action a0 :: x == 2 --> x := 1, y := y + 1\n"
+            "action a1 :: x < 5 --> x := x + 1\n"
+        )
+        errors = []
+        for build in (
+            program.compile,
+            lambda: VectorKernel.from_program(program),
+            lambda: SharedKernel(program),
+            lambda: SharedKernel(program, chunk=5),
+        ):
+            with pytest.raises(GCLError) as raised:
+                build()
+            errors.append(str(raised.value))
+        assert errors == [errors[0]] * 4
+        assert errors[0].startswith(
+            "program 'overflow': action(s) ('a1',) drive the state out of "
+            "domain from y=1 x=2"
+        )
+
 
 @needs_numpy
 class TestVectorFixpointParity:
@@ -411,6 +443,16 @@ class TestForwardPeel:
         assert _shared_peel(program, [True] * 4) == (False, 0)
 
 
+def _image_table(concrete, abstract, alpha):
+    """The whole-space image table, as the vector engine builds it."""
+    import numpy as np
+
+    from repro.kernel.shared import SharedImage
+
+    image = SharedImage(concrete, abstract, alpha)
+    return image.of(np.arange(concrete.size, dtype=np.int64))
+
+
 @needs_numpy
 class TestVectorImageTables:
     @pytest.mark.parametrize(
@@ -426,30 +468,24 @@ class TestVectorImageTables:
     def test_batch_tables_equal_scalar_tables(self, alpha, spec):
         import numpy as np
 
-        from repro.kernel.vector import vector_image_codes
-
         concrete = StateInterner(alpha.concrete_schema)
         abstract = StateInterner(spec.schema())
         scalar = np.asarray(
             image_codes(concrete, abstract, alpha), dtype=np.int64
         )
         assert np.array_equal(
-            scalar, vector_image_codes(concrete, abstract, alpha)
+            scalar, _image_table(concrete, abstract, alpha)
         )
 
     def test_identity_is_an_arange(self):
         import numpy as np
 
-        from repro.kernel.vector import vector_image_codes
-
         interner = StateInterner(utr_program(3).schema())
-        table = vector_image_codes(interner, interner, None)
+        table = _image_table(interner, interner, None)
         assert np.array_equal(table, np.arange(interner.size))
 
     def test_mismatched_schema_encodes_minus_one_like_scalar(self):
         import numpy as np
-
-        from repro.kernel.vector import vector_image_codes
 
         alpha = utr_abstraction(4, 3)
         concrete = StateInterner(alpha.concrete_schema)
@@ -458,14 +494,13 @@ class TestVectorImageTables:
             image_codes(concrete, abstract, alpha), dtype=np.int64
         )
         assert np.array_equal(
-            scalar, vector_image_codes(concrete, abstract, alpha)
+            scalar, _image_table(concrete, abstract, alpha)
         )
 
     def test_hookless_abstraction_falls_back_to_the_scalar_loop(self):
         import numpy as np
 
         from repro.core.abstraction import AbstractionFunction
-        from repro.kernel.vector import vector_image_codes
 
         schema = utr_program(3).schema()
         alpha = AbstractionFunction(
@@ -473,5 +508,5 @@ class TestVectorImageTables:
         )
         assert alpha.array_mapping is None
         concrete = StateInterner(schema)
-        table = vector_image_codes(concrete, concrete, alpha)
+        table = _image_table(concrete, concrete, alpha)
         assert np.array_equal(table, np.arange(concrete.size))
