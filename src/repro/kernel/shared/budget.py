@@ -166,11 +166,14 @@ def chunk_codes(
     """Codes per streamed-evaluation chunk under ``budget_bytes``.
 
     A chunk's transient footprint is roughly one int64 column per
-    variable (the env), a few working arrays per action (mask, values,
-    delta, dedup keys), and slack for NumPy temporaries; the chunk is
-    sized so that footprint stays within a quarter of the budget,
-    leaving the rest for flag bitfields, frontier runs, and the
-    interpreter itself.
+    variable (its digits), a few working arrays per action (mask,
+    successors, table rows, dedup keys), and slack for NumPy
+    temporaries (the digit decode's two rolling quotients among them);
+    the chunk is sized so that footprint stays within a quarter of the
+    budget, leaving the rest for flag bitfields, frontier runs, and
+    the interpreter itself.  The chunk also caps an action's support
+    table at ``chunk`` rows, so the tables never outgrow one chunk's
+    arrays.
 
     Raises:
         ValueError: on a non-positive budget — planning chunks from a

@@ -12,10 +12,13 @@ regardless of ``|Sigma|``, trading recomputation for memory.
 Semantics are the vector kernel's, bit for bit: a chunk's ``(mask,
 successor)`` pairs are the vector tables' rows for those codes, and
 :meth:`succ_pairs` deduplicates and sorts through the same kernel, so
-transition counts match.  Construction runs the vector kernel's
-lowering sweep, raising the same :class:`~repro.core.errors.GCLError`
-for an out-of-domain write; a kernel built with ``validate=False``
-skips the sweep and checks every batch it evaluates instead.
+transition counts match.  An action whose support fits in one chunk is
+a support table of at most ``chunk`` rows, gathered per chunk.
+Construction validates the program as the vector kernel does, raising
+the same :class:`~repro.core.errors.GCLError` for an out-of-domain
+write: it reads the tables and sweeps the space only for actions too
+wide to table.  A kernel built with ``validate=False`` skips that and
+checks every batch it evaluates instead.
 """
 
 from __future__ import annotations
@@ -82,22 +85,19 @@ class SharedKernel:
             if chosen.name == "central"
             else f"{program.name}@{chosen.name}"
         )
-        self._lowered = LoweredProgram(program, self.interner)
         self.actions = program.actions
         if chunk is None:
             budget = (active_memory_context() or MemoryContext()).budget_bytes
             chunk = chunk_codes(budget, len(program.actions), len(schema.names))
         self.chunk = chunk
+        self._lowered = LoweredProgram(program, self.interner, chunk)
         self.initial_codes = self._lowered.initial_codes
         self.initial_array = np.asarray(self.initial_codes, dtype=np.int64)
         self._materialized: Optional[System] = None
         self._tables: Optional[TablePool] = None
         if validate:
-            # The vector kernel's lowering sweep with the results
-            # dropped: each batch raises on its out-of-domain writes.
-            for _ in self._lowered.sweep(self.chunk):
-                pass
-        # A kernel the sweep has not vouched for checks every batch.
+            self._lowered.validate(chunk)
+        # A kernel validation has not vouched for checks every batch.
         self._check = not validate
 
     @property
@@ -193,7 +193,8 @@ class SharedKernel:
             return empty, empty
         origins, targets = map(np.concatenate, zip(*self.edge_parts(codes)))
         keys = _unique_sorted(origins * np.int64(self.size) + targets)
-        return keys // self.size, keys % self.size
+        origins = keys // self.size
+        return origins, keys - origins * np.int64(self.size)
 
     def edge_parts(
         self, codes: np.ndarray, drop_self: bool = False

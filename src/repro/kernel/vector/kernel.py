@@ -4,11 +4,12 @@ A :class:`VectorKernel` is the vector engine's replacement for the
 packed engine's per-code successor closure: the transition relation as
 *arrays*.  Two constructions:
 
-* :meth:`VectorKernel.from_program` sweeps the whole code space, in
-  fixed batches of :data:`LOWER_CHUNK` codes, through the program's
+* :meth:`VectorKernel.from_program` lowers the program to a
   :class:`~.lower.LoweredProgram` (the evaluator the shared kernel runs
-  chunk by chunk) and keeps the results: one full-space ``(enabled,
-  successor)`` table pair per action.  Successors of an entire
+  chunk by chunk) with support tables of up to :data:`LOWER_CHUNK`
+  rows, validates it from those tables, and fills one full-space
+  ``(enabled, successor)`` table pair per action with unchecked
+  batches of :data:`LOWER_CHUNK` codes.  Successors of an entire
   frontier are then a handful of gathers — no Python loop per state.
   Out-of-domain writes raise exactly the
   :class:`~repro.core.errors.GCLError` that ``compile_program`` raises,
@@ -42,9 +43,10 @@ from .lower import LoweredProgram
 
 __all__ = ["VectorKernel", "VectorLoweringError", "as_vector_kernel"]
 
-#: Codes per batch of the lowering sweep: large enough that the
-#: evaluator's per-action Python overhead vanishes, small enough that a
-#: batch's transient arrays stay cache-sized.
+#: Codes per batch of the lowering fill, and the most rows a support
+#: table may have: large enough that the evaluator's per-action Python
+#: overhead vanishes, small enough that a batch's transient arrays stay
+#: cache-sized.
 LOWER_CHUNK = 1 << 16
 
 
@@ -151,7 +153,8 @@ class VectorKernel:
         if self._tables is not None:
             origins, targets = map(np.concatenate, zip(*self.edge_parts(codes)))
             keys = _unique_sorted(origins * np.int64(self.size) + targets)
-            return keys // self.size, keys % self.size
+            origins = keys // self.size
+            return origins, keys - origins * np.int64(self.size)
         counts = self._indptr[codes + 1] - self._indptr[codes]
         origins = np.repeat(np.arange(codes.size, dtype=np.int64), counts)
         gathered = _ranges(self._indptr[codes], counts)
@@ -278,7 +281,8 @@ class VectorKernel:
                 f"program {program.name!r} has no array lowering: {reason}"
             )
         interner = StateInterner(program.schema())
-        lowered = LoweredProgram(program, interner)
+        lowered = LoweredProgram(program, interner, LOWER_CHUNK)
+        lowered.validate(LOWER_CHUNK)
         size = interner.size
         system_name = name or (
             program.name
@@ -289,7 +293,10 @@ class VectorKernel:
             (np.empty(size, dtype=bool), np.empty(size, dtype=np.int64))
             for _ in program.actions
         ]
-        for start, stop, pairs in lowered.sweep(LOWER_CHUNK):
+        for start in range(0, size, LOWER_CHUNK):
+            stop = min(start + LOWER_CHUNK, size)
+            codes = np.arange(start, stop, dtype=np.int64)
+            pairs = lowered.evaluate(codes, check=False)
             for (enabled, successor), (mask, succ) in zip(tables, pairs):
                 enabled[start:stop] = mask
                 successor[start:stop] = succ

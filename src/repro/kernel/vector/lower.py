@@ -19,13 +19,21 @@ analysis guarantees neither operand can raise.
 array kernels run: the per-variable codec (:class:`VarCodec`), the
 lowered guards and assignments, and the per-action ``(mask,
 successor)`` evaluation of a code batch with its out-of-domain check.
-The vector kernel sweeps the whole space through it and keeps the
-results as tables; the shared kernel evaluates it chunk by chunk on
-demand.
+An action reads and writes only its *support*, a few of the program's
+variables, so where the support's digit combinations fit in one batch
+the closures run once over that subspace into a *support table* (guard,
+code delta, out-of-domain flag).  A batch is then decoded once, by a
+quotient chain (:func:`decode_digits`), and each tabled action is a
+gather at ``Σ digit · stride``; the out-of-domain check of the whole
+space is read off the tables, and only untabled actions are swept.
+The vector kernel runs the whole space through it and keeps the
+results as full-space tables; the shared kernel evaluates it chunk by
+chunk on demand.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -195,14 +203,55 @@ def var_codecs(interner: StateInterner) -> Dict[str, VarCodec]:
     }
 
 
+def decode_digits(
+    codecs: Dict[str, VarCodec],
+    codes: np.ndarray,
+    digit_buffer: Callable[[str], np.ndarray],
+    quotients: Tuple[np.ndarray, np.ndarray],
+) -> ArrayEnv:
+    """Every variable's digit of ``codes`` by a quotient chain.
+
+    From the least significant variable up, ``q = codes // place`` and
+    the digit is ``q - q_next * radix``: floor divisions and a
+    multiply-subtract, no ``np.remainder``.  ``digit_buffer(name)``
+    supplies each digit's int64 array; the two ``quotients`` arrays
+    hold the rolling quotients.
+    """
+    digits: ArrayEnv = {}
+    quotient = codes
+    order = list(reversed(codecs.items()))
+    for position, (name, codec) in enumerate(order):
+        digit = digit_buffer(name)
+        if position + 1 == len(order):
+            np.copyto(digit, quotient)
+        else:
+            following = quotients[position % 2]
+            np.floor_divide(codes, codec.place * codec.radix, out=following)
+            np.multiply(following, codec.radix, out=digit)
+            np.subtract(quotient, digit, out=digit)
+            quotient = following
+        digits[name] = digit
+    return digits
+
+
 def decode_columns(
     codecs: Dict[str, VarCodec], codes: np.ndarray
 ) -> Dict[str, np.ndarray]:
     """Per-variable value columns of ``codes``, bools as bool arrays —
-    the column form an abstraction's ``array_mapping`` consumes."""
+    the column form an abstraction's ``array_mapping`` consumes.  A
+    digit column is its own value column where the values are the
+    digits, so a batch costs one int64 array per variable."""
+    count = codes.shape[0]
+    digits = decode_digits(
+        codecs,
+        codes,
+        lambda name: np.empty(count, dtype=np.int64),
+        (np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)),
+    )
     columns: Dict[str, np.ndarray] = {}
     for name, codec in codecs.items():
-        column = codec.values[(codes // codec.place) % codec.radix]
+        digit = digits.pop(name)
+        column = digit if codec.identity else codec.values[digit]
         columns[name] = column.astype(bool) if codec.is_bool else column
     return columns
 
@@ -225,15 +274,51 @@ def encode_columns(
     return encoded
 
 
+class _Action:
+    """One action's lowered form.
+
+    ``support`` pairs each variable the action reads or writes, in
+    schema order, with its stride in the support table's row index.  A
+    tabled action keeps ``table``, its guard and code delta per row,
+    plus ``bad``, the rows whose move leaves the domain (``None`` when
+    none does), and ``lowest``, the lowest such code.  An untabled
+    action (``table is None``) is evaluated from its closures on every
+    batch.
+    """
+
+    __slots__ = ("guard", "assigns", "free_vars", "support", "table", "bad", "lowest")
+
+    def __init__(
+        self,
+        guard: ArrayFn,
+        assigns: List[Tuple[str, ArrayFn]],
+        free_vars: Tuple[str, ...],
+        support: Tuple[Tuple[str, int], ...],
+    ):
+        self.guard = guard
+        self.assigns = assigns
+        self.free_vars = free_vars
+        self.support = support
+        self.table: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self.bad: Optional[np.ndarray] = None
+        self.lowest: Optional[int] = None
+
+
 class LoweredProgram:
     """A program's actions as array functions over one codec.
 
     Built once per kernel; :meth:`evaluate` is the only place a code
     batch meets the program's guards and assignments.  The program
     must pass :func:`.analyze.structural_unlowerable_reason`.
+
+    An action whose support (the variables it reads or writes) spans at
+    most ``table_limit`` digit combinations — the kernel's batch size,
+    so a table is never larger than a batch — is evaluated once over
+    that subspace into a support table; a batch then gathers from it.
+    A wider action is evaluated directly on every batch.
     """
 
-    def __init__(self, program: Program, interner: StateInterner):
+    def __init__(self, program: Program, interner: StateInterner, table_limit: int):
         self.program = program
         self.interner = interner
         self.codecs = var_codecs(interner)
@@ -244,8 +329,16 @@ class LoweredProgram:
         self.initial_codes = tuple(
             sorted(interner.encode(state) for state in program.initial_states())
         )
-        self._actions = [
-            (
+        self._scratch: Dict[str, np.ndarray] = {}
+        self._actions: List[_Action] = []
+        grids: Dict[Tuple[int, ...], np.ndarray] = {}
+        for action in program.actions:
+            read = set(action.guard.free_variables()) | set(action.assignments)
+            for rhs in action.assignments.values():
+                read.update(rhs.free_variables())
+            support = [name for name in self.codecs if name in read]
+            radices = tuple(self.codecs[name].radix for name in support)
+            lowered = _Action(
                 lower_expr(action.guard, var_types),
                 [
                     (target, lower_expr(rhs, var_types))
@@ -258,10 +351,17 @@ class LoweredProgram:
                         for free in rhs.free_variables()
                     )
                 ),
+                tuple(zip(support, _strides(radices))),
             )
-            for action in program.actions
-        ]
-        self._scratch: Dict[str, np.ndarray] = {}
+            self._actions.append(lowered)
+            rows = math.prod(radices)
+            if rows <= table_limit:
+                if radices not in grids:
+                    grids[radices] = np.indices(radices, dtype=np.int64).reshape(
+                        len(radices), rows
+                    )
+                self._tabulate(lowered, grids[radices])
+        self._direct = [action for action in self._actions if action.table is None]
 
     def evaluate(self, codes: np.ndarray, check: bool) -> Iterator[ActionPair]:
         """Per-action ``(mask, successor)`` arrays for an int64 code batch.
@@ -274,79 +374,173 @@ class LoweredProgram:
         offending position, naming the first action offending there.
         """
         if not check:
-            return self._stream(codes, None)
+            return self._stream(codes, self._actions, None)
         offenders: List[int] = []
         pairs = [
-            (mask, succ.copy()) for mask, succ in self._stream(codes, offenders)
+            (mask.copy(), succ.copy())
+            for mask, succ in self._stream(codes, self._actions, offenders)
         ]
         if offenders:
-            state = self.interner.decode(int(codes[min(offenders)]))
-            for _ in program_moves(self.program, CentralDaemon(), state):
-                pass
-            raise AssertionError(  # pragma: no cover - program_moves raises
-                "out-of-domain write did not reproduce on the scalar path"
-            )
+            self._raise_at(int(codes[min(offenders)]))
         return iter(pairs)
 
-    def sweep(self, chunk: int) -> Iterator[Tuple[int, int, Iterator[ActionPair]]]:
-        """The checked evaluation of the whole space in ascending
-        batches of ``chunk`` codes, so the first offending state in code
-        order raises: ``(start, stop, pairs)`` per batch."""
-        size = self.interner.size
-        for start in range(0, size, chunk):
-            stop = min(start + chunk, size)
-            codes = np.arange(start, stop, dtype=np.int64)
-            yield start, stop, self.evaluate(codes, check=True)
+    def validate(self, chunk: int) -> None:
+        """Raise ``compile_program``'s exact ``GCLError`` for the first
+        out-of-domain write in code order, if the program makes one.
 
-    def _buffer(self, key: str, length: int) -> np.ndarray:
-        """A reused int64 work buffer: a sweep's chunks share one length
-        (plus one tail), so per-chunk allocations become rewrites."""
+        A tabled action's lowest offending code is read off its table.
+        Only untabled actions are swept, in ascending batches of
+        ``chunk`` codes, and only below the lowest code a table names.
+        """
+        lowest = min(
+            (action.lowest for action in self._actions if action.lowest is not None),
+            default=self.interner.size,
+        )
+        if self._direct:
+            for start in range(0, lowest, chunk):
+                codes = np.arange(start, min(start + chunk, lowest), dtype=np.int64)
+                offenders: List[int] = []
+                for _ in self._stream(codes, self._direct, offenders):
+                    pass
+                if offenders:
+                    lowest = start + min(offenders)
+                    break
+        if lowest < self.interner.size:
+            self._raise_at(lowest)
+
+    def _raise_at(self, code: int) -> None:
+        """Replay the scalar semantics at ``code``, which raises the
+        error naming the first action that offends there."""
+        state = self.interner.decode(code)
+        for _ in program_moves(self.program, CentralDaemon(), state):
+            pass
+        raise AssertionError(  # pragma: no cover - program_moves raises
+            "out-of-domain write did not reproduce on the scalar path"
+        )
+
+    def _tabulate(self, action: _Action, grid: np.ndarray) -> None:
+        """Evaluate ``action`` once over its support subspace: every
+        combination of its support digits (``grid``, one row per
+        support variable), the other digits 0."""
+        rows = grid.shape[1]
+        digits = {name: column for (name, _), column in zip(action.support, grid)}
+        env = {name: self._values(name, digit) for name, digit in digits.items()}
+        mask, moved, delta, outside = self._moves(action, rows, digits, env, check=True)
+        deltas = np.zeros(rows, dtype=np.int64)
+        deltas[moved] = delta
+        action.table = (mask, deltas)
+        if outside.any():
+            bad = np.zeros(rows, dtype=bool)
+            bad[moved] = outside
+            places = [self.codecs[name].place for name, _ in action.support]
+            action.bad = bad
+            action.lowest = int((np.asarray(places, dtype=np.int64) @ grid[:, bad]).min())
+
+    def _values(self, name: str, digits: np.ndarray) -> np.ndarray:
+        codec = self.codecs[name]
+        return digits if codec.identity else codec.values[digits]
+
+    def _buffer(self, key: str, length: int, dtype=np.int64) -> np.ndarray:
+        """A reused work buffer: a sweep's chunks share one length (plus
+        one tail), so per-chunk allocations become rewrites."""
         buffer = self._scratch.get(key)
         if buffer is None or buffer.shape[0] != length:
-            buffer = np.empty(length, dtype=np.int64)
+            buffer = np.empty(length, dtype=dtype)
             self._scratch[key] = buffer
         return buffer
 
+    def _moves(
+        self, action: _Action, count: int, digits: ArrayEnv, env: ArrayEnv, check: bool
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Evaluate ``action``'s closures over ``count`` codes: its
+        guard mask, the enabled positions, their code deltas, and (with
+        ``check``, else all false) which of them write outside a domain."""
+        mask = np.asarray(action.guard(env), dtype=bool)
+        if mask.ndim == 0:
+            mask = np.full(count, bool(mask))
+        enabled = np.nonzero(mask)[0]
+        delta = np.zeros(enabled.shape, dtype=np.int64)
+        outside = np.zeros(enabled.shape, dtype=bool)
+        if enabled.size:
+            action_env: ArrayEnv = {free: env[free][enabled] for free in action.free_vars}
+            for target, lowered in action.assigns:
+                codec = self.codecs[target]
+                values = np.asarray(lowered(action_env)).astype(np.int64, copy=False)
+                if values.ndim == 0:
+                    values = np.full(enabled.shape, values)
+                new_digits = codec.digits_of(values)
+                if check:
+                    outside |= codec.outside(values, new_digits)
+                delta += (new_digits - digits[target][enabled]) * np.int64(codec.place)
+        return mask, enabled, delta, outside
+
     def _stream(
-        self, codes: np.ndarray, offenders: Optional[List[int]]
+        self,
+        codes: np.ndarray,
+        actions: Sequence[_Action],
+        offenders: Optional[List[int]],
     ) -> Iterator[ActionPair]:
-        """Evaluate action by action; with ``offenders``, range-check
-        every write and record each action's first offending position."""
+        """Evaluate ``actions`` one by one; with ``offenders``,
+        range-check every write and record each action's first
+        offending position."""
         count = codes.shape[0]
-        digits: ArrayEnv = {}
+        digits = decode_digits(
+            self.codecs,
+            codes,
+            lambda name: self._buffer(f"digit:{name}", count),
+            (self._buffer("quotient:0", count), self._buffer("quotient:1", count)),
+        )
         env: ArrayEnv = {}
-        for name, codec in self.codecs.items():
-            digit = self._buffer(f"digit:{name}", count)
-            np.floor_divide(codes, codec.place, out=digit)
-            np.remainder(digit, codec.radix, out=digit)
-            digits[name] = digit
-            env[name] = digit if codec.identity else codec.values[digit]
-        for guard, assigns, free_vars in self._actions:
-            mask = np.asarray(guard(env), dtype=bool)
-            if mask.ndim == 0:
-                mask = np.full(codes.shape, bool(mask))
-            succ = self._buffer("succ", count)
-            np.copyto(succ, codes)
-            enabled = np.nonzero(mask)[0]
-            if enabled.size:
-                action_env: ArrayEnv = {
-                    free: env[free][enabled] for free in free_vars
-                }
-                delta = np.zeros(enabled.shape, dtype=np.int64)
-                for target, lowered in assigns:
-                    codec = self.codecs[target]
-                    values = np.asarray(lowered(action_env)).astype(
-                        np.int64, copy=False
-                    )
-                    if values.ndim == 0:
-                        values = np.full(enabled.shape, values)
-                    new_digits = codec.digits_of(values)
-                    if offenders is not None:
-                        outside = codec.outside(values, new_digits)
-                        if outside.any():
-                            offenders.append(int(enabled[int(np.argmax(outside))]))
-                    delta += (new_digits - digits[target][enabled]) * np.int64(
-                        codec.place
-                    )
-                succ[enabled] = codes[enabled] + delta
+        if self._direct:
+            env = {name: self._values(name, digit) for name, digit in digits.items()}
+        succ = self._buffer("succ", count)
+        table_mask = self._buffer("mask", count, bool)
+        index, term = self._buffer("index", count), self._buffer("term", count)
+        for action in actions:
+            if action.table is not None:
+                enabled, delta = action.table
+                row = self._row(action, digits, index, term)
+                mask = enabled.take(row, mode="clip", out=table_mask)
+                delta.take(row, mode="clip", out=succ)
+                succ += codes
+                if offenders is not None and action.bad is not None:
+                    bad = action.bad[row]
+                    if bad.any():
+                        offenders.append(int(np.argmax(bad)))
+            else:
+                mask, moved, moves, outside = self._moves(
+                    action, count, digits, env, offenders is not None
+                )
+                if offenders is not None and outside.any():
+                    offenders.append(int(moved[int(np.argmax(outside))]))
+                np.copyto(succ, codes)
+                succ[moved] += moves
             yield mask, succ
+
+    @staticmethod
+    def _row(
+        action: _Action, digits: ArrayEnv, index: np.ndarray, term: np.ndarray
+    ) -> np.ndarray:
+        """Each code's row in ``action``'s support table, the sum of its
+        support digits times their strides: built in ``index`` (with
+        ``term`` as scratch), or a digit column itself for a support of
+        one variable."""
+        (*high, (last, _)) = action.support
+        if not high:
+            return digits[last]
+        (first, stride), *rest = high
+        np.multiply(digits[first], stride, out=index)
+        for name, stride in rest:
+            np.multiply(digits[name], stride, out=term)
+            index += term
+        index += digits[last]
+        return index
+
+
+def _strides(radices: Sequence[int]) -> List[int]:
+    """Mixed-radix strides, the last digit varying fastest — the row
+    order of ``np.indices``."""
+    strides = [1] * len(radices)
+    for position in range(len(radices) - 2, -1, -1):
+        strides[position] = strides[position + 1] * radices[position + 1]
+    return strides

@@ -164,10 +164,12 @@ def _batch_round(program: Program, legitimate: Set[int]) -> _RoundFn:
 
     from ..kernel.shared.kernel import SharedKernel
 
-    # validate=False skips the full-space out-of-domain sweep — the
-    # sampler must never enumerate the space — so the kernel checks
-    # every batch it evaluates instead, and a round raises for its
-    # first trajectory whose move leaves the domain, as the scalar
+    # validate=False skips the kernel's out-of-domain validation, which
+    # reports the first offending state anywhere in the space (from the
+    # support tables, or by a sweep for an action too wide to table):
+    # the sampler must raise only on the states it visits.  The kernel
+    # checks every batch it evaluates instead, so a round raises for
+    # its first trajectory whose move leaves the domain, as the scalar
     # executor does.
     kernel = SharedKernel(program, validate=False)
     size = np.int64(kernel.size)

@@ -14,7 +14,7 @@ properties also draw offset-range programs, whose value tables are not
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.checker import check_self_stabilization
@@ -128,6 +128,25 @@ def offset_programs(draw, overflow=False):
     return Program("offset", variables, actions, init=init)
 
 
+#: n0 reads one 5-valued variable and w1 two, so a 5-code batch tables
+#: n0 and evaluates w1 directly.  w1 first leaves the range at u=4
+#: w.0=6, in code order below every state where n0 does (u=6).
+_DIRECT_OFFENDS_FIRST = Program(
+    "direct-first",
+    [Variable(name, IntRange(OFFSET_LOW, OFFSET_HIGH)) for name in OFFSET_INTS],
+    [
+        GuardedAction(
+            "n0", Eq(Var("u"), Const(OFFSET_HIGH)), {"u": Add(Var("u"), Const(1))}
+        ),
+        GuardedAction(
+            "w1",
+            Lt(Const(9), Add(Var("u"), Var("w.0"))),
+            {"u": Add(Var("u"), Var("w.0"))},
+        ),
+    ],
+)
+
+
 @needs_numpy
 class TestSharedPrimitives:
     @settings(max_examples=60, deadline=None)
@@ -178,6 +197,44 @@ class TestSharedPrimitives:
         expected = error_of(program.compile)
         assert error_of(lambda: VectorKernel.from_program(program)) == expected
         assert error_of(lambda: SharedKernel(program, chunk=chunk)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            shared_programs(), offset_programs(), offset_programs(overflow=True)
+        ),
+        st.integers(min_value=1, max_value=64),
+    )
+    @example(_DIRECT_OFFENDS_FIRST, 5)
+    def test_support_tables_match_direct_evaluation(self, program, chunk):
+        """A support table is the direct evaluation, gathered: the same
+        ``(mask, successor)`` pairs and the same first out-of-domain
+        error, whichever actions a batch size tables.  Every support
+        here spans 2 to 50 rows, so a 64-code batch tables every action,
+        a 1-code batch none, and the drawn batch some of them."""
+        import numpy as np
+
+        from repro.core.errors import GCLError
+        from repro.kernel.shared import SharedKernel
+
+        def outcome(chunk, validate=True):
+            try:
+                kernel = SharedKernel(program, chunk=chunk, validate=validate)
+                enabled, successors = kernel.action_matrix(
+                    np.arange(kernel.size, dtype=np.int64)
+                )
+            except GCLError as exc:
+                return str(exc)
+            return enabled.tolist(), successors.tolist()
+
+        tabled = outcome(64)
+        assert outcome(1) == tabled
+        assert outcome(chunk) == tabled
+        assert outcome(chunk, validate=False) == tabled
+        if isinstance(tabled, str):
+            with pytest.raises(GCLError) as raised:
+                program.compile()
+            assert str(raised.value) == tabled
 
     @settings(max_examples=40, deadline=None)
     @given(shared_programs(), st.integers(min_value=3, max_value=40))

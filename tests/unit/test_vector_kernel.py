@@ -235,6 +235,61 @@ class TestVectorKernelParity:
 
 
 @needs_numpy
+class TestSweepFreeValidation:
+    """Every K-state action reads two variables, so its support table has
+    at most K² rows and validation reads out-of-domain writes off the
+    tables: no checked batch of codes is ever evaluated."""
+
+    @pytest.fixture
+    def checked_batches(self, monkeypatch):
+        from repro.kernel.vector.lower import LoweredProgram
+
+        stream = LoweredProgram._stream
+        batches = []
+
+        def spy(self, *args):
+            if args[-1] is not None:  # the offenders list of a checked batch
+                batches.append(int(args[0].shape[0]))
+            return stream(self, *args)
+
+        monkeypatch.setattr(LoweredProgram, "_stream", spy)
+        return batches
+
+    def test_shared_kernel_construction_evaluates_no_checked_batch(
+        self, checked_batches
+    ):
+        from repro.kernel.shared import SharedKernel, using_memory_budget
+
+        with using_memory_budget("2M"):
+            kernel = SharedKernel(kstate_program(7, 8))
+        assert kernel.size == 8**7
+        assert checked_batches == []
+
+    def test_vector_lowering_evaluates_no_checked_batch(self, checked_batches):
+        from repro.kernel.vector import VectorKernel
+
+        kernel = VectorKernel.from_program(kstate_program(5, 5))
+        assert kernel.size == 5**5
+        assert checked_batches == []
+
+    def test_untabled_actions_are_swept(self, checked_batches):
+        """An action whose support outgrows the batch has no table, so
+        validation sweeps the space batch by batch for it."""
+        from repro.gcl.parser import parse_program
+        from repro.kernel.shared import SharedKernel
+
+        program = parse_program(
+            "program wide\n"
+            "var a : 0..9\n"
+            "var b : 0..9\n"
+            "action n0 :: a == 9 --> a := 0\n"
+            "action w1 :: a + b > 20 --> a := a + b\n"
+        )
+        SharedKernel(program, chunk=50)
+        assert checked_batches == [50, 50]
+
+
+@needs_numpy
 class TestVectorFixpointParity:
     def test_reachable_matches_packed(self):
         import numpy as np
