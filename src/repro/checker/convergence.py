@@ -34,7 +34,12 @@ analysis — required by systems with stuttering actions such as the
 paper's ``C3``.
 
 Every engine runs this one procedure, written once in :func:`_decide`.
-An engine contributes a *backend* (:data:`_BACKENDS`) that computes
+Which engines may run a check, and in which order, is decided by
+:func:`~repro.checker.engines.engine_chain` (shared → vector → packed →
+tuple, each kept only where its preflight passes), and
+:func:`~repro.checker.engines.run_chain` moves a check down that list
+on a runtime fault.  An engine contributes a *backend*
+(:data:`_BACKENDS`) that computes
 the sets in its own representation — tuple states, packed int codes,
 NumPy flag arrays, or streamed bit fields — and answers in tuple
 terms: ``legitimate()`` and ``core()`` return ``L_A`` and ``G``;
@@ -74,12 +79,9 @@ from ..core.abstraction import AbstractionFunction, identity_abstraction
 from ..core.state import State
 from ..core.system import System
 from ..gcl.program import Program
-from ..kernel.shared.budget import (
-    active_memory_context as _active_memory_context,
-)
 from ..obs import NULL_INSTRUMENTATION, Instrumentation, ProgressEmitter
-from ..resilience.degrade import DEGRADATION_CHAIN, RECOVERABLE_ENGINE_FAULTS
 from .budget import BudgetExceeded, BudgetMeter
+from .engines import Pin, engine_chain, run_chain
 from .fairness import find_fair_trap
 from .graph import (
     find_cycle_within,
@@ -104,8 +106,6 @@ __all__ = [
 #: packed engine lowers programs directly, the tuple engine compiles.
 SystemOrProgram = Union[System, Program]
 
-ENGINES = ("packed", "tuple", "vector", "shared")
-
 
 def _as_system(source: SystemOrProgram) -> System:
     """The tuple-engine view of a check source."""
@@ -116,131 +116,37 @@ def _source_name(source: SystemOrProgram) -> str:
     return source.name
 
 
-def _require_known_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of "
-            + ", ".join(map(repr, ENGINES))
-        )
-
-
-PACKED_ALIAS_REASON = (
-    "'packed' is an alias of 'vector'; the packed kernel runs only as "
-    "the vector engine's fallback"
-)
-
-
-def _unalias(engine: str, instrumentation: Instrumentation) -> str:
-    """The engine a request names, with ``packed`` served by vector.
-
-    The alias is a fallback like any other: it emits a reasoned
-    ``engine.fallback`` event, so a packed request never runs
-    elsewhere silently.
-    """
-    if engine != "packed":
-        return engine
-    instrumentation.count("engine.fallback.vector", 1)
-    instrumentation.event(
-        "engine.fallback", requested="packed", reason=PACKED_ALIAS_REASON
-    )
-    return "vector"
-
-
-def _select_engine(
-    engine: str,
+def _floor_pin(
     concrete: SystemOrProgram,
     abstract: SystemOrProgram,
     state_budget: Optional[int],
-    instrumentation: Instrumentation,
-    alpha: Optional[AbstractionFunction] = None,
-) -> str:
-    """The engine that actually runs, emitting the ``engine.*`` counters.
+) -> Pin:
+    """The stabilization budget rule of :func:`~.engines.engine_chain`.
 
-    A ``packed`` request runs the vector chain (:func:`_unalias`); the
-    packed kernel runs only where vector cannot.  The packed and
-    vector engines are refused (with an automatic
-    fallback to the tuple engine) when a schema is too large to
-    intern, or when a state budget is tight enough that the tuple
-    engine could cut the check PARTIAL — the budgeted exploration
-    order is the tuple engine's, so PARTIAL verdicts must come from it
-    byte-for-byte.  The vector engine additionally falls back to the
-    *packed* engine when NumPy is missing or the program lies outside
-    the statically lowerable fragment (non-central daemons,
-    non-int/bool domains, dynamically typed expressions).
-
-    The shared engine is tried first when explicitly requested
-    (``engine="shared"``) or when a memory context
-    (:func:`repro.kernel.shared.using_memory_budget`) is active and
-    the vector engine was requested — and, crucially, *before* the
-    packed-interner gate: the packed ceiling is exactly the limit the
-    streamed engine exists to bypass, so a mega-state space must not
-    bounce to the tuple engine just because it cannot intern.  Budgeted
-    checks still honour the tuple-replay floor.
+    The tuple engine meters the legitimate reachability twice (the
+    ``check.legitimate`` span and :func:`behavioural_core`'s own call),
+    the candidate scan, and the outside scan: at most ``2|Sigma_A| +
+    2|Sigma_C|`` charges.  At or above this floor no budget can trip,
+    so the unmetered engines may run; below it the check replays the
+    tuple engine's exploration order.
     """
-    _require_known_engine(engine)
-    if engine == "tuple":
-        return "tuple"
-    engine = _unalias(engine, instrumentation)
-    from ..kernel import packed_fallback_reason, source_schema
 
-    shared_eligible = engine == "shared" or (
-        engine == "vector" and _active_memory_context() is not None
-    )
-    if shared_eligible:
-        from ..kernel.shared import shared_fallback_reason
+    def pin(rung: str) -> Optional[str]:
+        if state_budget is None:
+            return None
+        from ..kernel import source_schema
 
-        shared_reason = shared_fallback_reason(concrete, abstract, alpha)
-        if shared_reason is None and state_budget is not None:
-            floor = (
-                2 * source_schema(abstract).size()
-                + 2 * source_schema(concrete).size()
-            )
-            if state_budget < floor:
-                shared_reason = (
-                    f"state budget {state_budget} is below the engine "
-                    f"floor of {floor} states (a PARTIAL cut must replay "
-                    f"the tuple engine's exploration order)"
-                )
-        if shared_reason is None:
-            instrumentation.count("engine.shared", 1)
-            instrumentation.event("engine.selected", engine="shared")
-            return "shared"
-        instrumentation.event(
-            "engine.fallback", requested="shared", reason=shared_reason
-        )
-        if engine == "shared":
-            instrumentation.count("engine.fallback.vector", 1)
-
-    reason = packed_fallback_reason(concrete, abstract)
-    if reason is None and state_budget is not None:
-        # The tuple engine meters the legitimate reachability twice
-        # (the check.legitimate span and behavioural_core's own call),
-        # the candidate scan, and the outside scan — at most
-        # 2|Sigma_A| + 2|Sigma_C| charges.  At or above this floor no
-        # budget can trip, so skipping the meter is sound.
         floor = 2 * source_schema(abstract).size() + 2 * source_schema(concrete).size()
-        if state_budget < floor:
-            reason = (
-                f"state budget {state_budget} is below the packed-engine "
-                f"floor of {floor} states (a PARTIAL cut must replay the "
-                f"tuple engine's exploration order)"
-            )
-    if reason is not None:
-        instrumentation.count("engine.fallback.tuple", 1)
-        instrumentation.event("engine.fallback", requested=engine, reason=reason)
-        return "tuple"
-    from ..kernel.vector import vector_fallback_reason
+        if state_budget >= floor:
+            return None
+        engine = "engine" if rung == "shared" else "packed-engine"
+        return (
+            f"state budget {state_budget} is below the {engine} floor of "
+            f"{floor} states (a PARTIAL cut must replay the tuple engine's "
+            f"exploration order)"
+        )
 
-    vector_reason = vector_fallback_reason(concrete, abstract)
-    if vector_reason is None:
-        instrumentation.count("engine.vector", 1)
-        instrumentation.event("engine.selected", engine="vector")
-        return "vector"
-    instrumentation.count("engine.fallback.packed", 1)
-    instrumentation.event("engine.fallback", requested="vector", reason=vector_reason)
-    instrumentation.count("engine.packed", 1)
-    instrumentation.event("engine.selected", engine="packed")
-    return "packed"
+    return pin
 
 
 @dataclass(frozen=True)
@@ -563,15 +469,17 @@ def check_stabilization(
             worker count.  Degrades to 1 (with the same event) where
             fork-based pools are unavailable.
         engine: ``'tuple'`` (the default) walks tuple states through
-            an eagerly compiled :class:`System`; ``'packed'`` interns
-            states as dense ints and runs the bitset fixpoints of
-            :mod:`repro.kernel` — same verdicts, witnesses, and
-            counters, decoded back to tuples at this boundary.  Packed
-            falls back to tuple automatically (with an
-            ``engine.fallback`` event) for unpackable schemas or tight
-            state budgets.  Both sides may be a
-            :class:`~repro.gcl.program.Program`; the packed engine then
-            skips transition-table materialization entirely.
+            an eagerly compiled :class:`System`; ``'vector'`` runs
+            whole-space array fixpoints, ``'shared'`` streams them in
+            chunks, and ``'packed'`` is an alias of ``'vector'`` — same
+            verdicts, witnesses, and counters, decoded back to tuples
+            at this boundary.  A request that cannot run as asked
+            (unpackable schema, tight state budget, no NumPy, an
+            unlowerable program) moves down shared → vector → packed →
+            tuple with an ``engine.fallback`` event giving the reason
+            (:func:`~repro.checker.engines.engine_chain`).  Both sides
+            may be a :class:`~repro.gcl.program.Program`; the array
+            engines then skip transition-table materialization.
 
     Returns:
         A :class:`StabilizationResult`; its witness on failure is a
@@ -579,9 +487,6 @@ def check_stabilization(
     """
     if fairness not in ("none", "weak", "strong"):
         raise ValueError(f"unknown fairness mode {fairness!r}")
-    selected = _select_engine(
-        engine, concrete, abstract, state_budget, instrumentation, alpha
-    )
     request = _Request(
         concrete,
         abstract,
@@ -593,9 +498,15 @@ def check_stabilization(
         BudgetMeter(state_budget),
         workers,
     )
+    chain = engine_chain(
+        engine, concrete, abstract, alpha, _BACKENDS,
+        _floor_pin(concrete, abstract, state_budget), instrumentation,
+    )
     with instrumentation.span("check.total"):
         try:
-            result = _decide_with_degradation(selected, request)
+            decided, result = run_chain(
+                chain, lambda name: _attempt(name, request), instrumentation
+            )
         except BudgetExceeded as exc:
             instrumentation.event(
                 "check.partial",
@@ -610,10 +521,12 @@ def check_stabilization(
                 frozenset(),
                 None,
                 # Only metered (tuple-engine) exploration can trip the
-                # budget; _select_engine guarantees tight budgets land
-                # there.
+                # budget; the floor pin lands tight budgets there.
                 engine="tuple",
             )
+    # Stamp the engine that actually decided (not the one requested):
+    # runtime degradation may have moved down the chain.
+    result = replace(result, engine=decided)
     instrumentation.count("check.legitimate.size", len(result.legitimate_abstract))
     instrumentation.count("check.core.size", len(result.core))
     witness = result.result.witness
@@ -654,80 +567,11 @@ class _Request:
         return self.fairness in ("weak", "strong")
 
 
-def _decide_with_degradation(
-    selected: str, request: _Request
-) -> StabilizationResult:
-    """Run the selected engine's decide, degrading on runtime faults.
-
-    Preflight fallback (:func:`_select_engine`) handles the failures
-    known *before* the check starts; this wrapper handles the ones
-    that surface mid-fixpoint — ``MemoryError`` from an array that
-    outgrew RAM, ``ImportError`` from an accelerator that broke on
-    first use, an :class:`~repro.resilience.degrade.EngineFault` from
-    kernel internals.  On each such fault the check restarts on the
-    next engine down the chain (vector → packed → tuple), with a
-    reasoned ``engine.fallback`` event marked ``during="runtime"``.
-    Restarting is sound because the engines are pure functions of
-    their inputs with identical verdicts (the CI differentials pin
-    this), so a partial first attempt leaves nothing behind but the
-    counters it already emitted.
-
-    ``BudgetExceeded`` always propagates: it is a structured PARTIAL
-    verdict, not an engine fault.  The last engine's faults propagate
-    too — masking a tuple-engine crash would hide a real failure.
-    """
-    chain = DEGRADATION_CHAIN[selected]
-    if selected == "shared":
-        # Filter the chain to engines that can actually run these
-        # sources: a mega-state space degrading out of the shared
-        # engine must not crash on the vector/packed preflight limits
-        # mid-recovery (their lowering errors are ValueErrors, not
-        # recoverable faults).
-        from ..kernel import packed_fallback_reason
-        from ..kernel.vector import vector_fallback_reason
-
-        sources = (request.concrete, request.abstract)
-        chain = tuple(
-            engine_name
-            for engine_name in chain
-            if (
-                engine_name == "shared"
-                or engine_name == "tuple"
-                or (
-                    engine_name == "vector"
-                    and vector_fallback_reason(*sources) is None
-                )
-                or (
-                    engine_name == "packed"
-                    and packed_fallback_reason(*sources) is None
-                )
-            )
-        )
-    instrumentation = request.instrumentation
-    for position, engine_name in enumerate(chain):
-        if engine_name != "shared":
-            _note_sequential(instrumentation, engine_name, request.workers)
-        try:
-            decided = _decide(_BACKENDS[engine_name](request), request)
-            # Stamp the engine that actually decided (not the one
-            # requested): runtime degradation may have moved down the
-            # chain since preflight selection.
-            return replace(decided, engine=engine_name)
-        except BudgetExceeded:
-            raise
-        except RECOVERABLE_ENGINE_FAULTS as fault:
-            if position == len(chain) - 1:
-                raise
-            fallback = chain[position + 1]
-            instrumentation.count(f"engine.fallback.{fallback}", 1)
-            instrumentation.count("resilience.engine.fallback", 1)
-            instrumentation.event(
-                "engine.fallback",
-                requested=engine_name,
-                during="runtime",
-                reason=f"{type(fault).__name__}: {fault}",
-            )
-    raise AssertionError("engine degradation chain exhausted")  # pragma: no cover
+def _attempt(engine: str, request: _Request) -> StabilizationResult:
+    """Decide ``request`` on ``engine``, one step of :func:`run_chain`."""
+    if engine != "shared":
+        _note_sequential(request.instrumentation, engine, request.workers)
+    return _decide(_BACKENDS[engine](request), request)
 
 
 def _note_sequential(
@@ -1438,7 +1282,7 @@ class _SharedBackend(_KernelBackend):
         )
 
 
-#: Engine name → backend class, walked by :func:`_decide_with_degradation`.
+#: Engine name → backend class, walked by :func:`~.engines.run_chain`.
 _BACKENDS = {
     "tuple": _TupleBackend,
     "packed": _PackedBackend,

@@ -39,15 +39,17 @@ long as no cycle of ``C`` consists solely of such invisible steps
 
 Each relation has a tuple-engine reference procedure (the
 ``_decide_*`` functions), the oracle whose witnesses every engine
-reports.  The vector engine and its fallback rung, the packed kernel,
-decide the same clauses *optimistically*: one skeleton
-(:func:`_refinement`) drives a per-engine clause backend
-(:data:`_CLAUSES`) over dense state codes and, when every clause
-holds, emits the tuple engine's counters and detail.  ``packed`` is an
-alias of ``vector``, and the shared engine continues at vector (the
-clauses have no streamed form); each says so in an ``engine.fallback``
-event.  Both backends decide clause 3 with one strongly connected
-component labelling of the concrete edge list
+reports.  The vector engine decides the same clauses *optimistically*:
+one skeleton (:func:`_refinement`) drives :class:`_VectorClauses` over
+dense state codes and, when every clause holds, emits the tuple
+engine's counters and detail.  The engines are vector and tuple
+(:func:`~repro.checker.engines.engine_chain`): ``packed`` is an alias
+of ``vector``, a shared request continues at vector (the clauses have
+no streamed form), and where vector refuses the sources (no NumPy, an
+unlowerable program, the cell ceiling) the check replays on tuple;
+each says so in an ``engine.fallback`` event.  Clause 3 is one
+strongly connected component labelling of the concrete edge list the
+transition scan already expanded
 (:func:`repro.kernel.cycles.component_labels`): a compression
 ``(s, t)`` lies on a cycle iff ``s`` and ``t`` share a component.  The
 invisible-divergence clause is :func:`~repro.kernel.cycles.cycle_codes`
@@ -56,14 +58,14 @@ abstraction mapping some state outside the abstract schema — abandons
 the attempt with a reasoned ``engine.fallback`` event and replays the
 check on the tuple engine (a witness depends on its set iteration
 order), so verdicts, witnesses and counters are identical on every
-engine.  A state budget, or a budget meter shared with an enclosing
-check, pins the check to the tuple engine, whose exploration order the
-``PARTIAL`` cut follows.
+engine; so does a runtime fault on vector
+(:func:`~repro.checker.engines.run_chain`).  A state budget, or a
+budget meter shared with an enclosing check, pins the check to the
+tuple engine, whose exploration order the ``PARTIAL`` cut follows.
 """
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.abstraction import AbstractionFunction, identity_abstraction
@@ -75,10 +77,9 @@ from .convergence import (
     SystemOrProgram,
     _as_system,
     _note_sequential,
-    _require_known_engine,
     _source_name,
-    _unalias,
 )
+from .engines import engine_chain, run_chain
 from .graph import shortest_path
 from .witnesses import CheckResult, Witness, WitnessKind
 
@@ -96,62 +97,6 @@ def _schema_of(source: SystemOrProgram):
     return source.schema if isinstance(source, System) else source.schema()
 
 
-def _select_refinement_engine(
-    engine: str,
-    concrete: SystemOrProgram,
-    abstract: SystemOrProgram,
-    state_budget: Optional[int],
-    instrumentation: Instrumentation,
-    shared_meter: bool = False,
-) -> str:
-    """The refinement engine that actually runs (``engine.*`` counters).
-
-    Budgeted checks go to the tuple engine (see the module docstring);
-    a ``packed`` request runs the vector chain, and the vector engine
-    falls back to the *packed* engine when NumPy is missing or the
-    program lies outside the statically lowerable fragment, as the
-    stabilization chain does.
-    """
-    _require_known_engine(engine)
-    if engine == "tuple":
-        return "tuple"
-    engine = _unalias(engine, instrumentation)
-    if engine == "shared":
-        instrumentation.event(
-            "engine.fallback",
-            requested="shared",
-            reason="no streamed refinement clauses",
-        )
-        instrumentation.count("engine.fallback.vector", 1)
-        engine = "vector"
-    from ..kernel import packed_fallback_reason
-
-    reason = packed_fallback_reason(concrete, abstract)
-    if reason is None and shared_meter:
-        reason = "a shared budget meter pins the check to the tuple engine"
-    if reason is None and state_budget is not None:
-        reason = (
-            f"state budget {state_budget} is set; budgeted exploration "
-            f"follows the tuple engine's order"
-        )
-    if reason is not None:
-        instrumentation.count("engine.fallback.tuple", 1)
-        instrumentation.event("engine.fallback", requested=engine, reason=reason)
-        return "tuple"
-    from ..kernel.vector import vector_fallback_reason
-
-    vector_reason = vector_fallback_reason(concrete, abstract)
-    if vector_reason is None:
-        instrumentation.count("engine.vector", 1)
-        instrumentation.event("engine.selected", engine="vector")
-        return "vector"
-    instrumentation.count("engine.fallback.packed", 1)
-    instrumentation.event("engine.fallback", requested="vector", reason=vector_reason)
-    instrumentation.count("engine.packed", 1)
-    instrumentation.event("engine.selected", engine="packed")
-    return "packed"
-
-
 _VIOLATION_REPLAY_REASON = (
     "violation found; replaying on the tuple engine for the witness"
 )
@@ -161,48 +106,23 @@ _ALPHA_REPLAY_REASON = (
 )
 
 
-def _packed_path2(
-    abstract_succ,
-    abstract_size: int,
-    source: int,
-    target: int,
-    memo: Dict[int, bytearray],
-) -> bool:
-    """Is there an abstract path of length >= 2 from source to target?
+class _VectorClauses:
+    """The refinement clauses over code arrays (:mod:`repro.kernel.vector`).
 
-    A path of two or more transitions decomposes as two fixed steps
-    followed by any walk: ``source -> mid -> start ~> target`` — the
-    packed equivalent of ``shortest_path(..., min_length=2)``'s
-    existence test, with inclusive-reachability flags memoized per
-    ``start`` code.
-    """
-    from ..kernel import packed_reachable
-
-    for mid in abstract_succ(source):
-        for start in abstract_succ(mid):
-            flags = memo.get(start)
-            if flags is None:
-                flags = packed_reachable(abstract_succ, (start,), abstract_size)
-                memo[start] = flags
-            if flags[target]:
-                return True
-    return False
-
-
-class _Clauses:
-    """One engine's view of the refinement clauses, for :func:`_refinement`.
-
-    ``over()`` builds it from the check's sources, or returns ``None``
-    when the abstraction maps a state outside the abstract schema.
-    ``initial_ok()`` is the initial-image clause; ``reachable()`` the
-    codes reachable from ``C``'s initial states; ``edges_hold(codes,
-    ...)`` the transition and maximality clauses of ``[C (= A]`` over
-    those codes (``None``: every code), returning the number of
-    transitions checked; ``scan()`` classifies every transition as
-    exact, stutter or compression; ``compression_on_cycle()`` and
-    ``bad_terminal()`` are clauses 3 and 4.  ``None`` or ``True``
-    reports a violation.  Backends return counts, flags and edge lists
-    only — the skeleton owns the spans, counters, events and verdict.
+    ``over()`` builds them from the check's sources, or returns
+    ``None`` when the abstraction maps a state outside the abstract
+    schema.  ``initial_ok()`` is the initial-image clause;
+    ``reachable()`` the codes reachable from ``C``'s initial states;
+    ``edges_hold(codes, ...)`` the transition and maximality clauses of
+    ``[C (= A]`` over those codes (``None``: every code), returning the
+    number of transitions checked; ``scan()`` classifies every
+    transition as exact, stutter or compression;
+    ``compression_on_cycle()`` and ``bad_terminal()`` are clauses 3 and
+    4.  ``None`` or ``True`` reports a violation.  The clauses return
+    counts, flags and edge lists only — :func:`_refinement` owns the
+    spans, counters, events and verdict.  Transition counts match the
+    tuple engine's because ``succ_pairs`` deduplicates per (origin,
+    target) pair, as a compiled system's successor sets do.
     """
 
     def __init__(self, kernel, abstract_kernel, image_of, instrumentation):
@@ -211,146 +131,28 @@ class _Clauses:
         self.image_of = image_of
         self.instrumentation = instrumentation
 
-
-class _PackedClauses(_Clauses):
-    """The refinement clauses over packed int codes (:mod:`repro.kernel`)."""
-
     @classmethod
     def over(cls, concrete, abstract, alpha, instrumentation):
         """The clauses of ``concrete`` against ``abstract`` through
-        ``alpha``; ``None`` when some image leaves the abstract schema."""
-        from ..kernel import as_kernel, image_codes
+        ``alpha``; ``None`` when some image leaves the abstract schema.
 
-        kernel = as_kernel(concrete)
-        abstract_kernel = kernel if abstract is concrete else as_kernel(abstract)
-        image_of = image_codes(kernel.interner, abstract_kernel.interner, alpha)
-        if any(code < 0 for code in image_of):
-            return None
-        return cls(kernel, abstract_kernel, image_of, instrumentation)
-
-    def initial_ok(self) -> bool:
-        initial_images = set(self.abstract_kernel.initial_codes)
-        image_of = self.image_of
-        return all(
-            image_of[code] in initial_images for code in self.kernel.initial_codes
-        )
-
-    def reachable(self) -> List[int]:
-        from ..kernel import packed_reachable
-
-        kernel = self.kernel
-        flags = packed_reachable(
-            kernel.successors, kernel.initial_codes, kernel.size
-        )
-        return list(compress(range(kernel.size), flags))
-
-    def edges_hold(
-        self, codes, stutter_insensitive: bool, open_systems: bool
-    ) -> Optional[int]:
-        succ = self.kernel.successors
-        abstract_succ = self.abstract_kernel.successors
-        image_of = self.image_of
-        checked = 0
-        for code in range(self.kernel.size) if codes is None else codes:
-            successors = succ(code)
-            image = image_of[code]
-            if not successors:
-                if not open_systems and abstract_succ(image):
-                    return None
-                continue
-            for successor in successors:
-                checked += 1
-                target_image = image_of[successor]
-                if target_image == image and stutter_insensitive:
-                    continue
-                if target_image not in abstract_succ(image):
-                    return None
-        return checked
-
-    def scan(self, stutter_insensitive: bool, progress: ProgressEmitter):
-        kernel = self.kernel
-        size = kernel.size
-        abstract_succ = self.abstract_kernel.successors
-        abstract_size = self.abstract_kernel.size
-        image_of = self.image_of
-        exact = 0
-        stutter_edges: List[Tuple[int, int]] = []
-        compression_edges: List[Tuple[int, int]] = []
-        path2_memo: Dict[int, bytearray] = {}
-        for code in range(size):
-            if progress.enabled and code and code % 4096 == 0:
-                progress.tick(0, size - code, code)
-            image = image_of[code]
-            for successor in kernel.successors(code):
-                target_image = image_of[successor]
-                if target_image == image:
-                    if stutter_insensitive:
-                        stutter_edges.append((code, successor))
-                        continue
-                    if image in abstract_succ(image):
-                        exact += 1
-                        continue
-                    return None
-                if target_image in abstract_succ(image):
-                    exact += 1
-                    continue
-                if _packed_path2(
-                    abstract_succ, abstract_size, image, target_image, path2_memo
-                ):
-                    compression_edges.append((code, successor))
-                    continue
-                return None
-        return exact, stutter_edges, compression_edges
-
-    def compression_on_cycle(self, edges: List[Tuple[int, int]]) -> bool:
-        from ..kernel.cycles import component_labels
-
-        if not edges:
-            return False
-        succ = self.kernel.successors
-        sources: List[int] = []
-        targets: List[int] = []
-        for code in range(self.kernel.size):
-            for successor in succ(code):
-                sources.append(code)
-                targets.append(successor)
-        labels = component_labels(sources, targets)
-        return any(
-            source in labels and labels[source] == labels.get(target)
-            for source, target in edges
-        )
-
-    def bad_terminal(self) -> bool:
-        succ = self.kernel.successors
-        abstract_succ = self.abstract_kernel.successors
-        image_of = self.image_of
-        return any(
-            not succ(code) and abstract_succ(image_of[code])
-            for code in range(self.kernel.size)
-        )
-
-
-class _VectorClauses(_Clauses):
-    """The refinement clauses over code arrays (:mod:`repro.kernel.vector`).
-
-    Transition counts match the packed backend's exactly because
-    ``succ_pairs`` deduplicates per (origin, target) pair, just as the
-    packed kernel's sorted successor tuples do.
-    """
-
-    @classmethod
-    def over(cls, concrete, abstract, alpha, instrumentation):
-        """As :meth:`_PackedClauses.over`, with the image as an array."""
+        The image sweep enumerates every concrete code, so a
+        ``raise-memory`` chaos fault on the vector engine can land here
+        (:func:`repro.resilience.chaos.engine_states`).
+        """
         import numpy as np
 
         from ..kernel.shared.image import SharedImage
         from ..kernel.vector import as_vector_kernel
+        from ..resilience import chaos
 
         kernel = as_vector_kernel(concrete)
         abstract_kernel = kernel if abstract is concrete else as_vector_kernel(abstract)
         image_of = SharedImage(
             kernel.interner, abstract_kernel.interner, alpha
         ).of(np.arange(kernel.size, dtype=np.int64))
+        if chaos.active_plan() is not None:
+            chaos.engine_states("vector", kernel.size)
         if bool((image_of < 0).any()):
             return None
         return cls(kernel, abstract_kernel, image_of, instrumentation)
@@ -405,7 +207,10 @@ class _VectorClauses(_Clauses):
                 return None
         return int(origins.size)
 
-    def scan(self, stutter_insensitive: bool, progress: ProgressEmitter):
+    def scan(self, stutter_insensitive: bool):
+        """The exact count, the stutter and compression edges, and the
+        whole concrete edge list, which clause 3 labels; ``None`` on an
+        unrealizable transition."""
         import numpy as np
 
         from ..kernel.vector import vector_reachable
@@ -432,8 +237,7 @@ class _VectorClauses(_Clauses):
             return None
         # The rest must be realizable as abstract paths of length >= 2 —
         # two fixed steps then any walk.  One reachability per distinct
-        # source image, from the union of its two-step frontier (the
-        # union of the packed backend's per-start memoized flags).
+        # source image, from the union of its two-step frontier.
         for image in _unique_sorted(rest_image_source):
             _, mids = abstract_kernel.succ_pairs(image.reshape(1))
             starts = np.empty(0, dtype=np.int64)
@@ -448,20 +252,20 @@ class _VectorClauses(_Clauses):
         stutter_edges = list(
             zip(sources[stutter_mask].tolist(), targets[stutter_mask].tolist())
         )
-        return exact, stutter_edges, np.column_stack((sources[rest], targets[rest]))
+        compressions = np.column_stack((sources[rest], targets[rest]))
+        return exact, stutter_edges, compressions, (sources, targets)
 
-    def compression_on_cycle(self, edges) -> bool:
+    def compression_on_cycle(self, edges, concrete_edges) -> bool:
+        """Does a compression lie on a cycle of ``concrete_edges``, the
+        ``(sources, targets)`` arrays :meth:`scan` expanded?"""
         import numpy as np
 
         from ..kernel.cycles import component_labels
 
         if not edges.size:
             return False
-        kernel = self.kernel
-        labels = component_labels(
-            *kernel.succ_pairs(np.arange(kernel.size, dtype=np.int64))
-        )
-        label_of = np.full(kernel.size, -1, dtype=np.int64)
+        labels = component_labels(*concrete_edges)
+        label_of = np.full(self.kernel.size, -1, dtype=np.int64)
         label_of[list(labels)] = list(labels.values())
         source_label = label_of[edges[:, 0]]
         return bool(((source_label >= 0) & (source_label == label_of[edges[:, 1]])).any())
@@ -469,9 +273,6 @@ class _VectorClauses(_Clauses):
     def bad_terminal(self) -> bool:
         return self._moving(self.image_of[self.kernel.terminal_flags()])
 
-
-#: Engine name → clause backend of the optimistic refinement attempt.
-_CLAUSES = {"packed": _PackedClauses, "vector": _VectorClauses}
 
 #: What an optimistic clause decision proves: the success counters
 #: and the detail line, exactly as the tuple engine reports them.
@@ -534,16 +335,13 @@ def _convergence_holds(
     if init is None:
         return None
     counters, _ = init
-    scan_span = "refine.transition_scan"
-    with instrumentation.span(scan_span):
-        scan = clauses.scan(
-            stutter_insensitive, ProgressEmitter(instrumentation, scan_span)
-        )
+    with instrumentation.span("refine.transition_scan"):
+        scan = clauses.scan(stutter_insensitive)
     if scan is None:
         return None
-    exact, stutters, compressions = scan
+    exact, stutters, compressions, edges = scan
     with instrumentation.span("refine.cycle_clause"):
-        on_cycle = clauses.compression_on_cycle(compressions)
+        on_cycle = clauses.compression_on_cycle(compressions, edges)
     if on_cycle or _stutter_cycle(stutters):
         return None
     if not open_systems and clauses.bad_terminal():
@@ -574,60 +372,95 @@ def _refinement(
 ) -> CheckResult:
     """Select an engine, decide the relation on it, replay on tuple.
 
-    ``holds`` is the relation's optimistic decision over a clause
-    backend and ``decide`` its tuple reference, called with the
-    compiled systems and the meter.  A proof emits its counters and is
-    the verdict; a violation, or an image outside the abstract schema,
-    emits only the reasoned fallback before the tuple replay.  A budget
-    cut is the ``PARTIAL`` verdict when the meter is the check's own,
-    and propagates to the owner of a shared one.  Every engine decides
-    refinement in one process, so a ``workers > 1`` request is noted
-    with a ``parallel.sequential`` event.
+    ``holds`` is the relation's optimistic decision over the vector
+    clauses and ``decide`` its tuple reference, called with the
+    compiled systems and the meter.  The engines are vector and tuple
+    (:func:`~.engines.engine_chain`); a budget or a shared meter pins
+    the check to tuple.  A proof emits its counters and is the verdict;
+    a violation, or an image outside the abstract schema, emits only
+    the reasoned fallback before the tuple replay, and a runtime fault
+    on vector replays there too (:func:`~.engines.run_chain`).  A
+    budget cut is the ``PARTIAL`` verdict when the meter is the check's
+    own, and propagates to the owner of a shared one.  Every engine
+    decides refinement in one process, so a ``workers > 1`` request is
+    noted with a ``parallel.sequential`` event.
     """
     own_meter = meter is None
-    selected = _select_refinement_engine(
-        engine, concrete, abstract, state_budget, instrumentation,
-        shared_meter=not own_meter,
-    )
-    _note_sequential(instrumentation, selected, workers)
-    if selected != "tuple":
-        if alpha is None:
-            _schema_of(concrete).require_compatible(
-                _schema_of(abstract), "refinement check without an abstraction function"
-            )
-        clauses = _CLAUSES[selected].over(concrete, abstract, alpha, instrumentation)
-        proof = (
-            None
-            if clauses is None
-            else holds(clauses, stutter_insensitive, open_systems, instrumentation)
-        )
-        if proof is not None:
-            counters, detail = proof
-            for counter, value in counters.items():
-                instrumentation.count(counter, value)
-            return CheckResult(True, name, detail=detail)
-        instrumentation.count("engine.fallback.tuple", 1)
-        instrumentation.event(
-            "engine.fallback",
-            requested=selected,
-            reason=(
-                _ALPHA_REPLAY_REASON if clauses is None else _VIOLATION_REPLAY_REASON
-            ),
-        )
-    concrete_system = _as_system(concrete)
-    abstract_system = (
-        concrete_system if abstract is concrete else _as_system(abstract)
-    )
-    try:
-        return decide(
-            concrete_system, abstract_system, alpha, stutter_insensitive,
-            open_systems, instrumentation,
-            meter if meter is not None else BudgetMeter(state_budget), name,
-        )
-    except BudgetExceeded as exc:
+
+    def pin(rung: str) -> Optional[str]:
         if not own_meter:
-            raise
-        return _partial_result(name, exc, instrumentation)
+            return "a shared budget meter pins the check to the tuple engine"
+        if state_budget is not None:
+            return (
+                f"state budget {state_budget} is set; budgeted exploration "
+                f"follows the tuple engine's order"
+            )
+        return None
+
+    chain = engine_chain(
+        engine, concrete, abstract, alpha, ("vector", "tuple"), pin,
+        instrumentation, unserved="no streamed refinement clauses",
+    )
+    _note_sequential(instrumentation, chain[0], workers)
+
+    def attempt(rung: str) -> Optional[CheckResult]:
+        if rung == "vector":
+            return _vector_attempt(
+                holds, concrete, abstract, alpha, stutter_insensitive,
+                open_systems, instrumentation, name,
+            )
+        concrete_system = _as_system(concrete)
+        abstract_system = (
+            concrete_system if abstract is concrete else _as_system(abstract)
+        )
+        try:
+            return decide(
+                concrete_system, abstract_system, alpha, stutter_insensitive,
+                open_systems, instrumentation,
+                meter if meter is not None else BudgetMeter(state_budget), name,
+            )
+        except BudgetExceeded as exc:
+            if not own_meter:
+                raise
+            return _partial_result(name, exc, instrumentation)
+
+    return run_chain(chain, attempt, instrumentation)[1]
+
+
+def _vector_attempt(
+    holds: Callable[..., Optional[_Proof]],
+    concrete: SystemOrProgram,
+    abstract: SystemOrProgram,
+    alpha: Optional[AbstractionFunction],
+    stutter_insensitive: bool,
+    open_systems: bool,
+    instrumentation: Instrumentation,
+    name: str,
+) -> Optional[CheckResult]:
+    """The verdict when the vector clauses prove the relation; ``None``
+    after a reasoned ``engine.fallback`` event when they do not."""
+    if alpha is None:
+        _schema_of(concrete).require_compatible(
+            _schema_of(abstract), "refinement check without an abstraction function"
+        )
+    clauses = _VectorClauses.over(concrete, abstract, alpha, instrumentation)
+    proof = (
+        None
+        if clauses is None
+        else holds(clauses, stutter_insensitive, open_systems, instrumentation)
+    )
+    if proof is not None:
+        counters, detail = proof
+        for counter, value in counters.items():
+            instrumentation.count(counter, value)
+        return CheckResult(True, name, detail=detail)
+    instrumentation.count("engine.fallback.tuple", 1)
+    instrumentation.event(
+        "engine.fallback",
+        requested="vector",
+        reason=_ALPHA_REPLAY_REASON if clauses is None else _VIOLATION_REPLAY_REASON,
+    )
+    return None
 
 
 def _resolve_alpha(

@@ -75,6 +75,10 @@ from .simulation.runner import simulate
 
 __all__ = ["main", "build_parser"]
 
+#: The engine a command runs on unless ``--engine`` names another;
+#: ``refines`` and ``ring`` have no flag and always run on it.
+DEFAULT_ENGINE = "vector"
+
 _RELATIONS: Dict[str, Callable] = {
     "init": check_init_refinement,
     "everywhere": check_everywhere_refinement,
@@ -414,7 +418,7 @@ def _add_engine_flag(subparser: argparse.ArgumentParser) -> None:
     """Attach the shared ``--engine`` flag (vector/packed kernels vs tuple)."""
     subparser.add_argument(
         "--engine", choices=("packed", "tuple", "vector", "shared"),
-        default="vector",
+        default=DEFAULT_ENGINE,
         help="checker engine: 'shared' streams chunked frontiers through "
         "shared-memory segments with out-of-core spill (mega state spaces "
         "in bounded RSS; see --mem-budget); 'vector' batch-evaluates whole "
@@ -695,13 +699,13 @@ def _cmd_verify_tree(args) -> int:
 
 def _cmd_refines(args) -> int:
     instrumentation, recorder = _recorder_for(args, "refines")
-    concrete = _load(args.concrete).compile()
-    abstract = _load(args.abstract).compile()
+    concrete = _load(args.concrete)
+    abstract = _load(args.abstract)
     instrumentation.annotate(
         concrete=args.concrete, abstract=args.abstract, relation=args.relation
     )
     checkfn = _RELATIONS[args.relation]
-    kwargs = {"instrumentation": instrumentation}
+    kwargs = {"instrumentation": instrumentation, "engine": DEFAULT_ENGINE}
     if args.relation != "everywhere-eventually":
         kwargs["stutter_insensitive"] = args.stutter_insensitive
         kwargs["open_systems"] = args.open_systems
@@ -752,8 +756,8 @@ def _cmd_ring(args) -> int:
     }
     if args.system == "kstate":
         k = args.k or n
-        system = kstate_program(n, k).compile()
-        spec = utr_program(n).compile()
+        system = kstate_program(n, k)
+        spec = utr_program(n)
         alpha = utr_abstraction(n, k)
         fairness = args.fairness or "none"
         stutter = False
@@ -761,15 +765,15 @@ def _cmd_ring(args) -> int:
         builder, spec_builder, alpha_builder, default_fairness, stutter = table[
             args.system
         ]
-        system = builder(n).compile()
-        spec = spec_builder(n).compile()
+        system = builder(n)
+        spec = spec_builder(n)
         alpha = alpha_builder(n) if alpha_builder else None
         fairness = args.fairness or default_fairness
     instrumentation, recorder = _recorder_for(args, "ring")
     instrumentation.annotate(system=args.system, n=n, fairness=fairness)
     result = check_stabilization(
         system, spec, alpha, stutter_insensitive=stutter, fairness=fairness,
-        instrumentation=instrumentation,
+        instrumentation=instrumentation, engine=DEFAULT_ENGINE,
     )
     print(f"fairness assumption: {fairness}")
     print(result.format())

@@ -10,8 +10,9 @@ match the tuple and packed engines byte for byte.
 NumPy is optional (the ``repro[vector]`` extra).  This package stays
 importable without it: :mod:`.availability` and :mod:`.analyze` are
 NumPy-free, and the array modules load only when NumPy is present —
-engine selection consults :func:`vector_fallback_reason` first and
-falls back to the packed engine otherwise.
+engine selection (:func:`repro.checker.engines.engine_chain`) consults
+:func:`vector_fallback_reason` first and otherwise falls back to the
+packed engine (stabilization) or the tuple reference (refinement).
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ runtime itself.  Three layers:
   delay a task, raise ``MemoryError`` at a state threshold, corrupt a
   cache entry, truncate a checkpoint) injectable via ``--chaos`` /
   ``REPRO_CHAOS``, so every recovery path is provable in tests and CI.
-* :mod:`repro.resilience.degrade` — the runtime engine degradation
-  chain (vector → packed → tuple) the checker walks when an engine
-  faults mid-fixpoint.
+* :mod:`repro.resilience.degrade` — the faults on which a check
+  restarts on the next engine of its chain
+  (:func:`repro.checker.engines.run_chain`) instead of aborting.
 
 Recovery is observable: the supervisor and its callers emit
 ``resilience.*`` counters and events (see ``docs/ROBUSTNESS.md`` for
@@ -32,12 +32,7 @@ from .chaos import (
     load_plan,
     using_chaos,
 )
-from .degrade import (
-    DEGRADATION_CHAIN,
-    RECOVERABLE_ENGINE_FAULTS,
-    EngineFault,
-    next_engine,
-)
+from .degrade import RECOVERABLE_ENGINE_FAULTS, EngineFault
 from .policy import (
     DEFAULT_POLICY,
     SupervisionPolicy,
@@ -64,6 +59,4 @@ __all__ = [
     "active_plan",
     "EngineFault",
     "RECOVERABLE_ENGINE_FAULTS",
-    "DEGRADATION_CHAIN",
-    "next_engine",
 ]

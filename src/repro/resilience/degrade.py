@@ -1,16 +1,18 @@
-"""The runtime engine degradation chain.
+"""The faults that move a check to the next engine at runtime.
 
-Engine *preflight* fallback (unpackable schema, missing NumPy, tight
-budget) has existed since the packed engine landed; this module adds
-the *runtime* half: the recoverable faults an engine can raise
-mid-fixpoint and the order the checker retries cheaper engines in.
+Which engines may decide a check, in which order, is decided once per
+check by :func:`repro.checker.engines.engine_chain` (shared → vector →
+packed → tuple for stabilization, vector → tuple for refinement, each
+filtered by its preflight).  This module names the *runtime* half: the
+faults an engine can raise mid-fixpoint that
+:func:`repro.checker.engines.run_chain` answers by restarting the
+check on the next engine of that list.
 
-The chain is sound because every engine computes the identical
-verdict (CI pins the three-way byte-identity differential): rerunning
-a check on the next engine down cannot change the answer, only the
-wall-clock.  The checker re-raises when the last engine in the chain
-faults — ``tuple`` has no cheaper fallback, and masking its failure
-would turn a crash into a silent wrong answer.
+Restarting is sound because every engine computes the identical
+verdict (CI pins the byte-identity differentials): rerunning a check
+lower down cannot change the answer, only the wall-clock.  The last
+engine's faults propagate — ``tuple`` has no cheaper fallback, and
+masking its failure would turn a crash into a silent wrong answer.
 
 ``BudgetExceeded`` is deliberately *not* recoverable: it is a
 structured PARTIAL verdict in flight, not an engine fault.
@@ -18,13 +20,11 @@ structured PARTIAL verdict in flight, not an engine fault.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Type
+from typing import Tuple, Type
 
 __all__ = [
     "EngineFault",
     "RECOVERABLE_ENGINE_FAULTS",
-    "DEGRADATION_CHAIN",
-    "next_engine",
 ]
 
 
@@ -48,21 +48,3 @@ RECOVERABLE_ENGINE_FAULTS: Tuple[Type[BaseException], ...] = (
     ImportError,
     EngineFault,
 )
-
-#: For each selected engine, the engines to try in order.  Strictly
-#: decreasing exoticism: shared (streamed chunks + shm segments) →
-#: vector (whole-space arrays) → packed (bitsets + successor closures)
-#: → tuple (plain sets, the reference).  The checker filters a chain
-#: to the engines whose preflight passes before walking it.
-DEGRADATION_CHAIN: Dict[str, Tuple[str, ...]] = {
-    "shared": ("shared", "vector", "packed", "tuple"),
-    "vector": ("vector", "packed", "tuple"),
-    "packed": ("packed", "tuple"),
-    "tuple": ("tuple",),
-}
-
-
-def next_engine(engine: str) -> Optional[str]:
-    """The engine one step down the chain, or ``None`` at the floor."""
-    chain = DEGRADATION_CHAIN[engine]
-    return chain[1] if len(chain) > 1 else None

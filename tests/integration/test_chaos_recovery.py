@@ -22,7 +22,12 @@ import pathlib
 
 import pytest
 
-from repro.checker import check_stabilization
+from repro.checker import (
+    check_convergence_refinement,
+    check_everywhere_refinement,
+    check_init_refinement,
+    check_stabilization,
+)
 from repro.obs import NULL_INSTRUMENTATION, Recorder, load_tagged_lines
 from repro.parallel import parallel_available
 from repro.resilience import (
@@ -38,6 +43,9 @@ from repro.rings import (
     btr_program,
     dijkstra_four_state,
     dijkstra_three_state,
+    kstate_program,
+    utr_abstraction,
+    utr_program,
 )
 from repro.tiering import Tier, TierThresholds, verify_tree
 
@@ -203,6 +211,44 @@ class TestEngineDegradation:
             )
         assert degraded.format() == baseline.format()
         assert recorder.record().counters["resilience.engine.fallback"] == 2
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            check_init_refinement,
+            check_everywhere_refinement,
+            check_convergence_refinement,
+        ],
+        ids=["init", "everywhere", "convergence"],
+    )
+    def test_vector_refinement_memory_fault_replays_on_tuple(self, check):
+        """Refinement walks the same chain as stabilization: a fault
+        on vector restarts the check on the tuple reference, with one
+        runtime event and the reference's verdict."""
+        pytest.importorskip("numpy")
+        args = kstate_program(4, 4), utr_program(4), utr_abstraction(4, 4)
+        baseline = check(*args, engine="tuple")
+        plan = FaultPlan(
+            faults=(
+                FaultAction(kind="raise-memory", engine="vector", at_states=1),
+            )
+        )
+        recorder = Recorder(kind="test")
+        with using_chaos(plan):
+            degraded = check(*args, engine="vector", instrumentation=recorder)
+        assert degraded.format() == baseline.format()
+        record = recorder.record()
+        assert record.counters["engine.vector"] == 1
+        assert record.counters["engine.fallback.tuple"] == 1
+        assert record.counters["resilience.engine.fallback"] == 1
+        fallbacks = [
+            event.fields for event in record.events
+            if event.name == "engine.fallback"
+        ]
+        assert len(fallbacks) == 1
+        assert fallbacks[0]["requested"] == "vector"
+        assert fallbacks[0]["during"] == "runtime"
+        assert "MemoryError" in fallbacks[0]["reason"]
 
     def test_budget_exceeded_is_never_treated_as_an_engine_fault(self):
         """``BudgetExceeded`` is a structured PARTIAL in flight: the

@@ -19,7 +19,7 @@ from repro.checker import (
     check_self_stabilization,
     check_stabilization,
 )
-from repro.checker.convergence import ENGINES
+from repro.checker.engines import ENGINES
 from repro.obs import Recorder
 from repro.parallel import parallel_available
 from repro.rings import kstate_program, utr_abstraction, utr_program

@@ -10,8 +10,9 @@ the reproduction (including the failing controls and ``PARTIAL``
 budget cuts), on both decision procedures, and through the CLI.
 
 ``engine="packed"`` is an alias of ``"vector"``; the packed kernel runs
-as the vector engine's fallback rung, so these tests reach it through
-the ``packed_rung`` fixture.
+as the vector engine's fallback rung for stabilization, so these tests
+reach it through the ``packed_rung`` fixture.  Refinement has no
+packed rung: there the fixture sends the check to the tuple reference.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.checker import (
     check_everywhere_eventually_refinement,
     check_stabilization,
 )
-from repro.checker.convergence import PACKED_ALIAS_REASON
+from repro.checker.engines import PACKED_ALIAS_REASON
 from repro.core.abstraction import AbstractionFunction
 from repro.gcl import parse_program
 from repro.kernel.vector import numpy_available
@@ -40,6 +41,7 @@ from repro.rings import (
     utr_abstraction,
     utr_program,
 )
+from tests.packed_rung import PACKED_RUNG_REASON
 
 # Failing controls for the decision branches no ring reaches.  Each has
 # 16 states, enough for the shared engine to run for real.
@@ -298,8 +300,27 @@ class TestStabilizationDifferential:
         assert tuple_verdict.format() == packed_verdict.format()
 
 
+def _replayed_on_tuple(record) -> bool:
+    """Did vector's refusal send the refinement to the tuple reference,
+    with the rung's reason and without the packed kernel?"""
+    reasons = [
+        event.fields["reason"]
+        for event in record.events
+        if event.name == "engine.fallback"
+    ]
+    return (
+        PACKED_RUNG_REASON in reasons
+        and record.counters.get("engine.fallback.tuple", 0) >= 1
+        and "engine.packed" not in record.counters
+    )
+
+
 @pytest.mark.usefixtures("packed_rung")
 class TestRefinementDifferential:
+    """Refinement has no packed rung: where vector refuses the sources,
+    a packed request replays on the tuple reference with vector's
+    reason, byte for byte."""
+
     @pytest.mark.parametrize(
         "name,concrete,spec,alpha,fairness,stutter",
         RING_CASES,
@@ -312,10 +333,13 @@ class TestRefinementDifferential:
         tuple_verdict = check_convergence_refinement(
             concrete(), spec(), engine="tuple", **kwargs
         )
+        recorder = Recorder()
         packed_verdict = check_convergence_refinement(
-            concrete(), spec(), engine="packed", **kwargs
+            concrete(), spec(), engine="packed", instrumentation=recorder,
+            **kwargs
         )
         assert tuple_verdict.format() == packed_verdict.format()
+        assert _replayed_on_tuple(recorder.record())
         if not tuple_verdict.holds:
             assert (
                 tuple_verdict.witness.states == packed_verdict.witness.states
@@ -333,6 +357,7 @@ class TestRefinementDifferential:
         )
         assert tuple_verdict.holds and packed_verdict.holds
         assert tuple_verdict.format() == packed_verdict.format()
+        assert _replayed_on_tuple(packed_rec.record())
         tuple_counters = tuple_rec.record().counters
         packed_counters = packed_rec.record().counters
         for counter in (
@@ -345,15 +370,21 @@ class TestRefinementDifferential:
             assert tuple_counters[counter] == packed_counters[counter], counter
 
     def test_everywhere_eventually_byte_identical(self):
+        """The init clause replays on tuple; the stabilization clause
+        still runs on the packed rung."""
         tuple_verdict = check_everywhere_eventually_refinement(
             dijkstra_four_state(3), btr_program(3), btr4_abstraction(3),
             engine="tuple",
         )
+        recorder = Recorder()
         packed_verdict = check_everywhere_eventually_refinement(
             dijkstra_four_state(3), btr_program(3), btr4_abstraction(3),
-            engine="packed",
+            engine="packed", instrumentation=recorder,
         )
         assert tuple_verdict.format() == packed_verdict.format()
+        record = recorder.record()
+        assert record.counters["engine.fallback.tuple"] == 1
+        assert record.counters["engine.packed"] == 1
 
     @pytest.mark.skipif(
         not parallel_available(), reason="no fork start method"
@@ -365,11 +396,15 @@ class TestRefinementDifferential:
         )
         for workers in (1, 4):
             for engine in ("tuple", "packed"):
+                recorder = Recorder()
                 verdict = check_convergence_refinement(
                     dijkstra_four_state(3), btr_program(3),
                     btr4_abstraction(3), workers=workers, engine=engine,
+                    instrumentation=recorder,
                 )
                 assert verdict.format() == baseline.format(), (workers, engine)
+                if engine == "packed":
+                    assert _replayed_on_tuple(recorder.record())
 
 
 class TestCliDifferential:

@@ -1,14 +1,16 @@
 """Differential grid: every refinement clause on every engine.
 
-The packed and vector engines decide the refinement relations
-optimistically — they can only prove success, and any violation (or
-an abstraction that leaves the abstract schema) replays on the tuple
-engine for the witness.  This grid runs each of the three refinement
-checks on each engine, open and closed, strict and modulo stuttering,
-over one small control per way a clause can fail, and requires the
-formatted verdict and every ``refine.*`` counter to match the tuple
-engine's, with every failing attempt handing back through a reasoned
-``engine.fallback`` event.
+The vector engine decides the refinement relations optimistically — it
+can only prove success, and any violation (or an abstraction that
+leaves the abstract schema) replays on the tuple engine for the
+witness.  Refinement has no packed rung: where vector refuses the
+sources, the check replays on the tuple reference with vector's
+reason.  This grid runs each of the three refinement checks on each
+request, open and closed, strict and modulo stuttering, over one small
+control per way a clause can fail, and requires the formatted verdict
+and every ``refine.*`` counter to match the tuple engine's, with every
+failing attempt handing back through a reasoned ``engine.fallback``
+event.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from repro.checker.refinement_check import (
 from repro.core.abstraction import AbstractionFunction
 from repro.core.state import StateSchema
 from repro.core.system import System
+from repro.kernel.vector import NUMPY_MISSING_REASON, numpy_available
 from repro.obs import Recorder
 from repro.parallel import parallel_available
-from tests.packed_rung import packed_rung
+from tests.packed_rung import PACKED_RUNG_REASON, packed_rung
 
 SCHEMA = StateSchema({"v": tuple(range(6))})
 CYCLE = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -171,8 +174,8 @@ def test_engine_matches_tuple(
     reference, reference_record = _run(
         control, check, "tuple", open_systems, stutter, workers
     )
-    # A packed request is served by vector; the packed clauses run only
-    # on vector's fallback rung.
+    # A packed request is served by vector; with vector refused it
+    # replays on tuple, never on the packed kernel.
     with packed_rung() if engine == "packed" else nullcontext():
         verdict, record = _run(
             control, check, engine, open_systems, stutter, workers
@@ -184,7 +187,16 @@ def test_engine_matches_tuple(
         for event in record.events
         if event.name == "engine.fallback"
     ]
-    if verdict.holds:
+    refusal = (
+        PACKED_RUNG_REASON if engine == "packed"
+        else None if numpy_available() else NUMPY_MISSING_REASON
+    )
+    if refusal is not None:
+        # Refused by vector, the check replays on the tuple reference.
+        assert refusal in reasons, reasons
+        assert record.counters["engine.fallback.tuple"] == 1
+        assert "engine.packed" not in record.counters
+    elif verdict.holds:
         # A clause the engine wrongly reports violated would still
         # render the right verdict, through a needless tuple replay.
         assert _VIOLATION_REPLAY_REASON not in reasons, reasons

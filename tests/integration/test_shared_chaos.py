@@ -91,6 +91,48 @@ def _chaotic_shared(tmp_path, recorder, workers=4):
         )
 
 
+class TestChainPreflight:
+    def test_fault_past_the_interner_ceiling_degrades_to_tuple(
+        self, tmp_path, monkeypatch
+    ):
+        """Past the interner ceiling only shared and tuple can decide:
+        a runtime fault in shared must restart on tuple, not crash
+        building a vector kernel that cannot intern the space."""
+        import repro.kernel.interner as interner
+
+        concrete, spec, alpha = _case()
+        baseline = check_stabilization(concrete, spec, alpha, engine="tuple")
+        monkeypatch.setattr(interner, "MAX_PACKED_STATES", 1000)
+        plan = FaultPlan(
+            faults=(
+                FaultAction(kind="raise-memory", engine="shared", at_states=1),
+            )
+        )
+        recorder = Recorder(kind="test")
+        with using_chaos(plan), using_memory_budget(
+            "1M", spill_dir=str(tmp_path)
+        ):
+            result = check_stabilization(
+                concrete, spec, alpha, engine="shared",
+                instrumentation=recorder,
+            )
+        assert result.format() == baseline.format()
+        assert result.engine == "tuple"
+        record = recorder.record()
+        assert record.counters["engine.shared"] == 1
+        assert record.counters["engine.fallback.tuple"] == 1
+        assert record.counters["resilience.engine.fallback"] == 1
+        runtime = [
+            event.fields for event in record.events
+            if event.name == "engine.fallback"
+        ]
+        assert len(runtime) == 1
+        assert runtime[0]["requested"] == "shared"
+        assert runtime[0]["during"] == "runtime"
+        assert _shm_leaks() == []
+        assert sorted(tmp_path.iterdir()) == []
+
+
 class TestWorkerDeathLeaksNothing:
     def test_killed_expand_worker_recovers_cleanly(self, tmp_path):
         """``shared_reachable`` shards frontier runs; killing one of

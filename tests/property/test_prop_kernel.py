@@ -5,10 +5,12 @@ Random small guarded-command programs (same generator design as
 engine: interning must round-trip every state in enumeration order,
 the lowered successor kernel must agree with the compiled transition
 table, the bitset fixpoints must compute the tuple sets exactly, and
-the full verdicts — stabilization and convergence refinement, witness
-rendering included — must be byte-identical.  ``engine="packed"`` is
-served by vector, so the verdict tests reach the packed kernel through
-:func:`tests.packed_rung.packed_rung`.
+the full stabilization verdict, witness rendering included, must be
+byte-identical.  ``engine="packed"`` is served by vector, so the
+verdict tests reach the packed kernel through
+:func:`tests.packed_rung.packed_rung`.  Refinement has no packed rung:
+there the refused vector request must replay on the tuple reference,
+say why, and render the reference's verdict.
 """
 
 from hypothesis import given, settings
@@ -27,7 +29,8 @@ from repro.kernel import (
     packed_reachable,
     packed_terminals,
 )
-from tests.packed_rung import packed_rung
+from repro.obs import Recorder
+from tests.packed_rung import PACKED_RUNG_REASON, packed_rung
 
 MODULUS = 3
 VAR_NAMES = ("u", "w.0")
@@ -136,23 +139,30 @@ class TestPackedVerdicts:
     @settings(max_examples=25, deadline=None)
     @given(small_programs(), small_programs())
     def test_convergence_refinement_verdict_identical(self, concrete, spec):
-        tuple_verdict = check_convergence_refinement(
-            concrete, spec, engine="tuple"
-        )
-        with packed_rung():
-            packed_verdict = check_convergence_refinement(
-                concrete, spec, engine="packed"
-            )
-        assert tuple_verdict.format() == packed_verdict.format()
+        _assert_refinement_replays_on_tuple(concrete, spec, False)
 
     @settings(max_examples=15, deadline=None)
     @given(small_programs(), small_programs())
     def test_stutter_insensitive_refinement_identical(self, concrete, spec):
-        tuple_verdict = check_convergence_refinement(
-            concrete, spec, stutter_insensitive=True, engine="tuple"
+        _assert_refinement_replays_on_tuple(concrete, spec, True)
+
+
+def _assert_refinement_replays_on_tuple(concrete, spec, stutter):
+    tuple_verdict = check_convergence_refinement(
+        concrete, spec, stutter_insensitive=stutter, engine="tuple"
+    )
+    recorder = Recorder()
+    with packed_rung():
+        packed_verdict = check_convergence_refinement(
+            concrete, spec, stutter_insensitive=stutter, engine="packed",
+            instrumentation=recorder,
         )
-        with packed_rung():
-            packed_verdict = check_convergence_refinement(
-                concrete, spec, stutter_insensitive=True, engine="packed"
-            )
-        assert tuple_verdict.format() == packed_verdict.format()
+    assert tuple_verdict.format() == packed_verdict.format()
+    record = recorder.record()
+    assert "engine.packed" not in record.counters
+    assert record.counters["engine.fallback.tuple"] == 1
+    assert any(
+        event.fields["reason"] == PACKED_RUNG_REASON
+        for event in record.events
+        if event.name == "engine.fallback"
+    )

@@ -27,6 +27,7 @@ from repro.rings import (
     dijkstra_three_state,
     kstate_program,
 )
+from tests.packed_rung import PACKED_RUNG_REASON
 
 DAEMONS = [
     ("central", lambda: CentralDaemon()),
@@ -231,8 +232,8 @@ class TestEngineSelection:
 
     @pytest.mark.usefixtures("packed_rung")
     def test_refinement_replay_emits_fallback(self):
-        """A failing refinement under the packed engine replays on the
-        tuple engine (for the witness) and says so."""
+        """Refinement has no packed rung: with vector refused, a packed
+        request replays on the tuple engine and says why."""
         recorder = Recorder()
         result = check_convergence_refinement(
             dijkstra_three_state(3), btr_program(3), btr3_abstraction(3),
@@ -240,8 +241,14 @@ class TestEngineSelection:
         )
         assert not result.holds
         record = recorder.record()
-        assert record.counters["engine.packed"] == 1
+        assert "engine.packed" not in record.counters
         assert record.counters["engine.fallback.tuple"] == 1
+        reasons = [
+            event.fields["reason"]
+            for event in record.events
+            if event.name == "engine.fallback"
+        ]
+        assert PACKED_RUNG_REASON in reasons
 
 
 class TestAsKernel:
