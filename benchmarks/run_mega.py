@@ -38,7 +38,7 @@ def _run_once(args, budget_bytes: int) -> dict:
     recorder = Recorder(kind="bench")
     recorder.annotate(
         experiment="p09_mega", n=args.n, k=args.k, engine="shared",
-        budget=budget_bytes, workers=args.workers,
+        budget=budget_bytes,
     )
     start = time.perf_counter()
     with using_memory_budget(args.mem_budget, spill_dir=args.spill_dir):
@@ -48,7 +48,6 @@ def _run_once(args, budget_bytes: int) -> dict:
             utr_abstraction(args.n, args.k),
             compute_steps=False,
             engine="shared",
-            workers=args.workers,
             instrumentation=recorder,
         )
     seconds = time.perf_counter() - start
@@ -71,7 +70,6 @@ def _run_once(args, budget_bytes: int) -> dict:
         "states_per_s": round(size / seconds),
         "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "budget_bytes": budget_bytes,
-        "workers": args.workers,
         "code_width": widths[0]["width"] if widths else None,
         "spill_bytes_per_state": round(
             counters.get("shm.spill.bytes", 0) / size, 2
@@ -98,9 +96,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--spill-dir", default=None,
         help="directory for out-of-core spill files (default: a temp dir)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1, help="worker processes"
     )
     parser.add_argument(
         "--json", default=None,

@@ -461,13 +461,12 @@ def check_stabilization(
             (``result.is_partial`` is true, ``result.result.partial``
             reports states explored and frontier size) — never a
             ``MemoryError``.
-        workers: worker processes for the shared engine's rounds.
-            The tuple, packed and vector engines decide in one
-            process; asked for more than one worker, they say so with
-            a ``parallel.sequential`` event.  The verdict — witness
-            and formatted rendering included — is identical for every
-            worker count.  Degrades to 1 (with the same event) where
-            fork-based pools are unavailable.
+        workers: accepted so per-spec fan-outs (``verify-tree``,
+            campaigns) can pass their count through.  Every engine
+            decides one check in one process; asked for more than one
+            worker, it says so with a ``parallel.sequential`` event.
+            The verdict — witness and formatted rendering included —
+            is identical for every worker count.
         engine: ``'tuple'`` (the default) walks tuple states through
             an eagerly compiled :class:`System`; ``'vector'`` runs
             whole-space array fixpoints, ``'shared'`` streams them in
@@ -569,31 +568,31 @@ class _Request:
 
 def _attempt(engine: str, request: _Request) -> StabilizationResult:
     """Decide ``request`` on ``engine``, one step of :func:`run_chain`."""
-    if engine != "shared":
-        _note_sequential(request.instrumentation, engine, request.workers)
+    _note_sequential(request.instrumentation, engine, request.workers)
     return _decide(_BACKENDS[engine](request), request)
 
 
+#: Why a ``workers > 1`` request decides in one process, on every engine.
+SEQUENTIAL_REASON = (
+    "one check is decided in one process; verify-tree and campaigns fan "
+    "out per spec"
+)
+
+
 def _note_sequential(
-    instrumentation: Instrumentation,
-    engine: str,
-    workers: int,
-    reason: Optional[str] = None,
+    instrumentation: Instrumentation, engine: str, workers: int
 ) -> None:
     """Say why a ``workers > 1`` request runs in one process.
 
-    Emits one ``parallel.sequential`` event; a one-worker request is
-    silent.  Only the shared engine fans a decision out, so the default
-    reason names ``engine`` as one that does not.
+    Emits one ``parallel.sequential`` event naming ``engine``; a
+    one-worker request is silent.
     """
     if workers > 1:
         instrumentation.event(
             "parallel.sequential",
             engine=engine,
             workers=workers,
-            reason=reason
-            or f"the {engine} engine decides in one process; only the "
-            "shared engine fans out",
+            reason=SEQUENTIAL_REASON,
         )
 
 
@@ -1130,13 +1129,12 @@ class _VectorBackend(_KernelBackend):
 class _SharedBackend(_KernelBackend):
     """Streamed fixpoints of the shared-memory engine.
 
-    Membership flags are bit-packed (segment-backed when workers split
-    the rounds), successor evaluation is chunked through the
-    table-free :class:`~repro.kernel.shared.SharedKernel`, and
-    collections past the memory budget spill to the run's spill
-    directory.  The abstract side runs on the in-RAM vector kernel
-    (preflight guarantees it fits), so ``L_A`` is computed exactly as
-    the vector backend computes it.
+    Membership flags are bit-packed, successor evaluation is chunked
+    through the table-free :class:`~repro.kernel.shared.SharedKernel`,
+    and collections past the memory budget spill to the run's spill
+    directory.  Every fixpoint runs in this process.  The abstract side
+    runs on the in-RAM vector kernel (preflight guarantees it fits), so
+    ``L_A`` is computed exactly as the vector backend computes it.
     """
 
     legitimate = _VectorBackend.legitimate
@@ -1154,23 +1152,9 @@ class _SharedBackend(_KernelBackend):
     @contextmanager
     def running(self):
         from ..kernel.shared import open_runtime
-        from ..parallel import resolve_workers
 
-        request = self.request
-        workers = request.workers
-        if workers > 1:
-            workers = resolve_workers(workers)
-            if workers == 1:
-                _note_sequential(
-                    request.instrumentation,
-                    "shared",
-                    request.workers,
-                    "fork-based worker pools are unavailable in this process",
-                )
         with open_runtime(
-            self.kernel,
-            workers=workers,
-            instrumentation=request.instrumentation,
+            self.kernel, instrumentation=self.request.instrumentation
         ) as self.runtime:
             yield
 

@@ -1,7 +1,7 @@
 """Which engine decides a check, and where it goes when one cannot.
 
 Four engines decide the checkers' relations with identical verdicts:
-``shared`` (streamed chunks over shared-memory segments), ``vector``
+``shared`` (streamed chunks that spill past a memory budget), ``vector``
 (whole-space NumPy arrays), ``packed`` (interned codes and bitset
 fixpoints, reached only as vector's fallback rung) and ``tuple``
 (plain sets, the reference).  This module is the one place that says
@@ -139,12 +139,17 @@ def engine_chain(
     an ``engine.fallback`` event giving ``unserved`` as its reason.
     Shared is tried when requested, or for a vector request while a
     memory context (:func:`repro.kernel.shared.using_memory_budget`)
-    is active; refused there, it says why.  The first engine kept is
-    recorded: ``engine.<name>`` and ``engine.selected`` for shared,
-    vector or packed (packed after vector's reasoned refusal), or
-    ``engine.fallback.tuple`` with vector's reason when only the tuple
-    reference is left.  The engines below the first are kept silently;
-    :func:`run_chain` reaches them only on a runtime fault.
+    is active.  A refusal is recorded once per rung, as an
+    ``engine.fallback`` event naming the refused rung: shared (when
+    tried), then vector when packed or tuple runs.  The first engine
+    kept is recorded: ``engine.<name>`` and ``engine.selected`` for
+    shared, vector or packed, or ``engine.fallback.tuple`` when only
+    the tuple reference is left.  A fallback counter names the engine
+    that runs: ``engine.fallback.vector`` for a shared request that
+    vector serves, ``engine.fallback.packed`` or
+    ``engine.fallback.tuple`` below it.
+    The engines below the first are kept silently; :func:`run_chain`
+    reaches them only on a runtime fault.
     """
     _require_known_engine(engine)
     if engine == "tuple":
@@ -154,7 +159,6 @@ def engine_chain(
         instrumentation.event(
             "engine.fallback", requested=requested, reason=unserved
         )
-        instrumentation.count("engine.fallback.vector", 1)
         requested = "vector"
     tries_shared = requested == "shared" or (
         "shared" in backends and active_memory_context() is not None
@@ -170,12 +174,10 @@ def engine_chain(
         instrumentation.event(
             "engine.fallback", requested="shared", reason=reasons["shared"]
         )
-        if requested == "shared":
-            instrumentation.count("engine.fallback.vector", 1)
     if first == "tuple":
         instrumentation.count("engine.fallback.tuple", 1)
         instrumentation.event(
-            "engine.fallback", requested=requested, reason=reasons["vector"]
+            "engine.fallback", requested="vector", reason=reasons["vector"]
         )
         return chain
     if first == "packed":
@@ -183,6 +185,8 @@ def engine_chain(
         instrumentation.event(
             "engine.fallback", requested="vector", reason=reasons["vector"]
         )
+    elif engine == "shared" and first == "vector":
+        instrumentation.count("engine.fallback.vector", 1)
     instrumentation.count(f"engine.{first}", 1)
     instrumentation.event("engine.selected", engine=first)
     return chain

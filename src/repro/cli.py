@@ -459,10 +459,9 @@ def _add_parallel_flags(subparser: argparse.ArgumentParser) -> None:
     """
     subparser.add_argument(
         "--workers", type=_int_at_least(1), default=1, metavar="N",
-        help="worker processes: the shared engine's rounds for check, "
-        "whole cells for campaign (default: 1; the tuple, packed and "
-        "vector engines decide in one process; the verdict is "
-        "identical at every worker count)",
+        help="worker processes: whole cells for campaign (default: 1; "
+        "check decides one spec in one process on every engine; the "
+        "verdict is identical at every worker count)",
     )
     subparser.add_argument(
         "--cache-dir", metavar="DIR",
@@ -580,12 +579,15 @@ def _recorder_for(args, kind: str):
     Returns ``(instrumentation, recorder_or_None)``: a
     :class:`Recorder` when ``--obs-out`` was given, a
     :class:`ProgressTicker` when ``--progress`` was given, both teed
-    together when both were — and the null object when neither.
+    together when both were — and the null object when neither.  The
+    recorder is also kept on ``args``, so an input error that ends the
+    run still writes it (:func:`_input_error`).
     """
     recorder: Optional[Recorder] = None
     sinks: List[Instrumentation] = []
     if getattr(args, "obs_out", None):
         recorder = Recorder(kind=kind)
+        args.run_recorder = recorder
         sinks.append(recorder)
     if getattr(args, "progress", False):
         sinks.append(ProgressTicker())
@@ -601,6 +603,28 @@ def _flush_recorder(args, recorder: Optional[Recorder]) -> None:
     if recorder is not None:
         write_jsonl([recorder.record()], args.obs_out)
         print(f"run record written to {args.obs_out}", file=sys.stderr)
+
+
+def _input_error(args, exc: Exception) -> int:
+    """Report an input error and end the run with exit status 2.
+
+    When ``--obs-out`` was given, the run record is written with one
+    ``cli.error`` event naming the error.  It is written silently, so
+    stderr carries the error line alone, as without ``--obs-out``.
+    """
+    print(f"error: {exc}", file=sys.stderr)
+    if getattr(args, "obs_out", None):
+        recorder = getattr(args, "run_recorder", None) or Recorder(
+            kind=args.command
+        )
+        recorder.event(
+            "cli.error", error=str(exc), exception=type(exc).__name__
+        )
+        try:
+            write_jsonl([recorder.record()], args.obs_out)
+        except OSError:
+            pass  # an unwritable record path must not mask the error
+    return 2
 
 
 def _load(path: str):
@@ -946,14 +970,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 0
     except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(args, exc)
     except Exception as exc:  # surfaced as a clean CLI error, not a traceback
         from .core.errors import ReproError
 
         if isinstance(exc, ReproError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _input_error(args, exc)
         raise
 
 

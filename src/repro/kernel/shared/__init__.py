@@ -3,12 +3,10 @@
 A streamed, optionally out-of-core sibling of the vector engine for
 state spaces past ``MAX_VECTOR_CELLS``.  Where the vector kernel
 materializes full-space action tables, :class:`~.kernel.SharedKernel`
-keeps only lowered closures and evaluates chunks on demand; frontier
-and membership sets live in bit-packed arrays
-(:class:`~.frontier.BitField`) that can be backed by
-``multiprocessing.shared_memory`` segments, so forked workers test and
-expand the driver's *current* frontier zero-copy instead of
-re-deriving state after fork.  Code collections past the in-RAM budget
+keeps only lowered closures and evaluates chunks on demand;
+membership sets live in bit-packed arrays
+(:class:`~.frontier.BitField`), and every fixpoint runs in the calling
+process.  Code collections past the in-RAM budget
 spill delta-encoded to a run-scoped directory
 (:class:`~.spill.SpillStore`) and stream back per round — a
 ``10**8``-cell ring completes in bounded RSS instead of raising the
@@ -149,7 +147,6 @@ if numpy_available():
         shared_core,
         shared_has_cycle,
         shared_longest_path,
-        shared_reachable,
         shared_terminals,
     )
     from .frontier import BitField, CodeRuns
@@ -158,11 +155,9 @@ if numpy_available():
     from .runtime import SharedRuntime, open_runtime
     from .spill import SpillStore
     from .tables import TablePool
-    from .visited import AttachedVisited, VisitedHandle, open_visited
     from .width import code_dtype, code_width
 
     __all__ += [
-        "AttachedVisited",
         "BitField",
         "CodeRuns",
         "SharedImage",
@@ -171,15 +166,12 @@ if numpy_available():
         "SharedRuntime",
         "SpillStore",
         "TablePool",
-        "VisitedHandle",
         "code_dtype",
         "code_width",
         "open_runtime",
-        "open_visited",
         "shared_core",
         "shared_has_cycle",
         "shared_image_unsupported_reason",
         "shared_longest_path",
-        "shared_reachable",
         "shared_terminals",
     ]

@@ -3,8 +3,8 @@
 The shared-memory engine is opt-in: a check routes through it only
 while a :class:`MemoryContext` is active (the CLI's ``--mem-budget``
 / ``--spill-dir`` flags, or :func:`using_memory_budget` directly).
-The context carries three settable values; the streamed fixpoints
-plan around the first two:
+The context carries two settable values; the streamed fixpoints plan
+around both:
 
 * **budget_bytes** — the in-RAM ceiling for engine working sets.  The
   kernel sizes its evaluation chunks from it, and frontier/member
@@ -12,14 +12,14 @@ plan around the first two:
   (:mod:`.spill`) instead of growing resident.
 * **spill_dir** — where the run-scoped spill directory is created
   (defaults to the system temp dir).
-* **parallel_min** — the smallest batch worth sharding to workers.
 
 The active context lives in a module-level slot, exactly like the
-resilience package's chaos plan: forked workers inherit it
-copy-on-write, and ``finally`` restores the previous value, so nested
-activations behave like a stack.  Nothing here imports NumPy — engine
-selection must be able to *refuse* the shared engine on a pure-Python
-install without touching the array modules.
+resilience package's chaos plan: forked workers (``verify-tree``,
+campaigns) inherit it copy-on-write, and ``finally`` restores the
+previous value, so nested activations behave like a stack.  Nothing
+here imports NumPy — engine selection must be able to *refuse* the
+shared engine on a pure-Python install without touching the array
+modules.
 """
 
 from __future__ import annotations
@@ -101,20 +101,14 @@ class MemoryContext:
         budget_bytes: in-RAM working-set ceiling for engine data.
         spill_dir: parent directory for the run-scoped spill directory
             (``None`` = system temp dir).
-        parallel_min: smallest frontier/member batch worth sharding
-            across workers; below it rounds run in-process even when
-            ``workers > 1`` (the verdict is identical either way).
     """
 
     budget_bytes: int = DEFAULT_MEM_BUDGET
     spill_dir: Optional[str] = None
-    parallel_min: int = 256
 
     def __post_init__(self) -> None:
         if self.budget_bytes < 1:
             raise ValueError("memory budget must be positive")
-        if self.parallel_min < 1:
-            raise ValueError("parallel_min must be positive")
 
 
 #: The active context stack slot (copy-on-write inherited by forks).
@@ -130,7 +124,6 @@ def active_memory_context() -> Optional[MemoryContext]:
 def using_memory_budget(
     budget: Optional[object] = None,
     spill_dir: Optional[str] = None,
-    parallel_min: Optional[int] = None,
 ) -> Iterator[MemoryContext]:
     """Activate the shared-memory engine for the dynamic extent.
 
@@ -138,7 +131,6 @@ def using_memory_budget(
         budget: bytes (int), human text (``"512M"``), or ``None`` for
             :data:`DEFAULT_MEM_BUDGET`.
         spill_dir: parent directory for spill files.
-        parallel_min: override the sharding threshold (tests).
     """
     if budget is None:
         budget_bytes = DEFAULT_MEM_BUDGET
@@ -148,10 +140,7 @@ def using_memory_budget(
         budget_bytes = budget
     else:
         budget_bytes = parse_mem_budget(str(budget))
-    kwargs = {"budget_bytes": budget_bytes, "spill_dir": spill_dir}
-    if parallel_min is not None:
-        kwargs["parallel_min"] = parallel_min
-    context = MemoryContext(**kwargs)
+    context = MemoryContext(budget_bytes=budget_bytes, spill_dir=spill_dir)
     previous = _ACTIVE[0]
     _ACTIVE[0] = context
     try:

@@ -3,8 +3,7 @@
 Re-implementations of the vector engine's fixpoints
 (:mod:`repro.kernel.vector.fixpoint`) over the shared substrate:
 
-* flags live in bit-packed :class:`~.frontier.BitField`\\ s (in a
-  shared-memory segment when workers shard the rounds);
+* flags live in bit-packed, private :class:`~.frontier.BitField`\\ s;
 * member/frontier batches are evaluated one code chunk at a time
   through the table-free :class:`~.kernel.SharedKernel`;
 * frontier rounds and eviction lists that outgrow their RAM cap spill
@@ -25,15 +24,10 @@ out-edges and the snapshot, so chunk boundaries cannot change any
 round's eviction set), and the peel is the vector engine's, level for
 level: the same edge multiset, read a batch at a time.
 
-Worker sharding follows the repo's fork protocol: the driver stages
-kernel and round parameters in the :class:`~repro.parallel.pool.WorkerPool`
-context (inherited copy-on-write — lowered closures need no pickling
-and no re-derivation), workers attach to the flags segment by name and
-scan their byte-range partition, and each returns its results through
-a run-prefixed output segment the driver attaches, consumes, and
-unlinks.  Supervision (timeouts, kills, quarantine-to-inline) comes
-from the resilience supervisor; the registry's prefix sweep reclaims
-any segment a killed worker left behind.
+Every fixpoint runs in the calling process.  The sequential peel
+takes most of a check's time, so sharding the core rounds across
+worker processes measured no faster (docs/PERFORMANCE.md); whole
+checks fan out one per worker in ``verify-tree`` and campaigns.
 """
 
 from __future__ import annotations
@@ -43,224 +37,19 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from ...obs import NULL_INSTRUMENTATION, Instrumentation, ProgressEmitter
-from ...parallel.pool import (
-    WorkerPool,
-    using_worker_instrumentation,
-    worker_context,
-)
 from ...resilience import chaos
-from ..vector.kernel import VectorKernel, _unique_sorted
+from ..vector.kernel import VectorKernel
 from .frontier import BitField, CodeRuns
 from .image import SharedImage
 from .kernel import SharedKernel
 from .runtime import SharedRuntime
-from .segments import attach_segment, create_worker_segment
-from .visited import AttachedVisited, open_visited
 
 __all__ = [
-    "shared_reachable",
     "shared_core",
     "shared_terminals",
     "shared_has_cycle",
     "shared_longest_path",
 ]
-
-def _partition_bounds(nbytes: int, parts: int) -> List[Tuple[int, int]]:
-    """Byte-range partition of a bitfield across ``parts`` workers."""
-    return [
-        (part * nbytes // parts, (part + 1) * nbytes // parts)
-        for part in range(parts)
-    ]
-
-
-def _consume_outputs(
-    runtime: SharedRuntime, results: List[Tuple[Optional[str], int]]
-) -> List[np.ndarray]:
-    """Attach, copy out, and unlink every worker output segment.
-
-    Outputs travel at the run's storage width; consumers widen at the
-    arithmetic boundary.
-    """
-    arrays: List[np.ndarray] = []
-    for name, count in results:
-        if not name or count == 0:
-            continue
-        segment = runtime.registry.attach(name)
-        try:
-            codes = np.frombuffer(
-                segment.buf, dtype=runtime.code_dtype, count=count
-            ).copy()
-        finally:
-            runtime.registry.release(segment)
-        arrays.append(codes)
-    return arrays
-
-
-# ----------------------------------------------------------------------
-# Reachability.
-# ----------------------------------------------------------------------
-
-
-def _expand_task(payload: Tuple[int, int, int]) -> Tuple[Optional[str], int]:
-    """Worker: expand one code-range partition of the staged frontier.
-
-    Reads the frontier run (at the run's storage width) and the shared
-    visited segment zero-copy, expands its partition chunk-wise, and
-    writes the deduplicated unvisited targets to an output segment.
-    """
-    part, parts, round_index = payload
-    ctx = worker_context()["shared_reachable"]
-    kernel: SharedKernel = ctx["kernel"]
-    code_dtype: np.dtype = ctx["code_dtype"]
-    frontier_segment = attach_segment(ctx["frontier_name"])
-    attached = AttachedVisited(ctx["visited_ref"])
-    frontier = None
-    try:
-        frontier = np.frombuffer(
-            frontier_segment.buf, dtype=code_dtype, count=ctx["frontier_count"]
-        )
-        visited = attached.field
-        lo = part * kernel.size // parts
-        hi = (part + 1) * kernel.size // parts
-        # Probe at the frontier's storage width: ``hi`` can equal
-        # ``size`` (one past the largest code), which may not fit a
-        # narrow dtype — but then every frontier code is below it.
-        begin = int(np.searchsorted(frontier, np.asarray(lo, dtype=code_dtype)))
-        if hi >= kernel.size:
-            end = int(frontier.shape[0])
-        else:
-            end = int(
-                np.searchsorted(frontier, np.asarray(hi, dtype=code_dtype))
-            )
-        fresh_parts: List[np.ndarray] = []
-        for start in range(begin, end, ctx["chunk"]):
-            codes = frontier[start : min(start + ctx["chunk"], end)]
-            _, targets = kernel.succ_pairs(codes)
-            fresh = _unique_sorted(targets)
-            fresh = fresh[~visited.test(fresh)]
-            if fresh.size:
-                fresh_parts.append(fresh)
-        if not fresh_parts:
-            return None, 0
-        fresh_all = _unique_sorted(np.concatenate(fresh_parts))
-        return _write_output(
-            ctx["prefix"], f"x{round_index}p{part}", fresh_all, code_dtype
-        )
-    finally:
-        frontier = None  # noqa: F841 - drops the exported buffer view
-        attached.close()
-        frontier_segment.close()
-
-
-def _write_output(
-    prefix: str, tag: str, codes: np.ndarray, dtype: np.dtype
-) -> Tuple[str, int]:
-    """Write a worker result array into a fresh run-prefixed segment."""
-    stored = np.ascontiguousarray(codes, dtype=dtype)
-    out = create_worker_segment(prefix, tag, stored.nbytes)
-    view = np.frombuffer(out.buf, dtype=dtype, count=stored.size)
-    view[:] = stored
-    del view  # release the exported buffer before unmapping
-    name = out.name
-    out.close()
-    return name, int(stored.size)
-
-
-def shared_reachable(
-    kernel: SharedKernel,
-    sources: np.ndarray,
-    runtime: SharedRuntime,
-    instrumentation: Instrumentation = NULL_INSTRUMENTATION,
-) -> BitField:
-    """Codes reachable from ``sources`` as a bit-packed field.
-
-    The vector BFS with three substitutions: visited flags are one bit
-    per code (in a shm segment when sharded, see
-    :func:`~.visited.open_visited`), each frontier round is a
-    :class:`CodeRuns` that spills past its RAM cap, and rounds larger
-    than the sharding threshold fan out over code-range partitions.
-    The visited *set* per round is identical to the vector engine's.
-    """
-    size = kernel.size
-    handle = open_visited(runtime, size, "visited", instrumentation)
-    visited = handle.field
-    frontier = CodeRuns(
-        runtime.spill, runtime.run_cap_bytes, dtype=runtime.code_dtype
-    )
-    start = _unique_sorted(np.asarray(sources, dtype=np.int64))
-    visited.set_codes(start)
-    frontier.append(start)
-    progress = ProgressEmitter(instrumentation, "shared.reachable")
-    chaos_hook = (
-        chaos.engine_states if chaos.active_plan() is not None else None
-    )
-    rounds = 0
-    expanded = 0
-    while frontier.count:
-        rounds += 1
-        expanded += frontier.count
-        if chaos_hook is not None:
-            chaos_hook("shared", expanded)
-        if progress.enabled:
-            instrumentation.observe("shm.frontier.size", frontier.count)
-            progress.tick(rounds, frontier.count, expanded)
-        next_frontier = CodeRuns(
-            runtime.spill, runtime.run_cap_bytes, dtype=runtime.code_dtype
-        )
-        for run_index, run in enumerate(frontier.chunks()):
-            if runtime.parallel(run.size) and handle.sharable:
-                run_segment = runtime.registry.create(
-                    run.nbytes, f"f{rounds}r{run_index}"
-                )
-                staged = np.frombuffer(
-                    run_segment.buf, dtype=run.dtype, count=run.size
-                )
-                staged[:] = run
-                del staged
-                with WorkerPool(
-                    runtime.workers,
-                    shared_reachable={
-                        "kernel": kernel,
-                        "frontier_name": run_segment.name,
-                        "frontier_count": int(run.size),
-                        "code_dtype": runtime.code_dtype,
-                        "visited_ref": handle.ref,
-                        "prefix": runtime.registry.prefix,
-                        "chunk": runtime.chunk,
-                    },
-                ) as pool:
-                    # Route supervision recoveries (worker death,
-                    # retries, quarantine) to the engine's sink.
-                    with using_worker_instrumentation(instrumentation):
-                        results = pool.map(
-                            _expand_task,
-                            [
-                                (part, runtime.workers, rounds)
-                                for part in range(runtime.workers)
-                            ],
-                        )
-                runtime.registry.release(run_segment)
-                for codes in _consume_outputs(runtime, results):
-                    mask = ~visited.test(codes)
-                    fresh = codes[mask]
-                    visited.set_codes(fresh)
-                    next_frontier.append(fresh)
-            else:
-                for offset in range(0, run.size, runtime.chunk):
-                    codes = run[offset : offset + runtime.chunk]
-                    _, targets = kernel.succ_pairs(codes)
-                    fresh = _unique_sorted(targets)
-                    fresh = fresh[~visited.test(fresh)]
-                    visited.set_codes(fresh)
-                    next_frontier.append(fresh)
-        frontier.clear()
-        frontier = next_frontier
-        if frontier.spilled_runs:
-            instrumentation.count("shm.spill.rounds")
-    frontier.clear()
-    # The caller owns a private bitfield either way; the shared
-    # segment is released here.
-    return handle.detach_private()
 
 
 # ----------------------------------------------------------------------
@@ -317,42 +106,6 @@ def _evict_chunk(
     return members[evict]
 
 
-def _core_round_task(
-    payload: Tuple[int, int, int]
-) -> Tuple[Optional[str], int]:
-    """Worker: evaluate one Jacobi round over a flags partition."""
-    part, parts, round_index = payload
-    ctx = worker_context()["shared_core"]
-    kernel: SharedKernel = ctx["kernel"]
-    attached = AttachedVisited(ctx["flags_ref"])
-    try:
-        flags = attached.field
-        start_byte, end_byte = _partition_bounds(flags.nbytes, parts)[part]
-        evicted_parts: List[np.ndarray] = []
-        for members in flags.member_chunks(ctx["chunk"], start_byte, end_byte):
-            evicted = _evict_chunk(
-                members,
-                kernel,
-                ctx["abstract_kernel"],
-                ctx["image"],
-                flags,
-                ctx["abs_has_successor"],
-                ctx["stutter_insensitive"],
-                ctx["ignorable_stutter"],
-            )
-            if evicted.size:
-                evicted_parts.append(evicted)
-        if not evicted_parts:
-            return None, 0
-        evicted_all = np.concatenate(evicted_parts)
-        return _write_output(
-            ctx["prefix"], f"c{round_index}p{part}", evicted_all,
-            ctx["code_dtype"],
-        )
-    finally:
-        attached.close()
-
-
 def shared_core(
     kernel: SharedKernel,
     abstract_kernel: VectorKernel,
@@ -372,8 +125,7 @@ def shared_core(
     """
     size = kernel.size
     legitimate = np.asarray(legitimate, dtype=bool)
-    handle = open_visited(runtime, size, "core", instrumentation)
-    flags = handle.field
+    flags = BitField(size)
     remaining = 0
     for start in range(0, size, runtime.chunk):
         codes = np.arange(
@@ -404,36 +156,9 @@ def shared_core(
         evicted_runs = CodeRuns(
             runtime.spill, runtime.run_cap_bytes, dtype=runtime.code_dtype
         )
-        if runtime.parallel(remaining) and handle.sharable:
-            with WorkerPool(
-                runtime.workers,
-                shared_core={
-                    "kernel": kernel,
-                    "abstract_kernel": abstract_kernel,
-                    "image": image,
-                    "flags_ref": handle.ref,
-                    "code_dtype": runtime.code_dtype,
-                    "abs_has_successor": abs_has_successor,
-                    "stutter_insensitive": stutter_insensitive,
-                    "ignorable_stutter": ignorable_stutter,
-                    "prefix": runtime.registry.prefix,
-                    "chunk": runtime.chunk,
-                },
-            ) as pool:
-                # Route supervision recoveries to the engine's sink.
-                with using_worker_instrumentation(instrumentation):
-                    results = pool.map(
-                        _core_round_task,
-                        [
-                            (part, runtime.workers, iterations)
-                            for part in range(runtime.workers)
-                        ],
-                    )
-            for codes in _consume_outputs(runtime, results):
-                evicted_runs.append(codes)
-        else:
-            for members in flags.member_chunks(runtime.chunk):
-                evicted = _evict_chunk(
+        for members in flags.member_chunks(runtime.chunk):
+            evicted_runs.append(
+                _evict_chunk(
                     members,
                     kernel,
                     abstract_kernel,
@@ -443,7 +168,7 @@ def shared_core(
                     stutter_insensitive,
                     ignorable_stutter,
                 )
-                evicted_runs.append(evicted)
+            )
         evicted_total = evicted_runs.count
         for codes in evicted_runs.chunks():
             flags.clear_codes(codes)
@@ -462,7 +187,7 @@ def shared_core(
         instrumentation.observe("check.round.evicted", evicted_total)
         progress.tick(iterations, remaining, size * iterations)
     instrumentation.count("check.fixpoint.iterations", iterations)
-    return handle.detach_private()
+    return flags
 
 
 # ----------------------------------------------------------------------

@@ -3,23 +3,18 @@
 Two containers the streamed fixpoints are built from:
 
 * :class:`BitField` — one bit per packed code over the full state
-  space (visited / membership / processed flags).  An 8x density win
-  over the vector engine's byte-per-state bool arrays, and the buffer
-  can live in a shared-memory segment so forked workers test
-  membership zero-copy against the driver's *current* flags.
+  space (membership / region flags), an 8x density win over the
+  vector engine's byte-per-state bool arrays.
 * :class:`CodeRuns` — an ordered collection of sorted-unique code
   arrays (frontier rounds, eviction lists), stored at the run's
   adaptive code width (:mod:`.width`), that keeps at most
   ``cap_bytes`` resident and spills older runs to a
   :class:`~.spill.SpillStore`, streaming them back on iteration.
-
-Both are driver-side data structures; workers only ever see the raw
-buffers behind them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -37,30 +32,15 @@ _POPCOUNT = np.array(
 
 
 class BitField:
-    """One bit per code in ``[0, size)``, batch-addressable.
-
-    Args:
-        size: number of codes covered.
-        buffer: optional external buffer (a shared-memory segment's
-            ``buf``) of at least ``(size + 7) // 8`` bytes; when
-            omitted a private zeroed array is allocated.
-    """
+    """One bit per code in ``[0, size)``, batch-addressable, all clear
+    at first."""
 
     __slots__ = ("size", "nbytes", "_bytes")
 
-    def __init__(self, size: int, buffer: Optional[memoryview] = None):
+    def __init__(self, size: int):
         self.size = size
         self.nbytes = (size + 7) // 8
-        if buffer is None:
-            self._bytes = np.zeros(self.nbytes, dtype=np.uint8)
-        else:
-            self._bytes = np.frombuffer(
-                buffer, dtype=np.uint8, count=self.nbytes
-            )
-
-    def zero(self) -> None:
-        """Clear all bits (external buffers arrive uninitialized)."""
-        self._bytes[:] = 0
+        self._bytes = np.zeros(self.nbytes, dtype=np.uint8)
 
     def test(self, codes: np.ndarray) -> np.ndarray:
         """Boolean membership of each code (vectorized)."""
@@ -109,25 +89,16 @@ class BitField:
         """Number of set bits (tail bits beyond ``size`` are never set)."""
         return int(_POPCOUNT[self._bytes].sum())
 
-    def member_chunks(
-        self,
-        chunk: int,
-        start_byte: int = 0,
-        end_byte: Optional[int] = None,
-    ) -> Iterator[np.ndarray]:
+    def member_chunks(self, chunk: int) -> Iterator[np.ndarray]:
         """Yield set codes in ascending order, ``<= chunk`` per batch.
 
         Walks the byte array in windows of ``chunk // 8`` bytes, so a
         fully dense window yields exactly ``chunk`` codes and resident
-        cost stays bounded regardless of population.  ``start_byte`` /
-        ``end_byte`` restrict the scan to a byte sub-range — the
-        worker-partition form (byte boundaries keep partitions
-        bit-exact disjoint).
+        cost stays bounded regardless of population.
         """
         step_bytes = max(1, chunk // 8)
-        stop = self.nbytes if end_byte is None else min(end_byte, self.nbytes)
-        for start in range(start_byte, stop, step_bytes):
-            window = self._bytes[start : min(start + step_bytes, stop)]
+        for start in range(0, self.nbytes, step_bytes):
+            window = self._bytes[start : start + step_bytes]
             if not window.any():
                 continue
             bits = np.unpackbits(window, bitorder="little")
@@ -143,19 +114,6 @@ class BitField:
         tail = self.size & 7
         if tail:
             other._bytes[-1] &= np.uint8((1 << tail) - 1)
-
-    def copy_into(self, other: "BitField") -> None:
-        other._bytes[:] = self._bytes
-
-    def release_buffer(self) -> None:
-        """Drop the view on an external buffer (before segment close).
-
-        A live NumPy view keeps the segment's mmap pinned ("cannot
-        close exported pointers exist"); callers that back a field
-        with a segment must call this before closing it.  The field
-        becomes unusable afterwards.
-        """
-        self._bytes = np.empty(0, dtype=np.uint8)
 
 
 class CodeRuns:

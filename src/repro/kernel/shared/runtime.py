@@ -5,14 +5,14 @@ the :class:`~.segments.SegmentRegistry` and :class:`~.spill.SpillStore`
 whose cleanup must be unconditional — :func:`open_runtime` is the only
 sanctioned way in, and its ``finally`` sweeps segments, releases the
 table pool, and removes the spill directory no matter how the check
-ends: success, engine fault feeding the degradation chain,
-chaos-injected worker kill, or a ``KeyboardInterrupt`` mid-fixpoint.
+ends: success, engine fault feeding the degradation chain, or a
+``KeyboardInterrupt`` mid-fixpoint.
 
 The runtime also fixes the run's two cross-cutting perf decisions:
 
 * **code width** — :attr:`SharedRuntime.code_dtype`, chosen once from
   the interner's radix product (:mod:`.width`); every at-rest code
-  structure (frontier runs, spill files, staging segments) uses it,
+  structure (frontier runs, spill files, table-pool entries) uses it,
   and the choice is emitted as the ``shm.code_width`` event;
 * **table pool** — a bounded :class:`~.tables.TablePool` attached to
   the kernel for the run's extent, so fixpoints that re-walk the same
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -35,9 +35,6 @@ from .spill import SpillStore
 from .tables import TablePool
 from .width import code_dtype
 
-if TYPE_CHECKING:
-    from .visited import VisitedHandle
-
 __all__ = ["SharedRuntime", "open_runtime"]
 
 
@@ -47,15 +44,11 @@ class SharedRuntime:
 
     context: MemoryContext
     chunk: int
-    workers: int
     registry: SegmentRegistry
     spill: SpillStore
     instrumentation: Instrumentation
     code_dtype: np.dtype = field(default_factory=lambda: np.dtype(np.int64))
     tables: Optional[TablePool] = None
-    #: Segment-backed flag fields opened for this run
-    #: (:func:`~.visited.open_visited`), closed before the sweep.
-    visited: List["VisitedHandle"] = field(default_factory=list)
 
     @property
     def run_cap_bytes(self) -> int:
@@ -66,15 +59,10 @@ class SharedRuntime:
         """
         return max(1 << 16, self.context.budget_bytes // 4)
 
-    def parallel(self, items: int) -> bool:
-        """Whether a batch of ``items`` is worth sharding to workers."""
-        return self.workers > 1 and items >= self.context.parallel_min
-
 
 @contextmanager
 def open_runtime(
     kernel: SharedKernel,
-    workers: int = 1,
     instrumentation: Instrumentation = NULL_INSTRUMENTATION,
     context: Optional[MemoryContext] = None,
 ) -> Iterator[SharedRuntime]:
@@ -83,8 +71,6 @@ def open_runtime(
     Args:
         kernel: the streamed kernel (its action/variable counts size
             the evaluation chunks).
-        workers: resolved worker count (``1`` = fully in-process);
-            above 1 it is counted as ``parallel.workers``.
         context: explicit memory context; defaults to the active one
             (``open_runtime`` outside any context uses the defaults —
             the library API allows it even though engine selection
@@ -108,15 +94,12 @@ def open_runtime(
     runtime = SharedRuntime(
         context=chosen,
         chunk=chunk,
-        workers=workers,
         registry=registry,
         spill=spill,
         instrumentation=instrumentation,
         code_dtype=dtype,
         tables=tables,
     )
-    if workers > 1:
-        instrumentation.count("parallel.workers", workers)
     instrumentation.event(
         "shm.code_width",
         width=int(dtype.itemsize),
@@ -125,16 +108,10 @@ def open_runtime(
     )
     kernel.attach_tables(tables)
     try:
-        with instrumentation.span(
-            "shm.runtime", budget=chosen.budget_bytes, workers=workers
-        ):
+        with instrumentation.span("shm.runtime", budget=chosen.budget_bytes):
             yield runtime
     finally:
         kernel.attach_tables(None)
         tables.close()
-        # A fixpoint cut short by a fault never detached its fields;
-        # dropping their views first lets the sweep close the segments.
-        for handle in runtime.visited:
-            handle.close()
         registry.sweep()
         spill.close()

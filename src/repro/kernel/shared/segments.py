@@ -1,55 +1,46 @@
 """Shared-memory segment lifecycle with leak-proof accounting.
 
-The shared engine moves frontier slices and flag bitfields between the
-driver and forked workers through ``multiprocessing.shared_memory``
-segments.  Segments are named objects in ``/dev/shm`` (on Linux) that
-outlive any single process — which is exactly what makes them
-zero-copy across fork, and exactly what makes them a leak hazard when
-a worker is SIGKILLed mid-write (the resilience supervisor and the
-chaos harness both do that on purpose).
+The shared engine's table pool (:mod:`.tables`) keeps its entries in
+``multiprocessing.shared_memory`` segments.  Segments are named
+objects in ``/dev/shm`` (on Linux) that outlive the process that made
+them, so a check cut short by a fault or an interrupt could leave RAM
+behind until reboot.
 
 :class:`SegmentRegistry` makes cleanup unconditional rather than
 cooperative:
 
 * every segment name carries the registry's run-scoped prefix
-  (``rs-<pid>-<seq>``), including segments created *by workers* (their
-  names append the child pid);
-* :meth:`sweep` unlinks every name the driver recorded **and** — on
-  platforms where ``/dev/shm`` is listable — every leftover object
-  matching the run prefix, so a killed worker's half-written output
-  segment is reclaimed even though the driver never learned its name;
+  (``rs-<pid>-<seq>``), and the registry records every name it
+  creates;
+* :meth:`sweep` unlinks every recorded name still present;
 * a module-level ``atexit`` hook sweeps any registry that was not
   closed, as the last line of defense.
 
 Counters (see OBSERVABILITY.md): ``shm.segments`` / ``shm.bytes``
-(created, with sizes), ``shm.reattach.hits`` (zero-copy attaches that
-replaced a would-be re-derivation), ``shm.segments.swept`` (names the
-final sweep actually had to reclaim — nonzero after worker deaths).
+(created, with sizes), ``shm.segments.swept`` (names the final sweep
+actually had to reclaim — nonzero only when a run was cut short
+before releasing them).
 """
 
 from __future__ import annotations
 
 import atexit
-import errno
 import os
 import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ...obs import NULL_INSTRUMENTATION, Instrumentation
 
 __all__ = [
     "Segment",
     "SegmentRegistry",
-    "attach_segment",
-    "create_worker_segment",
     "shared_memory_unavailable_reason",
     "shm_dir",
 ]
 
-#: Where POSIX shared memory appears as files (Linux).  ``None``-able:
-#: the registry degrades to recorded-name sweeping elsewhere.
+#: Where POSIX shared memory appears as files (Linux).
 _SHM_DIR = "/dev/shm"
 
 
@@ -141,11 +132,11 @@ atexit.register(_atexit_sweep)
 
 
 class SegmentRegistry:
-    """Create, attach, and unconditionally reclaim shm segments.
+    """Create and unconditionally reclaim shm segments.
 
     One registry per engine run; its prefix scopes every name the run
-    can create (driver- or worker-side), and :meth:`sweep` reclaims
-    them all.  Usable as a context manager.
+    creates, and :meth:`sweep` reclaims them all.  Usable as a context
+    manager.
     """
 
     _SEQ: List[int] = [0]
@@ -159,10 +150,8 @@ class SegmentRegistry:
         self._swept = False
         _LIVE_REGISTRIES.add(self)
 
-    # -- driver side ---------------------------------------------------
-
     def create(self, nbytes: int, tag: str) -> Segment:
-        """Create a driver-owned segment named ``<prefix>-<tag>``."""
+        """Create a segment named ``<prefix>-<tag>``."""
         name = f"{self.prefix}-{tag}"
         shm = shared_memory.SharedMemory(
             name=name, create=True, size=max(1, nbytes)
@@ -174,20 +163,6 @@ class SegmentRegistry:
         self._obs.count("shm.bytes", max(1, nbytes))
         return segment
 
-    def attach(self, name: str) -> Segment:
-        """Attach to an existing segment (a worker's output).
-
-        Counts ``shm.reattach.hits``: each attach is data consumed in
-        place instead of pickled back through the result pipe.
-        """
-        shm = shared_memory.SharedMemory(name=name)
-        segment = Segment(name=name, shm=shm)
-        self._open.setdefault(name, segment)
-        if name not in self._names:
-            self._names.append(name)
-        self._obs.count("shm.reattach.hits")
-        return segment
-
     def release(self, segment: Segment) -> None:
         """Close and unlink one segment immediately after consuming it."""
         segment.close()
@@ -196,37 +171,18 @@ class SegmentRegistry:
 
     # -- cleanup -------------------------------------------------------
 
-    def leftover_names(self) -> List[str]:
-        """Names under this registry's prefix still present in shm."""
-        directory = shm_dir()
-        found: List[str] = []
-        if directory is not None:
-            try:
-                entries: Iterable[str] = os.listdir(directory)
-            except OSError:  # pragma: no cover - platform noise
-                entries = []
-            found.extend(
-                entry for entry in entries if entry.startswith(self.prefix)
-            )
-        for name in self._names:
-            if name not in found:
-                found.append(name)
-        return found
-
     def sweep(self) -> int:
-        """Reclaim every segment this run could have created.
+        """Reclaim every segment this run created.
 
-        Closes open handles, unlinks all recorded names, and — where
-        ``/dev/shm`` is listable — unlinks any leftover object under
-        the run prefix (a killed worker's segment whose name the
-        driver never learned).  Idempotent; returns how many objects
-        still existed and were reclaimed.
+        Closes open handles and unlinks all recorded names.
+        Idempotent; returns how many objects still existed and were
+        reclaimed.
         """
         for segment in list(self._open.values()):
             segment.close()
         self._open.clear()
         reclaimed = 0
-        for name in self.leftover_names():
+        for name in self._names:
             if _unlink_name(name):
                 reclaimed += 1
         self._names.clear()
@@ -241,34 +197,3 @@ class SegmentRegistry:
 
     def __exit__(self, *exc_info: object) -> None:
         self.sweep()
-
-
-# -- worker side -------------------------------------------------------
-
-
-def attach_segment(name: str) -> Segment:
-    """Attach read-only-by-convention to a driver segment (in a worker)."""
-    return Segment(name=name, shm=shared_memory.SharedMemory(name=name))
-
-
-def create_worker_segment(prefix: str, tag: str, nbytes: int) -> Segment:
-    """Create a worker-output segment under the run prefix.
-
-    The name embeds the worker pid, so a retried task (new pid after a
-    kill) never collides with the corpse of the previous attempt — and
-    the corpse still matches the run prefix, so the driver's sweep
-    reclaims it.
-    """
-    name = f"{prefix}-{tag}-w{os.getpid():x}"
-    try:
-        shm = shared_memory.SharedMemory(
-            name=name, create=True, size=max(1, nbytes)
-        )
-    except FileExistsError:
-        # Same pid retrying in-process (quarantined inline run after a
-        # previous partial write): reclaim and recreate.
-        _unlink_name(name)
-        shm = shared_memory.SharedMemory(
-            name=name, create=True, size=max(1, nbytes)
-        )
-    return Segment(name=name, shm=shm)

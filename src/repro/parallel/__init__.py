@@ -1,8 +1,7 @@
 """The worker pool and the content-addressed result cache.
 
-A campaign sweep or a spec tree holds many independent checks, and
-the shared engine's rounds split one check's frontier.  This package
-is the execution layer both fan out through:
+A campaign sweep or a spec tree holds many independent checks.  This
+package is the execution layer both fan out through:
 
 * :mod:`repro.parallel.pool` — a fork-based worker-process pool whose
   workers inherit the systems, abstraction closures, and auxiliary
@@ -11,10 +10,9 @@ is the execution layer both fan out through:
   cache: verdicts keyed by a canonical program fingerprint plus the
   checker parameters, so re-checking an unchanged spec is a file read.
 
-Only the shared engine (:mod:`repro.kernel.shared`) and the
-check-level pools (``verify-tree``, campaigns) open a pool; the tuple,
-packed and vector engines decide in one process at every worker
-count.  See ``docs/PERFORMANCE.md`` for where parallelism lives.
+Only the check-level pools (``verify-tree``, campaigns) open a pool;
+every engine decides one check in one process at every worker count.
+See ``docs/PERFORMANCE.md`` for where parallelism lives.
 """
 
 from .cache import (

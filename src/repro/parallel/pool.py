@@ -1,19 +1,17 @@
 """The fork-based worker pool behind every parallel phase.
 
 The pool exploits copy-on-write ``fork`` semantics instead of pickling
-work context: the driver stashes the per-phase context (a streamed
-kernel and its round parameters, parsed specs, campaign cells) in a
-module-level slot, and every task attempt forks a child that inherits
-it for free.  Only the small per-task payloads (partition indices,
-spec paths, cell ids) cross into the dispatch call, and only results
+work context: the driver stashes the per-phase context (parsed specs,
+campaign cells) in a module-level slot, and every task attempt forks a
+child that inherits it for free.  Only the small per-task payloads
+(spec paths, cell ids) cross into the dispatch call, and only results
 cross back as pickles.  This is what lets lowered closures and
 abstraction functions — unpicklable by design — ride along into the
 workers untouched.
 
-Three callers open a pool: the shared engine's rounds
-(:mod:`repro.kernel.shared`), ``verify-tree`` (one task per spec) and
-the campaign executor (one task per cell).  The tuple, packed and
-vector engines decide in one process at every worker count.
+Two callers open a pool: ``verify-tree`` (one task per spec) and the
+campaign executor (one task per cell).  Every engine decides one check
+in one process at every worker count.
 
 Since the supervised-execution rework, dispatch runs on
 :mod:`repro.resilience.supervisor` rather than a raw
@@ -30,8 +28,7 @@ counters/events.
 Consequences callers must respect:
 
 * a :class:`WorkerPool`'s context is frozen at ``__enter__``; a phase
-  whose shared data changes between rounds (the shared engine's
-  eviction rounds) opens a fresh pool per round — forks happen per
+  whose shared data changes opens a fresh pool — forks happen per
   task either way, which on Linux is a handful of milliseconds;
 * on platforms without ``fork`` (or inside a daemonic worker process,
   where nested pools are forbidden) :func:`resolve_workers` degrades

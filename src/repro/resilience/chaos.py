@@ -95,7 +95,7 @@ class FaultAction:
             recovers — ``"*"`` hits every attempt and exercises
             quarantine.
         phase: task-label selector for worker faults (the pool task
-            function's name, e.g. ``"_expand_task"``).
+            function's name, e.g. ``"_verify_spec_task"``).
         seconds: sleep duration for ``delay-task``.
         engine: engine selector for ``raise-memory`` (``"vector"``,
             ``"packed"``, or ``"*"``).

@@ -19,10 +19,19 @@ from repro.checker import (
     check_self_stabilization,
     check_stabilization,
 )
+from repro.checker.convergence import SEQUENTIAL_REASON
 from repro.checker.engines import ENGINES
+from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
 from repro.parallel import parallel_available
-from repro.rings import kstate_program, utr_abstraction, utr_program
+from repro.rings import (
+    btr3_abstraction,
+    btr_program,
+    dijkstra_three_state,
+    kstate_program,
+    utr_abstraction,
+    utr_program,
+)
 
 
 def _spec_args():
@@ -85,7 +94,10 @@ def test_shared_refinement_request_continues_at_vector():
     )
     assert verdict.holds
     record = recorder.record()
-    assert record.counters["engine.fallback.vector"] == 1
+    # Without NumPy vector is refused too, and the tuple engine runs.
+    ran = "vector" if numpy_available() else "tuple"
+    assert record.counters[f"engine.fallback.{ran}"] == 1
+    assert ran == "vector" or "engine.fallback.vector" not in record.counters
     first = next(
         event for event in record.events if event.name == "engine.fallback"
     )
@@ -129,31 +141,54 @@ def test_worker_count_recorded_only_when_the_pool_runs(engine):
     assert "parallel.workers" not in record.counters
     notes = _sequential_notes(record)
     assert len(notes) == 1
-    assert notes[0]["workers"] == 2 and notes[0]["reason"]
+    assert notes[0]["workers"] == 2
+    assert notes[0]["reason"] == SEQUENTIAL_REASON
 
 
-@pytest.mark.skipif(not parallel_available(), reason="no fork start method")
 @pytest.mark.parametrize("engine", ENGINES)
 def test_stabilization_worker_request_runs_or_says_why(engine):
-    """Only the shared engine opens a pool for one check; every other
-    decision at ``workers=2`` emits one ``parallel.sequential`` event
-    naming the engine that ran."""
+    """No engine opens a pool for one check: every decision at
+    ``workers=2`` emits one ``parallel.sequential`` event naming the
+    engine that ran, with the one reason all engines share."""
     recorder = Recorder()
     verdict = check_stabilization(
         *_spec_args(), workers=2, engine=engine, instrumentation=recorder
     )
     record = recorder.record()
     assert verdict.holds
-    notes = _sequential_notes(record)
-    if verdict.engine == "shared":
-        assert record.counters["parallel.workers"] == 2
-        assert notes == []
-    else:
-        assert "parallel.workers" not in record.counters
-        assert len(notes) == 1
-        assert notes[0]["engine"] == verdict.engine
-        assert notes[0]["workers"] == 2
-        assert notes[0]["reason"]
+    assert "parallel.workers" not in record.counters
+    assert _sequential_notes(record) == [
+        {"engine": verdict.engine, "workers": 2, "reason": SEQUENTIAL_REASON}
+    ]
+
+
+def test_refused_shared_request_records_one_refusal_per_rung():
+    """Below the engine floor a shared request replays on tuple: the
+    record names each refused rung once and counts only the engine
+    that runs."""
+    recorder = Recorder()
+    verdict = check_stabilization(
+        dijkstra_three_state(4), btr_program(4), btr3_abstraction(4),
+        state_budget=10, engine="shared", instrumentation=recorder,
+    )
+    record = recorder.record()
+    assert verdict.is_partial and verdict.engine == "tuple"
+    fallbacks = [
+        event.fields for event in record.events
+        if event.name == "engine.fallback"
+    ]
+    assert [fields["requested"] for fields in fallbacks] == [
+        "shared", "vector"
+    ]
+    if numpy_available():  # else both rungs lack NumPy first
+        assert all(
+            "state budget 10" in fields["reason"] for fields in fallbacks
+        )
+    engine_counters = {
+        name: value for name, value in record.counters.items()
+        if name.startswith("engine.")
+    }
+    assert engine_counters == {"engine.fallback.tuple": 1}
 
 
 def test_unknown_engine_error_lists_every_engine():

@@ -1,12 +1,14 @@
 """Chaos tests for the shared-memory engine: faults must not leak.
 
-The shared engine's cleanup contract is absolute: whatever happens to
-its workers — a SIGKILL mid-shard, a supervisor-timeout reap, a task
-quarantined onto the driver — the run must still produce the
-byte-identical verdict **and** leave zero shm segments and zero spill
-files behind.  A leaked ``/dev/shm`` segment is RAM gone until reboot,
-which is why every test here sweeps the segment directory and the
-run's spill parent after recovery.
+The shared engine's cleanup contract is absolute: whatever fault ends
+an attempt — a memory fault mid-fixpoint, or one past the interner
+ceiling that only the tuple engine can recover from — the check must
+still produce the byte-identical verdict **and** leave zero shm
+segments and zero spill files behind.  A leaked ``/dev/shm`` segment
+is RAM gone until reboot, which is why every test here sweeps the
+segment directory and the run's spill parent after recovery.  The
+engine decides in one process, so worker faults have no target here;
+they land on the ``verify-tree`` pool (``test_chaos_recovery.py``).
 """
 
 from __future__ import annotations
@@ -21,27 +23,12 @@ from repro.kernel.shared import using_memory_budget
 from repro.kernel.shared.segments import shm_dir
 from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
-from repro.parallel import parallel_available
-from repro.resilience import (
-    FaultAction,
-    FaultPlan,
-    SupervisionPolicy,
-    using_chaos,
-    using_policy,
-)
+from repro.resilience import FaultAction, FaultPlan, using_chaos
 from repro.rings import kstate_program, utr_abstraction, utr_program
 
-pytestmark = [
-    pytest.mark.skipif(
-        not parallel_available(), reason="no fork start method"
-    ),
-    pytest.mark.skipif(
-        not numpy_available(), reason="the shared engine needs NumPy"
-    ),
-]
-
-#: Fast retry schedule so injected faults do not slow the suite.
-FAST = SupervisionPolicy(backoff_base=0.001, backoff_cap=0.005)
+pytestmark = pytest.mark.skipif(
+    not numpy_available(), reason="the shared engine needs NumPy"
+)
 
 
 def _shm_leaks() -> list:
@@ -72,7 +59,7 @@ def _shm_leaks() -> list:
 
 
 def _case():
-    """3125 states: enough rounds and batch sizes to shard for real."""
+    """3125 states: several core rounds and peel levels."""
     return kstate_program(5, 5), utr_program(5), utr_abstraction(5, 5)
 
 
@@ -83,8 +70,7 @@ def _baseline():
 
 def _chaotic_shared(tmp_path, recorder, workers=4):
     concrete, spec, alpha = _case()
-    with using_memory_budget("1M", spill_dir=str(tmp_path),
-                             parallel_min=64):
+    with using_memory_budget("1M", spill_dir=str(tmp_path)):
         return check_stabilization(
             concrete, spec, alpha, engine="shared", workers=workers,
             instrumentation=recorder,
@@ -133,129 +119,6 @@ class TestChainPreflight:
         assert sorted(tmp_path.iterdir()) == []
 
 
-class TestWorkerDeathLeaksNothing:
-    def test_killed_expand_worker_recovers_cleanly(self, tmp_path):
-        """``shared_reachable`` shards frontier runs; killing one of
-        its workers must cost a retry, not a bit of the visited set
-        and not a segment."""
-        import numpy as np
-
-        from repro.kernel.shared import (
-            SharedKernel,
-            open_runtime,
-            shared_reachable,
-        )
-        from repro.kernel.vector import as_vector_kernel, vector_reachable
-
-        program = kstate_program(5, 5)
-        vector = as_vector_kernel(program)
-        # A 625-code source stripe: the initial states alone reach only
-        # the legitimate orbit (too small to shard), but a wide stripe
-        # makes every frontier round big enough to fan out.
-        sources = np.arange(0, vector.size, 5, dtype=np.int64)
-        expected = np.nonzero(vector_reachable(vector, sources))[0].tolist()
-        plan = FaultPlan(
-            faults=(
-                FaultAction(
-                    kind="kill-worker", task=0, attempt=0,
-                    phase="_expand_task",
-                ),
-            )
-        )
-        recorder = Recorder(kind="test")
-        kernel = SharedKernel(program)
-        with using_memory_budget("1M", spill_dir=str(tmp_path),
-                                 parallel_min=64):
-            with using_policy(FAST), using_chaos(plan):
-                with open_runtime(
-                    kernel, workers=4, instrumentation=recorder
-                ) as runtime:
-                    visited = shared_reachable(
-                        kernel, sources, runtime, recorder
-                    )
-                    reached = [
-                        int(code)
-                        for chunk in visited.member_chunks(runtime.chunk)
-                        for code in chunk.tolist()
-                    ]
-        assert reached == expected
-        counters = recorder.record().counters
-        assert counters["resilience.worker.death"] >= 1
-        assert counters["resilience.task.retries"] >= 1
-        assert _shm_leaks() == []
-        assert sorted(tmp_path.iterdir()) == []
-
-    def test_killed_core_round_worker_recovers_cleanly(self, tmp_path):
-        plan = FaultPlan(
-            faults=(
-                FaultAction(
-                    kind="kill-worker", task=0, attempt=0,
-                    phase="_core_round_task",
-                ),
-            )
-        )
-        recorder = Recorder(kind="test")
-        with using_policy(FAST), using_chaos(plan):
-            chaotic = _chaotic_shared(tmp_path, recorder)
-        assert chaotic.format() == _baseline().format()
-        assert recorder.record().counters["resilience.worker.death"] >= 1
-        assert _shm_leaks() == []
-        assert sorted(tmp_path.iterdir()) == []
-
-    def test_poison_every_attempt_quarantines_without_leaking(
-        self, tmp_path
-    ):
-        """Killing every attempt forces the task inline onto the
-        driver (where chaos worker faults are inert): same verdict,
-        same empty segment directory."""
-        plan = FaultPlan(
-            faults=(
-                FaultAction(
-                    kind="kill-worker", task=0, attempt="*",
-                    phase="_core_round_task",
-                ),
-            )
-        )
-        policy = SupervisionPolicy(
-            max_task_retries=1, backoff_base=0.001, backoff_cap=0.005
-        )
-        recorder = Recorder(kind="test")
-        with using_policy(policy), using_chaos(plan):
-            chaotic = _chaotic_shared(tmp_path, recorder, workers=2)
-        assert chaotic.format() == _baseline().format()
-        assert recorder.record().counters[
-            "resilience.task.quarantined"
-        ] >= 1
-        assert _shm_leaks() == []
-        assert sorted(tmp_path.iterdir()) == []
-
-
-class TestSupervisorTimeoutLeaksNothing:
-    def test_hung_worker_is_reaped_and_the_run_stays_clean(self, tmp_path):
-        """A worker stalled past ``task_timeout`` is reaped like a
-        crash; the retry must finish the shard and the reaped child's
-        segments must be swept."""
-        plan = FaultPlan(
-            faults=(
-                FaultAction(
-                    kind="delay-task", task=0, attempt=0,
-                    phase="_core_round_task", seconds=0.5,
-                ),
-            )
-        )
-        policy = SupervisionPolicy(
-            backoff_base=0.001, backoff_cap=0.005, task_timeout=0.1
-        )
-        recorder = Recorder(kind="test")
-        with using_policy(policy), using_chaos(plan):
-            chaotic = _chaotic_shared(tmp_path, recorder)
-        assert chaotic.format() == _baseline().format()
-        counters = recorder.record().counters
-        assert counters["resilience.task.retries"] >= 1
-        assert _shm_leaks() == []
-        assert sorted(tmp_path.iterdir()) == []
-
-
 class TestEngineFaultLeaksNothing:
     @pytest.mark.filterwarnings(
         "error::pytest.PytestUnraisableExceptionWarning"
@@ -264,11 +127,9 @@ class TestEngineFaultLeaksNothing:
     def test_memory_fault_mid_fixpoint_closes_every_segment(
         self, tmp_path, at_states
     ):
-        """A ``MemoryError`` inside a shared fixpoint skips the code
-        that detaches its flag fields; the runtime must drop their
-        views itself before closing the segments, or the segments'
-        finalizers raise ``BufferError`` once the fault's traceback
-        is collected."""
+        """A ``MemoryError`` inside a shared fixpoint must not leave a
+        segment, a spill file or a finalizer error behind once the
+        fault's traceback is collected; the check replays on vector."""
         plan = FaultPlan(
             faults=(
                 FaultAction(

@@ -1,15 +1,17 @@
 """Differential tests: the shared-memory engine against the references.
 
-The shared engine streams its fixpoints through bounded chunks, shm
-segments, and spill files — none of which may show in the verdict: for
-every ring system, fairness mode, worker count, and budget,
+The shared engine streams its fixpoints through bounded chunks, spill
+files and table-pool segments — none of which may show in the verdict:
+for every ring system, fairness mode, worker count, and budget,
 ``engine="shared"`` must render the *byte-identical* formatted verdict
 as the tuple reference, emit the same size-based counters, and leave
 behind **zero** shm segments or spill files.  The module also pins the
 engine-selection contract: a ``--mem-budget`` context transparently
 upgrades ``engine="vector"`` requests, tiny schemas fall back with a
 reasoned event, and a pure-Python install degrades down the documented
-chain.
+chain.  A worker request changes nothing but one ``parallel.sequential``
+event: a check never starts a pool, so it cannot leave a worker's
+segment behind.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import os
 import pytest
 
 from repro.checker import check_stabilization
+from repro.checker.convergence import SEQUENTIAL_REASON
 from repro.kernel.shared import (
     SHARED_MIN_STATES,
     shared_fallback_reason,
@@ -27,7 +30,6 @@ from repro.kernel.shared import (
 from repro.kernel.shared.segments import shm_dir
 from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
-from repro.parallel import parallel_available
 from repro.rings import (
     btr3_abstraction,
     btr_program,
@@ -41,13 +43,13 @@ from tests.integration.test_packed_differential import (
     SHARED_COUNTERS,
 )
 
-_WORKER_COUNTS = [1, 4] if parallel_available() else [1]
+_WORKER_COUNTS = [1, 4]
 
 #: With NumPy the shared engine must actually run these cases (every
-#: ring case is at or above ``SHARED_MIN_STATES``); without it the
-#: request must fall back down the chain, starting at vector.
+#: ring case is at or above ``SHARED_MIN_STATES``); without it vector
+#: is refused too and the request lands on the packed rung.
 _EXPECTED_SELECTION_COUNTER = (
-    "engine.shared" if numpy_available() else "engine.fallback.vector"
+    "engine.shared" if numpy_available() else "engine.fallback.packed"
 )
 
 
@@ -111,8 +113,7 @@ class TestStabilizationDifferential:
         # A deliberately tiny budget with a scoped spill directory: the
         # streamed paths must engage without changing a byte, and the
         # run must clean up after itself.
-        with using_memory_budget("1M", spill_dir=str(tmp_path),
-                                 parallel_min=16):
+        with using_memory_budget("1M", spill_dir=str(tmp_path)):
             shared_verdict = check_stabilization(
                 concrete(), spec(), engine="shared",
                 instrumentation=shared_rec, **kwargs
@@ -124,9 +125,19 @@ class TestStabilizationDifferential:
             == shared_verdict.legitimate_abstract
         )
         assert tuple_verdict.core == shared_verdict.core
-        assert (
-            shared_rec.record().counters[_EXPECTED_SELECTION_COUNTER] == 1
-        )
+        record = shared_rec.record()
+        assert record.counters[_EXPECTED_SELECTION_COUNTER] == 1
+        assert "parallel.workers" not in record.counters
+        notes = [
+            event.fields for event in record.events
+            if event.name == "parallel.sequential"
+        ]
+        expected = {
+            "engine": shared_verdict.engine,
+            "workers": workers,
+            "reason": SEQUENTIAL_REASON,
+        }
+        assert notes == ([] if workers == 1 else [expected])
         assert _shm_leaks() == []
         assert _spill_leaks(tmp_path) == []
 
@@ -174,8 +185,7 @@ class TestStabilizationDifferential:
                 concrete(), spec(), engine=engine, **kwargs
             )
         recorder = Recorder()
-        with using_memory_budget("64K", spill_dir=str(tmp_path),
-                                 parallel_min=64):
+        with using_memory_budget("64K", spill_dir=str(tmp_path)):
             verdicts["shared"] = check_stabilization(
                 concrete(), spec(), engine="shared",
                 instrumentation=recorder, **kwargs
@@ -212,6 +222,68 @@ class TestStabilizationDifferential:
         assert tuple_verdict.is_partial and shared_verdict.is_partial
         assert tuple_verdict.format() == shared_verdict.format()
         assert recorder.record().counters["engine.fallback.tuple"] == 1
+
+
+def _comparable(record):
+    """A run record without its timings: counters, then events and the
+    span tree in order.  Progress heartbeats are paced by the clock, so
+    they are left out."""
+    events = [
+        (event.name, event.fields)
+        for event in record.events
+        if not event.name.startswith("progress.")
+    ]
+    tree = [(node.name, node.parent, node.attrs) for node in record.tree]
+    return record.counters, events, tree
+
+
+@pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
+class TestOneProcessContract:
+    def test_worker_request_never_reaches_the_supervisor(
+        self, monkeypatch, tmp_path
+    ):
+        """A shared check at ``workers=4`` must not start a pool: with
+        the supervisor broken it renders and records exactly what it
+        does at ``workers=1``, apart from one ``parallel.sequential``
+        event naming shared."""
+        import repro.parallel.pool as pool
+        import repro.resilience.supervisor as supervisor
+
+        def broken(*args, **kwargs):
+            raise AssertionError("a check started a worker pool")
+
+        monkeypatch.setattr(supervisor, "supervised_map", broken)
+        monkeypatch.setattr(pool, "supervised_map", broken)
+        runs = {}
+        for workers in (1, 4):
+            recorder = Recorder()
+            with using_memory_budget("1M", spill_dir=str(tmp_path)):
+                # 297 core candidates: enough that a round sharded
+                # across workers would have started a pool.
+                verdict = check_stabilization(
+                    kstate_program(5, 9), utr_program(5),
+                    utr_abstraction(5, 9), engine="shared", workers=workers,
+                    instrumentation=recorder,
+                )
+            assert verdict.engine == "shared"
+            runs[workers] = (verdict.format(), _comparable(recorder.record()))
+        (one_text, one_record), (four_text, four_record) = (
+            runs[1], runs[4]
+        )
+        assert four_text == one_text
+        counters, events, tree = four_record
+        notes = [
+            fields for name, fields in events if name == "parallel.sequential"
+        ]
+        assert notes == [
+            {"engine": "shared", "workers": 4, "reason": SEQUENTIAL_REASON}
+        ]
+        events = [
+            event for event in events if event[0] != "parallel.sequential"
+        ]
+        assert (counters, events, tree) == one_record
+        assert _shm_leaks() == []
+        assert _spill_leaks(tmp_path) == []
 
 
 @pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
@@ -325,7 +397,7 @@ class TestCliDifferential:
         if numpy_available():
             assert '"engine.shared"' in text
         else:
-            assert '"engine.fallback.vector"' in text
+            assert '"engine.fallback.packed"' in text
 
     def test_bad_mem_budget_is_a_clean_cli_error(self, tmp_path, capsys):
         from repro.cli import main

@@ -5,20 +5,21 @@ small program and *any* injected fault plan (worker kills across
 tasks and attempts, engine memory faults at arbitrary thresholds),
 the supervised parallel verdict renders identically to the fault-free
 sequential one.  Hypothesis drives both the program generator (shared
-with ``test_prop_parallel``) and the fault-plan generator.  The kills
-land on the shared engine's rounds — the one check that forks — run
-with a tiny memory budget and a sharding threshold of one code, so
-every round fans out.
+with ``test_prop_parallel``) and the fault-plan generator.  A check
+decides in one process, so the kills land on the pool that does fork:
+``verify-tree`` over a drawn tree of specs at two workers, one task
+per spec.
 """
 
+import io
+import pathlib
 import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.checker import check_self_stabilization
-from repro.kernel.shared import using_memory_budget
-from repro.kernel.vector import numpy_available
+from repro.gcl.pretty import render_program
 from repro.obs import Recorder
 from repro.parallel import parallel_available
 from repro.resilience import (
@@ -28,6 +29,7 @@ from repro.resilience import (
     using_chaos,
     using_policy,
 )
+from repro.tiering import Tier, verify_tree
 
 from tests.property.test_prop_parallel import small_programs
 
@@ -37,9 +39,8 @@ pytestmark = pytest.mark.skipif(
     not parallel_available(), reason="no fork start method"
 )
 
-#: Three ``mod 3`` variables: 27 states, above the shared engine's
-#: small-space floor.
-SHARED_NAMES = ("u", "w.0", "w.1")
+#: Three ``mod 3`` variables: 27 states per spec.
+SPEC_NAMES = ("u", "w.0", "w.1")
 
 #: Fast retries so injected kills cost milliseconds, not seconds.
 FAST = SupervisionPolicy(backoff_base=0.001, backoff_cap=0.005)
@@ -84,28 +85,52 @@ def fault_plans(draw):
     return FaultPlan(seed=seed, faults=tuple(faults))
 
 
-class TestFaultTransparency:
-    @pytest.mark.skipif(
-        not numpy_available(), reason="the shared engine needs NumPy"
+def _verify(tree, state, workers, instrumentation=None):
+    """The verdict stream of a thorough ``verify-tree`` run over
+    ``tree`` from a fresh manifest under ``state``."""
+    out = io.StringIO()
+    kwargs = {} if instrumentation is None else {
+        "instrumentation": instrumentation
+    }
+    verify_tree(
+        str(tree),
+        manifest_path=str(state / "manifest.json"),
+        ledger_path=str(state / "ledger.json"),
+        forced_tier=Tier.THOROUGH,
+        workers=workers,
+        out=out,
+        err=io.StringIO(),
+        **kwargs,
     )
+    return out.getvalue()
+
+
+class TestFaultTransparency:
     @settings(max_examples=8, deadline=None)
-    @given(small_programs(names=SHARED_NAMES), fault_plans())
+    @given(
+        st.lists(small_programs(names=SPEC_NAMES), min_size=2, max_size=4),
+        fault_plans(),
+    )
     def test_supervised_verdict_equals_sequential_under_any_plan(
-        self, program, plan
+        self, programs, plan
     ):
-        baseline = check_self_stabilization(program)
         recorder = Recorder(kind="test")
-        with tempfile.TemporaryDirectory() as spill:
-            with using_memory_budget(
-                "1M", spill_dir=spill, parallel_min=1
-            ), using_policy(FAST), using_chaos(plan):
-                chaotic = check_self_stabilization(
-                    program, workers=2, engine="shared",
+        with tempfile.TemporaryDirectory() as scratch:
+            root = pathlib.Path(scratch)
+            tree = root / "specs"
+            tree.mkdir()
+            for index, program in enumerate(programs):
+                (tree / f"spec{index}.gcl").write_text(
+                    render_program(program), encoding="utf-8"
+                )
+            baseline = _verify(tree, root / "sequential", workers=1)
+            with using_policy(FAST), using_chaos(plan):
+                chaotic = _verify(
+                    tree, root / "chaotic", workers=2,
                     instrumentation=recorder,
                 )
-        assert chaotic.format() == baseline.format()
-        assert chaotic.holds == baseline.holds
-        # The check started on the shared engine with a live pool.
+        assert chaotic == baseline
+        # The specs fanned out over a live two-worker pool.
         assert recorder.record().counters["parallel.workers"] == 2
 
     @settings(max_examples=8, deadline=None)

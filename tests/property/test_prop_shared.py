@@ -3,8 +3,8 @@
 Random well-typed programs drive the streamed kernel against the
 references: chunk-streamed successor enumeration must agree with the
 vector kernel at *every* chunk size (streaming is a partition of the
-work, never a change to it), the frontier/core fixpoints must compute
-the same sets bit for bit, and the full shared-engine stabilization
+work, never a change to it), the core fixpoint must compute the same
+set bit for bit, and the full shared-engine stabilization
 verdict — selected explicitly or upgraded from a ``--mem-budget``
 context — must render byte-identically to the sequential tuple
 engine.  Programs here use a mod-5 space (25 states) so they clear
@@ -237,32 +237,51 @@ class TestSharedPrimitives:
             assert str(raised.value) == tabled
 
     @settings(max_examples=40, deadline=None)
-    @given(shared_programs(), st.integers(min_value=3, max_value=40))
-    def test_shared_reachable_equals_vector_reachable(self, program, chunk):
+    @given(
+        shared_programs(),
+        st.integers(min_value=3, max_value=40),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_shared_core_equals_vector_core(
+        self, program, chunk, stutter_insensitive, ignores_stutter
+    ):
+        """The streamed Jacobi rounds evict what the whole-space rounds
+        evict, at every chunk size."""
         import numpy as np
 
         from repro.kernel.shared import (
+            SharedImage,
             SharedKernel,
             open_runtime,
-            shared_reachable,
+            shared_core,
         )
-        from repro.kernel.vector import as_vector_kernel, vector_reachable
+        from repro.kernel.vector import (
+            as_vector_kernel,
+            vector_core,
+            vector_reachable,
+        )
 
-        shared = SharedKernel(program, chunk=chunk)
         vector = as_vector_kernel(program)
-        expected = np.nonzero(
-            vector_reachable(vector, vector.initial_array)
-        )[0].tolist()
+        legitimate = vector_reachable(vector, vector.initial_array)
+        expected = vector_core(
+            vector, vector, np.arange(vector.size), legitimate,
+            stutter_insensitive, ignores_stutter,
+        )
+        shared = SharedKernel(program, chunk=chunk)
+        image = SharedImage(shared.interner, vector.interner, None)
         with open_runtime(shared) as runtime:
-            visited = shared_reachable(
-                shared, shared.initial_array, runtime
+            runtime.chunk = chunk
+            core = shared_core(
+                shared, vector, image, legitimate,
+                stutter_insensitive, ignores_stutter, runtime,
             )
-            reached = [
+            members = [
                 int(code)
-                for member in visited.member_chunks(chunk)
-                for code in member.tolist()
+                for chunk_codes in core.member_chunks(chunk)
+                for code in chunk_codes.tolist()
             ]
-        assert reached == expected
+        assert members == np.flatnonzero(expected).tolist()
 
 
 def _shared_peel(program, members, drop_self, image, chunk, recorder):
@@ -556,5 +575,7 @@ class TestSharedVerdicts:
         )
         assert fallback_verdict.format() == packed_verdict.format()
         counters = recorder.record().counters
-        assert counters["engine.fallback.vector"] == 1
+        # Vector is refused too, so only the packed rung is counted.
+        assert "engine.fallback.vector" not in counters
+        assert counters["engine.fallback.packed"] == 1
         assert counters["engine.packed"] == 1

@@ -182,6 +182,39 @@ class TestObservability:
         assert record.kind == "refines"
         assert "refine.transitions.exact" in record.counters
 
+    @pytest.mark.parametrize("failure", ["schemas", "missing"])
+    def test_input_error_still_writes_the_record(
+        self, failure, toy_path, tmp_path, capsys
+    ):
+        """An input error (exit 2) writes the record asked for, with
+        the error as an event, and leaves stdout and stderr as they
+        are without ``--obs-out``."""
+        from repro.obs import load_jsonl
+
+        other = tmp_path / "other.gcl"
+        other.write_text(TOY.replace("x", "y"))
+        concrete = toy_path if failure == "schemas" else str(
+            tmp_path / "absent.gcl"
+        )
+        argv = ["refines", concrete, str(other)]
+        assert main(argv) == 2
+        plain = capsys.readouterr()
+        out = tmp_path / "err.jsonl"
+        assert main(argv + ["--obs-out", str(out)]) == 2
+        recorded = capsys.readouterr()
+        assert (recorded.out, recorded.err) == (plain.out, plain.err)
+        (record,) = load_jsonl(out)
+        assert record.kind == "refines"
+        (error,) = [
+            event for event in record.events if event.name == "cli.error"
+        ]
+        assert f"error: {error.fields['error']}\n" == plain.err
+        expected = (
+            "SchemaMismatchError" if failure == "schemas"
+            else "FileNotFoundError"
+        )
+        assert error.fields["exception"] == expected
+
     def test_ring_obs_out(self, tmp_path):
         from repro.obs import load_jsonl
 

@@ -73,6 +73,5 @@ class TestContextFlags:
         with using_memory_budget("1M") as context:
             assert context == MemoryContext(budget_bytes=1 << 20)
             assert context.spill_dir is None
-            assert context.parallel_min == 256
         settable = [field.name for field in dataclasses.fields(MemoryContext)]
-        assert settable == ["budget_bytes", "spill_dir", "parallel_min"]
+        assert settable == ["budget_bytes", "spill_dir"]
