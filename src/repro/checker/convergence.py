@@ -464,8 +464,9 @@ def check_stabilization(
         workers: accepted so per-spec fan-outs (``verify-tree``,
             campaigns) can pass their count through.  Every engine
             decides one check in one process; asked for more than one
-            worker, it says so with a ``parallel.sequential`` event.
-            The verdict — witness and formatted rendering included —
+            worker, the check says so once, with a
+            ``parallel.sequential`` event naming the first engine of
+            its chain, however far down it degrades.  The verdict — witness and formatted rendering included —
             is identical for every worker count.
         engine: ``'tuple'`` (the default) walks tuple states through
             an eagerly compiled :class:`System`; ``'vector'`` runs
@@ -502,6 +503,7 @@ def check_stabilization(
         _floor_pin(concrete, abstract, state_budget), instrumentation,
     )
     with instrumentation.span("check.total"):
+        _note_sequential(instrumentation, chain[0], workers)
         try:
             decided, result = run_chain(
                 chain, lambda name: _attempt(name, request), instrumentation
@@ -568,7 +570,6 @@ class _Request:
 
 def _attempt(engine: str, request: _Request) -> StabilizationResult:
     """Decide ``request`` on ``engine``, one step of :func:`run_chain`."""
-    _note_sequential(request.instrumentation, engine, request.workers)
     return _decide(_BACKENDS[engine](request), request)
 
 
@@ -1189,19 +1190,25 @@ class _SharedBackend(_KernelBackend):
 
         self.outside = BitField(self.size)
         self.core_flags.complement_into(self.outside)
+        self.degrees = None
         return self.size - self.core_size
 
     def deadlock(self) -> Optional[State]:
         from ..kernel.shared import shared_terminals
 
-        return self._min_state(
-            shared_terminals(
-                self.kernel,
-                self.outside,
-                self.runtime,
-                drop_self=self.request.drop_self,
-            )
+        self.degrees = shared_terminals(
+            self.kernel,
+            self.outside,
+            self.runtime,
+            drop_self=self.request.drop_self,
         )
+        return self._min_state(self.degrees.terminals)
+
+    def _outside_degrees(self):
+        """The outside region's in-degrees the deadlock search counted,
+        handed over once: the peel consumes them."""
+        degrees, self.degrees = self.degrees, None
+        return degrees
 
     def has_cycle_outside(self) -> bool:
         from ..kernel.shared import shared_has_cycle
@@ -1211,6 +1218,7 @@ class _SharedBackend(_KernelBackend):
             self.outside,
             self.runtime,
             drop_self=self.request.drop_self,
+            degrees=self._outside_degrees(),
         )
 
     def has_invisible_cycle(self) -> bool:
@@ -1263,6 +1271,7 @@ class _SharedBackend(_KernelBackend):
             self.outside,
             self.runtime,
             drop_self=self.request.drop_self,
+            degrees=self._outside_degrees(),
         )
 
 

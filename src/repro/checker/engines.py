@@ -78,11 +78,12 @@ def _unalias(engine: str, instrumentation: Instrumentation) -> str:
 
     The alias is a fallback like any other: it emits a reasoned
     ``engine.fallback`` event, so a packed request never runs
-    elsewhere silently.
+    elsewhere silently.  Its ``engine.fallback.vector`` counter waits
+    for vector's preflight (:func:`engine_chain`), so it is counted
+    only when vector serves the request.
     """
     if engine != "packed":
         return engine
-    instrumentation.count("engine.fallback.vector", 1)
     instrumentation.event(
         "engine.fallback", requested="packed", reason=PACKED_ALIAS_REASON
     )
@@ -145,8 +146,8 @@ def engine_chain(
     kept is recorded: ``engine.<name>`` and ``engine.selected`` for
     shared, vector or packed, or ``engine.fallback.tuple`` when only
     the tuple reference is left.  A fallback counter names the engine
-    that runs: ``engine.fallback.vector`` for a shared request that
-    vector serves, ``engine.fallback.packed`` or
+    that runs: ``engine.fallback.vector`` for a shared or packed
+    request that vector serves, ``engine.fallback.packed`` or
     ``engine.fallback.tuple`` below it.
     The engines below the first are kept silently; :func:`run_chain`
     reaches them only on a runtime fault.
@@ -185,7 +186,7 @@ def engine_chain(
         instrumentation.event(
             "engine.fallback", requested="vector", reason=reasons["vector"]
         )
-    elif engine == "shared" and first == "vector":
+    elif engine in ("shared", "packed") and first == "vector":
         instrumentation.count("engine.fallback.vector", 1)
     instrumentation.count(f"engine.{first}", 1)
     instrumentation.event("engine.selected", engine=first)

@@ -144,6 +144,7 @@ def shared_fallback_reason(
 
 if numpy_available():
     from .fixpoint import (
+        RegionDegrees,
         shared_core,
         shared_has_cycle,
         shared_longest_path,
@@ -160,6 +161,7 @@ if numpy_available():
     __all__ += [
         "BitField",
         "CodeRuns",
+        "RegionDegrees",
         "SharedImage",
         "SharedKernel",
         "SharedLoweringError",

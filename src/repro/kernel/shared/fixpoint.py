@@ -8,14 +8,19 @@ Re-implementations of the vector engine's fixpoints
   through the table-free :class:`~.kernel.SharedKernel`;
 * frontier rounds and eviction lists that outgrow their RAM cap spill
   delta-encoded to the run's :class:`~.spill.SpillStore`;
-* the cycle and longest-path analyses run as one **forward,
+* the deadlock, cycle and longest-path analyses share one **forward,
   level-synchronous Kahn peel** (:func:`shared_longest_path` has the
-  details): one streamed pass counts each region member's in-region
-  in-degree into a full-space ``int32`` array, and each level's
-  frontier is re-expanded through the streamed kernel to decrement its
-  targets' in-degrees.  No edge is ever stored: resident cost is the
-  in-degree array (4 B/state) plus one batch and the level's
-  spill-capped :class:`~.frontier.CodeRuns`.
+  details).  One streamed pass (:func:`shared_terminals`) finds the
+  region's terminals and counts each member's in-region in-degree
+  into a full-space ``int32`` array that holds ``-1`` outside the
+  region, so the same array answers membership with one gather per
+  batch.  The peel starts from those counts, and each level's
+  frontier is re-expanded through the streamed kernel to decrement
+  its targets' in-degrees.  A check therefore expands the region
+  outside the core twice: once in the deadlock search, once as it is
+  peeled.  No edge is ever stored: resident cost is the in-degree
+  array (4 B/state) plus one batch and the level's spill-capped
+  :class:`~.frontier.CodeRuns`.
 
 Verdict- and counter-compatibility with the vector fixpoints is exact:
 the chunked core rounds evaluate the same Jacobi operator against the
@@ -32,7 +37,7 @@ checks fan out one per worker in ``verify-tree`` and campaigns.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +50,7 @@ from .kernel import SharedKernel
 from .runtime import SharedRuntime
 
 __all__ = [
+    "RegionDegrees",
     "shared_core",
     "shared_terminals",
     "shared_has_cycle",
@@ -195,59 +201,101 @@ def shared_core(
 # ----------------------------------------------------------------------
 
 
-def shared_terminals(
-    kernel: SharedKernel,
-    region: BitField,
-    runtime: SharedRuntime,
-    drop_self: bool = False,
-) -> np.ndarray:
-    """Codes in ``region`` with no successors at all, ascending."""
-    found: List[np.ndarray] = []
-    for codes in region.member_chunks(runtime.chunk):
-        terminal = kernel.terminal_chunk(codes, drop_self)
-        if terminal.any():
-            found.append(codes[terminal])
-    if not found:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(found)
+class RegionDegrees(NamedTuple):
+    """What one streamed pass over a region finds.
+
+    ``in_degree`` is a full-space ``int32`` array: each member's count
+    of in-region in-edges, and ``-1`` outside the region, so the array
+    also answers membership.  ``members`` is the region's size and
+    ``terminals`` its members with no successor at all, ascending.  A
+    peel consumes ``in_degree``.
+    """
+
+    in_degree: np.ndarray
+    members: int
+    terminals: np.ndarray
 
 
 def _inside_targets(
     kernel: SharedKernel,
     codes: np.ndarray,
-    region: BitField,
+    in_degree: np.ndarray,
     drop_self: bool,
     image: Optional[SharedImage],
+    moves: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, bool]:
-    """The targets of the edges out of ``codes`` staying inside
-    ``region``, as a multiset (image-invisible ones only, with
-    ``image``), and whether some edge left the region."""
+    """The targets of the edges out of ``codes`` staying inside the
+    region, as a multiset (image-invisible ones only, with ``image``),
+    and whether some edge left the region.
+
+    One gather from ``in_degree`` over the action parts, concatenated,
+    decides membership for the whole batch.  With ``moves``, also
+    marks the positions of the codes that have an edge at all.
+    """
     images = None if image is None else image.of(codes)
     parts: List[np.ndarray] = []
-    exits = False
+    invisible: List[np.ndarray] = []
     for origins, targets in kernel.edge_parts(codes, drop_self):
-        inside = region.test(targets)
-        exits = exits or not bool(inside.all())
-        targets = targets[inside]
-        if images is not None:
-            targets = targets[images[origins[inside]] == image.of(targets)]
+        if moves is not None:
+            moves[origins] = True
         parts.append(targets)
-    return np.concatenate(parts), exits
+        if images is not None:
+            invisible.append(images[origins] == image.of(targets))
+    targets = np.concatenate(parts)
+    keep = in_degree[targets] >= 0
+    exits = not bool(keep.all())
+    if images is not None:
+        keep &= np.concatenate(invisible)
+    elif not exits:
+        return targets, exits
+    return targets[keep], exits
 
 
-def _grouped(hits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _grouped(hits: np.ndarray, dtype: np.dtype) -> Tuple[np.ndarray, np.ndarray]:
     """Distinct values of ``hits``, ascending, and their multiplicities.
 
     One sort, so adding or subtracting the multiplicities at the
     distinct values is the exact, vectorized form of a ``ufunc.at``
-    loop over ``hits``.
+    loop over ``hits``.  The sort runs at the code width ``dtype``,
+    which every code fits.
     """
+    hits = hits.astype(dtype)
     if not hits.size:
         return hits, np.empty(0, dtype=np.int32)
-    hits = np.sort(hits)
+    hits.sort()
     starts = np.flatnonzero(np.concatenate(([True], hits[1:] != hits[:-1])))
     counts = np.diff(np.append(starts, hits.shape[0]))
     return hits[starts], counts.astype(np.int32)
+
+
+def _count(
+    kernel: SharedKernel,
+    region: BitField,
+    runtime: SharedRuntime,
+    drop_self: bool,
+    image: Optional[SharedImage],
+) -> RegionDegrees:
+    """Expand every member of ``region`` once: its terminals, and the
+    in-region in-degrees, with one grouped sort per chunk."""
+    in_degree = np.full(kernel.size, -1, dtype=np.int32)
+    members = 0
+    for codes in region.member_chunks(runtime.chunk):
+        in_degree[codes] = 0
+        members += int(codes.shape[0])
+    found: List[np.ndarray] = []
+    for codes in region.member_chunks(runtime.chunk):
+        moves = np.zeros(codes.shape, dtype=bool)
+        targets, _ = _inside_targets(
+            kernel, codes, in_degree, drop_self, image, moves
+        )
+        if not moves.all():
+            found.append(codes[~moves])
+        nodes, counts = _grouped(targets, runtime.code_dtype)
+        in_degree[nodes] += counts
+    terminals = (
+        np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+    )
+    return RegionDegrees(in_degree, members, terminals)
 
 
 def _batches(runs: CodeRuns, size: int) -> Iterator[np.ndarray]:
@@ -276,26 +324,20 @@ def _batches(runs: CodeRuns, size: int) -> Iterator[np.ndarray]:
 def _forward_peel(
     kernel: SharedKernel,
     region: BitField,
+    degrees: RegionDegrees,
     runtime: SharedRuntime,
     drop_self: bool,
     image: Optional[SharedImage],
 ) -> Tuple[bool, int]:
-    """One forward, level-synchronous Kahn peel of ``region``.
+    """One forward, level-synchronous Kahn peel of ``region`` from the
+    in-degrees ``degrees`` counted over it.
 
     Returns ``(cyclic, worst)``: whether the levels failed to exhaust
     the region, and the worst case :func:`shared_longest_path` reports
-    when they did.  Each member is expanded once to count in-degrees
-    and once more if it is peeled; the only full-space array is the
-    int32 in-degree, and each level is a :class:`CodeRuns` that spills
-    past its RAM cap.
+    when they did.  Each peeled member is expanded once; each level is
+    a :class:`CodeRuns` that spills past its RAM cap.
     """
-    in_degree = np.zeros(kernel.size, dtype=np.int32)
-    members = 0
-    for codes in region.member_chunks(runtime.chunk):
-        members += int(codes.shape[0])
-        targets, _ = _inside_targets(kernel, codes, region, drop_self, image)
-        nodes, counts = _grouped(targets)
-        in_degree[nodes] += counts
+    in_degree = degrees.in_degree
     frontier = CodeRuns(
         runtime.spill, runtime.run_cap_bytes, dtype=runtime.code_dtype
     )
@@ -310,12 +352,13 @@ def _forward_peel(
         )
         for batch in _batches(frontier, runtime.chunk):
             targets, left = _inside_targets(
-                kernel, batch, region, drop_self, image
+                kernel, batch, in_degree, drop_self, image
             )
             exits = exits or left
-            nodes, counts = _grouped(targets)
-            in_degree[nodes] -= counts
-            next_level.append(nodes[in_degree[nodes] == 0])
+            nodes, counts = _grouped(targets, runtime.code_dtype)
+            left = in_degree[nodes] - counts
+            in_degree[nodes] = left
+            next_level.append(nodes[left == 0])
         worst = max(worst, level + exits)
         if frontier.spilled_runs:
             runtime.instrumentation.count("shm.spill.rounds")
@@ -323,8 +366,26 @@ def _forward_peel(
         frontier = next_level
         level += 1
     runtime.instrumentation.count("shm.peel.levels", level)
-    runtime.instrumentation.count("shm.peel.expanded", members + peeled)
-    return peeled < members, worst
+    runtime.instrumentation.count("shm.peel.expanded", degrees.members + peeled)
+    return peeled < degrees.members, worst
+
+
+def shared_terminals(
+    kernel: SharedKernel,
+    region: BitField,
+    runtime: SharedRuntime,
+    drop_self: bool = False,
+) -> RegionDegrees:
+    """One streamed pass over ``region``: its members with no
+    successors at all (``.terminals``, ascending) and the in-region
+    in-degrees a peel of the same region and ``drop_self`` starts from.
+
+    The deadlock search runs this pass, and hands the result to
+    :func:`shared_has_cycle` or :func:`shared_longest_path` as
+    ``degrees``, so each member of the region outside the core is
+    expanded twice per check: here, and when the peel reaches it.
+    """
+    return _count(kernel, region, runtime, drop_self, None)
 
 
 def shared_has_cycle(
@@ -333,6 +394,7 @@ def shared_has_cycle(
     runtime: SharedRuntime,
     drop_self: bool = False,
     image: Optional[SharedImage] = None,
+    degrees: Optional[RegionDegrees] = None,
 ) -> bool:
     """Whether a cycle (including a self-loop) lies within ``region``.
 
@@ -340,8 +402,15 @@ def shared_has_cycle(
     cycle exists iff its levels do not exhaust the region.  With
     ``image`` the relation is first restricted to image-invisible
     edges — the invisible-cycles analysis inside the core.
+    ``degrees``, when given, is a :func:`shared_terminals` pass over
+    the same region and ``drop_self`` (so no ``image``); without it
+    the peel counts its own.
     """
-    cyclic, _ = _forward_peel(kernel, region, runtime, drop_self, image)
+    if degrees is None:
+        degrees = _count(kernel, region, runtime, drop_self, image)
+    cyclic, _ = _forward_peel(
+        kernel, region, degrees, runtime, drop_self, image
+    )
     return cyclic
 
 
@@ -350,6 +419,7 @@ def shared_longest_path(
     region: BitField,
     runtime: SharedRuntime,
     drop_self: bool = False,
+    degrees: Optional[RegionDegrees] = None,
 ) -> Optional[int]:
     """Longest transition path staying within ``region``, or ``None``
     when a cycle (including a self-loop) lies within it.
@@ -357,12 +427,15 @@ def shared_longest_path(
     ``vector_longest_path``'s forward, level-synchronous Kahn peel
     with the tables replaced by the streamed kernel.  One pass over
     the region counts every member's in-region in-degree into a
-    full-space ``int32`` array, with one grouped sort per chunk.  The
-    members at in-degree 0 form level 0.  Each level's frontier is
-    re-expanded through the table-free kernel in batches of
-    ``runtime.chunk`` codes; one grouped sort per batch decrements the
-    in-degrees of its in-region targets, and the nodes that reach 0
-    form the next level.  No edge is stored.
+    full-space ``int32`` array, with one grouped sort per chunk; the
+    array holds ``-1`` outside the region, so one gather per batch
+    tells which targets stay inside.  ``degrees``, when given, is that
+    pass already run by :func:`shared_terminals` over the same region
+    and ``drop_self``.  The members at in-degree 0 form level 0.  Each
+    level's frontier is re-expanded through the table-free kernel in
+    batches of ``runtime.chunk`` codes; one grouped sort per batch
+    decrements the in-degrees of its in-region targets, and the nodes
+    that reach 0 form the next level.  No edge is stored.
 
     The edges are read straight from :meth:`SharedKernel.edge_parts`
     as a multiset, so two actions making the same move count twice.
@@ -376,5 +449,9 @@ def shared_longest_path(
     exhaust the region exactly when no cycle lies within it, as
     :func:`shared_has_cycle` decides with the same peel.
     """
-    cyclic, worst = _forward_peel(kernel, region, runtime, drop_self, None)
+    if degrees is None:
+        degrees = _count(kernel, region, runtime, drop_self, None)
+    cyclic, worst = _forward_peel(
+        kernel, region, degrees, runtime, drop_self, None
+    )
     return None if cyclic else worst

@@ -184,11 +184,62 @@ def test_refused_shared_request_records_one_refusal_per_rung():
         assert all(
             "state budget 10" in fields["reason"] for fields in fallbacks
         )
-    engine_counters = {
+    assert _engine_counters(record) == {"engine.fallback.tuple": 1}
+
+
+def _engine_counters(record) -> dict:
+    return {
         name: value for name, value in record.counters.items()
         if name.startswith("engine.")
     }
-    assert engine_counters == {"engine.fallback.tuple": 1}
+
+
+def test_packed_alias_refused_by_vector_counts_only_the_packed_rung(
+    monkeypatch,
+):
+    """A packed request that vector's preflight refuses never counts a
+    fallback to vector: the record counts only the rung that runs."""
+    from repro.kernel.vector import availability
+
+    monkeypatch.setattr(availability, "HAVE_NUMPY", False)
+    recorder = Recorder()
+    verdict = check_stabilization(
+        *_spec_args(), engine="packed", instrumentation=recorder
+    )
+    assert verdict.holds and verdict.engine == "packed"
+    assert _engine_counters(recorder.record()) == {
+        "engine.fallback.packed": 1, "engine.packed": 1,
+    }
+
+
+@pytest.mark.skipif(not numpy_available(), reason="shared needs NumPy")
+def test_runtime_degradation_notes_one_process_once(tmp_path):
+    """A shared check that degrades to vector at runtime still says
+    once, naming the first engine, that it decides in one process."""
+    from repro.kernel.shared import using_memory_budget
+    from repro.resilience import FaultAction, FaultPlan, using_chaos
+
+    args = kstate_program(5, 5), utr_program(5), utr_abstraction(5, 5)
+    baseline = check_stabilization(*args, engine="vector")
+    plan = FaultPlan(
+        faults=(
+            FaultAction(kind="raise-memory", engine="shared", at_states=1),
+        )
+    )
+    recorder = Recorder()
+    with using_chaos(plan), using_memory_budget(
+        "1M", spill_dir=str(tmp_path)
+    ):
+        verdict = check_stabilization(
+            *args, engine="shared", workers=2, instrumentation=recorder
+        )
+    record = recorder.record()
+    assert verdict.engine == "vector"
+    assert record.counters["resilience.engine.fallback"] == 1
+    assert verdict.format() == baseline.format()
+    assert _sequential_notes(record) == [
+        {"engine": "shared", "workers": 2, "reason": SEQUENTIAL_REASON}
+    ]
 
 
 def test_unknown_engine_error_lists_every_engine():

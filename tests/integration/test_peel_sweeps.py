@@ -6,8 +6,8 @@ kernel in chunk-sized batches.  These tests pin that the verdict, the
 worst case and the witness still equal the in-RAM vector engine's, and
 that the peel's driver-side counters match its design: at most one
 level per step of the worst case plus one, and every member of the
-region expanded exactly twice (once to count in-degrees, once when it
-is peeled).
+region expanded exactly twice (once by the deadlock search, which also
+counts in-degrees, once when it is peeled).
 """
 
 from __future__ import annotations
@@ -86,6 +86,37 @@ def test_peel_counters_identical_at_one_and_two_workers():
         )
     assert peel[0] == peel[1]
     assert set(peel[0]) == {"shm.peel.levels", "shm.peel.expanded"}
+
+
+def test_outside_region_is_expanded_twice(monkeypatch):
+    """The deadlock search's pass counts the peel's in-degrees, so the
+    kernel evaluates the core rounds' members and the peel's
+    expansions and nothing else: no separate terminal sweep."""
+    from repro.kernel.shared import SharedKernel, using_memory_budget
+
+    evaluated = []
+    iter_actions = SharedKernel.iter_actions
+
+    def spy(self, codes):
+        evaluated.append(len(codes))
+        return iter_actions(self, codes)
+
+    monkeypatch.setattr(SharedKernel, "iter_actions", spy)
+    recorder = Recorder()
+    with using_memory_budget("1M"):
+        result = check_stabilization(
+            kstate_program(6, 6), utr_program(6), utr_abstraction(6, 6),
+            engine="shared", compute_steps=True, instrumentation=recorder,
+        )
+    assert result.holds and result.engine == "shared"
+    record = recorder.record()
+    # Each core round walks the members left after the round before.
+    remaining = [
+        event.fields["remaining"] for event in record.events
+        if event.name == "check.fixpoint.iteration"
+    ]
+    core = record.counters["check.candidates.initial"] + sum(remaining[:-1])
+    assert sum(evaluated) == record.counters["shm.peel.expanded"] + core
 
 
 def test_many_bucket_peel_finds_the_vector_witness():

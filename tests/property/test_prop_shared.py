@@ -399,6 +399,89 @@ class TestSharedForwardPeel:
         assert counters["shm.peel.levels"] == 4
 
 
+def _mod_program(name, *actions):
+    """A program over the two mod-5 variables of :func:`shared_programs`
+    (``u`` is the high digit: code ``5·u + w.0``)."""
+    variables = [Variable(var, ModularDomain(MODULUS)) for var in VAR_NAMES]
+    init = Eq(Var("u"), Const(0))
+    return Program(name, variables, list(actions), init=init)
+
+
+#: At ``u == 3`` the only move is a self-loop, so those states are
+#: terminal only when weak or strong fairness drops self-loops; every
+#: other state moves ``w.0`` round a cycle.
+_SELF_LOOP_ONLY = _mod_program(
+    "self-loop-only",
+    GuardedAction("stay", Eq(Var("u"), Const(3)), {"u": Const(3)}),
+    GuardedAction(
+        "spin", Ne(Var("u"), Const(3)),
+        {"w.0": AddMod(Var("w.0"), Const(1), MODULUS)},
+    ),
+)
+
+#: Outside the core lie ``u`` in 2..4 (codes 10–24); only ``w.0 == 4``
+#: is stuck there, so at 3 codes a chunk the first terminal, 14, lies
+#: in a later chunk than the region's first member, 10.
+_LATE_TERMINAL = _mod_program(
+    "late-terminal",
+    GuardedAction(
+        "climb", Ne(Var("w.0"), Const(4)),
+        {"w.0": AddMod(Var("w.0"), Const(1), MODULUS)},
+    ),
+    GuardedAction("enter", Eq(Var("u"), Const(0)), {"u": Const(1)}),
+)
+
+
+def _outside_answers(engine, program, fairness, chunk):
+    """``(deadlock witness, cycle verdict, worst case)`` of one engine's
+    backend over the region outside the self-stabilization core, each
+    asked after the deadlock search, as the checker asks them."""
+    from repro.checker.budget import BudgetMeter
+    from repro.checker.convergence import _BACKENDS, _Request
+
+    request = _Request(
+        program, program, None, False, fairness, True, Recorder(),
+        BudgetMeter(None), 1,
+    )
+    answers = []
+    for question in ("has_cycle_outside", "longest_path"):
+        backend = _BACKENDS[engine](request)
+        with backend.running():
+            if engine == "shared":
+                backend.runtime.chunk = chunk
+            backend.legitimate()
+            backend.core()
+            backend.outside_size()
+            answers.append((backend.deadlock(), getattr(backend, question)()))
+    (stuck, cyclic), (again, worst) = answers
+    assert again == stuck
+    return stuck, cyclic, worst
+
+
+@needs_numpy
+class TestSharedOutsideAnswers:
+    """The deadlock search's pass also counts the peel's in-degrees;
+    what the checker reads off the outside region must stay the vector
+    engine's, at every chunk size and fairness mode."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shared_programs(),
+        st.integers(min_value=3, max_value=40),
+        st.sampled_from(["none", "weak", "strong"]),
+    )
+    @example(_SELF_LOOP_ONLY, 3, "none")
+    @example(_SELF_LOOP_ONLY, 3, "weak")
+    @example(_SELF_LOOP_ONLY, 3, "strong")
+    @example(_LATE_TERMINAL, 3, "none")
+    def test_shared_outside_answers_equal_vector(
+        self, program, chunk, fairness
+    ):
+        assert _outside_answers(
+            "shared", program, fairness, chunk
+        ) == _outside_answers("vector", program, fairness, chunk)
+
+
 @needs_numpy
 class TestSpillRoundTrips:
     """Spill encodings must be lossless at every awkward boundary."""
