@@ -7,7 +7,9 @@ wall seconds, **this process's own** peak RSS (``ru_maxrss``, which is
 why the bench suite runs this module as a subprocess — the parent's
 NumPy baseline and earlier sweeps must not pollute the high-water
 mark), the chosen code width, the verdict, the engine that actually
-ran, and the ``shm.*`` / ``kernel.tables.*`` staging counters.
+ran, the failing witness's kind (``null`` when the check holds), and
+the ``shm.*`` / ``kernel.tables.*`` staging counters.  Exits 1 when
+the check fails.
 
 Standalone usage:
 
@@ -78,6 +80,9 @@ def _run_once(args, budget_bytes: int) -> dict:
             "kernel.tables.hit_codes", 0
         ),
         "holds": result.holds,
+        "witness": (
+            None if result.holds else result.result.witness.kind.value
+        ),
         "engine": result.engine,
         "counters": counters,
     }

@@ -840,8 +840,13 @@ class _KernelBackend:
     engine's witness byte for byte.  The region's state set must hold
     every successor of a region source that lies in the searched set:
     a smaller set would rebuild the restricted successor sets from a
-    different insertion sequence.  Only the fair-trap search under
-    strong fairness still materializes the whole system.
+    different insertion sequence.  The edges, though, need only be
+    listed within a part of the searched set that holds every cycle:
+    a non-trivial SCC (or a self-loop) stays intact in any induced
+    subgraph holding all of its nodes, so ``cycle_codes`` returns the
+    same codes.  The shared engine lists them within its peel's
+    remainder.  Only the fair-trap search under strong fairness still
+    materializes the whole system.
     """
 
     def __init__(self, request: _Request, kernel, abstract_kernel):
@@ -868,21 +873,25 @@ class _KernelBackend:
         )
 
     def cycle_region(self) -> Tuple[System, FrozenSet[State]]:
-        return self._region(self.outside, invisible=False)
+        return self._region(self.outside, self.outside, invisible=False)
 
     def invisible_region(self) -> Tuple[System, FrozenSet[State]]:
-        return self._region(self.core_flags, invisible=True)
+        return self._region(self.core_flags, self.core_flags, invisible=True)
 
-    def _region(self, searched, invisible: bool) -> Tuple[System, FrozenSet[State]]:
+    def _region(
+        self, listed, searched, invisible: bool
+    ) -> Tuple[System, FrozenSet[State]]:
         """The witness region of the cycles within ``searched``.
 
-        ``_edges`` lists the analysis edges inside ``searched`` (only
-        the image-invisible ones with ``invisible``), and
-        ``_successors_in`` the successors of some codes that lie in it.
+        ``listed`` is a part of ``searched`` that holds all of its
+        cycles.  ``_edges`` lists the analysis edges inside ``listed``
+        (only the image-invisible ones with ``invisible``), and
+        ``_successors_in`` the successors of some codes that lie in
+        ``searched``.
         """
         from ..kernel.cycles import cycle_codes
 
-        on_cycle = cycle_codes(*self._edges(searched, invisible))
+        on_cycle = cycle_codes(*self._edges(listed, invisible))
         decode = self.interner.decode
         system = self.kernel.compile(decode(code) for code in on_cycle)
         if self.request.drop_self:
@@ -988,13 +997,13 @@ class _PackedBackend(_KernelBackend):
 
         return packed_has_cycle(invisible_succ, core_flags)
 
-    def _edges(self, searched, invisible: bool) -> Tuple[List[int], List[int]]:
+    def _edges(self, listed, invisible: bool) -> Tuple[List[int], List[int]]:
         succ, image_of = self.succ, self.image_of
         sources: List[int] = []
         targets: List[int] = []
-        for code in compress(range(self.size), searched):
+        for code in compress(range(self.size), listed):
             for target in succ(code):
-                if searched[target] and (
+                if listed[target] and (
                     not invisible or image_of[target] == image_of[code]
                 ):
                     sources.append(code)
@@ -1097,11 +1106,11 @@ class _VectorBackend(_KernelBackend):
             image_of=self.image_of,
         )
 
-    def _edges(self, searched, invisible: bool):
+    def _edges(self, listed, invisible: bool):
         from ..kernel.vector import region_edges
 
         sources, targets = region_edges(
-            self.kernel, searched, self.request.drop_self
+            self.kernel, listed, self.request.drop_self
         )
         if invisible:
             keep = self.image_of[sources] == self.image_of[targets]
@@ -1205,21 +1214,39 @@ class _SharedBackend(_KernelBackend):
         return self._min_state(self.degrees.terminals)
 
     def _outside_degrees(self):
-        """The outside region's in-degrees the deadlock search counted,
-        handed over once: the peel consumes them."""
-        degrees, self.degrees = self.degrees, None
-        return degrees
+        """The outside region's in-degrees the deadlock search counted
+        (counted here if it has not run), for the peel to consume."""
+        if self.degrees is None:
+            self.deadlock()
+        return self.degrees
+
+    def _peeled(self, cyclic: bool) -> None:
+        """Release the in-degree array the peel consumed.  On a cycle,
+        first keep the peel's remainder: the members it left un-peeled,
+        where ``in_degree`` stays positive.  Those are the members
+        reachable from a cycle, so they hold every cycle, and the cycle
+        witness lists its edges within them."""
+        if cyclic:
+            from ..kernel.shared import BitField
+
+            in_degree = self.degrees.in_degree
+            self.remainder = BitField(self.size)
+            for codes in self.outside.member_chunks(self.runtime.chunk):
+                self.remainder.set_codes(codes[in_degree[codes] > 0])
+        self.degrees = None
 
     def has_cycle_outside(self) -> bool:
         from ..kernel.shared import shared_has_cycle
 
-        return shared_has_cycle(
+        cyclic = shared_has_cycle(
             self.kernel,
             self.outside,
             self.runtime,
             drop_self=self.request.drop_self,
             degrees=self._outside_degrees(),
         )
+        self._peeled(cyclic)
+        return cyclic
 
     def has_invisible_cycle(self) -> bool:
         from ..kernel.shared import shared_has_cycle
@@ -1232,18 +1259,21 @@ class _SharedBackend(_KernelBackend):
             image=self.image,
         )
 
-    def _edges(self, searched, invisible: bool):
+    def cycle_region(self) -> Tuple[System, FrozenSet[State]]:
+        return self._region(self.remainder, self.outside, invisible=False)
+
+    def _edges(self, listed, invisible: bool):
         import numpy as np
 
         # Stored at the run's code width: the edge list is the region
-        # build's one allocation proportional to the searched set.
+        # build's one allocation proportional to the listed set.
         dtype = self.runtime.code_dtype
         empty = np.empty(0, dtype=dtype)
         source_parts, target_parts = [empty], [empty]
-        for codes in searched.member_chunks(self.runtime.chunk):
+        for codes in listed.member_chunks(self.runtime.chunk):
             origins, targets = self.kernel.succ_pairs(codes)
             sources = codes[origins]
-            keep = searched.test(targets)
+            keep = listed.test(targets)
             if self.request.drop_self:
                 keep &= targets != sources
             sources, targets = sources[keep], targets[keep]
@@ -1266,13 +1296,15 @@ class _SharedBackend(_KernelBackend):
     def longest_path(self) -> Optional[int]:
         from ..kernel.shared import shared_longest_path
 
-        return shared_longest_path(
+        steps = shared_longest_path(
             self.kernel,
             self.outside,
             self.runtime,
             drop_self=self.request.drop_self,
             degrees=self._outside_degrees(),
         )
+        self._peeled(steps is None)
+        return steps
 
 
 #: Engine name → backend class, walked by :func:`~.engines.run_chain`.

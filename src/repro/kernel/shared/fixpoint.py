@@ -20,7 +20,11 @@ Re-implementations of the vector engine's fixpoints
   outside the core twice: once in the deadlock search, once as it is
   peeled.  No edge is ever stored: resident cost is the in-degree
   array (4 B/state) plus one batch and the level's spill-capped
-  :class:`~.frontier.CodeRuns`.
+  :class:`~.frontier.CodeRuns`.  A peel that stops short of the region
+  leaves the in-degree positive at exactly the members it did not
+  peel, its *remainder*: the members reachable from a cycle.  A
+  failing check lists its cycle witness's edges within the remainder
+  alone.
 
 Verdict- and counter-compatibility with the vector fixpoints is exact:
 the chunked core rounds evaluate the same Jacobi operator against the
@@ -207,8 +211,15 @@ class RegionDegrees(NamedTuple):
     ``in_degree`` is a full-space ``int32`` array: each member's count
     of in-region in-edges, and ``-1`` outside the region, so the array
     also answers membership.  ``members`` is the region's size and
-    ``terminals`` its members with no successor at all, ascending.  A
-    peel consumes ``in_degree``.
+    ``terminals`` its members with no successor at all, ascending.
+
+    A peel consumes ``in_degree`` in place: each member's count drops
+    by its in-edges from peeled members.  Afterwards it is ``0`` at
+    every peeled member, still ``-1`` outside the region, and ``> 0``
+    at exactly the members the peel left (its remainder).  A node on a
+    cycle keeps an in-edge from that cycle, so the remainder holds
+    every cycle and all that the cycles reach within the region, and
+    is empty iff the region is acyclic.
     """
 
     in_degree: np.ndarray
@@ -335,7 +346,9 @@ def _forward_peel(
     Returns ``(cyclic, worst)``: whether the levels failed to exhaust
     the region, and the worst case :func:`shared_longest_path` reports
     when they did.  Each peeled member is expanded once; each level is
-    a :class:`CodeRuns` that spills past its RAM cap.
+    a :class:`CodeRuns` that spills past its RAM cap.  Counts the
+    members left un-peeled as ``shm.peel.remainder``; ``in_degree`` is
+    then positive at exactly those (:class:`RegionDegrees`).
     """
     in_degree = degrees.in_degree
     frontier = CodeRuns(
@@ -365,8 +378,10 @@ def _forward_peel(
         frontier.clear()
         frontier = next_level
         level += 1
-    runtime.instrumentation.count("shm.peel.levels", level)
-    runtime.instrumentation.count("shm.peel.expanded", degrees.members + peeled)
+    instrumentation = runtime.instrumentation
+    instrumentation.count("shm.peel.levels", level)
+    instrumentation.count("shm.peel.expanded", degrees.members + peeled)
+    instrumentation.count("shm.peel.remainder", degrees.members - peeled)
     return peeled < degrees.members, worst
 
 
@@ -403,8 +418,9 @@ def shared_has_cycle(
     ``image`` the relation is first restricted to image-invisible
     edges — the invisible-cycles analysis inside the core.
     ``degrees``, when given, is a :func:`shared_terminals` pass over
-    the same region and ``drop_self`` (so no ``image``); without it
-    the peel counts its own.
+    the same region and ``drop_self`` (so no ``image``), and on return
+    its ``in_degree`` is positive at exactly the peel's remainder;
+    without it the peel counts its own.
     """
     if degrees is None:
         degrees = _count(kernel, region, runtime, drop_self, image)
@@ -431,11 +447,13 @@ def shared_longest_path(
     array holds ``-1`` outside the region, so one gather per batch
     tells which targets stay inside.  ``degrees``, when given, is that
     pass already run by :func:`shared_terminals` over the same region
-    and ``drop_self``.  The members at in-degree 0 form level 0.  Each
-    level's frontier is re-expanded through the table-free kernel in
-    batches of ``runtime.chunk`` codes; one grouped sort per batch
-    decrements the in-degrees of its in-region targets, and the nodes
-    that reach 0 form the next level.  No edge is stored.
+    and ``drop_self``; the peel leaves its ``in_degree`` positive at
+    exactly the members it could not peel.  The members at in-degree
+    0 form level 0.  Each level's frontier is re-expanded through the
+    table-free kernel in batches of ``runtime.chunk`` codes; one
+    grouped sort per batch decrements the in-degrees of its in-region
+    targets, and the nodes that reach 0 form the next level.  No edge
+    is stored.
 
     The edges are read straight from :meth:`SharedKernel.edge_parts`
     as a multiset, so two actions making the same move count twice.

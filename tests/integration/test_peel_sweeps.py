@@ -85,7 +85,11 @@ def test_peel_counters_identical_at_one_and_two_workers():
             }
         )
     assert peel[0] == peel[1]
-    assert set(peel[0]) == {"shm.peel.levels", "shm.peel.expanded"}
+    assert set(peel[0]) == {
+        "shm.peel.levels", "shm.peel.expanded", "shm.peel.remainder"
+    }
+    # The check holds, so the peel exhausts the region.
+    assert peel[0]["shm.peel.remainder"] == 0
 
 
 def test_outside_region_is_expanded_twice(monkeypatch):

@@ -15,8 +15,9 @@ from the wrong insertion sequence picks a different one.  The two
 ``escapes`` controls are the ones that catch a region whose state set
 leaves out the escapes from its cycles.
 
-The second class pins the cost contract: outside strong fairness no
-engine compiles the full tuple system to build a witness.
+The other two classes pin the cost contract: outside strong fairness
+no engine compiles the full tuple system to build a witness, and the
+shared engine expands only its peel's remainder to find the cycle.
 """
 
 from __future__ import annotations
@@ -267,3 +268,71 @@ class TestNoMaterialization:
         with pytest.raises(AssertionError, match="materialize entered"):
             _check(case, engine)
         assert len(entered) == 1
+
+
+@pytest.mark.skipif(not numpy_available(), reason="the shared engine needs NumPy")
+class TestWitnessFromThePeelRemainder:
+    """A failing shared check lists its cycle witness's edges within the
+    peel's remainder, the members the peel left un-peeled, not within
+    the whole region outside the core: the witness region's walk
+    expands exactly the remainder and then the cycle codes."""
+
+    @pytest.mark.parametrize("fairness", ["none", "weak"])
+    @pytest.mark.parametrize("compute_steps", [True, False])
+    def test_witness_walk_expands_only_the_remainder(
+        self, fairness, compute_steps, monkeypatch
+    ):
+        from repro.checker import convergence
+        from repro.kernel import cycles
+        from repro.kernel.shared import SharedKernel, using_memory_budget
+        from repro.obs import Recorder
+
+        seen: list = []
+        on_cycle: list = []
+        walking = []
+        succ_pairs = SharedKernel.succ_pairs
+        cycle_codes = cycles.cycle_codes
+        cycle_region = convergence._SharedBackend.cycle_region
+
+        def spy_pairs(self, codes):
+            if walking:
+                seen.append(len(codes))
+            return succ_pairs(self, codes)
+
+        def spy_codes(sources, targets):
+            codes = cycle_codes(sources, targets)
+            on_cycle.append(len(codes))
+            return codes
+
+        def spy_region(self):
+            walking.append(True)
+            try:
+                return cycle_region(self)
+            finally:
+                walking.clear()
+
+        monkeypatch.setattr(SharedKernel, "succ_pairs", spy_pairs)
+        monkeypatch.setattr(cycles, "cycle_codes", spy_codes)
+        monkeypatch.setattr(
+            convergence._SharedBackend, "cycle_region", spy_region
+        )
+        recorder = Recorder()
+        with using_memory_budget("1M"):
+            shared = check_stabilization(
+                kstate_program(6, 4), utr_program(6), utr_abstraction(6, 4),
+                fairness=fairness, compute_steps=compute_steps,
+                engine="shared", instrumentation=recorder,
+            )
+        assert shared.engine == "shared" and not shared.holds
+        counters = recorder.record().counters
+        remainder = counters["shm.peel.remainder"]
+        assert len(on_cycle) == 1 and 0 < on_cycle[0] <= remainder
+        # The peel leaves 824 of the 4,032 codes outside the core.
+        assert counters["check.outside.size"] == 4 ** 6 - 64
+        assert remainder == 824
+        assert sum(seen) == remainder + on_cycle[0]
+        reference = check_stabilization(
+            kstate_program(6, 4), utr_program(6), utr_abstraction(6, 4),
+            fairness=fairness, compute_steps=compute_steps, engine="tuple",
+        )
+        assert shared.format() == reference.format()

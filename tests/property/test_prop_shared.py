@@ -13,6 +13,8 @@ properties also draw offset-range programs, whose value tables are not
 ``0..radix-1``, and check out-of-domain errors against the tuple engine.
 """
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from repro.checker import check_self_stabilization
 from repro.gcl.action import GuardedAction
 from repro.gcl.domain import BoolDomain, IntRange, ModularDomain
-from repro.gcl.expr import Add, AddMod, Const, Eq, Ite, Lt, Ne, Not, Var
+from repro.gcl.expr import Add, AddMod, And, Const, Eq, Ite, Lt, Ne, Not, Var
 from repro.gcl.program import Program
 from repro.gcl.variable import Variable
 from repro.kernel.shared import SHARED_MIN_STATES, using_memory_budget
@@ -432,17 +434,25 @@ _LATE_TERMINAL = _mod_program(
 )
 
 
+def _self_request(program, fairness, compute_steps):
+    """The self-stabilization question of ``program`` as the checker
+    hands it to a backend."""
+    from repro.checker.budget import BudgetMeter
+    from repro.checker.convergence import _Request
+
+    return _Request(
+        program, program, None, False, fairness, compute_steps, Recorder(),
+        BudgetMeter(None), 1,
+    )
+
+
 def _outside_answers(engine, program, fairness, chunk):
     """``(deadlock witness, cycle verdict, worst case)`` of one engine's
     backend over the region outside the self-stabilization core, each
     asked after the deadlock search, as the checker asks them."""
-    from repro.checker.budget import BudgetMeter
-    from repro.checker.convergence import _BACKENDS, _Request
+    from repro.checker.convergence import _BACKENDS
 
-    request = _Request(
-        program, program, None, False, fairness, True, Recorder(),
-        BudgetMeter(None), 1,
-    )
+    request = _self_request(program, fairness, True)
     answers = []
     for question in ("has_cycle_outside", "longest_path"):
         backend = _BACKENDS[engine](request)
@@ -480,6 +490,144 @@ class TestSharedOutsideAnswers:
         assert _outside_answers(
             "shared", program, fairness, chunk
         ) == _outside_answers("vector", program, fairness, chunk)
+
+
+#: The only outside cycles are the self-loops of ``stay`` at ``u == 2``;
+#: ``down`` steps ``u`` towards 0, so the peel's remainder is ``u`` in
+#: {1, 2}: the self-looping states and the ones they reach.
+_SELF_LOOP_CYCLE = _mod_program(
+    "self-loop-cycle",
+    GuardedAction("stay", Eq(Var("u"), Const(2)), {"u": Const(2)}),
+    GuardedAction(
+        "down", Ne(Var("u"), Const(0)),
+        {"u": AddMod(Var("u"), Const(MODULUS - 1), MODULUS)},
+    ),
+)
+
+#: The outside cycles spin ``w.0`` at ``u == 4`` (codes 20–24), and fall
+#: to ``u == 1`` (codes 5–9) on the way home, so at 3 codes a chunk the
+#: cycles lie in later chunks than the remainder's first member, 5.
+_LATE_CYCLE = _mod_program(
+    "late-cycle",
+    GuardedAction(
+        "spin", Eq(Var("u"), Const(4)),
+        {"w.0": AddMod(Var("w.0"), Const(1), MODULUS)},
+    ),
+    GuardedAction("fall", Eq(Var("u"), Const(4)), {"u": Const(1)}),
+    GuardedAction(
+        "home", And(Ne(Var("u"), Const(0)), Ne(Var("u"), Const(4))),
+        {"u": Const(0)},
+    ),
+)
+
+
+def _shared_remainder(program, fairness, compute_steps, chunk):
+    """The members the shared peel of the outside region leaves
+    un-peeled, read from the backend's remainder, ascending; checked
+    against the ``shm.peel.remainder`` counter."""
+    from repro.checker.convergence import _SharedBackend
+
+    request = _self_request(program, fairness, compute_steps)
+    backend = _SharedBackend(request)
+    with backend.running():
+        backend.runtime.chunk = chunk
+        backend.legitimate()
+        backend.core()
+        backend.outside_size()
+        if compute_steps:
+            cyclic = backend.longest_path() is None
+        else:
+            cyclic = backend.has_cycle_outside()
+        remainder = (
+            [int(code) for code in backend._members(backend.remainder)]
+            if cyclic
+            else []
+        )
+    counters = request.instrumentation.record().counters
+    assert counters["shm.peel.remainder"] == len(remainder)
+    return remainder
+
+
+def _reference_remainder(program, fairness):
+    """Plain Python over the vector engine's outside edges: the region
+    members on a cycle (a self-loop counts) and all they reach."""
+    from repro.checker.convergence import _VectorBackend
+    from repro.kernel.vector import region_edges
+
+    request = _self_request(program, fairness, False)
+    backend = _VectorBackend(request)
+    backend.legitimate()
+    backend.core()
+    backend.outside_size()
+    sources, targets = region_edges(
+        backend.kernel, backend.outside, request.drop_self
+    )
+    successors = {}
+    for source, target in zip(sources.tolist(), targets.tolist()):
+        successors.setdefault(source, set()).add(target)
+
+    def reached(starts):
+        seen, stack = set(), list(starts)
+        while stack:
+            for target in successors.get(stack.pop(), ()):
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+        return seen
+
+    on_cycle = {node for node in successors if node in reached([node])}
+    return sorted(on_cycle | reached(on_cycle))
+
+
+def _decided(backend_class, program, fairness, compute_steps, chunk=None):
+    """The formatted verdict of one backend, at ``chunk`` codes a batch
+    on the shared engine."""
+    from repro.checker.convergence import _decide
+
+    request = _self_request(program, fairness, compute_steps)
+    backend = backend_class(request)
+    if chunk is not None:
+        running = backend.running
+
+        @contextmanager
+        def chunked():
+            with running():
+                backend.runtime.chunk = chunk
+                yield
+
+        backend.running = chunked
+    return _decide(backend, request).format()
+
+
+@needs_numpy
+class TestSharedPeelRemainder:
+    """A failing shared check builds its cycle witness from the peel's
+    remainder; the remainder must be exactly the region members a
+    cycle reaches, and the verdict the vector engine's, at every chunk
+    size."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shared_programs(),
+        st.integers(min_value=3, max_value=40),
+        st.sampled_from(["none", "weak"]),
+        st.booleans(),
+    )
+    @example(_SELF_LOOP_CYCLE, 3, "none", True)
+    @example(_SELF_LOOP_CYCLE, 3, "none", False)
+    @example(_LATE_CYCLE, 3, "none", True)
+    @example(_LATE_CYCLE, 3, "weak", False)
+    def test_remainder_is_what_the_cycles_reach(
+        self, program, chunk, fairness, compute_steps
+    ):
+        from repro.checker.convergence import _SharedBackend, _VectorBackend
+
+        assert _shared_remainder(
+            program, fairness, compute_steps, chunk
+        ) == _reference_remainder(program, fairness)
+        assert _decided(
+            _SharedBackend, program, fairness, compute_steps, chunk
+        ) == _decided(_VectorBackend, program, fairness, compute_steps)
 
 
 @needs_numpy
