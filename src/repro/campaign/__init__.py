@@ -2,11 +2,11 @@
 
 A *campaign* sweeps a (system × scheduler × fault-injector × seed)
 grid over the derived token rings, executing each cell — one bounded,
-fault-injected simulation run or one budget-capped verification — with
-a per-run wall-clock timeout, bounded retries on crashes, and
-incremental JSONL checkpointing, so that a single pathological cell
-cannot take down hours of soak testing and an interrupted campaign
-resumes exactly where it stopped.
+fault-injected simulation run or one exact verification — with a
+per-run wall-clock timeout on simulations, bounded retries on
+crashes, and incremental JSONL checkpointing, so that a single
+pathological cell cannot take down hours of soak testing and an
+interrupted campaign resumes exactly where it stopped.
 
 * :mod:`repro.campaign.grid` — the axes (system/scheduler/injector
   registries), :class:`CellSpec`, and deterministic seed derivation;
@@ -17,8 +17,8 @@ resumes exactly where it stopped.
   outcomes are identical stops executing, and its remaining seeds
   become first-class ``earlystop`` results;
 * :mod:`repro.campaign.outcomes` — the outcome taxonomy
-  (``converged`` / ``diverged`` / ``timeout`` / ``partial`` /
-  ``error`` / ``earlystop``) and the per-cell result record;
+  (``converged`` / ``diverged`` / ``timeout`` / ``error`` /
+  ``earlystop``) and the per-cell result record;
 * :mod:`repro.campaign.report` — the summary table behind
   ``repro campaign``.
 """

@@ -6,7 +6,7 @@ the four resilience properties the soak-testing workload needs:
 * **Timeouts** — every simulation cell runs under a cooperative
   wall-clock deadline (:func:`repro.simulation.runner.execute`); a
   pathological run ends as a first-class ``timeout`` outcome and the
-  campaign moves on.
+  campaign moves on.  The deadline covers simulation cells only.
 * **Crash isolation** — a cell that raises is retried up to
   ``retries`` times with deterministically derived sub-seeds; if every
   attempt crashes the cell is recorded as ``error`` and the campaign
@@ -16,8 +16,10 @@ the four resilience properties the soak-testing workload needs:
   next cell starts, so an interrupt (SIGINT, OOM kill, power loss)
   between cells loses at most the cell in flight.  Resuming verifies
   the grid fingerprint and skips every completed cell.
-* **Graceful checker degradation** — verification cells run under a
-  state budget and report ``partial`` instead of exhausting memory.
+* **Bounded checks** — verification cells are exact.  Under
+  ``--mem-budget`` a check runs on the shared engine where it applies,
+  whose resident arrays that budget bounds (past it they spill to
+  disk); elsewhere a check holds its whole state space in memory.
 
 Suspected-divergence runs archive their full trace (when a trace
 directory is configured) so the non-converging schedule can be
@@ -79,8 +81,6 @@ class CampaignConfig:
         seed: the campaign master seed every sub-seed derives from.
         fault_count: transient faults injected per run, as a burst
             before steps ``0 .. fault_count-1``.
-        state_budget: state cap for verification cells (``None`` =
-            unbounded).
         checkpoint: the tagged-JSONL checkpoint file (``None`` =
             in-memory only, no resume).
         trace_dir: where suspected-divergence traces are archived
@@ -95,8 +95,8 @@ class CampaignConfig:
         cache_dir: root of the content-addressed verification cache
             (``None`` = no caching).  Verification cells whose program
             and parameters match a cached verdict are served from disk
-            (their ``detail`` gains a ``[cached]`` marker); ``partial``
-            and ``error`` outcomes are never cached.
+            (their ``detail`` gains a ``[cached]`` marker); ``error``
+            outcomes are never cached.
         engine: checker engine for verification cells — ``"vector"``
             (whole-frontier arrays, falling back to the packed kernel
             and then to tuple where they cannot apply), ``"packed"``
@@ -121,7 +121,6 @@ class CampaignConfig:
     retries: int = 1
     seed: int = 0
     fault_count: int = 1
-    state_budget: Optional[int] = 500_000
     checkpoint: Optional[Union[str, Path]] = None
     trace_dir: Optional[Union[str, Path]] = None
     workers: int = 1
@@ -150,10 +149,6 @@ class CampaignConfig:
         if self.fault_count < 1:
             raise SimulationError(
                 f"fault count must be positive, got {self.fault_count}"
-            )
-        if self.state_budget is not None and self.state_budget < 1:
-            raise SimulationError(
-                f"state budget must be positive, got {self.state_budget}"
             )
         if self.early_stop is not None and self.early_stop < 1:
             raise SimulationError(
@@ -290,7 +285,6 @@ def _check_cache_key(cell: CellSpec, config: CampaignConfig) -> str:
             "n": cell.n,
             "fairness": entry.fairness,
             "stutter_insensitive": entry.stutter_insensitive,
-            "state_budget": config.state_budget,
         },
     )
 
@@ -329,18 +323,11 @@ def _attempt_check(cell: CellSpec, config: CampaignConfig) -> CellResult:
         stutter_insensitive=entry.stutter_insensitive,
         fairness=entry.fairness,
         compute_steps=False,
-        state_budget=config.state_budget,
         engine=config.engine,
         instrumentation=worker_instrumentation(),
     )
     seconds = time.perf_counter() - start
     cell_id = cell.cell_id()
-    if result.is_partial:
-        partial = result.result.partial
-        assert partial is not None
-        return CellResult(
-            cell_id, CellStatus.PARTIAL, 1, seconds, detail=partial.format()
-        )
     if result.holds:
         outcome = CellResult(
             cell_id, CellStatus.CONVERGED, 1, seconds,
@@ -485,6 +472,11 @@ def _read_checkpoint_rows(
     return rows
 
 
+#: Cell statuses older checkpoints may hold that no longer classify a
+#: cell: ``partial`` was a check cut at the retired state budget.
+_RETIRED_STATUSES = frozenset({"partial"})
+
+
 def _load_checkpoint(
     path: Union[str, Path],
     cells: Sequence[CellSpec],
@@ -511,9 +503,12 @@ def _load_checkpoint(
         )
     completed: Dict[str, CellResult] = {}
     for payload in rows:
-        if payload.get("t") == "campaign-cell":
-            result = CellResult.from_payload(payload)
-            completed[result.cell_id] = result
+        if payload.get("t") != "campaign-cell":
+            continue
+        if payload.get("status") in _RETIRED_STATUSES:
+            continue  # not an outcome any more: the cell runs again
+        result = CellResult.from_payload(payload)
+        completed[result.cell_id] = result
     return completed
 
 

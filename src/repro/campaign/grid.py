@@ -2,7 +2,7 @@
 
 A grid is the cartesian product of four axes — stabilizing system,
 daemon (scheduler), fault injector, and seed index — plus, optionally,
-one budget-capped verification cell per (system, size).  Each point is
+one exact verification cell per (system, size).  Each point is
 a :class:`CellSpec` whose :meth:`~CellSpec.cell_id` is a stable string:
 it keys the checkpoint file, names archived traces, and feeds the
 sub-seed derivation, so the same grid always resumes and replays
@@ -172,7 +172,7 @@ class CellSpec:
 
     Attributes:
         kind: ``"simulate"`` (fault-injected run) or ``"check"``
-            (budget-capped stabilization verification).
+            (exact stabilization verification).
         system: key into :data:`SYSTEMS`.
         n: ring size.
         scheduler: key into :data:`SCHEDULERS` (``"-"`` on check cells).
@@ -211,7 +211,7 @@ def build_grid(
         schedulers: :data:`SCHEDULERS` keys to sweep.
         injectors: :data:`INJECTORS` keys to sweep.
         seeds: how many seed indices per combination.
-        with_check: additionally emit one budget-capped verification
+        with_check: additionally emit one exact verification
             cell per (system, size).
 
     Raises:

@@ -13,8 +13,6 @@ classifying everything:
   not proof — hence "suspected" — and the offending trace is archived
   for replay when a trace directory is configured;
 * ``timeout``   — the per-run wall-clock deadline elapsed first;
-* ``partial``   — the checker hit its state budget before deciding
-  (see :mod:`repro.checker.budget`);
 * ``error``     — the cell crashed even after its bounded retries; the
   exception is summarized in ``detail``;
 * ``earlystop`` — the cell was skipped because its cell class had
@@ -43,7 +41,6 @@ class CellStatus(Enum):
     CONVERGED = "converged"
     DIVERGED = "diverged"
     TIMEOUT = "timeout"
-    PARTIAL = "partial"
     ERROR = "error"
     EARLYSTOP = "earlystop"
 
@@ -61,7 +58,7 @@ class CellResult:
             cell was a simulation.
         seed: the derived sub-seed of the final attempt.
         detail: free-form context — convergence step, witness kind,
-            exception summary, budget cut-off.
+            exception summary.
         trace_path: where the trace was archived (suspected-divergence
             cells with a trace directory configured).
     """

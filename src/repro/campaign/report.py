@@ -18,7 +18,6 @@ _COLUMNS: Tuple[CellStatus, ...] = (
     CellStatus.CONVERGED,
     CellStatus.DIVERGED,
     CellStatus.TIMEOUT,
-    CellStatus.PARTIAL,
     CellStatus.ERROR,
     CellStatus.EARLYSTOP,
 )
@@ -37,8 +36,8 @@ def summarize_campaign(campaign: CampaignResult) -> str:
 
     Rows are (system, ring size) groups in first-seen order; columns
     are the outcome taxonomy plus a total.  Cells that demand attention —
-    suspected divergences with archived traces, errors, partial
-    verdicts — are listed beneath the table with their detail lines.
+    suspected divergences with archived traces, and errors — are listed
+    beneath the table with their detail lines.
     """
     rows: Dict[str, Dict[CellStatus, int]] = {}
     for result in campaign.results:
@@ -88,7 +87,7 @@ def summarize_campaign(campaign: CampaignResult) -> str:
         result
         for result in campaign.results
         if result.status
-        in (CellStatus.DIVERGED, CellStatus.ERROR, CellStatus.PARTIAL)
+        in (CellStatus.DIVERGED, CellStatus.ERROR)
     ]
     if attention:
         lines.append("")

@@ -11,7 +11,6 @@ Public surface:
   counterexample values and rendered verification reports.
 """
 
-from .budget import BudgetMeter, PartialExploration
 from .convergence import (
     StabilizationResult,
     behavioural_core,
@@ -45,8 +44,6 @@ from .report import ReportEntry, VerificationReport
 from .witnesses import CheckResult, Witness, WitnessKind
 
 __all__ = [
-    "BudgetMeter",
-    "PartialExploration",
     "StabilizationResult",
     "behavioural_core",
     "check_self_stabilization",

@@ -80,8 +80,7 @@ from ..core.state import State
 from ..core.system import System
 from ..gcl.program import Program
 from ..obs import NULL_INSTRUMENTATION, Instrumentation, ProgressEmitter
-from .budget import BudgetExceeded, BudgetMeter
-from .engines import Pin, engine_chain, run_chain
+from .engines import engine_chain, run_chain
 from .fairness import find_fair_trap
 from .graph import (
     find_cycle_within,
@@ -114,39 +113,6 @@ def _as_system(source: SystemOrProgram) -> System:
 
 def _source_name(source: SystemOrProgram) -> str:
     return source.name
-
-
-def _floor_pin(
-    concrete: SystemOrProgram,
-    abstract: SystemOrProgram,
-    state_budget: Optional[int],
-) -> Pin:
-    """The stabilization budget rule of :func:`~.engines.engine_chain`.
-
-    The tuple engine meters the legitimate reachability twice (the
-    ``check.legitimate`` span and :func:`behavioural_core`'s own call),
-    the candidate scan, and the outside scan: at most ``2|Sigma_A| +
-    2|Sigma_C|`` charges.  At or above this floor no budget can trip,
-    so the unmetered engines may run; below it the check replays the
-    tuple engine's exploration order.
-    """
-
-    def pin(rung: str) -> Optional[str]:
-        if state_budget is None:
-            return None
-        from ..kernel import source_schema
-
-        floor = 2 * source_schema(abstract).size() + 2 * source_schema(concrete).size()
-        if state_budget >= floor:
-            return None
-        engine = "engine" if rung == "shared" else "packed-engine"
-        return (
-            f"state budget {state_budget} is below the {engine} floor of "
-            f"{floor} states (a PARTIAL cut must replay the tuple engine's "
-            f"exploration order)"
-        )
-
-    return pin
 
 
 @dataclass(frozen=True)
@@ -182,11 +148,6 @@ class StabilizationResult:
         """The verdict."""
         return self.result.holds
 
-    @property
-    def is_partial(self) -> bool:
-        """Did the check stop at its state budget rather than decide?"""
-        return self.result.is_partial
-
     def __bool__(self) -> bool:
         return self.result.holds
 
@@ -204,31 +165,9 @@ class StabilizationResult:
         return "\n".join(lines)
 
 
-def legitimate_abstract_states(
-    abstract: System,
-    meter: Optional[BudgetMeter] = None,
-) -> FrozenSet[State]:
-    """``L_A``: the abstract states reachable from the abstract initial states.
-
-    Args:
-        abstract: the specification system.
-        meter: optional state budget; the reachability search then
-            charges one unit per state expanded and stops with a
-            :class:`~repro.checker.budget.BudgetExceeded` (carrying the
-            frontier size) instead of outgrowing memory.
-    """
-    if meter is None or meter.budget is None:
-        return abstract.reachable()
-    seen: Set[State] = set(abstract.initial)
-    frontier: List[State] = list(seen)
-    while frontier:
-        meter.charge("check.legitimate", frontier=len(frontier))
-        state = frontier.pop()
-        for successor in abstract.successors(state):
-            if successor not in seen:
-                seen.add(successor)
-                frontier.append(successor)
-    return frozenset(seen)
+def legitimate_abstract_states(abstract: System) -> FrozenSet[State]:
+    """``L_A``: the abstract states reachable from the abstract initial states."""
+    return abstract.reachable()
 
 
 def _must_evict(
@@ -275,7 +214,6 @@ def behavioural_core(
     stutter_insensitive: bool = False,
     fairness: str = "none",
     instrumentation: Instrumentation = NULL_INSTRUMENTATION,
-    meter: Optional[BudgetMeter] = None,
 ) -> FrozenSet[State]:
     """The greatest set ``G`` of concrete states forever tracking ``A``.
 
@@ -301,18 +239,13 @@ def behavioural_core(
         instrumentation: observability sink; counts the states
             enumerated, the fixpoint iterations, and the evictions per
             iteration (null and free by default).
-        meter: optional state budget; the full-space scan then raises
-            :class:`~repro.checker.budget.BudgetExceeded` at the cap
-            instead of materializing an unbounded candidate set.
     """
     mapping = alpha if alpha is not None else identity_abstraction(concrete.schema)
-    legitimate = legitimate_abstract_states(abstract, meter=meter)
+    legitimate = legitimate_abstract_states(abstract)
     fairness_ignores_stutter = fairness in ("weak", "strong")
     enumerated = 0
     core: Set[State] = set()
     for state in concrete.schema.states():
-        if meter is not None:
-            meter.charge("check.core", frontier=len(core))
         enumerated += 1
         if mapping(state) in legitimate:
             core.add(state)
@@ -431,7 +364,6 @@ def check_stabilization(
     fairness: str = "none",
     compute_steps: bool = True,
     instrumentation: Instrumentation = NULL_INSTRUMENTATION,
-    state_budget: Optional[int] = None,
     workers: int = 1,
     engine: str = "tuple",
 ) -> StabilizationResult:
@@ -455,12 +387,6 @@ def check_stabilization(
         instrumentation: observability sink (phase timings, state
             counts, fixpoint iterations, the verdict); the null
             default is free.
-        state_budget: optional cap on the number of states the check
-            may enumerate across all of its phases.  When the cap is
-            hit the result is a structured ``PARTIAL`` verdict
-            (``result.is_partial`` is true, ``result.result.partial``
-            reports states explored and frontier size) — never a
-            ``MemoryError``.
         workers: accepted so per-spec fan-outs (``verify-tree``,
             campaigns) can pass their count through.  Every engine
             decides one check in one process; asked for more than one
@@ -474,8 +400,8 @@ def check_stabilization(
             chunks, and ``'packed'`` is an alias of ``'vector'`` — same
             verdicts, witnesses, and counters, decoded back to tuples
             at this boundary.  A request that cannot run as asked
-            (unpackable schema, tight state budget, no NumPy, an
-            unlowerable program) moves down shared → vector → packed →
+            (unpackable schema, no NumPy, an unlowerable
+            program) moves down shared → vector → packed →
             tuple with an ``engine.fallback`` event giving the reason
             (:func:`~repro.checker.engines.engine_chain`).  Both sides
             may be a :class:`~repro.gcl.program.Program`; the array
@@ -495,36 +421,16 @@ def check_stabilization(
         fairness,
         compute_steps,
         instrumentation,
-        BudgetMeter(state_budget),
         workers,
     )
     chain = engine_chain(
-        engine, concrete, abstract, alpha, _BACKENDS,
-        _floor_pin(concrete, abstract, state_budget), instrumentation,
+        engine, concrete, abstract, alpha, _BACKENDS, instrumentation
     )
     with instrumentation.span("check.total"):
         _note_sequential(instrumentation, chain[0], workers)
-        try:
-            decided, result = run_chain(
-                chain, lambda name: _attempt(name, request), instrumentation
-            )
-        except BudgetExceeded as exc:
-            instrumentation.event(
-                "check.partial",
-                phase=exc.partial.phase,
-                explored=exc.partial.explored,
-                frontier=exc.partial.frontier,
-                budget=exc.partial.budget,
-            )
-            return StabilizationResult(
-                CheckResult(False, request.name, partial=exc.partial),
-                frozenset(),
-                frozenset(),
-                None,
-                # Only metered (tuple-engine) exploration can trip the
-                # budget; the floor pin lands tight budgets there.
-                engine="tuple",
-            )
+        decided, result = run_chain(
+            chain, lambda name: _attempt(name, request), instrumentation
+        )
     # Stamp the engine that actually decided (not the one requested):
     # runtime degradation may have moved down the chain.
     result = replace(result, engine=decided)
@@ -552,7 +458,6 @@ class _Request:
     fairness: str
     compute_steps: bool
     instrumentation: Instrumentation
-    meter: BudgetMeter
     workers: int
 
     @property
@@ -747,7 +652,7 @@ def _decoded(interner, codes) -> FrozenSet[State]:
 
 
 class _TupleBackend:
-    """The reference engine: tuple states of compiled systems, metered.
+    """The reference engine: tuple states of compiled systems.
 
     Its witness regions are the whole analysis system and searched set,
     so its witnesses are the oracle the other engines must reproduce.
@@ -772,7 +677,7 @@ class _TupleBackend:
         return nullcontext()
 
     def legitimate(self) -> FrozenSet[State]:
-        return legitimate_abstract_states(self.abstract, meter=self.request.meter)
+        return legitimate_abstract_states(self.abstract)
 
     def core(self) -> FrozenSet[State]:
         request = self.request
@@ -783,16 +688,12 @@ class _TupleBackend:
             stutter_insensitive=request.stutter_insensitive,
             fairness=request.fairness,
             instrumentation=request.instrumentation,
-            meter=request.meter,
         )
         return self.core_states
 
     def outside_size(self) -> int:
-        states = self.request.meter.metered(
-            self.schema.states(), "check.outside"
-        )
         self.outside = frozenset(
-            state for state in states if state not in self.core_states
+            state for state in self.schema.states() if state not in self.core_states
         )
         return len(self.outside)
 
@@ -1321,7 +1222,6 @@ def check_self_stabilization(
     fairness: str = "none",
     compute_steps: bool = True,
     instrumentation: Instrumentation = NULL_INSTRUMENTATION,
-    state_budget: Optional[int] = None,
     workers: int = 1,
     engine: str = "tuple",
 ) -> StabilizationResult:
@@ -1338,7 +1238,6 @@ def check_self_stabilization(
         fairness=fairness,
         compute_steps=compute_steps,
         instrumentation=instrumentation,
-        state_budget=state_budget,
         workers=workers,
         engine=engine,
     )

@@ -16,8 +16,7 @@ which of them runs a check, for both checkers:
 * :func:`run_chain` runs the checker's attempt on each listed engine
   in turn.  A recoverable runtime fault
   (:data:`~repro.resilience.degrade.RECOVERABLE_ENGINE_FAULTS`) moves
-  the check to the next engine with a ``during="runtime"`` event;
-  ``BudgetExceeded`` (a ``PARTIAL`` verdict in flight) propagates.
+  the check to the next engine with a ``during="runtime"`` event.
 
 Restarting lower down is sound because the engines are pure functions
 of their inputs with identical verdicts (the CI differentials pin
@@ -35,7 +34,6 @@ from ..kernel.engine import CheckSource
 from ..kernel.shared.budget import active_memory_context
 from ..obs import Instrumentation
 from ..resilience.degrade import RECOVERABLE_ENGINE_FAULTS
-from .budget import BudgetExceeded
 
 __all__ = [
     "ENGINES",
@@ -55,12 +53,6 @@ PACKED_ALIAS_REASON = (
     "'packed' is an alias of 'vector'; the packed kernel runs only as "
     "the vector engine's fallback"
 )
-
-#: A checker's budget rule: why a rung may not run a budgeted check
-#: (``None``: it may).  A ``PARTIAL`` cut must replay the tuple
-#: engine's exploration order, so a budget that could trip pins the
-#: check there.
-Pin = Callable[[str], Optional[str]]
 
 T = TypeVar("T")
 
@@ -95,25 +87,24 @@ def _preflight(
     concrete: CheckSource,
     abstract: CheckSource,
     alpha: Optional[AbstractionFunction],
-    pin: Pin,
 ) -> Optional[str]:
     """Why ``rung`` cannot run these sources (``None``: it can).
 
     Shared has its own gates
     (:func:`~repro.kernel.shared.shared_fallback_reason`): the interner
-    ceiling is exactly the limit it exists to bypass.  Vector and packed intern every state, so both
-    check the ceiling first, then the budget; vector also needs NumPy
-    and a lowerable program.
+    ceiling is exactly the limit it exists to bypass.  Vector and
+    packed intern every state, so both check the ceiling; vector also
+    needs NumPy and a lowerable program.
     """
     if rung == "tuple":
         return None
     if rung == "shared":
         from ..kernel.shared import shared_fallback_reason
 
-        return shared_fallback_reason(concrete, abstract, alpha) or pin(rung)
+        return shared_fallback_reason(concrete, abstract, alpha)
     from ..kernel import packed_fallback_reason
 
-    reason = packed_fallback_reason(concrete, abstract) or pin(rung)
+    reason = packed_fallback_reason(concrete, abstract)
     if reason is None and rung == "vector":
         from ..kernel.vector import vector_fallback_reason
 
@@ -127,7 +118,6 @@ def engine_chain(
     abstract: CheckSource,
     alpha: Optional[AbstractionFunction],
     backends: Collection[str],
-    pin: Pin,
     instrumentation: Instrumentation,
     unserved: str = "",
 ) -> Tuple[str, ...]:
@@ -165,7 +155,7 @@ def engine_chain(
         "shared" in backends and active_memory_context() is not None
     )
     reasons = {
-        rung: _preflight(rung, concrete, abstract, alpha, pin)
+        rung: _preflight(rung, concrete, abstract, alpha)
         for rung in RUNGS[0 if tries_shared else 1:]
         if rung in backends
     }
@@ -209,8 +199,6 @@ def run_chain(
     for position, engine in enumerate(chain):
         try:
             outcome = attempt(engine)
-        except BudgetExceeded:
-            raise
         except RECOVERABLE_ENGINE_FAULTS as fault:
             if position == len(chain) - 1:
                 raise

@@ -59,9 +59,7 @@ the attempt with a reasoned ``engine.fallback`` event and replays the
 check on the tuple engine (a witness depends on its set iteration
 order), so verdicts, witnesses and counters are identical on every
 engine; so does a runtime fault on vector
-(:func:`~repro.checker.engines.run_chain`).  A state budget, or a
-budget meter shared with an enclosing check, pins the check to the
-tuple engine, whose exploration order the ``PARTIAL`` cut follows.
+(:func:`~repro.checker.engines.run_chain`).
 """
 
 from __future__ import annotations
@@ -72,7 +70,6 @@ from ..core.abstraction import AbstractionFunction, identity_abstraction
 from ..core.state import State
 from ..core.system import System, Transition
 from ..obs import NULL_INSTRUMENTATION, Instrumentation, ProgressEmitter
-from .budget import BudgetExceeded, BudgetMeter
 from .convergence import (
     SystemOrProgram,
     _as_system,
@@ -364,8 +361,6 @@ def _refinement(
     stutter_insensitive: bool,
     open_systems: bool,
     instrumentation: Instrumentation,
-    state_budget: Optional[int],
-    meter: Optional[BudgetMeter],
     engine: str,
     name: str,
     workers: int = 1,
@@ -374,31 +369,17 @@ def _refinement(
 
     ``holds`` is the relation's optimistic decision over the vector
     clauses and ``decide`` its tuple reference, called with the
-    compiled systems and the meter.  The engines are vector and tuple
-    (:func:`~.engines.engine_chain`); a budget or a shared meter pins
-    the check to tuple.  A proof emits its counters and is the verdict;
-    a violation, or an image outside the abstract schema, emits only
-    the reasoned fallback before the tuple replay, and a runtime fault
-    on vector replays there too (:func:`~.engines.run_chain`).  A
-    budget cut is the ``PARTIAL`` verdict when the meter is the check's
-    own, and propagates to the owner of a shared one.  Every engine
-    decides refinement in one process, so a ``workers > 1`` request is
-    noted with a ``parallel.sequential`` event.
+    compiled systems.  The engines are vector and tuple
+    (:func:`~.engines.engine_chain`).  A proof emits its counters and is
+    the verdict; a violation, or an image outside the abstract schema,
+    emits only the reasoned fallback before the tuple replay, and a
+    runtime fault on vector replays there too
+    (:func:`~.engines.run_chain`).  Every engine decides refinement in
+    one process, so a ``workers > 1`` request is noted with a
+    ``parallel.sequential`` event.
     """
-    own_meter = meter is None
-
-    def pin(rung: str) -> Optional[str]:
-        if not own_meter:
-            return "a shared budget meter pins the check to the tuple engine"
-        if state_budget is not None:
-            return (
-                f"state budget {state_budget} is set; budgeted exploration "
-                f"follows the tuple engine's order"
-            )
-        return None
-
     chain = engine_chain(
-        engine, concrete, abstract, alpha, ("vector", "tuple"), pin,
+        engine, concrete, abstract, alpha, ("vector", "tuple"),
         instrumentation, unserved="no streamed refinement clauses",
     )
     _note_sequential(instrumentation, chain[0], workers)
@@ -413,16 +394,10 @@ def _refinement(
         abstract_system = (
             concrete_system if abstract is concrete else _as_system(abstract)
         )
-        try:
-            return decide(
-                concrete_system, abstract_system, alpha, stutter_insensitive,
-                open_systems, instrumentation,
-                meter if meter is not None else BudgetMeter(state_budget), name,
-            )
-        except BudgetExceeded as exc:
-            if not own_meter:
-                raise
-            return _partial_result(name, exc, instrumentation)
+        return decide(
+            concrete_system, abstract_system, alpha, stutter_insensitive,
+            open_systems, instrumentation, name,
+        )
 
     return run_chain(chain, attempt, instrumentation)[1]
 
@@ -475,36 +450,6 @@ def _resolve_alpha(
     return identity_abstraction(concrete.schema)
 
 
-def _partial_result(
-    name: str, exc: BudgetExceeded, instrumentation: Instrumentation
-) -> CheckResult:
-    """The ``PARTIAL`` verdict for a budget-capped refinement check."""
-    instrumentation.event(
-        "refine.partial",
-        phase=exc.partial.phase,
-        explored=exc.partial.explored,
-        frontier=exc.partial.frontier,
-        budget=exc.partial.budget,
-    )
-    return CheckResult(False, name, partial=exc.partial)
-
-
-def _reachable_metered(system: System, meter: BudgetMeter, phase: str):
-    """``system.reachable()`` with per-state budget charging."""
-    if meter.budget is None:
-        return system.reachable()
-    seen = set(system.initial)
-    frontier = list(seen)
-    while frontier:
-        meter.charge(phase, frontier=len(frontier))
-        state = frontier.pop()
-        for successor in system.successors(state):
-            if successor not in seen:
-                seen.add(successor)
-                frontier.append(successor)
-    return frozenset(seen)
-
-
 def check_init_refinement(
     concrete: SystemOrProgram,
     abstract: SystemOrProgram,
@@ -512,8 +457,6 @@ def check_init_refinement(
     stutter_insensitive: bool = False,
     open_systems: bool = False,
     instrumentation: Instrumentation = NULL_INSTRUMENTATION,
-    state_budget: Optional[int] = None,
-    meter: Optional[BudgetMeter] = None,
     workers: int = 1,
     engine: str = "tuple",
 ) -> CheckResult:
@@ -540,14 +483,6 @@ def check_init_refinement(
             standalone automata are disabled almost everywhere.
         instrumentation: observability sink (reachable-state and
             transition counts); the null default is free.
-        state_budget: optional cap on states/transitions enumerated;
-            past it the result is a structured ``PARTIAL`` verdict
-            instead of a memory blow-up.
-        meter: a shared :class:`~repro.checker.budget.BudgetMeter`
-            (used by enclosing checks to pool one budget across
-            clauses); overrides ``state_budget`` and lets
-            :class:`~repro.checker.budget.BudgetExceeded` propagate to
-            the owner.
         workers: accepted for symmetry with the stabilization check;
             refinement always decides in one process (a request above
             1 emits a ``parallel.sequential`` event), so the verdict
@@ -557,7 +492,7 @@ def check_init_refinement(
     return _refinement(
         _init_holds, _decide_init_refinement,
         concrete, abstract, alpha, stutter_insensitive, open_systems,
-        instrumentation, state_budget, meter, engine,
+        instrumentation, engine,
         f"[{_source_name(concrete)} (= {_source_name(abstract)}]_init",
         workers,
     )
@@ -570,10 +505,9 @@ def _decide_init_refinement(
     stutter_insensitive: bool,
     open_systems: bool,
     instrumentation: Instrumentation,
-    meter: BudgetMeter,
     name: str,
 ) -> CheckResult:
-    """The clauses of :func:`check_init_refinement`, budget-metered."""
+    """The clauses of :func:`check_init_refinement`."""
     mapping = _resolve_alpha(concrete, abstract, alpha)
     for state in concrete.initial:
         image = mapping(state)
@@ -589,7 +523,7 @@ def _decide_init_refinement(
                 ),
             )
     with instrumentation.span("refine.init_clause"):
-        reachable = _reachable_metered(concrete, meter, "refine.init.reachable")
+        reachable = concrete.reachable()
     instrumentation.count("refine.reachable.size", len(reachable))
     checked = 0
     # Canonical scan order: sorting makes the first witness (and so the
@@ -613,7 +547,6 @@ def _decide_init_refinement(
             continue
         for successor in successors:
             checked += 1
-            meter.charge("refine.init.transitions", unit="transitions")
             target_image = mapping(successor)
             if target_image == image and stutter_insensitive:
                 continue
@@ -644,8 +577,6 @@ def check_everywhere_refinement(
     stutter_insensitive: bool = False,
     open_systems: bool = False,
     instrumentation: Instrumentation = NULL_INSTRUMENTATION,
-    state_budget: Optional[int] = None,
-    meter: Optional[BudgetMeter] = None,
     engine: str = "tuple",
 ) -> CheckResult:
     """Decide ``[C subseteq A]`` — every computation of ``C`` is one of ``A``.
@@ -654,14 +585,13 @@ def check_everywhere_refinement(
     over the whole state space rather than the reachable part, and
     without the initial-state clause (everywhere refinement constrains
     behaviour, not initial sets).  ``open_systems`` skips the
-    maximality clause, as for :func:`check_init_refinement`.
-    ``state_budget``/``meter``/``engine`` behave as for
+    maximality clause, and ``engine`` behaves, as for
     :func:`check_init_refinement`.
     """
     return _refinement(
         _everywhere_holds, _decide_everywhere_refinement,
         concrete, abstract, alpha, stutter_insensitive, open_systems,
-        instrumentation, state_budget, meter, engine,
+        instrumentation, engine,
         f"[{_source_name(concrete)} (= {_source_name(abstract)}]",
     )
 
@@ -673,13 +603,12 @@ def _decide_everywhere_refinement(
     stutter_insensitive: bool,
     open_systems: bool,
     instrumentation: Instrumentation,
-    meter: BudgetMeter,
     name: str,
 ) -> CheckResult:
-    """The scan of :func:`check_everywhere_refinement`, budget-metered."""
+    """The scan of :func:`check_everywhere_refinement`."""
     mapping = _resolve_alpha(concrete, abstract, alpha)
     checked = 0
-    for state in meter.metered(concrete.schema.states(), "refine.everywhere"):
+    for state in concrete.schema.states():
         image = mapping(state)
         successors = concrete.successors(state)
         if not successors:
@@ -751,7 +680,6 @@ def check_convergence_refinement(
     stutter_insensitive: bool = False,
     open_systems: bool = False,
     instrumentation: Instrumentation = NULL_INSTRUMENTATION,
-    state_budget: Optional[int] = None,
     workers: int = 1,
     engine: str = "tuple",
 ) -> CheckResult:
@@ -772,9 +700,6 @@ def check_convergence_refinement(
         instrumentation: observability sink (per-clause timings,
             exact/compression/stutter counts, the verdict); the null
             default is free.
-        state_budget: one budget pooled across every clause; past it
-            the result is a structured ``PARTIAL`` verdict instead of
-            a memory blow-up.
         workers: as for :func:`check_init_refinement`: refinement
             decides in one process, and the verdict — witness and
             rendering included — is identical for every worker count.
@@ -788,12 +713,10 @@ def check_convergence_refinement(
         result = _refinement(
             _convergence_holds, _decide_convergence_refinement,
             concrete, abstract, alpha, stutter_insensitive, open_systems,
-            instrumentation, state_budget, None, engine,
+            instrumentation, engine,
             f"[{_source_name(concrete)} <= {_source_name(abstract)}]",
             workers,
         )
-    if result.is_partial:
-        return result
     witness = result.witness
     instrumentation.event(
         "refine.verdict",
@@ -811,7 +734,6 @@ def _decide_convergence_refinement(
     stutter_insensitive: bool,
     open_systems: bool,
     instrumentation: Instrumentation,
-    meter: BudgetMeter,
     name: str,
 ) -> CheckResult:
     """The clauses of :func:`check_convergence_refinement`, instrumented."""
@@ -849,7 +771,6 @@ def _decide_convergence_refinement(
         stutter_insensitive=stutter_insensitive,
         open_systems=open_systems,
         instrumentation=instrumentation,
-        meter=meter,
     )
     if not init_part.holds:
         return CheckResult(False, name, init_part.witness, detail="init-refinement clause failed")
@@ -860,9 +781,7 @@ def _decide_convergence_refinement(
     progress = ProgressEmitter(instrumentation, "refine.transition_scan")
     scanned = 0
     with instrumentation.span("refine.transition_scan"):
-        for source, target in meter.metered(
-            concrete.transitions(), "refine.transition_scan", unit="transitions"
-        ):
+        for source, target in concrete.transitions():
             scanned += 1
             if progress.enabled and scanned % 4096 == 0:
                 progress.tick(0, 0, scanned)
@@ -936,11 +855,7 @@ def _decide_convergence_refinement(
 
     # Clause 4: terminal states must map to terminal states (closed
     # systems only; open systems have no maximality requirement).
-    terminal_scan = (
-        meter.metered(concrete.schema.states(), "refine.terminal_scan")
-        if not open_systems
-        else ()
-    )
+    terminal_scan = concrete.schema.states() if not open_systems else ()
     for state in terminal_scan:
         if concrete.is_terminal(state) and not abstract.is_terminal(mapping(state)):
             return CheckResult(
@@ -1022,7 +937,6 @@ def check_everywhere_eventually_refinement(
     abstract: SystemOrProgram,
     alpha: Optional[AbstractionFunction] = None,
     instrumentation: Instrumentation = NULL_INSTRUMENTATION,
-    state_budget: Optional[int] = None,
     engine: str = "tuple",
 ) -> CheckResult:
     """Decide the related-work relation of the paper's Section 7.
@@ -1051,10 +965,8 @@ def check_everywhere_eventually_refinement(
     name = f"[{_source_name(concrete)} ee-refines {_source_name(abstract)}]"
     init_part = check_init_refinement(
         concrete, abstract, mapping, instrumentation=instrumentation,
-        state_budget=state_budget, engine=engine,
+        engine=engine,
     )
-    if init_part.is_partial:
-        return CheckResult(False, name, partial=init_part.partial)
     if not init_part.holds:
         return CheckResult(False, name, init_part.witness,
                            detail="init-refinement clause failed")
@@ -1064,13 +976,11 @@ def check_everywhere_eventually_refinement(
     )
     suffix_part = check_stabilization(
         concrete, liberal, mapping, compute_steps=False,
-        instrumentation=instrumentation, state_budget=state_budget,
-        engine=engine,
+        instrumentation=instrumentation, engine=engine,
     )
     return CheckResult(
         suffix_part.result.holds,
         name,
         suffix_part.result.witness,
         detail=suffix_part.result.detail,
-        partial=suffix_part.result.partial,
     )

@@ -11,12 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.state import State, StateSchema
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (budget -> witnesses)
-    from .budget import PartialExploration
 
 __all__ = ["WitnessKind", "Witness", "CheckResult"]
 
@@ -80,35 +77,22 @@ class CheckResult:
     """Verdict of a decision procedure plus failure evidence.
 
     Attributes:
-        holds: the verdict.  ``False`` both on a counterexample and on
-            a partial (budget-capped) exploration — an unfinished check
-            affirms nothing; use :attr:`is_partial` to tell them apart.
+        holds: the verdict.
         check: name of the property that was decided (e.g.
             ``"convergence refinement"``).
         witness: populated iff the check found a counterexample.
         detail: optional free-form text with statistics of the check
             (state counts, number of compression edges, ...).
-        partial: populated iff the check ran out of state budget
-            before reaching a verdict (see
-            :class:`repro.checker.budget.PartialExploration`).
     """
 
     holds: bool
     check: str
     witness: Optional[Witness] = None
     detail: str = ""
-    partial: Optional["PartialExploration"] = None
-
-    @property
-    def is_partial(self) -> bool:
-        """Did the check stop at its state budget rather than decide?"""
-        return self.partial is not None
 
     @property
     def verdict(self) -> str:
-        """``"HOLDS"``, ``"FAILS"``, or ``"PARTIAL"``."""
-        if self.is_partial:
-            return "PARTIAL"
+        """``"HOLDS"`` or ``"FAILS"``."""
         return "HOLDS" if self.holds else "FAILS"
 
     def __bool__(self) -> bool:
@@ -117,8 +101,6 @@ class CheckResult:
     def format(self) -> str:
         """Multi-line rendering: verdict, detail, and witness if any."""
         lines = [f"{self.check}: {self.verdict}"]
-        if self.partial is not None:
-            lines.append(f"  {self.partial.format()}")
         if self.detail:
             lines.append(f"  {self.detail}")
         if self.witness is not None:

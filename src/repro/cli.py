@@ -16,10 +16,10 @@ Subcommands::
 a second program over the same variables); ``verify-tree`` brings a
 whole directory of specs to a verified state incrementally — verdicts
 replay from a fingerprint manifest unless the spec changed, and each
-re-verified spec runs at an adaptively selected tier (see
-:mod:`repro.tiering` and ``docs/PERFORMANCE.md``); ``refines`` decides
-one of
-the paper's refinement relations between two programs; ``ring`` runs a
+re-verified spec gets the exact check, or the simulated estimate under
+``--tier light`` (see :mod:`repro.tiering` and
+``docs/PERFORMANCE.md``); ``refines`` decides one of the paper's
+refinement relations between two programs; ``ring`` runs a
 named token-ring verification from the reproduction; ``simulate`` runs
 the random-daemon simulator and prints the trace tail; ``report``
 summarizes an observability file written with ``--obs-out`` /
@@ -186,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-tree",
         help="incrementally verify every GCL spec under a directory: "
         "unchanged specs replay manifest verdicts byte for byte, "
-        "changed ones re-verify at an adaptively selected tier",
+        "changed ones re-verify exactly (or simulated, under --tier "
+        "light)",
     )
     vtree.add_argument(
         "root", help="directory walked recursively for *.gcl spec files"
@@ -197,20 +198,15 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: ROOT/.repro-verify/manifest.json)",
     )
     vtree.add_argument(
-        "--ledger", metavar="PATH",
-        help="persisted per-spec risk ledger feeding tier selection "
-        "(default: ROOT/.repro-verify/ledger.json)",
-    )
-    vtree.add_argument(
-        "--tier", choices=("light", "standard", "thorough"), default=None,
-        help="pin every re-verified spec to one tier instead of "
-        "adaptive selection; manifest entries verified at another "
-        "tier are re-verified (default: select per spec from size "
-        "and verdict history)",
+        "--tier", choices=("light", "thorough"), default=None,
+        help="'light' estimates every spec by seeded simulation "
+        "instead of the exact check (a spec the sampler cannot "
+        "intern still runs thorough); manifest entries verified at "
+        "another tier are re-verified (default: thorough)",
     )
     vtree.add_argument(
         "--fairness", choices=("none", "weak", "strong"), default="none",
-        help="daemon fairness for the exhaustive tiers; part of the "
+        help="daemon fairness for the thorough tier; part of the "
         "fingerprint, so changing it invalidates the manifest "
         "(default: none)",
     )
@@ -327,22 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument(
         "--deadline", type=_positive_float, default=10.0,
-        help="wall-clock budget per run in seconds (default: 10)",
+        help="wall-clock budget per simulation run in seconds (default: 10)",
     )
     camp.add_argument(
         "--retries", type=_int_at_least(0), default=1,
         help="extra attempts after a crashed cell (default: 1)",
     )
     camp.add_argument(
-        "--state-budget", type=_int_at_least(1), default=500_000,
-        help="state cap for verification cells; past it the checker "
-        "reports PARTIAL instead of exhausting memory "
-        "(default: 500000)",
-    )
-    camp.add_argument(
         "--with-check", action="store_true",
-        help="also run one budget-capped stabilization check per "
-        "(system, size)",
+        help="also run one exact stabilization check per (system, size)",
     )
     camp.add_argument(
         "--checkpoint", metavar="PATH",
@@ -368,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument(
         "--smoke", action="store_true",
         help="run the small fixed CI grid (two systems, one seed, "
-        "budgeted checks) regardless of the axis flags",
+        "with checks) regardless of the axis flags",
     )
     _add_engine_flag(camp)
     _add_parallel_flags(camp)
@@ -691,7 +680,7 @@ def _cmd_check(args) -> int:
             workers=args.workers, engine=args.engine,
         )
     print(result.format())
-    if cache is not None and key is not None and not result.is_partial:
+    if cache is not None and key is not None:
         cache.put(key, {"holds": result.holds, "text": result.format()})
         print("verification cache: stored", file=sys.stderr)
     _flush_recorder(args, recorder)
@@ -709,7 +698,6 @@ def _cmd_verify_tree(args) -> int:
     report = verify_tree(
         args.root,
         manifest_path=args.manifest,
-        ledger_path=args.ledger,
         forced_tier=Tier(args.tier) if args.tier else None,
         fairness=args.fairness,
         engine=args.engine,
@@ -846,7 +834,7 @@ def _cmd_campaign(args) -> int:
         )
         config = CampaignConfig(
             steps=1000, deadline=30.0, retries=args.retries,
-            seed=args.seed, state_budget=100_000,
+            seed=args.seed,
             checkpoint=args.checkpoint, trace_dir=args.trace_out,
             workers=args.workers, cache_dir=args.cache_dir,
             engine=args.engine, early_stop=args.early_stop,
@@ -863,7 +851,7 @@ def _cmd_campaign(args) -> int:
         config = CampaignConfig(
             steps=args.steps, deadline=args.deadline,
             retries=args.retries, seed=args.seed,
-            fault_count=args.faults, state_budget=args.state_budget,
+            fault_count=args.faults,
             checkpoint=args.checkpoint, trace_dir=args.trace_out,
             workers=args.workers, cache_dir=args.cache_dir,
             engine=args.engine, early_stop=args.early_stop,

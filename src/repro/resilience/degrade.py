@@ -13,9 +13,6 @@ verdict (CI pins the byte-identity differentials): rerunning a check
 lower down cannot change the answer, only the wall-clock.  The last
 engine's faults propagate — ``tuple`` has no cheaper fallback, and
 masking its failure would turn a crash into a silent wrong answer.
-
-``BudgetExceeded`` is deliberately *not* recoverable: it is a
-structured PARTIAL verdict in flight, not an engine fault.
 """
 
 from __future__ import annotations

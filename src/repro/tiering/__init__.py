@@ -1,15 +1,14 @@
-"""Adaptive tiered verification and fingerprint-incremental re-verification.
+"""Tiered verification and fingerprint-incremental re-verification.
 
 The checks of :mod:`repro.checker` are compositional: a verdict for a
 spec does not change unless the program, the abstraction, or the check
 semantics change.  This package exploits that twice over:
 
-* :mod:`repro.tiering.select` — the **tier selector**: LIGHT (seeded
-  Monte-Carlo estimate, :mod:`repro.tiering.montecarlo`), STANDARD
-  (budgeted exhaustive), or THOROUGH (full exhaustive plus refinement
-  witnesses), chosen per spec from its size, its verdict history
-  (:mod:`repro.tiering.ledger`), or an explicit override — every
-  decision explained by a ``tier.select`` event;
+* :mod:`repro.tiering.select` — the **tier selector**: THOROUGH (the
+  exhaustive check, exact on whichever engine decides it) unless a
+  forced ``--tier light`` asks for the seeded Monte-Carlo estimate
+  (:mod:`repro.tiering.montecarlo`) — every decision explained by a
+  ``tier.select`` event naming the deciding engine;
 * :mod:`repro.tiering.manifest` + :mod:`repro.tiering.runner` — the
   **incremental layer**: ``repro verify-tree <dir>`` diffs canonical
   program fingerprints against the previous run's manifest and
@@ -17,11 +16,9 @@ semantics change.  This package exploits that twice over:
   for byte with zero engine fixpoints.
 
 See ``docs/PERFORMANCE.md`` ("Tiered and incremental verification")
-for the selection matrix, the manifest format, and the invalidation
-rules.
+for the manifest format and the invalidation rules.
 """
 
-from .ledger import LEDGER_SCHEMA_VERSION, MAX_OUTCOMES, RiskLedger
 from .manifest import (
     MANIFEST_SCHEMA_VERSION,
     Manifest,
@@ -30,25 +27,13 @@ from .manifest import (
 )
 from .montecarlo import LightVerdict, light_convergence_estimate
 from .runner import SpecOutcome, TreeReport, verify_tree
-from .select import (
-    DEFAULT_THRESHOLDS,
-    Tier,
-    TierDecision,
-    TierThresholds,
-    select_tier,
-    spec_cells,
-)
+from .select import Tier, TierDecision, select_tier, tier_for
 
 __all__ = [
     "Tier",
-    "TierThresholds",
-    "DEFAULT_THRESHOLDS",
     "TierDecision",
     "select_tier",
-    "spec_cells",
-    "RiskLedger",
-    "LEDGER_SCHEMA_VERSION",
-    "MAX_OUTCOMES",
+    "tier_for",
     "Manifest",
     "ManifestDiff",
     "ManifestEntry",

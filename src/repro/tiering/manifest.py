@@ -13,15 +13,15 @@ manifest and re-verifies *only* what changed:
   runs at all);
 * **changed** — the fingerprint moved: the spec is re-verified;
 * **added** — a path the manifest has never seen;
-* **removed** — a manifest path no longer on disk: the entry (and its
-  ledger history) is dropped.
+* **removed** — a manifest path no longer on disk: the entry is
+  dropped.
 
 Invalidation rules, in order of precedence: a manifest schema bump
 discards the whole file; a change to the verdict-relevant check
 parameters (fairness mode, the LIGHT sampler seed) invalidates every
-entry; a fingerprint change invalidates its own entry.  PARTIAL
-verdicts are never stored — a budget cut is not a decision, so the
-spec re-verifies on every run until a tier decides it.
+entry; a fingerprint change invalidates its own entry.  The runner
+replays an unchanged entry only when its tier is the tier the run
+selects (:func:`repro.tiering.select.tier_for`).
 
 The file is JSON, written atomically; losing it costs one cold run,
 never a wrong verdict.
@@ -40,7 +40,9 @@ __all__ = ["MANIFEST_SCHEMA_VERSION", "ManifestEntry", "ManifestDiff", "Manifest
 
 #: Bumped whenever the stored layout or replay semantics change; a
 #: mismatched manifest is discarded wholesale (one cold run re-fills).
-MANIFEST_SCHEMA_VERSION = 1
+#: Version 2 dropped the ``standard`` tier and the size-chosen LIGHT
+#: tier, so no version-1 entry is known to answer a version-2 run.
+MANIFEST_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class ManifestEntry:
     Attributes:
         fingerprint: canonical program fingerprint the verdict is for.
         tier: tier the verdict was computed at (``light`` /
-            ``standard`` / ``thorough``).
+            ``thorough``).
         holds: the verdict.
         text: the exact formatted verdict text, replayed byte for byte
             on a manifest hit.

@@ -1,10 +1,10 @@
 """The LIGHT tier: a seeded Monte-Carlo convergence estimate.
 
-When a spec is too large for exhaustive fixpoints, the principled
-budget-bounded stand-in (per *Weak vs. Self vs. Probabilistic
-Stabilization*, PAPERS.md) is statistical: sample random states,
-run the random daemon, and measure how many trajectories re-enter
-legitimate behaviour within a step horizon.
+Beyond exhaustive reach, the principled stand-in (per *Weak vs. Self
+vs. Probabilistic Stabilization*, PAPERS.md) is statistical: sample
+random states, run the random daemon, and measure how many
+trajectories re-enter legitimate behaviour within a step horizon.  It
+runs only when ``--tier light`` forces it.
 
 States are the packed kernel's dense int codes, so sampling a random
 state is one ``randrange`` over the interner range (never an
@@ -84,11 +84,6 @@ class LightVerdict:
     def holds(self) -> bool:
         """Every sampled trajectory converged (statistical evidence only)."""
         return self.samples > 0 and self.converged == self.samples
-
-    @property
-    def is_partial(self) -> bool:
-        """Sampling never decides; kept for result-shape compatibility."""
-        return False
 
     def format(self) -> str:
         """Render the estimate, clearly marked as simulated."""
@@ -221,7 +216,7 @@ def light_convergence_estimate(
 
     Args:
         program: the spec (must have a packable schema — tier
-            selection guarantees this before routing a spec here).
+            selection runs an unpackable spec THOROUGH instead).
         samples: trajectories to sample.
         horizon: step budget per sampled trajectory.
         warmup: burn-in steps before the legitimate tail is recorded.

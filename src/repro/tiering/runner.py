@@ -9,25 +9,26 @@ manifest allows:
    semantics flags);
 2. the fingerprints are diffed against the
    :class:`~repro.tiering.manifest.Manifest` of the previous run —
-   unchanged specs replay their stored verdict byte for byte (zero
-   engine fixpoints), changed/new specs are re-verified;
+   unchanged specs whose stored tier is the tier this run selects
+   replay their stored verdict byte for byte (zero engine fixpoints);
+   changed, new and other-tier specs are re-verified;
 3. each spec to verify gets a tier from
-   :func:`~repro.tiering.select.select_tier` (size, ledger history,
-   or the forced ``--tier``) and runs the corresponding check —
-   THOROUGH is exactly ``repro check`` (full exhaustive plus the
-   worst-case convergence metric), STANDARD is the budgeted exhaustive
-   check, LIGHT is the seeded Monte-Carlo estimate;
+   :func:`~repro.tiering.select.select_tier` (the forced ``--tier``,
+   or THOROUGH) and runs the corresponding check — THOROUGH is
+   exactly ``repro check`` (exhaustive, with the worst-case
+   convergence metric), LIGHT is the seeded Monte-Carlo estimate;
 4. verified specs fan out through the existing
    :class:`~repro.parallel.pool.WorkerPool` when ``--workers`` asks
    for it (``map`` preserves order, so stdout is identical at every
    worker count);
-5. the manifest and the risk ledger are updated and saved.
+5. the manifest is updated and saved.
 
 Output contract: **stdout carries only the verdict texts**, one block
 per spec in sorted path order — so a warm run's stdout is byte-
-identical to the cold run's, and a THOROUGH-tier block is byte-
-identical to ``repro check`` on that file.  Markers (``[cached]`` /
-``[verified]`` with the tier) and the summary line go to stderr.
+identical to the cold run's, and a THOROUGH-tier block (every block of
+a run without ``--tier light``) is byte-identical to ``repro check``
+on that file.  Markers (``[cached]`` / ``[verified]`` with the tier)
+and the summary line go to stderr.
 """
 
 from __future__ import annotations
@@ -46,20 +47,14 @@ from ..parallel.pool import (
     worker_context,
     worker_instrumentation,
 )
-from .ledger import RiskLedger
 from .manifest import Manifest, ManifestEntry
 from .montecarlo import light_convergence_estimate
-from .select import (
-    DEFAULT_THRESHOLDS,
-    Tier,
-    TierThresholds,
-    select_tier,
-)
+from .select import Tier, select_tier, tier_for
 
 __all__ = ["SpecOutcome", "TreeReport", "verify_tree"]
 
-#: Where the manifest and ledger live relative to the tree root when
-#: the caller does not say otherwise.
+#: Where the manifest lives relative to the tree root when the caller
+#: does not say otherwise.
 DEFAULT_STATE_DIR = ".repro-verify"
 
 
@@ -72,7 +67,6 @@ class SpecOutcome:
         tier: the tier the verdict came from.
         replayed: the verdict came from the manifest, not an engine.
         holds: the verdict.
-        partial: the check was cut at its state budget (never stored).
         text: the formatted verdict block.
     """
 
@@ -80,7 +74,6 @@ class SpecOutcome:
     tier: str
     replayed: bool
     holds: bool
-    partial: bool
     text: str
 
 
@@ -125,15 +118,14 @@ def _check_spec(
     fairness: str,
     engine: str,
     seed: int,
-    thresholds: TierThresholds,
     instrumentation: Instrumentation,
-) -> Tuple[bool, bool, str]:
-    """Run one spec at its tier; returns ``(holds, partial, text)``.
+) -> Tuple[bool, str]:
+    """Run one spec at its tier; returns ``(holds, text)``.
 
     The THOROUGH branch is parameter-for-parameter ``repro check``
-    (full exhaustive, worst-case convergence metric included), which is
-    what makes THOROUGH ``verify-tree`` blocks byte-identical to the
-    direct command.
+    (exhaustive, worst-case convergence metric included), which is what
+    makes THOROUGH ``verify-tree`` blocks byte-identical to the direct
+    command.
     """
     from ..checker import check_self_stabilization
 
@@ -141,27 +133,17 @@ def _check_spec(
         estimate = light_convergence_estimate(
             program, seed=seed, instrumentation=instrumentation
         )
-        return estimate.holds, estimate.is_partial, estimate.format()
-    if tier is Tier.STANDARD:
-        result = check_self_stabilization(
-            program,
-            fairness=fairness,
-            compute_steps=False,
-            state_budget=thresholds.standard_state_budget,
-            instrumentation=instrumentation,
-            engine=engine,
-        )
-    else:
-        result = check_self_stabilization(
-            program,
-            fairness=fairness,
-            instrumentation=instrumentation,
-            engine=engine,
-        )
-    return result.holds, result.is_partial, result.format()
+        return estimate.holds, estimate.format()
+    result = check_self_stabilization(
+        program,
+        fairness=fairness,
+        instrumentation=instrumentation,
+        engine=engine,
+    )
+    return result.holds, result.format()
 
 
-def _verify_spec_task(relpath: str) -> Tuple[str, bool, bool, str]:
+def _verify_spec_task(relpath: str) -> Tuple[str, bool, str]:
     """Pool task: verify the staged spec named ``relpath``.
 
     Runs in a forked worker; the parsed programs, tier decisions, and
@@ -173,29 +155,26 @@ def _verify_spec_task(relpath: str) -> Tuple[str, bool, bool, str]:
     jobs: Mapping[str, Tuple[Program, Tier]] = context["verify_jobs"]  # type: ignore[assignment]
     params: Mapping[str, object] = context["verify_params"]  # type: ignore[assignment]
     program, tier = jobs[relpath]
-    holds, partial, text = _check_spec(
+    holds, text = _check_spec(
         program,
         tier,
         fairness=str(params["fairness"]),
         engine=str(params["engine"]),
         seed=int(params["seed"]),  # type: ignore[call-overload]
-        thresholds=params["thresholds"],  # type: ignore[arg-type]
         instrumentation=worker_instrumentation(),
     )
-    return relpath, holds, partial, text
+    return relpath, holds, text
 
 
 def verify_tree(
     root: str,
     *,
     manifest_path: Optional[str] = None,
-    ledger_path: Optional[str] = None,
     forced_tier: Optional[Tier] = None,
     fairness: str = "none",
     engine: str = "vector",
     seed: int = 0,
     workers: int = 1,
-    thresholds: TierThresholds = DEFAULT_THRESHOLDS,
     instrumentation: Instrumentation = NULL_INSTRUMENTATION,
     out: Optional[TextIO] = None,
     err: Optional[TextIO] = None,
@@ -207,21 +186,20 @@ def verify_tree(
             sorted relative-path order.
         manifest_path: the fingerprint manifest (default
             ``<root>/.repro-verify/manifest.json``).
-        ledger_path: the risk ledger (default next to the manifest).
-        forced_tier: pin every re-verified spec to one tier; an
-            unchanged manifest entry verified at a *different* tier is
-            treated as changed (the stored verdict does not answer the
-            question being asked).
-        fairness: daemon fairness for the exhaustive tiers; part of
+        forced_tier: pin every spec to one tier instead of THOROUGH.
+            An unchanged manifest entry is replayed only when it was
+            verified at the tier this run selects
+            (:func:`~repro.tiering.select.tier_for`); otherwise the
+            stored verdict does not answer the question being asked.
+        fairness: daemon fairness for the THOROUGH tier; part of
             the fingerprint semantics, so flipping it invalidates the
             manifest.
-        engine: checker engine for the exhaustive tiers (excluded from
+        engine: checker engine for the THOROUGH tier (excluded from
             fingerprints — verdicts are engine-identical).
         seed: the LIGHT sampler seed; a manifest parameter.
         workers: fan re-verified specs across this many forked workers
             (the verdict stream is order-preserved and identical at
             every count).
-        thresholds: tier-selection tunables.
         instrumentation: observability sink (``tier.select`` events,
             ``verify.*`` counters, worker telemetry).
         out: verdict stream (stdout contract in the module docstring);
@@ -244,7 +222,6 @@ def verify_tree(
         raise FileNotFoundError(f"spec tree {root!r} is not a directory")
     state_dir = tree / DEFAULT_STATE_DIR
     manifest = Manifest(manifest_path or state_dir / "manifest.json")
-    ledger = RiskLedger(ledger_path or state_dir / "ledger.json")
 
     semantics = {"keep_stutter": True, "fairness": fairness}
     params: Dict[str, object] = {"fairness": fairness, "seed": seed}
@@ -265,9 +242,8 @@ def verify_tree(
     pending = sorted(diff.changed + diff.added)
     for relpath in diff.unchanged:
         entry = manifest.entry(relpath)
-        if forced_tier is not None and entry is not None and (
-            entry.tier != forced_tier.value
-        ):
+        assert entry is not None  # unchanged came from the manifest
+        if entry.tier != tier_for(programs[relpath], forced_tier).value:
             pending.append(relpath)  # stored verdict answers another tier
         else:
             replayable.append(relpath)
@@ -278,26 +254,25 @@ def verify_tree(
         decision = select_tier(
             programs[relpath],
             label=relpath,
-            history=ledger.history(relpath),
             forced=forced_tier,
-            thresholds=thresholds,
+            engine=engine,
             instrumentation=instrumentation,
         )
         jobs[relpath] = (programs[relpath], decision.tier)
 
-    verified: Dict[str, Tuple[bool, bool, str]] = {}
+    verified: Dict[str, Tuple[bool, str]] = {}
     pool_workers = resolve_workers(workers) if pending else 1
     if pool_workers > 1:
         instrumentation.count("parallel.workers", pool_workers)
-        pool_params = dict(params, engine=engine, thresholds=thresholds)
+        pool_params = dict(params, engine=engine)
         with WorkerPool(
             pool_workers, verify_jobs=jobs, verify_params=pool_params
         ) as pool:
             results = pool.map_observed(
                 _verify_spec_task, pending, instrumentation
             )
-        for relpath, holds, partial, text in results:
-            verified[relpath] = (holds, partial, text)
+        for relpath, holds, text in results:
+            verified[relpath] = (holds, text)
     else:
         for relpath in pending:
             program, tier = jobs[relpath]
@@ -307,56 +282,43 @@ def verify_tree(
                 fairness=fairness,
                 engine=engine,
                 seed=seed,
-                thresholds=thresholds,
                 instrumentation=instrumentation,
             )
 
     report = TreeReport(params_changed=diff.params_changed)
     for relpath in sorted(fingerprints):
         if relpath in verified:
-            holds, partial, text = verified[relpath]
+            holds, text = verified[relpath]
             tier = jobs[relpath][1].value
             report.outcomes.append(
-                SpecOutcome(relpath, tier, False, holds, partial, text)
+                SpecOutcome(relpath, tier, False, holds, text)
             )
-            ledger.record(
+            manifest.store(
                 relpath,
-                holds=holds,
-                partial=partial,
-                tier=tier,
-                fingerprint=fingerprints[relpath],
+                ManifestEntry(
+                    fingerprint=fingerprints[relpath],
+                    tier=tier,
+                    holds=holds,
+                    text=text,
+                ),
+                params,
             )
-            if not partial:
-                manifest.store(
-                    relpath,
-                    ManifestEntry(
-                        fingerprint=fingerprints[relpath],
-                        tier=tier,
-                        holds=holds,
-                        text=text,
-                    ),
-                    params,
-                )
             print(f"[verified] {relpath} tier={tier}", file=err)
         else:
             entry = manifest.entry(relpath)
             assert entry is not None  # replayable came from the manifest
             report.outcomes.append(
-                SpecOutcome(
-                    relpath, entry.tier, True, entry.holds, False, entry.text
-                )
+                SpecOutcome(relpath, entry.tier, True, entry.holds, entry.text)
             )
             print(f"[cached] {relpath} tier={entry.tier}", file=err)
         print(report.outcomes[-1].text, file=out)
 
     for relpath in diff.removed:
         manifest.remove(relpath)
-        ledger.forget(relpath)
         report.removed.append(relpath)
         print(f"[removed] {relpath}", file=err)
 
     manifest.save()
-    ledger.save()
 
     instrumentation.count("verify.specs", len(report.outcomes))
     instrumentation.count("verify.verified", report.verified)

@@ -1,114 +1,38 @@
-"""Adaptive verification-tier selection.
+"""Verification-tier selection.
 
-A convergence-refinement verdict costs wildly different amounts
-depending on how it is computed: a full exhaustive check with
-refinement witnesses (the THOROUGH tier) is exact but scales with the
-state space; a budgeted exhaustive check (STANDARD) trades the
-worst-case convergence metric and unbounded exploration for a hard
-state cap; a seeded Monte-Carlo convergence estimate (LIGHT,
-:mod:`repro.tiering.montecarlo`) samples trajectories instead of
-enumerating states — the principled stand-in that *Weak vs. Self vs.
-Probabilistic Stabilization* (PAPERS.md) motivates when exhaustive
-fixpoints are out of budget.
+Two tiers remain.  THOROUGH is the exhaustive check — exact on
+whichever engine decides it (:func:`~repro.checker.engines.
+engine_chain`), with the worst-case convergence metric.  LIGHT is a
+seeded Monte-Carlo convergence estimate
+(:mod:`repro.tiering.montecarlo`) that samples trajectories instead of
+enumerating states — the stand-in that *Weak vs. Self vs.
+Probabilistic Stabilization* (PAPERS.md) motivates only beyond
+exhaustive reach, so it runs only when forced.
 
-:func:`select_tier` picks the tier for one spec from three signals:
-
-* **size** — the packed-cell count of the spec (state-space size times
-  actions-plus-variables, the same footprint formula the vector
-  engine's lowerability analysis uses): small specs are cheap enough
-  to always verify THOROUGH, huge ones only afford LIGHT.  Because the
-  units agree, a ``REPRO_MAX_VECTOR_CELLS`` override retunes the LIGHT
-  floor along with the engine ceiling (see
-  :func:`_light_floor_in_force`);
-* **verdict history** — a persisted :class:`~repro.tiering.ledger.
-  RiskLedger` of recent outcomes: a spec that failed, flapped, or cut
-  PARTIAL recently is *promoted* to THOROUGH regardless of size (risk
-  demands a witness), while a long clean streak *demotes* one tier
-  (stability earns speed);
-* **an explicit override** — a forced ``--tier`` wins over everything
-  (modulo feasibility: the LIGHT sampler needs a packable schema).
-
+:func:`select_tier` returns the forced tier, or THOROUGH.  A forced
+LIGHT on a schema the sampler cannot intern runs THOROUGH instead.
 Every decision is explained: a reasoned ``tier.select`` event (and a
-``tier.select.<tier>`` counter) goes to the instrumentation sink, so
-``repro report`` answers "why did this spec run LIGHT?".
+``tier.select.<tier>`` counter) goes to the instrumentation sink, and
+a THOROUGH reason names the engine that will decide the spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional
 
 from ..gcl.program import Program
 from ..obs import NULL_INSTRUMENTATION, Instrumentation
 
-__all__ = [
-    "Tier",
-    "TierThresholds",
-    "DEFAULT_THRESHOLDS",
-    "TierDecision",
-    "spec_cells",
-    "select_tier",
-]
+__all__ = ["Tier", "TierDecision", "select_tier", "tier_for"]
 
 
 class Tier(Enum):
-    """The three verification depths, cheapest first."""
+    """The two verification depths: simulated, and exact."""
 
     LIGHT = "light"
-    STANDARD = "standard"
     THOROUGH = "thorough"
-
-    @property
-    def rank(self) -> int:
-        """Position in the cheap-to-exact order (LIGHT=0 .. THOROUGH=2)."""
-        return _RANKS[self]
-
-
-_RANKS = {Tier.LIGHT: 0, Tier.STANDARD: 1, Tier.THOROUGH: 2}
-_BY_RANK = (Tier.LIGHT, Tier.STANDARD, Tier.THOROUGH)
-
-
-@dataclass(frozen=True)
-class TierThresholds:
-    """The tunable boundaries of :func:`select_tier`.
-
-    Attributes:
-        thorough_max_cells: specs at or below this packed-cell count
-            always afford the THOROUGH tier.
-        light_min_cells: specs at or above this cell count only afford
-            the LIGHT (simulated) tier; between the two bounds the
-            base tier is STANDARD.
-        standard_state_budget: the state cap a STANDARD-tier exhaustive
-            check runs under (past it the verdict is PARTIAL).
-        risk_window: how many most-recent ledger outcomes the risk
-            rules examine.
-        demote_streak: consecutive clean passes (held, not partial)
-            required before a spec is demoted one tier below its
-            size-based choice.
-    """
-
-    thorough_max_cells: int = 1 << 18
-    light_min_cells: int = 1 << 22
-    standard_state_budget: int = 250_000
-    risk_window: int = 5
-    demote_streak: int = 8
-
-    def __post_init__(self) -> None:
-        if self.thorough_max_cells < 1 or self.light_min_cells < 1:
-            raise ValueError("tier cell thresholds must be positive")
-        if self.thorough_max_cells >= self.light_min_cells:
-            raise ValueError(
-                f"thorough_max_cells ({self.thorough_max_cells}) must lie "
-                f"below light_min_cells ({self.light_min_cells})"
-            )
-        if self.standard_state_budget < 1:
-            raise ValueError("standard_state_budget must be positive")
-        if self.risk_window < 1 or self.demote_streak < 1:
-            raise ValueError("risk_window and demote_streak must be positive")
-
-
-DEFAULT_THRESHOLDS = TierThresholds()
 
 
 @dataclass(frozen=True)
@@ -117,96 +41,41 @@ class TierDecision:
 
     Attributes:
         tier: the tier the spec will be verified at.
-        base: the purely size-based tier, before history overrides.
         reason: one human-readable sentence explaining the choice.
-        cells: the packed-cell count the size rule judged.
+        engine: the engine that decides a THOROUGH check (``None`` for
+            LIGHT, which the sampler runs).
         states: the spec's state-space size.
     """
 
     tier: Tier
-    base: Tier
     reason: str
-    cells: int
+    engine: Optional[str]
     states: int
 
 
-def spec_cells(program: Program) -> int:
-    """The packed-cell footprint of a spec.
-
-    ``|Sigma| * (actions + variables)`` — the same formula the vector
-    engine's lowerability ceiling uses
-    (:data:`repro.kernel.vector.analyze.MAX_VECTOR_CELLS`), so the
-    size axis of tier selection and the engine-selection ceiling speak
-    the same unit.
-    """
-    schema = program.schema()
-    return schema.size() * (len(program.actions) + len(schema.names))
-
-
-def _packable_reason(program: Program) -> Optional[str]:
+def _unpackable_reason(program: Program) -> Optional[str]:
     """Why the LIGHT sampler cannot run on this spec (``None`` = it can)."""
     from ..kernel import unpackable_reason
 
     return unpackable_reason(program.schema())
 
 
-def _light_floor_in_force(thresholds: TierThresholds) -> Tuple[int, bool]:
-    """The LIGHT floor the size rule judges against, and whether the
-    ``REPRO_MAX_VECTOR_CELLS`` override retuned it.
+def tier_for(program: Program, forced: Optional[Tier] = None) -> Tier:
+    """The tier ``program`` runs at: ``forced``, or THOROUGH.
 
-    Tier selection and the vector engine's lowerability ceiling speak
-    the same cell unit (:func:`spec_cells`), so an operator who retunes
-    the engine ceiling has also moved the exhaustive-affordability
-    boundary: the floor in force becomes the overridden ceiling itself
-    (clamped above the THOROUGH ceiling) — specs the retuned engine can
-    lower are judged affordable for exhaustive checking, and specs it
-    refuses are not.  Without an override the configured
-    ``light_min_cells`` stands.
+    A forced LIGHT on a schema the sampler cannot intern is THOROUGH.
     """
-    from ..kernel.vector.analyze import (
-        MAX_VECTOR_CELLS,
-        effective_max_vector_cells,
-    )
-
-    ceiling = effective_max_vector_cells()
-    if ceiling == MAX_VECTOR_CELLS:
-        return thresholds.light_min_cells, False
-    return max(ceiling, thresholds.thorough_max_cells + 1), True
-
-
-def _clean_streak(history: Sequence[Mapping[str, object]]) -> int:
-    """Trailing run of held-and-complete outcomes, newest last."""
-    streak = 0
-    for outcome in reversed(history):
-        if outcome.get("holds") and not outcome.get("partial"):
-            streak += 1
-        else:
-            break
-    return streak
-
-
-def _risk_reason(
-    history: Sequence[Mapping[str, object]], window: int
-) -> Optional[str]:
-    """Why recent history demands the THOROUGH tier (``None`` = it doesn't)."""
-    recent: Tuple[Mapping[str, object], ...] = tuple(history[-window:])
-    if any(o.get("partial") for o in recent):
-        return "a recent verdict was PARTIAL (budget too small for this spec)"
-    if any(not o.get("holds") for o in recent):
-        return "the spec failed verification recently"
-    verdicts = [bool(o.get("holds")) for o in recent]
-    if any(a != b for a, b in zip(verdicts, verdicts[1:])):
-        return "the verdict flapped across recent runs"
-    return None
+    if forced is Tier.LIGHT and _unpackable_reason(program) is None:
+        return Tier.LIGHT
+    return Tier.THOROUGH
 
 
 def select_tier(
     program: Program,
     *,
     label: str = "",
-    history: Sequence[Mapping[str, object]] = (),
     forced: Optional[Tier] = None,
-    thresholds: TierThresholds = DEFAULT_THRESHOLDS,
+    engine: str = "vector",
     instrumentation: Instrumentation = NULL_INSTRUMENTATION,
 ) -> TierDecision:
     """Pick the verification tier for one spec (see the module docstring).
@@ -215,89 +84,44 @@ def select_tier(
         program: the parsed spec.
         label: how the spec is named in the ``tier.select`` event
             (typically its path).
-        history: recent ledger outcomes, oldest first — mappings with
-            ``holds``/``partial``/``tier`` keys
-            (:meth:`repro.tiering.ledger.RiskLedger.history`).
-        forced: an explicit tier override (the ``--tier`` flag); wins
-            over size and history, except that a forced LIGHT on an
-            unpackable schema degrades to STANDARD (the sampler cannot
-            intern its states).
-        thresholds: the boundary tunables.
+        forced: an explicit tier (the ``--tier`` flag); a forced LIGHT
+            on an unpackable schema runs THOROUGH instead.
+        engine: the engine a THOROUGH check requests; the reason names
+            the engine :func:`~repro.checker.engines.engine_chain`
+            will let decide.
         instrumentation: observability sink for the reasoned
             ``tier.select`` event and ``tier.select.<tier>`` counter.
 
     Returns:
         A :class:`TierDecision`.
     """
-    schema = program.schema()
-    states = schema.size()
-    cells = spec_cells(program)
-    light_floor, retuned = _light_floor_in_force(thresholds)
-    retuned_note = " (floor retuned by REPRO_MAX_VECTOR_CELLS)" if retuned else ""
-
-    if cells <= thresholds.thorough_max_cells:
-        base = Tier.THOROUGH
-        base_reason = (
-            f"{cells} cells fit the THOROUGH ceiling "
-            f"({thresholds.thorough_max_cells})"
-        )
-    elif cells >= light_floor:
-        base = Tier.LIGHT
-        base_reason = (
-            f"{cells} cells exceed the LIGHT floor "
-            f"({light_floor}); exhaustive fixpoints are "
-            f"out of budget{retuned_note}"
-        )
-    else:
-        base = Tier.STANDARD
-        base_reason = (
-            f"{cells} cells sit between the THOROUGH ceiling and the "
-            f"LIGHT floor{retuned_note}"
-        )
-
-    tier = base
-    reason = base_reason
-    if forced is not None:
-        tier = forced
-        reason = f"forced by --tier {forced.value}"
-    else:
-        risk = _risk_reason(history, thresholds.risk_window)
-        if risk is not None and base is not Tier.THOROUGH:
-            tier = Tier.THOROUGH
-            reason = f"promoted from {base.value}: {risk}"
-        elif (
-            _clean_streak(history) >= thresholds.demote_streak
-            and base.rank > Tier.LIGHT.rank
-        ):
-            tier = _BY_RANK[base.rank - 1]
-            reason = (
-                f"demoted from {base.value}: "
-                f"{_clean_streak(history)} consecutive clean passes"
-            )
-
+    tier = tier_for(program, forced)
+    decided_by: Optional[str] = None
     if tier is Tier.LIGHT:
-        unpackable = _packable_reason(program)
-        if unpackable is not None:
-            tier = Tier.STANDARD
-            reason = (
-                f"LIGHT sampler unavailable ({unpackable}); running "
-                f"STANDARD instead"
-            )
+        reason = "forced by --tier light; the LIGHT sampler estimates it"
+    else:
+        from ..checker.engines import ENGINES, engine_chain
 
-    decision = TierDecision(
-        tier=tier, base=base, reason=reason, cells=cells, states=states
-    )
+        decided_by = engine_chain(
+            engine, program, program, None, ENGINES, NULL_INSTRUMENTATION
+        )[0]
+        reason = f"the {decided_by} engine decides it exactly"
+        if forced is Tier.LIGHT:
+            reason = (
+                f"LIGHT sampler unavailable ({_unpackable_reason(program)}); "
+                + reason
+            )
+        elif forced is not None:
+            reason = f"forced by --tier {forced.value}; " + reason
+    states = program.schema().size()
     instrumentation.count(f"tier.select.{tier.value}")
     instrumentation.event(
         "tier.select",
         spec=label or program.name,
         tier=tier.value,
-        base=base.value,
+        engine=decided_by,
         reason=reason,
-        cells=cells,
         states=states,
-        light_floor=light_floor,
-        history=len(history),
         forced=forced.value if forced is not None else None,
     )
-    return decision
+    return TierDecision(tier=tier, reason=reason, engine=decided_by, states=states)

@@ -1,8 +1,8 @@
 """Chaos-driven integration tests: injected faults, recovered verdicts.
 
 The recovery invariants under test, end to end: a worker SIGKILLed
-mid-task changes nothing about the verdict (including the structured
-``PARTIAL`` of a budgeted run — never an ``error``); an engine that
+mid-task changes nothing about the verdict (including a LIGHT
+estimate's — never an ``error``); an engine that
 exhausts memory mid-fixpoint degrades down the vector → packed → tuple
 chain with a reasoned ``engine.fallback`` event; a corrupted cache
 entry reads as a miss and the verdict is recomputed; and the CLI under
@@ -38,16 +38,14 @@ from repro.resilience import (
     using_policy,
 )
 from repro.rings import (
-    btr3_abstraction,
     btr4_abstraction,
     btr_program,
     dijkstra_four_state,
-    dijkstra_three_state,
     kstate_program,
     utr_abstraction,
     utr_program,
 )
-from repro.tiering import Tier, TierThresholds, verify_tree
+from repro.tiering import Tier, verify_tree
 
 pytestmark = pytest.mark.skipif(
     not parallel_available(), reason="no fork start method"
@@ -73,7 +71,6 @@ def _verify_examples(
     report = verify_tree(
         str(SPECS_DIR),
         manifest_path=str(state_dir / "manifest.json"),
-        ledger_path=str(state_dir / "ledger.json"),
         workers=workers,
         instrumentation=instrumentation,
         out=out,
@@ -109,24 +106,21 @@ class TestWorkerDeathMidShard:
         assert counters["resilience.worker.death"] >= 1
         assert counters["resilience.task.retries"] >= 1
 
-    def test_budgeted_check_stays_structured_partial_not_error(
-        self, tmp_path
-    ):
-        """A worker dying mid-task of a budget-capped run must not
-        turn the structured PARTIAL into an exception: the budget cut
-        and the fault recovery compose."""
-        tight = TierThresholds(standard_state_budget=10)
+    def test_light_estimates_identical_after_injected_kills(self, tmp_path):
+        """A worker dying mid-task of a LIGHT run must not turn the
+        seeded estimate into an exception: sampling and the fault
+        recovery compose."""
         baseline_report, baseline = _verify_examples(
-            tmp_path / "seq", forced_tier=Tier.STANDARD, thresholds=tight
+            tmp_path / "seq", forced_tier=Tier.LIGHT
         )
-        assert all(outcome.partial for outcome in baseline_report.outcomes)
+        assert all(o.tier == "light" for o in baseline_report.outcomes)
         recorder = Recorder(kind="test")
         with using_policy(FAST), using_chaos(KILL_FIRST):
             chaotic_report, chaotic = _verify_examples(
                 tmp_path / "chaos", workers=4, instrumentation=recorder,
-                forced_tier=Tier.STANDARD, thresholds=tight,
+                forced_tier=Tier.LIGHT,
             )
-        assert all(outcome.partial for outcome in chaotic_report.outcomes)
+        assert all(o.tier == "light" for o in chaotic_report.outcomes)
         assert chaotic == baseline
         assert recorder.record().counters["resilience.worker.death"] >= 1
 
@@ -250,24 +244,6 @@ class TestEngineDegradation:
         assert fallbacks[0]["during"] == "runtime"
         assert "MemoryError" in fallbacks[0]["reason"]
 
-    def test_budget_exceeded_is_never_treated_as_an_engine_fault(self):
-        """``BudgetExceeded`` is a structured PARTIAL in flight: the
-        degradation chain must let it pass instead of burning through
-        the remaining engines."""
-        concrete = dijkstra_three_state(4).compile()
-        spec = btr_program(4).compile()
-        alpha = btr3_abstraction(4)
-        recorder = Recorder(kind="test")
-        result = check_stabilization(
-            concrete, spec, alpha, state_budget=10, engine="packed",
-            instrumentation=recorder,
-        )
-        assert result.is_partial
-        assert (
-            "resilience.engine.fallback"
-            not in recorder.record().counters
-        )
-
 
 class TestCacheCorruptionRecovery:
     def test_corrupted_entry_recomputes_the_verdict(self, tmp_path):
@@ -355,7 +331,6 @@ class TestCliChaosDifferential:
                 "--tier", "thorough", "--workers", "4",
                 "--engine", "vector",
                 "--manifest", str(tmp_path / "state" / "manifest.json"),
-                "--ledger", str(tmp_path / "state" / "ledger.json"),
                 "--obs-out", str(record),
             ]
         )
@@ -425,7 +400,6 @@ class TestCliChaosDifferential:
                 "verify-tree", str(tree), "--tier", "thorough",
                 "--workers", "2",
                 "--manifest", str(tmp_path / "state" / "manifest.json"),
-                "--ledger", str(tmp_path / "state" / "ledger.json"),
                 "--obs-out", str(record),
             ]
         )

@@ -25,9 +25,6 @@ from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
 from repro.parallel import parallel_available
 from repro.rings import (
-    btr3_abstraction,
-    btr_program,
-    dijkstra_three_state,
     kstate_program,
     utr_abstraction,
     utr_program,
@@ -162,17 +159,18 @@ def test_stabilization_worker_request_runs_or_says_why(engine):
     ]
 
 
-def test_refused_shared_request_records_one_refusal_per_rung():
-    """Below the engine floor a shared request replays on tuple: the
-    record names each refused rung once and counts only the engine
-    that runs."""
+def test_refused_shared_request_records_one_refusal_per_rung(monkeypatch):
+    """Without NumPy a shared request runs on packed: the record names
+    each refused rung once and counts only the engine that runs."""
+    from repro.kernel.vector import availability
+
+    monkeypatch.setattr(availability, "HAVE_NUMPY", False)
     recorder = Recorder()
     verdict = check_stabilization(
-        dijkstra_three_state(4), btr_program(4), btr3_abstraction(4),
-        state_budget=10, engine="shared", instrumentation=recorder,
+        *_spec_args(), engine="shared", instrumentation=recorder
     )
     record = recorder.record()
-    assert verdict.is_partial and verdict.engine == "tuple"
+    assert verdict.holds and verdict.engine == "packed"
     fallbacks = [
         event.fields for event in record.events
         if event.name == "engine.fallback"
@@ -180,11 +178,10 @@ def test_refused_shared_request_records_one_refusal_per_rung():
     assert [fields["requested"] for fields in fallbacks] == [
         "shared", "vector"
     ]
-    if numpy_available():  # else both rungs lack NumPy first
-        assert all(
-            "state budget 10" in fields["reason"] for fields in fallbacks
-        )
-    assert _engine_counters(record) == {"engine.fallback.tuple": 1}
+    assert all("NumPy" in fields["reason"] for fields in fallbacks)
+    assert _engine_counters(record) == {
+        "engine.fallback.packed": 1, "engine.packed": 1,
+    }
 
 
 def _engine_counters(record) -> dict:

@@ -164,7 +164,6 @@ class TestWorkerAggregation:
         verify_tree(
             str(SPECS_DIR),
             manifest_path=str(state_dir / "manifest.json"),
-            ledger_path=str(state_dir / "ledger.json"),
             forced_tier=Tier.THOROUGH,
             engine=engine,
             workers=workers,

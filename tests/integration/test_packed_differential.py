@@ -1,13 +1,13 @@
 """Differential tests: the packed kernel engine against the tuple engine.
 
 The core invariant of :mod:`repro.kernel` is verdict identity: for
-every ring system, spec, abstraction, fairness mode, worker count, and
-budget, the packed kernel must produce a *byte-identical* formatted
-verdict — same holds/fails, same witness states, same counts — as the
-reference tuple engine, and the shared size-based observability
-counters must agree.  These tests enforce it on every ring system of
-the reproduction (including the failing controls and ``PARTIAL``
-budget cuts), on both decision procedures, and through the CLI.
+every ring system, spec, abstraction, fairness mode, and worker count,
+the packed kernel must produce a *byte-identical* formatted verdict —
+same holds/fails, same witness states, same counts — as the reference
+tuple engine, and the shared size-based observability counters must
+agree.  These tests enforce it on every ring system of the
+reproduction (including the failing controls), on both decision
+procedures, and through the CLI.
 
 ``engine="packed"`` is an alias of ``"vector"``; the packed kernel runs
 as the vector engine's fallback rung for stabilization, so these tests
@@ -271,33 +271,6 @@ class TestStabilizationDifferential:
             concrete().compile(), spec().compile(), **kwargs
         )
         assert from_programs.format() == from_systems.format()
-
-    def test_partial_budget_cut_byte_identical(self):
-        """Below the packed-engine floor the check must fall back and
-        reproduce the tuple engine's PARTIAL cut exactly."""
-        recorder = Recorder()
-        tuple_verdict = check_stabilization(
-            dijkstra_three_state(4), btr_program(4), btr3_abstraction(4),
-            state_budget=10, engine="tuple",
-        )
-        packed_verdict = check_stabilization(
-            dijkstra_three_state(4), btr_program(4), btr3_abstraction(4),
-            state_budget=10, engine="packed", instrumentation=recorder,
-        )
-        assert tuple_verdict.is_partial and packed_verdict.is_partial
-        assert tuple_verdict.format() == packed_verdict.format()
-        assert recorder.record().counters["engine.fallback.tuple"] == 1
-
-    def test_generous_budget_still_identical(self):
-        tuple_verdict = check_stabilization(
-            dijkstra_four_state(3), btr_program(3), btr4_abstraction(3),
-            state_budget=10_000_000, engine="tuple",
-        )
-        packed_verdict = check_stabilization(
-            dijkstra_four_state(3), btr_program(3), btr4_abstraction(3),
-            state_budget=10_000_000, engine="packed",
-        )
-        assert tuple_verdict.format() == packed_verdict.format()
 
 
 def _replayed_on_tuple(record) -> bool:

@@ -30,14 +30,7 @@ from repro.kernel.shared import (
 from repro.kernel.shared.segments import shm_dir
 from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
-from repro.rings import (
-    btr3_abstraction,
-    btr_program,
-    dijkstra_three_state,
-    kstate_program,
-    utr_abstraction,
-    utr_program,
-)
+from repro.rings import kstate_program, utr_abstraction, utr_program
 from tests.integration.test_packed_differential import (
     RING_CASES,
     SHARED_COUNTERS,
@@ -206,22 +199,6 @@ class TestStabilizationDifferential:
             assert record.counters.get("kernel.tables.misses", 0) > 0
         assert _shm_leaks() == []
         assert _spill_leaks(tmp_path) == []
-
-    def test_partial_budget_cut_byte_identical(self):
-        """Below the engine floor every request replays the tuple
-        engine's PARTIAL cut; a shared request must not change it."""
-        recorder = Recorder()
-        tuple_verdict = check_stabilization(
-            dijkstra_three_state(4), btr_program(4), btr3_abstraction(4),
-            state_budget=10, engine="tuple",
-        )
-        shared_verdict = check_stabilization(
-            dijkstra_three_state(4), btr_program(4), btr3_abstraction(4),
-            state_budget=10, engine="shared", instrumentation=recorder,
-        )
-        assert tuple_verdict.is_partial and shared_verdict.is_partial
-        assert tuple_verdict.format() == shared_verdict.format()
-        assert recorder.record().counters["engine.fallback.tuple"] == 1
 
 
 def _comparable(record):

@@ -2,10 +2,10 @@
 
 The vector engine inherits the packed engine's core invariant and
 extends it to a three-way agreement: for every ring system, spec,
-abstraction, fairness mode, worker count, and budget,
-``engine="vector"`` must render the *byte-identical* formatted verdict
-— same holds/fails, same witness states, same counts — as both
-reference engines, and the shared size-based counters must agree.  On
+abstraction, fairness mode, and worker count, ``engine="vector"``
+must render the *byte-identical* formatted verdict — same holds/fails,
+same witness states, same counts — as both reference engines, and the
+shared size-based counters must agree.  On
 a pure-Python install the same entry points must keep passing by
 falling back to the packed engine (asserted explicitly below via a
 monkeypatched availability flag), so this module runs everywhere.
@@ -24,11 +24,9 @@ from repro.kernel.vector import NUMPY_MISSING_REASON, numpy_available
 from repro.obs import Recorder
 from repro.parallel import parallel_available
 from repro.rings import (
-    btr3_abstraction,
     btr4_abstraction,
     btr_program,
     dijkstra_four_state,
-    dijkstra_three_state,
     kstate_program,
     utr_abstraction,
     utr_program,
@@ -126,22 +124,6 @@ class TestStabilizationDifferential:
         )
         assert from_programs.format() == from_systems.format()
 
-    def test_partial_budget_cut_byte_identical(self):
-        """Below the packed floor every engine falls back to the tuple
-        engine's PARTIAL cut; the vector request must not change it."""
-        recorder = Recorder()
-        tuple_verdict = check_stabilization(
-            dijkstra_three_state(4), btr_program(4), btr3_abstraction(4),
-            state_budget=10, engine="tuple",
-        )
-        vector_verdict = check_stabilization(
-            dijkstra_three_state(4), btr_program(4), btr3_abstraction(4),
-            state_budget=10, engine="vector", instrumentation=recorder,
-        )
-        assert tuple_verdict.is_partial and vector_verdict.is_partial
-        assert tuple_verdict.format() == vector_verdict.format()
-        assert recorder.record().counters["engine.fallback.tuple"] == 1
-
     def test_no_numpy_fallback_is_packed_byte_for_byte(self, monkeypatch):
         from repro.kernel.vector import availability
 
@@ -224,17 +206,6 @@ class TestRefinementDifferential:
             engine="vector",
         )
         assert tuple_verdict.format() == vector_verdict.format()
-
-    def test_state_budget_requests_replay_on_tuple(self):
-        """Any refinement budget pins the shared-meter semantics to the
-        tuple engine, vector request or not."""
-        recorder = Recorder()
-        verdict = check_convergence_refinement(
-            kstate_program(4, 4), utr_program(4), utr_abstraction(4, 4),
-            state_budget=100_000, engine="vector", instrumentation=recorder,
-        )
-        assert verdict.holds
-        assert recorder.record().counters["engine.fallback.tuple"] == 1
 
     @pytest.mark.skipif(
         not parallel_available(), reason="no fork start method"

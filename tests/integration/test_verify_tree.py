@@ -16,8 +16,10 @@ import pathlib
 import pytest
 
 from repro.cli import main
+from repro.gcl.pretty import render_program
 from repro.obs import load_tagged_lines
 from repro.parallel import parallel_available
+from repro.rings import kstate_program
 
 SPECS_DIR = pathlib.Path(__file__).parents[2] / "examples" / "specs"
 
@@ -54,7 +56,6 @@ def run_tree(root, tmp_path, capsys, *extra):
         [
             "verify-tree", str(root),
             "--manifest", str(tmp_path / "state" / "manifest.json"),
-            "--ledger", str(tmp_path / "state" / "ledger.json"),
             *extra,
         ]
     )
@@ -81,6 +82,24 @@ class TestDifferential:
         # unfair daemon, so the tree exits 1 — never 2.
         assert code == 1
         assert err.count("[verified]") == 6
+
+    def test_unforced_kstate_6_6_block_matches_direct_check(
+        self, tmp_path, capsys
+    ):
+        """Without ``--tier`` a K-state(6,6) spec (46,656 states) is
+        decided exactly: its block is ``repro check`` byte for byte,
+        worst-case convergence included."""
+        root = tmp_path / "specs"
+        root.mkdir()
+        spec = root / "kstate_n6_k6.gcl"
+        spec.write_text(render_program(kstate_program(6, 6)))
+        check_code = main(["check", str(spec)])
+        expected = capsys.readouterr().out
+        code, out, err = run_tree(root, tmp_path, capsys)
+        assert out == expected
+        assert code == check_code == 0
+        assert "worst-case convergence=39 steps" in out
+        assert "tier=thorough" in err
 
     def test_worker_count_does_not_change_stdout(self, tree, tmp_path, capsys):
         if not parallel_available():
@@ -184,9 +203,46 @@ class TestIncremental:
     ):
         run_tree(tree, tmp_path, capsys, "--tier", "thorough")
         # The stored verdicts answer the THOROUGH question, not the
-        # STANDARD one: a different forced tier must re-verify.
-        _, _, err = run_tree(tree, tmp_path, capsys, "--tier", "standard")
+        # LIGHT one: a different forced tier must re-verify.
+        _, _, err = run_tree(tree, tmp_path, capsys, "--tier", "light")
         assert err.count("[verified]") == 3
+
+    def test_unforced_run_reverifies_stored_light_estimates(
+        self, tree, tmp_path, capsys
+    ):
+        """A LIGHT estimate does not answer a run that selects
+        THOROUGH: without ``--tier`` it is re-verified exactly, not
+        replayed forever."""
+        run_tree(tree, tmp_path, capsys, "--tier", "light")
+        _, out, err = run_tree(tree, tmp_path, capsys)
+        assert err.count("[verified]") == 3
+        assert err.count("tier=thorough") == 3
+        assert "simulated" not in out
+
+    def test_unforced_run_replays_its_own_thorough_entries(
+        self, tree, tmp_path, capsys
+    ):
+        _, cold, _ = run_tree(tree, tmp_path, capsys)
+        _, warm, err = run_tree(tree, tmp_path, capsys)
+        assert warm == cold
+        assert err.count("[cached]") == 3
+
+    def test_parent_schema_manifest_is_discarded(
+        self, tree, tmp_path, capsys
+    ):
+        """Entries of a version-1 manifest (``standard`` or size-chosen
+        ``light`` tiers) are never replayed, even at a matching
+        fingerprint."""
+        run_tree(tree, tmp_path, capsys)
+        path = tmp_path / "state" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["v"] = 1
+        for entry in manifest["specs"].values():
+            entry.update(tier="standard", text="stale: PARTIAL")
+        path.write_text(json.dumps(manifest))
+        _, out, err = run_tree(tree, tmp_path, capsys)
+        assert err.count("[verified]") == 3
+        assert "stale" not in out
 
 
 class TestCliSurface:
@@ -227,3 +283,6 @@ class TestCliSurface:
             "forced by --tier" in event["fields"]["reason"]
             for event in selections
         )
+        engines = {event["fields"]["engine"] for event in selections}
+        assert len(engines) == 1
+        assert engines.pop() in selections[0]["fields"]["reason"]

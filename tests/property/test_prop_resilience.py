@@ -95,7 +95,6 @@ def _verify(tree, state, workers, instrumentation=None):
     verify_tree(
         str(tree),
         manifest_path=str(state / "manifest.json"),
-        ledger_path=str(state / "ledger.json"),
         forced_tier=Tier.THOROUGH,
         workers=workers,
         out=out,

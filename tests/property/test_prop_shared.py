@@ -437,12 +437,10 @@ _LATE_TERMINAL = _mod_program(
 def _self_request(program, fairness, compute_steps):
     """The self-stabilization question of ``program`` as the checker
     hands it to a backend."""
-    from repro.checker.budget import BudgetMeter
     from repro.checker.convergence import _Request
 
     return _Request(
-        program, program, None, False, fairness, compute_steps, Recorder(),
-        BudgetMeter(None), 1,
+        program, program, None, False, fairness, compute_steps, Recorder(), 1
     )
 
 

@@ -3,11 +3,13 @@
 The resilience contract under test: timeouts are recorded and the
 sweep continues; crashes are retried with derived sub-seeds and then
 recorded as ``error``; an interrupted campaign resumes from its
-checkpoint without re-executing completed cells; budget-capped checks
-degrade to ``partial`` instead of dying.
+checkpoint without re-executing completed cells, and re-runs a cell
+whose recorded status has been retired.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -92,7 +94,7 @@ class TestCellResultPayload:
         assert CellResult.from_payload(result.to_payload()) == result
 
     def test_minimal_round_trip(self):
-        result = CellResult("check:btr:n3:-:-:s0", CellStatus.PARTIAL, 1, 0.5)
+        result = CellResult("check:btr:n3:-:-:s0", CellStatus.ERROR, 1, 0.5)
         assert CellResult.from_payload(result.to_payload()) == result
 
     def test_payload_is_tagged(self):
@@ -124,12 +126,6 @@ class TestExecuteCell:
         # BTR is the deliberate non-stabilizing control.
         result = execute_cell(CellSpec("check", "btr", 3), quick_config())
         assert result.status is CellStatus.DIVERGED
-
-    def test_check_cell_degrades_to_partial_under_budget(self):
-        config = quick_config(state_budget=5)
-        result = execute_cell(CellSpec("check", "dijkstra4", 3), config)
-        assert result.status is CellStatus.PARTIAL
-        assert "budget" in result.detail
 
     def test_crash_retries_then_errors(self, monkeypatch):
         attempts = []
@@ -248,6 +244,33 @@ class TestRunCampaign:
         with pytest.raises(SimulationError, match="different grid"):
             run_campaign(other, config, resume=True, executor=stub_executor)
 
+    def test_resume_reruns_a_partial_check_cell(self, tmp_path):
+        """A checkpoint row with the retired ``partial`` status (a check
+        cut at the old state budget) is not an outcome: resume runs that
+        cell again instead of failing to parse it."""
+        checkpoint = tmp_path / "campaign.jsonl"
+        cells = build_grid(
+            systems=("dijkstra4",), sizes=(3,), seeds=1, with_check=True
+        )
+        config = quick_config(checkpoint=checkpoint)
+        run_campaign(cells, config, executor=stub_executor)
+        lines = checkpoint.read_text().splitlines()
+        check_row = json.loads(lines[1])
+        assert check_row["id"] == cells[0].cell_id()
+        check_row.update(status="partial", detail="budget of 5 states exhausted")
+        lines[1] = json.dumps(check_row)
+        checkpoint.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        ran = []
+
+        def counting(cell, config):
+            ran.append(cell.cell_id())
+            return stub_result(cell)
+
+        resumed = run_campaign(cells, config, resume=True, executor=counting)
+        assert ran == [cells[0].cell_id()]
+        assert resumed.skipped == len(cells) - 1
+        assert resumed.results[0].status is CellStatus.CONVERGED
+
     def test_resume_without_existing_checkpoint_starts_fresh(self, tmp_path):
         checkpoint = tmp_path / "campaign.jsonl"
         cells = build_grid(systems=("dijkstra4",), sizes=(3,), seeds=1)
@@ -280,7 +303,7 @@ class TestConfigValidation:
             {"deadline": 0.0},
             {"retries": -1},
             {"fault_count": 0},
-            {"state_budget": 0},
+            {"early_stop": 0},
         ],
     )
     def test_bad_config_rejected(self, kwargs):

@@ -160,7 +160,7 @@ class TestCheckCellCache:
     def test_second_campaign_hits_the_cache(self, tmp_path):
         cache_dir = tmp_path / "cache"
         cells = [c for c in small_grid(with_check=True) if c.kind == "check"]
-        config = quick_config(cache_dir=cache_dir, state_budget=100_000)
+        config = quick_config(cache_dir=cache_dir)
         first = run_campaign(cells, config)
         assert "[cached]" not in first.results[0].detail
         second = run_campaign(cells, config)

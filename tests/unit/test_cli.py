@@ -307,7 +307,7 @@ class TestNumericValidation:
             ["campaign", "--deadline", "0"],
             ["campaign", "--deadline", "-1.5"],
             ["campaign", "--retries", "-1"],
-            ["campaign", "--state-budget", "0"],
+            ["campaign", "--early-stop", "0"],
             ["campaign", "--sizes", "2"],
         ],
     )

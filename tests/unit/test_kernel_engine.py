@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.checker import check_convergence_refinement, check_stabilization
+from repro.checker.engines import ENGINES, engine_chain
 from repro.core.errors import GCLError
 from repro.core.state import StateSchema
 from repro.core.system import System
@@ -191,30 +192,15 @@ class TestEngineSelection:
         system = System(wide, [(states[0], states[1])], initial=[states[0]])
         assert packed_fallback_reason(system) is not None
         recorder = Recorder()
-        check_stabilization(
-            system, system, engine="packed", instrumentation=recorder,
-            state_budget=50,
+        # The chain alone: the tuple check itself would sweep 2^23 states.
+        chain = engine_chain(
+            "packed", system, system, None, ENGINES, recorder
         )
+        assert chain == ("tuple",)
         record = recorder.record()
         assert record.counters["engine.fallback.tuple"] == 1
         events = [e for e in record.events if e.name == "engine.fallback"]
         assert events and events[0].fields["requested"] == "packed"
-
-    @pytest.mark.usefixtures("packed_rung")
-    def test_tight_budget_falls_back(self):
-        recorder = Recorder()
-        check_stabilization(
-            dijkstra_three_state(3), btr_program(3), btr3_abstraction(3),
-            engine="packed", state_budget=5, instrumentation=recorder,
-        )
-        record = recorder.record()
-        assert record.counters["engine.fallback.tuple"] == 1
-        # The packed alias's event comes first; the last one is the
-        # fallback to tuple.
-        reason = [
-            e for e in record.events if e.name == "engine.fallback"
-        ][-1].fields["reason"]
-        assert "budget" in reason
 
     @pytest.mark.parametrize("checkfn", [
         check_stabilization, check_convergence_refinement,

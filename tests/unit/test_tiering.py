@@ -1,11 +1,11 @@
-"""Unit tests for adaptive tier selection and its persistence.
+"""Unit tests for tier selection and the verification manifest.
 
-The contract under test: the size rule respects its thresholds at the
-exact boundaries; risky history promotes to THOROUGH and a clean
-streak demotes one tier; a forced ``--tier`` wins except where the
-LIGHT sampler is structurally unavailable; the ledger and manifest
-survive damage by starting empty (advisory data never breaks a run);
-and the LIGHT Monte-Carlo estimate is a pure function of its seed.
+The contract under test: a spec runs THOROUGH, on the engine the
+reason names, unless a forced ``--tier`` asks otherwise; a forced
+LIGHT runs THOROUGH where the sampler is structurally unavailable; the
+manifest survives damage by starting empty (advisory data never breaks
+a run); and the LIGHT Monte-Carlo estimate is a pure function of its
+seed.
 """
 
 from __future__ import annotations
@@ -15,21 +15,18 @@ import json
 import pytest
 
 from repro.gcl.parser import parse_program
+from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
 from repro.parallel import program_fingerprint
+from repro.rings import kstate_program
 from repro.tiering import (
-    DEFAULT_THRESHOLDS,
-    LEDGER_SCHEMA_VERSION,
     MANIFEST_SCHEMA_VERSION,
-    MAX_OUTCOMES,
     Manifest,
     ManifestEntry,
-    RiskLedger,
     Tier,
-    TierThresholds,
     light_convergence_estimate,
     select_tier,
-    spec_cells,
+    tier_for,
 )
 
 TOY = """
@@ -71,143 +68,70 @@ def toy():
     return parse_program(TOY)
 
 
-def clean(n):
-    """A history of n clean passes."""
-    return [{"holds": True, "partial": False, "tier": "thorough"}] * n
-
-
-class TestSpecCells:
-    def test_cells_are_states_times_actions_plus_vars(self):
-        program = toy()
-        # 3 states, 1 action + 1 variable.
-        assert spec_cells(program) == 3 * 2
-
-    def test_thresholds_validate(self):
-        with pytest.raises(ValueError):
-            TierThresholds(thorough_max_cells=0)
-        with pytest.raises(ValueError):
-            TierThresholds(thorough_max_cells=100, light_min_cells=100)
-        with pytest.raises(ValueError):
-            TierThresholds(standard_state_budget=0)
-        with pytest.raises(ValueError):
-            TierThresholds(risk_window=0)
-
-
-class TestSizeRule:
-    """Boundary behaviour of the purely size-based base tier."""
-
-    def test_at_the_thorough_ceiling_is_thorough(self):
-        # toy() has exactly 6 cells; a ceiling of 6 includes it.
-        thresholds = TierThresholds(thorough_max_cells=6, light_min_cells=7)
-        decision = select_tier(toy(), thresholds=thresholds)
-        assert decision.tier is Tier.THOROUGH
-        assert decision.base is Tier.THOROUGH
-
-    def test_one_past_the_ceiling_is_standard(self):
-        thresholds = TierThresholds(thorough_max_cells=5, light_min_cells=7)
-        decision = select_tier(toy(), thresholds=thresholds)
-        assert decision.tier is Tier.STANDARD
-        assert decision.base is Tier.STANDARD
-
-    def test_at_the_light_floor_is_light(self):
-        thresholds = TierThresholds(thorough_max_cells=5, light_min_cells=6)
-        decision = select_tier(toy(), thresholds=thresholds)
-        assert decision.tier is Tier.LIGHT
-        assert decision.base is Tier.LIGHT
-
-    def test_default_thresholds_put_the_toy_in_thorough(self):
+class TestSelection:
+    def test_unforced_spec_is_thorough(self):
         decision = select_tier(toy())
         assert decision.tier is Tier.THOROUGH
-        assert decision.cells == 6
         assert decision.states == 3
+        assert decision.engine in decision.reason
 
-
-class TestHistoryRules:
-    STANDARD = TierThresholds(thorough_max_cells=5, light_min_cells=100)
-
-    def test_recent_failure_promotes_to_thorough(self):
-        history = clean(3) + [
-            {"holds": False, "partial": False, "tier": "standard"}
-        ]
-        decision = select_tier(
-            toy(), history=history, thresholds=self.STANDARD
-        )
+    @pytest.mark.skipif(not numpy_available(), reason="vector needs NumPy")
+    def test_kstate_7_7_is_exact_on_vector(self):
+        """823,543 states: past every old size threshold, yet vector
+        decides it exactly in well under a second."""
+        decision = select_tier(kstate_program(7, 7))
         assert decision.tier is Tier.THOROUGH
-        assert decision.base is Tier.STANDARD
-        assert "failed" in decision.reason
+        assert decision.engine == "vector"
+        assert "vector" in decision.reason
 
-    def test_recent_partial_promotes_to_thorough(self):
-        history = [{"holds": True, "partial": True, "tier": "standard"}]
-        decision = select_tier(
-            toy(), history=history, thresholds=self.STANDARD
-        )
+    def test_huge_unpackable_spec_is_thorough_on_tuple(self):
+        """Only the tuple engine reaches a schema past the interner
+        ceiling, so that is where the exact check runs."""
+        decision = select_tier(parse_program(UNPACKABLE))
         assert decision.tier is Tier.THOROUGH
-        assert "PARTIAL" in decision.reason
+        assert decision.engine == "tuple"
+        assert "tuple" in decision.reason
 
-    def test_verdict_flap_promotes_to_thorough(self):
-        history = [
-            {"holds": False, "partial": False, "tier": "thorough"},
-            {"holds": True, "partial": False, "tier": "thorough"},
-        ]
-        decision = select_tier(
-            toy(), history=history, thresholds=self.STANDARD
-        )
-        assert decision.tier is Tier.THOROUGH
-
-    def test_old_failure_outside_the_window_is_forgiven(self):
-        thresholds = TierThresholds(
-            thorough_max_cells=5, light_min_cells=100,
-            risk_window=2, demote_streak=50,
-        )
-        history = [
-            {"holds": False, "partial": False, "tier": "standard"}
-        ] + clean(2)
-        decision = select_tier(toy(), history=history, thresholds=thresholds)
-        assert decision.tier is Tier.STANDARD
-
-    def test_clean_streak_demotes_one_tier(self):
-        thresholds = TierThresholds(
-            thorough_max_cells=5, light_min_cells=100, demote_streak=3
-        )
-        decision = select_tier(
-            toy(), history=clean(3), thresholds=thresholds
-        )
-        assert decision.base is Tier.STANDARD
-        assert decision.tier is Tier.LIGHT
-        assert "demoted" in decision.reason
-
-    def test_short_streak_does_not_demote(self):
-        thresholds = TierThresholds(
-            thorough_max_cells=5, light_min_cells=100, demote_streak=3
-        )
-        decision = select_tier(
-            toy(), history=clean(2), thresholds=thresholds
-        )
-        assert decision.tier is Tier.STANDARD
+    def test_reason_names_the_engine_of_the_request(self):
+        decision = select_tier(toy(), engine="tuple")
+        assert decision.engine == "tuple"
+        assert "tuple" in decision.reason
 
 
 class TestForcedTier:
-    def test_forced_tier_wins_over_size_and_history(self):
-        history = [{"holds": False, "partial": False, "tier": "thorough"}]
-        decision = select_tier(toy(), history=history, forced=Tier.LIGHT)
+    def test_forced_light_runs_light(self):
+        decision = select_tier(toy(), forced=Tier.LIGHT)
         assert decision.tier is Tier.LIGHT
+        assert decision.engine is None
         assert "forced" in decision.reason
 
-    def test_forced_light_on_unpackable_schema_degrades_to_standard(self):
-        decision = select_tier(parse_program(UNPACKABLE), forced=Tier.LIGHT)
-        assert decision.tier is Tier.STANDARD
-        assert "sampler unavailable" in decision.reason
+    def test_forced_thorough_names_its_engine(self):
+        decision = select_tier(toy(), forced=Tier.THOROUGH)
+        assert decision.tier is Tier.THOROUGH
+        assert "forced" in decision.reason
+        assert decision.engine in decision.reason
 
-    def test_huge_unpackable_spec_base_light_also_degrades(self):
-        decision = select_tier(parse_program(UNPACKABLE))
-        assert decision.base is Tier.LIGHT
-        assert decision.tier is Tier.STANDARD
+    def test_forced_light_on_unpackable_schema_degrades_to_thorough(self):
+        decision = select_tier(parse_program(UNPACKABLE), forced=Tier.LIGHT)
+        assert decision.tier is Tier.THOROUGH
+        assert "sampler unavailable" in decision.reason
+        assert decision.engine == "tuple"
+
+    def test_tier_for_agrees_with_select_tier(self):
+        for program in (toy(), parse_program(UNPACKABLE)):
+            for forced in (None, Tier.LIGHT, Tier.THOROUGH):
+                assert (
+                    tier_for(program, forced)
+                    is select_tier(program, forced=forced).tier
+                )
 
 
 class TestSelectionTelemetry:
     def test_decision_emits_reasoned_event_and_counter(self):
         recorder = Recorder(kind="test")
-        select_tier(toy(), label="specs/toy.gcl", instrumentation=recorder)
+        decision = select_tier(
+            toy(), label="specs/toy.gcl", instrumentation=recorder
+        )
         record = recorder.record()
         assert record.counters["tier.select.thorough"] == 1
         events = [e for e in record.events if e.name == "tier.select"]
@@ -215,63 +139,10 @@ class TestSelectionTelemetry:
         fields = events[0].fields
         assert fields["spec"] == "specs/toy.gcl"
         assert fields["tier"] == "thorough"
-        assert fields["base"] == "thorough"
-        assert fields["cells"] == 6
-        assert "ceiling" in fields["reason"]
-
-
-class TestRiskLedger:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "ledger.json"
-        ledger = RiskLedger(path)
-        ledger.record(
-            "a.gcl", holds=True, partial=False, tier="thorough",
-            fingerprint="f1",
-        )
-        ledger.save()
-        reloaded = RiskLedger(path)
-        assert len(reloaded) == 1
-        (outcome,) = reloaded.history("a.gcl")
-        assert outcome["holds"] is True
-        assert outcome["tier"] == "thorough"
-        assert outcome["fingerprint"] == "f1"
-
-    def test_history_is_bounded(self, tmp_path):
-        ledger = RiskLedger(tmp_path / "ledger.json")
-        for index in range(MAX_OUTCOMES + 5):
-            ledger.record(
-                "a.gcl", holds=True, partial=False, tier="thorough",
-                fingerprint=f"f{index}",
-            )
-        history = ledger.history("a.gcl")
-        assert len(history) == MAX_OUTCOMES
-        assert history[-1]["fingerprint"] == f"f{MAX_OUTCOMES + 4}"
-
-    def test_damaged_file_starts_empty_and_flags_stale(self, tmp_path):
-        path = tmp_path / "ledger.json"
-        path.write_text("{broken", encoding="utf-8")
-        ledger = RiskLedger(path)
-        assert len(ledger) == 0
-        assert ledger.stale
-
-    def test_unknown_schema_starts_empty(self, tmp_path):
-        path = tmp_path / "ledger.json"
-        path.write_text(
-            json.dumps({"v": LEDGER_SCHEMA_VERSION + 1, "specs": {}}),
-            encoding="utf-8",
-        )
-        ledger = RiskLedger(path)
-        assert len(ledger) == 0
-        assert ledger.stale
-
-    def test_forget_drops_a_spec(self, tmp_path):
-        ledger = RiskLedger(tmp_path / "ledger.json")
-        ledger.record(
-            "a.gcl", holds=True, partial=False, tier="thorough",
-            fingerprint="f1",
-        )
-        ledger.forget("a.gcl")
-        assert ledger.history("a.gcl") == ()
+        assert fields["engine"] == decision.engine
+        assert fields["states"] == 3
+        assert fields["forced"] is None
+        assert fields["reason"] == decision.reason
 
 
 class TestManifest:
@@ -329,6 +200,28 @@ class TestManifest:
         assert len(manifest) == 0
         assert manifest.stale
 
+    def test_parent_schema_standard_entries_are_discarded(self, tmp_path):
+        """Version 1 stored ``standard`` and size-chosen ``light``
+        verdicts; none of them answers a version-2 run."""
+        assert MANIFEST_SCHEMA_VERSION == 2
+        path = tmp_path / "manifest.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "v": 1,
+                    "params": dict(self.PARAMS),
+                    "specs": {
+                        "a.gcl": self.entry(tier="standard").to_payload(),
+                        "b.gcl": self.entry(tier="light").to_payload(),
+                    },
+                }
+            ),
+            encoding="utf-8",
+        )
+        manifest = Manifest(path)
+        assert len(manifest) == 0
+        assert manifest.stale
+
     def test_schema_bump_discards_the_whole_file(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(
@@ -376,7 +269,6 @@ class TestLightEstimate:
     def test_stabilizing_toy_likely_holds(self):
         verdict = light_convergence_estimate(toy(), seed=0)
         assert verdict.holds
-        assert not verdict.is_partial
         assert "LIKELY HOLDS" in verdict.format()
         assert "simulated" in verdict.format()
 
@@ -416,10 +308,6 @@ class TestLightEstimate:
             light_convergence_estimate(toy(), samples=0)
         with pytest.raises(ValueError):
             light_convergence_estimate(toy(), horizon=0)
-
-    def test_default_thresholds_are_exported(self):
-        assert DEFAULT_THRESHOLDS.thorough_max_cells == 1 << 18
-        assert DEFAULT_THRESHOLDS.light_min_cells == 1 << 22
 
     def test_fingerprint_semantics_integration(self):
         # The manifest key combines the canonical fingerprint with the
