@@ -733,8 +733,9 @@ class _KernelBackend:
     tuple system.  The searched set's edges are trimmed and split into
     SCCs on int codes (:func:`repro.kernel.cycles.cycle_codes`); only
     the codes on a cycle are decoded, and only their transitions are
-    compiled — through the same per-state move generator, and the same
-    ``without_self_loops`` step, as the tuple engine's system.  Each
+    compiled — by the kernel's ``compile``, which lists each source's
+    moves in the tuple engine's order, then the same
+    ``without_self_loops`` step as the tuple engine's system.  Each
     region source therefore iterates its successors exactly as there,
     and the skeleton's breadth-first search from the min-by-``repr``
     cycle state, which never leaves that state's SCC, returns the tuple

@@ -374,26 +374,37 @@ def _refinement(
     the verdict; a violation, or an image outside the abstract schema,
     emits only the reasoned fallback before the tuple replay, and a
     runtime fault on vector replays there too
-    (:func:`~.engines.run_chain`).  Every engine decides refinement in
-    one process, so a ``workers > 1`` request is noted with a
-    ``parallel.sequential`` event.
+    (:func:`~.engines.run_chain`).  After a violation the replay's
+    systems are read off the vector attempt's kernels
+    (``materialize()``); otherwise it compiles the sources.  Every
+    engine decides refinement in one process, so a ``workers > 1``
+    request is noted with a ``parallel.sequential`` event.
     """
     chain = engine_chain(
         engine, concrete, abstract, alpha, ("vector", "tuple"),
         instrumentation, unserved="no streamed refinement clauses",
     )
     _note_sequential(instrumentation, chain[0], workers)
+    # The vector attempt's clauses, when they found a violation.
+    refuted: List[_VectorClauses] = []
 
     def attempt(rung: str) -> Optional[CheckResult]:
         if rung == "vector":
-            return _vector_attempt(
+            verdict, clauses = _vector_attempt(
                 holds, concrete, abstract, alpha, stutter_insensitive,
                 open_systems, instrumentation, name,
             )
-        concrete_system = _as_system(concrete)
-        abstract_system = (
-            concrete_system if abstract is concrete else _as_system(abstract)
-        )
+            if verdict is None and clauses is not None:
+                refuted.append(clauses)
+            return verdict
+        if refuted:
+            concrete_system = refuted[0].kernel.materialize()
+            abstract_system = refuted[0].abstract_kernel.materialize()
+        else:
+            concrete_system = _as_system(concrete)
+            abstract_system = (
+                concrete_system if abstract is concrete else _as_system(abstract)
+            )
         return decide(
             concrete_system, abstract_system, alpha, stutter_insensitive,
             open_systems, instrumentation, name,
@@ -411,9 +422,11 @@ def _vector_attempt(
     open_systems: bool,
     instrumentation: Instrumentation,
     name: str,
-) -> Optional[CheckResult]:
-    """The verdict when the vector clauses prove the relation; ``None``
-    after a reasoned ``engine.fallback`` event when they do not."""
+) -> Tuple[Optional[CheckResult], Optional[_VectorClauses]]:
+    """The verdict when the vector clauses prove the relation, ``None``
+    after a reasoned ``engine.fallback`` event when they do not; and
+    the clauses (``None`` when the abstraction leaves the abstract
+    schema)."""
     if alpha is None:
         _schema_of(concrete).require_compatible(
             _schema_of(abstract), "refinement check without an abstraction function"
@@ -428,14 +441,14 @@ def _vector_attempt(
         counters, detail = proof
         for counter, value in counters.items():
             instrumentation.count(counter, value)
-        return CheckResult(True, name, detail=detail)
+        return CheckResult(True, name, detail=detail), clauses
     instrumentation.count("engine.fallback.tuple", 1)
     instrumentation.event(
         "engine.fallback",
         requested="vector",
         reason=_ALPHA_REPLAY_REASON if clauses is None else _VIOLATION_REPLAY_REASON,
     )
-    return None
+    return None, clauses
 
 
 def _resolve_alpha(

@@ -97,6 +97,32 @@ class System:
                 label_map[pair] = frozenset(names)
         self._labels = label_map
 
+    @classmethod
+    def of_members(
+        cls,
+        schema: StateSchema,
+        adjacency: Mapping[State, Set[State]],
+        initial: Iterable[State],
+        name: str,
+        labels: Mapping[Transition, Set[str]],
+    ) -> "System":
+        """The system the constructor builds from ``adjacency``'s pairs,
+        in its order, for states already known to be members of
+        ``schema`` (decoded from state codes): nothing is re-validated.
+
+        ``adjacency`` maps each source to the set its successors were
+        added to, so each successor set iterates as the constructor's.
+        """
+        system = cls.__new__(cls)
+        system._schema = schema
+        system._name = name
+        system._adjacency = {
+            source: frozenset(targets) for source, targets in adjacency.items()
+        }
+        system._initial = frozenset(initial)
+        system._labels = {pair: frozenset(names) for pair, names in labels.items()}
+        return system
+
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------

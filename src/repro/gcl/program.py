@@ -144,6 +144,12 @@ class Program:
         packed = {schema.pack(dict(assignment)) for assignment in self._init}
         return state in packed
 
+    @property
+    def init_predicate(self) -> Optional[Expr]:
+        """The initial characterization when it is a predicate, else
+        ``None`` (explicit assignments, or no initial states)."""
+        return self._init if isinstance(self._init, Expr) else None
+
     def initial_states(self) -> Iterator[State]:
         """Enumerate the initial states.
 

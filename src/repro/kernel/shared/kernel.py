@@ -31,9 +31,9 @@ from ...gcl.daemon import CentralDaemon, Daemon
 from ...gcl.program import Program
 from ...core.state import State
 from ...core.system import System
-from ...gcl.semantics import compile_states
 from ..interner import StateInterner
 from ..vector.analyze import structural_unlowerable_reason
+from ..vector.bridge import TupleBridge
 from ..vector.kernel import _unique_sorted
 from ..vector.lower import LoweredProgram
 from .budget import MemoryContext, active_memory_context, chunk_codes
@@ -74,8 +74,6 @@ class SharedKernel:
             raise SharedLoweringError(
                 f"program {program.name!r} has no array lowering: {reason}"
             )
-        self.program = program
-        self.daemon = chosen
         schema = program.schema()
         self.interner = StateInterner(schema, enforce_ceiling=False)
         self.size = self.interner.size
@@ -99,6 +97,9 @@ class SharedKernel:
             self._lowered.validate(chunk)
         # A kernel validation has not vouched for checks every batch.
         self._check = not validate
+        self._bridge = TupleBridge(
+            self._lowered, self._stream_actions, chunk, keep_stutter, self.name
+        )
 
     @property
     def schema(self):
@@ -107,10 +108,9 @@ class SharedKernel:
 
     def compile(self, states: Iterable[State]) -> System:
         """The tuple-state ``System`` of the transitions out of ``states``
-        (see :meth:`repro.kernel.PackedKernel.compile`)."""
-        return compile_states(
-            self.program, states, self.daemon, self.keep_stutter, self.name, ()
-        )
+        (see :meth:`repro.kernel.PackedKernel.compile`), evaluated chunk
+        by chunk (:class:`~repro.kernel.vector.bridge.TupleBridge`)."""
+        return self._bridge.compile(states)
 
     def materialize(self) -> System:
         """The equivalent tuple-state ``System`` (cached on first call).
@@ -119,10 +119,7 @@ class SharedKernel:
         under strong fairness needs it.
         """
         if self._materialized is None:
-            self._materialized = compile_states(
-                self.program, self.schema.states(), self.daemon,
-                self.keep_stutter, self.name,
-            )
+            self._materialized = self._bridge.materialize()
         return self._materialized
 
     # ------------------------------------------------------------------

@@ -20,8 +20,12 @@ packed engine's per-code successor closure: the transition relation as
 Both forms expose the same batch API (:meth:`succ_pairs`,
 :meth:`edge_parts`, :meth:`has_edge`, :meth:`terminal_flags`) consumed
 by the array fixpoints in :mod:`.fixpoint`, plus the scalar
-:meth:`successors` and :meth:`compile` / :meth:`materialize` bridges
-the witness phases need.
+:meth:`successors` and the :meth:`compile` / :meth:`materialize`
+bridges to tuple-state systems that the witness phases, the fair-trap
+search and the refinement replay need.  A kernel built
+:meth:`from_program` reads those off its action tables
+(:class:`~.bridge.TupleBridge`); one built :meth:`from_system` returns
+the system it wraps.
 """
 
 from __future__ import annotations
@@ -34,11 +38,10 @@ from ...core.state import State
 from ...core.system import System
 from ...gcl.daemon import CentralDaemon, Daemon
 from ...gcl.program import Program
-from ...gcl.semantics import compile_states
 from ..engine import CheckSource
 from ..interner import StateInterner
-from ..successors import Compiler
 from .analyze import unlowerable_reason
+from .bridge import TupleBridge
 from .lower import LoweredProgram
 
 __all__ = ["VectorKernel", "VectorLoweringError", "as_vector_kernel"]
@@ -88,7 +91,7 @@ class VectorKernel:
         "_targets",
         "_edge_keys",
         "_terminal_cache",
-        "_compiler",
+        "_bridge",
         "_materialized",
     )
 
@@ -102,7 +105,8 @@ class VectorKernel:
         indptr: Optional[np.ndarray],
         targets: Optional[np.ndarray],
         edge_keys: Optional[np.ndarray],
-        compiler: Compiler,
+        bridge: Optional[TupleBridge],
+        materialized: Optional[System] = None,
     ):
         self.interner = interner
         self.name = name
@@ -115,8 +119,8 @@ class VectorKernel:
         self._targets = targets
         self._edge_keys = edge_keys
         self._terminal_cache: Dict[bool, np.ndarray] = {}
-        self._compiler = compiler
-        self._materialized: Optional[System] = None
+        self._bridge = bridge
+        self._materialized = materialized
 
     @property
     def schema(self):
@@ -125,13 +129,20 @@ class VectorKernel:
 
     def compile(self, states: Iterable[State]) -> System:
         """The tuple-state ``System`` of the transitions out of ``states``
-        (see :meth:`repro.kernel.PackedKernel.compile`)."""
-        return self._compiler(states, ())
+        (see :meth:`repro.kernel.PackedKernel.compile`), read off the
+        action tables; a kernel built :meth:`from_system` returns its
+        system."""
+        if self._bridge is None:
+            return self.materialize()
+        return self._bridge.compile(states)
 
     def materialize(self) -> System:
-        """The equivalent tuple-state ``System`` (cached on first call)."""
+        """The equivalent tuple-state ``System``, read off the action
+        tables (cached on first call)."""
         if self._materialized is None:
-            self._materialized = self._compiler(self.schema.states(), None)
+            # Only a kernel built from_program starts unmaterialized.
+            assert self._bridge is not None
+            self._materialized = self._bridge.materialize()
         return self._materialized
 
     # ------------------------------------------------------------------
@@ -301,14 +312,13 @@ class VectorKernel:
                 enabled[start:stop] = mask
                 successor[start:stop] = succ
 
-        def compiler(states, initial) -> System:
-            return compile_states(
-                program, states, chosen, keep_stutter, system_name, initial
-            )
+        def pairs_of(codes: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+            return ((enabled[codes], succ[codes]) for enabled, succ in tables)
 
+        bridge = TupleBridge(lowered, pairs_of, LOWER_CHUNK, keep_stutter, system_name)
         return cls(
             interner, lowered.initial_codes, system_name, keep_stutter,
-            tables, None, None, None, compiler,
+            tables, None, None, None, bridge,
         )
 
     @classmethod
@@ -334,7 +344,7 @@ class VectorKernel:
         )
         return cls(
             interner, initial_codes, system.name, True,
-            None, indptr, targets, edge_keys, lambda states, initial: system,
+            None, indptr, targets, edge_keys, None, system,
         )
 
 

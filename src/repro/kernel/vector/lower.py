@@ -38,6 +38,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...core.state import State
 from ...gcl import expr as ast
 from ...gcl.daemon import CentralDaemon
 from ...gcl.program import Program
@@ -316,6 +317,14 @@ class LoweredProgram:
     so a table is never larger than a batch — is evaluated once over
     that subspace into a support table; a batch then gathers from it.
     A wider action is evaluated directly on every batch.
+
+    ``initial_codes`` are ascending.  A boolean init predicate is
+    lowered like a guard and swept over the space, one mask per
+    ``table_limit`` codes.  Explicit initial assignments, and a
+    predicate outside the fragment, take the scalar
+    ``Program.initial_states`` (and its exact ``GCLError``); its states
+    are kept, in its iteration order, as ``scalar_initial`` (``None``
+    for a lowered predicate).
     """
 
     def __init__(self, program: Program, interner: StateInterner, table_limit: int):
@@ -326,10 +335,18 @@ class LoweredProgram:
             name: BOOL if codec.is_bool else INT
             for name, codec in self.codecs.items()
         }
-        self.initial_codes = tuple(
-            sorted(interner.encode(state) for state in program.initial_states())
-        )
         self._scratch: Dict[str, np.ndarray] = {}
+        predicate = program.init_predicate
+        if predicate is not None and expr_type(predicate, var_types) == BOOL:
+            self.scalar_initial: Optional[Tuple[State, ...]] = None
+            self.initial_codes = self._initial_sweep(
+                lower_expr(predicate, var_types), table_limit
+            )
+        else:
+            self.scalar_initial = tuple(program.initial_states())
+            self.initial_codes = tuple(
+                sorted(interner.encode(state) for state in self.scalar_initial)
+            )
         self._actions: List[_Action] = []
         grids: Dict[Tuple[int, ...], np.ndarray] = {}
         for action in program.actions:
@@ -362,6 +379,19 @@ class LoweredProgram:
                     )
                 self._tabulate(lowered, grids[radices])
         self._direct = [action for action in self._actions if action.table is None]
+
+    def _initial_sweep(self, predicate: ArrayFn, batch: int) -> Tuple[int, ...]:
+        """The codes satisfying the lowered init ``predicate``, ascending:
+        one mask per ``batch`` codes of the space."""
+        size = self.interner.size
+        found: List[np.ndarray] = []
+        for start in range(0, size, batch):
+            codes = np.arange(start, min(start + batch, size), dtype=np.int64)
+            digits = self._digits(codes)
+            env = {name: self._values(name, digit) for name, digit in digits.items()}
+            mask = np.asarray(predicate(env), dtype=bool)
+            found.append(codes[np.broadcast_to(mask, codes.shape)])
+        return tuple(np.concatenate(found).tolist()) if found else ()
 
     def evaluate(self, codes: np.ndarray, check: bool) -> Iterator[ActionPair]:
         """Per-action ``(mask, successor)`` arrays for an int64 code batch.
@@ -436,6 +466,16 @@ class LoweredProgram:
             action.bad = bad
             action.lowest = int((np.asarray(places, dtype=np.int64) @ grid[:, bad]).min())
 
+    def _digits(self, codes: np.ndarray) -> ArrayEnv:
+        """Every variable's digit of ``codes``, in reused buffers."""
+        count = codes.shape[0]
+        return decode_digits(
+            self.codecs,
+            codes,
+            lambda name: self._buffer(f"digit:{name}", count),
+            (self._buffer("quotient:0", count), self._buffer("quotient:1", count)),
+        )
+
     def _values(self, name: str, digits: np.ndarray) -> np.ndarray:
         codec = self.codecs[name]
         return digits if codec.identity else codec.values[digits]
@@ -484,12 +524,7 @@ class LoweredProgram:
         range-check every write and record each action's first
         offending position."""
         count = codes.shape[0]
-        digits = decode_digits(
-            self.codecs,
-            codes,
-            lambda name: self._buffer(f"digit:{name}", count),
-            (self._buffer("quotient:0", count), self._buffer("quotient:1", count)),
-        )
+        digits = self._digits(codes)
         env: ArrayEnv = {}
         if self._direct:
             env = {name: self._values(name, digit) for name, digit in digits.items()}

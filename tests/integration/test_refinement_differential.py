@@ -245,3 +245,94 @@ def test_every_witness_message_is_reached(
     verdict, _ = _run(control, check, "tuple", open_systems, stutter)
     assert not verdict.holds
     assert verdict.witness.message == message
+
+
+def _as_program(system):
+    """``system`` as a guarded-command program: one action per
+    transition, each guarded by its source state and writing its target."""
+    from repro.gcl.action import GuardedAction
+    from repro.gcl.domain import IntRange
+    from repro.gcl.expr import And, Const, Eq, Var
+    from repro.gcl.program import Program
+    from repro.gcl.variable import Variable
+
+    names = system.schema.names
+    actions = []
+    for index, (source, target) in enumerate(sorted(system.transitions())):
+        tests = [Eq(Var(name), Const(value)) for name, value in zip(names, source)]
+        guard = tests[0]
+        for test in tests[1:]:
+            guard = And(guard, test)
+        actions.append(
+            GuardedAction(
+                f"t{index}",
+                guard,
+                {name: Const(value) for name, value in zip(names, target)},
+            )
+        )
+    return Program(
+        system.name,
+        [
+            Variable(name, IntRange(min(domain), max(domain)))
+            for name, domain in zip(names, system.schema.domains)
+        ],
+        actions,
+        init=[dict(zip(names, state)) for state in sorted(system.initial)],
+    )
+
+
+def _observed(record):
+    """What a verdict leaves in its record beyond the engine's own
+    selection, fallback and progress notes."""
+    return (
+        {
+            name: value
+            for name, value in record.counters.items()
+            if not name.startswith("engine.")
+        },
+        [
+            (event.name, event.fields)
+            for event in record.events
+            if not event.name.startswith(("engine.", "progress."))
+        ],
+    )
+
+
+@pytest.mark.skipif(not numpy_available(), reason=NUMPY_MISSING_REASON)
+@pytest.mark.parametrize("check", sorted(CHECKS))
+@pytest.mark.parametrize("control", sorted(CONTROLS))
+def test_violation_replays_on_the_vector_kernels(control, check, monkeypatch):
+    """On programs, a vector violation replays on tuple systems read off
+    the vector attempt's kernels: no program is compiled, and verdict,
+    counters and events are the tuple engine's.  An image outside the
+    abstract schema builds no clauses, so that replay compiles."""
+    from repro.gcl.program import Program
+
+    concrete, abstract, alpha = CONTROLS[control]()
+    concrete, abstract = _as_program(concrete), _as_program(abstract)
+    compile_program = Program.compile
+    compiled = []
+
+    def watched(self, *args, **kwargs):
+        if control != "alpha-outside-schema":
+            raise AssertionError(f"{self.name} compiled during the replay")
+        compiled.append(self.name)
+        return compile_program(self, *args, **kwargs)
+
+    for open_systems in (False, True):
+        for stutter in (False, True):
+            runs = {}
+            for engine in ("tuple", "vector"):
+                recorder = Recorder()
+                with monkeypatch.context() as patch:
+                    if engine == "vector":
+                        patch.setattr(Program, "compile", watched)
+                    verdict = CHECKS[check](
+                        concrete, abstract, alpha, stutter_insensitive=stutter,
+                        open_systems=open_systems, instrumentation=recorder,
+                        workers=1, engine=engine,
+                    )
+                runs[engine] = verdict.format(), _observed(recorder.record())
+            assert runs["vector"] == runs["tuple"]
+    if control == "alpha-outside-schema":
+        assert compiled

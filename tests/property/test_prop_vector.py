@@ -82,6 +82,41 @@ class TestVectorPrimitives:
             assert vector.successors(code) == packed.successors(code), code
 
     @settings(max_examples=40, deadline=None)
+    @given(
+        small_programs(),
+        st.booleans(),
+        st.lists(st.integers(min_value=0, max_value=SPACE - 1), unique=True),
+    )
+    def test_bridges_equal_the_compiler(self, program, keep_stutter, picked):
+        """Both array kernels' table-backed ``materialize()`` and
+        ``compile(states)`` are the scalar compiler's systems: the same
+        pairs in the same order, labels, initial iteration and name."""
+        from repro.gcl.semantics import compile_states
+        from repro.kernel import StateInterner
+        from repro.kernel.shared import SharedKernel
+        from repro.kernel.vector import VectorKernel
+
+        decode = StateInterner(program.schema()).decode
+        states = [decode(code) for code in picked]
+        whole = program.compile(keep_stutter=keep_stutter)
+        part = compile_states(program, states, keep_stutter=keep_stutter, initial=())
+        for kernel in (
+            VectorKernel.from_program(program, keep_stutter=keep_stutter),
+            SharedKernel(program, keep_stutter=keep_stutter, chunk=4),
+        ):
+            for bridged, system in (
+                (kernel.materialize(), whole),
+                (kernel.compile(states), part),
+            ):
+                pairs = list(system.transitions())
+                assert list(bridged.transitions()) == pairs
+                assert [bridged.labels_of(*pair) for pair in pairs] == [
+                    system.labels_of(*pair) for pair in pairs
+                ]
+                assert list(bridged.initial) == list(system.initial)
+                assert bridged.name == system.name
+
+    @settings(max_examples=40, deadline=None)
     @given(small_programs())
     def test_vector_reachable_equals_packed_reachable(self, program):
         import numpy as np

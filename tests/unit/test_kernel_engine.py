@@ -10,13 +10,17 @@ rejects unknown engines the way the CLI rejects a bad flag.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from repro import rings
 from repro.checker import check_convergence_refinement, check_stabilization
 from repro.checker.engines import ENGINES, engine_chain
 from repro.core.errors import GCLError
 from repro.core.state import StateSchema
 from repro.core.system import System
+from repro.gcl import parse_program
 from repro.gcl.daemon import CentralDaemon, DistributedDaemon, SynchronousDaemon
 from repro.kernel import PackedKernel, as_kernel, packed_fallback_reason
 from repro.kernel.vector import numpy_available
@@ -162,6 +166,120 @@ class TestSuccessorParity:
         with pytest.raises(GCLError) as kernel_err:
             kernel.successors(code)
         assert str(kernel_err.value) == str(compiled_err.value)
+
+
+def _c2_composed(n):
+    return (
+        rings.c2_program(n)
+        .merged_with(rings.w1_local_program(n))
+        .merged_with(rings.w2_refined_program(n), name="C2 [] W1'' [] W2'")
+    )
+
+
+#: Every ring family of ``repro.rings``, by the size of its ring.
+RING_FAMILIES = {
+    "btr": rings.btr_program,
+    "btr3": rings.btr3_program,
+    "btr4": rings.btr4_program,
+    "c1": rings.c1_program,
+    "c2-composed": _c2_composed,
+    "c3": rings.c3_program,
+    "c3-aggressive": rings.c3_aggressive_composed,
+    "c3-composed": rings.c3_composed,
+    "dijkstra3": rings.dijkstra_three_state,
+    "dijkstra4": rings.dijkstra_four_state,
+    "kstate": lambda n: rings.kstate_program(n, n),
+    "utr": rings.utr_program,
+}
+
+SPEC_FILES = sorted(Path(__file__).resolve().parents[2].glob("examples/specs/*.gcl"))
+
+BRIDGE_PROGRAMS = [
+    (spec.name, lambda spec=spec: parse_program(spec.read_text()))
+    for spec in SPEC_FILES
+] + [
+    (f"{family}-n{n}", lambda build=build, n=n: build(n))
+    for family, build in sorted(RING_FAMILIES.items())
+    for n in (3, 4)
+]
+
+
+def _mixed_writes():
+    """Writes whose value type differs from the variable's domain, both
+    ways: the scalar compiler keeps the written ``True``/``0``, not the
+    domain's ``1``/``False``."""
+    from repro.gcl.action import GuardedAction
+    from repro.gcl.domain import BoolDomain, IntRange
+    from repro.gcl.expr import Const, Eq, Not, Var
+    from repro.gcl.program import Program
+    from repro.gcl.variable import Variable
+
+    return Program(
+        "mixed",
+        [Variable("x", IntRange(0, 1)), Variable("b", BoolDomain())],
+        [
+            GuardedAction("flag", Not(Var("b")), {"x": Eq(Var("x"), Const(0))}),
+            GuardedAction("clear", Var("b"), {"b": Var("x"), "x": Const(0)}),
+        ],
+        init=Eq(Var("x"), Const(0)),
+    )
+
+
+def _assert_same_system(bridged: System, compiled: System) -> None:
+    """Same pairs in the same order, the same labels, the same initial
+    iteration and name; ``repr`` so a ``1`` never passes for ``True``."""
+    pairs = list(compiled.transitions())
+    assert repr(list(bridged.transitions())) == repr(pairs)
+    assert [bridged.labels_of(*pair) for pair in pairs] == [
+        compiled.labels_of(*pair) for pair in pairs
+    ]
+    assert repr(list(bridged.initial)) == repr(list(compiled.initial))
+    assert bridged.name == compiled.name
+
+
+@pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
+class TestTupleBridges:
+    """The array kernels' ``materialize()`` and ``compile(states)`` are
+    read off their action tables, and must be the scalar compiler's
+    systems exactly: witnesses, the fair trap and the refinement replay
+    iterate them."""
+
+    @staticmethod
+    def _kernels(program, keep_stutter):
+        from repro.kernel.shared import SharedKernel
+        from repro.kernel.vector import VectorKernel
+
+        return (
+            VectorKernel.from_program(program, keep_stutter=keep_stutter),
+            SharedKernel(program, keep_stutter=keep_stutter),
+        )
+
+    @pytest.mark.parametrize("keep_stutter", [True, False])
+    @pytest.mark.parametrize(
+        "pname,build",
+        BRIDGE_PROGRAMS + [("mixed-writes", _mixed_writes)],
+        ids=[p[0] for p in BRIDGE_PROGRAMS] + ["mixed-writes"],
+    )
+    def test_bridges_equal_the_compiler(self, pname, build, keep_stutter):
+        import random
+
+        from repro.gcl.semantics import compile_states
+
+        program = build()
+        compiled = program.compile(keep_stutter=keep_stutter)
+        space = list(program.schema().states())
+        states = random.Random(pname).sample(space, len(space) // 3)
+        part = compile_states(program, states, keep_stutter=keep_stutter, initial=())
+        for kernel in self._kernels(program, keep_stutter):
+            _assert_same_system(kernel.materialize(), compiled)
+            _assert_same_system(kernel.compile(states), part)
+
+    def test_shared_bridge_spans_several_chunks(self):
+        from repro.kernel.shared import SharedKernel
+
+        program = rings.kstate_program(4, 4)
+        kernel = SharedKernel(program, chunk=50)
+        _assert_same_system(kernel.materialize(), program.compile())
 
 
 class TestEngineSelection:

@@ -14,7 +14,7 @@ from repro.checker import check_self_stabilization, check_stabilization
 from repro.gcl.action import GuardedAction
 from repro.gcl.daemon import CentralDaemon, SynchronousDaemon
 from repro.gcl.domain import EnumDomain, IntRange, ModularDomain
-from repro.gcl.expr import Add, Const, Eq, Lt, Var
+from repro.gcl.expr import Add, AddMod, And, Const, Eq, Lt, Var
 from repro.gcl.program import Program
 from repro.gcl.variable import Variable
 from repro.kernel import PackedKernel, StateInterner, image_codes
@@ -287,6 +287,102 @@ class TestSweepFreeValidation:
         )
         SharedKernel(program, chunk=50)
         assert checked_batches == [50, 50]
+
+
+def _with_init(init):
+    """A two-variable program whose only variation is its init.  ``x``
+    climbs from 1 to 3; at ``x == 0`` only ``y`` spins, a fair trap
+    wherever the init leaves ``x == 0`` out."""
+    return Program(
+        "initp",
+        [Variable("x", IntRange(0, 3)), Variable("y", ModularDomain(3))],
+        [
+            GuardedAction(
+                "up",
+                And(Lt(Const(0), Var("x")), Lt(Var("x"), Const(3))),
+                {"x": Add(Var("x"), Const(1))},
+            ),
+            GuardedAction(
+                "spin", Eq(Var("x"), Const(0)), {"y": AddMod(Var("y"), Const(1), 3)}
+            ),
+        ],
+        init=init,
+    )
+
+
+INITS = {
+    "predicate": Lt(Var("y"), Var("x")),
+    "explicit": [{"x": 2, "y": 1}, {"x": 1, "y": 0}, {"x": 3, "y": 2}],
+    "none": None,
+    "true": Const(True),
+}
+
+
+@needs_numpy
+class TestLoweredInit:
+    """A boolean init predicate is lowered and swept in batches; every
+    other init keeps the scalar path, and its exact error."""
+
+    @staticmethod
+    def _kernels(program):
+        from repro.kernel.shared import SharedKernel
+        from repro.kernel.vector import VectorKernel
+
+        return VectorKernel.from_program(program), SharedKernel(program, chunk=5)
+
+    @pytest.mark.parametrize("kind", sorted(INITS))
+    def test_initial_codes_are_the_sorted_initial_states(self, kind):
+        program = _with_init(INITS[kind])
+        encode = StateInterner(program.schema()).encode
+        expected = tuple(sorted(encode(state) for state in program.initial_states()))
+        for kernel in self._kernels(program):
+            assert kernel.initial_codes == expected
+
+    @pytest.mark.parametrize("kind", ["predicate", "true"])
+    def test_lowered_predicate_never_enumerates_scalar_states(self, kind, monkeypatch):
+        program = _with_init(INITS[kind])
+        # Under strong fairness the fair-trap search materializes the
+        # system (the predicate case fails with a fair trap).
+        expected = check_self_stabilization(
+            program, fairness="strong", engine="tuple"
+        ).format()
+
+        def refuse(self):
+            raise AssertionError("scalar initial-state scan")
+
+        monkeypatch.setattr(Program, "initial_states", refuse)
+        for kernel in self._kernels(program):
+            kernel.materialize()
+        for engine in ("vector", "shared"):
+            assert check_self_stabilization(
+                program, fairness="strong", engine=engine
+            ).format() == expected
+
+    def test_non_boolean_predicate_raises_the_scalar_error(self):
+        from repro.core.errors import GCLError
+
+        from repro.kernel.shared import SharedKernel
+        from repro.kernel.vector import VectorKernel
+
+        program = _with_init(Add(Var("x"), Const(1)))
+        with pytest.raises(GCLError) as scalar:
+            list(program.initial_states())
+        for build in (VectorKernel.from_program, SharedKernel):
+            with pytest.raises(GCLError) as lowered:
+                build(program)
+            assert str(lowered.value) == str(scalar.value)
+
+    def test_parsed_kstate_checks_like_the_unparsed_ring(self):
+        from repro.gcl import parse_program, render_program
+
+        ring = kstate_program(6, 6)
+        parsed = parse_program(render_program(ring))
+        assert parsed.init_predicate is not None
+        # Same program and name; only the init is a predicate now.
+        ring = ring.with_actions(ring.actions, name=parsed.name)
+        assert check_self_stabilization(parsed, engine="vector").format() == (
+            check_self_stabilization(ring, engine="vector").format()
+        )
 
 
 @needs_numpy
