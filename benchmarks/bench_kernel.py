@@ -52,19 +52,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
-import pytest
-
 from repro.analysis import format_table
 from repro.checker import check_stabilization
-from repro.kernel.vector import numpy_available
 from repro.kernel.vector.analyze import MAX_VECTOR_CELLS_ENV
 from repro.obs import Recorder
 from repro.rings import kstate_program, utr_abstraction, utr_program
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(),
-    reason="the P05 claims are about the vector engine, which needs NumPy",
-)
 
 #: (n, k) sweep: 256, 3125, and 46656 concrete states.  The largest is
 #: where the >= 3x assertion applies; the CI smoke budget allows it
@@ -259,7 +251,6 @@ def test_p02_kernel_counters(benchmark, record_metrics):
     record_metrics("p02_kernel", recorder)
 
 
-@needs_numpy
 def test_p05_vector_scaling(benchmark, record_table):
     rows = benchmark.pedantic(_vector_sweep_rows, rounds=1, iterations=1)
     largest = rows[-1]
@@ -378,7 +369,6 @@ def _update_bench_trajectory(rows):
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-@needs_numpy
 def test_p09_mega_bounded_rss(benchmark, record_table):
     """The shared engine's headline claim: state spaces past the
     vector ceiling complete with RSS bounded by the budget plus the
@@ -429,7 +419,6 @@ def test_p09_mega_bounded_rss(benchmark, record_table):
     )
 
 
-@needs_numpy
 def test_p05_vector_counters(benchmark, record_metrics, results_dir):
     recorder = Recorder(kind="bench")
     recorder.annotate(experiment="p05_vector", n=6, k=6, engine="vector")

@@ -21,9 +21,9 @@ import pathlib
 import platform
 from typing import Mapping, Optional, Sequence
 
+import numpy
 import pytest
 
-from repro.kernel.vector import numpy_version
 from repro.obs import Recorder
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -33,12 +33,11 @@ def environment_stanza(engine: Optional[str] = None) -> Mapping[str, object]:
     """The provenance block every results row carries.
 
     Perf rows are only comparable across machines when the payload says
-    which engine ran and on which interpreter/NumPy; ``numpy`` is null
-    on a pure-Python install, where "vector" falls back.
+    which engine ran and on which interpreter/NumPy.
     """
     return {
         "engine": engine,
-        "numpy": numpy_version(),
+        "numpy": str(numpy.__version__),
         "python": platform.python_version(),
     }
 

@@ -75,6 +75,8 @@ from dataclasses import dataclass, field, replace
 from itertools import compress
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
+import numpy as np
+
 from ..core.abstraction import AbstractionFunction, identity_abstraction
 from ..core.state import State
 from ..core.system import System
@@ -400,8 +402,8 @@ def check_stabilization(
             chunks, and ``'packed'`` is an alias of ``'vector'`` — same
             verdicts, witnesses, and counters, decoded back to tuples
             at this boundary.  A request that cannot run as asked
-            (unpackable schema, no NumPy, an unlowerable
-            program) moves down shared → vector → packed →
+            (unpackable schema, an unlowerable program, the cell
+            ceiling) moves down shared → vector → packed →
             tuple with an ``engine.fallback`` event giving the reason
             (:func:`~repro.checker.engines.engine_chain`).  Both sides
             may be a :class:`~repro.gcl.program.Program`; the array
@@ -899,7 +901,7 @@ class _PackedBackend(_KernelBackend):
 
         return packed_has_cycle(invisible_succ, core_flags)
 
-    def _edges(self, listed, invisible: bool) -> Tuple[List[int], List[int]]:
+    def _edges(self, listed, invisible: bool) -> Tuple[np.ndarray, np.ndarray]:
         succ, image_of = self.succ, self.image_of
         sources: List[int] = []
         targets: List[int] = []
@@ -910,7 +912,7 @@ class _PackedBackend(_KernelBackend):
                 ):
                     sources.append(code)
                     targets.append(target)
-        return sources, targets
+        return np.array(sources, dtype=np.int64), np.array(targets, dtype=np.int64)
 
     def _successors_in(self, codes: List[int], searched) -> List[int]:
         return [
@@ -945,8 +947,6 @@ class _VectorBackend(_KernelBackend):
         )
 
     def legitimate(self) -> FrozenSet[State]:
-        import numpy as np
-
         from ..kernel.vector import vector_reachable
 
         abstract = self.abstract_kernel
@@ -958,8 +958,6 @@ class _VectorBackend(_KernelBackend):
         return _decoded(abstract.interner, np.nonzero(self.legitimate_flags)[0])
 
     def core(self) -> FrozenSet[State]:
-        import numpy as np
-
         from ..kernel.shared.image import SharedImage
         from ..kernel.vector import vector_core
 
@@ -1020,14 +1018,10 @@ class _VectorBackend(_KernelBackend):
         return sources, targets
 
     def _successors_in(self, codes: List[int], searched) -> List[int]:
-        import numpy as np
-
         _, targets = self.kernel.succ_pairs(np.asarray(codes, dtype=np.int64))
         return targets[searched[targets]].tolist()
 
     def outside_states(self) -> FrozenSet[State]:
-        import numpy as np
-
         return _decoded(self.interner, np.nonzero(self.outside)[0])
 
     def longest_path(self) -> Optional[int]:
@@ -1039,7 +1033,7 @@ class _VectorBackend(_KernelBackend):
 
 
 class _SharedBackend(_KernelBackend):
-    """Streamed fixpoints of the shared-memory engine.
+    """Streamed fixpoints of the shared engine.
 
     Membership flags are bit-packed, successor evaluation is chunked
     through the table-free :class:`~repro.kernel.shared.SharedKernel`,
@@ -1165,8 +1159,6 @@ class _SharedBackend(_KernelBackend):
         return self._region(self.remainder, self.outside, invisible=False)
 
     def _edges(self, listed, invisible: bool):
-        import numpy as np
-
         # Stored at the run's code width: the edge list is the region
         # build's one allocation proportional to the listed set.
         dtype = self.runtime.code_dtype
@@ -1187,8 +1179,6 @@ class _SharedBackend(_KernelBackend):
         return np.concatenate(source_parts), np.concatenate(target_parts)
 
     def _successors_in(self, codes: List[int], searched) -> List[int]:
-        import numpy as np
-
         _, targets = self.kernel.succ_pairs(np.asarray(codes, dtype=np.int64))
         return targets[searched.test(targets)].tolist()
 

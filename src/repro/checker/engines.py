@@ -94,7 +94,7 @@ def _preflight(
     (:func:`~repro.kernel.shared.shared_fallback_reason`): the interner
     ceiling is exactly the limit it exists to bypass.  Vector and
     packed intern every state, so both check the ceiling; vector also
-    needs NumPy and a lowerable program.
+    needs a lowerable program.
     """
     if rung == "tuple":
         return None

@@ -45,7 +45,7 @@ dense state codes and, when every clause holds, emits the tuple
 engine's counters and detail.  The engines are vector and tuple
 (:func:`~repro.checker.engines.engine_chain`): ``packed`` is an alias
 of ``vector``, a shared request continues at vector (the clauses have
-no streamed form), and where vector refuses the sources (no NumPy, an
+no streamed form), and where vector refuses the sources (an
 unlowerable program, the cell ceiling) the check replays on tuple;
 each says so in an ``engine.fallback`` event.  Clause 3 is one
 strongly connected component labelling of the concrete edge list the
@@ -65,6 +65,8 @@ engine; so does a runtime fault on vector
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..core.abstraction import AbstractionFunction, identity_abstraction
 from ..core.state import State
@@ -137,8 +139,6 @@ class _VectorClauses:
         ``raise-memory`` chaos fault on the vector engine can land here
         (:func:`repro.resilience.chaos.engine_states`).
         """
-        import numpy as np
-
         from ..kernel.shared.image import SharedImage
         from ..kernel.vector import as_vector_kernel
         from ..resilience import chaos
@@ -155,16 +155,12 @@ class _VectorClauses:
         return cls(kernel, abstract_kernel, image_of, instrumentation)
 
     def initial_ok(self) -> bool:
-        import numpy as np
-
         initial_images = self.image_of[self.kernel.initial_array]
         return bool(
             np.isin(initial_images, self.abstract_kernel.initial_array).all()
         )
 
     def reachable(self):
-        import numpy as np
-
         from ..kernel.vector import vector_reachable
 
         flags = vector_reachable(
@@ -181,8 +177,6 @@ class _VectorClauses:
     def edges_hold(
         self, codes, stutter_insensitive: bool, open_systems: bool
     ) -> Optional[int]:
-        import numpy as np
-
         if codes is None:
             codes = np.arange(self.kernel.size, dtype=np.int64)
         origins, targets = self.kernel.succ_pairs(codes)
@@ -208,8 +202,6 @@ class _VectorClauses:
         """The exact count, the stutter and compression edges, and the
         whole concrete edge list, which clause 3 labels; ``None`` on an
         unrealizable transition."""
-        import numpy as np
-
         from ..kernel.vector import vector_reachable
         from ..kernel.vector.kernel import _unique_sorted
 
@@ -246,17 +238,13 @@ class _VectorClauses:
             reach = vector_reachable(abstract_kernel, starts)
             if not bool(reach[rest_image_target[rest_image_source == image]].all()):
                 return None
-        stutter_edges = list(
-            zip(sources[stutter_mask].tolist(), targets[stutter_mask].tolist())
-        )
+        stutters = np.column_stack((sources[stutter_mask], targets[stutter_mask]))
         compressions = np.column_stack((sources[rest], targets[rest]))
-        return exact, stutter_edges, compressions, (sources, targets)
+        return exact, stutters, compressions, (sources, targets)
 
     def compression_on_cycle(self, edges, concrete_edges) -> bool:
         """Does a compression lie on a cycle of ``concrete_edges``, the
         ``(sources, targets)`` arrays :meth:`scan` expanded?"""
-        import numpy as np
-
         from ..kernel.cycles import component_labels
 
         if not edges.size:
@@ -276,15 +264,13 @@ class _VectorClauses:
 _Proof = Tuple[Dict[str, int], str]
 
 
-def _stutter_cycle(stutter_edges: List[Tuple[int, int]]) -> bool:
-    """Do the stutter edges close a cycle (literal self-loops excepted,
-    as in the tuple engine)?"""
+def _stutter_cycle(stutters: np.ndarray) -> bool:
+    """Do the stutter edges, ``(source, target)`` rows, close a cycle
+    (literal self-loops excepted, as in the tuple engine)?"""
     from ..kernel.cycles import cycle_codes
 
-    moving = [(source, target) for source, target in stutter_edges if source != target]
-    return bool(
-        cycle_codes([source for source, _ in moving], [target for _, target in moving])
-    )
+    moving = stutters[stutters[:, 0] != stutters[:, 1]]
+    return bool(cycle_codes(moving[:, 0], moving[:, 1]))
 
 
 def _init_holds(

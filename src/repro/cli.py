@@ -408,12 +408,12 @@ def _add_engine_flag(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--engine", choices=("packed", "tuple", "vector", "shared"),
         default=DEFAULT_ENGINE,
-        help="checker engine: 'shared' streams chunked frontiers through "
-        "shared-memory segments with out-of-core spill (mega state spaces "
-        "in bounded RSS; see --mem-budget); 'vector' batch-evaluates whole "
-        "frontiers as NumPy arrays and falls back to the packed kernel "
-        "(dense state codes, bitset fixpoints) without NumPy or for "
-        "programs it cannot lower; 'packed' is an alias of 'vector'; "
+        help="checker engine: 'shared' streams chunked frontiers with "
+        "out-of-core spill (mega state spaces in bounded RSS; see "
+        "--mem-budget); 'vector' batch-evaluates whole frontiers as NumPy "
+        "arrays and falls back to the packed kernel (dense state codes, "
+        "bitset fixpoints) for programs it cannot lower or above its cell "
+        "ceiling; 'packed' is an alias of 'vector'; "
         "'tuple' is the reference set-based engine. Every engine falls "
         "back to tuple automatically where it cannot apply, and verdicts "
         "are identical either way (default: vector)",

@@ -108,7 +108,8 @@ class System:
     ) -> "System":
         """The system the constructor builds from ``adjacency``'s pairs,
         in its order, for states already known to be members of
-        ``schema`` (decoded from state codes): nothing is re-validated.
+        ``schema`` (decoded from state codes, or validated while they
+        were compiled): nothing is re-validated.
 
         ``adjacency`` maps each source to the set its successors were
         added to, so each successor set iterates as the constructor's.

@@ -14,7 +14,7 @@ downstream.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from ..core.errors import GCLError
 from ..core.state import State
@@ -75,27 +75,32 @@ def compile_states(
     set is built from the same insertion sequence — and iterates in
     the same order — as the full system's.  The int-code engines
     compile just the states of a cycle witness this way.
+
+    :func:`program_moves` validates every source (``schema.unpack``)
+    and every target (``schema.pack``), so the system is assembled
+    without validating them again; an explicit ``initial`` is
+    validated here.
     """
+    schema = program.schema()
     chosen = daemon or CentralDaemon()
-    transitions: List[Transition] = []
+    adjacency: Dict[State, Set[State]] = {}
     labels: Dict[Transition, Set[str]] = {}
     for state in states:
         for successor, action_labels in program_moves(program, chosen, state):
             if successor == state and not keep_stutter:
                 continue
-            pair = (state, successor)
-            transitions.append(pair)
-            labels.setdefault(pair, set()).update(action_labels)
+            adjacency.setdefault(state, set()).add(successor)
+            labels.setdefault((state, successor), set()).update(action_labels)
+    if initial is None:
+        initial = program.initial_states()
+    else:
+        initial = frozenset(initial)
+        for state in initial:
+            schema.validate(state)
     system_name = name or (
         program.name if chosen.name == "central" else f"{program.name}@{chosen.name}"
     )
-    return System(
-        program.schema(),
-        transitions,
-        program.initial_states() if initial is None else initial,
-        name=system_name,
-        labels={pair: frozenset(names) for pair, names in labels.items()},
-    )
+    return System.of_members(schema, adjacency, initial, system_name, labels)
 
 
 def program_moves(

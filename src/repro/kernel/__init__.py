@@ -3,8 +3,9 @@
 Dense integer state codes (mixed-radix interning), on-the-fly
 successor generation compiled straight from guarded-command programs,
 and bitset fixpoints for the checker's hot set computations.  The
-checkers run it as the vector engine's fallback rung — without NumPy,
-or for a program the vector engine cannot lower; ``engine="packed"``
+checkers run it as the vector engine's fallback rung — for a program
+the vector engine cannot lower or one above its cell ceiling;
+``engine="packed"``
 is an alias of ``"vector"``.  Verdicts, witnesses, and
 observability counters match the tuple engine byte for byte (see
 ``docs/PERFORMANCE.md`` for the architecture and the one documented

@@ -16,10 +16,8 @@ lies on a cycle, which holds iff ``s`` and ``t`` share a component
    :func:`cycle_codes` keeps the nodes of components with more than
    one member or with a self-loop.
 
-Edges come as parallel ``sources``/``targets`` sequences: plain int
-lists (the packed engine, which runs without NumPy) or NumPy int
-arrays (the vector and shared engines), which trim as whole-array
-passes.  The SCC step is pure Python either way; it runs on the
+Edges come as parallel ``sources``/``targets`` int arrays, which trim
+as whole-array passes.  The SCC step is pure Python; it runs on the
 trimmed remainder only.
 """
 
@@ -27,6 +25,8 @@ from __future__ import annotations
 
 from collections import Counter
 from typing import Dict, List, Sequence, Set, Tuple
+
+import numpy as np
 
 __all__ = ["component_labels", "cycle_codes"]
 
@@ -57,30 +57,6 @@ def cycle_codes(sources: Sequence[int], targets: Sequence[int]) -> List[int]:
 
 
 def _trimmed(sources, targets) -> Tuple[List[int], List[int]]:
-    if isinstance(sources, list):
-        return _trimmed_lists(sources, list(targets))
-    return _trimmed_arrays(sources, targets)
-
-
-def _trimmed_lists(
-    sources: List[int], targets: List[int]
-) -> Tuple[List[int], List[int]]:
-    while True:
-        has_in, has_out = set(targets), set(sources)
-        kept = [
-            edge
-            for edge in zip(sources, targets)
-            if edge[0] in has_in and edge[1] in has_out
-        ]
-        if len(kept) == len(sources):
-            return sources, targets
-        sources = [source for source, _ in kept]
-        targets = [target for _, target in kept]
-
-
-def _trimmed_arrays(sources, targets) -> Tuple[List[int], List[int]]:
-    import numpy as np
-
     sources = np.asarray(sources)
     targets = np.asarray(targets)
     if not sources.size:

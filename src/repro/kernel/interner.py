@@ -67,7 +67,7 @@ class StateInterner:
     Args:
         schema: the state schema to intern.
         enforce_ceiling: when ``False`` the :data:`MAX_PACKED_STATES`
-            size check is skipped — the shared-memory engine streams
+            size check is skipped — the shared engine streams
             code chunks and bit-packed flags instead of byte-per-state
             arrays, so the ceiling's rationale does not apply to it.
             The arithmetic itself is exact at any size.

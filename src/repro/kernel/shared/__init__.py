@@ -1,4 +1,4 @@
-"""The shared-memory mega-state engine (``engine="shared"``).
+"""The streamed mega-state engine (``engine="shared"``).
 
 A streamed, optionally out-of-core sibling of the vector engine for
 state spaces past ``MAX_VECTOR_CELLS``.  Where the vector kernel
@@ -15,14 +15,10 @@ vector ceiling.
 Verdicts, witnesses, and the shared size-based counters match the
 in-process engines byte for byte; the engine is only *selected* while
 a :func:`~.budget.using_memory_budget` context is active, and
-:func:`shared_fallback_reason` gates every other precondition (NumPy,
-a working ``/dev/shm``, program sources, batch-lowerable abstraction).
-Cleanup of segments and spill files is unconditional — see
-:func:`~.runtime.open_runtime` and the registry's ``atexit`` backstop.
-
-NumPy-free modules (:mod:`.budget`, :mod:`.segments`) always import;
-the array modules load only when NumPy is present, mirroring
-:mod:`repro.kernel.vector`.
+:func:`shared_fallback_reason` gates every other precondition (program
+sources, state-space size, batch-lowerable abstraction).  Removal of
+the spill directory is unconditional — see
+:func:`~.runtime.open_runtime`.
 """
 
 from __future__ import annotations
@@ -32,9 +28,12 @@ from typing import Optional
 from ...core.abstraction import AbstractionFunction
 from ...gcl.program import Program
 from ..engine import CheckSource
-from ..interner import MAX_PACKED_STATES
-from ..vector import NUMPY_MISSING_REASON, numpy_available, unlowerable_reason
-from ..vector.analyze import structural_unlowerable_reason
+from ..interner import MAX_PACKED_STATES, StateInterner
+from ..vector.analyze import (
+    effective_max_vector_cells,
+    structural_unlowerable_reason,
+    unlowerable_reason,
+)
 from .budget import (
     DEFAULT_MEM_BUDGET,
     MemoryContext,
@@ -43,29 +42,53 @@ from .budget import (
     parse_mem_budget,
     using_memory_budget,
 )
-from .segments import (
-    SegmentRegistry,
-    shared_memory_unavailable_reason,
-    shm_dir,
+from .fixpoint import (
+    RegionDegrees,
+    shared_core,
+    shared_has_cycle,
+    shared_longest_path,
+    shared_terminals,
 )
+from .frontier import BitField, CodeRuns
+from .image import SharedImage, shared_image_unsupported_reason
+from .kernel import SharedKernel, SharedLoweringError
+from .runtime import SharedRuntime, open_runtime
+from .spill import SpillStore
+from .tables import TablePool
+from .width import code_dtype, code_width
 
 __all__ = [
+    "BitField",
+    "CodeRuns",
     "DEFAULT_MEM_BUDGET",
     "MemoryContext",
+    "RegionDegrees",
     "SHARED_MIN_STATES",
-    "SegmentRegistry",
+    "SharedImage",
+    "SharedKernel",
+    "SharedLoweringError",
+    "SharedRuntime",
+    "SpillStore",
+    "TablePool",
     "active_memory_context",
     "chunk_codes",
+    "code_dtype",
+    "code_width",
+    "open_runtime",
     "parse_mem_budget",
+    "shared_core",
     "shared_fallback_reason",
-    "shared_memory_unavailable_reason",
-    "shm_dir",
+    "shared_has_cycle",
+    "shared_image_unsupported_reason",
+    "shared_longest_path",
+    "shared_terminals",
     "using_memory_budget",
 ]
 
-#: Below this many packed states the shared engine refuses to run:
-#: segment setup and chunk bookkeeping cost more than the whole check,
-#: and the in-process engines are exact on spaces this small.
+#: Below this many packed states the shared engine refuses to run: the
+#: runtime's spill directory, table pool and chunk bookkeeping cost
+#: more than the whole check, and the in-memory engines are exact on
+#: spaces this small.
 SHARED_MIN_STATES = 16
 
 
@@ -76,28 +99,20 @@ def shared_fallback_reason(
 ) -> Optional[str]:
     """Why the shared engine cannot run these sources (``None`` = it can).
 
-    Checked in order, cheapest first, all without touching NumPy until
-    availability is established and without materializing any
+    Checked in order, cheapest first, all without materializing any
     full-space array:
 
-    1. NumPy present (the chunk evaluator is array code);
-    2. ``multiprocessing.shared_memory`` works (probed once);
-    3. both sources are guarded-command programs (compiled systems
+    1. both sources are guarded-command programs (compiled systems
        already hold their explicit state lists in RAM — streaming them
        would save nothing);
-    4. the concrete program lowers structurally (the size ceiling is
+    2. the concrete program lowers structurally (the size ceiling is
        deliberately *not* applied — streaming is the point);
-    5. the state space is not trivially small (:data:`SHARED_MIN_STATES`);
-    6. the abstract program lowers *within* the vector ceiling — its
+    3. the state space is not trivially small (:data:`SHARED_MIN_STATES`);
+    4. the abstract program lowers *within* the vector ceiling — its
        tables, cores, and flag arrays stay fully resident;
-    7. the abstraction has a streamable image form
+    5. the abstraction has a streamable image form
        (:func:`~.image.shared_image_unsupported_reason`).
     """
-    if not numpy_available():
-        return NUMPY_MISSING_REASON
-    reason = shared_memory_unavailable_reason()
-    if reason is not None:
-        return reason
     if not isinstance(concrete, Program):
         return (
             "concrete source is a compiled system; the shared engine "
@@ -116,7 +131,7 @@ def shared_fallback_reason(
     size = concrete_schema.size()
     if size < SHARED_MIN_STATES:
         return (
-            f"state space has only {size} states; shared-memory staging "
+            f"state space has only {size} states; streaming "
             f"costs more than it saves"
         )
     reason = unlowerable_reason(abstract)
@@ -129,11 +144,6 @@ def shared_fallback_reason(
             f"interner ceiling; the shared engine keeps abstract tables "
             f"fully resident"
         )
-    from ..interner import StateInterner
-    from .image import shared_image_unsupported_reason
-
-    from ..vector.analyze import effective_max_vector_cells
-
     return shared_image_unsupported_reason(
         StateInterner(concrete_schema, enforce_ceiling=False),
         StateInterner(abstract.schema()),
@@ -141,39 +151,3 @@ def shared_fallback_reason(
         effective_max_vector_cells(),
     )
 
-
-if numpy_available():
-    from .fixpoint import (
-        RegionDegrees,
-        shared_core,
-        shared_has_cycle,
-        shared_longest_path,
-        shared_terminals,
-    )
-    from .frontier import BitField, CodeRuns
-    from .image import SharedImage, shared_image_unsupported_reason
-    from .kernel import SharedKernel, SharedLoweringError
-    from .runtime import SharedRuntime, open_runtime
-    from .spill import SpillStore
-    from .tables import TablePool
-    from .width import code_dtype, code_width
-
-    __all__ += [
-        "BitField",
-        "CodeRuns",
-        "RegionDegrees",
-        "SharedImage",
-        "SharedKernel",
-        "SharedLoweringError",
-        "SharedRuntime",
-        "SpillStore",
-        "TablePool",
-        "code_dtype",
-        "code_width",
-        "open_runtime",
-        "shared_core",
-        "shared_has_cycle",
-        "shared_image_unsupported_reason",
-        "shared_longest_path",
-        "shared_terminals",
-    ]

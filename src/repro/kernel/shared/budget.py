@@ -1,6 +1,6 @@
 """Memory budgets and the process-wide shared-engine context.
 
-The shared-memory engine is opt-in: a check routes through it only
+The shared engine is opt-in: a check routes through it only
 while a :class:`MemoryContext` is active (the CLI's ``--mem-budget``
 / ``--spill-dir`` flags, or :func:`using_memory_budget` directly).
 The context carries two settable values; the streamed fixpoints plan
@@ -14,12 +14,10 @@ around both:
   (defaults to the system temp dir).
 
 The active context lives in a module-level slot, exactly like the
-resilience package's chaos plan: forked workers (``verify-tree``,
-campaigns) inherit it copy-on-write, and ``finally`` restores the
-previous value, so nested activations behave like a stack.  Nothing
-here imports NumPy — engine selection must be able to *refuse* the
-shared engine on a pure-Python install without touching the array
-modules.
+resilience package's chaos plan: a ``verify-tree`` or campaign worker
+forked inside the context inherits it, and ``finally`` restores the
+previous value, so nested activations behave like a stack.  Engine
+selection reads the slot on every check (:func:`active_memory_context`).
 """
 
 from __future__ import annotations
@@ -95,7 +93,7 @@ def parse_mem_budget(text: str) -> int:
 
 @dataclass(frozen=True)
 class MemoryContext:
-    """One activation of the shared-memory engine.
+    """One activation of the shared engine.
 
     Attributes:
         budget_bytes: in-RAM working-set ceiling for engine data.
@@ -111,7 +109,7 @@ class MemoryContext:
             raise ValueError("memory budget must be positive")
 
 
-#: The active context stack slot (copy-on-write inherited by forks).
+#: The active context stack slot.
 _ACTIVE: List[Optional[MemoryContext]] = [None]
 
 
@@ -125,7 +123,7 @@ def using_memory_budget(
     budget: Optional[object] = None,
     spill_dir: Optional[str] = None,
 ) -> Iterator[MemoryContext]:
-    """Activate the shared-memory engine for the dynamic extent.
+    """Activate the shared engine for the dynamic extent.
 
     Args:
         budget: bytes (int), human text (``"512M"``), or ``None`` for

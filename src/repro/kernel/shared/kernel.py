@@ -129,9 +129,9 @@ class SharedKernel:
     def attach_tables(self, pool: Optional[TablePool]) -> None:
         """Install (or clear) the run's action-table pool.
 
-        The runtime attaches its pool before any fixpoint runs (so
-        forked workers inherit it copy-on-write) and detaches it in
-        its ``finally`` — the kernel itself may outlive the run.
+        The runtime attaches its pool before any fixpoint runs and
+        detaches it in its ``finally`` — the kernel itself may outlive
+        the run.
         """
         self._tables = pool
 

@@ -1,12 +1,11 @@
-"""The per-check runtime of the shared engine: budget, segments, spill.
+"""The per-check runtime of the shared engine: budget, table pool, spill.
 
 One :class:`SharedRuntime` spans one engine run (one decide).  It owns
-the :class:`~.segments.SegmentRegistry` and :class:`~.spill.SpillStore`
-whose cleanup must be unconditional — :func:`open_runtime` is the only
-sanctioned way in, and its ``finally`` sweeps segments, releases the
-table pool, and removes the spill directory no matter how the check
-ends: success, engine fault feeding the degradation chain, or a
-``KeyboardInterrupt`` mid-fixpoint.
+the :class:`~.spill.SpillStore` whose cleanup must be unconditional —
+:func:`open_runtime` is the only sanctioned way in, and its ``finally``
+releases the table pool and removes the spill directory no matter how
+the check ends: success, engine fault feeding the degradation chain,
+or a ``KeyboardInterrupt`` mid-fixpoint.
 
 The runtime also fixes the run's two cross-cutting perf decisions:
 
@@ -30,7 +29,6 @@ import numpy as np
 from ...obs import NULL_INSTRUMENTATION, Instrumentation
 from .budget import MemoryContext, active_memory_context, chunk_codes
 from .kernel import SharedKernel
-from .segments import SegmentRegistry
 from .spill import SpillStore
 from .tables import TablePool
 from .width import code_dtype
@@ -44,7 +42,6 @@ class SharedRuntime:
 
     context: MemoryContext
     chunk: int
-    registry: SegmentRegistry
     spill: SpillStore
     instrumentation: Instrumentation
     code_dtype: np.dtype = field(default_factory=lambda: np.dtype(np.int64))
@@ -66,7 +63,7 @@ def open_runtime(
     instrumentation: Instrumentation = NULL_INSTRUMENTATION,
     context: Optional[MemoryContext] = None,
 ) -> Iterator[SharedRuntime]:
-    """Open the segment registry and spill store for one engine run.
+    """Open the table pool and spill store for one engine run.
 
     Args:
         kernel: the streamed kernel (its action/variable counts size
@@ -83,10 +80,8 @@ def open_runtime(
         len(kernel.schema.names),
     )
     dtype = code_dtype(kernel.size)
-    registry = SegmentRegistry(instrumentation)
     spill = SpillStore(chosen.spill_dir, instrumentation, code_dtype=dtype)
     tables = TablePool(
-        registry,
         cap_bytes=chosen.budget_bytes // 4,
         dtype=dtype,
         instrumentation=instrumentation,
@@ -94,7 +89,6 @@ def open_runtime(
     runtime = SharedRuntime(
         context=chosen,
         chunk=chunk,
-        registry=registry,
         spill=spill,
         instrumentation=instrumentation,
         code_dtype=dtype,
@@ -113,5 +107,4 @@ def open_runtime(
     finally:
         kernel.attach_tables(None)
         tables.close()
-        registry.sweep()
         spill.close()

@@ -1,4 +1,4 @@
-"""Cross-round action-table reuse: a bounded shm-backed table pool.
+"""Cross-round action-table reuse: a bounded in-memory table pool.
 
 The streamed kernel re-lowers every chunk it evaluates — guard masks
 and digit deltas are recomputed from the closures each time
@@ -15,13 +15,10 @@ rounds with identical chunks.  Re-lowering those is pure waste.
   *verified* by comparing the stored codes against the queried chunk
   byte for byte, so a digest collision degrades to a miss instead of a
   wrong table — byte-identity of verdicts never rests on a hash;
-* **payload** — one shared-memory segment per entry holding the codes
-  (for verification), the per-action digit deltas in the run's storage
-  dtype (see :mod:`.width`), and the per-action guard masks packed to
-  one bit per code.  Segments are created through the run's
-  :class:`~.segments.SegmentRegistry`, so the unconditional sweep
-  reclaims them on every exit path, and forked workers read entries
-  that existed at fork time zero-copy;
+* **payload** — three arrays per entry: the codes (for verification),
+  the per-action digit deltas in the run's storage dtype (see
+  :mod:`.width`), and the per-action guard masks packed to one bit per
+  code;
 * **bound & scan resistance** — resident bytes are capped (a quarter
   of the budget), and the policy is built for the engine's access
   pattern: long sequential sweeps over regions that may dwarf the cap.
@@ -43,24 +40,20 @@ Counters: ``kernel.tables.hits`` / ``kernel.tables.misses`` /
 number of codes served from cache instead of re-lowered, the pool's
 deterministic work-elimination metric (a verified hit is 5–7× cheaper
 than fresh lowering at production chunk sizes, but wall-clock impact
-depends on how much of a phase is lowering-bound).  They are
-driver-side observability (a
-forked worker neither admits entries nor counts its hits — its
-recorder copy would be lost), so they are deliberately *not* part of
-the cross-engine counter-identity set.
+depends on how much of a phase is lowering-bound).  Only the shared
+engine has a pool, so they are deliberately *not* part of the
+cross-engine counter-identity set.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ...obs import NULL_INSTRUMENTATION, Instrumentation
-from .segments import Segment, SegmentRegistry
 
 __all__ = ["TablePool"]
 
@@ -78,15 +71,15 @@ EVICT_MISSES = 3
 
 
 class _Entry:
-    """Driver-side metadata for one cached chunk (payload in shm)."""
+    """One cached chunk: its codes, deltas and packed masks."""
 
-    __slots__ = ("segment", "count", "actions", "nbytes", "hits")
+    __slots__ = ("codes", "deltas", "masks", "nbytes", "hits")
 
-    def __init__(self, segment: Segment, count: int, actions: int, nbytes: int):
-        self.segment = segment
-        self.count = count
-        self.actions = actions
-        self.nbytes = nbytes
+    def __init__(self, codes: np.ndarray, deltas: np.ndarray, masks: np.ndarray):
+        self.codes = codes
+        self.deltas = deltas
+        self.masks = masks
+        self.nbytes = codes.nbytes + deltas.nbytes + masks.nbytes
         self.hits = 0
 
 
@@ -106,11 +99,9 @@ class _Probe:
 
 
 class TablePool:
-    """A bounded LRU of lowered per-chunk action tables in shm.
+    """A bounded LRU of lowered per-chunk action tables.
 
     Args:
-        registry: the run's segment registry (scopes entry segments
-            under the run prefix for the unconditional sweep).
         cap_bytes: resident ceiling for all entries together.
         dtype: the run's code storage dtype (:func:`~.width.code_dtype`
             under packing, int64 otherwise); deltas fit it because
@@ -119,20 +110,16 @@ class TablePool:
 
     def __init__(
         self,
-        registry: SegmentRegistry,
         cap_bytes: int,
         dtype: np.dtype,
         instrumentation: Instrumentation = NULL_INSTRUMENTATION,
     ):
-        self._registry = registry
         self._cap = max(1 << 16, cap_bytes)
         self._dtype = np.dtype(dtype)
         self._obs = instrumentation
         self._entries: "OrderedDict[bytes, _Entry]" = OrderedDict()
         self._ghosts: "OrderedDict[bytes, int]" = OrderedDict()
         self._bytes = 0
-        self._seq = 0
-        self._pid = os.getpid()
         self._closed = False
 
     @property
@@ -179,45 +166,28 @@ class TablePool:
         key = self._key(stored)
         probe = _Probe(stored, key)
         entry = self._entries.get(key)
-        driver = os.getpid() == self._pid
-        if entry is None or entry.count != stored.size:
-            if driver:
-                self._obs.count("kernel.tables.misses")
-                self._note_miss(key)
+        # A digest collision (different codes, same key) is a miss,
+        # never a wrong table.
+        if entry is None or not np.array_equal(entry.codes, stored):
+            self._obs.count("kernel.tables.misses")
+            self._note_miss(key)
             return None, probe
-        raw = np.frombuffer(entry.segment.buf, dtype=np.uint8)
-        width = self._dtype.itemsize
-        codes_end = entry.count * width
-        if not np.array_equal(
-            raw[:codes_end].view(self._dtype), stored
-        ):  # digest collision: a miss, never a wrong table
-            if driver:
-                self._obs.count("kernel.tables.misses")
-                self._note_miss(key)
-            return None, probe
-        if driver:
-            self._entries.move_to_end(key)
-            entry.hits += 1
-            self._obs.count("kernel.tables.hits")
-            self._obs.count("kernel.tables.hit_codes", entry.count)
-        deltas_end = codes_end + entry.actions * entry.count * width
-        deltas = raw[codes_end:deltas_end].view(self._dtype)
-        masks = raw[deltas_end : deltas_end + entry.actions * ((entry.count + 7) // 8)]
-        mask_bytes = (entry.count + 7) // 8
+        self._entries.move_to_end(key)
+        entry.hits += 1
+        count = stored.size
+        self._obs.count("kernel.tables.hits")
+        self._obs.count("kernel.tables.hit_codes", count)
         tables: List[ActionTable] = []
-        for index in range(entry.actions):
-            packed = masks[index * mask_bytes : (index + 1) * mask_bytes]
-            mask = np.unpackbits(packed, count=entry.count, bitorder="little")
-            delta = deltas[index * entry.count : (index + 1) * entry.count]
+        for packed, delta in zip(entry.masks, entry.deltas):
+            mask = np.unpackbits(packed, count=count, bitorder="little")
             succ = codes + delta.astype(np.int64, copy=False)
             tables.append((mask.view(bool), succ))
-        del raw, deltas, masks
         return tables, probe
 
     # -- admission -----------------------------------------------------
 
     def _note_miss(self, key: bytes) -> None:
-        """Remember a driver-side miss in the bounded ghost digests."""
+        """Remember a miss in the bounded ghost digests."""
         self._ghosts[key] = self._ghosts.get(key, 0) + 1
         self._ghosts.move_to_end(key)
         while len(self._ghosts) > GHOST_CAP:
@@ -249,13 +219,12 @@ class TablePool:
         the chunk's ghost digest says it recurs.
 
         The entry is admitted only when ``inner`` is fully consumed
-        (every consumer in the engine drains its iterator), and only
-        on the driver — a forked worker's admission would die with it.
-        An ineligible chunk streams straight through with no packing
+        (every consumer in the engine drains its iterator).  An
+        ineligible chunk streams straight through with no packing
         overhead at all.  Pass the probe a preceding :meth:`lookup`
         returned to reuse its hash.
         """
-        if self._closed or os.getpid() != self._pid:
+        if self._closed:
             yield from inner
             return
         if probe is None:
@@ -304,7 +273,6 @@ class TablePool:
         for vkey in victims:
             victim = self._entries.pop(vkey)
             self._bytes -= victim.nbytes
-            self._registry.release(victim.segment)
             self._obs.count("kernel.tables.evictions")
         return True
 
@@ -320,40 +288,21 @@ class TablePool:
         count = int(stored.size)
         actions = len(masks)
         width = self._dtype.itemsize
-        mask_bytes = (count + 7) // 8
-        nbytes = count * width + actions * count * width + actions * mask_bytes
+        nbytes = count * width + actions * count * width + actions * ((count + 7) // 8)
         if nbytes > self._cap:
             return
         if self._bytes + nbytes > self._cap:
             if not self._make_room(key, nbytes):
                 return
         self._ghosts.pop(key, None)
-        self._seq += 1
-        segment = self._registry.create(nbytes, f"tbl{self._seq:x}")
-        raw = np.frombuffer(segment.buf, dtype=np.uint8)
-        codes_end = count * width
-        raw[:codes_end].view(self._dtype)[:] = stored
-        deltas_view = raw[codes_end : codes_end + actions * count * width].view(
-            self._dtype
-        )
-        masks_off = codes_end + actions * count * width
-        for index in range(actions):
-            deltas_view[index * count : (index + 1) * count] = deltas[index]
-            raw[
-                masks_off + index * mask_bytes : masks_off + (index + 1) * mask_bytes
-            ] = masks[index]
-        del raw, deltas_view
-        self._entries[key] = _Entry(segment, count, actions, nbytes)
-        self._bytes += nbytes
+        entry = _Entry(stored.copy(), np.stack(deltas), np.stack(masks))
+        self._entries[key] = entry
+        self._bytes += entry.nbytes
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Release every entry segment.  Idempotent, driver-only."""
-        if self._closed or os.getpid() != self._pid:
-            return
+        """Drop every entry; later lookups miss.  Idempotent."""
         self._closed = True
-        for entry in self._entries.values():
-            self._registry.release(entry.segment)
         self._entries.clear()
         self._bytes = 0

@@ -1,7 +1,7 @@
 """Adaptive code widths: store packed codes as narrow as |Sigma| allows.
 
 Every structure the shared engine keeps per *code* — frontier runs,
-spill files, edge buckets, worker staging segments — historically held
+spill files, edge buckets, table-pool entries — historically held
 int64.  But a packed code is bounded by the interner's radix product,
 known exactly at kernel construction, so a 10**8-state space fits
 int32 and anything under 32768 states fits int16.  Choosing the width

@@ -7,12 +7,10 @@ computations to whole-frontier array operations.  Selected with
 ``engine="vector"``; verdicts, witnesses, and observability counters
 match the tuple and packed engines byte for byte.
 
-NumPy is optional (the ``repro[vector]`` extra).  This package stays
-importable without it: :mod:`.availability` and :mod:`.analyze` are
-NumPy-free, and the array modules load only when NumPy is present —
-engine selection (:func:`repro.checker.engines.engine_chain`) consults
-:func:`vector_fallback_reason` first and otherwise falls back to the
-packed engine (stabilization) or the tuple reference (refinement).
+Engine selection (:func:`repro.checker.engines.engine_chain`)
+consults :func:`vector_fallback_reason`; a program this engine cannot
+lower falls back to the packed engine (stabilization) or the tuple
+reference (refinement).
 """
 
 from __future__ import annotations
@@ -32,42 +30,50 @@ from .analyze import (
     structural_unlowerable_reason,
     unlowerable_reason,
 )
-from .availability import (
-    HAVE_NUMPY,
-    NUMPY_MISSING_REASON,
-    numpy_available,
-    numpy_version,
+from .fixpoint import (
+    region_edges,
+    vector_core,
+    vector_has_cycle,
+    vector_longest_path,
+    vector_reachable,
+    vector_terminals,
 )
+from .kernel import VectorKernel, VectorLoweringError, as_vector_kernel
+from .lower import ArrayEnv, ArrayFn, lower_expr
 
 __all__ = [
+    "ArrayEnv",
+    "ArrayFn",
     "BOOL",
     "INT",
-    "HAVE_NUMPY",
     "MAX_VECTOR_CELLS",
     "MAX_VECTOR_CELLS_ENV",
-    "NUMPY_MISSING_REASON",
+    "VectorKernel",
+    "VectorLoweringError",
+    "as_vector_kernel",
     "domain_type",
     "effective_max_vector_cells",
     "expr_type",
-    "numpy_available",
-    "numpy_version",
+    "lower_expr",
+    "region_edges",
     "structural_unlowerable_reason",
     "unlowerable_reason",
+    "vector_core",
     "vector_fallback_reason",
+    "vector_has_cycle",
+    "vector_longest_path",
+    "vector_reachable",
+    "vector_terminals",
 ]
 
 
 def vector_fallback_reason(*sources: CheckSource) -> Optional[str]:
     """Why the vector engine cannot run on these sources (``None`` = it can).
 
-    NumPy-free by construction: on a pure-Python install the first
-    check already returns :data:`NUMPY_MISSING_REASON` without touching
-    the array modules.  Compiled systems always lower (the CSR edge
-    form never evaluates expressions); programs must pass the static
-    analysis of :func:`.analyze.unlowerable_reason`.
+    Compiled systems always lower (the CSR edge form never evaluates
+    expressions); programs must pass the static analysis of
+    :func:`.analyze.unlowerable_reason`.
     """
-    if not numpy_available():
-        return NUMPY_MISSING_REASON
     for source in sources:
         if isinstance(source, System):
             continue
@@ -76,30 +82,3 @@ def vector_fallback_reason(*sources: CheckSource) -> Optional[str]:
             return reason
     return None
 
-
-if numpy_available():
-    from .fixpoint import (
-        region_edges,
-        vector_core,
-        vector_has_cycle,
-        vector_longest_path,
-        vector_reachable,
-        vector_terminals,
-    )
-    from .kernel import VectorKernel, VectorLoweringError, as_vector_kernel
-    from .lower import ArrayEnv, ArrayFn, lower_expr
-
-    __all__ += [
-        "ArrayEnv",
-        "ArrayFn",
-        "VectorKernel",
-        "VectorLoweringError",
-        "as_vector_kernel",
-        "lower_expr",
-        "region_edges",
-        "vector_core",
-        "vector_has_cycle",
-        "vector_longest_path",
-        "vector_reachable",
-        "vector_terminals",
-    ]

@@ -1,4 +1,4 @@
-"""Static lowerability analysis for the vector engine (NumPy-free).
+"""Static lowerability analysis for the vector engine.
 
 The vector engine lowers guard predicates and assignment right-hand
 sides to whole-array NumPy operations.  Array evaluation cannot raise
@@ -9,10 +9,9 @@ domain is made of plain ints or bools, every expression type-checks
 under the simple int/bool discipline the evaluator enforces at
 runtime, and every modulus is a provably non-zero constant.  Anything
 else falls back to the packed engine, whose per-state evaluation
-reproduces the tuple engine's errors exactly.
-
-Nothing here imports NumPy: the analysis (and so the engine-selection
-fallback path) must run on a pure-Python install.
+reproduces the tuple engine's errors exactly.  The analysis reads only
+the program's syntax, so engine selection never evaluates an
+expression.
 """
 
 from __future__ import annotations
@@ -172,7 +171,7 @@ def structural_unlowerable_reason(
 
     Checks the daemon, the domains, every guard, and every assignment
     — everything except the full-space footprint ceiling.  Consumers
-    that never materialize full-space tables (the shared-memory
+    that never materialize full-space tables (the shared engine's
     streamed kernel, the batch Monte-Carlo sampler) use this form: the
     cell ceiling is a RAM bound on table materialization, not a limit
     of the lowering itself.

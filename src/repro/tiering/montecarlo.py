@@ -39,7 +39,7 @@ selection rule, so the verdict is the same object either way.  Neither
 steps through a move that leaves a variable's domain: both raise the
 :class:`~repro.core.errors.GCLError` ``compile_program`` raises, for the
 first live trajectory that makes one.  The scalar executor is the
-fallback when NumPy is missing or the program has no array lowering.
+fallback when the program has no array lowering.
 """
 
 from __future__ import annotations
@@ -107,15 +107,10 @@ _RoundFn = Callable[[List[int], List[float]], Tuple[List[int], int]]
 def batch_sampler_unavailable_reason(program: Program) -> Optional[str]:
     """Why trajectory rounds cannot run batched (``None`` = they can).
 
-    The batch executor needs NumPy and an array lowering of the
-    program's guards and assignments; when either is missing the
-    estimate silently uses the scalar executor (same verdict, more
-    Python-loop time per round).
+    The batch executor needs an array lowering of the program's guards
+    and assignments; without one the estimate silently uses the scalar
+    executor (same verdict, more Python-loop time per round).
     """
-    from ..kernel.vector import NUMPY_MISSING_REASON, numpy_available
-
-    if not numpy_available():
-        return NUMPY_MISSING_REASON
     if not isinstance(program, Program):
         return "batch stepping lowers guards directly from a Program"
     from ..kernel.vector.analyze import structural_unlowerable_reason

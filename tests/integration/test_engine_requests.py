@@ -21,7 +21,6 @@ from repro.checker import (
 )
 from repro.checker.convergence import SEQUENTIAL_REASON
 from repro.checker.engines import ENGINES
-from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
 from repro.parallel import parallel_available
 from repro.rings import (
@@ -29,6 +28,7 @@ from repro.rings import (
     utr_abstraction,
     utr_program,
 )
+from tests.packed_rung import UNLOWERABLE_REASON, unlowerable
 
 
 def _spec_args():
@@ -91,10 +91,7 @@ def test_shared_refinement_request_continues_at_vector():
     )
     assert verdict.holds
     record = recorder.record()
-    # Without NumPy vector is refused too, and the tuple engine runs.
-    ran = "vector" if numpy_available() else "tuple"
-    assert record.counters[f"engine.fallback.{ran}"] == 1
-    assert ran == "vector" or "engine.fallback.vector" not in record.counters
+    assert record.counters["engine.fallback.vector"] == 1
     first = next(
         event for event in record.events if event.name == "engine.fallback"
     )
@@ -159,15 +156,18 @@ def test_stabilization_worker_request_runs_or_says_why(engine):
     ]
 
 
-def test_refused_shared_request_records_one_refusal_per_rung(monkeypatch):
-    """Without NumPy a shared request runs on packed: the record names
-    each refused rung once and counts only the engine that runs."""
-    from repro.kernel.vector import availability
+def _unlowerable_spec_args():
+    concrete, spec, alpha = _spec_args()
+    return unlowerable(concrete), spec, alpha
 
-    monkeypatch.setattr(availability, "HAVE_NUMPY", False)
+
+def test_refused_shared_request_records_one_refusal_per_rung():
+    """A shared request for a program no array engine lowers runs on
+    packed: the record names each refused rung once and counts only
+    the engine that runs."""
     recorder = Recorder()
     verdict = check_stabilization(
-        *_spec_args(), engine="shared", instrumentation=recorder
+        *_unlowerable_spec_args(), engine="shared", instrumentation=recorder
     )
     record = recorder.record()
     assert verdict.holds and verdict.engine == "packed"
@@ -178,7 +178,7 @@ def test_refused_shared_request_records_one_refusal_per_rung(monkeypatch):
     assert [fields["requested"] for fields in fallbacks] == [
         "shared", "vector"
     ]
-    assert all("NumPy" in fields["reason"] for fields in fallbacks)
+    assert all(UNLOWERABLE_REASON in fields["reason"] for fields in fallbacks)
     assert _engine_counters(record) == {
         "engine.fallback.packed": 1, "engine.packed": 1,
     }
@@ -191,17 +191,12 @@ def _engine_counters(record) -> dict:
     }
 
 
-def test_packed_alias_refused_by_vector_counts_only_the_packed_rung(
-    monkeypatch,
-):
+def test_packed_alias_refused_by_vector_counts_only_the_packed_rung():
     """A packed request that vector's preflight refuses never counts a
     fallback to vector: the record counts only the rung that runs."""
-    from repro.kernel.vector import availability
-
-    monkeypatch.setattr(availability, "HAVE_NUMPY", False)
     recorder = Recorder()
     verdict = check_stabilization(
-        *_spec_args(), engine="packed", instrumentation=recorder
+        *_unlowerable_spec_args(), engine="packed", instrumentation=recorder
     )
     assert verdict.holds and verdict.engine == "packed"
     assert _engine_counters(recorder.record()) == {
@@ -209,7 +204,6 @@ def test_packed_alias_refused_by_vector_counts_only_the_packed_rung(
     }
 
 
-@pytest.mark.skipif(not numpy_available(), reason="shared needs NumPy")
 def test_runtime_degradation_notes_one_process_once(tmp_path):
     """A shared check that degrades to vector at runtime still says
     once, naming the first engine, that it decides in one process."""

@@ -27,7 +27,6 @@ from repro.checker import (
 from repro.checker.engines import PACKED_ALIAS_REASON
 from repro.core.abstraction import AbstractionFunction
 from repro.gcl import parse_program
-from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
 from repro.parallel import parallel_available
 from repro.rings import (
@@ -416,11 +415,8 @@ class TestCliDifferential:
         capsys.readouterr()
         text = record.read_text(encoding="utf-8")
         assert PACKED_ALIAS_REASON not in text
-        if numpy_available():
-            assert '"engine.vector"' in text
-            assert "engine.fallback" not in text
-        else:
-            assert '"engine.packed"' in text
+        assert '"engine.vector"' in text
+        assert "engine.fallback" not in text
 
     def test_bad_engine_flag_rejected_at_parse_time(self, tmp_path, capsys):
         from repro.cli import main

@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.checker import check_stabilization
-from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
 from repro.rings import (
     btr3_abstraction,
@@ -25,10 +24,6 @@ from repro.rings import (
     kstate_program,
     utr_abstraction,
     utr_program,
-)
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="the shared engine needs NumPy"
 )
 
 

@@ -31,7 +31,6 @@ from repro.checker.refinement_check import (
 from repro.core.abstraction import AbstractionFunction
 from repro.core.state import StateSchema
 from repro.core.system import System
-from repro.kernel.vector import NUMPY_MISSING_REASON, numpy_available
 from repro.obs import Recorder
 from repro.parallel import parallel_available
 from tests.packed_rung import PACKED_RUNG_REASON, packed_rung
@@ -187,10 +186,7 @@ def test_engine_matches_tuple(
         for event in record.events
         if event.name == "engine.fallback"
     ]
-    refusal = (
-        PACKED_RUNG_REASON if engine == "packed"
-        else None if numpy_available() else NUMPY_MISSING_REASON
-    )
+    refusal = PACKED_RUNG_REASON if engine == "packed" else None
     if refusal is not None:
         # Refused by vector, the check replays on the tuple reference.
         assert refusal in reasons, reasons
@@ -298,7 +294,6 @@ def _observed(record):
     )
 
 
-@pytest.mark.skipif(not numpy_available(), reason=NUMPY_MISSING_REASON)
 @pytest.mark.parametrize("check", sorted(CHECKS))
 @pytest.mark.parametrize("control", sorted(CONTROLS))
 def test_violation_replays_on_the_vector_kernels(control, check, monkeypatch):

@@ -1,4 +1,4 @@
-"""Chaos tests for the shared-memory engine: faults must not leak.
+"""Chaos tests for the shared engine: faults must not leak.
 
 The shared engine's cleanup contract is absolute: whatever fault ends
 an attempt — a memory fault mid-fixpoint, or one past the interner
@@ -14,48 +14,15 @@ they land on the ``verify-tree`` pool (``test_chaos_recovery.py``).
 from __future__ import annotations
 
 import gc
-import os
 
 import pytest
 
 from repro.checker import check_stabilization
 from repro.kernel.shared import using_memory_budget
-from repro.kernel.shared.segments import shm_dir
-from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
 from repro.resilience import FaultAction, FaultPlan, using_chaos
 from repro.rings import kstate_program, utr_abstraction, utr_program
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="the shared engine needs NumPy"
-)
-
-
-def _shm_leaks() -> list:
-    # Segments owned by this process or by a dead driver are leaks; a
-    # live concurrent run (xdist, a benchmark) owns its own segments.
-    directory = shm_dir()
-    if directory is None:
-        return []
-    leaks = []
-    for name in os.listdir(directory):
-        if not name.startswith("rs-"):
-            continue
-        try:
-            owner = int(name.split("-")[1], 16)
-        except (IndexError, ValueError):
-            leaks.append(name)
-            continue
-        if owner == os.getpid():
-            leaks.append(name)
-            continue
-        try:
-            os.kill(owner, 0)
-        except ProcessLookupError:
-            leaks.append(name)
-        except PermissionError:
-            pass
-    return sorted(leaks)
+from tests.integration.test_shared_differential import _shm_leaks
 
 
 def _case():

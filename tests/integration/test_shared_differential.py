@@ -1,21 +1,20 @@
-"""Differential tests: the shared-memory engine against the references.
+"""Differential tests: the shared engine against the references.
 
 The shared engine streams its fixpoints through bounded chunks, spill
-files and table-pool segments — none of which may show in the verdict:
-for every ring system, fairness mode, worker count, and budget,
+files and a table pool — none of which may show in the verdict: for
+every ring system, fairness mode, worker count, and budget,
 ``engine="shared"`` must render the *byte-identical* formatted verdict
 as the tuple reference, emit the same size-based counters, and leave
-behind **zero** shm segments or spill files.  The module also pins the
-engine-selection contract: a ``--mem-budget`` context transparently
-upgrades ``engine="vector"`` requests, tiny schemas fall back with a
-reasoned event, and a pure-Python install degrades down the documented
-chain.  A worker request changes nothing but one ``parallel.sequential``
-event: a check never starts a pool, so it cannot leave a worker's
-segment behind.
+behind **zero** ``/dev/shm`` segments or spill files.  The module also
+pins the engine-selection contract: a ``--mem-budget`` context
+transparently upgrades ``engine="vector"`` requests, and tiny schemas
+fall back with a reasoned event.  A worker request changes nothing but
+one ``parallel.sequential`` event: a check never starts a pool.
 """
 
 from __future__ import annotations
 
+import glob
 import os
 
 import pytest
@@ -27,8 +26,6 @@ from repro.kernel.shared import (
     shared_fallback_reason,
     using_memory_budget,
 )
-from repro.kernel.shared.segments import shm_dir
-from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
 from repro.rings import kstate_program, utr_abstraction, utr_program
 from tests.integration.test_packed_differential import (
@@ -38,16 +35,10 @@ from tests.integration.test_packed_differential import (
 
 _WORKER_COUNTS = [1, 4]
 
-#: With NumPy the shared engine must actually run these cases (every
-#: ring case is at or above ``SHARED_MIN_STATES``); without it vector
-#: is refused too and the request lands on the packed rung.
-_EXPECTED_SELECTION_COUNTER = (
-    "engine.shared" if numpy_available() else "engine.fallback.packed"
-)
 
 
 def _shm_leaks() -> list:
-    """Orphaned engine shm segments (must always be []).
+    """Orphaned ``/dev/shm/rs-<pid>-*`` segments (must always be []).
 
     A segment counts as a leak when its embedded driver pid is this
     process or any dead process (covers CLI subprocess runs, whose
@@ -55,13 +46,8 @@ def _shm_leaks() -> list:
     still alive belong to a concurrent run (xdist, a benchmark) and
     are not this test's leak to report.
     """
-    directory = shm_dir()
-    if directory is None:
-        return []
     leaks = []
-    for name in os.listdir(directory):
-        if not name.startswith("rs-"):
-            continue
+    for name in map(os.path.basename, glob.glob("/dev/shm/rs-*")):
         try:
             owner = int(name.split("-")[1], 16)
         except (IndexError, ValueError):
@@ -119,7 +105,7 @@ class TestStabilizationDifferential:
         )
         assert tuple_verdict.core == shared_verdict.core
         record = shared_rec.record()
-        assert record.counters[_EXPECTED_SELECTION_COUNTER] == 1
+        assert record.counters["engine.shared"] == 1
         assert "parallel.workers" not in record.counters
         notes = [
             event.fields for event in record.events
@@ -187,16 +173,15 @@ class TestStabilizationDifferential:
         for engine, verdict in verdicts.items():
             assert verdict.format() == reference, engine
         record = recorder.record()
-        if numpy_available():
-            widths = [
-                event.fields
-                for event in record.events
-                if event.name == "shm.code_width"
-            ]
-            assert widths and widths[0]["width"] == 4
-            # One peel per check re-walks no chunk, so the pool serves
-            # no hit here; it is still consulted on every walk.
-            assert record.counters.get("kernel.tables.misses", 0) > 0
+        widths = [
+            event.fields
+            for event in record.events
+            if event.name == "shm.code_width"
+        ]
+        assert widths and widths[0]["width"] == 4
+        # One peel per check re-walks no chunk, so the pool serves
+        # no hit here; it is still consulted on every walk.
+        assert record.counters.get("kernel.tables.misses", 0) > 0
         assert _shm_leaks() == []
         assert _spill_leaks(tmp_path) == []
 
@@ -214,7 +199,6 @@ def _comparable(record):
     return record.counters, events, tree
 
 
-@pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
 class TestOneProcessContract:
     def test_worker_request_never_reaches_the_supervisor(
         self, monkeypatch, tmp_path
@@ -263,7 +247,6 @@ class TestOneProcessContract:
         assert _spill_leaks(tmp_path) == []
 
 
-@pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
 class TestEngineSelection:
     def test_memory_context_upgrades_vector_requests(self):
         """``--mem-budget`` makes plain vector requests stream: same
@@ -292,7 +275,7 @@ class TestEngineSelection:
         assert "engine.shared" not in recorder.record().counters
 
     def test_tiny_schema_falls_back_with_a_reasoned_event(self):
-        """Below ``SHARED_MIN_STATES`` segment setup costs more than
+        """Below ``SHARED_MIN_STATES`` streaming costs more than
         the whole check: the request must fall back, loudly."""
         from repro.gcl.parser import parse_program
 
@@ -371,10 +354,7 @@ class TestCliDifferential:
               "--obs-out", str(record)])
         capsys.readouterr()
         text = record.read_text(encoding="utf-8")
-        if numpy_available():
-            assert '"engine.shared"' in text
-        else:
-            assert '"engine.fallback.packed"' in text
+        assert '"engine.shared"' in text
 
     def test_bad_mem_budget_is_a_clean_cli_error(self, tmp_path, capsys):
         from repro.cli import main

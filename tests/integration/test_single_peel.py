@@ -18,7 +18,6 @@ from contextlib import nullcontext
 import pytest
 
 from repro.checker import check_stabilization, worst_case_convergence_steps
-from repro.kernel.vector import numpy_available
 from repro.rings import (
     btr3_abstraction,
     btr4_abstraction,
@@ -32,9 +31,7 @@ from repro.rings import (
 )
 from tests.packed_rung import packed_rung
 
-ENGINES = ["tuple", "packed"] + (
-    ["vector", "shared"] if numpy_available() else []
-)
+ENGINES = ["tuple", "packed", "vector", "shared"]
 
 #: Engine -> (module, cycle walk, longest-path walk), patched where the
 #: backends resolve them at call time.

@@ -5,10 +5,7 @@ extends it to a three-way agreement: for every ring system, spec,
 abstraction, fairness mode, and worker count, ``engine="vector"``
 must render the *byte-identical* formatted verdict — same holds/fails,
 same witness states, same counts — as both reference engines, and the
-shared size-based counters must agree.  On
-a pure-Python install the same entry points must keep passing by
-falling back to the packed engine (asserted explicitly below via a
-monkeypatched availability flag), so this module runs everywhere.
+shared size-based counters must agree.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from repro.checker import (
     check_everywhere_eventually_refinement,
     check_stabilization,
 )
-from repro.kernel.vector import NUMPY_MISSING_REASON, numpy_available
 from repro.obs import Recorder
 from repro.parallel import parallel_available
 from repro.rings import (
@@ -37,12 +33,6 @@ from tests.integration.test_packed_differential import (
 )
 
 _WORKER_COUNTS = [1, 4] if parallel_available() else [1]
-
-#: On a NumPy install the vector engine must actually be selected for
-#: these program-sourced cases; without NumPy every case falls back.
-_EXPECTED_SELECTION_COUNTER = (
-    "engine.vector" if numpy_available() else "engine.fallback.packed"
-)
 
 
 class TestStabilizationDifferential:
@@ -75,7 +65,7 @@ class TestStabilizationDifferential:
         )
         assert tuple_verdict.core == vector_verdict.core
         assert (
-            vector_rec.record().counters[_EXPECTED_SELECTION_COUNTER] == 1
+            vector_rec.record().counters["engine.vector"] == 1
         )
 
     @pytest.mark.parametrize(
@@ -123,32 +113,6 @@ class TestStabilizationDifferential:
             concrete().compile(), spec().compile(), **kwargs
         )
         assert from_programs.format() == from_systems.format()
-
-    def test_no_numpy_fallback_is_packed_byte_for_byte(self, monkeypatch):
-        from repro.kernel.vector import availability
-
-        packed_verdict = check_stabilization(
-            dijkstra_four_state(3), btr_program(3), btr4_abstraction(3),
-            engine="packed",
-        )
-        monkeypatch.setattr(availability, "HAVE_NUMPY", False)
-        recorder = Recorder()
-        fallback_verdict = check_stabilization(
-            dijkstra_four_state(3), btr_program(3), btr4_abstraction(3),
-            engine="vector", instrumentation=recorder,
-        )
-        assert fallback_verdict.format() == packed_verdict.format()
-        counters = recorder.record().counters
-        assert counters["engine.fallback.packed"] == 1
-        assert counters["engine.packed"] == 1
-        events = [
-            event
-            for event in recorder.record().events
-            if event.name == "engine.fallback"
-        ]
-        assert events and events[0].fields == {
-            "requested": "vector", "reason": NUMPY_MISSING_REASON,
-        }
 
 
 class TestRefinementDifferential:
@@ -262,10 +226,7 @@ class TestCliDifferential:
               "--obs-out", str(record)])
         capsys.readouterr()
         text = record.read_text(encoding="utf-8")
-        if numpy_available():
-            assert '"engine.vector"' in text
-        else:
-            assert '"engine.fallback.packed"' in text
+        assert '"engine.vector"' in text
 
     def test_engines_share_cache_entries(self, tmp_path, capsys):
         """The engine stays out of the cache key: a verdict stored by

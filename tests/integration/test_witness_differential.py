@@ -28,7 +28,6 @@ from repro.checker import check_stabilization
 from repro.core.abstraction import AbstractionFunction
 from repro.gcl import parse_program
 from repro.kernel import PackedKernel
-from repro.kernel.vector import numpy_available
 from repro.parallel import parallel_available
 from repro.rings import kstate_program, utr_abstraction, utr_program
 from tests.integration.test_packed_differential import RING_CASES
@@ -222,12 +221,10 @@ class TestWitnessDifferential:
 def _materialize_guard(monkeypatch) -> list:
     """Make every kernel's ``materialize`` record its caller and raise."""
     entered: list = []
-    classes = [PackedKernel]
-    if numpy_available():
-        from repro.kernel.shared import SharedKernel
-        from repro.kernel.vector import VectorKernel
+    from repro.kernel.shared import SharedKernel
+    from repro.kernel.vector import VectorKernel
 
-        classes += [VectorKernel, SharedKernel]
+    classes = [PackedKernel, VectorKernel, SharedKernel]
     for cls in classes:
         def refuse(self, _name=cls.__name__):
             entered.append(_name)
@@ -270,7 +267,6 @@ class TestNoMaterialization:
         assert len(entered) == 1
 
 
-@pytest.mark.skipif(not numpy_available(), reason="the shared engine needs NumPy")
 class TestWitnessFromThePeelRemainder:
     """A failing shared check lists its cycle witness's edges within the
     peel's remainder, the members the peel left un-peeled, not within

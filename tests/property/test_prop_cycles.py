@@ -6,9 +6,8 @@ states_on_cycles` finds on the same digraph — self-loops, isolated
 nodes, cycles nested through shared nodes and several disjoint
 components included — and exactly what its definition before
 :func:`~repro.kernel.cycles.component_labels` existed found.  Two
-nodes share a component label iff each reaches the other.  The
-plain-list input is the packed engine's no-NumPy path; with NumPy
-installed the array path must agree too.
+nodes share a component label iff each reaches the other.  Edges
+given as plain int lists and as int arrays must give the same answers.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.core.state import StateSchema
 from repro.core.system import System
 from repro.kernel import cycles
 from repro.kernel.cycles import component_labels, cycle_codes
-from repro.kernel.vector import numpy_available
 
 NODES = 12
 
@@ -72,7 +70,17 @@ def _previous_cycle_codes(sources, targets):
     with a self-loop."""
     if not isinstance(sources, list):
         sources, targets = sources.tolist(), targets.tolist()
-    sources, targets = cycles._trimmed_lists(sources, targets)
+    while True:
+        has_in, has_out = set(targets), set(sources)
+        kept = [
+            edge
+            for edge in zip(sources, targets)
+            if edge[0] in has_in and edge[1] in has_out
+        ]
+        if len(kept) == len(sources):
+            break
+        sources = [source for source, _ in kept]
+        targets = [target for _, target in kept]
     adjacency = {}
     for source, target in zip(sources, targets):
         adjacency.setdefault(source, []).append(target)
@@ -99,7 +107,7 @@ def _previous_cycle_codes(sources, targets):
     return sorted(found)
 
 
-_PATHS = [False, True] if numpy_available() else [False]
+_PATHS = [False, True]
 
 node = st.integers(min_value=0, max_value=NODES - 1)
 
@@ -157,14 +165,7 @@ def test_labels_shared_iff_mutually_reachable(edges, arrays):
 def test_trim_keeps_every_cycle_and_no_dead_end(edges, arrays):
     """The trim is the helper's speed: it must leave only nodes with an
     in-edge and an out-edge, and never drop an edge of a cycle."""
-    sources = [source for source, _ in edges]
-    targets = [target for _, target in edges]
-    if arrays:
-        import numpy as np
-
-        kept = cycles._trimmed_arrays(np.asarray(sources), np.asarray(targets))
-    else:
-        kept = cycles._trimmed_lists(sources, targets)
+    kept = cycles._trimmed(*_inputs(edges, arrays))
     kept_edges = set(zip(*kept))
     on_cycle = set(_reference(edges))
     assert {

@@ -26,13 +26,9 @@ from repro.gcl.expr import Add, AddMod, And, Const, Eq, Ite, Lt, Ne, Not, Var
 from repro.gcl.program import Program
 from repro.gcl.variable import Variable
 from repro.kernel.shared import SHARED_MIN_STATES, using_memory_budget
-from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
+from tests.packed_rung import unlowerable
 from tests.unit.test_vector_kernel import _TableImage
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="NumPy not installed"
-)
 
 MODULUS = 5
 VAR_NAMES = ("u", "w.0")
@@ -149,7 +145,6 @@ _DIRECT_OFFENDS_FIRST = Program(
 )
 
 
-@needs_numpy
 class TestSharedPrimitives:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -329,7 +324,6 @@ def _vector_peel(program, members, drop_self, image_of):
     return cyclic, vector_longest_path(kernel, members, drop_self)
 
 
-@needs_numpy
 class TestSharedForwardPeel:
     """The shared peel re-expands each level through the streamed
     kernel; its verdicts must be the vector peel's, whatever the batch
@@ -466,7 +460,6 @@ def _outside_answers(engine, program, fairness, chunk):
     return stuck, cyclic, worst
 
 
-@needs_numpy
 class TestSharedOutsideAnswers:
     """The deadlock search's pass also counts the peel's in-degrees;
     what the checker reads off the outside region must stay the vector
@@ -597,7 +590,6 @@ def _decided(backend_class, program, fairness, compute_steps, chunk=None):
     return _decide(backend, request).format()
 
 
-@needs_numpy
 class TestSharedPeelRemainder:
     """A failing shared check builds its cycle witness from the peel's
     remainder; the remainder must be exactly the region members a
@@ -628,7 +620,6 @@ class TestSharedPeelRemainder:
         ) == _decided(_VectorBackend, program, fairness, compute_steps)
 
 
-@needs_numpy
 class TestSpillRoundTrips:
     """Spill encodings must be lossless at every awkward boundary."""
 
@@ -748,9 +739,7 @@ class TestSharedVerdicts:
     ):
         """End to end against the sequential reference, witness states
         and worst case included, under every fairness mode (so the
-        fair-trap and worst-case branches are fuzzed too).  On a
-        pure-Python install the shared request walks the fallback
-        chain, which must render the same verdict anyway.
+        fair-trap and worst-case branches are fuzzed too).
         """
         assert program.schema().size() >= SHARED_MIN_STATES
         kwargs = dict(fairness=fairness, compute_steps=compute_steps)
@@ -782,27 +771,23 @@ class TestSharedVerdicts:
                 instrumentation=recorder,
             )
         assert streamed.format() == plain.format()
-        if numpy_available():
-            assert recorder.record().counters["engine.shared"] == 1
+        assert recorder.record().counters["engine.shared"] == 1
 
     @settings(max_examples=15, deadline=None)
     @given(shared_programs())
-    def test_fallback_verdict_identical_without_numpy(self, program):
-        """With availability forced off, a shared request must degrade
-        down the chain and still match the packed verdict."""
-        from repro.kernel.vector import availability
-
-        with pytest.MonkeyPatch.context() as patcher:
-            patcher.setattr(availability, "HAVE_NUMPY", False)
-            recorder = Recorder()
-            fallback_verdict = check_self_stabilization(
-                program, compute_steps=False, engine="shared",
-                instrumentation=recorder,
-            )
-        packed_verdict = check_self_stabilization(
-            program, compute_steps=False, engine="packed"
+    def test_unlowerable_request_degrades_to_the_packed_rung(self, program):
+        """A shared request for a program no array engine lowers must
+        degrade down the chain to packed and still render the shared
+        verdict of the equivalent lowerable program."""
+        recorder = Recorder()
+        fallback_verdict = check_self_stabilization(
+            unlowerable(program), compute_steps=False, engine="shared",
+            instrumentation=recorder,
         )
-        assert fallback_verdict.format() == packed_verdict.format()
+        shared_verdict = check_self_stabilization(
+            program, compute_steps=False, engine="shared"
+        )
+        assert fallback_verdict.format() == shared_verdict.format()
         counters = recorder.record().counters
         # Vector is refused too, so only the packed rung is counted.
         assert "engine.fallback.vector" not in counters

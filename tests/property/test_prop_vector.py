@@ -6,25 +6,20 @@ the lowered successor tables must agree with the packed kernel code
 for code, the frontier-array fixpoints must compute the bitset sets
 exactly, and the full verdicts — stabilization and convergence
 refinement, witness rendering included — must be byte-identical across
-all three engines.  The fallback property (a vector request on a
-pure-Python install renders the packed verdict) has no NumPy
-dependency and runs everywhere.
+all three engines.  The fallback property (a vector request for a
+program the vector engine cannot lower renders the same verdict on the
+packed rung) reaches the packed kernel through engine selection.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.checker import check_convergence_refinement, check_self_stabilization
 from repro.kernel import PackedKernel, codes_of_flags, packed_reachable
-from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
+from tests.packed_rung import unlowerable
 from tests.property.test_prop_kernel import MODULUS, VAR_NAMES, small_programs
 from tests.property.test_prop_shared import offset_programs
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="NumPy not installed"
-)
 
 #: Codes in the state space of every ``small_programs`` program.
 SPACE = MODULUS ** len(VAR_NAMES)
@@ -56,7 +51,6 @@ images = st.one_of(
 )
 
 
-@needs_numpy
 class TestVectorPrimitives:
     @settings(max_examples=40, deadline=None)
     @given(small_programs())
@@ -214,12 +208,7 @@ class TestVectorVerdicts:
     @settings(max_examples=25, deadline=None)
     @given(small_programs())
     def test_self_stabilization_verdict_identical(self, program):
-        """End to end across all three engines, witness states included.
-
-        Runs on a pure-Python install too: there the vector request
-        exercises the packed fallback, which must render the same
-        verdict anyway.
-        """
+        """End to end across all three engines, witness states included."""
         verdicts = {
             engine: check_self_stabilization(
                 program, compute_steps=False, engine=engine
@@ -261,20 +250,18 @@ class TestVectorVerdicts:
 
     @settings(max_examples=15, deadline=None)
     @given(small_programs())
-    def test_fallback_verdict_identical_without_numpy(self, program):
-        """NumPy-free by construction: with availability forced off,
-        a vector request must fall back and match the packed verdict."""
-        from repro.kernel.vector import availability
-
-        with pytest.MonkeyPatch.context() as patcher:
-            patcher.setattr(availability, "HAVE_NUMPY", False)
-            recorder = Recorder()
-            fallback_verdict = check_self_stabilization(
-                program, compute_steps=False, engine="vector",
-                instrumentation=recorder,
-            )
-        packed_verdict = check_self_stabilization(
-            program, compute_steps=False, engine="packed"
+    def test_unlowerable_program_falls_back_to_the_packed_rung(self, program):
+        """A vector request for a program vector cannot lower falls
+        back to the packed rung and renders the vector verdict of the
+        equivalent lowerable program."""
+        recorder = Recorder()
+        fallback_verdict = check_self_stabilization(
+            unlowerable(program), compute_steps=False, engine="vector",
+            instrumentation=recorder,
         )
-        assert fallback_verdict.format() == packed_verdict.format()
+        vector_verdict = check_self_stabilization(
+            program, compute_steps=False, engine="vector"
+        )
+        assert fallback_verdict.engine == "packed"
+        assert fallback_verdict.format() == vector_verdict.format()
         assert recorder.record().counters["engine.fallback.packed"] == 1

@@ -23,7 +23,6 @@ from repro.core.system import System
 from repro.gcl import parse_program
 from repro.gcl.daemon import CentralDaemon, DistributedDaemon, SynchronousDaemon
 from repro.kernel import PackedKernel, as_kernel, packed_fallback_reason
-from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
 from repro.rings import (
     btr3_abstraction,
@@ -122,7 +121,6 @@ class TestSuccessorParity:
                     whole.successors(state)
                 )
 
-    @pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
     def test_array_kernels_compile_like_packed(self):
         from repro.kernel.shared import SharedKernel
         from repro.kernel.vector import VectorKernel
@@ -237,7 +235,6 @@ def _assert_same_system(bridged: System, compiled: System) -> None:
     assert bridged.name == compiled.name
 
 
-@pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
 class TestTupleBridges:
     """The array kernels' ``materialize()`` and ``compile(states)`` are
     read off their action tables, and must be the scalar compiler's

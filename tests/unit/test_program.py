@@ -126,3 +126,34 @@ class TestStructuralHelpers:
         base = Program("base", variables, actions, init=None)
         with pytest.raises(GCLError):
             base.merged_with(base)
+
+
+class TestCompilation:
+    def test_compile_validates_each_source_once(self, monkeypatch):
+        """Unpacking a source validates it and packing a move's target
+        checks its domains, so assembling the system validates nothing
+        again: one ``validate`` call per state of the space."""
+        from repro.core.state import StateSchema
+        from repro.gcl.semantics import compile_program
+        from repro.rings import kstate_program
+
+        calls = []
+        validate = StateSchema.validate
+
+        def counting(schema, state):
+            calls.append(state)
+            return validate(schema, state)
+
+        monkeypatch.setattr(StateSchema, "validate", counting)
+        program = kstate_program(3, 3)
+        system = compile_program(program)
+        assert len(calls) == program.schema().size()
+        assert any(True for _ in system.transitions())
+
+    def test_explicit_initial_is_validated(self, variables, actions):
+        from repro.core.errors import StateSpaceError
+        from repro.gcl.semantics import compile_states
+
+        program = Program("p", variables, actions, init=None)
+        with pytest.raises(StateSpaceError):
+            compile_states(program, [], initial=[(5, False)])

@@ -1,33 +1,15 @@
-"""The bounded shm table pool: verified hits, scan resistance, pid guard.
+"""The bounded table pool: verified hits and scan resistance.
 
 The pool's contract is that a hit reconstructs *exactly* what the
 streamed evaluator would have produced — byte-identity of verdicts
-must never rest on a hash — while resident bytes stay under the cap
-and forked workers neither admit entries nor skew the driver's
-counters.  Admission is ghost-gated: a chunk is packed only once its
+must never rest on a hash — while resident bytes stay under the cap.
+Admission is ghost-gated: a chunk is packed only once its
 digest has missed before (one-shot scans stream through for free), a
 full pool freezes rather than rotates, and eviction touches only
 never-hit entries for provably recurring candidates.
 """
 
 from __future__ import annotations
-
-import pytest
-
-from repro.kernel.vector import numpy_available
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="the shared engine needs NumPy"
-)
-
-
-@pytest.fixture
-def registry():
-    from repro.kernel.shared import SegmentRegistry
-
-    registry = SegmentRegistry()
-    yield registry
-    registry.sweep()
 
 
 def _tables_for(codes, actions=2):
@@ -43,7 +25,7 @@ def _tables_for(codes, actions=2):
 
 
 class TestTablePool:
-    def test_miss_then_verified_hit_reconstructs_identically(self, registry):
+    def test_miss_then_verified_hit_reconstructs_identically(self):
         import numpy as np
 
         from repro.kernel.shared import TablePool
@@ -51,7 +33,7 @@ class TestTablePool:
 
         recorder = Recorder()
         pool = TablePool(
-            registry, 1 << 20, np.dtype(np.int16), instrumentation=recorder
+            1 << 20, np.dtype(np.int16), instrumentation=recorder
         )
         codes = np.arange(100, 200, dtype=np.int64)
         fresh = _tables_for(codes)
@@ -73,7 +55,7 @@ class TestTablePool:
         assert counters["kernel.tables.hits"] == 1
         pool.close()
 
-    def test_full_pool_evicts_only_never_hit_entries(self, registry):
+    def test_full_pool_evicts_only_never_hit_entries(self):
         """A full pool freezes against a scan: room is made only for a
         thrice-missed candidate, only from zero-hit residents (LRU
         first), and a resident that has served a hit is protected."""
@@ -84,7 +66,7 @@ class TestTablePool:
 
         recorder = Recorder()
         pool = TablePool(
-            registry, 1 << 16, np.dtype(np.int64), instrumentation=recorder
+            1 << 16, np.dtype(np.int64), instrumentation=recorder
         )
         chunks = [
             np.arange(start, start + 512, dtype=np.int64)
@@ -111,9 +93,7 @@ class TestTablePool:
         assert pool.get(chunks[5]) is not None
         pool.close()
 
-    def test_all_protected_pool_decays_hits_instead_of_evicting(
-        self, registry
-    ):
+    def test_all_protected_pool_decays_hits_instead_of_evicting(self):
         """When every resident has served a hit, a recurring candidate
         decays their protection rather than evicting; repeated demand
         eventually turns stale entries evictable."""
@@ -124,7 +104,7 @@ class TestTablePool:
 
         recorder = Recorder()
         pool = TablePool(
-            registry, 1 << 16, np.dtype(np.int64), instrumentation=recorder
+            1 << 16, np.dtype(np.int64), instrumentation=recorder
         )
         chunks = [
             np.arange(start, start + 512, dtype=np.int64)
@@ -153,12 +133,12 @@ class TestTablePool:
         )
         pool.close()
 
-    def test_oversized_entries_are_not_admitted(self, registry):
+    def test_oversized_entries_are_not_admitted(self):
         import numpy as np
 
         from repro.kernel.shared import TablePool
 
-        pool = TablePool(registry, 1 << 16, np.dtype(np.int64))
+        pool = TablePool(1 << 16, np.dtype(np.int64))
         codes = np.arange(100_000, dtype=np.int64)
         pool.get(codes), pool.get(codes)  # recurring, but too big
         list(pool.filling(codes, iter(_tables_for(codes))))
@@ -166,12 +146,12 @@ class TestTablePool:
         assert pool.get(codes) is None
         pool.close()
 
-    def test_digest_collision_degrades_to_miss(self, registry):
+    def test_digest_collision_degrades_to_miss(self):
         import numpy as np
 
         from repro.kernel.shared import TablePool
 
-        pool = TablePool(registry, 1 << 20, np.dtype(np.int64))
+        pool = TablePool(1 << 20, np.dtype(np.int64))
         pool._key = lambda stored: b"same-key"  # force a collision
         first = np.arange(0, 64, dtype=np.int64)
         second = np.arange(64, 128, dtype=np.int64)
@@ -184,38 +164,12 @@ class TestTablePool:
         assert hit[0][1].tolist() == _tables_for(first)[0][1].tolist()
         pool.close()
 
-    def test_forked_pid_neither_admits_nor_counts(self, registry):
-        import numpy as np
-
-        from repro.kernel.shared import TablePool
-        from repro.obs import Recorder
-
-        recorder = Recorder()
-        pool = TablePool(
-            registry, 1 << 20, np.dtype(np.int64), instrumentation=recorder
-        )
-        driver_codes = np.arange(32, dtype=np.int64)
-        worker_codes = np.arange(100, 132, dtype=np.int64)
-        # Three driver-side misses: one for the worker chunk, two to
-        # ghost-prime the driver chunk for admission.
-        assert pool.get(worker_codes) is None
-        pool.get(driver_codes), pool.get(driver_codes)
-        list(pool.filling(driver_codes, iter(_tables_for(driver_codes))))
-        pool._pid = pool._pid + 1  # simulate a forked worker
-        list(pool.filling(worker_codes, iter(_tables_for(worker_codes))))
-        assert len(pool) == 1  # the worker admission was refused
-        assert pool.get(driver_codes) is not None  # reads still work
-        assert pool.get(worker_codes) is None  # uncounted worker miss
-        counters = recorder.record().counters
-        assert counters.get("kernel.tables.hits", 0) == 0
-        assert counters["kernel.tables.misses"] == 3
-
-    def test_close_is_idempotent_and_releases_segments(self, registry):
+    def test_close_is_idempotent_and_drops_every_entry(self):
         import numpy as np
 
         from repro.kernel.shared import TablePool
 
-        pool = TablePool(registry, 1 << 20, np.dtype(np.int64))
+        pool = TablePool(1 << 20, np.dtype(np.int64))
         codes = np.arange(64, dtype=np.int64)
         pool.get(codes), pool.get(codes)
         list(pool.filling(codes, iter(_tables_for(codes))))
@@ -234,19 +188,14 @@ class TestKernelIntegration:
         value-identical."""
         import numpy as np
 
-        from repro.kernel.shared import (
-            SegmentRegistry,
-            SharedKernel,
-            TablePool,
-        )
+        from repro.kernel.shared import SharedKernel, TablePool
         from repro.obs import Recorder
         from repro.rings import kstate_program
 
         kernel = SharedKernel(kstate_program(3, 3))
-        registry = SegmentRegistry()
         recorder = Recorder()
         pool = TablePool(
-            registry, 1 << 22, np.dtype(np.int16), instrumentation=recorder
+            1 << 22, np.dtype(np.int16), instrumentation=recorder
         )
         try:
             kernel.attach_tables(pool)
@@ -270,16 +219,11 @@ class TestKernelIntegration:
         finally:
             kernel.attach_tables(None)
             pool.close()
-            registry.sweep()
 
     def test_succ_pairs_identical_with_and_without_pool(self):
         import numpy as np
 
-        from repro.kernel.shared import (
-            SegmentRegistry,
-            SharedKernel,
-            TablePool,
-        )
+        from repro.kernel.shared import SharedKernel, TablePool
         from repro.rings import kstate_program
 
         program = kstate_program(3, 4)
@@ -287,8 +231,7 @@ class TestKernelIntegration:
         codes = np.arange(bare.size, dtype=np.int64)
         expected = bare.succ_pairs(codes)
         pooled = SharedKernel(program)
-        registry = SegmentRegistry()
-        pool = TablePool(registry, 1 << 22, np.dtype(np.int16))
+        pool = TablePool(1 << 22, np.dtype(np.int16))
         try:
             pooled.attach_tables(pool)
             pooled.succ_pairs(codes)  # ghost miss
@@ -299,4 +242,3 @@ class TestKernelIntegration:
         finally:
             pooled.attach_tables(None)
             pool.close()
-            registry.sweep()

@@ -2,21 +2,13 @@
 
 The width module is the single source of truth for how many bytes a
 stored code costs; everything else (frontier runs, spill files, bucket
-pairs, staging segments) inherits its choice.  These tests pin the
+pairs, table-pool entries) inherits its choice.  These tests pin the
 promotion edges exactly — a space of ``2**15`` states still fits int16
 because its max code is ``2**15 - 1`` — and check that the narrow
 containers round-trip codes losslessly.
 """
 
 from __future__ import annotations
-
-import pytest
-
-from repro.kernel.vector import numpy_available
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="the shared engine needs NumPy"
-)
 
 
 class TestWidthSelection:

@@ -15,7 +15,6 @@ import json
 import pytest
 
 from repro.gcl.parser import parse_program
-from repro.kernel.vector import numpy_available
 from repro.obs import Recorder
 from repro.parallel import program_fingerprint
 from repro.rings import kstate_program
@@ -75,7 +74,6 @@ class TestSelection:
         assert decision.states == 3
         assert decision.engine in decision.reason
 
-    @pytest.mark.skipif(not numpy_available(), reason="vector needs NumPy")
     def test_kstate_7_7_is_exact_on_vector(self):
         """823,543 states: past every old size threshold, yet vector
         decides it exactly in well under a second."""

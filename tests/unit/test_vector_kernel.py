@@ -1,9 +1,8 @@
 """Unit tests for the vector engine's kernels, fixpoints, and fallback.
 
-The NumPy-free surface (engine selection, fallback reasons, the packed
-kernel's memo eviction) is tested unconditionally; the array kernel
-and fixpoint parity tests skip on a pure-Python install, where the
-engine-selection tests are exactly what must keep passing.
+Engine selection and fallback reasons, the packed kernel's memo
+eviction, and the array kernel and fixpoint parity with the packed
+kernel.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from repro.gcl.variable import Variable
 from repro.kernel import PackedKernel, StateInterner, image_codes
 from repro.kernel.vector import (
     MAX_VECTOR_CELLS,
-    NUMPY_MISSING_REASON,
-    numpy_available,
     unlowerable_reason,
     vector_fallback_reason,
 )
@@ -36,10 +33,7 @@ from repro.rings import (
     utr_abstraction,
     utr_program,
 )
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="NumPy not installed"
-)
+from tests.packed_rung import unlowerable
 
 
 class TestClearMemo:
@@ -72,12 +66,6 @@ class TestClearMemo:
 
 
 class TestFallbackReasons:
-    def test_missing_numpy_is_the_first_reason(self, monkeypatch):
-        from repro.kernel.vector import availability
-
-        monkeypatch.setattr(availability, "HAVE_NUMPY", False)
-        assert vector_fallback_reason(utr_program(3)) == NUMPY_MISSING_REASON
-
     def test_non_central_daemon_has_no_lowering(self):
         reason = unlowerable_reason(utr_program(3), SynchronousDaemon())
         assert reason is not None and "daemon" in reason
@@ -110,13 +98,13 @@ class TestFallbackReasons:
         reason = unlowerable_reason(program)
         assert reason is not None and "ceiling" in reason
 
-    def test_vector_falls_back_to_packed_with_reason(self, monkeypatch):
-        from repro.kernel.vector import availability
-
-        monkeypatch.setattr(availability, "HAVE_NUMPY", False)
+    def test_vector_falls_back_to_packed_with_reason(self):
+        concrete = unlowerable(dijkstra_three_state(3))
+        reason = vector_fallback_reason(concrete)
+        assert reason is not None
         recorder = Recorder()
         result = check_stabilization(
-            dijkstra_three_state(3), btr_program(3), btr3_abstraction(3),
+            concrete, btr_program(3), btr3_abstraction(3),
             engine="vector", instrumentation=recorder,
         )
         assert result.holds
@@ -128,10 +116,9 @@ class TestFallbackReasons:
             event for event in record.events if event.name == "engine.fallback"
         ]
         assert events and events[0].fields["requested"] == "vector"
-        assert events[0].fields["reason"] == NUMPY_MISSING_REASON
+        assert events[0].fields["reason"] == reason
 
 
-@needs_numpy
 class TestVectorKernelParity:
     @pytest.mark.parametrize(
         "program",
@@ -234,7 +221,6 @@ class TestVectorKernelParity:
         )
 
 
-@needs_numpy
 class TestSweepFreeValidation:
     """Every K-state action reads two variables, so its support table has
     at most K² rows and validation reads out-of-domain writes off the
@@ -318,7 +304,6 @@ INITS = {
 }
 
 
-@needs_numpy
 class TestLoweredInit:
     """A boolean init predicate is lowered and swept in batches; every
     other init keeps the scalar path, and its exact error."""
@@ -385,7 +370,6 @@ class TestLoweredInit:
         )
 
 
-@needs_numpy
 class TestVectorFixpointParity:
     def test_reachable_matches_packed(self):
         import numpy as np
@@ -484,7 +468,6 @@ def _shared_peel(program, members, drop_self=False, keep_stutter=True):
         )
 
 
-@needs_numpy
 class TestForwardPeel:
     """Both forward peels read each action as an edge multiset: the
     vector one from its tables, the shared one from the streamed
@@ -604,7 +587,6 @@ def _image_table(concrete, abstract, alpha):
     return image.of(np.arange(concrete.size, dtype=np.int64))
 
 
-@needs_numpy
 class TestVectorImageTables:
     @pytest.mark.parametrize(
         "alpha,spec",
