@@ -3,7 +3,7 @@
 Subcommands::
 
     python -m repro check FILE [--spec FILE] [--fairness MODE] ...
-    python -m repro verify-tree DIR [--tier T] [--manifest F] ...
+    python -m repro verify-tree DIR [--cache-dir D] [--fairness MODE] ...
     python -m repro refines CONCRETE ABSTRACT [--relation R] ...
     python -m repro ring SYSTEM -n N [--fairness MODE]
     python -m repro simulate FILE [--steps N] [--seed S] ...
@@ -14,11 +14,11 @@ Subcommands::
 
 ``check`` decides self-stabilization of a program (or stabilization to
 a second program over the same variables); ``verify-tree`` brings a
-whole directory of specs to a verified state incrementally — verdicts
-replay from a fingerprint manifest unless the spec changed, and each
-re-verified spec gets the exact check, or the simulated estimate under
-``--tier light`` (see :mod:`repro.tiering` and
-``docs/PERFORMANCE.md``); ``refines`` decides one of the paper's
+whole directory of specs to a verified state incrementally — each
+spec's verdict replays from the verification cache that ``check
+--cache-dir`` fills, and every other spec gets exactly ``repro check``
+(see :mod:`repro.verify_tree` and ``docs/PERFORMANCE.md``);
+``refines`` decides one of the paper's
 refinement relations between two programs; ``ring`` runs a
 named token-ring verification from the reproduction; ``simulate`` runs
 the random-daemon simulator and prints the trace tail; ``report``
@@ -185,35 +185,23 @@ def build_parser() -> argparse.ArgumentParser:
     vtree = commands.add_parser(
         "verify-tree",
         help="incrementally verify every GCL spec under a directory: "
-        "unchanged specs replay manifest verdicts byte for byte, "
-        "changed ones re-verify exactly (or simulated, under --tier "
-        "light)",
+        "specs the verification cache holds replay their verdicts byte "
+        "for byte, every other spec runs exactly 'repro check'",
     )
     vtree.add_argument(
         "root", help="directory walked recursively for *.gcl spec files"
     )
     vtree.add_argument(
-        "--manifest", metavar="PATH",
-        help="fingerprint manifest from the previous run "
-        "(default: ROOT/.repro-verify/manifest.json)",
-    )
-    vtree.add_argument(
-        "--tier", choices=("light", "thorough"), default=None,
-        help="'light' estimates every spec by seeded simulation "
-        "instead of the exact check (a spec the sampler cannot "
-        "intern still runs thorough); manifest entries verified at "
-        "another tier are re-verified (default: thorough)",
+        "--cache-dir", metavar="DIR", default=None,
+        help="content-addressed verification cache, shared with "
+        "'repro check --cache-dir': each spec is keyed as 'repro check "
+        "FILE --fairness MODE' keys it (default: ROOT/.repro-verify)",
     )
     vtree.add_argument(
         "--fairness", choices=("none", "weak", "strong"), default="none",
-        help="daemon fairness for the thorough tier; part of the "
-        "fingerprint, so changing it invalidates the manifest "
-        "(default: none)",
-    )
-    vtree.add_argument(
-        "--seed", type=_int_at_least(0), default=0,
-        help="RNG seed for LIGHT-tier Monte-Carlo estimates; a "
-        "manifest parameter (default: 0)",
+        help="daemon fairness; part of the cache key, so flipping it "
+        "re-verifies every spec and flipping back replays the earlier "
+        "verdicts (default: none)",
     )
     vtree.add_argument(
         "--workers", type=_int_at_least(1), default=1, metavar="N",
@@ -627,26 +615,13 @@ def _cmd_check(args) -> int:
     spec_program = _load(args.spec) if args.spec else None
     cache = key = None
     if args.cache_dir:
-        from .parallel import VerificationCache, cache_key, program_fingerprint
+        from .parallel import VerificationCache, check_cache_key
 
-        # The semantics flags are part of the fingerprint: the same
-        # source under a different daemon semantics or fairness mode is
-        # a different transition system.  The engine (like the worker
-        # count) is excluded — verdicts are identical across engines.
-        semantics = {"keep_stutter": True, "fairness": args.fairness}
-        fingerprints = [program_fingerprint(program, semantics=semantics)]
-        if spec_program is not None:
-            fingerprints.append(
-                program_fingerprint(spec_program, semantics=semantics)
-            )
-        key = cache_key(
-            "check",
-            fingerprints,
-            {
-                "fairness": args.fairness,
-                "stutter_insensitive": args.stutter_insensitive,
-                "self": spec_program is None,
-            },
+        key = check_cache_key(
+            program,
+            spec_program,
+            fairness=args.fairness,
+            stutter_insensitive=args.stutter_insensitive,
         )
         cache = VerificationCache(args.cache_dir, instrumentation)
         hit = cache.get(key)
@@ -688,20 +663,18 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_verify_tree(args) -> int:
-    from .tiering import Tier, verify_tree
+    from .verify_tree import verify_tree
 
     instrumentation, recorder = _recorder_for(args, "verify-tree")
     instrumentation.annotate(
         root=args.root, fairness=args.fairness, engine=args.engine,
-        workers=args.workers, tier=args.tier, seed=args.seed,
+        workers=args.workers,
     )
     report = verify_tree(
         args.root,
-        manifest_path=args.manifest,
-        forced_tier=Tier(args.tier) if args.tier else None,
+        cache_dir=args.cache_dir,
         fairness=args.fairness,
         engine=args.engine,
-        seed=args.seed,
         workers=args.workers,
         instrumentation=instrumentation,
     )

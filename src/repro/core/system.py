@@ -195,19 +195,36 @@ class System:
     # Derived systems
     # ------------------------------------------------------------------
 
+    def _derived(
+        self,
+        transitions: Mapping[State, Iterable[State]],
+        initial: Iterable[State],
+        name: str,
+        labels: Mapping[Transition, FrozenSet[str]],
+    ) -> "System":
+        """The system the constructor builds from ``transitions``, whose
+        states all come from this already-validated system: nothing is
+        re-validated.  A source with no targets gets no key, as in the
+        constructor (:meth:`sources` and :meth:`enabled_anywhere` read
+        the keys)."""
+        adjacency: Dict[State, Set[State]] = {}
+        for source, targets in transitions.items():
+            for target in targets:
+                adjacency.setdefault(source, set()).add(target)
+        return System.of_members(self._schema, adjacency, initial, name, labels)
+
     def with_initial(self, initial: Iterable[State], name: Optional[str] = None) -> "System":
         """Return the same automaton with a different initial-state set."""
-        return System(
-            self._schema,
-            self._adjacency,
-            initial,
-            name=name or self._name,
-            labels=self._labels,
+        initial_set = frozenset(initial)
+        for state in initial_set:
+            self._schema.validate(state)
+        return self._derived(
+            self._adjacency, initial_set, name or self._name, self._labels
         )
 
     def with_name(self, name: str) -> "System":
         """Return the same automaton under a different display name."""
-        return System(self._schema, self._adjacency, self._initial, name=name, labels=self._labels)
+        return self._derived(self._adjacency, self._initial, name, self._labels)
 
     def restricted_to(self, states: Iterable[State], name: Optional[str] = None) -> "System":
         """The sub-automaton induced on ``states``.
@@ -228,12 +245,11 @@ class System:
             for pair, names in self._labels.items()
             if pair[0] in keep and pair[1] in keep
         }
-        return System(
-            self._schema,
+        return self._derived(
             transitions,
             self._initial & keep,
-            name=name or f"{self._name}|restricted",
-            labels=labels,
+            name or f"{self._name}|restricted",
+            labels,
         )
 
     def without_self_loops(self, name: Optional[str] = None) -> "System":
@@ -249,12 +265,11 @@ class System:
             for source, targets in self._adjacency.items()
         }
         labels = {pair: names for pair, names in self._labels.items() if pair[0] != pair[1]}
-        return System(
-            self._schema,
+        return self._derived(
             transitions,
             self._initial,
-            name=name or f"{self._name}|no-stutter",
-            labels=labels,
+            name or f"{self._name}|no-stutter",
+            labels,
         )
 
     def reachable_from(self, sources: Iterable[State]) -> FrozenSet[State]:

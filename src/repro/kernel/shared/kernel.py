@@ -17,8 +17,7 @@ a support table of at most ``chunk`` rows, gathered per chunk.
 Construction validates the program as the vector kernel does, raising
 the same :class:`~repro.core.errors.GCLError` for an out-of-domain
 write: it reads the tables and sweeps the space only for actions too
-wide to table.  A kernel built with ``validate=False`` skips that and
-checks every batch it evaluates instead.
+wide to table.
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ class SharedKernel:
 
     Exposes the vector kernel's batch API (:meth:`succ_pairs`,
     :meth:`has_edge`) plus chunk-oriented forms the streamed fixpoints
-    and the batch Monte-Carlo sampler consume.  Never allocates an
-    array proportional to ``interner.size``.
+    consume.  Never allocates an array proportional to
+    ``interner.size``.
     """
 
     def __init__(
@@ -66,7 +65,6 @@ class SharedKernel:
         keep_stutter: bool = True,
         name: Optional[str] = None,
         chunk: Optional[int] = None,
-        validate: bool = True,
     ):
         chosen = daemon or CentralDaemon()
         reason = structural_unlowerable_reason(program, chosen)
@@ -93,10 +91,7 @@ class SharedKernel:
         self.initial_array = np.asarray(self.initial_codes, dtype=np.int64)
         self._materialized: Optional[System] = None
         self._tables: Optional[TablePool] = None
-        if validate:
-            self._lowered.validate(chunk)
-        # A kernel validation has not vouched for checks every batch.
-        self._check = not validate
+        self._lowered.validate(chunk)
         self._bridge = TupleBridge(
             self._lowered, self._stream_actions, chunk, keep_stutter, self.name
         )
@@ -172,7 +167,7 @@ class SharedKernel:
         self, codes: np.ndarray
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Evaluate one chunk action by action (the table pool's miss path)."""
-        yield from self._lowered.evaluate(codes, check=self._check)
+        yield from self._lowered.evaluate(codes)
 
     # ------------------------------------------------------------------
     # The vector-compatible batch API.
@@ -245,8 +240,8 @@ class SharedKernel:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Stacked per-action ``(enabled, successor)`` matrices.
 
-        Shape ``(actions, len(codes))``; the batch Monte-Carlo sampler
-        draws uniformly over each column's distinct enabled successors.
+        Shape ``(actions, len(codes))``.  No engine path calls it;
+        ``benchmarks/perf/spans.py`` still wraps it (ROADMAP item 1).
         """
         enabled = np.zeros((len(self.actions), codes.shape[0]), dtype=bool)
         successors = np.empty((len(self.actions), codes.shape[0]), dtype=np.int64)

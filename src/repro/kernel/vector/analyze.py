@@ -172,9 +172,8 @@ def structural_unlowerable_reason(
     Checks the daemon, the domains, every guard, and every assignment
     — everything except the full-space footprint ceiling.  Consumers
     that never materialize full-space tables (the shared engine's
-    streamed kernel, the batch Monte-Carlo sampler) use this form: the
-    cell ceiling is a RAM bound on table materialization, not a limit
-    of the lowering itself.
+    streamed kernel) use this form: the cell ceiling is a RAM bound on
+    table materialization, not a limit of the lowering itself.
     """
     if daemon is not None and type(daemon) is not CentralDaemon:
         return (

@@ -307,7 +307,7 @@ class VectorKernel:
         for start in range(0, size, LOWER_CHUNK):
             stop = min(start + LOWER_CHUNK, size)
             codes = np.arange(start, stop, dtype=np.int64)
-            pairs = lowered.evaluate(codes, check=False)
+            pairs = lowered.evaluate(codes)
             for (enabled, successor), (mask, succ) in zip(tables, pairs):
                 enabled[start:stop] = mask
                 successor[start:stop] = succ

@@ -393,26 +393,15 @@ class LoweredProgram:
             found.append(codes[np.broadcast_to(mask, codes.shape)])
         return tuple(np.concatenate(found).tolist()) if found else ()
 
-    def evaluate(self, codes: np.ndarray, check: bool) -> Iterator[ActionPair]:
+    def evaluate(self, codes: np.ndarray) -> Iterator[ActionPair]:
         """Per-action ``(mask, successor)`` arrays for an int64 code batch.
 
         ``successor[i] == codes[i]`` wherever the action is disabled.
-        Unchecked, the pairs stream out of reused buffers, valid until
-        the next step, and the caller vouches that every write stays in
-        its domain.  With ``check`` the batch is evaluated whole first
-        and raises ``compile_program``'s exact ``GCLError`` at its lowest
-        offending position, naming the first action offending there.
+        The pairs stream out of reused buffers, valid until the next
+        step, and the caller vouches that every write stays in its
+        domain (:meth:`validate` has run).
         """
-        if not check:
-            return self._stream(codes, self._actions, None)
-        offenders: List[int] = []
-        pairs = [
-            (mask.copy(), succ.copy())
-            for mask, succ in self._stream(codes, self._actions, offenders)
-        ]
-        if offenders:
-            self._raise_at(int(codes[min(offenders)]))
-        return iter(pairs)
+        return self._stream(codes, self._actions, None)
 
     def validate(self, chunk: int) -> None:
         """Raise ``compile_program``'s exact ``GCLError`` for the first

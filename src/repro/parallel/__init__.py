@@ -19,6 +19,7 @@ from .cache import (
     VerificationCache,
     cache_key,
     canonical_program_text,
+    check_cache_key,
     program_fingerprint,
 )
 from .pool import WorkerPool, parallel_available, resolve_workers
@@ -27,6 +28,7 @@ __all__ = [
     "VerificationCache",
     "cache_key",
     "canonical_program_text",
+    "check_cache_key",
     "program_fingerprint",
     "WorkerPool",
     "parallel_available",

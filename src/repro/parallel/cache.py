@@ -51,6 +51,7 @@ __all__ = [
     "canonical_program_text",
     "program_fingerprint",
     "cache_key",
+    "check_cache_key",
     "payload_digest",
     "VerificationCache",
 ]
@@ -152,6 +153,37 @@ def cache_key(
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
+def check_cache_key(
+    program: Program,
+    spec: Optional[Program],
+    *,
+    fairness: str,
+    stutter_insensitive: bool,
+) -> str:
+    """The key ``repro check PROGRAM [--spec SPEC]`` stores its verdict
+    under; ``verify-tree`` keys each spec the same way, so the two
+    commands share entries.
+
+    The semantics flags are part of every fingerprint: the same source
+    under a different daemon semantics or fairness mode is a different
+    transition system.  The engine (like the worker count) is excluded,
+    because verdicts are identical across engines.
+    """
+    semantics = {"keep_stutter": True, "fairness": fairness}
+    fingerprints = [program_fingerprint(program, semantics=semantics)]
+    if spec is not None:
+        fingerprints.append(program_fingerprint(spec, semantics=semantics))
+    return cache_key(
+        "check",
+        fingerprints,
+        {
+            "fairness": fairness,
+            "stutter_insensitive": stutter_insensitive,
+            "self": spec is None,
+        },
+    )
+
+
 class VerificationCache:
     """A directory of content-addressed verification verdicts.
 
@@ -224,8 +256,8 @@ class VerificationCache:
             ):
                 # A well-formed entry from a known older schema: an
                 # upgrade left it behind, nothing damaged it.  Distinct
-                # from cache.corrupt so manifest diffs and operators
-                # can tell drift from damage.
+                # from cache.corrupt so operators can tell drift from
+                # damage.
                 self.misses += 1
                 self._instrumentation.count("cache.miss")
                 self._instrumentation.count("cache.stale_schema")

@@ -1,8 +1,8 @@
 """Chaos-driven integration tests: injected faults, recovered verdicts.
 
 The recovery invariants under test, end to end: a worker SIGKILLed
-mid-task changes nothing about the verdict (including a LIGHT
-estimate's — never an ``error``); an engine that
+mid-task changes nothing about the verdict (never an ``error``); an
+engine that
 exhausts memory mid-fixpoint degrades down the vector → packed → tuple
 chain with a reasoned ``engine.fallback`` event; a corrupted cache
 entry reads as a miss and the verdict is recomputed; and the CLI under
@@ -45,7 +45,7 @@ from repro.rings import (
     utr_abstraction,
     utr_program,
 )
-from repro.tiering import Tier, verify_tree
+from repro.verify_tree import verify_tree
 
 pytestmark = pytest.mark.skipif(
     not parallel_available(), reason="no fork start method"
@@ -62,20 +62,17 @@ KILL_FIRST = FaultPlan(
 SPECS_DIR = pathlib.Path(__file__).parents[2] / "examples" / "specs"
 
 
-def _verify_examples(
-    state_dir, workers=1, instrumentation=NULL_INSTRUMENTATION, **kwargs
-):
-    """``verify-tree`` over the example specs from a fresh manifest;
+def _verify_examples(state_dir, workers=1, instrumentation=NULL_INSTRUMENTATION):
+    """``verify-tree`` over the example specs from a fresh cache;
     returns the report and the verdict stream."""
     out = io.StringIO()
     report = verify_tree(
         str(SPECS_DIR),
-        manifest_path=str(state_dir / "manifest.json"),
+        cache_dir=str(state_dir),
         workers=workers,
         instrumentation=instrumentation,
         out=out,
         err=io.StringIO(),
-        **kwargs,
     )
     return report, out.getvalue()
 
@@ -92,37 +89,16 @@ class TestWorkerDeathMidShard:
     """Kills inside ``verify-tree``'s pool: one task per spec check."""
 
     def test_verdict_identical_after_injected_kills(self, tmp_path):
-        _, baseline = _verify_examples(
-            tmp_path / "seq", forced_tier=Tier.THOROUGH
-        )
+        _, baseline = _verify_examples(tmp_path / "seq")
         recorder = Recorder(kind="test")
         with using_policy(FAST), using_chaos(KILL_FIRST):
             _, chaotic = _verify_examples(
                 tmp_path / "chaos", workers=4, instrumentation=recorder,
-                forced_tier=Tier.THOROUGH,
             )
         assert chaotic == baseline
         counters = recorder.record().counters
         assert counters["resilience.worker.death"] >= 1
         assert counters["resilience.task.retries"] >= 1
-
-    def test_light_estimates_identical_after_injected_kills(self, tmp_path):
-        """A worker dying mid-task of a LIGHT run must not turn the
-        seeded estimate into an exception: sampling and the fault
-        recovery compose."""
-        baseline_report, baseline = _verify_examples(
-            tmp_path / "seq", forced_tier=Tier.LIGHT
-        )
-        assert all(o.tier == "light" for o in baseline_report.outcomes)
-        recorder = Recorder(kind="test")
-        with using_policy(FAST), using_chaos(KILL_FIRST):
-            chaotic_report, chaotic = _verify_examples(
-                tmp_path / "chaos", workers=4, instrumentation=recorder,
-                forced_tier=Tier.LIGHT,
-            )
-        assert all(o.tier == "light" for o in chaotic_report.outcomes)
-        assert chaotic == baseline
-        assert recorder.record().counters["resilience.worker.death"] >= 1
 
     def test_poison_every_attempt_still_converges_via_quarantine(
         self, tmp_path
@@ -130,9 +106,7 @@ class TestWorkerDeathMidShard:
         """Killing *every* attempt of a task forces quarantine: the
         inline sequential run must still deliver the identical
         verdict (chaos worker faults are inert in the driver)."""
-        _, baseline = _verify_examples(
-            tmp_path / "seq", forced_tier=Tier.THOROUGH
-        )
+        _, baseline = _verify_examples(tmp_path / "seq")
         plan = FaultPlan(
             faults=(FaultAction(kind="kill-worker", task=0, attempt="*"),)
         )
@@ -143,7 +117,6 @@ class TestWorkerDeathMidShard:
         with using_policy(policy), using_chaos(plan):
             _, chaotic = _verify_examples(
                 tmp_path / "chaos", workers=2, instrumentation=recorder,
-                forced_tier=Tier.THOROUGH,
             )
         assert chaotic == baseline
         counters = recorder.record().counters
@@ -321,16 +294,16 @@ class TestCliChaosDifferential:
         assert code_chaos == code_baseline
         assert out_chaos == out_baseline
         # ``check`` decides in one process, so the plan's worker kill
-        # lands on verify-tree's pool; a THOROUGH block is the
+        # lands on verify-tree's pool; a verify-tree block is the
         # ``check`` output byte for byte.
         monkeypatch.setenv("REPRO_CHAOS", COMPOSITE_PLAN)
         record = tmp_path / "tree.jsonl"
         code_tree = main(
             [
                 "verify-tree", str(tree),
-                "--tier", "thorough", "--workers", "4",
+                "--workers", "4",
                 "--engine", "vector",
-                "--manifest", str(tmp_path / "state" / "manifest.json"),
+                "--cache-dir", str(tmp_path / "state"),
                 "--obs-out", str(record),
             ]
         )
@@ -397,9 +370,9 @@ class TestCliChaosDifferential:
         record = tmp_path / "tree.jsonl"
         code = main(
             [
-                "verify-tree", str(tree), "--tier", "thorough",
+                "verify-tree", str(tree),
                 "--workers", "2",
-                "--manifest", str(tmp_path / "state" / "manifest.json"),
+                "--cache-dir", str(tmp_path / "state"),
                 "--obs-out", str(record),
             ]
         )

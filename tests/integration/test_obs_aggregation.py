@@ -27,7 +27,7 @@ from repro.checker import check_convergence_refinement, check_stabilization
 from repro.obs import NULL_INSTRUMENTATION, Recorder
 from repro.parallel import parallel_available
 from repro.rings import btr3_abstraction, btr_program, dijkstra_three_state
-from repro.tiering import Tier, verify_tree
+from repro.verify_tree import verify_tree
 from tests.integration.test_packed_differential import RING_CASES
 
 SPECS_DIR = pathlib.Path(__file__).parents[2] / "examples" / "specs"
@@ -159,12 +159,11 @@ class TestWorkerAggregation:
 
     @staticmethod
     def _recorded_tree(state_dir, engine: str, workers: int) -> Recorder:
-        """THOROUGH ``verify-tree`` over the example specs, recorded."""
+        """``verify-tree`` over the example specs, recorded."""
         recorder = Recorder(kind="verify-tree")
         verify_tree(
             str(SPECS_DIR),
-            manifest_path=str(state_dir / "manifest.json"),
-            forced_tier=Tier.THOROUGH,
+            cache_dir=str(state_dir),
             engine=engine,
             workers=workers,
             instrumentation=recorder,

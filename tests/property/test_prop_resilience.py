@@ -29,7 +29,7 @@ from repro.resilience import (
     using_chaos,
     using_policy,
 )
-from repro.tiering import Tier, verify_tree
+from repro.verify_tree import verify_tree
 
 from tests.property.test_prop_parallel import small_programs
 
@@ -86,16 +86,15 @@ def fault_plans(draw):
 
 
 def _verify(tree, state, workers, instrumentation=None):
-    """The verdict stream of a thorough ``verify-tree`` run over
-    ``tree`` from a fresh manifest under ``state``."""
+    """The verdict stream of a ``verify-tree`` run over ``tree`` from
+    a fresh cache at ``state``."""
     out = io.StringIO()
     kwargs = {} if instrumentation is None else {
         "instrumentation": instrumentation
     }
     verify_tree(
         str(tree),
-        manifest_path=str(state / "manifest.json"),
-        forced_tier=Tier.THOROUGH,
+        cache_dir=str(state),
         workers=workers,
         out=out,
         err=io.StringIO(),

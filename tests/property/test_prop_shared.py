@@ -214,9 +214,9 @@ class TestSharedPrimitives:
         from repro.core.errors import GCLError
         from repro.kernel.shared import SharedKernel
 
-        def outcome(chunk, validate=True):
+        def outcome(chunk):
             try:
-                kernel = SharedKernel(program, chunk=chunk, validate=validate)
+                kernel = SharedKernel(program, chunk=chunk)
                 enabled, successors = kernel.action_matrix(
                     np.arange(kernel.size, dtype=np.int64)
                 )
@@ -227,7 +227,6 @@ class TestSharedPrimitives:
         tabled = outcome(64)
         assert outcome(1) == tabled
         assert outcome(chunk) == tabled
-        assert outcome(chunk, validate=False) == tabled
         if isinstance(tabled, str):
             with pytest.raises(GCLError) as raised:
                 program.compile()

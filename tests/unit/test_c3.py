@@ -124,6 +124,30 @@ class TestTheorem13:
         )
         assert not result.holds
 
+    @pytest.mark.parametrize("engine", ["tuple", "vector"])
+    def test_composite_fails_under_strong_fairness_at_n5(self, engine):
+        """Pinned finding (EXPERIMENTS.md, E10): from n = 5 a strongly
+        fair computation can stay outside the core forever, on tuple
+        and on vector.  Whether the model, the fairness treatment of
+        stuttering steps, or the paper is at fault is not yet told
+        apart."""
+        from repro.checker.witnesses import WitnessKind
+
+        n = 5
+        result = check_stabilization(
+            c3_composed(n),
+            btr_program(n),
+            btr3_abstraction(n),
+            stutter_insensitive=True,
+            fairness="strong",
+            compute_steps=False,
+            engine=engine,
+        )
+        assert not result.holds
+        assert result.engine == engine
+        assert result.result.witness.kind is WitnessKind.DIVERGENT_CYCLE
+        assert "(fair trap)" in result.format()
+
 
 class TestAggressiveComposite:
     @pytest.mark.parametrize("n", [3, 4, 5])

@@ -13,8 +13,10 @@ from repro.parallel import (
     VerificationCache,
     cache_key,
     canonical_program_text,
+    check_cache_key,
     program_fingerprint,
 )
+from repro.gcl.parser import parse_program
 
 TOY = """
 program toy
@@ -125,6 +127,57 @@ class TestCacheKey:
         other = program_fingerprint(TOY_EDITED)
         assert cache_key("refines", [self.FP, other], {}) != cache_key(
             "refines", [other, self.FP], {}
+        )
+
+
+class TestCheckCacheKey:
+    """One key derivation for ``repro check`` and ``verify-tree``."""
+
+    def key(self, spec=None, fairness="none", stutter_insensitive=False):
+        return check_cache_key(
+            parse_program(TOY),
+            parse_program(spec) if spec is not None else None,
+            fairness=fairness,
+            stutter_insensitive=stutter_insensitive,
+        )
+
+    def test_self_check_key_is_the_check_kind_over_semantic_fingerprints(self):
+        semantics = {"keep_stutter": True, "fairness": "weak"}
+        expected = cache_key(
+            "check",
+            [program_fingerprint(TOY, semantics=semantics)],
+            {"fairness": "weak", "stutter_insensitive": False, "self": True},
+        )
+        assert self.key(fairness="weak") == expected
+
+    def test_spec_adds_its_fingerprint_in_role_order(self):
+        semantics = {"keep_stutter": True, "fairness": "none"}
+        expected = cache_key(
+            "check",
+            [
+                program_fingerprint(TOY, semantics=semantics),
+                program_fingerprint(TOY_EDITED, semantics=semantics),
+            ],
+            {"fairness": "none", "stutter_insensitive": True, "self": False},
+        )
+        assert self.key(TOY_EDITED, stutter_insensitive=True) == expected
+
+    def test_every_verdict_parameter_moves_the_key(self):
+        keys = {
+            self.key(),
+            self.key(fairness="weak"),
+            self.key(fairness="strong"),
+            self.key(stutter_insensitive=True),
+            self.key(TOY),
+        }
+        assert len(keys) == 5
+
+    def test_reformatting_keeps_the_key(self):
+        assert self.key() == check_cache_key(
+            parse_program(TOY_REFORMATTED),
+            None,
+            fairness="none",
+            stutter_insensitive=False,
         )
 
 

@@ -157,3 +157,93 @@ class TestCompilation:
         program = Program("p", variables, actions, init=None)
         with pytest.raises(StateSpaceError):
             compile_states(program, [], initial=[(5, False)])
+
+
+class TestDerivedSystems:
+    """``with_name``, ``without_self_loops`` and ``restricted_to`` derive
+    from an already-validated system, so they validate only caller
+    input (``restricted_to``'s set, ``with_initial``'s states) and
+    build exactly what the validating constructor builds."""
+
+    @pytest.fixture
+    def system(self):
+        from repro.rings import c3_program
+
+        # C3 takes stuttering steps, so without_self_loops drops edges.
+        return c3_program(3).compile()
+
+    @staticmethod
+    def constructed(derived):
+        from repro.core.system import System
+
+        return System(
+            derived.schema,
+            {source: derived.successors(source) for source in derived.sources()},
+            derived.initial,
+            name=derived.name,
+            labels={pair: derived.labels_of(*pair) for pair in derived.transitions()},
+        )
+
+    @staticmethod
+    def count_validations(monkeypatch):
+        from repro.core.state import StateSchema
+
+        calls = []
+        validate = StateSchema.validate
+
+        def counting(schema, state):
+            calls.append(state)
+            return validate(schema, state)
+
+        monkeypatch.setattr(StateSchema, "validate", counting)
+        return calls
+
+    def test_derivations_validate_only_caller_input(self, system, monkeypatch):
+        keep = sorted(system.reachable(), key=repr)[:5]
+        initial = sorted(system.initial, key=repr)[:1]
+        calls = self.count_validations(monkeypatch)
+        system.with_name("renamed")
+        system.without_self_loops()
+        assert calls == []
+        system.restricted_to(keep)
+        assert len(calls) == len(keep)
+        system.with_initial(initial)
+        assert len(calls) == len(keep) + len(initial)
+
+    def test_derivations_equal_the_constructor_in_iteration_order(self, system):
+        keep = set(list(system.sources())[::2])
+        for derived in (
+            system.with_name("renamed"),
+            system.without_self_loops(),
+            system.restricted_to(keep),
+            system.with_initial(list(keep)[:2]),
+        ):
+            expected = self.constructed(derived)
+            assert derived == expected
+            assert list(derived.sources()) == list(expected.sources())
+            for source in derived.sources():
+                assert list(derived.successors(source)) == list(
+                    expected.successors(source)
+                )
+            assert list(derived.initial) == list(expected.initial)
+
+    def test_sources_left_without_successors_are_dropped(self):
+        from repro.core.state import StateSchema
+        from repro.core.system import System
+
+        schema = StateSchema({"x": range(3)})
+        a, b = (0,), (1,)
+        system = System(schema, [(a, b), (b, b)], [a])
+        restricted = system.restricted_to([a])
+        assert list(restricted.sources()) == []
+        assert not restricted.enabled_anywhere()
+        no_stutter = system.without_self_loops()
+        assert list(no_stutter.sources()) == [a]
+
+    def test_caller_states_are_still_validated(self, system):
+        from repro.core.errors import StateSpaceError
+
+        with pytest.raises(StateSpaceError):
+            system.restricted_to([(9, 9, 9)])
+        with pytest.raises(StateSpaceError):
+            system.with_initial([(9, 9, 9)])
