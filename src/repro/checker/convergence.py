@@ -44,13 +44,12 @@ the sets in its own representation — tuple states, packed int codes,
 NumPy flag arrays, or streamed bit fields — and answers in tuple
 terms: ``legitimate()`` and ``core()`` return ``L_A`` and ``G``;
 ``outside_size()``, ``deadlock()`` (the min-by-``repr`` stuck state
-outside ``G``, or ``None``), ``longest_path()`` and
-``has_cycle_outside()`` query the complement of ``G``.
-``longest_path()`` is the worst case, or ``None`` when a cycle lies
-outside ``G``: with ``compute_steps`` that one walk decides divergence
-too, and ``has_cycle_outside()`` serves only checks that skip the
-worst case; ``has_invisible_cycle()`` says whether ``G`` holds a cycle
-of invisible steps; ``cycle_region()`` and ``invisible_region()`` give
+outside ``G``, or ``None``) and ``longest_path()`` query the complement
+of ``G``.  ``longest_path()`` is the worst case, or ``None`` when a
+cycle lies outside ``G``: that one walk decides divergence for every
+check, and its count is reported only with ``compute_steps``;
+``has_invisible_cycle()`` says whether ``G`` holds a cycle of
+invisible steps; ``cycle_region()`` and ``invisible_region()`` give
 the witness searches a *witness region* — an analysis system
 (self-loops dropped under weak fairness) and a state set on which
 :func:`find_cycle_within` returns the tuple engine's exact cycle.  The
@@ -86,7 +85,6 @@ from .engines import engine_chain, run_chain
 from .fairness import find_fair_trap
 from .graph import (
     find_cycle_within,
-    has_cycle_within,
     states_on_cycles,
     terminal_states_within,
 )
@@ -307,19 +305,29 @@ def worst_case_convergence_steps(
     system = (
         concrete.without_self_loops() if fairness in ("weak", "strong") else concrete
     )
-    steps = _longest_path_within(
+    return max(_outside_depths(system, core).values(), default=0)
+
+
+def _outside_depths(system: System, core: FrozenSet[State]) -> Dict[State, int]:
+    """:func:`_longest_path_within` over the states outside ``core``.
+
+    Raises:
+        ValueError: if a cycle lies outside ``core``.
+    """
+    depth = _longest_path_within(
         system,
         frozenset(state for state in system.schema.states() if state not in core),
     )
-    if steps is None:
+    if depth is None:
         raise ValueError("cycle outside the core; check stabilization first")
-    return steps
+    return depth
 
 
 def _longest_path_within(
     system: System, outside: FrozenSet[State]
-) -> Optional[int]:
-    """Longest transition path staying within ``outside``, or ``None``
+) -> Optional[Dict[State, int]]:
+    """Each state of ``outside`` mapped to the length of the longest
+    transition path from it that stays within ``outside``, or ``None``
     when a cycle (including a self-loop) lies within it.
 
     A step leaving ``outside`` still counts as one step.  Memoized DFS
@@ -355,7 +363,7 @@ def _longest_path_within(
                     if successor in in_progress:
                         return None
                     stack.append((successor, False))
-    return max(depth.values(), default=0)
+    return depth
 
 
 def check_stabilization(
@@ -608,14 +616,11 @@ def _cycle_search(backend, request: _Request) -> Tuple[bool, Optional[int]]:
     """Whether a cycle lies outside the core, and the worst-case step
     count when ``compute_steps`` asks for it and none does.
 
-    With ``compute_steps`` one longest-path walk answers both
-    questions.  Without, the cheaper cycle walk runs alone and no
-    per-state depth array is ever allocated.
+    One longest-path walk answers both questions; a check that skips
+    the worst case drops the count.
     """
-    if request.compute_steps:
-        steps = backend.longest_path()
-        return steps is None, steps
-    return backend.has_cycle_outside(), None
+    steps = backend.longest_path()
+    return steps is None, steps if request.compute_steps else None
 
 
 def _invisible_steps(
@@ -703,9 +708,6 @@ class _TupleBackend:
         stuck = terminal_states_within(self.system, self.outside)
         return min(stuck, key=repr, default=None)
 
-    def has_cycle_outside(self) -> bool:
-        return has_cycle_within(self.system, self.outside)
-
     def has_invisible_cycle(self) -> bool:
         core = self.core_states
         return bool(
@@ -725,7 +727,8 @@ class _TupleBackend:
         return self.system
 
     def longest_path(self) -> Optional[int]:
-        return _longest_path_within(self.system, self.outside)
+        depth = _longest_path_within(self.system, self.outside)
+        return None if depth is None else max(depth.values(), default=0)
 
 
 class _KernelBackend:
@@ -881,11 +884,6 @@ class _PackedBackend(_KernelBackend):
 
         return self._min_state(packed_terminals(self.succ, self.outside))
 
-    def has_cycle_outside(self) -> bool:
-        from ..kernel import packed_has_cycle
-
-        return packed_has_cycle(self.succ, self.outside)
-
     def has_invisible_cycle(self) -> bool:
         from ..kernel import packed_has_cycle
 
@@ -987,13 +985,6 @@ class _VectorBackend(_KernelBackend):
             vector_terminals(
                 self.kernel, self.outside, drop_self=self.request.drop_self
             )
-        )
-
-    def has_cycle_outside(self) -> bool:
-        from ..kernel.vector import vector_has_cycle
-
-        return vector_has_cycle(
-            self.kernel, self.outside, drop_self=self.request.drop_self
         )
 
     def has_invisible_cycle(self) -> bool:
@@ -1131,19 +1122,6 @@ class _SharedBackend(_KernelBackend):
                 self.remainder.set_codes(codes[in_degree[codes] > 0])
         self.degrees = None
 
-    def has_cycle_outside(self) -> bool:
-        from ..kernel.shared import shared_has_cycle
-
-        cyclic = shared_has_cycle(
-            self.kernel,
-            self.outside,
-            self.runtime,
-            drop_self=self.request.drop_self,
-            degrees=self._outside_degrees(),
-        )
-        self._peeled(cyclic)
-        return cyclic
-
     def has_invisible_cycle(self) -> bool:
         from ..kernel.shared import shared_has_cycle
 
@@ -1265,54 +1243,26 @@ def worst_case_schedule(
     system = (
         concrete.without_self_loops() if fairness in ("weak", "strong") else concrete
     )
-    outside = [state for state in system.schema.states() if state not in core]
-    outside_set = set(outside)
-    depth: Dict[State, int] = {}
-    best_next: Dict[State, Optional[State]] = {}
-    in_progress: Set[State] = set()
-    for root in outside:
-        if root in depth:
-            continue
-        stack: List[Tuple[State, bool]] = [(root, False)]
-        while stack:
-            state, expanded = stack.pop()
-            if expanded:
-                best = 0
-                choice: Optional[State] = None
-                for successor in sorted(system.successors(state), key=repr):
-                    if successor in outside_set:
-                        candidate = 1 + depth[successor]
-                    else:
-                        candidate = 1
-                    if candidate > best:
-                        best = candidate
-                        choice = successor
-                depth[state] = best
-                best_next[state] = choice
-                in_progress.discard(state)
-                continue
-            if state in depth:
-                continue
-            if state in in_progress:
-                raise ValueError("cycle outside the core; check stabilization first")
-            in_progress.add(state)
-            stack.append((state, True))
-            for successor in system.successors(state):
-                if successor in outside_set and successor not in depth:
-                    if successor in in_progress:
-                        raise ValueError(
-                            "cycle outside the core; check stabilization first"
-                        )
-                    stack.append((successor, False))
+    depth = _outside_depths(system, core)
     if not depth:
         return ()
-    start = max(depth, key=lambda state: (depth[state], repr(state)))
-    path: List[State] = [start]
-    current: Optional[State] = start
-    while current is not None and current in outside_set:
-        current = best_next.get(current)
-        if current is not None:
-            path.append(current)
+    state: Optional[State] = max(
+        depth, key=lambda start: (depth[start], repr(start))
+    )
+    path: List[State] = []
+    while state is not None:
+        path.append(state)
+        if state not in depth:
+            break
+        # The first successor, in ``repr`` order, on a longest path.
+        state = next(
+            (
+                successor
+                for successor in sorted(system.successors(state), key=repr)
+                if depth.get(successor, 0) + 1 == depth[state]
+            ),
+            None,
+        )
     return tuple(path)
 
 

@@ -71,6 +71,7 @@ import numpy as np
 from ..core.abstraction import AbstractionFunction, identity_abstraction
 from ..core.state import State
 from ..core.system import System, Transition
+from ..kernel.engine import source_schema
 from ..obs import NULL_INSTRUMENTATION, Instrumentation, ProgressEmitter
 from .convergence import (
     SystemOrProgram,
@@ -90,10 +91,6 @@ __all__ = [
     "compression_transitions",
     "expand_to_abstract_path",
 ]
-
-
-def _schema_of(source: SystemOrProgram):
-    return source.schema if isinstance(source, System) else source.schema()
 
 
 _VIOLATION_REPLAY_REASON = (
@@ -224,15 +221,13 @@ class _VectorClauses:
         # not allowed) is an immediate violation, never a compression.
         if bool((rest_image_source == rest_image_target).any()):
             return None
-        # The rest must be realizable as abstract paths of length >= 2 —
-        # two fixed steps then any walk.  One reachability per distinct
-        # source image, from the union of its two-step frontier.
+        # The rest must be realizable as abstract paths of length >= 2.
+        # No edge left here has a direct abstract edge or equal images,
+        # so a target reached from a successor of its source image lies
+        # at least two steps away.  One reachability per distinct source
+        # image, from its successors.
         for image in _unique_sorted(rest_image_source):
-            _, mids = abstract_kernel.succ_pairs(image.reshape(1))
-            starts = np.empty(0, dtype=np.int64)
-            if mids.size:
-                _, starts = abstract_kernel.succ_pairs(_unique_sorted(mids))
-                starts = _unique_sorted(starts)
+            _, starts = abstract_kernel.succ_pairs(image.reshape(1))
             if starts.size == 0:
                 return None
             reach = vector_reachable(abstract_kernel, starts)
@@ -414,8 +409,8 @@ def _vector_attempt(
     the clauses (``None`` when the abstraction leaves the abstract
     schema)."""
     if alpha is None:
-        _schema_of(concrete).require_compatible(
-            _schema_of(abstract), "refinement check without an abstraction function"
+        source_schema(concrete).require_compatible(
+            source_schema(abstract), "refinement check without an abstraction function"
         )
     clauses = _VectorClauses.over(concrete, abstract, alpha, instrumentation)
     proof = (
@@ -955,10 +950,10 @@ def check_everywhere_eventually_refinement(
     from .convergence import check_stabilization
 
     if alpha is None:
-        _schema_of(concrete).require_compatible(
-            _schema_of(abstract), "refinement check without an abstraction function"
+        source_schema(concrete).require_compatible(
+            source_schema(abstract), "refinement check without an abstraction function"
         )
-        mapping = identity_abstraction(_schema_of(concrete))
+        mapping = identity_abstraction(source_schema(concrete))
     else:
         mapping = alpha
     name = f"[{_source_name(concrete)} ee-refines {_source_name(abstract)}]"

@@ -12,20 +12,10 @@ observability counters match the tuple engine byte for byte (see
 fixpoint-iteration caveat).
 """
 
-from .bitset import (
-    codes_of_flags,
-    count_flags,
-    flags_from_mask,
-    iter_ones,
-    make_flags,
-    mask_from_codes,
-    mask_from_flags,
-    popcount,
-)
+from .bitset import codes_of_flags, make_flags
 from .engine import (
     CheckSource,
     as_kernel,
-    as_system,
     drop_self_loops,
     image_codes,
     packed_fallback_reason,
@@ -50,7 +40,6 @@ __all__ = [
     "PackedKernel",
     "CheckSource",
     "as_kernel",
-    "as_system",
     "source_schema",
     "packed_fallback_reason",
     "image_codes",
@@ -62,11 +51,5 @@ __all__ = [
     "packed_terminals",
     "packed_longest_path",
     "make_flags",
-    "count_flags",
     "codes_of_flags",
-    "mask_from_flags",
-    "mask_from_codes",
-    "flags_from_mask",
-    "iter_ones",
-    "popcount",
 ]

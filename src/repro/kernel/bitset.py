@@ -1,35 +1,17 @@
-"""Flag arrays and integer bitmasks over packed state codes.
+"""Flag arrays over packed state codes.
 
-Two complementary representations of a set of packed states:
-
-* a **flag array** (``bytearray``, one byte per state) — O(1) mutable
-  membership, the working representation of the sequential fixpoints;
-* an **int mask** (one bit per state) — compact, picklable, and
-  mergeable with ``|``/``&``, the representation that crosses process
-  boundaries in the parallel fixpoints.
-
-Both index by the dense codes of a :class:`~repro.kernel.interner.
-StateInterner`, so conversions are pure reshapes.
+A **flag array** (``bytearray``, one byte per state) is the packed
+engine's set of states: O(1) mutable membership, indexed by the dense
+codes of a :class:`~repro.kernel.interner.StateInterner`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, Optional
 
 __all__ = [
     "make_flags",
-    "count_flags",
     "codes_of_flags",
-    "mask_from_flags",
-    "mask_from_codes",
-    "flags_from_mask",
-    "iter_ones",
-    "popcount",
-]
-
-#: Bit offsets of the set bits of each byte value, precomputed once.
-_BYTE_ONES: List[List[int]] = [
-    [bit for bit in range(8) if value >> bit & 1] for value in range(256)
 ]
 
 
@@ -42,51 +24,6 @@ def make_flags(size: int, codes: Optional[Iterable[int]] = None) -> bytearray:
     return flags
 
 
-def count_flags(flags: bytearray) -> int:
-    """Number of set flags (membership count)."""
-    return sum(flags)
-
-
 def codes_of_flags(flags: bytearray) -> Iterator[int]:
     """The set codes of a flag array, in ascending order."""
     return (code for code, flag in enumerate(flags) if flag)
-
-
-def mask_from_flags(flags: bytearray) -> int:
-    """The int mask with bit ``code`` set iff ``flags[code]``."""
-    mask = 0
-    for code, flag in enumerate(flags):
-        if flag:
-            mask |= 1 << code
-    return mask
-
-
-def mask_from_codes(codes: Iterable[int]) -> int:
-    """The int mask of an iterable of codes."""
-    mask = 0
-    for code in codes:
-        mask |= 1 << code
-    return mask
-
-
-def flags_from_mask(mask: int, size: int) -> bytearray:
-    """The flag array of an int mask (inverse of :func:`mask_from_flags`)."""
-    flags = bytearray(size)
-    for code in iter_ones(mask):
-        flags[code] = 1
-    return flags
-
-
-def iter_ones(mask: int) -> Iterator[int]:
-    """The set bit positions of ``mask``, in ascending order."""
-    raw = mask.to_bytes((mask.bit_length() + 7) // 8 or 1, "little")
-    for byte_index, byte in enumerate(raw):
-        if byte:
-            base = byte_index * 8
-            for bit in _BYTE_ONES[byte]:
-                yield base + bit
-
-
-def popcount(mask: int) -> int:
-    """Number of set bits of an int mask (Python 3.9-safe)."""
-    return bin(mask).count("1")

@@ -4,9 +4,9 @@ The checkers accept either a compiled :class:`~repro.core.system.
 System` or a still-uncompiled :class:`~repro.gcl.program.Program`.
 The helpers here normalize both into the representation each engine
 needs — a :class:`PackedKernel` for the packed engine (a ``Program``
-lowers *directly*, skipping the transition table entirely), a
-``System`` for the tuple engine — and decide when packing must be
-refused (:func:`packed_fallback_reason`).
+lowers *directly*, skipping the transition table entirely) — read a
+source's schema without compiling it (:func:`source_schema`), and
+decide when packing must be refused (:func:`packed_fallback_reason`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .successors import PackedKernel
 __all__ = [
     "CheckSource",
     "as_kernel",
-    "as_system",
     "source_schema",
     "packed_fallback_reason",
     "image_codes",
@@ -34,11 +33,6 @@ __all__ = [
 
 #: What the checker entry points accept for either side of a check.
 CheckSource = Union[System, Program]
-
-
-def as_system(source: CheckSource) -> System:
-    """The tuple-engine view of a check source (compiles programs)."""
-    return source if isinstance(source, System) else source.compile()
 
 
 def as_kernel(

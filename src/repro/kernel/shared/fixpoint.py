@@ -27,11 +27,12 @@ Re-implementations of the vector engine's fixpoints
   alone.
 
 Verdict- and counter-compatibility with the vector fixpoints is exact:
-the chunked core rounds evaluate the same Jacobi operator against the
-same round-start snapshot (a member's eviction depends only on its own
-out-edges and the snapshot, so chunk boundaries cannot change any
-round's eviction set), and the peel is the vector engine's, level for
-level: the same edge multiset, read a batch at a time.
+the core rounds run the vector engine's own eviction round, chunk by
+chunk, against the same round-start snapshot (a member's eviction
+depends only on its own out-edges and the snapshot, so chunk
+boundaries cannot change any round's eviction set), and the peel is
+the vector engine's, level for level: the same edge multiset, read a
+batch at a time, grouped by the same helper.
 
 Every fixpoint runs in the calling process.  The sequential peel
 takes most of a check's time, so sharding the core rounds across
@@ -47,6 +48,7 @@ import numpy as np
 
 from ...obs import NULL_INSTRUMENTATION, Instrumentation, ProgressEmitter
 from ...resilience import chaos
+from ..vector.fixpoint import _evict_chunk, _grouped
 from ..vector.kernel import VectorKernel
 from .frontier import BitField, CodeRuns
 from .image import SharedImage
@@ -67,55 +69,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
-def _evict_chunk(
-    members: np.ndarray,
-    kernel: SharedKernel,
-    abstract_kernel: VectorKernel,
-    image: SharedImage,
-    flags: BitField,
-    abs_has_successor: np.ndarray,
-    stutter_insensitive: bool,
-    ignorable_stutter: bool,
-) -> np.ndarray:
-    """Members of one chunk the current Jacobi round evicts.
-
-    A transliteration of one ``vector_core`` round restricted to
-    ``members`` — exact, because a member's eviction depends only on
-    its own out-edges and the round-start snapshot in ``flags``.
-    """
-    origins, targets = kernel.succ_pairs(members)
-    image_members = image.of(members)
-    sources = members[origins]
-    image_source = image_members[origins]
-    image_target = image.of(targets)
-    abstract_edge = abstract_kernel.has_edge(image_source, image_target)
-    self_loop = targets == sources
-    if stutter_insensitive:
-        stutter_progress = image_target == image_source
-    else:
-        stutter_progress = np.zeros(targets.shape, dtype=bool)
-    member_target = flags.test(targets)
-    if ignorable_stutter:
-        evict_self = np.zeros(targets.shape, dtype=bool)
-    else:
-        evict_self = ~abstract_edge
-    evict_edge = np.where(
-        self_loop,
-        evict_self,
-        ~member_target | (~stutter_progress & ~abstract_edge),
-    )
-    progress_edge = np.where(
-        self_loop,
-        abstract_edge,
-        member_target & (stutter_progress | abstract_edge),
-    )
-    count = members.size
-    evict = np.bincount(origins[evict_edge], minlength=count) > 0
-    progressed = np.bincount(origins[progress_edge], minlength=count) > 0
-    evict |= ~progressed & abs_has_successor[image_members]
-    return members[evict]
-
-
 def shared_core(
     kernel: SharedKernel,
     abstract_kernel: VectorKernel,
@@ -128,7 +81,10 @@ def shared_core(
 ) -> BitField:
     """The behavioural core as a bit-packed field over concrete codes.
 
-    ``vector_core``'s Jacobi fixpoint with streamed init and rounds.
+    ``vector_core``'s Jacobi fixpoint with streamed init and rounds:
+    each round runs the vector engine's eviction round
+    (``_evict_chunk``) once per chunk of members, with ``image.of``
+    as the image map and ``flags.test`` as the round-start membership.
     Counters and per-iteration events are emitted with the vector
     engine's names and values — the rounds evaluate the identical
     operator, so ``check.fixpoint.iteration`` sequences agree.
@@ -172,8 +128,8 @@ def shared_core(
                     members,
                     kernel,
                     abstract_kernel,
-                    image,
-                    flags,
+                    image.of,
+                    flags.test,
                     abs_has_successor,
                     stutter_insensitive,
                     ignorable_stutter,
@@ -260,23 +216,6 @@ def _inside_targets(
     elif not exits:
         return targets, exits
     return targets[keep], exits
-
-
-def _grouped(hits: np.ndarray, dtype: np.dtype) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct values of ``hits``, ascending, and their multiplicities.
-
-    One sort, so adding or subtracting the multiplicities at the
-    distinct values is the exact, vectorized form of a ``ufunc.at``
-    loop over ``hits``.  The sort runs at the code width ``dtype``,
-    which every code fits.
-    """
-    hits = hits.astype(dtype)
-    if not hits.size:
-        return hits, np.empty(0, dtype=np.int32)
-    hits.sort()
-    starts = np.flatnonzero(np.concatenate(([True], hits[1:] != hits[:-1])))
-    counts = np.diff(np.append(starts, hits.shape[0]))
-    return hits[starts], counts.astype(np.int32)
 
 
 def _count(
@@ -396,9 +335,9 @@ def shared_terminals(
     in-degrees a peel of the same region and ``drop_self`` starts from.
 
     The deadlock search runs this pass, and hands the result to
-    :func:`shared_has_cycle` or :func:`shared_longest_path` as
-    ``degrees``, so each member of the region outside the core is
-    expanded twice per check: here, and when the peel reaches it.
+    :func:`shared_longest_path` as ``degrees``, so each member of the
+    region outside the core is expanded twice per check: here, and
+    when the peel reaches it.
     """
     return _count(kernel, region, runtime, drop_self, None)
 
@@ -409,7 +348,6 @@ def shared_has_cycle(
     runtime: SharedRuntime,
     drop_self: bool = False,
     image: Optional[SharedImage] = None,
-    degrees: Optional[RegionDegrees] = None,
 ) -> bool:
     """Whether a cycle (including a self-loop) lies within ``region``.
 
@@ -417,13 +355,8 @@ def shared_has_cycle(
     cycle exists iff its levels do not exhaust the region.  With
     ``image`` the relation is first restricted to image-invisible
     edges — the invisible-cycles analysis inside the core.
-    ``degrees``, when given, is a :func:`shared_terminals` pass over
-    the same region and ``drop_self`` (so no ``image``), and on return
-    its ``in_degree`` is positive at exactly the peel's remainder;
-    without it the peel counts its own.
     """
-    if degrees is None:
-        degrees = _count(kernel, region, runtime, drop_self, image)
+    degrees = _count(kernel, region, runtime, drop_self, image)
     cyclic, _ = _forward_peel(
         kernel, region, degrees, runtime, drop_self, image
     )

@@ -27,7 +27,7 @@ greatest fixpoint (the operator is monotone) and the total
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -77,6 +77,69 @@ def vector_reachable(
     return seen
 
 
+def _evict_chunk(
+    members: np.ndarray,
+    kernel: VectorKernel,
+    abstract_kernel: VectorKernel,
+    image_of: Callable[[np.ndarray], np.ndarray],
+    member: Callable[[np.ndarray], np.ndarray],
+    abs_has_successor: np.ndarray,
+    stutter_insensitive: bool,
+    ignorable_stutter: bool,
+) -> np.ndarray:
+    """The codes of ``members`` one Jacobi round of the core fixpoint
+    evicts.
+
+    ``image_of`` maps codes to abstract codes and ``member`` tests
+    codes against the round-start membership snapshot; ``kernel`` is
+    read only through ``succ_pairs``, so the shared engine's streamed
+    kernel serves as well as a vector one.  A member's eviction depends
+    only on its own out-edges and the snapshot, so any split of the
+    members into chunks evicts the same codes.  Eviction per edge
+    transliterates ``_must_evict_packed``:
+
+    * a self-loop whose image step is not an abstract edge evicts
+      unless stuttering is ignorable, and counts as progress exactly
+      when the image step *is* an abstract edge;
+    * a non-self edge evicts when its target left the membership, or
+      when it is neither an insensitive image-stutter nor an abstract
+      edge; it counts as progress otherwise;
+    * a member with no progress at all evicts unless its image is
+      terminal in the abstraction (premature deadlock).
+    """
+    origins, targets = kernel.succ_pairs(members)
+    image_members = image_of(members)
+    sources = members[origins]
+    image_source = image_members[origins]
+    image_target = image_of(targets)
+    abstract_edge = abstract_kernel.has_edge(image_source, image_target)
+    self_loop = targets == sources
+    if stutter_insensitive:
+        stutter_progress = image_target == image_source
+    else:
+        stutter_progress = np.zeros(targets.shape, dtype=bool)
+    member_target = member(targets)
+    if ignorable_stutter:
+        evict_self = np.zeros(targets.shape, dtype=bool)
+    else:
+        evict_self = ~abstract_edge
+    evict_edge = np.where(
+        self_loop,
+        evict_self,
+        ~member_target | (~stutter_progress & ~abstract_edge),
+    )
+    progress_edge = np.where(
+        self_loop,
+        abstract_edge,
+        member_target & (stutter_progress | abstract_edge),
+    )
+    count = members.size
+    evict = np.bincount(origins[evict_edge], minlength=count) > 0
+    progressed = np.bincount(origins[progress_edge], minlength=count) > 0
+    evict |= ~progressed & abs_has_successor[image_members]
+    return members[evict]
+
+
 def vector_core(
     kernel: VectorKernel,
     abstract_kernel: VectorKernel,
@@ -90,18 +153,9 @@ def vector_core(
 
     The same greatest fixpoint as ``packed_core`` /
     ``behavioural_core``, evaluated as whole-batch Jacobi rounds: each
-    round classifies every remaining member's outgoing edges at once
-    against a snapshot of the membership flags, then evicts.  Eviction
-    per edge transliterates ``_must_evict_packed``:
-
-    * a self-loop whose image step is not an abstract edge evicts
-      unless stuttering is ignorable, and counts as progress exactly
-      when the image step *is* an abstract edge;
-    * a non-self edge evicts when its target left the membership, or
-      when it is neither an insensitive image-stutter nor an abstract
-      edge; it counts as progress otherwise;
-    * a member with no progress at all evicts unless its image is
-      terminal in the abstraction (premature deadlock).
+    round is one :func:`_evict_chunk` over every remaining member,
+    against a snapshot of the membership flags, then evicts what it
+    returns.
     """
     size = kernel.size
     image_of = np.asarray(image_of, dtype=np.int64)
@@ -125,38 +179,18 @@ def vector_core(
         iterations += 1
         if chaos_hook is not None:
             chaos_hook("vector", size * (iterations + 1))
-        members = np.nonzero(flags)[0]
-        origins, targets = kernel.succ_pairs(members)
-        sources = members[origins]
-        image_source = image_of[sources]
-        image_target = image_of[targets]
-        abstract_edge = abstract_kernel.has_edge(image_source, image_target)
-        self_loop = targets == sources
-        if stutter_insensitive:
-            stutter_progress = image_target == image_source
-        else:
-            stutter_progress = np.zeros(targets.shape, dtype=bool)
-        member_target = flags[targets]
-        if ignorable_stutter:
-            evict_self = np.zeros(targets.shape, dtype=bool)
-        else:
-            evict_self = ~abstract_edge
-        evict_edge = np.where(
-            self_loop,
-            evict_self,
-            ~member_target | (~stutter_progress & ~abstract_edge),
+        evicted_codes = _evict_chunk(
+            np.nonzero(flags)[0],
+            kernel,
+            abstract_kernel,
+            image_of.__getitem__,
+            flags.__getitem__,
+            abs_has_successor,
+            stutter_insensitive,
+            ignorable_stutter,
         )
-        progress_edge = np.where(
-            self_loop,
-            abstract_edge,
-            member_target & (stutter_progress | abstract_edge),
-        )
-        count = members.size
-        evict = np.bincount(origins[evict_edge], minlength=count) > 0
-        progressed = np.bincount(origins[progress_edge], minlength=count) > 0
-        evict |= ~progressed & abs_has_successor[image_of[members]]
-        evicted = int(evict.sum())
-        flags[members[evict]] = False
+        flags[evicted_codes] = False
+        evicted = int(evicted_codes.size)
         changed = evicted > 0
         remaining -= evicted
         instrumentation.event(
@@ -211,6 +245,23 @@ def _region_parts(
         yield targets[inside], exits
 
 
+def _grouped(hits: np.ndarray, dtype: np.dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct values of ``hits``, ascending, and their multiplicities.
+
+    One sort, so adding or subtracting the multiplicities at the
+    distinct values is the exact, vectorized form of a ``ufunc.at``
+    loop over ``hits``.  The sort runs at the code width ``dtype``,
+    which every code fits.
+    """
+    hits = hits.astype(dtype)
+    if not hits.size:
+        return hits, np.empty(0, dtype=np.int32)
+    hits.sort()
+    starts = np.flatnonzero(np.concatenate(([True], hits[1:] != hits[:-1])))
+    counts = np.diff(np.append(starts, hits.shape[0]))
+    return hits[starts], counts.astype(np.int32)
+
+
 def _forward_peel(
     kernel: VectorKernel,
     region: np.ndarray,
@@ -243,12 +294,8 @@ def _forward_peel(
             parts.append(targets)
             exits |= left
         worst = max(worst, level + exits)
-        hits = np.sort(np.concatenate(parts))
-        if hits.size == 0:
-            break
-        starts = np.flatnonzero(np.concatenate(([True], hits[1:] != hits[:-1])))
-        nodes = hits[starts]
-        in_degree[nodes] -= np.diff(np.append(starts, hits.size))
+        nodes, counts = _grouped(np.concatenate(parts), np.dtype(np.int64))
+        in_degree[nodes] -= counts
         frontier = nodes[in_degree[nodes] == 0]
         level += 1
     return peeled < codes.size, worst

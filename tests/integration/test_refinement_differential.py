@@ -103,6 +103,12 @@ CONTROLS = {
         _system(CYCLE + [(4, 2), (5, 2)]), _abstract(), None
     ),
     "compression-on-cycle": _compression_on_cycle,
+    # 5 -> 2 realizes the abstract path 5 -> 4 -> 2 (two steps) and
+    # 5 -> 3 only 5 -> 4 -> 2 -> 3 (three steps): clause 2 must reach
+    # both targets from 5's successor, 4.
+    "compressions-of-two-and-three-steps": lambda: (
+        _system(CYCLE + [(4, 2), (5, 2), (5, 3)]), _abstract(), None
+    ),
     # No cycle at all: the trim removes every node, so the compression
     # 5 -> 2 must be judged off-cycle from an empty labelling.
     "compression-off-every-cycle": lambda: (

@@ -1,23 +1,29 @@
 """One walk of the region outside the core per stabilization check.
 
-A check asking for the worst case (``compute_steps=True``) decides
-divergence and the worst case with one longest-path walk: the walk
-returns ``None`` on a cycle and the step count otherwise.  A check
-that skips the worst case runs the cheaper cycle walk and never the
-longest-path one.  These tests count the calls into each engine's two
-walks and pin both facts on every engine and fairness mode, then check
-that the four engines still report the same worst case.
+Every check decides divergence with one longest-path walk: the walk
+returns ``None`` on a cycle and the step count otherwise, and a check
+that skips the worst case (``compute_steps=False``) only drops the
+count.  No engine runs a separate cycle walk of that region.  These
+tests count the calls into each engine's two walks and pin that on
+every engine and fairness mode, then check that the four engines
+still report the same worst case, and that ``worst_case_schedule``
+spells it out as a real path.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 from collections import Counter
 from contextlib import nullcontext
 
 import pytest
 
-from repro.checker import check_stabilization, worst_case_convergence_steps
+from repro.checker import (
+    check_stabilization,
+    worst_case_convergence_steps,
+    worst_case_schedule,
+)
 from repro.rings import (
     btr3_abstraction,
     btr4_abstraction,
@@ -34,7 +40,9 @@ from tests.packed_rung import packed_rung
 ENGINES = ["tuple", "packed", "vector", "shared"]
 
 #: Engine -> (module, cycle walk, longest-path walk), patched where the
-#: backends resolve them at call time.
+#: backends resolve them at call time.  The tuple backend imports no
+#: cycle walk; the spy is still set in its module, so one that came
+#: back would be counted.
 WALKS = {
     "tuple": (
         "repro.checker.convergence", "has_cycle_within", "_longest_path_within"
@@ -75,10 +83,16 @@ def walks(monkeypatch):
             continue
         module = importlib.import_module(module_name)
         for kind, attribute in (("cycle", cycle), ("longest", longest)):
+            function = getattr(module, attribute, None)
+            if function is None:
+                function = getattr(
+                    importlib.import_module("repro.checker.graph"), attribute
+                )
             monkeypatch.setattr(
                 module,
                 attribute,
-                counting((engine, kind), getattr(module, attribute)),
+                counting((engine, kind), function),
+                raising=False,
             )
     return calls
 
@@ -140,11 +154,16 @@ def test_divergent_check_walks_once(walks, engine, fairness):
 def test_skipping_steps_never_walks_longest_path(
     walks, engine, fairness, name, concrete, spec, alpha
 ):
-    result = _check(
-        engine, concrete, spec, alpha, fairness, compute_steps=False
-    )
-    assert result.holds and result.worst_case_steps is None
-    assert walks == Counter({(engine, "cycle"): 1})
+    """Skipping the worst case changes what is reported, not what is
+    walked: one longest-path walk and no cycle walk either way."""
+    for compute_steps in (True, False):
+        walks.clear()
+        result = _check(
+            engine, concrete, spec, alpha, fairness, compute_steps
+        )
+        assert result.holds
+        assert (result.worst_case_steps is None) == (not compute_steps)
+        assert walks == Counter({(engine, "longest"): 1})
 
 
 @pytest.mark.parametrize("fairness", ["none", "weak", "strong"])
@@ -166,3 +185,31 @@ def test_worst_case_agrees_across_engines(
         concrete().compile(), reference.core, fairness=fairness
     )
     assert steps == {engine: expected for engine in ENGINES}
+
+
+#: SHA-256 prefixes of ``repr(worst_case_schedule(...))`` per
+#: ``PASSING`` case: the path that picks, at each state, the first
+#: successor in ``repr`` order on a longest path, pinned so that any
+#: other tie-break among equally long paths shows.
+SCHEDULE_DIGESTS = {
+    "dijkstra4-n3": "8d1036f3632db08d",
+    "dijkstra3-n4": "4adb6819b0713cd9",
+    "kstate-n4": "082365772ca9f91c",
+    "kstate-n5-k5": "f405f915d802f691",
+}
+
+
+@pytest.mark.parametrize(
+    "name,concrete,spec,alpha", PASSING, ids=[case[0] for case in PASSING]
+)
+def test_worst_case_schedule_is_a_longest_path(name, concrete, spec, alpha):
+    core = _check("tuple", concrete, spec, alpha, "none").core
+    system = concrete().compile()
+    path = worst_case_schedule(system, core)
+    assert path[0] not in core and path[-1] in core
+    assert all(state not in core for state in path[:-1])
+    for source, target in zip(path, path[1:]):
+        assert target in system.successors(source)
+    assert len(path) - 1 == worst_case_convergence_steps(system, core)
+    digest = hashlib.sha256(repr(path).encode()).hexdigest()[:16]
+    assert digest == SCHEDULE_DIGESTS[name]
