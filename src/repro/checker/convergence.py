@@ -42,22 +42,25 @@ on a runtime fault.  An engine contributes a *backend*
 (:data:`_BACKENDS`) that computes
 the sets in its own representation — tuple states, packed int codes,
 NumPy flag arrays, or streamed bit fields — and answers in tuple
-terms: ``legitimate()`` and ``core()`` return ``L_A`` and ``G``;
-``outside_size()``, ``deadlock()`` (the min-by-``repr`` stuck state
-outside ``G``, or ``None``) and ``longest_path()`` query the complement
-of ``G``.  ``longest_path()`` is the worst case, or ``None`` when a
-cycle lies outside ``G``: that one walk decides divergence for every
-check, and its count is reported only with ``compute_steps``;
-``has_invisible_cycle()`` says whether ``G`` holds a cycle of
-invisible steps; ``cycle_region()`` and ``invisible_region()`` give
-the witness searches a *witness region* — an analysis system
-(self-loops dropped under weak fairness) and a state set on which
-:func:`find_cycle_within` returns the tuple engine's exact cycle.  The
-tuple engine's region is its whole system and searched set; the
-int-code engines compile only the states on a cycle (see
-:class:`_KernelBackend`).  Only the fair-trap search under strong
-fairness still takes the whole system, from ``analysis_system()`` and
-``outside_states()``.  ``running()`` is a context held open for the
+terms: ``legitimate()`` and ``core()`` return ``L_A`` and ``G``, and
+``core()`` also keeps the complement of ``G`` for the queries after
+it: ``deadlock()`` (the min-by-``repr`` stuck state outside ``G``, or
+``None``) and ``longest_path()``.  ``longest_path()`` is the worst
+case, or ``None`` when a cycle lies outside ``G``: that one walk
+decides divergence for every check, and its count is reported only
+with ``compute_steps``; ``has_invisible_cycle()`` says whether ``G``
+holds a cycle of invisible steps; ``cycle_region()`` and
+``invisible_region()`` give the witness searches a *witness region* —
+an analysis system (self-loops dropped under weak and strong
+fairness) and a state set on which :func:`find_cycle_within` returns
+the tuple engine's exact cycle and :func:`find_fair_trap` its exact
+trap.  The tuple engine's region is its whole system and searched
+set; the int-code engines compile only the states on a cycle (see
+:class:`_KernelBackend`), so no check materializes the whole system.
+Every fairness mode takes the one divergence path: under strong
+fairness a cycle outside ``G`` fails the check only through a fair
+trap, searched for in the cycle region, and the witness is a cycle
+inside that trap.  ``running()`` is a context held open for the
 whole decision (the shared engine's runtime).  Backends return sets,
 flags, states and regions; the skeleton alone holds the phase spans,
 the witness messages, the invisible-step rebuild and the result, so
@@ -431,7 +434,6 @@ def check_stabilization(
         fairness,
         compute_steps,
         instrumentation,
-        workers,
     )
     chain = engine_chain(
         engine, concrete, abstract, alpha, _BACKENDS, instrumentation
@@ -468,7 +470,6 @@ class _Request:
     fairness: str
     compute_steps: bool
     instrumentation: Instrumentation
-    workers: int
 
     @property
     def name(self) -> str:
@@ -553,7 +554,7 @@ def _refutation(
             "no concrete state forever tracks the specification (behavioural core is empty)",
         ), None
     instrumentation = request.instrumentation
-    instrumentation.count("check.outside.size", backend.outside_size())
+    instrumentation.count("check.outside.size", backend.schema.size() - len(core))
     with instrumentation.span("check.deadlock_search"):
         stuck = backend.deadlock()
     if stuck is not None:
@@ -563,36 +564,30 @@ def _refutation(
             (stuck,),
             backend.schema,
         ), None
-    if request.fairness == "strong":
-        with instrumentation.span("check.cycle_search"):
-            trap = None
-            divergent, steps = _cycle_search(backend, request)
-            if divergent:
-                system = backend.analysis_system()
-                trap = find_fair_trap(system, backend.outside_states())
-        if trap is not None:
-            with instrumentation.span("check.witness"):
-                cycle = find_cycle_within(system, trap) or tuple(
-                    sorted(trap, key=repr)[:4]
-                )
-            return Witness(
-                WitnessKind.DIVERGENT_CYCLE,
-                "a strongly fair computation can stay forever outside the legitimate core (fair trap)",
-                cycle,
-                backend.schema,
-            ), None
-    else:
-        with instrumentation.span("check.cycle_search"):
-            divergent, steps = _cycle_search(backend, request)
-        if divergent:
-            with instrumentation.span("check.witness"):
-                cycle = find_cycle_within(*backend.cycle_region()) or ()
-            return Witness(
-                WitnessKind.DIVERGENT_CYCLE,
-                "a computation can cycle forever outside the legitimate core",
-                cycle,
-                backend.schema,
-            ), None
+    strong = request.fairness == "strong"
+    with instrumentation.span("check.cycle_search"):
+        divergent, steps = _cycle_search(backend, request)
+        if divergent and strong:
+            # Under strong fairness a cycle diverges only through a fair
+            # trap in the cycle witness's region; the witness cycle is
+            # then searched for inside the trap.
+            system, searched = backend.cycle_region()
+            searched = find_fair_trap(system, searched)
+            divergent = searched is not None
+    if divergent:
+        with instrumentation.span("check.witness"):
+            if not strong:
+                system, searched = backend.cycle_region()
+            cycle = find_cycle_within(system, searched) or ()
+        return Witness(
+            WitnessKind.DIVERGENT_CYCLE,
+            "a strongly fair computation can stay forever outside the "
+            "legitimate core (fair trap)"
+            if strong
+            else "a computation can cycle forever outside the legitimate core",
+            cycle,
+            backend.schema,
+        ), None
     # Inside the core, stuttering must also be finitary: a cycle whose
     # every step is image-invisible would give an infinite concrete
     # computation whose abstract image is finite and non-maximal.
@@ -696,13 +691,10 @@ class _TupleBackend:
             fairness=request.fairness,
             instrumentation=request.instrumentation,
         )
-        return self.core_states
-
-    def outside_size(self) -> int:
         self.outside = frozenset(
             state for state in self.schema.states() if state not in self.core_states
         )
-        return len(self.outside)
+        return self.core_states
 
     def deadlock(self) -> Optional[State]:
         stuck = terminal_states_within(self.system, self.outside)
@@ -719,12 +711,6 @@ class _TupleBackend:
 
     def invisible_region(self) -> Tuple[System, FrozenSet[State]]:
         return self.system, self.core_states
-
-    def outside_states(self) -> FrozenSet[State]:
-        return self.outside
-
-    def analysis_system(self) -> System:
-        return self.system
 
     def longest_path(self) -> Optional[int]:
         depth = _longest_path_within(self.system, self.outside)
@@ -752,8 +738,12 @@ class _KernelBackend:
     a non-trivial SCC (or a self-loop) stays intact in any induced
     subgraph holding all of its nodes, so ``cycle_codes`` returns the
     same codes.  The shared engine lists them within its peel's
-    remainder.  Only the fair-trap search under strong fairness still
-    materializes the whole system.
+    remainder.  The fair-trap search under strong fairness runs on the
+    same region: every non-trivial component of the searched set lies
+    among the compiled codes, with all of its states' moves, and
+    :func:`find_fair_trap` picks its trap by ``repr``, not by the order
+    the set iterates in.  The kernels' ``compile`` takes the on-cycle
+    codes as they are; only the region's state set is decoded.
     """
 
     def __init__(self, request: _Request, kernel, abstract_kernel):
@@ -766,11 +756,6 @@ class _KernelBackend:
 
     def running(self):
         return nullcontext()
-
-    def _decoded_core(self, codes) -> FrozenSet[State]:
-        core = _decoded(self.interner, codes)
-        self.core_size = len(core)
-        return core
 
     def _min_state(self, codes) -> Optional[State]:
         return min(
@@ -799,16 +784,11 @@ class _KernelBackend:
         from ..kernel.cycles import cycle_codes
 
         on_cycle = cycle_codes(*self._edges(listed, invisible))
-        decode = self.interner.decode
-        system = self.kernel.compile(decode(code) for code in on_cycle)
+        system = self.kernel.compile(on_cycle)
         if self.request.drop_self:
             system = system.without_self_loops()
         allowed = set(on_cycle).union(self._successors_in(on_cycle, searched))
         return system, _decoded(self.interner, allowed)
-
-    def analysis_system(self) -> System:
-        system = self.kernel.materialize()
-        return system.without_self_loops() if self.request.drop_self else system
 
 
 class _PackedBackend(_KernelBackend):
@@ -865,7 +845,8 @@ class _PackedBackend(_KernelBackend):
             request.drop_self,
             instrumentation=request.instrumentation,
         )
-        core = self._decoded_core(compress(range(self.size), self.core_flags))
+        self.outside = bytearray(0 if flag else 1 for flag in self.core_flags)
+        core = _decoded(self.interner, compress(range(self.size), self.core_flags))
         if self.abstract_kernel is not self.kernel:
             # The abstraction's successor function is done after the
             # core fixpoint; release its memo instead of carrying it
@@ -874,10 +855,6 @@ class _PackedBackend(_KernelBackend):
                 "kernel.memo.evictions", self.abstract_kernel.clear_memo()
             )
         return core
-
-    def outside_size(self) -> int:
-        self.outside = bytearray(0 if flag else 1 for flag in self.core_flags)
-        return self.size - self.core_size
 
     def deadlock(self) -> Optional[State]:
         from ..kernel import packed_terminals
@@ -919,9 +896,6 @@ class _PackedBackend(_KernelBackend):
             for target in self.succ(code)
             if searched[target]
         ]
-
-    def outside_states(self) -> FrozenSet[State]:
-        return _decoded(self.interner, compress(range(self.size), self.outside))
 
     def longest_path(self) -> Optional[int]:
         from ..kernel import packed_longest_path
@@ -972,11 +946,8 @@ class _VectorBackend(_KernelBackend):
             request.drop_self,
             instrumentation=request.instrumentation,
         )
-        return self._decoded_core(np.nonzero(self.core_flags)[0])
-
-    def outside_size(self) -> int:
         self.outside = ~self.core_flags
-        return self.size - self.core_size
+        return _decoded(self.interner, np.nonzero(self.core_flags)[0])
 
     def deadlock(self) -> Optional[State]:
         from ..kernel.vector import vector_terminals
@@ -1011,9 +982,6 @@ class _VectorBackend(_KernelBackend):
     def _successors_in(self, codes: List[int], searched) -> List[int]:
         _, targets = self.kernel.succ_pairs(np.asarray(codes, dtype=np.int64))
         return targets[searched[targets]].tolist()
-
-    def outside_states(self) -> FrozenSet[State]:
-        return _decoded(self.interner, np.nonzero(self.outside)[0])
 
     def longest_path(self) -> Optional[int]:
         from ..kernel.vector import vector_longest_path
@@ -1063,7 +1031,7 @@ class _SharedBackend(_KernelBackend):
         )
 
     def core(self) -> FrozenSet[State]:
-        from ..kernel.shared import SharedImage, shared_core
+        from ..kernel.shared import BitField, SharedImage, shared_core
 
         request = self.request
         self.image = SharedImage(
@@ -1079,15 +1047,10 @@ class _SharedBackend(_KernelBackend):
             self.runtime,
             instrumentation=request.instrumentation,
         )
-        return self._decoded_core(self._members(self.core_flags))
-
-    def outside_size(self) -> int:
-        from ..kernel.shared import BitField
-
         self.outside = BitField(self.size)
         self.core_flags.complement_into(self.outside)
         self.degrees = None
-        return self.size - self.core_size
+        return _decoded(self.interner, self._members(self.core_flags))
 
     def deadlock(self) -> Optional[State]:
         from ..kernel.shared import shared_terminals
@@ -1159,9 +1122,6 @@ class _SharedBackend(_KernelBackend):
     def _successors_in(self, codes: List[int], searched) -> List[int]:
         _, targets = self.kernel.succ_pairs(np.asarray(codes, dtype=np.int64))
         return targets[searched.test(targets)].tolist()
-
-    def outside_states(self) -> FrozenSet[State]:
-        return _decoded(self.interner, self._members(self.outside))
 
     def longest_path(self) -> Optional[int]:
         from ..kernel.shared import shared_longest_path

@@ -34,7 +34,7 @@ exactly the co-location states whose scheduling needed fairness.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from ..core.state import State
 from ..core.system import System
@@ -85,6 +85,15 @@ def find_fair_trap(
 ) -> Optional[FrozenSet[State]]:
     """Find a strongly-fair divergent trap within ``states``, if any.
 
+    The search runs in levels.  The first level is the non-trivial
+    components of ``states``; the next is the non-trivial components of
+    what the discard step leaves of the current level's unfair ones.
+    The first level with a fair component returns the one whose
+    ``repr``-least state is least.  The trap therefore depends only on
+    the graph, not on how ``states`` iterates: any ``states`` holding
+    the same cycles, such as an engine's witness region, gives the same
+    trap.
+
     Args:
         system: the automaton (with transition labels; unlabelled
             transitions are treated as private anonymous actions).
@@ -96,31 +105,32 @@ def find_fair_trap(
         never leaves the region, or ``None`` when every strongly fair
         computation must exit the region (i.e. converges).
     """
-    pending: List[FrozenSet[State]] = [frozenset(states)]
-    while pending:
-        region = pending.pop()
-        if not region:
-            continue
-        for component in strongly_connected_components(system, region):
-            # Only components that can sustain an infinite run matter.
-            if len(component) == 1:
-                (only,) = component
-                if not (
-                    system.has_transition(only, only)
-                ):
+    level: List[FrozenSet[State]] = [frozenset(states)]
+    while level:
+        fair: List[FrozenSet[State]] = []
+        next_level: List[FrozenSet[State]] = []
+        for region in level:
+            for component in strongly_connected_components(system, region):
+                # Only components that can sustain an infinite run matter.
+                if len(component) == 1:
+                    (only,) = component
+                    if not system.has_transition(only, only):
+                        continue
+                sustained = _action_transitions_within(system, component)
+                broken = {action for action, ok in sustained.items() if not ok}
+                if not broken:
+                    fair.append(component)
                     continue
-            sustained = _action_transitions_within(system, component)
-            broken = [action for action, ok in sustained.items() if not ok]
-            if not broken:
-                return component
-            broken_set = set(broken)
-            survivors = frozenset(
-                state
-                for state in component
-                if not (_enabled_actions_at(system, state) & broken_set)
-            )
-            if survivors and survivors != component:
-                pending.append(survivors)
+                survivors = frozenset(
+                    state
+                    for state in component
+                    if not (_enabled_actions_at(system, state) & broken)
+                )
+                if survivors and survivors != component:
+                    next_level.append(survivors)
+        if fair:
+            return min(fair, key=lambda component: min(map(repr, component)))
+        level = next_level
     return None
 
 

@@ -28,7 +28,6 @@ import numpy as np
 
 from ...gcl.daemon import CentralDaemon, Daemon
 from ...gcl.program import Program
-from ...core.state import State
 from ...core.system import System
 from ..interner import StateInterner
 from ..vector.analyze import structural_unlowerable_reason
@@ -101,17 +100,21 @@ class SharedKernel:
         """The schema of the packed state space."""
         return self.interner.schema
 
-    def compile(self, states: Iterable[State]) -> System:
-        """The tuple-state ``System`` of the transitions out of ``states``
-        (see :meth:`repro.kernel.PackedKernel.compile`), evaluated chunk
-        by chunk (:class:`~repro.kernel.vector.bridge.TupleBridge`)."""
-        return self._bridge.compile(states)
+    def compile(self, codes: Iterable[int]) -> System:
+        """The tuple-state ``System`` of the transitions out of the
+        states of ``codes`` (see :meth:`repro.kernel.PackedKernel.compile`),
+        evaluated chunk by chunk
+        (:class:`~repro.kernel.vector.bridge.TupleBridge`)."""
+        return self._bridge.compile(codes)
 
     def materialize(self) -> System:
         """The equivalent tuple-state ``System`` (cached on first call).
 
-        Enumerates the full space in RAM — only the fair-trap search
-        under strong fairness needs it.
+        Enumerates the full space in RAM.  No engine calls it: the
+        shared engine builds its witness regions, the fair-trap search
+        included, with :meth:`compile`, and refinement runs on the
+        vector kernel.  It stays only as a layer that
+        ``benchmarks/perf/spans.py`` times.
         """
         if self._materialized is None:
             self._materialized = self._bridge.materialize()

@@ -16,14 +16,14 @@ transition table.  Two constructors:
   (encode/decode at the edges) so every checker entry point accepts
   both representations.
 
-``compile(states)`` produces the tuple ``System`` of the transitions
-out of just ``states`` — what a cycle witness needs — and
-``materialize()`` produces (and caches) the whole one, for the one
-phase that still needs it (the fair-trap search under strong
-fairness).  For program-built kernels both run
-:func:`~repro.gcl.semantics.compile_states`, the per-state move
-generator behind ``program.compile()``, so their successor sets are
-byte-identical to the compiled system's.
+``compile(codes)`` produces the tuple ``System`` of the transitions
+out of just the states of ``codes`` — what a cycle witness and the
+fair-trap search need — and ``materialize()`` produces (and caches)
+the whole one.  No checker phase calls ``materialize()``: it stays as
+a target that ``benchmarks/perf/spans.py`` times.  For program-built
+kernels both run :func:`~repro.gcl.semantics.compile_states`, the
+per-state move generator behind ``program.compile()``, so their
+successor sets are byte-identical to the compiled system's.
 """
 
 from __future__ import annotations
@@ -106,17 +106,24 @@ class PackedKernel:
         self._memo = [None] * self.size
         return evicted
 
-    def compile(self, states: Iterable[State]) -> System:
-        """The tuple-state ``System`` of the transitions out of ``states``.
+    def compile(self, codes: Iterable[int]) -> System:
+        """The tuple-state ``System`` of the transitions out of the
+        states of ``codes``, in the order given.
 
         Each source's successor set iterates exactly as in
         :meth:`materialize`'s system.  A kernel wrapping a compiled
         system returns that system whole.
         """
-        return self._compiler(states, ())
+        decode = self.interner.decode
+        return self._compiler((decode(int(code)) for code in codes), ())
 
     def materialize(self) -> System:
-        """The equivalent tuple-state ``System`` (cached on first call)."""
+        """The equivalent tuple-state ``System`` (cached on first call).
+
+        No engine calls it: the packed rung builds its witness regions
+        with :meth:`compile`, and refinement has no packed rung.  It
+        stays only as a layer that ``benchmarks/perf/spans.py`` times.
+        """
         if self._materialized is None:
             self._materialized = self._compiler(self.schema.states(), None)
         return self._materialized

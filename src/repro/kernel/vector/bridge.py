@@ -1,13 +1,13 @@
 """Table-backed tuple bridges: the array kernels' ``compile`` and
 ``materialize``.
 
-The witness phases, the strong-fairness fair-trap search and the
-refinement replay need tuple-state :class:`~repro.core.system.System`
-objects whose successor sets iterate exactly as ``compile_program``'s
-do.  A :class:`TupleBridge` builds them from the per-action ``(mask,
-successor)`` arrays a kernel already holds (the vector tables) or
-evaluates (the shared kernel's :class:`~.lower.LoweredProgram`), never
-from the scalar evaluator.
+The witness regions (the cycle witnesses and the strong-fairness
+fair-trap search) and the refinement replay need tuple-state
+:class:`~repro.core.system.System` objects whose successor sets
+iterate exactly as ``compile_program``'s do.  A :class:`TupleBridge`
+builds them from the per-action ``(mask, successor)`` arrays a kernel
+already holds (the vector tables) or evaluates (the shared kernel's
+:class:`~.lower.LoweredProgram`), never from the scalar evaluator.
 
 The sequence is the scalar compiler's (:mod:`repro.gcl.semantics`)
 under the central daemon: sources in the order given (code order for
@@ -85,12 +85,11 @@ class TupleBridge:
         self._initial_codes = lowered.initial_codes
         self._scalar_initial = lowered.scalar_initial
 
-    def compile(self, states: Iterable[State]) -> System:
-        """The transitions out of ``states``, in the order given, with
-        no initial states — what the packed kernel's ``compile`` gives."""
-        encode = self._interner.encode
-        codes = np.fromiter((encode(state) for state in states), dtype=np.int64)
-        return self._system(codes, ())
+    def compile(self, codes: Iterable[int]) -> System:
+        """The transitions out of the states of ``codes``, in the order
+        given, with no initial states — what the packed kernel's
+        ``compile`` gives."""
+        return self._system(np.fromiter(codes, dtype=np.int64), ())
 
     def materialize(self) -> System:
         """``program.compile()``: the whole space in code order, with

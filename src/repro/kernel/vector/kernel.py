@@ -20,10 +20,10 @@ packed engine's per-code successor closure: the transition relation as
 Both forms expose the same batch API (:meth:`succ_pairs`,
 :meth:`edge_parts`, :meth:`has_edge`, :meth:`terminal_flags`) consumed
 by the array fixpoints in :mod:`.fixpoint`, plus the scalar
-:meth:`successors` and the :meth:`compile` / :meth:`materialize`
-bridges to tuple-state systems that the witness phases, the fair-trap
-search and the refinement replay need.  A kernel built
-:meth:`from_program` reads those off its action tables
+:meth:`successors` and the bridges to tuple-state systems:
+:meth:`compile` for the witness regions (cycle witnesses and the
+fair-trap search), :meth:`materialize` for the refinement replay.  A
+kernel built :meth:`from_program` reads those off its action tables
 (:class:`~.bridge.TupleBridge`); one built :meth:`from_system` returns
 the system it wraps.
 """
@@ -34,7 +34,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ...core.state import State
 from ...core.system import System
 from ...gcl.daemon import CentralDaemon, Daemon
 from ...gcl.program import Program
@@ -127,18 +126,19 @@ class VectorKernel:
         """The schema of the packed state space."""
         return self.interner.schema
 
-    def compile(self, states: Iterable[State]) -> System:
-        """The tuple-state ``System`` of the transitions out of ``states``
-        (see :meth:`repro.kernel.PackedKernel.compile`), read off the
-        action tables; a kernel built :meth:`from_system` returns its
-        system."""
+    def compile(self, codes: Iterable[int]) -> System:
+        """The tuple-state ``System`` of the transitions out of the
+        states of ``codes`` (see :meth:`repro.kernel.PackedKernel.compile`),
+        read off the action tables; a kernel built :meth:`from_system`
+        returns its system."""
         if self._bridge is None:
             return self.materialize()
-        return self._bridge.compile(states)
+        return self._bridge.compile(codes)
 
     def materialize(self) -> System:
         """The equivalent tuple-state ``System``, read off the action
-        tables (cached on first call)."""
+        tables (cached on first call); only the refinement replay
+        after a vector violation calls it."""
         if self._materialized is None:
             # Only a kernel built from_program starts unmaterialized.
             assert self._bridge is not None

@@ -5,8 +5,9 @@ and the int-code engines build theirs from the states on a cycle
 instead of the whole tuple system.  For every control below — rings
 below the K-state threshold (K = n - 2), a weak-fairness divergence, a
 cycle that is only a self-loop, two disjoint cycle regions whose
-min-by-``repr`` start is not in the first one found in code order, and
-an invisible cycle inside the core — the packed, vector and shared
+min-by-``repr`` start is not in the first one found in code order, two
+strong-fairness controls with two fair traps each, and an invisible
+cycle inside the core — the packed, vector and shared
 engines must render the *byte-identical* formatted verdict as the
 tuple engine at every worker count.  Breadth-first witness search
 follows each state's successor-set iteration order, so these controls
@@ -15,9 +16,14 @@ from the wrong insertion sequence picks a different one.  The two
 ``escapes`` controls are the ones that catch a region whose state set
 leaves out the escapes from its cycles.
 
-The other two classes pin the cost contract: outside strong fairness
-no engine compiles the full tuple system to build a witness, and the
-shared engine expands only its peel's remainder to find the cycle.
+Under strong fairness every engine reports the fair trap that holds
+the ``repr``-least state of the first refinement level that has one,
+whatever order the engine's region iterates in.
+
+The other two classes pin the cost contract: under no fairness mode
+does an engine compile the full tuple system to build a witness or
+search for a fair trap, and the shared engine expands only its peel's
+remainder to find the cycle.
 """
 
 from __future__ import annotations
@@ -116,6 +122,40 @@ action quit2 :: x == 0 && g == 0 --> g := 2
 action fix :: x != 0 --> x := 0
 init x == 0 && g == 0 && h1 == 0 && h2 == 0 && h3 == 0
 """
+
+#: Two fair traps, ``x`` in {2, 3} and {4, 5}: no action leaves either,
+#: and ``flip`` keeps each strongly connected.  The reported trap is
+#: the one holding the ``repr``-least state, ``(2, 0)``, though a
+#: search in hash order of the states finds the other first.
+TWOTRAPS = """program twotraps
+var x : mod 8
+var y : mod 2
+action down :: x > 0 && x != 2 && x != 3 && x != 4 && x != 5 --> x := (x - 1)
+action lo :: x == 2 --> x := 3
+action lo_back :: x == 3 --> x := 2
+action hi :: x == 4 --> x := 5
+action hi_back :: x == 5 --> x := 4
+action flip :: x == 3 || x == 5 --> y := ((y + 1) % 2)
+init x == 0
+"""
+
+#: Two fair traps next to an escape, found only after the discard
+#: step.  At ``x == 1`` and at ``x == 2`` the counters ``a`` and ``b``
+#: spin; ``out`` leaves from ``a == b == 0`` for ``x == 3``, an
+#: off-core state on no cycle.  Strong fairness discards that state,
+#: and the other eight at each ``x`` form a trap.  The reported one is
+#: at ``x == 1``, though a search in hash order finds ``x == 2`` first.
+TRAPESCAPES = """program trapescapes
+var x : mod 4
+var a : mod 3
+var b : mod 3
+action fix :: x == 3 --> x := 0
+action sa :: x == 1 || x == 2 --> a := ((a + 1) % 3)
+action sb :: x == 1 || x == 2 --> b := ((b + 1) % 3)
+action out :: (x == 1 || x == 2) && a == 0 && b == 0 --> x := 3
+init x == 0
+"""
+
 VISIBLE = """program visible
 var x : mod 4
 action fix :: x != 0 --> x := 0
@@ -179,6 +219,8 @@ WITNESS_CASES = [
     _self("twocycles-none", TWOCYCLES, "none"),
     _self("escapes-none", ESCAPES, "none"),
     _self("escapes-weak", ESCAPES, "weak"),
+    _self("twotraps-strong", TWOTRAPS, "strong"),
+    _self("trapescapes-strong", TRAPESCAPES, "strong"),
     _hidden("hidden8-invisible-cycle", HIDDEN8),
     _hidden("hidden-escapes-invisible-cycle", HIDDEN_ESCAPES),
 ]
@@ -217,6 +259,22 @@ class TestWitnessDifferential:
         witness = _check(case, "tuple").result.witness
         assert witness.states[0] == (10, 0)
 
+    @pytest.mark.parametrize(
+        "name,start",
+        [("twotraps-strong", (2, 0)), ("trapescapes-strong", (1, 0, 1))],
+    )
+    @pytest.mark.parametrize("engine", ("tuple",) + ENGINES)
+    def test_strong_fairness_reports_the_canonical_trap(
+        self, name, start, engine
+    ):
+        """The witness cycle starts at its trap's ``repr``-least state,
+        so that state names the trap: the canonical one, on every
+        engine."""
+        case = next(c for c in WITNESS_CASES if c[0] == name)
+        witness = _check(case, engine).result.witness
+        assert "(fair trap)" in witness.message
+        assert witness.states[0] == start
+
 
 def _materialize_guard(monkeypatch) -> list:
     """Make every kernel's ``materialize`` record its caller and raise."""
@@ -246,9 +304,7 @@ class TestNoMaterialization:
         assert entered == []
 
     @pytest.mark.parametrize(
-        "case",
-        [case for case in RING_CASES if case[4] != "strong"],
-        ids=[case[0] for case in RING_CASES if case[4] != "strong"],
+        "case", RING_CASES, ids=[case[0] for case in RING_CASES]
     )
     @pytest.mark.parametrize("engine", ENGINES)
     def test_ring_cases_never_materialize(self, case, engine, monkeypatch):
@@ -257,14 +313,14 @@ class TestNoMaterialization:
         assert entered == []
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_strong_fairness_still_materializes(self, engine, monkeypatch):
-        """The fair-trap search is the one witness that still needs the
-        whole tuple system."""
+    def test_strong_fairness_never_materializes(self, engine, monkeypatch):
+        """The fair-trap search runs on the cycle witness's region, not
+        on the whole tuple system, and finds the tuple engine's trap."""
         case = next(c for c in RING_CASES if c[0] == "spin-fair-trap")
+        reference = _check(case, "tuple")
         entered = _materialize_guard(monkeypatch)
-        with pytest.raises(AssertionError, match="materialize entered"):
-            _check(case, engine)
-        assert len(entered) == 1
+        assert _check(case, engine).format() == reference.format()
+        assert entered == []
 
 
 class TestWitnessFromThePeelRemainder:
@@ -273,7 +329,7 @@ class TestWitnessFromThePeelRemainder:
     the whole region outside the core: the witness region's walk
     expands exactly the remainder and then the cycle codes."""
 
-    @pytest.mark.parametrize("fairness", ["none", "weak"])
+    @pytest.mark.parametrize("fairness", ["none", "weak", "strong"])
     @pytest.mark.parametrize("compute_steps", [True, False])
     def test_witness_walk_expands_only_the_remainder(
         self, fairness, compute_steps, monkeypatch

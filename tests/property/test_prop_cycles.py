@@ -8,6 +8,12 @@ components included — and exactly what its definition before
 :func:`~repro.kernel.cycles.component_labels` existed found.  Two
 nodes share a component label iff each reaches the other.  Edges
 given as plain int lists and as int arrays must give the same answers.
+
+The strong-fairness check searches for its fair trap in an int-code
+engine's witness region: the states on a cycle outside the core,
+compiled alone, and their successors outside it.  On random programs
+that must give the trap the whole analysis system gives over the whole
+region outside the core.
 """
 
 from __future__ import annotations
@@ -16,11 +22,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.checker.fairness import find_fair_trap
 from repro.checker.graph import states_on_cycles
 from repro.core.state import StateSchema
 from repro.core.system import System
+from repro.gcl.expr import And, Const, Eq, Var
+from repro.gcl.program import Program
 from repro.kernel import cycles
 from repro.kernel.cycles import component_labels, cycle_codes
+from repro.obs import Recorder
+from tests.property.test_prop_shared import shared_programs
 
 NODES = 12
 
@@ -189,3 +200,44 @@ def test_trim_keeps_every_cycle_and_no_dead_end(edges, arrays):
 )
 def test_cycle_codes_on_named_shapes(edges, expected, arrays):
     assert _helper(edges, arrays) == expected == _reference(edges)
+
+
+#: ``shared_programs`` with up to six actions and one initial state: the
+#: larger region outside the core holds a fair trap in about a quarter
+#: of the draws.
+strong_programs = st.builds(
+    lambda program, w: Program(
+        program.name,
+        program.variables,
+        program.actions,
+        init=And(Eq(Var("u"), Const(0)), Eq(Var("w.0"), Const(w))),
+    ),
+    shared_programs(max_actions=6),
+    st.integers(min_value=0, max_value=4),
+)
+
+
+def _traps(engine, program):
+    """The fair trap of ``program``'s self-stabilization check under
+    strong fairness, searched in ``engine``'s witness region and in the
+    whole analysis system over the region outside the core."""
+    from repro.checker.convergence import _BACKENDS, _Request
+
+    request = _Request(program, program, None, False, "strong", False, Recorder())
+    backend = _BACKENDS[engine](request)
+    with backend.running():
+        backend.legitimate()
+        core = backend.core()
+        cyclic = backend.longest_path() is None
+        region_trap = find_fair_trap(*backend.cycle_region()) if cyclic else None
+    whole = program.compile().without_self_loops()
+    outside = [state for state in whole.schema.states() if state not in core]
+    return region_trap, find_fair_trap(whole, outside)
+
+
+@pytest.mark.parametrize("engine", ["packed", "vector", "shared"])
+@settings(max_examples=100, deadline=None)
+@given(program=strong_programs)
+def test_witness_region_gives_the_whole_systems_trap(engine, program):
+    region_trap, whole_trap = _traps(engine, program)
+    assert region_trap == whole_trap

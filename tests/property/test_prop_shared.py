@@ -41,11 +41,11 @@ PEEL_VAR_NAMES = ("u", "v", "w")
 
 
 @st.composite
-def shared_programs(draw, modulus=MODULUS, var_names=VAR_NAMES):
+def shared_programs(draw, modulus=MODULUS, var_names=VAR_NAMES, max_actions=3):
     """Random programs over modular variables — by default two mod-5
     variables, 25 states, large enough that a shared-engine request is
     honoured, small enough to cross-check exhaustively."""
-    n_actions = draw(st.integers(min_value=1, max_value=3))
+    n_actions = draw(st.integers(min_value=1, max_value=max_actions))
     actions = []
     for index in range(n_actions):
         guard_var = draw(st.sampled_from(var_names))
@@ -444,7 +444,7 @@ def _self_request(program, fairness, compute_steps):
     from repro.checker.convergence import _Request
 
     return _Request(
-        program, program, None, False, fairness, compute_steps, Recorder(), 1
+        program, program, None, False, fairness, compute_steps, Recorder()
     )
 
 
@@ -462,7 +462,6 @@ def _outside_answers(engine, program, fairness, chunk):
             backend.runtime.chunk = chunk
         backend.legitimate()
         backend.core()
-        backend.outside_size()
         stuck = backend.deadlock()
         worst = backend.longest_path()
     return stuck, worst is None, worst
@@ -532,7 +531,6 @@ def _shared_remainder(program, fairness, compute_steps, chunk):
         backend.runtime.chunk = chunk
         backend.legitimate()
         backend.core()
-        backend.outside_size()
         cyclic = backend.longest_path() is None
         remainder = (
             [int(code) for code in backend._members(backend.remainder)]
@@ -554,7 +552,6 @@ def _reference_remainder(program, fairness):
     backend = _VectorBackend(request)
     backend.legitimate()
     backend.core()
-    backend.outside_size()
     sources, targets = region_edges(
         backend.kernel, backend.outside, request.drop_self
     )

@@ -83,7 +83,7 @@ class TestVectorPrimitives:
     )
     def test_bridges_equal_the_compiler(self, program, keep_stutter, picked):
         """Both array kernels' table-backed ``materialize()`` and
-        ``compile(states)`` are the scalar compiler's systems: the same
+        ``compile(codes)`` are the scalar compiler's systems: the same
         pairs in the same order, labels, initial iteration and name."""
         from repro.gcl.semantics import compile_states
         from repro.kernel import StateInterner
@@ -100,7 +100,7 @@ class TestVectorPrimitives:
         ):
             for bridged, system in (
                 (kernel.materialize(), whole),
-                (kernel.compile(states), part),
+                (kernel.compile(picked), part),
             ):
                 pairs = list(system.transitions())
                 assert list(bridged.transitions()) == pairs

@@ -1,5 +1,7 @@
 """Unit tests for the new 3-state system C3 (paper, Section 6)."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.checker import (
@@ -10,6 +12,8 @@ from repro.checker import (
 )
 from repro.core.composition import box_many
 from repro.gcl.process import check_model_compliance
+from repro.kernel.shared import using_memory_budget
+from repro.kernel.vector import MAX_VECTOR_CELLS_ENV
 from repro.rings.btr import btr_program
 from repro.rings.btr3 import dijkstra_three_state
 from repro.rings.c3 import c3_aggressive_composed, c3_composed, c3_program
@@ -124,29 +128,42 @@ class TestTheorem13:
         )
         assert not result.holds
 
-    @pytest.mark.parametrize("engine", ["tuple", "vector"])
-    def test_composite_fails_under_strong_fairness_at_n5(self, engine):
-        """Pinned finding (EXPERIMENTS.md, E10): from n = 5 a strongly
-        fair computation can stay outside the core forever, on tuple
-        and on vector.  Whether the model, the fairness treatment of
-        stuttering steps, or the paper is at fault is not yet told
-        apart."""
-        from repro.checker.witnesses import WitnessKind
-
-        n = 5
-        result = check_stabilization(
-            c3_composed(n),
-            btr_program(n),
-            btr3_abstraction(n),
+    @staticmethod
+    def _strong_n5(engine):
+        return check_stabilization(
+            c3_composed(5),
+            btr_program(5),
+            btr3_abstraction(5),
             stutter_insensitive=True,
             fairness="strong",
             compute_steps=False,
             engine=engine,
         )
+
+    @pytest.mark.parametrize("engine", ["tuple", "vector", "shared", "packed"])
+    def test_composite_fails_under_strong_fairness_at_n5(self, engine, monkeypatch):
+        """Pinned finding (EXPERIMENTS.md, E10): from n = 5 a strongly
+        fair computation can stay outside the core forever, with the
+        same trap and witness on every engine.  Shared runs under a
+        1 MiB budget; the packed kernel is reached as the vector
+        engine's fallback rung, under a cell ceiling of 1.  Whether the
+        model, the fairness treatment of stuttering steps, or the paper
+        is at fault is not yet told apart."""
+        from repro.checker.witnesses import WitnessKind
+
+        requested, budget = engine, nullcontext()
+        if engine == "shared":
+            budget = using_memory_budget("1M")
+        if engine == "packed":
+            monkeypatch.setenv(MAX_VECTOR_CELLS_ENV, "1")
+            requested = "vector"
+        with budget:
+            result = self._strong_n5(requested)
         assert not result.holds
         assert result.engine == engine
         assert result.result.witness.kind is WitnessKind.DIVERGENT_CYCLE
         assert "(fair trap)" in result.format()
+        assert result.format() == self._strong_n5("tuple").format()
 
 
 class TestAggressiveComposite:

@@ -22,7 +22,12 @@ from repro.core.state import StateSchema
 from repro.core.system import System
 from repro.gcl import parse_program
 from repro.gcl.daemon import CentralDaemon, DistributedDaemon, SynchronousDaemon
-from repro.kernel import PackedKernel, as_kernel, packed_fallback_reason
+from repro.kernel import (
+    PackedKernel,
+    StateInterner,
+    as_kernel,
+    packed_fallback_reason,
+)
 from repro.obs import Recorder
 from repro.rings import (
     btr3_abstraction,
@@ -108,8 +113,9 @@ class TestSuccessorParity:
             program, daemon=daemon(), keep_stutter=keep_stutter
         )
         full = program.compile(daemon=daemon(), keep_stutter=keep_stutter)
-        states = list(full.schema.states())[::3]
-        part = kernel.compile(states)
+        codes = range(0, full.schema.size(), 3)
+        states = [kernel.interner.decode(code) for code in codes]
+        part = kernel.compile(codes)
         assert part.name == full.name
         assert part.initial == frozenset()
         for system, whole in (
@@ -126,10 +132,12 @@ class TestSuccessorParity:
         from repro.kernel.vector import VectorKernel
 
         program = dijkstra_three_state(3)
-        states = list(program.schema().states())[1::4]
-        expected = PackedKernel.from_program(program).compile(states)
+        codes = range(1, program.schema().size(), 4)
+        packed = PackedKernel.from_program(program)
+        states = [packed.interner.decode(code) for code in codes]
+        expected = packed.compile(codes)
         for kernel in (VectorKernel.from_program(program), SharedKernel(program)):
-            part = kernel.compile(states)
+            part = kernel.compile(codes)
             assert part.name == expected.name
             for state in states:
                 assert list(part.successors(state)) == list(
@@ -139,7 +147,7 @@ class TestSuccessorParity:
     def test_from_system_compiles_to_the_wrapped_system(self):
         system = btr_program(3).compile()
         kernel = PackedKernel.from_system(system)
-        assert kernel.compile([next(iter(system.schema.states()))]) is system
+        assert kernel.compile([0]) is system
         assert kernel.materialize() is system
 
     def test_out_of_domain_move_raises_the_compilers_error(self):
@@ -236,7 +244,7 @@ def _assert_same_system(bridged: System, compiled: System) -> None:
 
 
 class TestTupleBridges:
-    """The array kernels' ``materialize()`` and ``compile(states)`` are
+    """The array kernels' ``materialize()`` and ``compile(codes)`` are
     read off their action tables, and must be the scalar compiler's
     systems exactly: witnesses, the fair trap and the refinement replay
     iterate them."""
@@ -264,12 +272,14 @@ class TestTupleBridges:
 
         program = build()
         compiled = program.compile(keep_stutter=keep_stutter)
-        space = list(program.schema().states())
-        states = random.Random(pname).sample(space, len(space) // 3)
+        space = program.schema().size()
+        codes = random.Random(pname).sample(range(space), space // 3)
+        decode = StateInterner(program.schema()).decode
+        states = [decode(code) for code in codes]
         part = compile_states(program, states, keep_stutter=keep_stutter, initial=())
         for kernel in self._kernels(program, keep_stutter):
             _assert_same_system(kernel.materialize(), compiled)
-            _assert_same_system(kernel.compile(states), part)
+            _assert_same_system(kernel.compile(codes), part)
 
     def test_shared_bridge_spans_several_chunks(self):
         from repro.kernel.shared import SharedKernel
