@@ -273,6 +273,8 @@ def _check_cache_key(cell: CellSpec, config: CampaignConfig) -> str:
     from ..parallel import cache_key, program_fingerprint
 
     entry = SYSTEMS[cell.system]
+    # Stuttering moves are always compiled; the constant entry keeps
+    # stored keys unchanged.
     semantics = {"keep_stutter": True, "fairness": entry.fairness}
     return cache_key(
         "campaign-check",

@@ -75,7 +75,7 @@ from __future__ import annotations
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import compress
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -648,9 +648,23 @@ def _invisible_cycle(
     return find_cycle_within(_invisible_steps(system, states, request), states)
 
 
+#: Codes per array pass of :func:`_states_of`: enough to amortize a
+#: pass's NumPy calls, few enough that its per-variable column lists
+#: stay small next to the state set they fill.
+DECODE_CHUNK = 1 << 12
+
+
+def _states_of(interner, codes) -> Iterator[State]:
+    """The tuple states of int ``codes``, in their order, decoded
+    :data:`DECODE_CHUNK` codes per array pass."""
+    for start in range(0, len(codes), DECODE_CHUNK):
+        yield from interner.decode_array(codes[start:start + DECODE_CHUNK])
+
+
 def _decoded(interner, codes) -> FrozenSet[State]:
-    """The tuple states of int ``codes``, decoded in the order given."""
-    return frozenset(interner.decode(int(code)) for code in codes)
+    """The tuple states of an array of int ``codes``, added to the set
+    in the array's order (which decides how the set iterates)."""
+    return frozenset(_states_of(interner, codes))
 
 
 class _TupleBackend:
@@ -725,9 +739,10 @@ class _KernelBackend:
     SCCs on int codes (:func:`repro.kernel.cycles.cycle_codes`); only
     the codes on a cycle are decoded, and only their transitions are
     compiled — by the kernel's ``compile``, which lists each source's
-    moves in the tuple engine's order, then the same
-    ``without_self_loops`` step as the tuple engine's system.  Each
-    region source therefore iterates its successors exactly as there,
+    moves in the tuple engine's order and, under weak and strong
+    fairness (``drop_self``), leaves the self-loops out as the tuple
+    engine's ``without_self_loops`` step does.  Each region source
+    therefore iterates its successors exactly as there,
     and the skeleton's breadth-first search from the min-by-``repr``
     cycle state, which never leaves that state's SCC, returns the tuple
     engine's witness byte for byte.  The region's state set must hold
@@ -743,7 +758,9 @@ class _KernelBackend:
     among the compiled codes, with all of its states' moves, and
     :func:`find_fair_trap` picks its trap by ``repr``, not by the order
     the set iterates in.  The kernels' ``compile`` takes the on-cycle
-    codes as they are; only the region's state set is decoded.
+    codes as they are; the region's state set is decoded in array
+    passes, in the order its int code set iterates, so it is built from
+    the same insertion sequence as a state-by-state decode.
     """
 
     def __init__(self, request: _Request, kernel, abstract_kernel):
@@ -758,11 +775,7 @@ class _KernelBackend:
         return nullcontext()
 
     def _min_state(self, codes) -> Optional[State]:
-        return min(
-            (self.interner.decode(int(code)) for code in codes),
-            key=repr,
-            default=None,
-        )
+        return min(_states_of(self.interner, codes), key=repr, default=None)
 
     def cycle_region(self) -> Tuple[System, FrozenSet[State]]:
         return self._region(self.outside, self.outside, invisible=False)
@@ -784,11 +797,11 @@ class _KernelBackend:
         from ..kernel.cycles import cycle_codes
 
         on_cycle = cycle_codes(*self._edges(listed, invisible))
-        system = self.kernel.compile(on_cycle)
-        if self.request.drop_self:
-            system = system.without_self_loops()
+        system = self.kernel.compile(on_cycle, self.request.drop_self)
         allowed = set(on_cycle).union(self._successors_in(on_cycle, searched))
-        return system, _decoded(self.interner, allowed)
+        return system, _decoded(
+            self.interner, np.fromiter(allowed, dtype=np.int64, count=len(allowed))
+        )
 
 
 class _PackedBackend(_KernelBackend):
@@ -825,8 +838,7 @@ class _PackedBackend(_KernelBackend):
             abstract.size,
             instrumentation=self.request.instrumentation,
         )
-        codes = compress(range(abstract.size), self.legitimate_flags)
-        return _decoded(abstract.interner, codes)
+        return _decoded(abstract.interner, np.flatnonzero(self.legitimate_flags))
 
     def core(self) -> FrozenSet[State]:
         from ..kernel import image_codes, packed_core
@@ -846,7 +858,7 @@ class _PackedBackend(_KernelBackend):
             instrumentation=request.instrumentation,
         )
         self.outside = bytearray(0 if flag else 1 for flag in self.core_flags)
-        core = _decoded(self.interner, compress(range(self.size), self.core_flags))
+        core = _decoded(self.interner, np.flatnonzero(self.core_flags))
         if self.abstract_kernel is not self.kernel:
             # The abstraction's successor function is done after the
             # core fixpoint; release its memo instead of carrying it
@@ -1023,13 +1035,6 @@ class _SharedBackend(_KernelBackend):
         ) as self.runtime:
             yield
 
-    def _members(self, bits):
-        return (
-            code
-            for codes in bits.member_chunks(self.runtime.chunk)
-            for code in codes
-        )
-
     def core(self) -> FrozenSet[State]:
         from ..kernel.shared import BitField, SharedImage, shared_core
 
@@ -1050,7 +1055,11 @@ class _SharedBackend(_KernelBackend):
         self.outside = BitField(self.size)
         self.core_flags.complement_into(self.outside)
         self.degrees = None
-        return _decoded(self.interner, self._members(self.core_flags))
+        return frozenset(
+            state
+            for codes in self.core_flags.member_chunks(self.runtime.chunk)
+            for state in _states_of(self.interner, codes)
+        )
 
     def deadlock(self) -> Optional[State]:
         from ..kernel.shared import shared_terminals

@@ -644,21 +644,25 @@ def compression_transitions(
     concrete: System,
     abstract: System,
     alpha: Optional[AbstractionFunction] = None,
-    stutter_insensitive: bool = False,
 ) -> List[Transition]:
     """All transitions of ``C`` that compress a multi-step path of ``A``.
 
     A transition compresses when its abstract image is not a single
     ``A``-transition but is realizable as an ``A``-path of length two
-    or more.  Raises nothing on unmatched transitions — those are the
-    business of :func:`check_convergence_refinement`; unmatched
-    transitions are simply skipped here.
+    or more.  A step whose image stays put never compresses, with or
+    without stuttering: it is a stutter, exact on an abstract
+    self-loop, or a violation — the classification of
+    :func:`check_convergence_refinement` and
+    :func:`expand_to_abstract_path`.  Raises nothing on unmatched
+    transitions — those are the business of
+    :func:`check_convergence_refinement`; unmatched transitions are
+    simply skipped here.
     """
     mapping = _resolve_alpha(concrete, abstract, alpha)
     result: List[Transition] = []
     for source, target in concrete.transitions():
         image_source, image_target = mapping(source), mapping(target)
-        if image_source == image_target and stutter_insensitive:
+        if image_source == image_target:
             continue
         if abstract.has_transition(image_source, image_target):
             continue

@@ -87,10 +87,6 @@ class StateSchema:
         """
         return self._domains[self._index[name]]
 
-    def index_of(self, name: str) -> int:
-        """Return the tuple position of variable ``name``."""
-        return self._index[name]
-
     def __contains__(self, name: object) -> bool:
         return name in self._index
 

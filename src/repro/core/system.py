@@ -31,7 +31,7 @@ from typing import (
 from .errors import StateSpaceError  # noqa: F401  (re-exported for callers)
 from .state import State, StateSchema
 
-__all__ = ["System", "Transition", "successors_closure"]
+__all__ = ["System", "Transition", "stutter_free", "successors_closure"]
 
 #: A transition is an ordered pair of states.
 Transition = Tuple[State, State]
@@ -260,13 +260,10 @@ class System:
         stutters cannot be scheduled forever to the exclusion of
         actions that change the state.
         """
-        transitions = {
-            source: frozenset(t for t in targets if t != source)
-            for source, targets in self._adjacency.items()
-        }
         labels = {pair: names for pair, names in self._labels.items() if pair[0] != pair[1]}
-        return self._derived(
-            transitions,
+        return System.of_members(
+            self._schema,
+            stutter_free(self._adjacency),
             self._initial,
             name or f"{self._name}|no-stutter",
             labels,
@@ -401,6 +398,31 @@ class System:
                 self._initial,
             )
         )
+
+
+def stutter_free(
+    adjacency: Mapping[State, Iterable[State]],
+) -> Dict[State, Set[State]]:
+    """The successor sets of ``adjacency`` without self-loops, for
+    :meth:`System.of_members`.
+
+    A set's iteration order depends on the order its members were
+    added in, and breadth-first witness search follows it, so every
+    step here is fixed: each source's frozen successor set is filtered
+    into a new frozen set, whose members are added one by one
+    (``iter``: not a table copy) to the source's kept set in its
+    iteration order; a source left with no target gets no key.  The
+    sets, and their iteration orders, are those of
+    :meth:`System.without_self_loops` (which calls this) whether
+    ``adjacency`` holds a system's frozen sets or the sets a system is
+    about to be built from.
+    """
+    kept: Dict[State, Set[State]] = {}
+    for source, targets in adjacency.items():
+        others = frozenset([t for t in frozenset(targets) if t != source])
+        if others:
+            kept[source] = set(iter(others))
+    return kept
 
 
 def successors_closure(

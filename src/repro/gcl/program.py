@@ -179,22 +179,16 @@ class Program:
     def compile(
         self,
         daemon: Optional[Daemon] = None,
-        keep_stutter: bool = True,
         name: Optional[str] = None,
     ):
         """Compile to a :class:`~repro.core.system.System`.
 
         Thin delegate to :func:`repro.gcl.semantics.compile_program`;
-        see there for the semantics of the flags.
+        see there for the semantics.
         """
         from .semantics import compile_program
 
-        return compile_program(
-            self,
-            daemon=daemon or CentralDaemon(),
-            keep_stutter=keep_stutter,
-            name=name,
-        )
+        return compile_program(self, daemon=daemon or CentralDaemon(), name=name)
 
     # ------------------------------------------------------------------
     # Structural helpers

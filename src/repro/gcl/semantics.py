@@ -18,7 +18,7 @@ from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from ..core.errors import GCLError
 from ..core.state import State
-from ..core.system import System, Transition
+from ..core.system import System, Transition, stutter_free
 from .daemon import CentralDaemon, Daemon
 from .program import Program
 
@@ -28,19 +28,18 @@ __all__ = ["compile_program", "compile_states", "program_moves"]
 def compile_program(
     program: Program,
     daemon: Optional[Daemon] = None,
-    keep_stutter: bool = True,
     name: Optional[str] = None,
 ) -> System:
     """Compile ``program`` into a :class:`~repro.core.system.System`.
+
+    A move that does not change the state becomes a self-loop (the
+    paper's ``C3`` genuinely stutters); the checkers drop self-loops
+    themselves under weak and strong fairness.
 
     Args:
         program: the guarded-command program.
         daemon: scheduling semantics; defaults to the paper's central
             daemon.
-        keep_stutter: whether moves that do not change the state become
-            self-loop transitions (``True``, the faithful semantics —
-            the paper's ``C3`` genuinely stutters) or are dropped
-            (``False``, the weak-fairness quotient).
         name: system display name (defaults to the program name, with
             the daemon appended when it is not the central one).
 
@@ -53,9 +52,7 @@ def compile_program(
         GCLError: if any move writes a value outside a variable's
             declared domain.
     """
-    return compile_states(
-        program, program.schema().states(), daemon, keep_stutter, name
-    )
+    return compile_states(program, program.schema().states(), daemon, name=name)
 
 
 def compile_states(
@@ -74,7 +71,11 @@ def compile_states(
     exactly as in the full compilation, so every source's successor
     set is built from the same insertion sequence — and iterates in
     the same order — as the full system's.  The int-code engines
-    compile just the states of a cycle witness this way.
+    compile just the states of a cycle witness this way.  With
+    ``keep_stutter=False`` the self-loops are left out as
+    :meth:`~repro.core.system.System.without_self_loops` leaves them
+    out of the full system, successor iteration order included — the
+    witness regions under weak and strong fairness.
 
     :func:`program_moves` validates every source (``schema.unpack``)
     and every target (``schema.pack``), so the system is assembled
@@ -87,10 +88,11 @@ def compile_states(
     labels: Dict[Transition, Set[str]] = {}
     for state in states:
         for successor, action_labels in program_moves(program, chosen, state):
-            if successor == state and not keep_stutter:
-                continue
             adjacency.setdefault(state, set()).add(successor)
-            labels.setdefault((state, successor), set()).update(action_labels)
+            if keep_stutter or successor != state:
+                labels.setdefault((state, successor), set()).update(action_labels)
+    if not keep_stutter:
+        adjacency = stutter_free(adjacency)
     if initial is None:
         initial = program.initial_states()
     else:

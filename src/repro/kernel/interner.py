@@ -20,7 +20,9 @@ engine in that case.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..core.errors import StateSpaceError
 from ..core.state import State, StateSchema
@@ -77,7 +79,10 @@ class StateInterner:
             :func:`unpackable_reason`) and the ceiling is enforced.
     """
 
-    __slots__ = ("_schema", "_names", "_domains", "_places", "_digit_maps", "size")
+    __slots__ = (
+        "_schema", "_names", "_domains", "_places", "_digit_maps", "_objects",
+        "size",
+    )
 
     def __init__(self, schema: StateSchema, enforce_ceiling: bool = True):
         reason = unpackable_reason(schema) if enforce_ceiling else None
@@ -95,6 +100,9 @@ class StateInterner:
         self._digit_maps: Tuple[Dict[object, int], ...] = tuple(
             {value: digit for digit, value in enumerate(domain)}
             for domain in self._domains
+        )
+        self._objects: Tuple[np.ndarray, ...] = tuple(
+            _object_array(domain) for domain in self._domains
         )
         self.size: int = schema.size()
 
@@ -149,9 +157,34 @@ class StateInterner:
             values[i] = self._domains[i][digit]
         return tuple(values)
 
+    def decode_array(self, codes: Union[np.ndarray, Sequence[int]]) -> List[State]:
+        """The state tuples of an array of in-range ``codes``, in its
+        order: :meth:`decode` as one array pass per variable."""
+        array = np.asarray(codes, dtype=np.int64)
+        if not self._names:
+            empty: State = ()
+            return [empty] * array.shape[0]
+        return list(
+            zip(
+                *(
+                    objects[(array // place) % len(objects)].tolist()
+                    for objects, place in zip(self._objects, self._places)
+                )
+            )
+        )
+
     def decode_env(self, code: int) -> Dict[str, object]:
         """The name->value environment of ``code`` (for guard evaluation)."""
         return dict(zip(self._names, self.decode(code)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StateInterner({self._schema.describe()})"
+
+
+def _object_array(domain: Tuple[object, ...]) -> np.ndarray:
+    """``domain`` as a 1-D object array (element by element, so tuple
+    values stay single elements)."""
+    objects = np.empty(len(domain), dtype=object)
+    for digit, value in enumerate(domain):
+        objects[digit] = value
+    return objects

@@ -26,7 +26,6 @@ from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from ...gcl.daemon import CentralDaemon, Daemon
 from ...gcl.program import Program
 from ...core.system import System
 from ..interner import StateInterner
@@ -41,7 +40,7 @@ __all__ = ["SharedKernel", "SharedLoweringError"]
 
 
 class SharedLoweringError(ValueError):
-    """A program (or daemon) has no streamed array lowering.
+    """A program has no streamed array lowering.
 
     Engine selection consults ``shared_fallback_reason`` first, so
     checker paths never see this; it guards direct construction.
@@ -57,16 +56,8 @@ class SharedKernel:
     ``interner.size``.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        daemon: Optional[Daemon] = None,
-        keep_stutter: bool = True,
-        name: Optional[str] = None,
-        chunk: Optional[int] = None,
-    ):
-        chosen = daemon or CentralDaemon()
-        reason = structural_unlowerable_reason(program, chosen)
+    def __init__(self, program: Program, chunk: Optional[int] = None):
+        reason = structural_unlowerable_reason(program)
         if reason is not None:
             raise SharedLoweringError(
                 f"program {program.name!r} has no array lowering: {reason}"
@@ -74,12 +65,7 @@ class SharedKernel:
         schema = program.schema()
         self.interner = StateInterner(schema, enforce_ceiling=False)
         self.size = self.interner.size
-        self.keep_stutter = keep_stutter
-        self.name = name or (
-            program.name
-            if chosen.name == "central"
-            else f"{program.name}@{chosen.name}"
-        )
+        self.name = program.name
         self.actions = program.actions
         if chunk is None:
             budget = (active_memory_context() or MemoryContext()).budget_bytes
@@ -91,21 +77,19 @@ class SharedKernel:
         self._materialized: Optional[System] = None
         self._tables: Optional[TablePool] = None
         self._lowered.validate(chunk)
-        self._bridge = TupleBridge(
-            self._lowered, self._stream_actions, chunk, keep_stutter, self.name
-        )
+        self._bridge = TupleBridge(self._lowered, self._stream_actions, chunk)
 
     @property
     def schema(self):
         """The schema of the packed state space."""
         return self.interner.schema
 
-    def compile(self, codes: Iterable[int]) -> System:
+    def compile(self, codes: Iterable[int], drop_self: bool = False) -> System:
         """The tuple-state ``System`` of the transitions out of the
         states of ``codes`` (see :meth:`repro.kernel.PackedKernel.compile`),
         evaluated chunk by chunk
         (:class:`~repro.kernel.vector.bridge.TupleBridge`)."""
-        return self._bridge.compile(codes)
+        return self._bridge.compile(codes, drop_self)
 
     def materialize(self) -> System:
         """The equivalent tuple-state ``System`` (cached on first call).
@@ -207,9 +191,8 @@ class SharedKernel:
             empty = np.empty(0, dtype=np.int64)
             yield empty, empty
             return
-        drop = drop_self or not self.keep_stutter
         for mask, succ in self.iter_actions(codes):
-            if drop:
+            if drop_self:
                 mask = mask & (succ != codes)
             positions = np.nonzero(mask)[0]
             yield positions, succ[positions]
@@ -220,10 +203,7 @@ class SharedKernel:
         targets = np.asarray(targets, dtype=np.int64)
         hit = np.zeros(sources.shape, dtype=bool)
         for mask, succ in self.iter_actions(sources):
-            found = mask & (succ == targets)
-            if not self.keep_stutter:
-                found &= targets != sources
-            hit |= found
+            hit |= mask & (succ == targets)
         return hit
 
     def terminal_chunk(
@@ -232,7 +212,7 @@ class SharedKernel:
         """Mask of chunk codes with no successors (vector semantics)."""
         has_successor = np.zeros(codes.shape, dtype=bool)
         for mask, succ in self.iter_actions(codes):
-            if drop_self or not self.keep_stutter:
+            if drop_self:
                 has_successor |= mask & (succ != codes)
             else:
                 has_successor |= mask

@@ -6,21 +6,22 @@ eagerly compiled :class:`~repro.core.system.System`: a successor
 transition table.  Two constructors:
 
 * :meth:`PackedKernel.from_program` lowers a guarded-command program
-  directly.  Under the plain central daemon each action's parallel
-  assignment becomes a **digit-delta** update on the mixed-radix code
-  (no pack/unpack of the successor tuple at all); other daemons route
-  through the daemon's ``steps`` and pack once per move.  Out-of-domain
-  writes raise exactly the :class:`~repro.core.errors.GCLError` that
-  ``compile_program`` raises.
+  under the paper's central daemon, stuttering moves kept: each
+  action's parallel assignment becomes a **digit-delta** update on the
+  mixed-radix code (no pack/unpack of the successor tuple at all).
+  Out-of-domain writes raise exactly the
+  :class:`~repro.core.errors.GCLError` that ``compile_program`` raises.
+  Other daemons reach the kernels as compiled systems.
 * :meth:`PackedKernel.from_system` wraps an existing ``System``
   (encode/decode at the edges) so every checker entry point accepts
   both representations.
 
-``compile(codes)`` produces the tuple ``System`` of the transitions
-out of just the states of ``codes`` — what a cycle witness and the
-fair-trap search need — and ``materialize()`` produces (and caches)
-the whole one.  No checker phase calls ``materialize()``: it stays as
-a target that ``benchmarks/perf/spans.py`` times.  For program-built
+``compile(codes, drop_self)`` produces the tuple ``System`` of the
+transitions out of just the states of ``codes`` — what a cycle witness
+and the fair-trap search need, without self-loops under weak and
+strong fairness — and ``materialize()`` produces (and caches) the
+whole one.  No checker phase calls ``materialize()``: it stays as a
+target that ``benchmarks/perf/spans.py`` times.  For program-built
 kernels both run :func:`~repro.gcl.semantics.compile_states`, the
 per-state move generator behind ``program.compile()``, so their
 successor sets are byte-identical to the compiled system's.
@@ -33,17 +34,17 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from ..core.errors import GCLError
 from ..core.state import State, StateSchema
 from ..core.system import System
-from ..gcl.daemon import CentralDaemon, Daemon
 from ..gcl.program import Program
 from ..gcl.semantics import compile_states
 from .interner import StateInterner
 
 __all__ = ["PackedKernel"]
 
-#: ``compiler(states, initial)``: the tuple ``System`` of the
-#: transitions out of ``states``; ``initial=None`` means the source's
-#: own initial states.
-Compiler = Callable[[Iterable[State], Optional[Iterable[State]]], System]
+#: ``compiler(states, initial, drop_self)``: the tuple ``System`` of
+#: the transitions out of ``states``, without self-loops when
+#: ``drop_self`` is set; ``initial=None`` means the source's own initial
+#: states.
+Compiler = Callable[[Iterable[State], Optional[Iterable[State]], bool], System]
 
 
 class PackedKernel:
@@ -106,16 +107,20 @@ class PackedKernel:
         self._memo = [None] * self.size
         return evicted
 
-    def compile(self, codes: Iterable[int]) -> System:
+    def compile(self, codes: Iterable[int], drop_self: bool = False) -> System:
         """The tuple-state ``System`` of the transitions out of the
         states of ``codes``, in the order given.
 
         Each source's successor set iterates exactly as in
-        :meth:`materialize`'s system.  A kernel wrapping a compiled
-        system returns that system whole.
+        :meth:`materialize`'s system, or with ``drop_self`` as in its
+        ``without_self_loops()``.  A kernel wrapping a compiled system
+        returns that system whole (``without_self_loops()`` of it with
+        ``drop_self``).
         """
         decode = self.interner.decode
-        return self._compiler((decode(int(code)) for code in codes), ())
+        return self._compiler(
+            (decode(int(code)) for code in codes), (), drop_self
+        )
 
     def materialize(self) -> System:
         """The equivalent tuple-state ``System`` (cached on first call).
@@ -125,95 +130,63 @@ class PackedKernel:
         stays only as a layer that ``benchmarks/perf/spans.py`` times.
         """
         if self._materialized is None:
-            self._materialized = self._compiler(self.schema.states(), None)
+            self._materialized = self._compiler(self.schema.states(), None, False)
         return self._materialized
 
     @classmethod
-    def from_program(
-        cls,
-        program: Program,
-        daemon: Optional[Daemon] = None,
-        keep_stutter: bool = True,
-        name: Optional[str] = None,
-    ) -> "PackedKernel":
+    def from_program(cls, program: Program) -> "PackedKernel":
         """Lower ``program`` to a packed kernel (no transition table).
 
         Mirrors :func:`~repro.gcl.semantics.compile_program` exactly:
-        same daemon default, same stutter handling, same system name,
+        the central daemon, stuttering moves kept, the program's name,
         and the same :class:`GCLError` on out-of-domain writes.
         """
-        chosen = daemon or CentralDaemon()
         schema = program.schema()
         interner = StateInterner(schema)
-        system_name = name or (
-            program.name
-            if chosen.name == "central"
-            else f"{program.name}@{chosen.name}"
-        )
         actions = tuple(program.actions)
-        if type(chosen) is CentralDaemon:
-            places = interner.places_by_name()
-            digit_maps = interner.digit_maps_by_name()
+        places = interner.places_by_name()
+        digit_maps = interner.digit_maps_by_name()
 
-            def central_successors(code: int) -> Tuple[int, ...]:
-                env = interner.decode_env(code)
-                found: List[int] = []
-                for action in actions:
-                    if not action.enabled(env):
-                        continue
-                    # Parallel assignment: all right-hand sides read the
-                    # pre-state.  Evaluation errors propagate raw, as
-                    # they do from ``daemon.steps`` in compile_program.
-                    updates = [
-                        (target, expr.eval(env))
-                        for target, expr in action.assignments.items()
-                    ]
-                    try:
-                        new_code = code
-                        for target, value in updates:
-                            new_code += (
-                                digit_maps[target][value]
-                                - digit_maps[target][env[target]]
-                            ) * places[target]
-                    except (KeyError, TypeError):
-                        # Unknown variable or out-of-domain value: take
-                        # the tuple path to raise compile_program's error.
-                        new_code = _pack_move(
-                            interner, program, action.execute(env),
-                            (action.name,), code,
-                        )
-                    if not keep_stutter and new_code == code:
-                        continue
-                    found.append(new_code)
-                return tuple(sorted(set(found)))
-
-            successors_of = central_successors
-        else:
-
-            def daemon_successors(code: int) -> Tuple[int, ...]:
-                env = interner.decode_env(code)
-                found: List[int] = []
-                for new_env, action_labels in chosen.steps(actions, env):
+        def successors_of(code: int) -> Tuple[int, ...]:
+            env = interner.decode_env(code)
+            found: List[int] = []
+            for action in actions:
+                if not action.enabled(env):
+                    continue
+                # Parallel assignment: all right-hand sides read the
+                # pre-state.  Evaluation errors propagate raw, as they
+                # do from ``daemon.steps`` in compile_program.
+                updates = [
+                    (target, expr.eval(env))
+                    for target, expr in action.assignments.items()
+                ]
+                try:
+                    new_code = code
+                    for target, value in updates:
+                        new_code += (
+                            digit_maps[target][value]
+                            - digit_maps[target][env[target]]
+                        ) * places[target]
+                except (KeyError, TypeError):
+                    # Unknown variable or out-of-domain value: take the
+                    # tuple path to raise compile_program's error.
                     new_code = _pack_move(
-                        interner, program, new_env, action_labels, code
+                        interner, program, action.execute(env),
+                        (action.name,), code,
                     )
-                    if not keep_stutter and new_code == code:
-                        continue
-                    found.append(new_code)
-                return tuple(sorted(set(found)))
-
-            successors_of = daemon_successors
+                found.append(new_code)
+            return tuple(sorted(set(found)))
 
         initial_codes = tuple(
             sorted(interner.encode(state) for state in program.initial_states())
         )
 
-        def compiler(states, initial) -> System:
+        def compiler(states, initial, drop_self) -> System:
             return compile_states(
-                program, states, chosen, keep_stutter, system_name, initial
+                program, states, keep_stutter=not drop_self, initial=initial
             )
 
-        return cls(interner, successors_of, initial_codes, system_name, compiler)
+        return cls(interner, successors_of, initial_codes, program.name, compiler)
 
     @classmethod
     def from_system(cls, system: System) -> "PackedKernel":
@@ -234,7 +207,9 @@ class PackedKernel:
             successors_of,
             initial_codes,
             system.name,
-            lambda states, initial: system,
+            lambda states, initial, drop_self: (
+                system.without_self_loops() if drop_self else system
+            ),
         )
 
 
@@ -245,7 +220,7 @@ def _pack_move(
     action_labels: Tuple[str, ...],
     source_code: int,
 ) -> int:
-    """Pack one daemon move, raising compile_program's exact error."""
+    """Pack one action's move, raising compile_program's exact error."""
     schema = interner.schema
     try:
         successor = schema.pack(new_env)

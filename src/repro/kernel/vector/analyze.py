@@ -20,7 +20,6 @@ import os
 from typing import Dict, Optional, Sequence
 
 from ...gcl import expr as ast
-from ...gcl.daemon import CentralDaemon, Daemon
 from ...gcl.program import Program
 
 __all__ = [
@@ -164,22 +163,15 @@ def expr_type(node: ast.Expr, var_types: Dict[str, str]) -> Optional[str]:
     return None  # unknown node kind: never guess
 
 
-def structural_unlowerable_reason(
-    program: Program, daemon: Optional[Daemon] = None
-) -> Optional[str]:
+def structural_unlowerable_reason(program: Program) -> Optional[str]:
     """The size-independent half of :func:`unlowerable_reason`.
 
-    Checks the daemon, the domains, every guard, and every assignment
-    — everything except the full-space footprint ceiling.  Consumers
-    that never materialize full-space tables (the shared engine's
-    streamed kernel) use this form: the cell ceiling is a RAM bound on
-    table materialization, not a limit of the lowering itself.
+    Checks the domains, every guard, and every assignment — everything
+    except the full-space footprint ceiling.  Consumers that never
+    materialize full-space tables (the shared engine's streamed kernel)
+    use this form: the cell ceiling is a RAM bound on table
+    materialization, not a limit of the lowering itself.
     """
-    if daemon is not None and type(daemon) is not CentralDaemon:
-        return (
-            f"daemon {daemon.name!r} has no batch form; only the central "
-            f"daemon lowers to array kernels"
-        )
     schema = program.schema()
     var_types: Dict[str, str] = {}
     for name, domain in zip(schema.names, schema.domains):
@@ -211,25 +203,23 @@ def structural_unlowerable_reason(
 
 
 def unlowerable_reason(
-    program: Program,
-    daemon: Optional[Daemon] = None,
-    max_cells: Optional[int] = None,
+    program: Program, max_cells: Optional[int] = None
 ) -> Optional[str]:
     """Why ``program`` cannot lower to array kernels (``None`` = it can).
 
-    Checks, in order: the daemon (only the plain central daemon has a
-    digit-delta batch form), the domains, every guard, every
-    assignment, and the full-space array footprint.
+    Checks, in order: the domains, every guard, every assignment, and
+    the full-space array footprint.  A program always lowers under the
+    central daemon; other daemons reach the array engines as compiled
+    systems.
 
     Args:
         program: the program to analyze.
-        daemon: the execution daemon, when not the plain central one.
         max_cells: the footprint ceiling to judge against; defaults to
             :func:`effective_max_vector_cells` (the
             ``REPRO_MAX_VECTOR_CELLS`` override or the built-in
             default).
     """
-    reason = structural_unlowerable_reason(program, daemon)
+    reason = structural_unlowerable_reason(program)
     if reason is not None:
         return reason
     ceiling = max_cells if max_cells is not None else effective_max_vector_cells()

@@ -11,14 +11,16 @@ already holds (the vector tables) or evaluates (the shared kernel's
 
 The sequence is the scalar compiler's (:mod:`repro.gcl.semantics`)
 under the central daemon: sources in the order given (code order for
-the whole space), each source's moves in action order, and a
-stuttering move dropped unless the kernel keeps stutter.  Each
-successor set is therefore built from the same insertion sequence, and
-each pair's labels name the actions that make it.  A state is a tuple of the schema's domain objects, as the scalar
-path has it, except where an action writes a value whose type differs
-from its variable's domain (``x := y == 0`` into an int domain): the
-scalar path keeps the written value, so the bridge casts that component
-to the written type.
+the whole space), each source's moves in action order, stuttering
+moves included.  Each successor set is therefore built from the same
+insertion sequence, and each pair's labels name the actions that make
+it.  ``compile(codes, drop_self=True)`` leaves the self-loops out as
+:meth:`~repro.core.system.System.without_self_loops` does, so its
+successor sets iterate as that method's.  A state is a tuple of the
+schema's domain objects, as the scalar path has it, except where an
+action writes a value whose type differs from its variable's domain
+(``x := y == 0`` into an int domain): the scalar path keeps the
+written value, so the bridge casts that component to the written type.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Set, Tuple
 import numpy as np
 
 from ...core.state import State
-from ...core.system import System, Transition
+from ...core.system import System, Transition, stutter_free
 from ...gcl.action import GuardedAction
 from .analyze import BOOL, INT, expr_type
 from .lower import ActionPair, LoweredProgram
@@ -48,33 +50,19 @@ class TupleBridge:
     ``pairs_of(codes)`` yields one ``(mask, successor)`` pair per
     action for a code batch of at most ``batch`` codes; each pair is
     read before the next is asked for, so reused buffers are fine.
-    ``keep_stutter`` and ``name`` are the kernel's.
+    Systems are named after the program.
     """
 
     __slots__ = (
-        "_interner", "_pairs_of", "_batch", "_keep_stutter", "_name",
-        "_digits", "_names", "_casts", "_initial_codes", "_scalar_initial",
+        "_interner", "_pairs_of", "_batch", "_name", "_names", "_casts",
+        "_initial_codes", "_scalar_initial",
     )
 
-    def __init__(
-        self,
-        lowered: LoweredProgram,
-        pairs_of: PairsOf,
-        batch: int,
-        keep_stutter: bool,
-        name: str,
-    ):
+    def __init__(self, lowered: LoweredProgram, pairs_of: PairsOf, batch: int):
         self._interner = lowered.interner
         self._pairs_of = pairs_of
         self._batch = batch
-        self._keep_stutter = keep_stutter
-        self._name = name
-        self._digits = [
-            (codec.place, codec.radix, np.array(domain, dtype=object))
-            for codec, domain in zip(
-                lowered.codecs.values(), self._interner.schema.domains
-            )
-        ]
+        self._name = lowered.program.name
         actions = lowered.program.actions
         self._names = [action.name for action in actions]
         var_types = {
@@ -85,11 +73,11 @@ class TupleBridge:
         self._initial_codes = lowered.initial_codes
         self._scalar_initial = lowered.scalar_initial
 
-    def compile(self, codes: Iterable[int]) -> System:
+    def compile(self, codes: Iterable[int], drop_self: bool = False) -> System:
         """The transitions out of the states of ``codes``, in the order
         given, with no initial states — what the packed kernel's
-        ``compile`` gives."""
-        return self._system(np.fromiter(codes, dtype=np.int64), ())
+        ``compile`` gives; with ``drop_self`` self-loops are left out."""
+        return self._system(np.fromiter(codes, dtype=np.int64), (), drop_self)
 
     def materialize(self) -> System:
         """``program.compile()``: the whole space in code order, with
@@ -97,26 +85,16 @@ class TupleBridge:
         yields them."""
         initial: Iterable[State]
         if self._scalar_initial is None:
-            initial = self._decode(np.asarray(self._initial_codes, dtype=np.int64))
+            initial = self._interner.decode_array(self._initial_codes)
         else:
             initial = self._scalar_initial
-        return self._system(np.arange(self._interner.size, dtype=np.int64), initial)
-
-    def _decode(self, codes: np.ndarray) -> List[State]:
-        """The state tuples of ``codes``, made of the domain objects."""
-        if not self._digits:
-            empty: State = ()
-            return [empty] * codes.shape[0]
-        return list(
-            zip(
-                *(
-                    objects[(codes // place) % radix].tolist()
-                    for place, radix, objects in self._digits
-                )
-            )
+        return self._system(
+            np.arange(self._interner.size, dtype=np.int64), initial, False
         )
 
-    def _system(self, codes: np.ndarray, initial: Iterable[State]) -> System:
+    def _system(
+        self, codes: np.ndarray, initial: Iterable[State], drop_self: bool
+    ) -> System:
         adjacency: Dict[State, Set[State]] = {}
         labels: Dict[Transition, Set[str]] = {}
         names, casts = self._names, self._casts
@@ -126,27 +104,29 @@ class TupleBridge:
                 values[index] = kind(values[index])
                 target = tuple(values)
             adjacency.setdefault(source, set()).add(target)
-            labels.setdefault((source, target), set()).add(names[action])
+            if not (drop_self and target == source):
+                labels.setdefault((source, target), set()).add(names[action])
+        if drop_self:
+            adjacency = stutter_free(adjacency)
         return System.of_members(
             self._interner.schema, adjacency, initial, self._name, labels
         )
 
     def _moves(self, codes: np.ndarray) -> Iterator[Tuple[State, State, int]]:
-        """``(source, target, action)`` per kept move: sources in the
-        order of ``codes``, each one's moves in action order."""
+        """``(source, target, action)`` per move: sources in the order
+        of ``codes``, each one's moves in action order."""
         actions = len(self._names)
+        decode = self._interner.decode_array
         for start in range(0, codes.shape[0], self._batch):
             batch = codes[start:start + self._batch]
-            kept = np.zeros((actions, batch.shape[0]), dtype=bool)
+            enabled = np.zeros((actions, batch.shape[0]), dtype=bool)
             successors = np.empty((actions, batch.shape[0]), dtype=np.int64)
             for index, (mask, succ) in enumerate(self._pairs_of(batch)):
-                kept[index] = mask
-                if not self._keep_stutter:
-                    kept[index] &= succ != batch
+                enabled[index] = mask
                 successors[index] = succ
-            positions, moved = np.nonzero(kept.T)
-            sources = self._decode(batch)
-            targets = self._decode(successors[moved, positions])
+            positions, moved = np.nonzero(enabled.T)
+            sources = decode(batch)
+            targets = decode(successors[moved, positions])
             for position, action, target in zip(
                 positions.tolist(), moved.tolist(), targets
             ):

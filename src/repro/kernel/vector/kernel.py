@@ -4,7 +4,8 @@ A :class:`VectorKernel` is the vector engine's replacement for the
 packed engine's per-code successor closure: the transition relation as
 *arrays*.  Two constructions:
 
-* :meth:`VectorKernel.from_program` lowers the program to a
+* :meth:`VectorKernel.from_program` lowers the program, under the
+  central daemon with stuttering moves kept, to a
   :class:`~.lower.LoweredProgram` (the evaluator the shared kernel runs
   chunk by chunk) with support tables of up to :data:`LOWER_CHUNK`
   rows, validates it from those tables, and fills one full-space
@@ -25,7 +26,8 @@ by the array fixpoints in :mod:`.fixpoint`, plus the scalar
 fair-trap search), :meth:`materialize` for the refinement replay.  A
 kernel built :meth:`from_program` reads those off its action tables
 (:class:`~.bridge.TupleBridge`); one built :meth:`from_system` returns
-the system it wraps.
+the system it wraps.  The batch forms take ``drop_self`` per call, the
+analysis view under weak and strong fairness; so does :meth:`compile`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ...core.system import System
-from ...gcl.daemon import CentralDaemon, Daemon
 from ...gcl.program import Program
 from ..engine import CheckSource
 from ..interner import StateInterner
@@ -53,7 +54,7 @@ LOWER_CHUNK = 1 << 16
 
 
 class VectorLoweringError(ValueError):
-    """A program (or daemon) has no array lowering.
+    """A program has no array lowering.
 
     Engine selection consults :func:`.analyze.unlowerable_reason`
     before constructing a kernel, so checker paths never see this;
@@ -84,7 +85,6 @@ class VectorKernel:
         "size",
         "initial_codes",
         "initial_array",
-        "_keep_stutter",
         "_tables",
         "_indptr",
         "_targets",
@@ -99,7 +99,6 @@ class VectorKernel:
         interner: StateInterner,
         initial_codes: Tuple[int, ...],
         name: str,
-        keep_stutter: bool,
         tables: Optional[List[Tuple[np.ndarray, np.ndarray]]],
         indptr: Optional[np.ndarray],
         targets: Optional[np.ndarray],
@@ -112,7 +111,6 @@ class VectorKernel:
         self.size = interner.size
         self.initial_codes = initial_codes
         self.initial_array = np.asarray(initial_codes, dtype=np.int64)
-        self._keep_stutter = keep_stutter
         self._tables = tables
         self._indptr = indptr
         self._targets = targets
@@ -126,14 +124,16 @@ class VectorKernel:
         """The schema of the packed state space."""
         return self.interner.schema
 
-    def compile(self, codes: Iterable[int]) -> System:
+    def compile(self, codes: Iterable[int], drop_self: bool = False) -> System:
         """The tuple-state ``System`` of the transitions out of the
         states of ``codes`` (see :meth:`repro.kernel.PackedKernel.compile`),
         read off the action tables; a kernel built :meth:`from_system`
-        returns its system."""
+        returns its system (``without_self_loops()`` of it with
+        ``drop_self``)."""
         if self._bridge is None:
-            return self.materialize()
-        return self._bridge.compile(codes)
+            system = self.materialize()
+            return system.without_self_loops() if drop_self else system
+        return self._bridge.compile(codes, drop_self)
 
     def materialize(self) -> System:
         """The equivalent tuple-state ``System``, read off the action
@@ -197,10 +197,9 @@ class VectorKernel:
             empty = np.empty(0, dtype=np.int64)
             yield empty, empty
             return
-        drop = drop_self or not self._keep_stutter
         for enabled, succ in self._tables:
             mask = enabled[codes]
-            if drop:
+            if drop_self:
                 mask &= succ[codes] != codes
             positions = np.nonzero(mask)[0]
             yield positions, succ[codes[positions]]
@@ -212,10 +211,7 @@ class VectorKernel:
         if self._tables is not None:
             hit = np.zeros(sources.shape, dtype=bool)
             for enabled, succ in self._tables:
-                found = enabled[sources] & (succ[sources] == targets)
-                if not self._keep_stutter:
-                    found &= targets != sources
-                hit |= found
+                hit |= enabled[sources] & (succ[sources] == targets)
             return hit
         if self._edge_keys.size == 0:
             return np.zeros(sources.shape, dtype=bool)
@@ -239,7 +235,7 @@ class VectorKernel:
             codes = np.arange(self.size, dtype=np.int64)
             has_successor = np.zeros(self.size, dtype=bool)
             for enabled, succ in self._tables:
-                if drop_self or not self._keep_stutter:
+                if drop_self:
                     has_successor |= enabled & (succ != codes)
                 else:
                     has_successor |= enabled
@@ -269,24 +265,17 @@ class VectorKernel:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_program(
-        cls,
-        program: Program,
-        daemon: Optional[Daemon] = None,
-        keep_stutter: bool = True,
-        name: Optional[str] = None,
-    ) -> "VectorKernel":
+    def from_program(cls, program: Program) -> "VectorKernel":
         """Lower ``program`` to full-space per-action successor tables.
 
         Raises:
-            VectorLoweringError: for non-central daemons or programs
-                outside the statically lowerable fragment (see
+            VectorLoweringError: for programs outside the statically
+                lowerable fragment (see
                 :func:`.analyze.unlowerable_reason`).
             GCLError: when some action drives a state out of its
                 domain — the exact error ``compile_program`` raises.
         """
-        chosen = daemon or CentralDaemon()
-        reason = unlowerable_reason(program, chosen)
+        reason = unlowerable_reason(program)
         if reason is not None:
             raise VectorLoweringError(
                 f"program {program.name!r} has no array lowering: {reason}"
@@ -295,11 +284,6 @@ class VectorKernel:
         lowered = LoweredProgram(program, interner, LOWER_CHUNK)
         lowered.validate(LOWER_CHUNK)
         size = interner.size
-        system_name = name or (
-            program.name
-            if chosen.name == "central"
-            else f"{program.name}@{chosen.name}"
-        )
         tables = [
             (np.empty(size, dtype=bool), np.empty(size, dtype=np.int64))
             for _ in program.actions
@@ -315,9 +299,9 @@ class VectorKernel:
         def pairs_of(codes: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
             return ((enabled[codes], succ[codes]) for enabled, succ in tables)
 
-        bridge = TupleBridge(lowered, pairs_of, LOWER_CHUNK, keep_stutter, system_name)
+        bridge = TupleBridge(lowered, pairs_of, LOWER_CHUNK)
         return cls(
-            interner, lowered.initial_codes, system_name, keep_stutter,
+            interner, lowered.initial_codes, program.name,
             tables, None, None, None, bridge,
         )
 
@@ -343,7 +327,7 @@ class VectorKernel:
             sorted(interner.encode(state) for state in system.initial)
         )
         return cls(
-            interner, initial_codes, system.name, True,
+            interner, initial_codes, system.name,
             None, indptr, targets, edge_keys, None, system,
         )
 

@@ -169,6 +169,8 @@ def check_cache_key(
     transition system.  The engine (like the worker count) is excluded,
     because verdicts are identical across engines.
     """
+    # Stuttering moves are always compiled; the constant entry keeps
+    # stored keys unchanged.
     semantics = {"keep_stutter": True, "fairness": fairness}
     fingerprints = [program_fingerprint(program, semantics=semantics)]
     if spec is not None:

@@ -20,23 +20,28 @@ Under strong fairness every engine reports the fair trap that holds
 the ``repr``-least state of the first refinement level that has one,
 whatever order the engine's region iterates in.
 
-The other two classes pin the cost contract: under no fairness mode
-does an engine compile the full tuple system to build a witness or
-search for a fair trap, and the shared engine expands only its peel's
-remainder to find the cycle.
+The other classes pin the cost contract: under no fairness mode does
+an engine compile the full tuple system to build a witness or search
+for a fair trap, under weak and strong fairness no engine copies a
+compiled region to drop its self-loops, and the shared engine expands
+only its peel's remainder to find the cycle.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import pytest
 
 from repro.checker import check_stabilization
 from repro.core.abstraction import AbstractionFunction
+from repro.core.system import System
 from repro.gcl import parse_program
 from repro.kernel import PackedKernel
 from repro.parallel import parallel_available
 from repro.rings import kstate_program, utr_abstraction, utr_program
 from tests.integration.test_packed_differential import RING_CASES
+from tests.packed_rung import packed_rung
 
 #: Outside ``x == 0`` two independent counters spin, so every
 #: off-core state starts two shortest cycles of length four; ``idle``
@@ -321,6 +326,46 @@ class TestNoMaterialization:
         entered = _materialize_guard(monkeypatch)
         assert _check(case, engine).format() == reference.format()
         assert entered == []
+
+
+def _engine_context(engine: str):
+    """``(context, requested engine)`` for vector, shared under a
+    1 MiB budget, and the packed rung."""
+    from repro.kernel.shared import using_memory_budget
+
+    if engine == "shared@1M":
+        return using_memory_budget("1M"), "shared"
+    if engine == "packed-rung":
+        return packed_rung(), "vector"
+    return nullcontext(), engine
+
+
+class TestNoSelfLoopCopy:
+    """Under weak and strong fairness the kernels compile the witness
+    regions without their self-loops (``compile(codes, drop_self)``)
+    instead of compiling them whole and copying them without."""
+
+    @pytest.mark.parametrize(
+        "case", RING_CASES, ids=[case[0] for case in RING_CASES]
+    )
+    @pytest.mark.parametrize("fairness", ["weak", "strong"])
+    @pytest.mark.parametrize("engine", ["vector", "shared@1M", "packed-rung"])
+    def test_no_without_self_loops_call(self, case, fairness, engine, monkeypatch):
+        name, concrete, spec, alpha, _, stutter = case
+        case = (name, concrete, spec, alpha, fairness, stutter)
+        reference = _check(case, "tuple")
+        calls: list = []
+        without_self_loops = System.without_self_loops
+
+        def spy(self, *args, **kwargs):
+            calls.append(self.name)
+            return without_self_loops(self, *args, **kwargs)
+
+        monkeypatch.setattr(System, "without_self_loops", spy)
+        context, requested = _engine_context(engine)
+        with context:
+            assert _check(case, requested).format() == reference.format()
+        assert calls == []
 
 
 class TestWitnessFromThePeelRemainder:

@@ -533,7 +533,11 @@ def _shared_remainder(program, fairness, compute_steps, chunk):
         backend.core()
         cyclic = backend.longest_path() is None
         remainder = (
-            [int(code) for code in backend._members(backend.remainder)]
+            [
+                int(code)
+                for codes in backend.remainder.member_chunks(chunk)
+                for code in codes
+            ]
             if cyclic
             else []
         )

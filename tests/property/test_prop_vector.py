@@ -81,26 +81,28 @@ class TestVectorPrimitives:
         st.booleans(),
         st.lists(st.integers(min_value=0, max_value=SPACE - 1), unique=True),
     )
-    def test_bridges_equal_the_compiler(self, program, keep_stutter, picked):
+    def test_bridges_equal_the_compiler(self, program, drop_self, picked):
         """Both array kernels' table-backed ``materialize()`` and
-        ``compile(codes)`` are the scalar compiler's systems: the same
-        pairs in the same order, labels, initial iteration and name."""
+        ``compile(codes, drop_self)`` are the scalar compiler's
+        systems: the same pairs in the same order, labels, initial
+        iteration and name."""
         from repro.gcl.semantics import compile_states
         from repro.kernel import StateInterner
         from repro.kernel.shared import SharedKernel
         from repro.kernel.vector import VectorKernel
 
-        decode = StateInterner(program.schema()).decode
-        states = [decode(code) for code in picked]
-        whole = program.compile(keep_stutter=keep_stutter)
-        part = compile_states(program, states, keep_stutter=keep_stutter, initial=())
+        states = StateInterner(program.schema()).decode_array(picked)
+        whole = program.compile()
+        part = compile_states(
+            program, states, keep_stutter=not drop_self, initial=()
+        )
         for kernel in (
-            VectorKernel.from_program(program, keep_stutter=keep_stutter),
-            SharedKernel(program, keep_stutter=keep_stutter, chunk=4),
+            VectorKernel.from_program(program),
+            SharedKernel(program, chunk=4),
         ):
             for bridged, system in (
                 (kernel.materialize(), whole),
-                (kernel.compile(picked), part),
+                (kernel.compile(picked, drop_self), part),
             ):
                 pairs = list(system.transitions())
                 assert list(bridged.transitions()) == pairs

@@ -8,7 +8,7 @@ from repro.gcl.daemon import CentralDaemon, DistributedDaemon, SynchronousDaemon
 from repro.gcl.domain import IntRange, ModularDomain
 from repro.gcl.expr import Add, Const, Eq, Lt, Ne, Var
 from repro.gcl.program import Program
-from repro.gcl.semantics import compile_program
+from repro.gcl.semantics import compile_program, compile_states
 from repro.gcl.variable import Variable
 
 
@@ -93,13 +93,16 @@ class TestCompilationGuards:
             compile_program(program)
 
     def test_keep_stutter_flag(self):
+        """``compile_program`` keeps stuttering moves; ``compile_states``
+        leaves them out on request, as ``without_self_loops`` does."""
         variables = [Variable("x", IntRange(0, 1))]
         actions = [GuardedAction("idle", Eq(Var("x"), Const(0)), {"x": Const(0)})]
         program = Program("idle", variables, actions, init=[{"x": 0}])
-        with_stutter = compile_program(program, keep_stutter=True)
-        without = compile_program(program, keep_stutter=False)
+        with_stutter = compile_program(program)
+        without = compile_states(program, [(0,), (1,)], keep_stutter=False)
         assert with_stutter.has_transition((0,), (0,))
         assert not without.has_transition((0,), (0,))
+        assert without == with_stutter.without_self_loops()
 
     def test_explicit_name_override(self, two_counter_program):
         system = two_counter_program.compile(name="custom")

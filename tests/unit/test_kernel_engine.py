@@ -1,11 +1,15 @@
 """Unit tests for the packed successor kernel and engine selection.
 
 The contract: a kernel lowered straight from a program produces
-exactly the successor codes the compiled transition table holds, under
-every daemon and ``keep_stutter`` mode, raising the compiler's exact
-errors; and the checkers' engine selection emits the ``engine.*``
-counters, falls back with a reason where packing cannot apply, and
-rejects unknown engines the way the CLI rejects a bad flag.
+exactly the successor codes the compiled transition table holds under
+the central daemon, with and without the self-loops that weak and
+strong fairness drop, raising the compiler's exact errors; its
+``compile(codes, drop_self)`` is the compiled system's restriction,
+successor iteration order and labels included; and the checkers'
+engine selection emits the ``engine.*`` counters, falls back with a
+reason where packing cannot apply, and rejects unknown engines the way
+the CLI rejects a bad flag.  Other daemons reach the kernels as
+compiled systems (``from_system``).
 """
 
 from __future__ import annotations
@@ -21,11 +25,12 @@ from repro.core.errors import GCLError
 from repro.core.state import StateSchema
 from repro.core.system import System
 from repro.gcl import parse_program
-from repro.gcl.daemon import CentralDaemon, DistributedDaemon, SynchronousDaemon
+from repro.gcl.daemon import CentralDaemon
 from repro.kernel import (
     PackedKernel,
     StateInterner,
     as_kernel,
+    drop_self_loops,
     packed_fallback_reason,
 )
 from repro.obs import Recorder
@@ -38,11 +43,8 @@ from repro.rings import (
 )
 from tests.packed_rung import PACKED_RUNG_REASON
 
-DAEMONS = [
-    ("central", lambda: CentralDaemon()),
-    ("synchronous", lambda: SynchronousDaemon()),
-    ("distributed-2", lambda: DistributedDaemon(max_concurrency=2)),
-]
+#: Programs lower to kernels under the central daemon only.
+DAEMONS = [("central", lambda: CentralDaemon())]
 
 PROGRAMS = [
     ("btr", lambda: btr_program(3)),
@@ -59,25 +61,27 @@ class TestSuccessorParity:
     @pytest.mark.parametrize(
         "dname,daemon", DAEMONS, ids=[d[0] for d in DAEMONS]
     )
-    @pytest.mark.parametrize("keep_stutter", [True, False])
+    @pytest.mark.parametrize("drop_self", [True, False])
     def test_kernel_matches_compiled_table(
-        self, pname, build, dname, daemon, keep_stutter
+        self, pname, build, dname, daemon, drop_self
     ):
         program = build()
-        kernel = PackedKernel.from_program(
-            program, daemon=daemon(), keep_stutter=keep_stutter
-        )
-        system = program.compile(daemon=daemon(), keep_stutter=keep_stutter)
+        kernel = PackedKernel.from_program(program)
+        system = program.compile(daemon=daemon())
         interner = kernel.interner
-        assert kernel.name == system.name
+        assert kernel.name == system.name == program.name
         assert sorted(kernel.initial_codes) == sorted(
             interner.encode(state) for state in system.initial
         )
+        successors = kernel.successors
+        if drop_self:
+            successors = drop_self_loops(successors)
+            system = system.without_self_loops()
         for code, state in enumerate(system.schema.states()):
             expected = sorted(
                 interner.encode(s) for s in system.successors(state)
             )
-            assert list(kernel.successors(code)) == expected
+            assert list(successors(code)) == expected
 
     def test_from_system_round_trips(self):
         system = btr_program(3).compile()
@@ -101,31 +105,25 @@ class TestSuccessorParity:
     @pytest.mark.parametrize(
         "dname,daemon", DAEMONS, ids=[d[0] for d in DAEMONS]
     )
-    @pytest.mark.parametrize("keep_stutter", [True, False])
+    @pytest.mark.parametrize("drop_self", [True, False])
     def test_compile_keeps_each_sources_successor_order(
-        self, dname, daemon, keep_stutter
+        self, dname, daemon, drop_self
     ):
         """Compiling a few states gives each of them the successor set
-        of the full compilation, iterating in the same order — through
-        ``without_self_loops`` too.  Cycle witnesses depend on this."""
+        of the full compilation, iterating in the same order — or, with
+        ``drop_self``, that of its ``without_self_loops``.  Cycle
+        witnesses depend on this."""
         program = kstate_program(3, 3)
-        kernel = PackedKernel.from_program(
-            program, daemon=daemon(), keep_stutter=keep_stutter
-        )
-        full = program.compile(daemon=daemon(), keep_stutter=keep_stutter)
+        kernel = PackedKernel.from_program(program)
+        full = program.compile(daemon=daemon())
         codes = range(0, full.schema.size(), 3)
         states = [kernel.interner.decode(code) for code in codes]
-        part = kernel.compile(codes)
+        part = kernel.compile(codes, drop_self)
         assert part.name == full.name
         assert part.initial == frozenset()
-        for system, whole in (
-            (part, full),
-            (part.without_self_loops(), full.without_self_loops()),
-        ):
-            for state in states:
-                assert list(system.successors(state)) == list(
-                    whole.successors(state)
-                )
+        whole = full.without_self_loops() if drop_self else full
+        for state in states:
+            assert list(part.successors(state)) == list(whole.successors(state))
 
     def test_array_kernels_compile_like_packed(self):
         from repro.kernel.shared import SharedKernel
@@ -148,6 +146,7 @@ class TestSuccessorParity:
         system = btr_program(3).compile()
         kernel = PackedKernel.from_system(system)
         assert kernel.compile([0]) is system
+        assert kernel.compile([0], drop_self=True) == system.without_self_loops()
         assert kernel.materialize() is system
 
     def test_out_of_domain_move_raises_the_compilers_error(self):
@@ -243,43 +242,76 @@ def _assert_same_system(bridged: System, compiled: System) -> None:
     assert bridged.name == compiled.name
 
 
+def _sample(pname, program):
+    """A third of ``program``'s codes, in a fixed shuffled order."""
+    import random
+
+    space = program.schema().size()
+    return random.Random(pname).sample(range(space), space // 3)
+
+
+BRIDGE_CASES = BRIDGE_PROGRAMS + [("mixed-writes", _mixed_writes)]
+BRIDGE_IDS = [p[0] for p in BRIDGE_CASES]
+
+
 class TestTupleBridges:
-    """The array kernels' ``materialize()`` and ``compile(codes)`` are
-    read off their action tables, and must be the scalar compiler's
-    systems exactly: witnesses, the fair trap and the refinement replay
-    iterate them."""
+    """The array kernels' ``materialize()`` and ``compile(codes,
+    drop_self)`` are read off their action tables, and must be the
+    scalar compiler's systems exactly: witnesses, the fair trap and the
+    refinement replay iterate them."""
 
     @staticmethod
-    def _kernels(program, keep_stutter):
+    def _kernels(program):
         from repro.kernel.shared import SharedKernel
         from repro.kernel.vector import VectorKernel
 
-        return (
-            VectorKernel.from_program(program, keep_stutter=keep_stutter),
-            SharedKernel(program, keep_stutter=keep_stutter),
-        )
+        return (VectorKernel.from_program(program), SharedKernel(program))
 
-    @pytest.mark.parametrize("keep_stutter", [True, False])
-    @pytest.mark.parametrize(
-        "pname,build",
-        BRIDGE_PROGRAMS + [("mixed-writes", _mixed_writes)],
-        ids=[p[0] for p in BRIDGE_PROGRAMS] + ["mixed-writes"],
-    )
-    def test_bridges_equal_the_compiler(self, pname, build, keep_stutter):
-        import random
-
+    @pytest.mark.parametrize("drop_self", [True, False])
+    @pytest.mark.parametrize("pname,build", BRIDGE_CASES, ids=BRIDGE_IDS)
+    def test_bridges_equal_the_compiler(self, pname, build, drop_self):
         from repro.gcl.semantics import compile_states
 
         program = build()
-        compiled = program.compile(keep_stutter=keep_stutter)
-        space = program.schema().size()
-        codes = random.Random(pname).sample(range(space), space // 3)
-        decode = StateInterner(program.schema()).decode
-        states = [decode(code) for code in codes]
-        part = compile_states(program, states, keep_stutter=keep_stutter, initial=())
-        for kernel in self._kernels(program, keep_stutter):
+        compiled = program.compile()
+        codes = _sample(pname, program)
+        states = StateInterner(program.schema()).decode_array(codes)
+        part = compile_states(
+            program, states, keep_stutter=not drop_self, initial=()
+        )
+        for kernel in self._kernels(program):
             _assert_same_system(kernel.materialize(), compiled)
-            _assert_same_system(kernel.compile(codes), part)
+            _assert_same_system(kernel.compile(codes, drop_self), part)
+
+    @pytest.mark.parametrize("pname,build", BRIDGE_CASES, ids=BRIDGE_IDS)
+    def test_drop_self_compiles_without_self_loops(self, pname, build):
+        """``compile(codes, drop_self=True)`` is
+        ``compile(codes).without_self_loops()`` on every kernel, built
+        from a program or from its compiled system: the same sources,
+        each iterating its successors in the same order, and the same
+        labels."""
+        from repro.kernel.shared import SharedKernel
+        from repro.kernel.vector import VectorKernel
+
+        program = build()
+        system = program.compile()
+        codes = _sample(pname, program)
+        kernels = {
+            "packed": PackedKernel.from_program(program),
+            "packed-system": PackedKernel.from_system(system),
+            "vector": VectorKernel.from_program(program),
+            "vector-system": VectorKernel.from_system(system),
+            "shared": SharedKernel(program),
+        }
+        for name, kernel in kernels.items():
+            dropped = kernel.compile(codes, drop_self=True)
+            expected = kernel.compile(codes).without_self_loops()
+            pairs = list(expected.transitions())
+            assert repr(list(dropped.transitions())) == repr(pairs), name
+            assert [dropped.labels_of(*pair) for pair in pairs] == [
+                expected.labels_of(*pair) for pair in pairs
+            ], name
+            assert dropped.initial == expected.initial, name
 
     def test_shared_bridge_spans_several_chunks(self):
         from repro.kernel.shared import SharedKernel

@@ -118,6 +118,21 @@ class TestConvergenceRefinement:
         assert result.holds
         assert compression_transitions(concrete, abstract) == [((5,), (2,))]
 
+    def test_same_image_step_is_never_a_compression(self):
+        # 0 -> 0 has an abstract path back to 0 (0 -> 1 -> 0) but no
+        # abstract self-loop: refinement rejects the step and no
+        # abstract path expands it, so it compresses nothing.
+        schema = StateSchema({"v": (0, 1, 2)})
+        concrete = sys_of(schema, [(0, 0), (1, 0), (2, 0)], (), name="C")
+        abstract = sys_of(schema, [(0, 1), (1, 0), (2, 0)], (), name="A")
+        assert compression_transitions(concrete, abstract) == []
+        result = check_convergence_refinement(concrete, abstract)
+        assert not result.holds
+        assert "no self-loop" in result.witness.message
+        assert expand_to_abstract_path(((0,), (0,)), abstract) is None
+        with_loop = sys_of(schema, [(0, 0), (0, 1), (1, 0), (2, 0)], (), name="A")
+        assert compression_transitions(concrete, with_loop) == []
+
     def test_compression_on_cycle_is_rejected(self, schema):
         # A has two cycles: 0->1->2->0 and 3->4->5->3.  C follows the
         # first exactly but shortcuts the second (3->5), so from the

@@ -11,7 +11,6 @@ import pytest
 
 from repro.checker import check_self_stabilization, check_stabilization
 from repro.gcl.action import GuardedAction
-from repro.gcl.daemon import CentralDaemon, SynchronousDaemon
 from repro.gcl.domain import EnumDomain, IntRange, ModularDomain
 from repro.gcl.expr import Add, AddMod, And, Const, Eq, Lt, Var
 from repro.gcl.program import Program
@@ -66,10 +65,6 @@ class TestClearMemo:
 
 
 class TestFallbackReasons:
-    def test_non_central_daemon_has_no_lowering(self):
-        reason = unlowerable_reason(utr_program(3), SynchronousDaemon())
-        assert reason is not None and "daemon" in reason
-
     def test_central_daemon_rings_all_lower(self):
         for program in (
             utr_program(4),
@@ -77,7 +72,7 @@ class TestFallbackReasons:
             dijkstra_three_state(4),
             kstate_program(4, 4),
         ):
-            assert unlowerable_reason(program, CentralDaemon()) is None
+            assert unlowerable_reason(program) is None
 
     def test_non_integer_domain_refuses(self):
         program = Program(
@@ -444,7 +439,7 @@ class _TableImage:
         return self.table[codes]
 
 
-def _shared_peel(program, members, drop_self=False, keep_stutter=True):
+def _shared_peel(program, members, drop_self=False):
     """``(shared_has_cycle, shared_longest_path)`` of ``program`` over
     the codes flagged in ``members``, one code per batch."""
     import numpy as np
@@ -457,7 +452,7 @@ def _shared_peel(program, members, drop_self=False, keep_stutter=True):
         shared_longest_path,
     )
 
-    kernel = SharedKernel(program, keep_stutter=keep_stutter)
+    kernel = SharedKernel(program)
     region = BitField(kernel.size)
     region.set_codes(np.flatnonzero(np.asarray(members, dtype=bool)))
     with open_runtime(kernel) as runtime:
@@ -473,12 +468,12 @@ class TestForwardPeel:
     vector one from its tables, the shared one from the streamed
     kernel."""
 
-    def _both_kernels(self, program, keep_stutter=True):
+    def _both_kernels(self, program):
         from repro.kernel.vector import VectorKernel
 
         return (
-            VectorKernel.from_program(program, keep_stutter=keep_stutter),
-            VectorKernel.from_system(program.compile(keep_stutter=keep_stutter)),
+            VectorKernel.from_program(program),
+            VectorKernel.from_system(program.compile()),
         )
 
     def test_duplicate_edges_keep_the_levels(self):
@@ -518,17 +513,13 @@ class TestForwardPeel:
         )
         members = [True] * 4
         region = np.ones(4, dtype=bool)
-        for kernel in self._both_kernels(program, keep_stutter=True):
+        for kernel in self._both_kernels(program):
             assert vector_has_cycle(kernel, region, drop_self=False)
             assert vector_longest_path(kernel, region, drop_self=False) is None
             assert not vector_has_cycle(kernel, region, drop_self=True)
             assert vector_longest_path(kernel, region, drop_self=True) == 3
         assert _shared_peel(program, members, drop_self=False) == (True, None)
         assert _shared_peel(program, members, drop_self=True) == (False, 3)
-        for kernel in self._both_kernels(program, keep_stutter=False):
-            assert not vector_has_cycle(kernel, region)
-            assert vector_longest_path(kernel, region) == 3
-        assert _shared_peel(program, members, keep_stutter=False) == (False, 3)
 
     def test_image_keeps_only_invisible_cycles(self):
         """0 -> 1 -> 2 -> 3 -> 0 is a cycle, but the image table makes
