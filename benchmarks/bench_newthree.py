@@ -91,7 +91,7 @@ def test_e10_aggressive_composite_equals_dijkstra3(benchmark, n):
 
 
 def test_e10_table(benchmark, record_table):
-    """The E10 rows, n = 3..8 on the vector engine, each timed.
+    """The E10 rows, n = 3..10 on the vector engine, each timed.
 
     Theorem 13's conclusion holds at n = 3 and 4 and fails from n = 5:
     a strongly fair computation stays in a trap outside the core
@@ -100,7 +100,7 @@ def test_e10_table(benchmark, record_table):
 
     def experiment():
         rows = []
-        for n in range(3, 9):
+        for n in range(3, 11):
             start = time.perf_counter()
             btr = btr_program(n)
             alpha = btr3_abstraction(n)

@@ -9,8 +9,10 @@ phase nested in another is charged to the outer one):
   to exhaustion, and the lowered init sweep where the tree has one;
 * ``materialize`` — ``materialize()`` on the vector and shared kernels,
   outside the refinement replay (the strong-fairness fair trap);
-* ``replay`` — building the two systems the tuple replay of a vector
-  refinement violation decides on.
+* ``replay`` — building the two systems a tuple replay of a refinement
+  check decides on.  Since refinement witnesses are found on vector
+  codes, only a check vector refuses, or whose abstraction leaves the
+  abstract schema, replays; small-specs has none.
 
 Prints the median pass time and the per-pass milliseconds of each
 phase.  Usage, from the repository root::

@@ -192,7 +192,7 @@ def run_chain(
 
     ``attempt(engine)`` returns the verdict, or ``None`` when the
     engine declines after emitting its own reasoned fallback event (a
-    refinement violation replays on tuple for the witness).  A
+    refinement abstraction that leaves the abstract schema).  A
     recoverable fault moves the check one engine down with a
     ``during="runtime"`` event; on the last engine it propagates.
     """

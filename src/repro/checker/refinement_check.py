@@ -38,33 +38,47 @@ long as no cycle of ``C`` consists solely of such invisible steps
 (which would hide divergence).
 
 Each relation has a tuple-engine reference procedure (the
-``_decide_*`` functions), the oracle whose witnesses every engine
-reports.  The vector engine decides the same clauses *optimistically*:
-one skeleton (:func:`_refinement`) drives :class:`_VectorClauses` over
-dense state codes and, when every clause holds, emits the tuple
-engine's counters and detail.  The engines are vector and tuple
-(:func:`~repro.checker.engines.engine_chain`): ``packed`` is an alias
-of ``vector``, a shared request continues at vector (the clauses have
-no streamed form), and where vector refuses the sources (an
-unlowerable program, the cell ceiling) the check replays on tuple;
-each says so in an ``engine.fallback`` event.  Clause 3 is one
-strongly connected component labelling of the concrete edge list the
-transition scan already expanded
-(:func:`repro.kernel.cycles.component_labels`): a compression
-``(s, t)`` lies on a cycle iff ``s`` and ``t`` share a component.  The
-invisible-divergence clause is :func:`~repro.kernel.cycles.cycle_codes`
-over the stutter edges that are not self-loops.  A violation — or an
-abstraction mapping some state outside the abstract schema — abandons
-the attempt with a reasoned ``engine.fallback`` event and replays the
-check on the tuple engine (a witness depends on its set iteration
-order), so verdicts, witnesses and counters are identical on every
-engine; so does a runtime fault on vector
+``_decide_*`` functions), the oracle whose verdicts every engine
+reports.  The vector engine decides the same clauses over dense state
+codes: one skeleton (:func:`_refinement`) drives
+:class:`_VectorClauses` and reports what they find — the tuple
+engine's counters and detail when every clause holds, and otherwise
+the tuple engine's witness, found on codes.  The engines are vector
+and tuple (:func:`~repro.checker.engines.engine_chain`): ``packed`` is
+an alias of ``vector``, a shared request continues at vector (the
+clauses have no streamed form), and where vector refuses the sources
+(an unlowerable program, the cell ceiling) the check replays on tuple;
+each says so in an ``engine.fallback`` event.
+
+Clause 2 is decided for every compression at once on the abstract's
+strongly connected components
+(:func:`repro.kernel.cycles.component_labels`): two distinct images in
+one component are joined by an abstract path, and the other pairs by
+one reachability over the condensation (:func:`_dag_reaches`).
+Clause 3 is one labelling of the concrete edge list the transition
+scan already expanded: a compression ``(s, t)`` lies on a cycle iff
+``s`` and ``t`` share a component.  The invisible-divergence clause
+labels the stutter edges that are not self-loops the same way.
+
+A violated clause yields its violating codes or edges, and the witness
+is the first of them in the order the tuple reference iterates, built
+from the states the tuple bridge builds
+(:meth:`~repro.kernel.vector.VectorKernel.compile`): initial states as
+the compiled system's initial set iterates, reachable states by
+``repr``, transitions as the compiled system lists them, the state
+space in code order.  A message shows alpha, which caches its images,
+of the first equal state that order meets.  So verdicts, witnesses and
+counters are identical on every engine, and no whole system is built.  Only an
+abstraction mapping some state outside the abstract schema, which has
+no code image, replays the check on the tuple engine after a reasoned
+``engine.fallback`` event; so does a runtime fault on vector
 (:func:`~repro.checker.engines.run_chain`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+import itertools
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -93,13 +107,19 @@ __all__ = [
 ]
 
 
-_VIOLATION_REPLAY_REASON = (
-    "violation found; replaying on the tuple engine for the witness"
-)
 _ALPHA_REPLAY_REASON = (
     "the abstraction maps some state outside the abstract schema; "
     "replaying on the tuple engine"
 )
+
+#: The most bytes one block of :func:`_dag_reaches` holds: a flag per
+#: (node, source) pair of the block.
+_REACH_BLOCK_BYTES = 1 << 24
+
+#: A decision of the vector clauses: the ``refine.*`` counters the
+#: tuple engine emits for it, the witness (``None``: the relation
+#: holds) and the detail line.
+_Decision = Tuple[Dict[str, int], Optional[Witness], str]
 
 
 class _VectorClauses:
@@ -107,25 +127,27 @@ class _VectorClauses:
 
     ``over()`` builds them from the check's sources, or returns
     ``None`` when the abstraction maps a state outside the abstract
-    schema.  ``initial_ok()`` is the initial-image clause;
-    ``reachable()`` the codes reachable from ``C``'s initial states;
-    ``edges_hold(codes, ...)`` the transition and maximality clauses of
-    ``[C (= A]`` over those codes (``None``: every code), returning the
-    number of transitions checked; ``scan()`` classifies every
-    transition as exact, stutter or compression;
-    ``compression_on_cycle()`` and ``bad_terminal()`` are clauses 3 and
-    4.  ``None`` or ``True`` reports a violation.  The clauses return
-    counts, flags and edge lists only — :func:`_refinement` owns the
-    spans, counters, events and verdict.  Transition counts match the
-    tuple engine's because ``succ_pairs`` deduplicates per (origin,
-    target) pair, as a compiled system's successor sets do.
+    schema.  ``init_clause()`` and ``everywhere_clause()`` decide
+    ``[C (= A]_init`` and ``[C (= A]``; ``scan()`` classifies every
+    transition as exact, stutter, compression or unrealizable, and
+    ``on_cycle()`` finds the edges that lie on a cycle (clause 3 and
+    the invisible-divergence clause); ``bad_terminal()`` is clause 4.
+    Witnesses are built here (``unrealized()``, ``edge_witness()``);
+    :func:`_refinement` owns the spans, counters, events and verdict.
+    Transition counts match the tuple engine's because ``succ_pairs``
+    deduplicates per (origin, target) pair, as a compiled system's
+    successor sets do.
     """
 
-    def __init__(self, kernel, abstract_kernel, image_of, instrumentation):
+    def __init__(self, kernel, abstract_kernel, image_of, mapping, instrumentation):
         self.kernel = kernel
         self.abstract_kernel = abstract_kernel
         self.image_of = image_of
+        self.mapping = mapping
         self.instrumentation = instrumentation
+        #: The codes reachable from ``C``'s initial states, once the
+        #: init clause has found them.
+        self.reachable: Optional[np.ndarray] = None
 
     @classmethod
     def over(cls, concrete, abstract, alpha, instrumentation):
@@ -149,192 +171,474 @@ class _VectorClauses:
             chaos.engine_states("vector", kernel.size)
         if bool((image_of < 0).any()):
             return None
-        return cls(kernel, abstract_kernel, image_of, instrumentation)
+        mapping = alpha if alpha is not None else identity_abstraction(kernel.schema)
+        return cls(kernel, abstract_kernel, image_of, mapping, instrumentation)
 
-    def initial_ok(self) -> bool:
-        initial_images = self.image_of[self.kernel.initial_array]
-        return bool(
-            np.isin(initial_images, self.abstract_kernel.initial_array).all()
-        )
+    # ------------------------------------------------------------------
+    # [C (= A]_init and [C (= A].
+    # ------------------------------------------------------------------
 
-    def reachable(self):
+    def init_clause(self, stutter_insensitive: bool, open_systems: bool) -> _Decision:
+        """``[C (= A]_init``: the initial images, then every transition
+        and terminal state reachable from ``C``'s initial states."""
         from ..kernel.vector import vector_reachable
 
-        flags = vector_reachable(
-            self.kernel,
-            self.kernel.initial_array,
-            instrumentation=self.instrumentation,
+        witness = self._bad_initial()
+        if witness is not None:
+            return {}, witness, ""
+        with self.instrumentation.span("refine.init_clause"):
+            reachable = np.flatnonzero(
+                vector_reachable(
+                    self.kernel,
+                    self.kernel.initial_array,
+                    instrumentation=self.instrumentation,
+                )
+            )
+        self.reachable = reachable
+        counters = {"refine.reachable.size": int(reachable.size)}
+        origins, targets, bad, bad_terminal = self._violations(
+            reachable, stutter_insensitive, open_systems
         )
-        return np.nonzero(flags)[0]
+        bad_sources = bad_terminal.copy()
+        bad_sources[origins[bad]] = True
+        if not bad_sources.any():
+            checked = int(origins.size)
+            counters["refine.init.transitions.checked"] = checked
+            return counters, None, (
+                f"{reachable.size} reachable states, {checked} transitions checked"
+            )
+        # The tuple engine scans the reachable states by repr.
+        positions = np.flatnonzero(bad_sources)
+        held, scanned = self._init_scan(reachable)
+        codes = reachable[positions]
+        states = [
+            held.get(code, state)
+            for code, state in zip(codes.tolist(), self.kernel.interner.decode_array(codes))
+        ]
+        index = min(range(len(states)), key=lambda i: repr(states[i]))
+        position = int(positions[index])
+        return counters, self._source_witness(
+            "reachable ", int(reachable[position]), states[index],
+            bool(bad_terminal[position]), targets[bad & (origins == position)],
+            scanned,
+        ), ""
 
-    def _moving(self, images) -> bool:
-        """Does any of these abstract codes have a successor?"""
-        return bool((~self.abstract_kernel.terminal_flags()[images]).any())
+    def everywhere_clause(self, stutter_insensitive: bool, open_systems: bool) -> _Decision:
+        """``[C (= A]``: every transition and terminal state, in the
+        tuple engine's code-order scan of the state space."""
+        codes = np.arange(self.kernel.size, dtype=np.int64)
+        origins, targets, bad, bad_terminal = self._violations(
+            codes, stutter_insensitive, open_systems
+        )
+        bad_sources = bad_terminal.copy()
+        bad_sources[origins[bad]] = True
+        if not bad_sources.any():
+            checked = int(origins.size)
+            return (
+                {"refine.everywhere.transitions.checked": checked},
+                None,
+                f"{checked} transitions checked",
+            )
+        code = int(np.argmax(bad_sources))
+        return {}, self._source_witness(
+            "", code, self.kernel.interner.decode(code), bool(bad_terminal[code]),
+            targets[bad & (origins == code)], self._code_scan(code),
+        ), ""
 
-    def edges_hold(
-        self, codes, stutter_insensitive: bool, open_systems: bool
-    ) -> Optional[int]:
-        if codes is None:
-            codes = np.arange(self.kernel.size, dtype=np.int64)
+    def _source_witness(
+        self, scope: str, code: int, state: State, terminal: bool,
+        bad_targets: np.ndarray, scanned: Iterable[State],
+    ) -> Witness:
+        """The witness of the violating ``state`` (of ``code``) found
+        by a scan of ``scope`` (``"reachable "`` or ``""``): its bad
+        terminal, or its first successor among ``bad_targets``, shown
+        as the scan passed ``scanned`` to alpha."""
+        if terminal:
+            return self._witness(
+                WitnessKind.BAD_TERMINAL,
+                f"{scope}terminal state of the concrete maps to a non-terminal "
+                "abstract state (maximality fails)",
+                (state,),
+            )
+        bad = set(bad_targets.tolist())
+        encode = self.kernel.interner.encode
+        successor = next(
+            successor
+            for successor in self.kernel.compile([code]).successors(state)
+            if encode(successor) in bad
+        )
+        image, target_image = self._images((state, successor), scanned)
+        return self._witness(
+            WitnessKind.ILLEGAL_TRANSITION,
+            f"{scope}transition has no image in {self.abstract_kernel.name}: "
+            f"{image!r} -> {target_image!r}",
+            (state, successor),
+        )
+
+    def _bad_initial(self) -> Optional[Witness]:
+        """The first initial state, as the compiled system's initial
+        set iterates, whose image is not initial in ``A``."""
+        initial = self.kernel.initial_array
+        bad = initial[
+            ~np.isin(self.image_of[initial], self.abstract_kernel.initial_array)
+        ]
+        if not bad.size:
+            return None
+        bad_codes = set(bad.tolist())
+        encode = self.kernel.interner.encode
+        state = next(
+            state for state in self.kernel.initial_states()
+            if encode(state) in bad_codes
+        )
+        return self._witness(
+            WitnessKind.ILLEGAL_TRANSITION,
+            f"initial state maps to {self.mapping(state)!r}, not initial in "
+            f"{self.abstract_kernel.name}",
+            (state,),
+        )
+
+    def _violations(self, codes, stutter_insensitive: bool, open_systems: bool):
+        """The transitions out of ``codes`` (``succ_pairs``' origin
+        positions and targets), which of them have no abstract image,
+        and which positions are terminal with a moving image."""
         origins, targets = self.kernel.succ_pairs(codes)
         image_source = self.image_of[codes[origins]]
         image_target = self.image_of[targets]
+        bad = ~self.abstract_kernel.has_edge(image_source, image_target)
         if stutter_insensitive:
-            needs_edge = image_target != image_source
+            bad &= image_target != image_source
+        if open_systems:
+            bad_terminal = np.zeros(codes.size, dtype=bool)
         else:
-            needs_edge = np.ones(targets.shape, dtype=bool)
-        if needs_edge.any() and not bool(
-            self.abstract_kernel.has_edge(
-                image_source[needs_edge], image_target[needs_edge]
-            ).all()
-        ):
-            return None
-        if not open_systems:
-            stuck = np.bincount(origins, minlength=codes.size) == 0
-            if self._moving(self.image_of[codes[stuck]]):
-                return None
-        return int(origins.size)
+            bad_terminal = (np.bincount(origins, minlength=codes.size) == 0) & ~(
+                self.abstract_kernel.terminal_flags()[self.image_of[codes]]
+            )
+        return origins, targets, bad, bad_terminal
+
+    def _init_scan(self, reachable: np.ndarray):
+        """The tuple engine's scan of the ``reachable`` codes, as far as
+        its states may differ from the codes' decodings: the states its
+        reachable set holds for some codes, and the states it passes to
+        alpha, in its order.
+
+        Those are the initial set's states, unless a move may build a
+        state other than the decoding (an action writing a value of
+        another type than its variable's domain, or a wrapped system's
+        own states).  Then which equal state the scan holds and meets
+        first depends on its search and its successor sets, so both run
+        over the reachable part.
+        """
+        encode = self.kernel.interner.encode
+        initial = self.kernel.initial_states()
+        if self.kernel.decodes:
+            return {encode(state): state for state in initial}, initial
+        region = self.kernel.compile(reachable.tolist())
+        held = {encode(state): state for state in region.reachable_from(initial)}
+        scanned = itertools.chain(
+            initial,
+            itertools.chain.from_iterable(
+                itertools.chain((state,), region.successors(state))
+                for state in sorted(held.values(), key=repr)
+            ),
+        )
+        return held, scanned
+
+    def _images(self, states, scanned: Iterable[State]) -> List[State]:
+        """The images of ``states`` as the tuple engine shows them:
+        alpha, which caches its images, applied first to the first
+        equal state of ``scanned``, the states its scan passed to it."""
+        encode = self.kernel.interner.encode
+        codes = [encode(state) for state in states]
+        first: Dict[int, State] = {}
+        for state in scanned:
+            code = encode(state)
+            if code in codes and code not in first:
+                first[code] = state
+                if len(first) == len(set(codes)):
+                    break
+        return [self.mapping(first.get(code, state)) for code, state in zip(codes, states)]
+
+    def _code_scan(self, last: int) -> Iterator[State]:
+        """The states the tuple engine's code-order scan passes to
+        alpha up to the state of code ``last``, as far as they may
+        differ from the witness states (see :meth:`_init_scan`)."""
+        if self.kernel.decodes:
+            return
+        region = self.kernel.compile(range(last + 1))
+        for state in self.kernel.interner.decode_array(np.arange(last + 1)):
+            yield state
+            yield from region.successors(state)
+
+    # ------------------------------------------------------------------
+    # [C <= A]'s clauses 2-4.
+    # ------------------------------------------------------------------
 
     def scan(self, stutter_insensitive: bool):
-        """The exact count, the stutter and compression edges, and the
-        whole concrete edge list, which clause 3 labels; ``None`` on an
-        unrealizable transition."""
-        from ..kernel.vector import vector_reachable
-        from ..kernel.vector.kernel import _unique_sorted
-
-        abstract_kernel = self.abstract_kernel
+        """The exact count; the stutter, compression and unrealizable
+        edges as ``(source, target)`` code rows; and the whole concrete
+        edge list, which clause 3 labels."""
         sources, targets = self.kernel.succ_pairs(
             np.arange(self.kernel.size, dtype=np.int64)
         )
         image_source = self.image_of[sources]
         image_target = self.image_of[targets]
-        abstract_edge = abstract_kernel.has_edge(image_source, image_target)
+        abstract_edge = self.abstract_kernel.has_edge(image_source, image_target)
         if stutter_insensitive:
             stutter_mask = image_target == image_source
         else:
             stutter_mask = np.zeros(targets.shape, dtype=bool)
         exact = int((~stutter_mask & abstract_edge).sum())
-        rest = ~stutter_mask & ~abstract_edge
-        rest_image_source = image_source[rest]
-        rest_image_target = image_target[rest]
-        # A same-image step with no abstract self-loop (and stuttering
-        # not allowed) is an immediate violation, never a compression.
-        if bool((rest_image_source == rest_image_target).any()):
-            return None
-        # The rest must be realizable as abstract paths of length >= 2.
-        # No edge left here has a direct abstract edge or equal images,
-        # so a target reached from a successor of its source image lies
-        # at least two steps away.  One reachability per distinct source
-        # image, from its successors.
-        for image in _unique_sorted(rest_image_source):
-            _, starts = abstract_kernel.succ_pairs(image.reshape(1))
-            if starts.size == 0:
-                return None
-            reach = vector_reachable(abstract_kernel, starts)
-            if not bool(reach[rest_image_target[rest_image_source == image]].all()):
-                return None
-        stutters = np.column_stack((sources[stutter_mask], targets[stutter_mask]))
-        compressions = np.column_stack((sources[rest], targets[rest]))
-        return exact, stutters, compressions, (sources, targets)
+        rest = np.flatnonzero(~stutter_mask & ~abstract_edge)
+        # Only the rest's images are read from here on.
+        image_source, image_target = image_source[rest], image_target[rest]
+        realized = self._realizable(image_source, image_target)
 
-    def compression_on_cycle(self, edges, concrete_edges) -> bool:
-        """Does a compression lie on a cycle of ``concrete_edges``, the
-        ``(sources, targets)`` arrays :meth:`scan` expanded?"""
-        from ..kernel.cycles import component_labels
+        def rows(picked):
+            return np.column_stack((sources[picked], targets[picked]))
 
+        return (
+            exact,
+            rows(stutter_mask),
+            rows(rest[realized]),
+            rows(rest[~realized]),
+            (sources, targets),
+        )
+
+    def _realizable(self, image_source, image_target) -> np.ndarray:
+        """Which of these abstract code pairs, joined by no abstract
+        edge, an abstract path joins — of two steps or more, then.
+
+        A same-image pair never is.  Two distinct images in one
+        strongly connected component of ``A`` are; the other pairs are
+        decided by one reachability over the components' condensation.
+        """
+        realizable = image_source != image_target
+        if not realizable.any():
+            return realizable
+        abstract = self.abstract_kernel
+        sources, targets = abstract.succ_pairs(np.arange(abstract.size, dtype=np.int64))
+        component = _components(sources, targets, abstract.size)
+        source_component = component[image_source]
+        target_component = component[image_target]
+        across = realizable & (source_component != target_component)
+        if across.any():
+            between = component[sources] != component[targets]
+            realizable[across] = _dag_reaches(
+                component[sources][between],
+                component[targets][between],
+                source_component[across],
+                target_component[across],
+                abstract.size,
+            )
+        return realizable
+
+    def on_cycle(self, edges: np.ndarray, graph) -> np.ndarray:
+        """The rows of ``edges``, each of two distinct codes, whose
+        codes share a strongly connected component of ``graph``,
+        ``(sources, targets)`` arrays: the edges of ``graph`` among
+        them lie on a cycle."""
         if not edges.size:
-            return False
-        labels = component_labels(*concrete_edges)
-        label_of = np.full(self.kernel.size, -1, dtype=np.int64)
-        label_of[list(labels)] = list(labels.values())
-        source_label = label_of[edges[:, 0]]
-        return bool(((source_label >= 0) & (source_label == label_of[edges[:, 1]])).any())
+            return edges
+        component = _components(*graph, self.kernel.size)
+        return edges[component[edges[:, 0]] == component[edges[:, 1]]]
 
-    def bad_terminal(self) -> bool:
-        return self._moving(self.image_of[self.kernel.terminal_flags()])
+    def unrealized(self, edges: np.ndarray) -> Witness:
+        """Clause 2's witness: the first of the unrealizable ``edges``."""
+        source, target = self._first_transition(edges)
+        _, scanned = self._init_scan(self.reachable)
+        if not self.kernel.decodes:
+            listed = self.kernel.compile(range(self.kernel.interner.encode(source) + 1))
+            scanned = itertools.chain(
+                scanned, itertools.chain.from_iterable(listed.transitions())
+            )
+        image_source, image_target = self._images((source, target), scanned)
+        if image_source == image_target:
+            message = (
+                "stuttering transition but the abstract has no self-loop at "
+                f"{image_source!r} (rerun with stutter_insensitive=True to "
+                "compare modulo stuttering)"
+            )
+        else:
+            message = (
+                f"no path of {self.abstract_kernel.name} realizes the image "
+                f"{image_source!r} -> {image_target!r}"
+            )
+        return self._witness(WitnessKind.NO_ABSTRACT_PATH, message, (source, target))
+
+    def edge_witness(self, edges: np.ndarray, message: str) -> Witness:
+        """A cycle clause's witness: the first of ``edges``."""
+        return self._witness(
+            WitnessKind.COMPRESSION_ON_CYCLE, message, self._first_transition(edges)
+        )
+
+    def bad_terminal(self) -> Optional[Witness]:
+        """Clause 4's witness: the first terminal state in code order
+        whose image can move; ``None`` when there is none."""
+        bad = self.kernel.terminal_flags() & ~(
+            self.abstract_kernel.terminal_flags()[self.image_of]
+        )
+        if not bad.any():
+            return None
+        return self._witness(
+            WitnessKind.BAD_TERMINAL,
+            "terminal state of the concrete maps to a non-terminal "
+            "abstract state: the matched abstract computation would "
+            "not be maximal",
+            (self.kernel.interner.decode(int(np.argmax(bad))),),
+        )
+
+    def _first_transition(self, edges: np.ndarray) -> Transition:
+        """The first of the ``(source, target)`` code rows ``edges`` in
+        the order ``C``'s compiled system lists its transitions.
+
+        A program's sources come in code order, so only the least
+        source is compiled; a wrapped system is listed in its own order.
+        """
+        bad = set(map(tuple, edges.tolist()))
+        bad_sources = {source for source, _ in bad}
+        encode = self.kernel.interner.encode
+        region = self.kernel.compile([min(bad_sources)])
+        for source in region.sources():
+            code = encode(source)
+            if code not in bad_sources:
+                continue
+            for target in region.successors(source):
+                if (code, encode(target)) in bad:
+                    return source, target
+        raise AssertionError("no listed transition is among the edges")
+
+    def _witness(self, kind: WitnessKind, message: str, states) -> Witness:
+        return Witness(kind, message, tuple(states), self.kernel.schema)
 
 
-#: What an optimistic clause decision proves: the success counters
-#: and the detail line, exactly as the tuple engine reports them.
-_Proof = Tuple[Dict[str, int], str]
+def _components(sources: np.ndarray, targets: np.ndarray, size: int) -> np.ndarray:
+    """Each code of ``[0, size)``'s strongly connected component in the
+    digraph ``sources[i] -> targets[i]``: its label from
+    :func:`~repro.kernel.cycles.component_labels`, or the code itself
+    for a code on no cycle."""
+    from ..kernel.cycles import component_labels
+
+    component = np.arange(size, dtype=np.int64)
+    labels = component_labels(sources, targets)
+    if labels:
+        component[np.fromiter(labels, dtype=np.int64, count=len(labels))] = (
+            np.fromiter(labels.values(), dtype=np.int64, count=len(labels))
+        )
+    return component
 
 
-def _stutter_cycle(stutters: np.ndarray) -> bool:
-    """Do the stutter edges, ``(source, target)`` rows, close a cycle
-    (literal self-loops excepted, as in the tuple engine)?"""
-    from ..kernel.cycles import cycle_codes
+def _dag_reaches(
+    edge_sources: np.ndarray,
+    edge_targets: np.ndarray,
+    pair_sources: np.ndarray,
+    pair_targets: np.ndarray,
+    size: int,
+) -> np.ndarray:
+    """Does a path of one edge or more lead from ``pair_sources[i]`` to
+    ``pair_targets[i]`` in the acyclic digraph ``edge_sources[j] ->
+    edge_targets[j]`` over the nodes ``[0, size)``?
 
-    moving = stutters[stutters[:, 0] != stutters[:, 1]]
-    return bool(cycle_codes(moving[:, 0], moving[:, 1]))
+    One pass in topological order carries, for every node, a flag per
+    distinct pair source: does a path from that source reach the node.
+    The edges leave the nodes level by level (Kahn), so a level's flags
+    are final before they are passed on.  Sources go in blocks of at
+    most :data:`_REACH_BLOCK_BYTES` of flags, one pass per block.
+    """
+    from ..kernel.vector.kernel import _ranges, _unique_sorted
+
+    keys = _unique_sorted(edge_sources * np.int64(size) + edge_targets)
+    edge_sources, edge_targets = keys // size, keys % size
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(edge_sources, minlength=size), out=indptr[1:])
+    in_degree = np.bincount(edge_targets, minlength=size)
+    # Each level's out-edges, grouped by target.
+    levels: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    frontier = np.flatnonzero(in_degree == 0)
+    while frontier.size:
+        out = _ranges(indptr[frontier], indptr[frontier + 1] - indptr[frontier])
+        if not out.size:
+            break
+        order = np.argsort(edge_targets[out], kind="stable")
+        level_sources = edge_sources[out][order]
+        level_targets = edge_targets[out][order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], level_targets[1:] != level_targets[:-1]))
+        )
+        heads = level_targets[starts]
+        in_degree[heads] -= np.diff(np.append(starts, level_targets.size))
+        levels.append((level_sources, starts, heads))
+        frontier = heads[in_degree[heads] == 0]
+    widest = max([size] + [sources.size for sources, _, _ in levels])
+    block = max(1, _REACH_BLOCK_BYTES // widest)
+    is_origin = np.zeros(size, dtype=bool)
+    is_origin[pair_sources] = True
+    origins = np.flatnonzero(is_origin)
+    column = np.zeros(size, dtype=np.int64)
+    column[origins] = np.arange(origins.size)
+    column_of = column[pair_sources]
+    reaches = np.zeros(pair_sources.shape, dtype=bool)
+    for first in range(0, origins.size, block):
+        members = origins[first:first + block]
+        flags = np.zeros((size, members.size), dtype=bool)
+        counts = indptr[members + 1] - indptr[members]
+        flags[
+            edge_targets[_ranges(indptr[members], counts)],
+            np.repeat(np.arange(members.size), counts),
+        ] = True
+        for level_sources, starts, heads in levels:
+            flags[heads] |= np.logical_or.reduceat(flags[level_sources], starts, axis=0)
+        inside = np.flatnonzero((column_of >= first) & (column_of < first + members.size))
+        reaches[inside] = flags[pair_targets[inside], column_of[inside] - first]
+    return reaches
 
 
-def _init_holds(
-    clauses, stutter_insensitive: bool, open_systems: bool,
-    instrumentation: Instrumentation,
-) -> Optional[_Proof]:
-    """``[C (= A]_init`` over a clause backend; ``None`` on a violation."""
-    if not clauses.initial_ok():
-        return None
-    with instrumentation.span("refine.init_clause"):
-        reachable = clauses.reachable()
-    checked = clauses.edges_hold(reachable, stutter_insensitive, open_systems)
-    if checked is None:
-        return None
-    return (
-        {
-            "refine.reachable.size": len(reachable),
-            "refine.init.transitions.checked": checked,
-        },
-        f"{len(reachable)} reachable states, {checked} transitions checked",
-    )
-
-
-def _everywhere_holds(
-    clauses, stutter_insensitive: bool, open_systems: bool,
-    instrumentation: Instrumentation,
-) -> Optional[_Proof]:
-    """``[C (= A]`` over a clause backend; ``None`` on a violation."""
-    checked = clauses.edges_hold(None, stutter_insensitive, open_systems)
-    if checked is None:
-        return None
-    return (
-        {"refine.everywhere.transitions.checked": checked},
-        f"{checked} transitions checked",
-    )
-
-
-def _convergence_holds(
-    clauses, stutter_insensitive: bool, open_systems: bool,
-    instrumentation: Instrumentation,
-) -> Optional[_Proof]:
-    """``[C <= A]``'s four clauses over a clause backend; ``None`` on
-    a violation."""
-    init = _init_holds(clauses, stutter_insensitive, open_systems, instrumentation)
-    if init is None:
-        return None
-    counters, _ = init
+def _convergence_clauses(
+    clauses: _VectorClauses, stutter_insensitive: bool, open_systems: bool
+) -> _Decision:
+    """``[C <= A]``'s four clauses over the vector clauses, in the
+    tuple engine's order."""
+    instrumentation = clauses.instrumentation
+    counters, witness, _ = clauses.init_clause(stutter_insensitive, open_systems)
+    if witness is not None:
+        return counters, witness, "init-refinement clause failed"
     with instrumentation.span("refine.transition_scan"):
-        scan = clauses.scan(stutter_insensitive)
-    if scan is None:
-        return None
-    exact, stutters, compressions, edges = scan
-    with instrumentation.span("refine.cycle_clause"):
-        on_cycle = clauses.compression_on_cycle(compressions, edges)
-    if on_cycle or _stutter_cycle(stutters):
-        return None
-    if not open_systems and clauses.bad_terminal():
-        return None
+        exact, stutters, compressions, unrealized, edges = clauses.scan(
+            stutter_insensitive
+        )
+    if unrealized.size:
+        return counters, clauses.unrealized(unrealized), ""
     counters["refine.transitions.exact"] = exact
     counters["refine.transitions.compressing"] = len(compressions)
     counters["refine.transitions.stuttering"] = len(stutters)
-    return counters, (
+    with instrumentation.span("refine.cycle_clause"):
+        on_cycle = clauses.on_cycle(compressions, edges)
+    if on_cycle.size:
+        return counters, clauses.edge_witness(
+            on_cycle,
+            "compressing transition lies on a cycle of the concrete "
+            "system: a computation around the cycle omits abstract "
+            "states infinitely often",
+        ), ""
+    # Literal self-loops are fairness artefacts, as in the tuple engine.
+    moving = stutters[stutters[:, 0] != stutters[:, 1]]
+    invisible = clauses.on_cycle(moving, (moving[:, 0], moving[:, 1]))
+    if invisible.size:
+        return counters, clauses.edge_witness(
+            invisible,
+            "cycle of abstract-invisible transitions: the concrete "
+            "can diverge without the abstract moving",
+        ), ""
+    terminal = None if open_systems else clauses.bad_terminal()
+    if terminal is not None:
+        return counters, terminal, ""
+    return counters, None, (
         f"{exact} exact transitions, {len(compressions)} compressions, "
         f"{len(stutters)} stutters"
     )
 
 
 def _refinement(
-    holds: Callable[..., Optional[_Proof]],
+    clauses_decide: Callable[..., _Decision],
     decide: Callable[..., CheckResult],
     concrete: SystemOrProgram,
     abstract: SystemOrProgram,
@@ -346,46 +650,36 @@ def _refinement(
     name: str,
     workers: int = 1,
 ) -> CheckResult:
-    """Select an engine, decide the relation on it, replay on tuple.
+    """Select an engine and decide the relation on it.
 
-    ``holds`` is the relation's optimistic decision over the vector
-    clauses and ``decide`` its tuple reference, called with the
-    compiled systems.  The engines are vector and tuple
-    (:func:`~.engines.engine_chain`).  A proof emits its counters and is
-    the verdict; a violation, or an image outside the abstract schema,
-    emits only the reasoned fallback before the tuple replay, and a
-    runtime fault on vector replays there too
-    (:func:`~.engines.run_chain`).  After a violation the replay's
-    systems are read off the vector attempt's kernels
-    (``materialize()``); otherwise it compiles the sources.  Every
-    engine decides refinement in one process, so a ``workers > 1``
-    request is noted with a ``parallel.sequential`` event.
+    ``clauses_decide(clauses, stutter_insensitive, open_systems)``
+    decides the relation over the vector clauses, witness included,
+    and ``decide`` is its tuple reference, called with the compiled
+    systems.  The engines are vector and tuple
+    (:func:`~.engines.engine_chain`).  A vector decision emits its
+    counters and is the verdict, holding or not; an image outside the
+    abstract schema emits only the reasoned fallback before the tuple
+    replay, and a runtime fault on vector replays there too
+    (:func:`~.engines.run_chain`).  Every engine decides refinement in
+    one process, so a ``workers > 1`` request is noted with a
+    ``parallel.sequential`` event.
     """
     chain = engine_chain(
         engine, concrete, abstract, alpha, ("vector", "tuple"),
         instrumentation, unserved="no streamed refinement clauses",
     )
     _note_sequential(instrumentation, chain[0], workers)
-    # The vector attempt's clauses, when they found a violation.
-    refuted: List[_VectorClauses] = []
 
     def attempt(rung: str) -> Optional[CheckResult]:
         if rung == "vector":
-            verdict, clauses = _vector_attempt(
-                holds, concrete, abstract, alpha, stutter_insensitive,
+            return _vector_attempt(
+                clauses_decide, concrete, abstract, alpha, stutter_insensitive,
                 open_systems, instrumentation, name,
             )
-            if verdict is None and clauses is not None:
-                refuted.append(clauses)
-            return verdict
-        if refuted:
-            concrete_system = refuted[0].kernel.materialize()
-            abstract_system = refuted[0].abstract_kernel.materialize()
-        else:
-            concrete_system = _as_system(concrete)
-            abstract_system = (
-                concrete_system if abstract is concrete else _as_system(abstract)
-            )
+        concrete_system = _as_system(concrete)
+        abstract_system = (
+            concrete_system if abstract is concrete else _as_system(abstract)
+        )
         return decide(
             concrete_system, abstract_system, alpha, stutter_insensitive,
             open_systems, instrumentation, name,
@@ -395,7 +689,7 @@ def _refinement(
 
 
 def _vector_attempt(
-    holds: Callable[..., Optional[_Proof]],
+    clauses_decide: Callable[..., _Decision],
     concrete: SystemOrProgram,
     abstract: SystemOrProgram,
     alpha: Optional[AbstractionFunction],
@@ -403,33 +697,27 @@ def _vector_attempt(
     open_systems: bool,
     instrumentation: Instrumentation,
     name: str,
-) -> Tuple[Optional[CheckResult], Optional[_VectorClauses]]:
-    """The verdict when the vector clauses prove the relation, ``None``
-    after a reasoned ``engine.fallback`` event when they do not; and
-    the clauses (``None`` when the abstraction leaves the abstract
-    schema)."""
+) -> Optional[CheckResult]:
+    """The verdict of the vector clauses, emitting the tuple engine's
+    counters for it; ``None`` after a reasoned ``engine.fallback``
+    event when the abstraction leaves the abstract schema."""
     if alpha is None:
         source_schema(concrete).require_compatible(
             source_schema(abstract), "refinement check without an abstraction function"
         )
     clauses = _VectorClauses.over(concrete, abstract, alpha, instrumentation)
-    proof = (
-        None
-        if clauses is None
-        else holds(clauses, stutter_insensitive, open_systems, instrumentation)
+    if clauses is None:
+        instrumentation.count("engine.fallback.tuple", 1)
+        instrumentation.event(
+            "engine.fallback", requested="vector", reason=_ALPHA_REPLAY_REASON
+        )
+        return None
+    counters, witness, detail = clauses_decide(
+        clauses, stutter_insensitive, open_systems
     )
-    if proof is not None:
-        counters, detail = proof
-        for counter, value in counters.items():
-            instrumentation.count(counter, value)
-        return CheckResult(True, name, detail=detail), clauses
-    instrumentation.count("engine.fallback.tuple", 1)
-    instrumentation.event(
-        "engine.fallback",
-        requested="vector",
-        reason=_ALPHA_REPLAY_REASON if clauses is None else _VIOLATION_REPLAY_REASON,
-    )
-    return None, clauses
+    for counter, value in counters.items():
+        instrumentation.count(counter, value)
+    return CheckResult(witness is None, name, witness, detail)
 
 
 def _resolve_alpha(
@@ -484,7 +772,7 @@ def check_init_refinement(
         engine: which engine decides (see the module docstring).
     """
     return _refinement(
-        _init_holds, _decide_init_refinement,
+        _VectorClauses.init_clause, _decide_init_refinement,
         concrete, abstract, alpha, stutter_insensitive, open_systems,
         instrumentation, engine,
         f"[{_source_name(concrete)} (= {_source_name(abstract)}]_init",
@@ -583,7 +871,7 @@ def check_everywhere_refinement(
     :func:`check_init_refinement`.
     """
     return _refinement(
-        _everywhere_holds, _decide_everywhere_refinement,
+        _VectorClauses.everywhere_clause, _decide_everywhere_refinement,
         concrete, abstract, alpha, stutter_insensitive, open_systems,
         instrumentation, engine,
         f"[{_source_name(concrete)} (= {_source_name(abstract)}]",
@@ -709,7 +997,7 @@ def check_convergence_refinement(
     """
     with instrumentation.span("refine.total"):
         result = _refinement(
-            _convergence_holds, _decide_convergence_refinement,
+            _convergence_clauses, _decide_convergence_refinement,
             concrete, abstract, alpha, stutter_insensitive, open_systems,
             instrumentation, engine,
             f"[{_source_name(concrete)} <= {_source_name(abstract)}]",

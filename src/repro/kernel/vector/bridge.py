@@ -1,8 +1,8 @@
 """Table-backed tuple bridges: the array kernels' ``compile`` and
 ``materialize``.
 
-The witness regions (the cycle witnesses and the strong-fairness
-fair-trap search) and the refinement replay need tuple-state
+The witness regions (the cycle witnesses, the strong-fairness
+fair-trap search and the refinement witnesses) need tuple-state
 :class:`~repro.core.system.System` objects whose successor sets
 iterate exactly as ``compile_program``'s do.  A :class:`TupleBridge`
 builds them from the per-action ``(mask, successor)`` arrays a kernel
@@ -79,17 +79,27 @@ class TupleBridge:
         ``compile`` gives; with ``drop_self`` self-loops are left out."""
         return self._system(np.fromiter(codes, dtype=np.int64), (), drop_self)
 
+    @property
+    def decodes(self) -> bool:
+        """Is every target state it builds its interner's decoding
+        (no action writes a value of another type than its variable's
+        domain)?"""
+        return not any(self._casts)
+
+    def initial_states(self) -> Iterable[State]:
+        """The initial states in the order ``Program.initial_states``
+        yields them, which :meth:`materialize` passes to its system."""
+        if self._scalar_initial is None:
+            return self._interner.decode_array(self._initial_codes)
+        return self._scalar_initial
+
     def materialize(self) -> System:
         """``program.compile()``: the whole space in code order, with
-        the initial states iterating as ``Program.initial_states``
-        yields them."""
-        initial: Iterable[State]
-        if self._scalar_initial is None:
-            initial = self._interner.decode_array(self._initial_codes)
-        else:
-            initial = self._scalar_initial
+        the initial states of :meth:`initial_states`."""
         return self._system(
-            np.arange(self._interner.size, dtype=np.int64), initial, False
+            np.arange(self._interner.size, dtype=np.int64),
+            self.initial_states(),
+            False,
         )
 
     def _system(

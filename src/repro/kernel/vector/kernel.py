@@ -22,20 +22,23 @@ Both forms expose the same batch API (:meth:`succ_pairs`,
 :meth:`edge_parts`, :meth:`has_edge`, :meth:`terminal_flags`) consumed
 by the array fixpoints in :mod:`.fixpoint`, plus the scalar
 :meth:`successors` and the bridges to tuple-state systems:
-:meth:`compile` for the witness regions (cycle witnesses and the
-fair-trap search), :meth:`materialize` for the refinement replay.  A
-kernel built :meth:`from_program` reads those off its action tables
-(:class:`~.bridge.TupleBridge`); one built :meth:`from_system` returns
-the system it wraps.  The batch forms take ``drop_self`` per call, the
-analysis view under weak and strong fairness; so does :meth:`compile`.
+:meth:`compile` for the witness regions (cycle witnesses, the
+fair-trap search and the refinement witnesses) and
+:meth:`initial_states`; :meth:`materialize` builds the whole system,
+which no checker calls.  A kernel built :meth:`from_program` reads
+those off its action tables (:class:`~.bridge.TupleBridge`); one built
+:meth:`from_system` returns the system it wraps.  The batch forms take
+``drop_self`` per call, the analysis view under weak and strong
+fairness; so does :meth:`compile`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ...core.state import State
 from ...core.system import System
 from ...gcl.program import Program
 from ..engine import CheckSource
@@ -131,14 +134,28 @@ class VectorKernel:
         returns its system (``without_self_loops()`` of it with
         ``drop_self``)."""
         if self._bridge is None:
-            system = self.materialize()
+            system = self._materialized
             return system.without_self_loops() if drop_self else system
         return self._bridge.compile(codes, drop_self)
 
+    @property
+    def decodes(self) -> bool:
+        """Is every state :meth:`compile` builds, outside the initial
+        set, its interner's decoding?  Not for a kernel built
+        :meth:`from_system`, whose states are its system's own."""
+        return self._bridge is not None and self._bridge.decodes
+
+    def initial_states(self) -> FrozenSet[State]:
+        """The initial states of :meth:`materialize`'s system, iterating
+        as they do there, without building it."""
+        if self._bridge is None:
+            return self._materialized.initial
+        return frozenset(self._bridge.initial_states())
+
     def materialize(self) -> System:
         """The equivalent tuple-state ``System``, read off the action
-        tables (cached on first call); only the refinement replay
-        after a vector violation calls it."""
+        tables (cached on first call).  No checker calls it: it stays
+        as a layer that ``benchmarks/perf/spans.py`` times."""
         if self._materialized is None:
             # Only a kernel built from_program starts unmaterialized.
             assert self._bridge is not None

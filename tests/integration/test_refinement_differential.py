@@ -1,16 +1,18 @@
 """Differential grid: every refinement clause on every engine.
 
-The vector engine decides the refinement relations optimistically — it
-can only prove success, and any violation (or an abstraction that
-leaves the abstract schema) replays on the tuple engine for the
-witness.  Refinement has no packed rung: where vector refuses the
-sources, the check replays on the tuple reference with vector's
-reason.  This grid runs each of the three refinement checks on each
-request, open and closed, strict and modulo stuttering, over one small
-control per way a clause can fail, and requires the formatted verdict
-and every ``refine.*`` counter to match the tuple engine's, with every
-failing attempt handing back through a reasoned ``engine.fallback``
-event.
+The vector engine decides the refinement relations on codes, witnesses
+included: a violated clause hands back its violating codes or edges,
+and the witness is the first of them in the order the tuple engine
+iterates.  Only an abstraction that leaves the abstract schema, which
+has no code image, replays on the tuple engine.  Refinement has no
+packed rung: where vector refuses the sources, the check replays on
+the tuple reference with vector's reason.  This grid runs each of the
+three refinement checks on each request, open and closed, strict and
+modulo stuttering, over one small control per way a clause can fail
+and per order the tuple engine picks its witness in, and requires the
+formatted verdict and every ``refine.*`` counter to match the tuple
+engine's, with no ``engine.fallback`` event but for a refusal or the
+abstraction's replay.
 """
 
 from __future__ import annotations
@@ -24,10 +26,8 @@ from repro.checker import (
     check_everywhere_refinement,
     check_init_refinement,
 )
-from repro.checker.refinement_check import (
-    _ALPHA_REPLAY_REASON,
-    _VIOLATION_REPLAY_REASON,
-)
+from repro.checker import refinement_check
+from repro.checker.refinement_check import _ALPHA_REPLAY_REASON
 from repro.core.abstraction import AbstractionFunction
 from repro.core.state import StateSchema
 from repro.core.system import System
@@ -36,6 +36,7 @@ from repro.parallel import parallel_available
 from tests.packed_rung import PACKED_RUNG_REASON, packed_rung
 
 SCHEMA = StateSchema({"v": tuple(range(6))})
+WIDE = StateSchema({"v": tuple(range(12))})
 CYCLE = [(0, 1), (1, 2), (2, 3), (3, 0)]
 
 
@@ -48,6 +49,40 @@ def _system(pairs, initial=((0,),), name="C", schema=SCHEMA):
 def _abstract():
     """0 -> 1 -> 2 -> 3 -> 0 plus the recovery edges 4 -> 2 and 5 -> 4."""
     return _system(CYCLE + [(4, 2), (5, 4)], name="A")
+
+
+def _casting(actions, abstract_pairs):
+    """A program over ``x`` in 0..2 and ``y`` in 0..1 whose actions
+    write the bool ``x == c`` into the int ``y``, so their targets
+    keep ``y = True``, against the abstract system ``abstract_pairs``
+    on the same schema.  Each action is ``(x before, x after, c)``, or
+    ``(x before, x after)`` for one that leaves ``y`` alone."""
+    from repro.gcl.action import GuardedAction
+    from repro.gcl.domain import IntRange
+    from repro.gcl.expr import Const, Eq, Var
+    from repro.gcl.program import Program
+    from repro.gcl.variable import Variable
+
+    def at(value):
+        return Eq(Var("x"), Const(value))
+
+    def writes(action):
+        assignments = {"x": Const(action[1])}
+        if len(action) > 2:
+            assignments["y"] = at(action[2])
+        return assignments
+
+    concrete = Program(
+        "C",
+        [Variable("x", IntRange(0, 2)), Variable("y", IntRange(0, 1))],
+        [
+            GuardedAction(f"a{index}", at(action[0]), writes(action))
+            for index, action in enumerate(actions)
+        ],
+        init=[{"x": 0, "y": 0}],
+    )
+    abstract = System(concrete.schema(), abstract_pairs, initial=((0, 0),), name="A")
+    return concrete, abstract, None
 
 
 def _compression_on_cycle():
@@ -122,6 +157,48 @@ CONTROLS = {
     ),
     "stutter-only-cycle": _stutter_only_cycle,
     "alpha-outside-schema": _alpha_outside_schema,
+    # The controls below pin the order the tuple engine picks its
+    # witness in (WITNESS_ORDER): its first violation is not the
+    # lowest-code one.  Here the System lists source 4 before source
+    # 2, and both of their steps to 5 are unrealizable.
+    "system-source-order": lambda: (
+        _system([(4, 5), (2, 5)] + CYCLE, initial=()), _abstract(), None
+    ),
+    # Reachable states are scanned by repr, and (10,) sorts before (9,).
+    "reachable-repr-order": lambda: (
+        _system([(0, 9), (0, 10), (9, 11), (10, 11)], schema=WIDE),
+        _system([(0, 9), (0, 10), (9, 0), (10, 0)], name="A", schema=WIDE),
+        None,
+    ),
+    # (6,) comes first in the successor set {(1,), (2,), (6,)}.
+    "successor-set-order": lambda: (
+        _system([(0, 1), (0, 2), (0, 6)], schema=WIDE),
+        _system([(0, 3)], name="A", schema=WIDE),
+        None,
+    ),
+    # (6,) comes first in the initial set {(1,), (6,)}.
+    "initial-set-order": lambda: (
+        _system([(1, 0), (6, 0)], initial=((1,), (6,)), schema=WIDE),
+        _system([(0, 3)], name="A", schema=WIDE),
+        None,
+    ),
+    # (0, 0) steps to (1, True), which is reachable; its step to (2, 1)
+    # and (0, 1)'s step to (1, True) have no abstract image.
+    "cast-write": lambda: _casting([(0, 1, 0), (1, 2)], [((0, 0), (1, 1))]),
+    # (2, 0) steps to (1, True), and the scan in code order has met
+    # (1, 1) first: the witness shows (1, True), its message (1, 1).
+    "cast-image": lambda: _casting([(2, 1, 2)], []),
+}
+
+#: control -> (check, the repr of the tuple engine's witness states,
+#: that of the lowest-code violation).
+WITNESS_ORDER = {
+    "system-source-order": ("convergence", "((4,), (5,))", "((2,), (5,))"),
+    "reachable-repr-order": ("init", "((10,), (11,))", "((9,), (11,))"),
+    "successor-set-order": ("everywhere", "((0,), (6,))", "((0,), (1,))"),
+    "initial-set-order": ("init", "((6,),)", "((1,),)"),
+    "cast-write": ("init", "((1, True), (2, 1))", "((1, 1), (2, 1))"),
+    "cast-image": ("everywhere", "((2, 0), (1, True))", "((2, 0), (1, 1))"),
 }
 
 _WORKER_COUNTS = [1, 4] if parallel_available() else [1]
@@ -145,9 +222,6 @@ CHECK_RUNS = [
     for check in sorted(CHECKS)
     for workers in (_WORKER_COUNTS if check != "everywhere" else [1])
 ]
-
-REPLAY_REASONS = (_VIOLATION_REPLAY_REASON, _ALPHA_REPLAY_REASON)
-
 
 def _run(control, check, engine, open_systems, stutter, workers=1):
     concrete, abstract, alpha = CONTROLS[control]()
@@ -198,12 +272,21 @@ def test_engine_matches_tuple(
         assert refusal in reasons, reasons
         assert record.counters["engine.fallback.tuple"] == 1
         assert "engine.packed" not in record.counters
-    elif verdict.holds:
-        # A clause the engine wrongly reports violated would still
-        # render the right verdict, through a needless tuple replay.
-        assert _VIOLATION_REPLAY_REASON not in reasons, reasons
+    elif control == "alpha-outside-schema":
+        assert reasons == [_ALPHA_REPLAY_REASON]
     else:
-        assert any(reason in REPLAY_REASONS for reason in reasons), reasons
+        # Held or violated, the verdict is vector's own.
+        assert reasons == []
+        assert "engine.fallback.tuple" not in record.counters
+
+
+@pytest.mark.parametrize("control", sorted(WITNESS_ORDER))
+def test_witness_order_controls_stay_meaningful(control):
+    """Each witness-order control still makes the tuple engine report a
+    violation other than the lowest-code one."""
+    check, expected, lowest = WITNESS_ORDER[control]
+    verdict, _ = _run(control, check, "tuple", False, False)
+    assert repr(verdict.witness.states) == expected != lowest
 
 
 @pytest.mark.parametrize(
@@ -221,6 +304,10 @@ def test_engine_matches_tuple(
          "state (maximality fails)"),
         ("everywhere", "init-only", False, False,
          "transition has no image in A: (4,) -> (3,)"),
+        # Alpha caches its images, so the message shows the state the
+        # scan met first, not the witness's own (2, 0) -> (1, True).
+        ("everywhere", "cast-image", False, False,
+         "transition has no image in A: (2, 0) -> (1, 1)"),
         ("convergence", "strict-stutter", False, False,
          "stuttering transition but the abstract has no self-loop at (4,) "
          "(rerun with stutter_insensitive=True to compare modulo "
@@ -251,13 +338,16 @@ def test_every_witness_message_is_reached(
 
 def _as_program(system):
     """``system`` as a guarded-command program: one action per
-    transition, each guarded by its source state and writing its target."""
+    transition, each guarded by its source state and writing its target
+    (a program stays as it is)."""
     from repro.gcl.action import GuardedAction
     from repro.gcl.domain import IntRange
     from repro.gcl.expr import And, Const, Eq, Var
     from repro.gcl.program import Program
     from repro.gcl.variable import Variable
 
+    if isinstance(system, Program):
+        return system
     names = system.schema.names
     actions = []
     for index, (source, target) in enumerate(sorted(system.transitions())):
@@ -303,22 +393,27 @@ def _observed(record):
 @pytest.mark.parametrize("check", sorted(CHECKS))
 @pytest.mark.parametrize("control", sorted(CONTROLS))
 def test_violation_replays_on_the_vector_kernels(control, check, monkeypatch):
-    """On programs, a vector violation replays on tuple systems read off
-    the vector attempt's kernels: no program is compiled, and verdict,
-    counters and events are the tuple engine's.  An image outside the
-    abstract schema builds no clauses, so that replay compiles."""
+    """Violations are witnessed on the vector kernels: on programs,
+    vector decides every verdict on its kernels, witnesses included, so
+    no program is compiled, no kernel materialized and no tuple
+    procedure called, and verdict, counters and events are the tuple
+    engine's.  An image outside the abstract schema builds no clauses,
+    so only that check replays on tuple, compiling the programs."""
     from repro.gcl.program import Program
+    from repro.kernel.vector import VectorKernel
 
     concrete, abstract, alpha = CONTROLS[control]()
     concrete, abstract = _as_program(concrete), _as_program(abstract)
-    compile_program = Program.compile
-    compiled = []
+    called = []
 
-    def watched(self, *args, **kwargs):
-        if control != "alpha-outside-schema":
-            raise AssertionError(f"{self.name} compiled during the replay")
-        compiled.append(self.name)
-        return compile_program(self, *args, **kwargs)
+    def watch(patch, owner, name):
+        original = getattr(owner, name)
+
+        def watched(*args, **kwargs):
+            called.append(name)
+            return original(*args, **kwargs)
+
+        patch.setattr(owner, name, watched)
 
     for open_systems in (False, True):
         for stutter in (False, True):
@@ -327,7 +422,14 @@ def test_violation_replays_on_the_vector_kernels(control, check, monkeypatch):
                 recorder = Recorder()
                 with monkeypatch.context() as patch:
                     if engine == "vector":
-                        patch.setattr(Program, "compile", watched)
+                        watch(patch, Program, "compile")
+                        watch(patch, VectorKernel, "materialize")
+                        for name in (
+                            "_decide_init_refinement",
+                            "_decide_everywhere_refinement",
+                            "_decide_convergence_refinement",
+                        ):
+                            watch(patch, refinement_check, name)
                     verdict = CHECKS[check](
                         concrete, abstract, alpha, stutter_insensitive=stutter,
                         open_systems=open_systems, instrumentation=recorder,
@@ -336,4 +438,6 @@ def test_violation_replays_on_the_vector_kernels(control, check, monkeypatch):
                 runs[engine] = verdict.format(), _observed(recorder.record())
             assert runs["vector"] == runs["tuple"]
     if control == "alpha-outside-schema":
-        assert compiled
+        assert "compile" in called and "materialize" not in called
+    else:
+        assert called == []

@@ -170,6 +170,43 @@ def test_labels_shared_iff_mutually_reachable(edges, arrays):
             assert shared == mutual, (first, second)
 
 
+@pytest.mark.parametrize("block_bytes", [1, 1 << 24])
+@settings(max_examples=300, deadline=None)
+@given(edges=digraphs())
+def test_condensation_reaches_what_the_digraph_reaches(edges, block_bytes):
+    """Clause 2 of convergence refinement rests on this: nodes of two
+    components are joined by a path iff the condensation joins their
+    components — in one block of sources, and in one block each."""
+    from unittest import mock
+
+    import numpy as np
+
+    from repro.checker import refinement_check
+
+    sources, targets = _inputs(edges, True)
+    component = np.arange(NODES)
+    for node, label in component_labels(sources, targets).items():
+        component[node] = label
+    between = component[sources] != component[targets]
+    pairs = [
+        (first, second)
+        for first in range(NODES)
+        for second in range(NODES)
+        if component[first] != component[second]
+    ]
+    with mock.patch.object(refinement_check, "_REACH_BLOCK_BYTES", block_bytes):
+        reaches = refinement_check._dag_reaches(
+            component[sources][between],
+            component[targets][between],
+            component[[first for first, _ in pairs]],
+            component[[second for _, second in pairs]],
+            NODES,
+        )
+    assert dict(zip(pairs, reaches.tolist())) == {
+        pair: pair in _reaches(edges) for pair in pairs
+    }
+
+
 @pytest.mark.parametrize("arrays", _PATHS)
 @settings(max_examples=200, deadline=None)
 @given(edges=digraphs())

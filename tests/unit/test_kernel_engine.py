@@ -258,7 +258,7 @@ class TestTupleBridges:
     """The array kernels' ``materialize()`` and ``compile(codes,
     drop_self)`` are read off their action tables, and must be the
     scalar compiler's systems exactly: witnesses, the fair trap and the
-    refinement replay iterate them."""
+    refinement witnesses iterate them."""
 
     @staticmethod
     def _kernels(program):
