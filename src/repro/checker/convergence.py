@@ -38,7 +38,7 @@ Which engines may run a check, and in which order, is decided by
 :func:`~repro.checker.engines.engine_chain` (shared → vector → packed →
 tuple, each kept only where its preflight passes), and
 :func:`~repro.checker.engines.run_chain` moves a check down that list
-on a runtime fault.  An engine contributes a *backend*
+when a spill write fails.  An engine contributes a *backend*
 (:data:`_BACKENDS`) that computes
 the sets in its own representation — tuple states, packed int codes,
 NumPy flag arrays, or streamed bit fields — and answers in tuple
@@ -133,7 +133,7 @@ class StabilizationResult:
             ``compute_steps``, or passed under strong fairness with
             cycles left outside ``G``.
         engine: the engine that actually decided the check (after
-            preflight fallback and runtime degradation) when it came
+            preflight fallback and a failed spill write) when it came
             through :func:`check_stabilization`; ``None`` on directly
             constructed results.  Excluded from equality — verdicts
             are engine-identical, and the differential tests compare
@@ -405,8 +405,8 @@ def check_stabilization(
             decides one check in one process; asked for more than one
             worker, the check says so once, with a
             ``parallel.sequential`` event naming the first engine of
-            its chain, however far down it degrades.  The verdict — witness and formatted rendering included —
-            is identical for every worker count.
+            its chain.  The verdict — witness and formatted rendering
+            included — is identical for every worker count.
         engine: ``'tuple'`` (the default) walks tuple states through
             an eagerly compiled :class:`System`; ``'vector'`` runs
             whole-space array fixpoints, ``'shared'`` streams them in
@@ -444,7 +444,7 @@ def check_stabilization(
             chain, lambda name: _attempt(name, request), instrumentation
         )
     # Stamp the engine that actually decided (not the one requested):
-    # runtime degradation may have moved down the chain.
+    # a failed spill write may have moved down the chain.
     result = replace(result, engine=decided)
     instrumentation.count("check.legitimate.size", len(result.legitimate_abstract))
     instrumentation.count("check.core.size", len(result.core))

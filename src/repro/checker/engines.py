@@ -14,9 +14,12 @@ which of them runs a check, for both checkers:
   ``engine.*`` counters.  Nothing is refused silently: every request
   that does not run as asked says why.
 * :func:`run_chain` runs the checker's attempt on each listed engine
-  in turn.  A recoverable runtime fault
-  (:data:`~repro.resilience.degrade.RECOVERABLE_ENGINE_FAULTS`) moves
-  the check to the next engine with a ``during="runtime"`` event.
+  in turn.  A failed spill write
+  (:class:`~repro.resilience.degrade.EngineFault`) moves the check to
+  the next engine with a ``during="runtime"`` event.  A
+  ``MemoryError`` ends the check on the engine that raised it, with
+  one ``engine.out_of_memory`` event: every lower engine holds more
+  per state, so none of them could finish.
 
 Restarting lower down is sound because the engines are pure functions
 of their inputs with identical verdicts (the CI differentials pin
@@ -33,7 +36,8 @@ from ..core.abstraction import AbstractionFunction
 from ..kernel.engine import CheckSource
 from ..kernel.shared.budget import active_memory_context
 from ..obs import Instrumentation
-from ..resilience.degrade import RECOVERABLE_ENGINE_FAULTS
+from ..obs.instrument import _rss_kib
+from ..resilience.degrade import EngineFault
 
 __all__ = [
     "ENGINES",
@@ -192,14 +196,17 @@ def run_chain(
 
     ``attempt(engine)`` returns the verdict, or ``None`` when the
     engine declines after emitting its own reasoned fallback event (a
-    refinement abstraction that leaves the abstract schema).  A
-    recoverable fault moves the check one engine down with a
-    ``during="runtime"`` event; on the last engine it propagates.
+    refinement abstraction that leaves the abstract schema).  An
+    :class:`~repro.resilience.degrade.EngineFault` moves the check one
+    engine down with a ``during="runtime"`` event; on the last engine
+    it propagates.  A ``MemoryError`` ends the check: one
+    ``engine.out_of_memory`` event names the engine and the process's
+    peak RSS, and a ``MemoryError`` naming both propagates.
     """
     for position, engine in enumerate(chain):
         try:
             outcome = attempt(engine)
-        except RECOVERABLE_ENGINE_FAULTS as fault:
+        except EngineFault as fault:
             if position == len(chain) - 1:
                 raise
             instrumentation.count(f"engine.fallback.{chain[position + 1]}", 1)
@@ -211,6 +218,24 @@ def run_chain(
                 reason=f"{type(fault).__name__}: {fault}",
             )
             continue
-        if outcome is not None:
-            return engine, outcome
+        except MemoryError as fault:
+            detail = str(fault)
+        else:
+            if outcome is not None:
+                return engine, outcome
+            continue
+        # Past the handler the fault's traceback is gone, and with it
+        # the failed attempt's frames and the arrays they held.
+        peak_kib = _rss_kib()
+        instrumentation.event(
+            "engine.out_of_memory",
+            engine=engine,
+            peak_rss_kib=peak_kib,
+            reason=detail,
+        )
+        raise MemoryError(
+            f"the {engine} engine ran out of memory "
+            f"(peak RSS {peak_kib // 1024} MiB)"
+            + (f": {detail}" if detail else "")
+        )
     raise AssertionError("engine chain exhausted")  # pragma: no cover

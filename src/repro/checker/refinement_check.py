@@ -71,8 +71,7 @@ of the first equal state that order meets.  So verdicts, witnesses and
 counters are identical on every engine, and no whole system is built.  Only an
 abstraction mapping some state outside the abstract schema, which has
 no code image, replays the check on the tuple engine after a reasoned
-``engine.fallback`` event; so does a runtime fault on vector
-(:func:`~repro.checker.engines.run_chain`).
+``engine.fallback`` event.
 """
 
 from __future__ import annotations
@@ -153,22 +152,15 @@ class _VectorClauses:
     def over(cls, concrete, abstract, alpha, instrumentation):
         """The clauses of ``concrete`` against ``abstract`` through
         ``alpha``; ``None`` when some image leaves the abstract schema.
-
-        The image sweep enumerates every concrete code, so a
-        ``raise-memory`` chaos fault on the vector engine can land here
-        (:func:`repro.resilience.chaos.engine_states`).
         """
         from ..kernel.shared.image import SharedImage
         from ..kernel.vector import as_vector_kernel
-        from ..resilience import chaos
 
         kernel = as_vector_kernel(concrete)
         abstract_kernel = kernel if abstract is concrete else as_vector_kernel(abstract)
         image_of = SharedImage(
             kernel.interner, abstract_kernel.interner, alpha
         ).of(np.arange(kernel.size, dtype=np.int64))
-        if chaos.active_plan() is not None:
-            chaos.engine_states("vector", kernel.size)
         if bool((image_of < 0).any()):
             return None
         mapping = alpha if alpha is not None else identity_abstraction(kernel.schema)
@@ -659,10 +651,9 @@ def _refinement(
     (:func:`~.engines.engine_chain`).  A vector decision emits its
     counters and is the verdict, holding or not; an image outside the
     abstract schema emits only the reasoned fallback before the tuple
-    replay, and a runtime fault on vector replays there too
-    (:func:`~.engines.run_chain`).  Every engine decides refinement in
-    one process, so a ``workers > 1`` request is noted with a
-    ``parallel.sequential`` event.
+    replay (:func:`~.engines.run_chain`).  Every engine decides
+    refinement in one process, so a ``workers > 1`` request is noted
+    with a ``parallel.sequential`` event.
     """
     chain = engine_chain(
         engine, concrete, abstract, alpha, ("vector", "tuple"),

@@ -41,7 +41,8 @@ command in ``cProfile`` and store the pstats dump).
 
 All commands exit with status 0 when the checked property holds (or
 the run completes) and 1 otherwise, printing the witness, so the CLI
-is usable from shell scripts and CI.
+is usable from shell scripts and CI.  Status 2 means the run decided
+nothing: an input error, or a check that ran out of memory.
 """
 
 from __future__ import annotations
@@ -583,7 +584,8 @@ def _flush_recorder(args, recorder: Optional[Recorder]) -> None:
 
 
 def _input_error(args, exc: Exception) -> int:
-    """Report an input error and end the run with exit status 2.
+    """Report an input error (or exhausted memory) and end the run with
+    exit status 2.
 
     When ``--obs-out`` was given, the run record is written with one
     ``cli.error`` event naming the error.  It is written silently, so
@@ -932,6 +934,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     except FileNotFoundError as exc:
         return _input_error(args, exc)
+    except MemoryError as exc:
+        hint = (
+            "; rerun with --mem-budget to stream the check on the shared "
+            "engine, which spills past the budget to disk"
+            if hasattr(args, "mem_budget") else ""
+        )
+        return _input_error(
+            args, MemoryError(f"{exc or 'out of memory'}{hint}")
+        )
     except Exception as exc:  # surfaced as a clean CLI error, not a traceback
         from .core.errors import ReproError
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
-from ..core.errors import GCLError
+from ..core.errors import GCLError, StateSpaceError
 from ..core.state import State
 from ..core.system import System, Transition, stutter_free
 from .daemon import CentralDaemon, Daemon
@@ -122,7 +122,7 @@ def program_moves(
     for new_env, action_labels in daemon.steps(program.actions, env):
         try:
             successor = schema.pack(new_env)
-        except Exception as exc:
+        except StateSpaceError as exc:
             raise GCLError(
                 f"program {program.name!r}: action(s) {action_labels} drive "
                 f"the state out of domain from {schema.format_state(state)}: {exc}"

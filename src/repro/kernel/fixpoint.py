@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs import NULL_INSTRUMENTATION, Instrumentation, ProgressEmitter
-from ..resilience import chaos
 
 #: Sequential loops report progress once per this many expansions —
 #: frequent enough for a live ticker, cheap enough to disappear in the
@@ -60,18 +59,11 @@ def packed_reachable(
             seen[code] = 1
             initial.append(code)
     progress = ProgressEmitter(instrumentation, "packed.reachable")
-    # Resolved once per call: with no active fault plan the hook is a
-    # single ``is not None`` test per expansion, free in the hot loop.
-    chaos_hook = (
-        chaos.engine_states if chaos.active_plan() is not None else None
-    )
     stack = initial
     expanded = 0
     while stack:
         code = stack.pop()
         expanded += 1
-        if chaos_hook is not None:
-            chaos_hook("packed", expanded)
         if progress.enabled and expanded % _HEARTBEAT_EVERY == 0:
             progress.tick(0, len(stack), expanded)
         for successor in succ_of(code):
@@ -145,20 +137,11 @@ def packed_core(
     instrumentation.count("check.states.enumerated", size)
     instrumentation.count("check.candidates.initial", remaining)
     progress = ProgressEmitter(instrumentation, "packed.core")
-    chaos_hook = (
-        chaos.engine_states if chaos.active_plan() is not None else None
-    )
-    if chaos_hook is not None:
-        chaos_hook("packed", size)
     iterations = 0
     changed = True
     while changed:
         changed = False
         iterations += 1
-        if chaos_hook is not None:
-            # Cumulative enumeration: the candidate scan plus one full
-            # membership sweep per fixpoint round.
-            chaos_hook("packed", size * (iterations + 1))
         evicted = 0
         for code in range(size):
             if flags[code] and _must_evict_packed(

@@ -47,7 +47,6 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ...obs import NULL_INSTRUMENTATION, Instrumentation, ProgressEmitter
-from ...resilience import chaos
 from ..vector.fixpoint import _evict_chunk, _grouped
 from ..vector.kernel import VectorKernel
 from .frontier import BitField, CodeRuns
@@ -108,17 +107,10 @@ def shared_core(
     abs_has_successor = ~abstract_kernel.terminal_flags()
     ignorable_stutter = stutter_insensitive or fairness_ignores_stutter
     progress = ProgressEmitter(instrumentation, "shared.core")
-    chaos_hook = (
-        chaos.engine_states if chaos.active_plan() is not None else None
-    )
-    if chaos_hook is not None:
-        chaos_hook("shared", size)
     iterations = 0
     changed = True
     while changed:
         iterations += 1
-        if chaos_hook is not None:
-            chaos_hook("shared", size * (iterations + 1))
         evicted_runs = CodeRuns(
             runtime.spill, runtime.run_cap_bytes, dtype=runtime.code_dtype
         )

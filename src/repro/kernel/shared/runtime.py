@@ -4,8 +4,9 @@ One :class:`SharedRuntime` spans one engine run (one decide).  It owns
 the :class:`~.spill.SpillStore` whose cleanup must be unconditional —
 :func:`open_runtime` is the only sanctioned way in, and its ``finally``
 releases the table pool and removes the spill directory no matter how
-the check ends: success, engine fault feeding the degradation chain,
-or a ``KeyboardInterrupt`` mid-fixpoint.
+the check ends: success, a failed spill write that moves the check
+to the next engine, a ``MemoryError``, or a ``KeyboardInterrupt``
+mid-fixpoint.
 
 The runtime also fixes the run's two cross-cutting perf decisions:
 

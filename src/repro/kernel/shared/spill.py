@@ -28,8 +28,8 @@ the chaos lifecycle tests assert nothing survives a worker kill.
 
 An unusable spill directory (not a directory, unwritable, disk full)
 raises :class:`~repro.resilience.degrade.EngineFault` when the store
-creates it or writes a run, so the checker's degradation chain retries
-the check on the next engine instead of crashing.
+creates it or writes a run, so the checker retries the check on the
+next engine of its chain instead of crashing.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from typing import Callable, Iterator, Optional, Tuple
 import numpy as np
 
 from ...obs import NULL_INSTRUMENTATION, Instrumentation, ProgressEmitter
-from ...resilience import chaos
 from .kernel import VectorKernel, _unique_sorted
 
 __all__ = [
@@ -56,16 +55,11 @@ def vector_reachable(
     if frontier.size:
         seen[frontier] = True
     progress = ProgressEmitter(instrumentation, "vector.reachable")
-    chaos_hook = (
-        chaos.engine_states if chaos.active_plan() is not None else None
-    )
     rounds = 0
     expanded = 0
     while frontier.size:
         rounds += 1
         expanded += int(frontier.size)
-        if chaos_hook is not None:
-            chaos_hook("vector", expanded)
         if progress.enabled:
             instrumentation.observe("vector.frontier.size", int(frontier.size))
             progress.tick(rounds, int(frontier.size), expanded)
@@ -168,17 +162,10 @@ def vector_core(
     abs_has_successor = ~abstract_kernel.terminal_flags()
     ignorable_stutter = stutter_insensitive or fairness_ignores_stutter
     progress = ProgressEmitter(instrumentation, "vector.core")
-    chaos_hook = (
-        chaos.engine_states if chaos.active_plan() is not None else None
-    )
-    if chaos_hook is not None:
-        chaos_hook("vector", size)
     iterations = 0
     changed = True
     while changed:
         iterations += 1
-        if chaos_hook is not None:
-            chaos_hook("vector", size * (iterations + 1))
         evicted_codes = _evict_chunk(
             np.nonzero(flags)[0],
             kernel,

@@ -12,10 +12,10 @@ runtime itself.  Three layers:
   timeouts become bounded retries; poison tasks quarantine to an
   inline (sequential) run with the identical result.
 * :mod:`repro.resilience.chaos` — seeded fault plans (kill a worker,
-  delay a task, raise ``MemoryError`` at a state threshold, corrupt a
-  cache entry, truncate a checkpoint) injectable via ``--chaos`` /
-  ``REPRO_CHAOS``, so every recovery path is provable in tests and CI.
-* :mod:`repro.resilience.degrade` — the faults on which a check
+  delay a task, corrupt a cache entry, truncate a checkpoint)
+  injectable via ``--chaos`` / ``REPRO_CHAOS``, so every recovery path
+  is provable in tests and CI.
+* :mod:`repro.resilience.degrade` — the fault on which a check
   restarts on the next engine of its chain
   (:func:`repro.checker.engines.run_chain`) instead of aborting.
 
@@ -32,7 +32,7 @@ from .chaos import (
     load_plan,
     using_chaos,
 )
-from .degrade import RECOVERABLE_ENGINE_FAULTS, EngineFault
+from .degrade import EngineFault
 from .policy import (
     DEFAULT_POLICY,
     SupervisionPolicy,
@@ -58,5 +58,4 @@ __all__ = [
     "using_chaos",
     "active_plan",
     "EngineFault",
-    "RECOVERABLE_ENGINE_FAULTS",
 ]

@@ -1,13 +1,12 @@
 """Deterministic chaos harness: seeded fault plans for the runtime.
 
-The verification stack claims to survive worker death, runtime memory
-exhaustion, and storage corruption.  This module makes those claims
+The verification stack claims to survive worker death, stalled
+workers, and storage corruption.  This module makes those claims
 testable: a :class:`FaultPlan` is a small, JSON-serializable list of
 :class:`FaultAction` entries that the runtime consults at well-defined
 hook points and that *deterministically* injects the fault — the same
-plan always kills the same task attempt, raises at the same state
-count, corrupts the same cache entry.  CI and tests then assert the
-recovery, not the failure.
+plan always kills the same task attempt, corrupts the same cache
+entry.  CI and tests then assert the recovery, not the failure.
 
 Fault kinds and the hook that honours each:
 
@@ -18,10 +17,6 @@ Fault kinds and the hook that honours each:
 ``delay-task``      :func:`on_worker_task` — the child sleeps
                     ``seconds`` first (models a stalled worker; with a
                     task timeout, the supervisor reaps it).
-``raise-memory``    :func:`engine_states` — raises ``MemoryError``
-                    once the named engine has enumerated ``at_states``
-                    states (models mid-fixpoint exhaustion; the
-                    checker degrades vector→packed→tuple).
 ``corrupt-cache``   :func:`cache_stored` — flips one byte of the
                     ``index``-th entry written by this process (the
                     digest check reads it back as a miss).
@@ -62,7 +57,6 @@ __all__ = [
     "using_chaos",
     "active_plan",
     "on_worker_task",
-    "engine_states",
     "cache_stored",
     "checkpoint_appended",
 ]
@@ -70,12 +64,11 @@ __all__ = [
 FAULT_KINDS = (
     "kill-worker",
     "delay-task",
-    "raise-memory",
     "corrupt-cache",
     "truncate-checkpoint",
 )
 
-#: Wildcard accepted by the task/attempt/phase/engine selectors.
+#: Wildcard accepted by the task/attempt/phase selectors.
 WILDCARD = "*"
 
 
@@ -97,9 +90,6 @@ class FaultAction:
         phase: task-label selector for worker faults (the pool task
             function's name, e.g. ``"_verify_spec_task"``).
         seconds: sleep duration for ``delay-task``.
-        engine: engine selector for ``raise-memory`` (``"vector"``,
-            ``"packed"``, or ``"*"``).
-        at_states: state-count threshold for ``raise-memory``.
         index: which store/append (0-based, per process) a
             ``corrupt-cache`` / ``truncate-checkpoint`` fault hits.
     """
@@ -109,8 +99,6 @@ class FaultAction:
     attempt: Union[int, str] = 0
     phase: str = WILDCARD
     seconds: float = 0.05
-    engine: str = WILDCARD
-    at_states: int = 1
     index: int = 0
 
     def __post_init__(self) -> None:
@@ -127,10 +115,6 @@ class FaultAction:
                 )
         if self.seconds < 0:
             raise ChaosPlanError(f"delay must be >= 0, got {self.seconds}")
-        if self.at_states < 0:
-            raise ChaosPlanError(
-                f"state threshold must be >= 0, got {self.at_states}"
-            )
         if self.index < 0:
             raise ChaosPlanError(f"index must be >= 0, got {self.index}")
 
@@ -148,10 +132,7 @@ class FaultAction:
         """The JSON shape (defaults elided for readability)."""
         payload: Dict[str, object] = {"kind": self.kind}
         defaults = FaultAction(kind=self.kind)
-        for name in (
-            "task", "attempt", "phase", "seconds", "engine", "at_states",
-            "index",
-        ):
+        for name in ("task", "attempt", "phase", "seconds", "index"):
             value = getattr(self, name)
             if value != getattr(defaults, name):
                 payload[name] = value
@@ -160,10 +141,7 @@ class FaultAction:
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "FaultAction":
         """Parse one fault entry, rejecting unknown keys loudly."""
-        known = {
-            "kind", "task", "attempt", "phase", "seconds", "engine",
-            "at_states", "index",
-        }
+        known = {"kind", "task", "attempt", "phase", "seconds", "index"}
         unknown = set(payload) - known
         if unknown:
             raise ChaosPlanError(
@@ -294,30 +272,6 @@ def on_worker_task(phase: str, task: int, attempt: int) -> None:
             phase, task, attempt
         ):
             os.kill(os.getpid(), signal.SIGKILL)
-
-
-def engine_states(engine: str, states: int) -> None:
-    """Engine hook: raise ``MemoryError`` past a state-count threshold.
-
-    The packed and vector fixpoints call this with their cumulative
-    enumerated-state counts; a matching ``raise-memory`` fault turns
-    into the exact exception class a real exhaustion would raise, so
-    the checker's degradation chain — not a special test path — does
-    the recovery.
-    """
-    plan = _ACTIVE[0]
-    if plan is None:
-        return
-    for fault in plan.faults:
-        if (
-            fault.kind == "raise-memory"
-            and fault.engine in (WILDCARD, engine)
-            and states >= fault.at_states
-        ):
-            raise MemoryError(
-                f"chaos: injected MemoryError in the {engine} engine "
-                f"at {states} states"
-            )
 
 
 def cache_stored(path: Union[str, Path]) -> None:

@@ -1,13 +1,10 @@
 """Chaos-driven integration tests: injected faults, recovered verdicts.
 
 The recovery invariants under test, end to end: a worker SIGKILLed
-mid-task changes nothing about the verdict (never an ``error``); an
-engine that
-exhausts memory mid-fixpoint degrades down the vector → packed → tuple
-chain with a reasoned ``engine.fallback`` event; a corrupted cache
-entry reads as a miss and the verdict is recomputed; and the CLI under
-a composite fault plan prints byte-identical output to the fault-free
-sequential run.
+mid-task changes nothing about the verdict (never an ``error``); a
+corrupted cache entry reads as a miss and the verdict is recomputed;
+and the CLI under a composite fault plan prints byte-identical output
+to the fault-free sequential run.
 
 The worker kills land on ``verify-tree``'s pool, which fans whole
 checks of the shipped example specs out to forked workers; the
@@ -22,12 +19,6 @@ import pathlib
 
 import pytest
 
-from repro.checker import (
-    check_convergence_refinement,
-    check_everywhere_refinement,
-    check_init_refinement,
-    check_stabilization,
-)
 from repro.obs import NULL_INSTRUMENTATION, Recorder, load_tagged_lines
 from repro.parallel import parallel_available
 from repro.resilience import (
@@ -37,14 +28,7 @@ from repro.resilience import (
     using_chaos,
     using_policy,
 )
-from repro.rings import (
-    btr4_abstraction,
-    btr_program,
-    dijkstra_four_state,
-    kstate_program,
-    utr_abstraction,
-    utr_program,
-)
+from repro.rings import dijkstra_four_state
 from repro.verify_tree import verify_tree
 
 pytestmark = pytest.mark.skipif(
@@ -75,14 +59,6 @@ def _verify_examples(state_dir, workers=1, instrumentation=NULL_INSTRUMENTATION)
         err=io.StringIO(),
     )
     return report, out.getvalue()
-
-
-def _dijkstra4():
-    return (
-        dijkstra_four_state(3).compile(),
-        btr_program(3).compile(),
-        btr4_abstraction(3),
-    )
 
 
 class TestWorkerDeathMidShard:
@@ -124,100 +100,6 @@ class TestWorkerDeathMidShard:
         assert counters["resilience.sequential_fallback"] >= 1
 
 
-class TestEngineDegradation:
-    @pytest.mark.usefixtures("packed_rung")
-    def test_packed_memory_fault_degrades_to_tuple(self):
-        concrete, spec, alpha = _dijkstra4()
-        baseline = check_stabilization(
-            concrete, spec, alpha, engine="tuple"
-        )
-        plan = FaultPlan(
-            faults=(
-                FaultAction(kind="raise-memory", engine="packed", at_states=1),
-            )
-        )
-        recorder = Recorder(kind="test")
-        with using_chaos(plan):
-            degraded = check_stabilization(
-                concrete, spec, alpha, engine="packed",
-                instrumentation=recorder,
-            )
-        assert degraded.format() == baseline.format()
-        record = recorder.record()
-        assert record.counters["resilience.engine.fallback"] == 1
-        assert record.counters["engine.fallback.tuple"] == 1
-        # The preflight events (the packed alias, the rung's refusal of
-        # vector) precede the one runtime degradation.
-        events = [
-            event for event in record.events
-            if event.name == "engine.fallback" and "during" in event.fields
-        ]
-        assert len(events) == 1
-        assert events[0].fields["requested"] == "packed"
-        assert events[0].fields["during"] == "runtime"
-        assert "MemoryError" in events[0].fields["reason"]
-
-    def test_vector_memory_fault_walks_the_full_chain(self):
-        pytest.importorskip("numpy")
-        concrete, spec, alpha = _dijkstra4()
-        baseline = check_stabilization(
-            concrete, spec, alpha, engine="tuple"
-        )
-        # Every engine with state hooks faults: vector falls to packed,
-        # packed falls to tuple, and tuple (hook-less) finishes.
-        plan = FaultPlan(
-            faults=(
-                FaultAction(kind="raise-memory", engine="*", at_states=1),
-            )
-        )
-        recorder = Recorder(kind="test")
-        with using_chaos(plan):
-            degraded = check_stabilization(
-                concrete, spec, alpha, engine="vector",
-                instrumentation=recorder,
-            )
-        assert degraded.format() == baseline.format()
-        assert recorder.record().counters["resilience.engine.fallback"] == 2
-
-    @pytest.mark.parametrize(
-        "check",
-        [
-            check_init_refinement,
-            check_everywhere_refinement,
-            check_convergence_refinement,
-        ],
-        ids=["init", "everywhere", "convergence"],
-    )
-    def test_vector_refinement_memory_fault_replays_on_tuple(self, check):
-        """Refinement walks the same chain as stabilization: a fault
-        on vector restarts the check on the tuple reference, with one
-        runtime event and the reference's verdict."""
-        pytest.importorskip("numpy")
-        args = kstate_program(4, 4), utr_program(4), utr_abstraction(4, 4)
-        baseline = check(*args, engine="tuple")
-        plan = FaultPlan(
-            faults=(
-                FaultAction(kind="raise-memory", engine="vector", at_states=1),
-            )
-        )
-        recorder = Recorder(kind="test")
-        with using_chaos(plan):
-            degraded = check(*args, engine="vector", instrumentation=recorder)
-        assert degraded.format() == baseline.format()
-        record = recorder.record()
-        assert record.counters["engine.vector"] == 1
-        assert record.counters["engine.fallback.tuple"] == 1
-        assert record.counters["resilience.engine.fallback"] == 1
-        fallbacks = [
-            event.fields for event in record.events
-            if event.name == "engine.fallback"
-        ]
-        assert len(fallbacks) == 1
-        assert fallbacks[0]["requested"] == "vector"
-        assert fallbacks[0]["during"] == "runtime"
-        assert "MemoryError" in fallbacks[0]["reason"]
-
-
 class TestCacheCorruptionRecovery:
     def test_corrupted_entry_recomputes_the_verdict(self, tmp_path):
         from repro.parallel import (
@@ -254,12 +136,11 @@ TOY_SPEC = (
     "init x == 0 && y == 0\n"
 )
 
-#: The acceptance-criteria composite: one worker kill per phase, a
-#: vector-engine memory fault, and one corrupted cache entry.
+#: The composite plan: one worker kill per phase and one corrupted
+#: cache entry.
 COMPOSITE_PLAN = (
     '{"seed": 0, "faults": ['
     '{"kind": "kill-worker", "task": 0, "attempt": 0}, '
-    '{"kind": "raise-memory", "engine": "vector", "at_states": 1}, '
     '{"kind": "corrupt-cache", "index": 0}]}'
 )
 

@@ -206,21 +206,17 @@ def test_packed_alias_refused_by_vector_counts_only_the_packed_rung():
 
 def test_runtime_degradation_notes_one_process_once(tmp_path):
     """A shared check that degrades to vector at runtime still says
-    once, naming the first engine, that it decides in one process."""
+    once, naming the first engine, that it decides in one process.
+    The spill root sits under a regular file, so the first spill write
+    fails."""
     from repro.kernel.shared import using_memory_budget
-    from repro.resilience import FaultAction, FaultPlan, using_chaos
 
-    args = kstate_program(5, 5), utr_program(5), utr_abstraction(5, 5)
+    args = kstate_program(5, 9), utr_program(5), utr_abstraction(5, 9)
     baseline = check_stabilization(*args, engine="vector")
-    plan = FaultPlan(
-        faults=(
-            FaultAction(kind="raise-memory", engine="shared", at_states=1),
-        )
-    )
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
     recorder = Recorder()
-    with using_chaos(plan), using_memory_budget(
-        "1M", spill_dir=str(tmp_path)
-    ):
+    with using_memory_budget("64K", spill_dir=str(blocker / "sub")):
         verdict = check_stabilization(
             *args, engine="shared", workers=2, instrumentation=recorder
         )

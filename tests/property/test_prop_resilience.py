@@ -1,10 +1,9 @@
 """Property-based testing of fault-transparent verdicts.
 
 The resilience layer's core claim, stated as a property: for *any*
-small program and *any* injected fault plan (worker kills across
-tasks and attempts, engine memory faults at arbitrary thresholds),
-the supervised parallel verdict renders identically to the fault-free
-sequential one.  Hypothesis drives both the program generator (shared
+small programs and *any* injected fault plan (worker kills across
+tasks and attempts), the supervised parallel verdict renders
+identically to the fault-free sequential one.  Hypothesis drives both the program generator (shared
 with ``test_prop_parallel``) and the fault-plan generator.  A check
 decides in one process, so the kills land on the pool that does fork:
 ``verify-tree`` over a drawn tree of specs at two workers, one task
@@ -18,7 +17,6 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checker import check_self_stabilization
 from repro.gcl.pretty import render_program
 from repro.obs import Recorder
 from repro.parallel import parallel_available
@@ -48,39 +46,23 @@ FAST = SupervisionPolicy(backoff_base=0.001, backoff_cap=0.005)
 
 @st.composite
 def fault_plans(draw):
-    """Random recoverable fault plans.
+    """Random recoverable fault plans of worker kills.
 
-    Worker kills stay on bounded attempts (the default policy allows
-    two retries, so attempts 0 and 1 always leave a clean third try —
-    and even exhausting them only quarantines, which also recovers).
-    Engine faults pick arbitrary thresholds; the degradation chain
-    ends in the hook-less tuple engine, so every plan is survivable.
+    Kills stay on bounded attempts (the default policy allows two
+    retries, so attempts 0 and 1 always leave a clean third try — and
+    even exhausting them only quarantines, which also recovers).
     """
     count = draw(st.integers(min_value=1, max_value=3))
-    faults = []
-    for _ in range(count):
-        kind = draw(st.sampled_from(["kill-worker", "raise-memory"]))
-        if kind == "kill-worker":
-            faults.append(
-                FaultAction(
-                    kind="kill-worker",
-                    task=draw(
-                        st.one_of(
-                            st.just("*"),
-                            st.integers(min_value=0, max_value=3),
-                        )
-                    ),
-                    attempt=draw(st.integers(min_value=0, max_value=1)),
-                )
-            )
-        else:
-            faults.append(
-                FaultAction(
-                    kind="raise-memory",
-                    engine=draw(st.sampled_from(["packed", "*"])),
-                    at_states=draw(st.integers(min_value=1, max_value=20)),
-                )
-            )
+    faults = [
+        FaultAction(
+            kind="kill-worker",
+            task=draw(
+                st.one_of(st.just("*"), st.integers(min_value=0, max_value=3))
+            ),
+            attempt=draw(st.integers(min_value=0, max_value=1)),
+        )
+        for _ in range(count)
+    ]
     seed = draw(st.integers(min_value=0, max_value=2**16))
     return FaultPlan(seed=seed, faults=tuple(faults))
 
@@ -130,20 +112,3 @@ class TestFaultTransparency:
         assert chaotic == baseline
         # The specs fanned out over a live two-worker pool.
         assert recorder.record().counters["parallel.workers"] == 2
-
-    @settings(max_examples=8, deadline=None)
-    @given(small_programs(), st.integers(min_value=1, max_value=10))
-    def test_engine_faults_never_perturb_the_verdict(
-        self, program, threshold
-    ):
-        baseline = check_self_stabilization(program, engine="tuple")
-        plan = FaultPlan(
-            faults=(
-                FaultAction(
-                    kind="raise-memory", engine="*", at_states=threshold
-                ),
-            )
-        )
-        with using_chaos(plan):
-            degraded = check_self_stabilization(program, engine="packed")
-        assert degraded.format() == baseline.format()

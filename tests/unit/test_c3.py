@@ -15,7 +15,11 @@ from repro.gcl.process import check_model_compliance
 from repro.kernel.shared import using_memory_budget
 from repro.kernel.vector import MAX_VECTOR_CELLS_ENV
 from repro.rings.btr import btr_program
-from repro.rings.btr3 import dijkstra_three_state
+from repro.rings.btr3 import (
+    dijkstra_three_state,
+    w1_global_program,
+    w2_refined_program,
+)
 from repro.rings.c3 import c3_aggressive_composed, c3_composed, c3_program
 from repro.rings.mappings import btr3_abstraction
 
@@ -146,9 +150,12 @@ class TestTheorem13:
         fair computation can stay outside the core forever, with the
         same trap and witness on every engine.  Shared runs under a
         1 MiB budget; the packed kernel is reached as the vector
-        engine's fallback rung, under a cell ceiling of 1.  Whether the
-        model, the fairness treatment of stuttering steps, or the paper
-        is at fault is not yet told apart."""
+        engine's fallback rung, under a cell ceiling of 1.  The trap is
+        the wrapper ``W1''``'s: it fires in multi-token states and
+        re-creates the tokens ``W2'`` cancels, and with the global
+        ``W1'`` in its place the composite holds (next test).  Whether
+        this ``C3`` or ``W1''`` differs from the paper's listing, or
+        Theorem 13 has a real gap, is still open."""
         from repro.checker.witnesses import WitnessKind
 
         requested, budget = engine, nullcontext()
@@ -164,6 +171,31 @@ class TestTheorem13:
         assert result.result.witness.kind is WitnessKind.DIVERGENT_CYCLE
         assert "(fair trap)" in result.format()
         assert result.format() == self._strong_n5("tuple").format()
+
+    @pytest.mark.parametrize("engine", ["tuple", "vector"])
+    def test_global_w1_composite_holds_under_strong_fairness_at_n5(
+        self, engine
+    ):
+        """Pinned finding (EXPERIMENTS.md, E10): ``C3 [] W1' [] W2'``,
+        the global ``W1'`` in place of ``W1''``, stabilizes to BTR at
+        n = 5 under strong fairness."""
+        composite = (
+            c3_program(5)
+            .merged_with(w1_global_program(5))
+            .merged_with(w2_refined_program(5), name="C3 [] W1' [] W2'")
+        )
+        result = check_stabilization(
+            composite,
+            btr_program(5),
+            btr3_abstraction(5),
+            stutter_insensitive=True,
+            fairness="strong",
+            compute_steps=False,
+            engine=engine,
+        )
+        assert result.holds, result.format()
+        assert result.engine == engine
+        assert len(result.core) == 24
 
 
 class TestAggressiveComposite:

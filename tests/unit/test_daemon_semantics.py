@@ -8,7 +8,7 @@ from repro.gcl.daemon import CentralDaemon, DistributedDaemon, SynchronousDaemon
 from repro.gcl.domain import IntRange, ModularDomain
 from repro.gcl.expr import Add, Const, Eq, Lt, Ne, Var
 from repro.gcl.program import Program
-from repro.gcl.semantics import compile_program, compile_states
+from repro.gcl.semantics import compile_program, compile_states, program_moves
 from repro.gcl.variable import Variable
 
 
@@ -107,3 +107,27 @@ class TestCompilationGuards:
     def test_explicit_name_override(self, two_counter_program):
         system = two_counter_program.compile(name="custom")
         assert system.name == "custom"
+
+
+class TestProgramMovesErrors:
+    """Only a schema's own ``StateSpaceError`` reads as an
+    out-of-domain write; any other fault of ``pack`` surfaces as is."""
+
+    def test_out_of_domain_action_is_named(self):
+        variables = [Variable("x", IntRange(0, 1))]
+        actions = [GuardedAction("grow", Const(True), {"x": Const(2)})]
+        program = Program("boom", variables, actions, init=[{"x": 0}])
+        with pytest.raises(GCLError, match="drive the state out of domain"):
+            list(program_moves(program, CentralDaemon(), (0,)))
+
+    def test_memory_error_in_pack_is_not_an_input_error(
+        self, two_counter_program, monkeypatch
+    ):
+        from repro.core.state import StateSchema
+
+        def exhausted(self, assignment):
+            raise MemoryError("no room for the successor")
+
+        monkeypatch.setattr(StateSchema, "pack", exhausted)
+        with pytest.raises(MemoryError, match="no room for the successor"):
+            list(program_moves(two_counter_program, CentralDaemon(), (0, 0)))

@@ -30,7 +30,8 @@ class TestPlanParsing:
             seed=7,
             faults=(
                 FaultAction(kind="kill-worker", task=0),
-                FaultAction(kind="raise-memory", engine="vector", at_states=5),
+                FaultAction(kind="delay-task", attempt="*", seconds=0.5),
+                FaultAction(kind="corrupt-cache", index=2),
             ),
         )
         assert FaultPlan.from_json(plan.to_json()) == plan
@@ -48,6 +49,17 @@ class TestPlanParsing:
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ChaosPlanError, match="unknown fault kind"):
             FaultAction(kind="set-on-fire")
+
+    def test_raise_memory_is_an_unknown_kind(self):
+        """A memory error ends a check, so no plan injects one: the
+        retired kind and its selectors are rejected like any typo."""
+        with pytest.raises(ChaosPlanError, match="unknown fault kind"):
+            FaultPlan.from_dict({"faults": [{"kind": "raise-memory"}]})
+        for key in ("engine", "at_states"):
+            with pytest.raises(ChaosPlanError, match="unknown fault field"):
+                FaultPlan.from_dict(
+                    {"faults": [{"kind": "kill-worker", key: 1}]}
+                )
 
     def test_missing_kind_is_rejected(self):
         with pytest.raises(ChaosPlanError, match="missing its 'kind'"):
@@ -114,21 +126,8 @@ class TestActivation:
             assert active_plan() is None
             # Every hook must be inert without a plan.
             chaos.on_worker_task("f", 0, 0)
-            chaos.engine_states("vector", 10**9)
             chaos.cache_stored("/nonexistent")
             chaos.checkpoint_appended("/nonexistent")
-
-    def test_raise_memory_threshold(self):
-        plan = FaultPlan(
-            faults=(
-                FaultAction(kind="raise-memory", engine="vector", at_states=10),
-            )
-        )
-        with using_chaos(plan):
-            chaos.engine_states("vector", 9)  # below threshold: no raise
-            chaos.engine_states("packed", 99)  # other engine: no raise
-            with pytest.raises(MemoryError, match="injected MemoryError"):
-                chaos.engine_states("vector", 10)
 
 
 class TestFileCorruption:
