@@ -18,6 +18,8 @@ from repro.rings import (
     c3_composed,
     c3_program,
     dijkstra_three_state,
+    w1_global_program,
+    w2_refined_program,
 )
 
 
@@ -95,7 +97,8 @@ def test_e10_table(benchmark, record_table):
 
     Theorem 13's conclusion holds at n = 3 and 4 and fails from n = 5:
     a strongly fair computation stays in a trap outside the core
-    (EXPERIMENTS.md, E10).
+    (EXPERIMENTS.md, E10).  With the global ``W1'`` in place of
+    ``W1''`` the composite holds at every n.
     """
 
     def experiment():
@@ -117,6 +120,14 @@ def test_e10_table(benchmark, record_table):
                         stutter_insensitive=True, fairness="strong",
                         compute_steps=False, engine="vector",
                     ).holds,
+                    "W1' (strong)": check_stabilization(
+                        c3_program(n)
+                        .merged_with(w1_global_program(n))
+                        .merged_with(w2_refined_program(n), name="C3 [] W1' [] W2'"),
+                        btr, alpha,
+                        stutter_insensitive=True, fairness="strong",
+                        compute_steps=False, engine="vector",
+                    ).holds,
                     "aggressive == Dijkstra3": (
                         c3_aggressive_composed(n).compile()
                         == dijkstra_three_state(n).compile()
@@ -130,6 +141,7 @@ def test_e10_table(benchmark, record_table):
     for row in rows:
         assert not row["lemma 12 literal"]
         assert row["theorem 13 (strong)"] == (row["n"] <= 4)
+        assert row["W1' (strong)"]
         assert row["aggressive == Dijkstra3"]
     record_table(
         "e10_new_three_state",

@@ -66,8 +66,9 @@ from the states the tuple bridge builds
 (:meth:`~repro.kernel.vector.VectorKernel.compile`): initial states as
 the compiled system's initial set iterates, reachable states by
 ``repr``, transitions as the compiled system lists them, the state
-space in code order.  A message shows alpha, which caches its images,
-of the first equal state that order meets.  So verdicts, witnesses and
+space in code order.  Every engine's states hold the schema's domain
+objects (:meth:`~repro.core.state.StateSchema.pack`), so a message
+shows alpha of the witness's own states.  So verdicts, witnesses and
 counters are identical on every engine, and no whole system is built.  Only an
 abstraction mapping some state outside the abstract schema, which has
 no code image, replays the check on the tuple engine after a reasoned
@@ -76,14 +77,15 @@ no code image, replays the check on the tuple engine after a reasoned
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.abstraction import AbstractionFunction, identity_abstraction
 from ..core.state import State
 from ..core.system import System, Transition
+from ..gcl.expr import Const
+from ..gcl.program import Program
 from ..kernel.engine import source_schema
 from ..obs import NULL_INSTRUMENTATION, Instrumentation, ProgressEmitter
 from .convergence import (
@@ -131,7 +133,9 @@ class _VectorClauses:
     transition as exact, stutter, compression or unrealizable, and
     ``on_cycle()`` finds the edges that lie on a cycle (clause 3 and
     the invisible-divergence clause); ``bad_terminal()`` is clause 4.
-    Witnesses are built here (``unrealized()``, ``edge_witness()``);
+    Witnesses are built here (``unrealized()``, ``edge_witness()``)
+    from the interner's decodings, which are the tuple engine's states
+    too, and their messages show ``mapping`` of them;
     :func:`_refinement` owns the spans, counters, events and verdict.
     Transition counts match the tuple engine's because ``succ_pairs``
     deduplicates per (origin, target) pair, as a compiled system's
@@ -144,9 +148,6 @@ class _VectorClauses:
         self.image_of = image_of
         self.mapping = mapping
         self.instrumentation = instrumentation
-        #: The codes reachable from ``C``'s initial states, once the
-        #: init clause has found them.
-        self.reachable: Optional[np.ndarray] = None
 
     @classmethod
     def over(cls, concrete, abstract, alpha, instrumentation):
@@ -186,7 +187,6 @@ class _VectorClauses:
                     instrumentation=self.instrumentation,
                 )
             )
-        self.reachable = reachable
         counters = {"refine.reachable.size": int(reachable.size)}
         origins, targets, bad, bad_terminal = self._violations(
             reachable, stutter_insensitive, open_systems
@@ -201,18 +201,12 @@ class _VectorClauses:
             )
         # The tuple engine scans the reachable states by repr.
         positions = np.flatnonzero(bad_sources)
-        held, scanned = self._init_scan(reachable)
-        codes = reachable[positions]
-        states = [
-            held.get(code, state)
-            for code, state in zip(codes.tolist(), self.kernel.interner.decode_array(codes))
-        ]
+        states = self.kernel.interner.decode_array(reachable[positions])
         index = min(range(len(states)), key=lambda i: repr(states[i]))
         position = int(positions[index])
         return counters, self._source_witness(
             "reachable ", int(reachable[position]), states[index],
             bool(bad_terminal[position]), targets[bad & (origins == position)],
-            scanned,
         ), ""
 
     def everywhere_clause(self, stutter_insensitive: bool, open_systems: bool) -> _Decision:
@@ -234,17 +228,16 @@ class _VectorClauses:
         code = int(np.argmax(bad_sources))
         return {}, self._source_witness(
             "", code, self.kernel.interner.decode(code), bool(bad_terminal[code]),
-            targets[bad & (origins == code)], self._code_scan(code),
+            targets[bad & (origins == code)],
         ), ""
 
     def _source_witness(
         self, scope: str, code: int, state: State, terminal: bool,
-        bad_targets: np.ndarray, scanned: Iterable[State],
+        bad_targets: np.ndarray,
     ) -> Witness:
         """The witness of the violating ``state`` (of ``code``) found
         by a scan of ``scope`` (``"reachable "`` or ``""``): its bad
-        terminal, or its first successor among ``bad_targets``, shown
-        as the scan passed ``scanned`` to alpha."""
+        terminal, or its first successor among ``bad_targets``."""
         if terminal:
             return self._witness(
                 WitnessKind.BAD_TERMINAL,
@@ -259,11 +252,10 @@ class _VectorClauses:
             for successor in self.kernel.compile([code]).successors(state)
             if encode(successor) in bad
         )
-        image, target_image = self._images((state, successor), scanned)
         return self._witness(
             WitnessKind.ILLEGAL_TRANSITION,
             f"{scope}transition has no image in {self.abstract_kernel.name}: "
-            f"{image!r} -> {target_image!r}",
+            f"{self.mapping(state)!r} -> {self.mapping(successor)!r}",
             (state, successor),
         )
 
@@ -306,60 +298,6 @@ class _VectorClauses:
                 self.abstract_kernel.terminal_flags()[self.image_of[codes]]
             )
         return origins, targets, bad, bad_terminal
-
-    def _init_scan(self, reachable: np.ndarray):
-        """The tuple engine's scan of the ``reachable`` codes, as far as
-        its states may differ from the codes' decodings: the states its
-        reachable set holds for some codes, and the states it passes to
-        alpha, in its order.
-
-        Those are the initial set's states, unless a move may build a
-        state other than the decoding (an action writing a value of
-        another type than its variable's domain, or a wrapped system's
-        own states).  Then which equal state the scan holds and meets
-        first depends on its search and its successor sets, so both run
-        over the reachable part.
-        """
-        encode = self.kernel.interner.encode
-        initial = self.kernel.initial_states()
-        if self.kernel.decodes:
-            return {encode(state): state for state in initial}, initial
-        region = self.kernel.compile(reachable.tolist())
-        held = {encode(state): state for state in region.reachable_from(initial)}
-        scanned = itertools.chain(
-            initial,
-            itertools.chain.from_iterable(
-                itertools.chain((state,), region.successors(state))
-                for state in sorted(held.values(), key=repr)
-            ),
-        )
-        return held, scanned
-
-    def _images(self, states, scanned: Iterable[State]) -> List[State]:
-        """The images of ``states`` as the tuple engine shows them:
-        alpha, which caches its images, applied first to the first
-        equal state of ``scanned``, the states its scan passed to it."""
-        encode = self.kernel.interner.encode
-        codes = [encode(state) for state in states]
-        first: Dict[int, State] = {}
-        for state in scanned:
-            code = encode(state)
-            if code in codes and code not in first:
-                first[code] = state
-                if len(first) == len(set(codes)):
-                    break
-        return [self.mapping(first.get(code, state)) for code, state in zip(codes, states)]
-
-    def _code_scan(self, last: int) -> Iterator[State]:
-        """The states the tuple engine's code-order scan passes to
-        alpha up to the state of code ``last``, as far as they may
-        differ from the witness states (see :meth:`_init_scan`)."""
-        if self.kernel.decodes:
-            return
-        region = self.kernel.compile(range(last + 1))
-        for state in self.kernel.interner.decode_array(np.arange(last + 1)):
-            yield state
-            yield from region.successors(state)
 
     # ------------------------------------------------------------------
     # [C <= A]'s clauses 2-4.
@@ -437,13 +375,7 @@ class _VectorClauses:
     def unrealized(self, edges: np.ndarray) -> Witness:
         """Clause 2's witness: the first of the unrealizable ``edges``."""
         source, target = self._first_transition(edges)
-        _, scanned = self._init_scan(self.reachable)
-        if not self.kernel.decodes:
-            listed = self.kernel.compile(range(self.kernel.interner.encode(source) + 1))
-            scanned = itertools.chain(
-                scanned, itertools.chain.from_iterable(listed.transitions())
-            )
-        image_source, image_target = self._images((source, target), scanned)
+        image_source, image_target = self.mapping(source), self.mapping(target)
         if image_source == image_target:
             message = (
                 "stuttering transition but the abstract has no self-loop at "
@@ -1247,10 +1179,13 @@ def check_everywhere_eventually_refinement(
     if not init_part.holds:
         return CheckResult(False, name, init_part.witness,
                            detail="init-refinement clause failed")
-    abstract_system = _as_system(abstract)
-    liberal = abstract_system.with_initial(
-        abstract_system.schema.states(), name=f"{abstract_system.name}|all-initial"
-    )
+    # Every abstract state initial: a program stays a program, so the
+    # stabilization check runs on its kernels, not on a compiled System.
+    liberal_name = f"{_source_name(abstract)}|all-initial"
+    if isinstance(abstract, Program):
+        liberal = abstract.with_init(Const(True), name=liberal_name)
+    else:
+        liberal = abstract.with_initial(abstract.schema.states(), name=liberal_name)
     suffix_part = check_stabilization(
         concrete, liberal, mapping, compute_steps=False,
         instrumentation=instrumentation, engine=engine,

@@ -8,7 +8,7 @@ representation of ``Sigma`` used throughout the library:
   finite domain;
 * a *state* is an immutable tuple of values, one per schema variable,
   in schema order (plain tuples keep the exhaustive enumerations used
-  by the checkers cheap and hashable);
+  by the checkers cheap and hashable) of the domains' own values;
 * a :class:`StateSpace` is the set of all states of a schema, lazily
   enumerable and queryable for membership.
 
@@ -28,6 +28,17 @@ __all__ = ["State", "StateSchema", "StateSpace"]
 
 #: A state is an immutable tuple of variable values in schema order.
 State = Tuple[object, ...]
+
+
+_ABSENT = object()
+
+
+def _member(domain_map: Dict[object, object], value: object, name: str) -> object:
+    """The domain's own value equal to ``value``, or StateSpaceError."""
+    member = domain_map.get(value, _ABSENT)
+    if member is _ABSENT:
+        raise StateSpaceError(f"value {value!r} is outside the domain of {name!r}")
+    return member
 
 
 class StateSchema:
@@ -67,7 +78,8 @@ class StateSchema:
             if len(set(domain)) != len(domain):
                 raise ValueError(f"variable {name!r} has duplicate domain values")
         self._index: Dict[str, int] = {name: i for i, name in enumerate(self._names)}
-        self._domain_sets = tuple(frozenset(domain) for domain in self._domains)
+        # Each domain as {value: value}: one lookup finds its own value.
+        self._domain_maps = tuple({v: v for v in domain} for domain in self._domains)
 
     @property
     def names(self) -> Tuple[str, ...]:
@@ -104,7 +116,8 @@ class StateSchema:
         """Build a state tuple from a name->value mapping.
 
         Every schema variable must be assigned, every value must lie in
-        the variable's domain, and no extra names may be present.
+        the variable's domain, and no extra names may be present.  The
+        state holds the domain's own values (``True`` in ``0..1`` is 1).
 
         Raises:
             StateSpaceError: on missing/extra variables or out-of-domain
@@ -114,15 +127,10 @@ class StateSchema:
         if extra:
             raise StateSpaceError(f"unknown variables in assignment: {sorted(extra)}")
         values = []
-        for name, domain_set in zip(self._names, self._domain_sets):
+        for name, domain_map in zip(self._names, self._domain_maps):
             if name not in assignment:
                 raise StateSpaceError(f"assignment is missing variable {name!r}")
-            value = assignment[name]
-            if value not in domain_set:
-                raise StateSpaceError(
-                    f"value {value!r} is outside the domain of {name!r}"
-                )
-            values.append(value)
+            values.append(_member(domain_map, assignment[name], name))
         return tuple(values)
 
     def unpack(self, state: State) -> Dict[str, object]:
@@ -135,7 +143,8 @@ class StateSchema:
         return state[self._index[name]]
 
     def replace(self, state: State, **updates: object) -> State:
-        """Return a copy of ``state`` with the named variables replaced.
+        """Return a copy of ``state`` with the named variables replaced
+        by their domains' own values, as :meth:`pack` stores them.
 
         Raises:
             StateSpaceError: if an update is out of domain or names an
@@ -146,26 +155,24 @@ class StateSchema:
             if name not in self._index:
                 raise StateSpaceError(f"unknown variable {name!r}")
             position = self._index[name]
-            if value not in self._domain_sets[position]:
-                raise StateSpaceError(
-                    f"value {value!r} is outside the domain of {name!r}"
-                )
-            values[position] = value
+            values[position] = _member(self._domain_maps[position], value, name)
         return tuple(values)
 
     def validate(self, state: State) -> None:
         """Assert that ``state`` is a member of this schema's state space.
 
         Raises:
-            StateSpaceError: if the tuple has the wrong arity or an
-                out-of-domain component.
+            StateSpaceError: if the tuple has the wrong arity, an
+                out-of-domain component, or a component that equals a
+                domain value but has another type (``True`` in ``0..1``).
         """
         if not isinstance(state, tuple) or len(state) != len(self._names):
             raise StateSpaceError(
                 f"state {state!r} does not have arity {len(self._names)}"
             )
-        for name, domain_set, value in zip(self._names, self._domain_sets, state):
-            if value not in domain_set:
+        for name, domain_map, value in zip(self._names, self._domain_maps, state):
+            member = domain_map.get(value, _ABSENT)
+            if member is _ABSENT or type(member) is not type(value):
                 raise StateSpaceError(
                     f"state component {name!r}={value!r} is out of domain"
                 )

@@ -16,32 +16,25 @@ moves included.  Each successor set is therefore built from the same
 insertion sequence, and each pair's labels name the actions that make
 it.  ``compile(codes, drop_self=True)`` leaves the self-loops out as
 :meth:`~repro.core.system.System.without_self_loops` does, so its
-successor sets iterate as that method's.  A state is a tuple of the
-schema's domain objects, as the scalar path has it, except where an
-action writes a value whose type differs from its variable's domain
-(``x := y == 0`` into an int domain): the scalar path keeps the
-written value, so the bridge casts that component to the written type.
+successor sets iterate as that method's.  A state is its interner's
+decoding, a tuple of the schema's domain objects, as the scalar path
+builds it (:meth:`~repro.core.state.StateSchema.pack`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Set, Tuple
 
 import numpy as np
 
 from ...core.state import State
 from ...core.system import System, Transition, stutter_free
-from ...gcl.action import GuardedAction
-from .analyze import BOOL, INT, expr_type
 from .lower import ActionPair, LoweredProgram
 
 __all__ = ["TupleBridge"]
 
 #: Each action's ``(mask, successor)`` arrays over a batch of codes.
 PairsOf = Callable[[np.ndarray], Iterable[ActionPair]]
-
-#: ``(position, type)``: a state component to cast to the written type.
-Cast = Tuple[int, type]
 
 
 class TupleBridge:
@@ -54,7 +47,7 @@ class TupleBridge:
     """
 
     __slots__ = (
-        "_interner", "_pairs_of", "_batch", "_name", "_names", "_casts",
+        "_interner", "_pairs_of", "_batch", "_name", "_names",
         "_initial_codes", "_scalar_initial",
     )
 
@@ -63,13 +56,7 @@ class TupleBridge:
         self._pairs_of = pairs_of
         self._batch = batch
         self._name = lowered.program.name
-        actions = lowered.program.actions
-        self._names = [action.name for action in actions]
-        var_types = {
-            name: BOOL if codec.is_bool else INT
-            for name, codec in lowered.codecs.items()
-        }
-        self._casts = [_casts(action, var_types) for action in actions]
+        self._names = [action.name for action in lowered.program.actions]
         self._initial_codes = lowered.initial_codes
         self._scalar_initial = lowered.scalar_initial
 
@@ -78,13 +65,6 @@ class TupleBridge:
         given, with no initial states — what the packed kernel's
         ``compile`` gives; with ``drop_self`` self-loops are left out."""
         return self._system(np.fromiter(codes, dtype=np.int64), (), drop_self)
-
-    @property
-    def decodes(self) -> bool:
-        """Is every target state it builds its interner's decoding
-        (no action writes a value of another type than its variable's
-        domain)?"""
-        return not any(self._casts)
 
     def initial_states(self) -> Iterable[State]:
         """The initial states in the order ``Program.initial_states``
@@ -107,12 +87,8 @@ class TupleBridge:
     ) -> System:
         adjacency: Dict[State, Set[State]] = {}
         labels: Dict[Transition, Set[str]] = {}
-        names, casts = self._names, self._casts
+        names = self._names
         for source, target, action in self._moves(codes):
-            for index, kind in casts[action]:
-                values = list(target)
-                values[index] = kind(values[index])
-                target = tuple(values)
             adjacency.setdefault(source, set()).add(target)
             if not (drop_self and target == source):
                 labels.setdefault((source, target), set()).add(names[action])
@@ -142,14 +118,3 @@ class TupleBridge:
             ):
                 yield sources[position], target, action
 
-
-def _casts(action: GuardedAction, var_types: Dict[str, str]) -> Tuple[Cast, ...]:
-    """The components ``action`` writes with a value of another type
-    than the variable's domain, and the written type."""
-    positions = {name: index for index, name in enumerate(var_types)}
-    casts: List[Cast] = []
-    for target, rhs in action.assignments.items():
-        written = expr_type(rhs, var_types)
-        if written != var_types[target]:
-            casts.append((positions[target], bool if written == BOOL else int))
-    return tuple(casts)

@@ -138,13 +138,6 @@ class VectorKernel:
             return system.without_self_loops() if drop_self else system
         return self._bridge.compile(codes, drop_self)
 
-    @property
-    def decodes(self) -> bool:
-        """Is every state :meth:`compile` builds, outside the initial
-        set, its interner's decoding?  Not for a kernel built
-        :meth:`from_system`, whose states are its system's own."""
-        return self._bridge is not None and self._bridge.decodes
-
     def initial_states(self) -> FrozenSet[State]:
         """The initial states of :meth:`materialize`'s system, iterating
         as they do there, without building it."""

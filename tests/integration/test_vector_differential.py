@@ -171,6 +171,21 @@ class TestRefinementDifferential:
         )
         assert tuple_verdict.format() == vector_verdict.format()
 
+    def test_everywhere_eventually_keeps_programs_uncompiled(self, monkeypatch):
+        """The all-initial abstract stays a program on vector, so
+        neither side is compiled to a tuple System."""
+        from repro.gcl.program import Program
+
+        args = (dijkstra_four_state(3), btr_program(3), btr4_abstraction(3))
+        reference = check_everywhere_eventually_refinement(*args, engine="tuple")
+
+        def refuse(*_, **__):
+            raise AssertionError("Program.compile called")
+
+        monkeypatch.setattr(Program, "compile", refuse)
+        verdict = check_everywhere_eventually_refinement(*args, engine="vector")
+        assert verdict.format() == reference.format()
+
     @pytest.mark.skipif(
         not parallel_available(), reason="no fork start method"
     )

@@ -172,6 +172,46 @@ class TestTheorem13:
         assert "(fair trap)" in result.format()
         assert result.format() == self._strong_n5("tuple").format()
 
+    def test_trap_token_deltas_at_n5(self):
+        """Pinned finding (EXPERIMENTS.md, E10): inside the n = 5 trap,
+        216 of the 219 states outside the core, the abstract token
+        count (the true bits of the BTR image) changes only on wrapper
+        edges.  ``w1.local`` adds a token on 24 of its 48 edges, every
+        ``w2.cancel.*`` edge removes two, and every ``C3`` move keeps
+        the count."""
+        from collections import Counter
+
+        from repro.checker.fairness import find_fair_trap
+
+        alpha = btr3_abstraction(5)
+        core = self._strong_n5("tuple").core
+        system = c3_composed(5).compile().without_self_loops()
+        outside = [state for state in system.schema.states() if state not in core]
+        trap = find_fair_trap(system, outside)
+        assert (len(outside), len(trap)) == (219, 216)
+
+        def tokens(state):
+            return sum(map(bool, alpha(state)))
+
+        def kind(action):
+            if action.startswith("w2.cancel."):
+                return "w2.cancel"
+            return action if action == "w1.local" else "C3"
+
+        deltas = {}
+        for source in trap:
+            for target in system.successors(source):
+                if target in trap:
+                    for action in system.labels_of(source, target):
+                        deltas.setdefault(kind(action), Counter())[
+                            tokens(target) - tokens(source)
+                        ] += 1
+        assert deltas == {
+            "C3": Counter({0: 462}),
+            "w1.local": Counter({1: 24, 0: 24}),
+            "w2.cancel": Counter({-2: 36}),
+        }
+
     @pytest.mark.parametrize("engine", ["tuple", "vector"])
     def test_global_w1_composite_holds_under_strong_fairness_at_n5(
         self, engine

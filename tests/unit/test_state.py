@@ -72,6 +72,14 @@ class TestPackUnpack:
         with pytest.raises(StateSpaceError):
             schema.replace((0, 0), z=1)
 
+    def test_pack_stores_the_domain_value(self, schema):
+        state = schema.pack({"x": True, "y": 2})
+        assert state == (1, 2) and type(state[0]) is int
+
+    def test_replace_stores_the_domain_value(self, schema):
+        state = schema.replace((0, 0), x=True)
+        assert state == (1, 0) and type(state[0]) is int
+
 
 class TestValidation:
     def test_validate_accepts_member(self, schema):
@@ -84,6 +92,10 @@ class TestValidation:
     def test_validate_rejects_non_tuple(self, schema):
         with pytest.raises(StateSpaceError):
             schema.validate([1, 2])
+
+    def test_validate_rejects_an_equal_value_of_another_type(self, schema):
+        with pytest.raises(StateSpaceError, match="'x'=True is out of domain"):
+            schema.validate((True, 0))
 
     def test_is_valid_boolean_form(self, schema):
         assert schema.is_valid((0, 0))

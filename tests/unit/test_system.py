@@ -39,6 +39,14 @@ class TestConstruction:
         with pytest.raises(StateSpaceError):
             System(schema, [], initial=[(9,)])
 
+    def test_rejects_a_state_holding_another_type(self):
+        # True equals the domain's 1 but is not the domain's value.
+        bits = StateSchema({"v": (0, 1)})
+        with pytest.raises(StateSpaceError):
+            System(bits, [((0,), (True,))], initial=[(0,)])
+        with pytest.raises(StateSpaceError):
+            System(bits, [], initial=[(True,)])
+
     def test_empty_system_is_legal(self, schema):
         system = System(schema, [], initial=[])
         assert not system.enabled_anywhere()
